@@ -4,7 +4,7 @@
 # suite — the liveness/partition tests under deterministic fault
 # injection (internal/faultnet) — and a smoke pass over the E15/E16
 # benchmark suites so they cannot silently rot.
-.PHONY: all tier1 tier2 faults crash bench bench-quick bench-all gen obs
+.PHONY: all tier1 tier2 faults crash bench bench-quick bench-e2e-check bench-all gen obs
 
 all: tier1 tier2
 
@@ -12,7 +12,7 @@ tier1:
 	go build ./...
 	go test ./...
 
-tier2: faults crash bench-quick obs
+tier2: faults crash bench-quick bench-e2e-check obs
 	go vet ./...
 	go test -race ./...
 
@@ -63,6 +63,16 @@ bench:
 # One-iteration smoke: the benchmarks still compile and run.
 bench-quick:
 	go test -run NONE -bench 'E15|E16|E17|E18|E19|E20|E21_Striped_S[28]_P8_0B|E21_MixedHoL|E22' -benchtime 1x .
+
+# The two-process benchmark (BENCHMARK.json, benchmark/) is a module of
+# its own, so tier1's ./... never reaches it: run its arithmetic tests
+# and its smoke mode — every workload, both modes, one-second windows
+# against a springfsd built from this checkout — so a change here that
+# breaks what the benchmark uses of the program fails tier2, not the
+# next measured run.
+bench-e2e-check:
+	(cd benchmark && go test -short ./...)
+	bash benchmark/run.sh -smoke
 
 bench-all:
 	go test -bench=. -benchmem

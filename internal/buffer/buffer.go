@@ -18,8 +18,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // Door is an opaque door reference slot. The kernel and the network door
@@ -56,23 +58,70 @@ type Buffer struct {
 	rpos    int
 	doors   []Door
 	dcursor int
-	region  *Region // backing region, if built by FromRegion
+	// region is the region the stream aliases after Adopt; store is the
+	// buffer's own array while data is something narrower or something
+	// else — a window into it (Narrow) or a region's bytes. Reset undoes
+	// both.
+	region *Region
+	store  []byte
+	// home is how the buffer was obtained: the pool that handed it out
+	// and that Put returns it to. Nil for a buffer no pool handed out
+	// (New, FromParts, the zero value) and for one already returned.
+	home *sync.Pool
 }
 
-// New returns an empty buffer with capacity hint n.
+// New returns an empty buffer with capacity hint n. It belongs to the
+// collector: Put on it recycles nothing.
 func New(n int) *Buffer {
 	return &Buffer{data: make([]byte, 0, n)}
 }
 
-// pool recycles Buffers for the marshal hot paths (netd frame assembly,
-// reply payloads). Capacity is retained across uses up to maxPooledCap so
-// a steady-state small call allocates nothing.
-var pool = sync.Pool{New: func() any { return &Buffer{} }}
+// pool recycles Buffers for the marshal and frame paths (netd frame
+// assembly and frame reads, skeleton replies, stub arguments). Capacity
+// and the door slice are retained across uses, so a steady-state small
+// call allocates nothing.
+var pool sync.Pool
 
-// maxPooledCap bounds the byte capacity a pooled buffer may retain; a
-// buffer grown past it (one giant frame) is dropped to the collector
-// rather than pinning the memory in the pool.
+// maxPooledCap bounds the byte capacity a pooled buffer may retain; the
+// storage of one grown past it (one giant frame) is dropped to the
+// collector rather than pinning the memory in the pool.
 const maxPooledCap = 256 << 10
+
+// ledger counts the pool's traffic. Gets and puts balance when every
+// buffer drawn is handed back; misses are the Gets that had to allocate
+// (a fresh struct, fresh storage, or both); drops are Puts of buffers
+// the pool never handed out, or handed out and already took back.
+var ledger struct {
+	gets, misses, puts, drops atomic.Int64
+}
+
+// Ledger is a snapshot of the pool's counters since process start.
+type Ledger struct {
+	Gets   int64 `json:"gets"`
+	Misses int64 `json:"misses"`
+	Puts   int64 `json:"puts"`
+	Drops  int64 `json:"drops"`
+}
+
+// Sub returns the traffic between an earlier snapshot and l.
+func (l Ledger) Sub(earlier Ledger) Ledger {
+	return Ledger{
+		Gets:   l.Gets - earlier.Gets,
+		Misses: l.Misses - earlier.Misses,
+		Puts:   l.Puts - earlier.Puts,
+		Drops:  l.Drops - earlier.Drops,
+	}
+}
+
+// Stats returns the pool's ledger.
+func Stats() Ledger {
+	return Ledger{
+		Gets:   ledger.gets.Load(),
+		Misses: ledger.misses.Load(),
+		Puts:   ledger.puts.Load(),
+		Drops:  ledger.drops.Load(),
+	}
+}
 
 // Get returns an empty buffer from the process-wide pool, grown to at
 // least capacity hint n. Release it with Put when its contents are dead.
@@ -80,20 +129,30 @@ const maxPooledCap = 256 << 10
 // storage pool (see Recycle) before falling back to a fresh allocation,
 // so detached payload arrays circulate back into the marshal paths.
 func Get(n int) *Buffer {
-	b := pool.Get().(*Buffer)
+	ledger.gets.Add(1)
+	b, _ := pool.Get().(*Buffer)
+	fresh := b == nil
+	if fresh {
+		b = &Buffer{}
+	}
+	b.home = &pool
 	if cap(b.data) < n {
 		if s := getStorage(n); s != nil {
 			b.data = s
 		} else {
 			b.data = make([]byte, 0, n)
+			fresh = true
 		}
+	}
+	if fresh {
+		ledger.misses.Add(1)
 	}
 	return b
 }
 
 // storagePool recycles bare byte arrays: the payload storage behind
-// detached buffers and bulk-region grants, which outlives the Buffer
-// struct that grew it. Entries are *[]byte with length 0.
+// detached buffers handed over as bulk-region grants, which outlives the
+// Buffer struct that grew it. Entries are *[]byte with length 0.
 var storagePool sync.Pool
 
 // getStorage returns a zero-length pooled array with capacity at least n,
@@ -112,78 +171,79 @@ func getStorage(n int) []byte {
 	return s
 }
 
-// GetStorage returns a length-n byte slice from the storage pool, falling
-// back to a fresh allocation. Pair with Recycle.
-func GetStorage(n int) []byte {
-	if s := getStorage(n); s != nil {
-		return s[:n]
-	}
-	return make([]byte, n)
-}
-
-// Recycle returns a payload array to the storage pool. The caller must
-// own p outright — no buffer, region or reader may alias it afterwards.
-// Oversized arrays are dropped, mirroring Put.
+// Recycle returns a detached payload array to the storage pool. The
+// caller must own p outright — no buffer, region or reader may alias it
+// afterwards. Oversized arrays are dropped, mirroring Put.
 func Recycle(p []byte) {
 	if cap(p) == 0 || cap(p) > maxPooledCap {
 		return
+	}
+	if poison.Load() {
+		fill(p[:cap(p)])
 	}
 	p = p[:0]
 	storagePool.Put(&p)
 }
 
-// Put resets b and returns it to the pool. The caller must own b
-// exclusively and must not use it afterwards; as with Reset, any
-// unconsumed door references are dropped, so release them first. Put is
-// safe on buffers not obtained from Get (and on nil, a no-op).
+// Put is the one way to dispose of a buffer, whatever produced it. The
+// caller must own b exclusively and must not use it afterwards; unconsumed
+// door references are dropped, not released, so release them first (see
+// kernel.ReleaseBufferDoors). What happens next follows from how b was
+// obtained, not from which call site holds it: a region it adopted goes
+// back to the region's owner, a pooled buffer is reset and returned to the
+// pool that handed it out with its whole storage, and everything else —
+// New, FromParts, the zero value, a buffer Put twice, nil — is left to the
+// collector untouched, so storage the pool does not own can never enter
+// it.
 func Put(b *Buffer) {
-	if b == nil || cap(b.data) > maxPooledCap {
+	if b == nil {
 		return
 	}
+	h := b.home
+	if h == nil {
+		b.dropRegion()
+		ledger.drops.Add(1)
+		return
+	}
+	b.home = nil
 	b.Reset()
-	pool.Put(b)
+	if h == &pool {
+		ledger.puts.Add(1)
+		if cap(b.data) > maxPooledCap {
+			b.data = nil
+		}
+	}
+	if poison.Load() {
+		fill(b.data[:cap(b.data)])
+	}
+	h.Put(b)
+}
+
+// poison makes Put and Recycle overwrite storage as it returns to a pool.
+var poison atomic.Bool
+
+// PoisonRecycled is a test hook (see sctest.PoisonRecycled): while on, every byte of
+// storage that returns to a pool is overwritten with 0xDB, so code that
+// keeps reading a buffer it gave up — a skeleton retaining argument bytes
+// past its dispatch, a stub retaining result bytes — reads garbage at
+// once instead of whenever the pool happens to reuse the array.
+func PoisonRecycled(on bool) { poison.Store(on) }
+
+func fill(p []byte) {
+	if len(p) == 0 {
+		return
+	}
+	p[0] = 0xDB
+	for n := 1; n < len(p); n *= 2 { // doubling copies: a few memmoves, not a byte loop
+		copy(p[n:], p[:n])
+	}
 }
 
 // FromParts reconstructs a buffer from a byte stream and a door slice, as
 // produced by Bytes and Doors on the sending side. The slices are adopted,
-// not copied.
+// not copied, and stay the caller's: Put never recycles them.
 func FromParts(data []byte, doors []Door) *Buffer {
 	return &Buffer{data: data, doors: doors}
-}
-
-// shellPool recycles the transient Buffer structs handed out by Wrap. It
-// is deliberately separate from Get's pool: those buffers retain marshal
-// storage across uses, while a shell never owns its bytes — mixing the
-// two would drain the armed buffers' storage guarantee.
-var shellPool = sync.Pool{New: func() any { return &Buffer{} }}
-
-// Wrap is the pooled counterpart of FromParts: it adopts data and doors
-// without copying, for byte streams that already exist (netd's inbound
-// frames). Release the struct with PutShell once it is dead; the adopted
-// slices are never retained, so they may be aliased by payload buffers
-// that outlive the shell.
-func Wrap(data []byte, doors []Door) *Buffer {
-	b := shellPool.Get().(*Buffer)
-	b.data = data
-	b.doors = doors
-	return b
-}
-
-// PutShell returns a Wrap'd buffer to the shell pool (nil is a no-op),
-// dropping — not retaining — every reference it carried. Unlike Put this
-// is safe when the byte stream is still live elsewhere: a reply payload
-// built over an inbound frame keeps reading those bytes after the frame's
-// shell is recycled.
-func PutShell(b *Buffer) {
-	if b == nil {
-		return
-	}
-	if r := b.region; r != nil {
-		b.region = nil
-		r.Release()
-	}
-	*b = Buffer{}
-	shellPool.Put(b)
 }
 
 // Bytes returns the full byte stream written so far.
@@ -203,19 +263,28 @@ func (b *Buffer) DoorCount() int { return len(b.doors) }
 
 // Reset empties the buffer for reuse, retaining allocated capacity.
 // Any unconsumed door references are dropped; the caller is responsible for
-// releasing them first (see kernel.ReleaseBufferDoors). A region-backed
-// buffer releases its region and drops the aliased bytes.
+// releasing them first (see kernel.ReleaseBufferDoors). An adopted region
+// is released and a narrowed stream widens back to the whole storage.
 func (b *Buffer) Reset() {
-	if r := b.region; r != nil {
-		b.region = nil
-		b.data = nil // the bytes belong to the released region
-		r.Release()
+	b.dropRegion()
+	if b.store != nil {
+		b.data, b.store = b.store, nil
 	}
 	b.data = b.data[:0]
 	b.rpos = 0
 	clear(b.doors) // don't let a recycled buffer pin dropped references
 	b.doors = b.doors[:0]
 	b.dcursor = 0
+}
+
+// dropRegion releases the adopted region, if any, and lets go of its
+// bytes.
+func (b *Buffer) dropRegion() {
+	if r := b.region; r != nil {
+		b.region = nil
+		b.data = nil // the bytes belong to the released region
+		r.Release()
+	}
 }
 
 // Rewind moves the read position back to the start of the stream. Door
@@ -302,6 +371,30 @@ func (b *Buffer) WriteRaw(p []byte) {
 func (b *Buffer) WriteDoor(d Door) {
 	b.WriteUvarint(doorTag)
 	b.doors = append(b.doors, d)
+}
+
+// AppendDoor records d out-of-band without splicing a tag: the receiving
+// half of a transfer, whose byte stream already carries the tags WriteDoor
+// spliced on the sending side.
+func (b *Buffer) AppendDoor(d Door) {
+	b.doors = append(b.doors, d)
+}
+
+// ReadFull appends exactly n bytes read from r to the stream. On a short
+// read the stream is left as it was.
+func (b *Buffer) ReadFull(r io.Reader, n int) error {
+	at := len(b.data)
+	if cap(b.data)-at < n {
+		grown := make([]byte, at, at+n)
+		copy(grown, b.data)
+		b.data = grown
+	}
+	b.data = b.data[:at+n]
+	if _, err := io.ReadFull(r, b.data[at:]); err != nil {
+		b.data = b.data[:at]
+		return err
+	}
+	return nil
 }
 
 // ReadUint32 consumes and returns a little-endian uint32.
@@ -471,11 +564,12 @@ func (b *Buffer) Splice(other *Buffer) {
 
 // Detach removes and returns the buffer's byte storage, leaving the byte
 // stream empty (door slots are untouched). The caller becomes the sole
-// owner of the returned slice. It refuses (nil, false) on a region-backed
-// buffer: those bytes belong to the region's owner — often a pool that
-// will recycle them — and cannot change hands.
+// owner of the returned slice. It refuses (nil, false) when the stream is
+// not the buffer's own storage — a region's bytes, which belong to the
+// region's owner, or a window into a larger array that Put will recycle
+// whole.
 func (b *Buffer) Detach() ([]byte, bool) {
-	if b.region != nil {
+	if b.region != nil || b.store != nil {
 		return nil, false
 	}
 	data := b.data
@@ -484,9 +578,31 @@ func (b *Buffer) Detach() ([]byte, bool) {
 	return data, true
 }
 
-// Regioned reports whether the buffer's bytes are backed by a Region —
-// storage with an owner and a release lifecycle of its own.
-func (b *Buffer) Regioned() bool { return b.region != nil }
+// Narrow re-scopes the stream, in place, to the n bytes at offset off — a
+// payload carried inside a frame becomes the whole stream, read position
+// at its start. The buffer keeps owning the full storage (Reset and Put
+// restore it), and the window's capacity is clipped, so appending to it
+// reallocates rather than writing over what follows in the frame.
+func (b *Buffer) Narrow(off, n int) {
+	if b.store == nil && b.region == nil {
+		b.store = b.data
+	}
+	b.data = b.data[off : off+n : off+n]
+	b.rpos = 0
+}
+
+// Adopt re-scopes the stream, in place, to r's bytes, read in place with
+// the read position at their start. The buffer takes over the region:
+// Reset and Put release it, and restore the buffer's own storage.
+func (b *Buffer) Adopt(r *Region) {
+	b.dropRegion()
+	if b.store == nil {
+		b.store = b.data
+	}
+	b.data = r.Data
+	b.region = r
+	b.rpos = 0
+}
 
 // A Mark captures a buffer's write position, so a speculative section —
 // bytes and door references — can be rolled back with Truncate.

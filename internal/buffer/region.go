@@ -7,7 +7,7 @@ import "sync"
 // domains (and, through netd's same-machine transport, between kernels in
 // one process) by reference instead of being copied through a byte
 // stream. A Region owns its bytes until Release; the receiving side
-// aliases them through a region-backed Buffer (FromRegion).
+// aliases them through a Buffer that adopted the region (Buffer.Adopt).
 
 // Region is one bulk payload window.
 type Region struct {
@@ -35,13 +35,6 @@ func (r *Region) Release() {
 	r.once.Do(r.release)
 }
 
-// FromRegion constructs a buffer that reads r's bytes in place, paired
-// with out-of-band doors exactly as FromParts. The buffer adopts the
-// region: Reset (and thus Put) releases it.
-func FromRegion(r *Region, doors []Door) *Buffer {
-	return &Buffer{data: r.Data, doors: doors, region: r}
-}
-
 // RegionPool recycles fixed-capacity buffers used as shared regions. The
 // shm subcontract draws its invoke_preamble regions from one; sizing is
 // fixed so a pooled region never reallocates mid-marshal (reallocation
@@ -61,15 +54,10 @@ func NewRegionPool(size int) *RegionPool {
 // Size reports the capacity of the pool's regions.
 func (p *RegionPool) Size() int { return p.size }
 
-// Get returns an empty region buffer of the pool's capacity.
-func (p *RegionPool) Get() *Buffer { return p.pool.Get().(*Buffer) }
-
-// Put resets b and returns it to the pool. The caller must own b
-// exclusively; as with Reset, unconsumed door references are dropped.
-func (p *RegionPool) Put(b *Buffer) {
-	if b == nil {
-		return
-	}
-	b.Reset()
-	p.pool.Put(b)
+// Get returns an empty region buffer of the pool's capacity. Release it
+// with Put, which returns it to this pool.
+func (p *RegionPool) Get() *Buffer {
+	b := p.pool.Get().(*Buffer)
+	b.home = &p.pool
+	return b
 }

@@ -37,7 +37,6 @@
 package dispatch
 
 import (
-	"container/heap"
 	"errors"
 	"math/bits"
 	"runtime"
@@ -108,21 +107,57 @@ type item struct {
 	run  func()
 }
 
-// pq implements heap.Interface: highest priority first, FIFO within a
+// pq is a binary heap of items: highest priority first, FIFO within a
 // priority level (seq is engine-wide, so a single-shard engine preserves
-// exact submission order per level).
+// exact submission order per level). The sifts are typed rather than
+// container/heap's: that interface boxes every item through `any` on the
+// way in and on the way out, two allocations per queued call.
 type pq []item
 
-func (q pq) Len() int { return len(q) }
-func (q pq) Less(i, j int) bool {
+func (q pq) less(i, j int) bool {
 	if q[i].prio != q[j].prio {
 		return q[i].prio > q[j].prio
 	}
 	return q[i].seq < q[j].seq
 }
-func (q pq) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x any)   { *q = append(*q, x.(item)) }
-func (q *pq) Pop() any     { old := *q; n := len(old); it := old[n-1]; *q = old[:n-1]; return it }
+
+func (q *pq) push(it item) {
+	h := append(*q, it)
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+	*q = h
+}
+
+func (q *pq) pop() item {
+	h := *q
+	n := len(h) - 1
+	top := h[0]
+	h[0] = h[n]
+	h[n] = item{} // the vacated slot must not pin the task
+	h = h[:n]
+	for i := 0; ; {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if right := child + 1; right < n && h.less(right, child) {
+			child = right
+		}
+		if !h.less(child, i) {
+			break
+		}
+		h[i], h[child] = h[child], h[i]
+		i = child
+	}
+	*q = h
+	return top
+}
 
 // shard is one worker's run queue. The padding keeps neighbouring
 // shards' locks off one cache line.
@@ -206,7 +241,7 @@ func (e *Engine) Submit(prio int32, fn func()) error {
 			sh.mu.Unlock()
 			continue // spill to the next shard before shedding
 		}
-		heap.Push(&sh.q, item{prio: prio, seq: seq, at: hQueueDelay.Start(), run: fn})
+		sh.q.push(item{prio: prio, seq: seq, at: hQueueDelay.Start(), run: fn})
 		e.queued.Add(1)
 		sh.mu.Unlock()
 		gQueued.Add(1)
@@ -231,7 +266,7 @@ func (e *Engine) poll(i int) (func(), bool) {
 			sh.mu.Unlock()
 			continue
 		}
-		it := heap.Pop(&sh.q).(item)
+		it := sh.q.pop()
 		e.queued.Add(-1)
 		sh.mu.Unlock()
 		gQueued.Add(-1)

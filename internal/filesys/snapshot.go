@@ -1,6 +1,7 @@
 package filesys
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -42,7 +43,17 @@ func (s *Store) Snapshot() []byte {
 	}
 	s.mu.Unlock()
 
-	buf := buffer.New(1024)
+	// Sized from the store's own byte count, so the stream is marshalled
+	// into one allocation instead of doubling its way up to the store's
+	// size on every WAL compaction. A file that grows between the two
+	// passes only means the buffer grows as it always did.
+	size := 4 + binary.MaxVarintLen64 + 4
+	for _, st := range files {
+		st.mu.Lock()
+		size += 2*binary.MaxVarintLen64 + len(st.name) + 4 + len(st.data)
+		st.mu.Unlock()
+	}
+	buf := buffer.New(size)
 	buf.WriteUint32(snapshotMagic)
 	buf.WriteUvarint(uint64(len(files)))
 	for _, st := range files {

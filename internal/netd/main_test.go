@@ -3,33 +3,25 @@ package netd
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"testing"
-	"time"
+
+	"repro/internal/sctest"
 )
 
-// TestMain audits the package for goroutine leaks: every server a test
-// starts is torn down by its cleanup, so once the suite ends the
-// goroutine count must return to (about) the pre-suite baseline. The
-// slack absorbs runtime helpers and stragglers mid-exit (timer reapers,
-// dial reapers inside their timeout); a leaked writer/reader/sweeper
-// per test would blow well past it.
+// TestMain runs the suite with recycled storage poisoned and then audits
+// what it left behind: every server a test starts is torn down by its
+// cleanup, so the goroutine count must return to (about) the pre-suite
+// baseline — a leaked writer/reader/sweeper per test would blow well past
+// the slack — and every buffer the call paths drew from the pool must be
+// back in it.
 func TestMain(m *testing.M) {
-	baseline := runtime.NumGoroutine()
+	sctest.PoisonRecycled()
+	base := sctest.Snapshot()
 	code := m.Run()
 	if code == 0 {
-		const slack = 12
-		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine() > baseline+slack {
-			if time.Now().After(deadline) {
-				buf := make([]byte, 1<<20)
-				n := runtime.Stack(buf, true)
-				fmt.Fprintf(os.Stderr, "netd: goroutine leak: %d live after tests (baseline %d, slack %d)\n%s\n",
-					runtime.NumGoroutine(), baseline, slack, buf[:n])
-				code = 1
-				break
-			}
-			time.Sleep(25 * time.Millisecond)
+		if err := sctest.AssertQuiesced(base); err != nil {
+			fmt.Fprintf(os.Stderr, "netd: quiescence audit after the suite: %v\n", err)
+			code = 1
 		}
 	}
 	os.Exit(code)

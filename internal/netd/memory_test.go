@@ -1,0 +1,211 @@
+package netd
+
+import (
+	"bufio"
+	"encoding/binary"
+	"net"
+	"runtime"
+	"testing"
+
+	"repro/internal/buffer"
+	"repro/internal/sctest"
+)
+
+// Tests for the flat-memory serve path: a served call hands back every
+// buffer it took, so the heap after many calls is the heap after few.
+
+// rawPeer is a netd peer reduced to a socket and two fixed buffers. It
+// allocates nothing per call, so a server it drives in-process sees what
+// springfsd sees from a client in another process: its own allocations
+// are the only ones pacing the collector.
+type rawPeer struct {
+	t    *testing.T
+	conn net.Conn
+	br   *bufio.Reader
+	call []byte // one length-prefixed null call, request id patched per send
+}
+
+// dialRawPeer connects to addr and completes the session handshake.
+func dialRawPeer(t *testing.T, addr string) *rawPeer {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	p := &rawPeer{t: t, conn: conn, br: bufio.NewReaderSize(conn, 4<<10)}
+	hello := buffer.New(32)
+	hello.WriteByte(msgHello)
+	hello.WriteUint64(0xC11E47) // instance
+	hello.WriteUint64(1)        // epoch
+	hello.WriteString("")       // no listen address: nothing dials back
+	hello.WriteUint32(0)        // no capabilities
+	hello.WriteUint64(0)        // machine
+	if err := writeFrame(conn, hello.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	p.next(msgHello)
+	return p
+}
+
+// next returns the payload of the next frame of type want, after its type
+// byte, skipping heartbeats. The slice is the reader's own buffer, valid
+// until the following call.
+func (p *rawPeer) next(want byte) []byte {
+	for {
+		hdr, err := p.br.Peek(4)
+		if err != nil {
+			p.t.Fatal(err)
+		}
+		n := int(binary.LittleEndian.Uint32(hdr))
+		frame, err := p.br.Peek(4 + n)
+		if err != nil {
+			p.t.Fatal(err)
+		}
+		_, _ = p.br.Discard(4 + n)
+		if n > 0 && frame[4] == want {
+			return frame[5:]
+		}
+	}
+}
+
+// importRoot fetches the named root and returns the export key of the
+// door its marshalled form carries.
+func (p *rawPeer) importRoot(name string) uint64 {
+	req := buffer.New(32)
+	req.WriteByte(msgRoot)
+	req.WriteUint64(1)
+	req.WriteString(name)
+	if err := writeFrame(p.conn, req.Bytes()); err != nil {
+		p.t.Fatal(err)
+	}
+	reply := buffer.FromParts(p.next(msgReply), nil)
+	_, _ = reply.ReadUint64() // request id
+	code, _ := reply.ReadByte()
+	n, _ := reply.ReadUint32()
+	_, _ = reply.ReadRaw(int(n))
+	doors, _ := reply.ReadUvarint()
+	_, _ = reply.ReadString() // exporter address
+	key, err := reply.ReadUint64()
+	if code != codeOK || doors != 1 || err != nil {
+		p.t.Fatalf("root %q: code %d, %d doors, %v", name, code, doors, err)
+	}
+	return key
+}
+
+// prepare builds the null call the peer will repeat: counter.get() on key.
+func (p *rawPeer) prepare(key uint64) {
+	args := buffer.New(4)
+	args.WriteUint32(uint32(sctest.OpGet))
+	frame := buffer.New(64)
+	frame.WriteUint32(0) // frame length, patched below
+	frame.WriteByte(msgCall)
+	frame.WriteUint64(0) // request id, patched per call
+	frame.WriteUint64(key)
+	frame.WriteByte(0) // context-free
+	frame.WriteUint32(uint32(args.Size()))
+	frame.WriteRaw(args.Bytes())
+	frame.WriteUvarint(0) // no doors
+	p.call = frame.Bytes()
+	binary.LittleEndian.PutUint32(p.call, uint32(len(p.call)-4))
+}
+
+// roundTrips makes n null calls, one at a time.
+func (p *rawPeer) roundTrips(n int) {
+	for i := 1; i <= n; i++ {
+		binary.LittleEndian.PutUint64(p.call[5:], uint64(i))
+		if _, err := p.conn.Write(p.call); err != nil {
+			p.t.Fatal(err)
+		}
+		reply := p.next(msgReply)
+		if id := binary.LittleEndian.Uint64(reply); id != uint64(i) || reply[8] != codeOK {
+			p.t.Fatalf("call %d answered by reply %d, code %d", i, id, reply[8])
+		}
+	}
+}
+
+// heapAfterGC is the live heap as the collector's pacer sees it: one
+// forced cycle, which moves what sync.Pool holds to its victim cache but
+// does not free it. That is the figure that matters — the next cycle is
+// paced off it, so a pool that gains a buffer per call buys itself a
+// longer cycle to gain more in, and the heap grows with calls served even
+// though a second forced cycle would show all of it to be garbage.
+func heapAfterGC() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+func TestServeMemoryFlat(t *testing.T) {
+	// The springfsd benchmark's finding, in process: the server's peak RSS
+	// grew ~59 bytes per served null call without bound (30 MB after 4 s,
+	// 62 MB after 32 s), because each call left the pool one Buffer struct
+	// whose storage aliased the call's 30-byte frame.
+	if testing.Short() || raceEnabled {
+		t.Skip("220k round trips; skipped in -short, and under the race detector, where sync.Pool drops puts by design")
+	}
+	a := newMachine(t, "A")
+	exportCounter(t, a, "counter")
+	peer := dialRawPeer(t, a.srv.Addr())
+	peer.prepare(peer.importRoot("counter"))
+	// A file server's live heap is mostly the files it serves, and the
+	// collector lets the heap grow by the live heap's size between
+	// cycles. The ballast stands in for the store: without it the test
+	// binary collects every 4 MB and a per-call leak never builds up.
+	store := make([]byte, 32<<20)
+	defer runtime.KeepAlive(store)
+
+	peer.roundTrips(20_000)
+	early, ledger := heapAfterGC(), buffer.Stats()
+	peer.roundTrips(200_000)
+	late := heapAfterGC()
+	const limit = 1 << 20
+	if late > early+limit {
+		t.Errorf("live heap grew %d bytes over 200k served null calls (%d after 20k, %d after 220k), want within %d",
+			late-early, early, late, limit)
+	}
+	// The ledger says why it stays flat: what the calls drew they put
+	// back, nothing had to be allocated to serve them, and nothing was
+	// offered to the pool that it does not own.
+	d := buffer.Stats().Sub(ledger)
+	if out := d.Gets - d.Puts; out > 2 { // a heartbeat may be in flight
+		t.Errorf("200k served calls left %d pooled buffers outstanding", out)
+	}
+	if d.Misses > 2000 { // a forced GC empties the pool once; 1 % is far above that
+		t.Errorf("200k served calls missed the pool %d times", d.Misses)
+	}
+	if d.Drops != 0 {
+		t.Errorf("200k served calls offered the pool %d buffers it does not own", d.Drops)
+	}
+}
+
+func TestServedNullCallAllocs(t *testing.T) {
+	// The whole server side of one null call — frame read, request
+	// reconstitution, dispatch, skeleton, reply marshal, reply frame,
+	// writer flush — measured with a peer that allocates nothing itself,
+	// on the reader goroutine (inline) and through the worker pool's run
+	// queue. The ceiling is the measured value: zero. (Inline it was four:
+	// the frame, the header it was read through, the request's Buffer,
+	// and storage to re-arm one of the pool's useless shells. Queued, a
+	// closure on top.)
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
+	}
+	for name, cfg := range map[string]Config{
+		"inline": {},
+		"queued": {Dispatch: DispatchConfig{InlineBudget: -1}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			a := newMachineCfg(t, "A", cfg)
+			exportCounter(t, a, "counter")
+			peer := dialRawPeer(t, a.srv.Addr())
+			peer.prepare(peer.importRoot("counter"))
+			peer.roundTrips(100)
+			n := testing.AllocsPerRun(2000, func() { peer.roundTrips(1) })
+			if n > 0 {
+				t.Fatalf("one served null call allocates %.2f objects, want 0", n)
+			}
+		})
+	}
+}

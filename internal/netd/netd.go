@@ -935,14 +935,14 @@ func (s *Server) dropAbandonedReply(in *buffer.Buffer) {
 func (s *Server) abandonCall(c *conn, reqID uint64, fut *callFuture) {
 	c.abandon(reqID, fut, func(reply *buffer.Buffer) {
 		s.dropAbandonedReply(reply)
-		buffer.PutShell(reply)
+		buffer.Put(reply)
 	})
 }
 
 // settleReply consumes a settled future on the ready path: a delivered
-// reply is parsed (and its frame shell recycled), anything else is the
-// connection's death notice. The future returns to the pool here — the
-// waiter is its sole owner once the ready signal is drained.
+// reply frame is parsed into the result the caller now owns, anything else
+// is the connection's death notice. The future returns to the pool here —
+// the waiter is its sole owner once the ready signal is drained.
 func (s *Server) settleReply(fut *callFuture, desc descriptor) (*buffer.Buffer, error) {
 	st := fut.state.Load()
 	reply := fut.reply
@@ -951,9 +951,7 @@ func (s *Server) settleReply(fut *callFuture, desc descriptor) (*buffer.Buffer, 
 	if st != futDelivered {
 		return nil, commErr("connection to %s lost", desc.Addr)
 	}
-	res, err := s.parseReply(reply, desc)
-	buffer.PutShell(reply)
-	return res, err
+	return s.parseReply(reply, desc)
 }
 
 func (s *Server) forwardInfo(desc descriptor, p *peerState, epoch uint64, req *buffer.Buffer, info *kernel.Info) (*buffer.Buffer, error) {
@@ -1017,28 +1015,41 @@ func (s *Server) forwardInfo(desc descriptor, p *peerState, epoch uint64, req *b
 	}
 }
 
-// parseReply decodes a reply payload positioned after its request id.
+// parseReply decodes a reply frame positioned after its request id. A
+// successful reply becomes the result buffer in place (see getWireBuffer)
+// and is the caller's to Put; every other outcome recycles the frame here.
 func (s *Server) parseReply(reply *buffer.Buffer, desc descriptor) (*buffer.Buffer, error) {
+	if err := s.decodeReply(reply, desc); err != nil {
+		kernel.ReleaseBufferDoors(reply)
+		buffer.Put(reply)
+		return nil, err
+	}
+	return reply, nil
+}
+
+// decodeReply reads the reply code and either reconstitutes the result in
+// reply (nil) or returns the error class the code stands for.
+func (s *Server) decodeReply(reply *buffer.Buffer, desc descriptor) error {
 	code, err := reply.ReadByte()
 	if err != nil {
-		return nil, commErr("truncated reply from %s", desc.Addr)
+		return commErr("truncated reply from %s", desc.Addr)
 	}
 	switch code {
 	case codeOK:
 		return s.getWireBuffer(reply)
 	case codeRevoked:
-		return nil, fmt.Errorf("netd: remote door %s/%d: %w", desc.Addr, desc.Key, kernel.ErrRevoked)
+		return fmt.Errorf("netd: remote door %s/%d: %w", desc.Addr, desc.Key, kernel.ErrRevoked)
 	case codeBadKey:
-		return nil, fmt.Errorf("netd: remote door %s/%d: %w", desc.Addr, desc.Key, kernel.ErrBadHandle)
+		return fmt.Errorf("netd: remote door %s/%d: %w", desc.Addr, desc.Key, kernel.ErrBadHandle)
 	case codeDeadline:
-		return nil, fmt.Errorf("netd: remote door %s/%d: %w", desc.Addr, desc.Key, kernel.ErrDeadlineExceeded)
+		return fmt.Errorf("netd: remote door %s/%d: %w", desc.Addr, desc.Key, kernel.ErrDeadlineExceeded)
 	case codeCancelled:
-		return nil, fmt.Errorf("netd: remote door %s/%d: %w", desc.Addr, desc.Key, kernel.ErrCancelled)
+		return fmt.Errorf("netd: remote door %s/%d: %w", desc.Addr, desc.Key, kernel.ErrCancelled)
 	case codeOverload:
-		return nil, fmt.Errorf("netd: remote door %s/%d shed at admission: %w", desc.Addr, desc.Key, kernel.ErrOverload)
+		return fmt.Errorf("netd: remote door %s/%d shed at admission: %w", desc.Addr, desc.Key, kernel.ErrOverload)
 	default:
 		msg, _ := reply.ReadString()
-		return nil, fmt.Errorf("netd: remote call failed: %s", msg)
+		return fmt.Errorf("netd: remote call failed: %s", msg)
 	}
 }
 
@@ -1360,29 +1371,27 @@ func (s *Server) serveConn(c *conn, addr string) {
 		if br.Buffered() == 0 {
 			budget = s.cfg.Dispatch.InlineBudget
 		}
-		frame, err := readFrame(br)
+		in, err := readFrame(br)
 		if err != nil {
 			break
 		}
 		c.lastRecv.Store(time.Now().UnixNano())
-		if !s.serveFrame(c, br, frame, &rel, &budget) {
+		if !s.serveFrame(c, br, in, &rel, &budget) {
 			break
 		}
 	}
 	s.connClosed(c, addr)
 }
 
-// serveFrame handles one decoded frame for serveConn, reporting whether
-// the connection should keep being served. The frame is wrapped in a
-// pooled buffer shell (no copy, no heap header per frame); replies hand
-// the shell to the waiting caller, every other path recycles it here.
-func (s *Server) serveFrame(c *conn, br *bufio.Reader, frame []byte, rel *[]releasePair, budget *time.Duration) bool {
-	in := buffer.Wrap(frame, nil)
-	msg, err := in.ReadByte()
-	if err != nil {
-		buffer.PutShell(in)
-		return false
-	}
+// serveFrame handles one frame for serveConn, reporting whether the
+// connection should keep being served. in is the pooled buffer readFrame
+// filled, and it is the only storage the frame ever has: a reply hands it
+// to the waiting caller, a call turns it into the request buffer that
+// runCall recycles when the handler is done — inline or queued alike —
+// and every other path recycles it here.
+func (s *Server) serveFrame(c *conn, br *bufio.Reader, in *buffer.Buffer, rel *[]releasePair, budget *time.Duration) bool {
+	msg, err := in.ReadByte() // 0, matching no case, on an empty frame
+	ok := err == nil
 	switch msg {
 	case msgHello:
 		instance, err1 := in.ReadUint64()
@@ -1391,8 +1400,8 @@ func (s *Server) serveFrame(c *conn, br *bufio.Reader, frame []byte, rel *[]rele
 		peerCaps, err4 := in.ReadUint32()
 		peerMachine, err5 := in.ReadUint64()
 		if err1 != nil || err2 != nil || err3 != nil || err4 != nil || err5 != nil {
-			buffer.PutShell(in)
-			return false
+			ok = false
+			break
 		}
 		s.handleHello(c, instance, epoch, listenAddr, peerCaps, peerMachine)
 	case msgPing:
@@ -1407,9 +1416,7 @@ func (s *Server) serveFrame(c *conn, br *bufio.Reader, frame []byte, rel *[]rele
 			break
 		}
 		if c.deliver(reqID, in) {
-			// The shell now belongs to the waiting caller (settleReply
-			// recycles it); the frame bytes stay alive through it.
-			return true
+			return true // the frame now belongs to the waiting caller
 		}
 		// The caller abandoned the reply (timeout, cancel); if it
 		// carried a bulk region, release it rather than stranding
@@ -1417,8 +1424,8 @@ func (s *Server) serveFrame(c *conn, br *bufio.Reader, frame []byte, rel *[]rele
 		s.dropAbandonedReply(in)
 	case msgCall:
 		if !c.hasSession() {
-			buffer.PutShell(in)
-			return false
+			ok = false
+			break
 		}
 		reqID, err1 := in.ReadUint64()
 		key, err2 := in.ReadUint64()
@@ -1426,21 +1433,20 @@ func (s *Server) serveFrame(c *conn, br *bufio.Reader, frame []byte, rel *[]rele
 			break
 		}
 		info, err := getInfoHeader(in)
+		if err == nil {
+			err = s.getWireBuffer(in)
+		}
 		if err != nil {
+			kernel.ReleaseBufferDoors(in)
 			s.reply(c, reqID, codeError, nil, err.Error())
 			break
 		}
-		req, err := s.getWireBuffer(in)
-		if err != nil {
-			s.reply(c, reqID, codeError, nil, err.Error())
-			break
-		}
-		// req aliases (or copied) the frame; the shell itself is done.
-		s.dispatchCall(c, reqID, key, req, info, budget)
+		s.dispatchCall(c, reqID, key, in, info, budget)
+		return true // the frame is the request now; runCall recycles it
 	case msgRelease:
 		if !c.hasSession() {
-			buffer.PutShell(in)
-			return false
+			ok = false
+			break
 		}
 		key, err1 := in.ReadUint64()
 		count, err2 := in.ReadUvarint()
@@ -1460,8 +1466,8 @@ func (s *Server) serveFrame(c *conn, br *bufio.Reader, frame []byte, rel *[]rele
 		s.mu.Unlock()
 	case msgRoot:
 		if !c.hasSession() {
-			buffer.PutShell(in)
-			return false
+			ok = false
+			break
 		}
 		reqID, err := in.ReadUint64()
 		if err != nil {
@@ -1473,8 +1479,8 @@ func (s *Server) serveFrame(c *conn, br *bufio.Reader, frame []byte, rel *[]rele
 		}
 		s.handleRoot(c, reqID, name)
 	}
-	buffer.PutShell(in)
-	return true
+	buffer.Put(in)
+	return ok
 }
 
 // dispatchCall routes one incoming call through the dispatch engine
@@ -1519,26 +1525,12 @@ func (s *Server) dispatchCall(c *conn, reqID, key uint64, req *buffer.Buffer, in
 	if info != nil {
 		prio = info.Priority
 	}
-	spWait := trace.Begin(info, spanDispatchWait)
-	err := s.eng.Submit(prio, func() {
-		spWait.End(info, nil)
-		if c.isDead() {
-			// The connection died while the call was parked in the run
-			// queue: there is nobody to reply to, so reduce to releasing
-			// what the request carried — door references, the buffer,
-			// and (through the region-backed Put) any bulk-region grant.
-			kernel.ReleaseBufferDoors(req)
-			buffer.Put(req)
-			s.doneServe(c)
-			return
-		}
-		start := time.Now()
-		s.runCall(c, reqID, h, req, info)
-		ist.Observe(time.Since(start), s.cfg.Dispatch.InlineThreshold)
-		s.doneServe(c)
-	})
-	if err != nil {
-		spWait.End(info, err)
+	t := getServeTask()
+	*t = serveTask{s: s, c: c, reqID: reqID, h: h, ist: ist, req: req, info: info,
+		wait: trace.Begin(info, spanDispatchWait), fn: t.fn}
+	if err := s.eng.Submit(prio, t.fn); err != nil {
+		t.wait.End(info, err)
+		t.recycle()
 		s.doneServe(c)
 		if errors.Is(err, dispatch.ErrSaturated) {
 			s.shed(c, reqID, req)
@@ -1549,6 +1541,59 @@ func (s *Server) dispatchCall(c *conn, reqID, key uint64, req *buffer.Buffer, in
 		kernel.ReleaseBufferDoors(req)
 		buffer.Put(req)
 	}
+}
+
+// serveTask is one admitted call parked in the dispatch engine's run
+// queue. The structs are pooled and each carries its run method bound once
+// (fn), so queueing a call allocates nothing — no closure per call.
+type serveTask struct {
+	s     *Server
+	c     *conn
+	reqID uint64
+	h     kernel.Handle
+	ist   *dispatch.InlineState
+	req   *buffer.Buffer
+	info  *kernel.Info
+	wait  trace.Span
+	fn    func() // t.run, bound at construction and kept across pool cycles
+}
+
+var serveTaskPool sync.Pool
+
+func getServeTask() *serveTask {
+	if t, ok := serveTaskPool.Get().(*serveTask); ok {
+		return t
+	}
+	t := &serveTask{}
+	t.fn = t.run
+	return t
+}
+
+// recycle returns t to the pool, dropping everything it referenced.
+func (t *serveTask) recycle() {
+	*t = serveTask{fn: t.fn}
+	serveTaskPool.Put(t)
+}
+
+// run executes the parked call on the pool worker that dequeued it.
+func (t *serveTask) run() {
+	s, c, reqID, h, ist, req, info := t.s, t.c, t.reqID, t.h, t.ist, t.req, t.info
+	t.wait.End(info, nil)
+	t.recycle()
+	if c.isDead() {
+		// The connection died while the call was parked in the run
+		// queue: there is nobody to reply to, so reduce to releasing
+		// what the request carried — door references, the buffer,
+		// and (Put releases an adopted region) any bulk-region grant.
+		kernel.ReleaseBufferDoors(req)
+		buffer.Put(req)
+		s.doneServe(c)
+		return
+	}
+	start := time.Now()
+	s.runCall(c, reqID, h, req, info)
+	ist.Observe(time.Since(start), s.cfg.Dispatch.InlineThreshold)
+	s.doneServe(c)
 }
 
 // admitServe claims one admission slot for a call from c, enforcing the
@@ -1636,14 +1681,17 @@ func (s *Server) runCall(c *conn, reqID uint64, h kernel.Handle, req *buffer.Buf
 	}
 	// Both served buffers are dead: the dispatch is over (a skeleton that
 	// kept argument bytes copied them — see stubs.Skeleton) and reply()
-	// has copied, granted or detached out's payload. Recycling them is
-	// what closes the bulk tier's loop — resetting a region-backed req
-	// releases its mapped grant, returning pooled storage to the sender's
-	// ring side. Leftover door references are released first, as an
-	// abandoning client would.
+	// has copied, granted or detached out's payload. Putting req returns
+	// the request frame's storage to the pool and, for a bulk request,
+	// the mapped grant to the sender's ring side; putting out returns a
+	// pooled reply (every shipped skeleton's) and leaves an application
+	// door's own buffer alone. Leftover door references are released
+	// first, as an abandoning client would.
 	kernel.ReleaseBufferDoors(req)
 	buffer.Put(req)
-	buffer.Put(out)
+	if out != req {
+		buffer.Put(out)
+	}
 }
 
 // releasePair is one decoded release frame, for the coalescer.
@@ -1775,7 +1823,10 @@ func (s *Server) ImportRootObject(env *core.Env, addr, name string, expected *co
 		if err != nil {
 			return nil, err
 		}
-		return core.Unmarshal(env, expected, buf)
+		obj, err := core.Unmarshal(env, expected, buf)
+		kernel.ReleaseBufferDoors(buf)
+		buffer.Put(buf)
+		return obj, err
 	case <-timer.C:
 		s.abandonCall(c, reqID, fut)
 		return nil, commErr("root fetch from %s timed out", addr)

@@ -38,7 +38,11 @@ func echoBytes(obj *core.Object, payload []byte) error {
 	var got []byte
 	err := stubs.Call(obj, 0,
 		func(b *buffer.Buffer) error { b.WriteBytes(payload); return nil },
-		func(b *buffer.Buffer) error { var err error; got, err = b.ReadBytes(); return err })
+		func(b *buffer.Buffer) error {
+			p, err := b.ReadBytes()
+			got = append(got, p...) // the reply buffer is recycled after the unmarshal
+			return err
+		})
 	if err != nil {
 		return err
 	}
@@ -437,12 +441,16 @@ func TestSmallCallClientPathAllocs(t *testing.T) {
 }
 
 func TestSmallCallRoundTripAllocs(t *testing.T) {
-	// The full both-endpoints round trip over loopback TCP: client
-	// machinery, both read loops, the server-side dispatch goroutine and
-	// reply. The bound is the measured steady state (~16) plus headroom;
-	// it exists to catch a regression that reintroduces per-call garbage,
-	// not to assert the client-path budget (TestSmallCallClientPathAllocs
-	// does that).
+	// The full both-endpoints round trip over loopback TCP: the stub,
+	// the client machinery, both read loops, the server-side dispatch and
+	// the reply. The measured steady state is 1 (the stub's core.Call;
+	// it was 10 before request and reply frames were pooled); the bound
+	// leaves headroom for a heartbeat landing inside the run. It exists
+	// to catch a regression that reintroduces per-call garbage on either
+	// side; TestServedNullCallAllocs pins the server half at zero.
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
+	}
 	a := newMachine(t, "A")
 	b := newMachine(t, "B")
 	ctr, _, _ := exportCounter(t, a, "counter")
@@ -459,7 +467,7 @@ func TestSmallCallRoundTripAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if n > 18 {
-		t.Fatalf("small-call round trip allocates %.1f objects/op, want <= 18", n)
+	if n > 3 {
+		t.Fatalf("small-call round trip allocates %.1f objects/op, want <= 3", n)
 	}
 }

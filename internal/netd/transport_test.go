@@ -275,9 +275,8 @@ func TestBulkRequestGrantDoesNotAliasCallerArgs(t *testing.T) {
 	for i, b := range src.Bytes() {
 		src.Bytes()[i] = ^b // the pool hands the storage to another call
 	}
-	in := buffer.FromParts(frame.Bytes(), nil)
-	got, err := srv.getWireBuffer(in)
-	if err != nil {
+	got := buffer.FromParts(frame.Bytes(), nil)
+	if err := srv.getWireBuffer(got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), payload) {
@@ -391,9 +390,8 @@ func TestBulkWireBufferRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantBulk := n >= srv.cfg.BulkThreshold
-		in := buffer.FromParts(frame.Bytes(), nil)
-		got, err := srv.getWireBuffer(in)
-		if err != nil {
+		got := buffer.FromParts(frame.Bytes(), nil)
+		if err := srv.getWireBuffer(got); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), payload) {

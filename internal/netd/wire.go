@@ -1,6 +1,7 @@
 package netd
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -236,21 +237,31 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// readFrame reads one length-prefixed payload.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrame reads one length-prefixed payload into a pooled buffer, which
+// the caller owns (buffer.Put). The header is peeked rather than read into
+// a local so that nothing per frame escapes to the heap.
+func readFrame(br *bufio.Reader) (*buffer.Buffer, error) {
+	hdr, err := br.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF // the stream ended inside a header
+		}
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
 	if n > maxFrame {
 		return nil, fmt.Errorf("netd: frame of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	_, _ = br.Discard(4) // peeked: cannot fail
+	in := buffer.Get(int(n))
+	if err := in.ReadFull(br, int(n)); err != nil {
+		buffer.Put(in)
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // ... or between a header and its body
+		}
 		return nil, err
 	}
-	return payload, nil
+	return in, nil
 }
 
 // bulkEligible reports whether buf's payload would be handed over as a
@@ -323,72 +334,70 @@ func (s *Server) putWireBuffer(out *buffer.Buffer, buf *buffer.Buffer, c *conn, 
 	return nil
 }
 
-// getWireBuffer reconstitutes a communication buffer from the wire,
-// fabricating proxy doors for the received descriptors.
-func (s *Server) getWireBuffer(in *buffer.Buffer) (*buffer.Buffer, error) {
+// getWireBuffer reconstitutes a communication buffer from the wire in
+// place: in, positioned at a wirebuf, becomes the buffer that wirebuf
+// describes — its stream narrowed to the inline payload (or re-scoped to
+// the mapped bulk region), proxy doors fabricated for the received
+// descriptors. Nothing is allocated and nothing changes hands: in still
+// owns the frame's storage, and whoever Puts it returns the frame and the
+// region each to its owner. On error a region mapped on the way has been
+// released and in holds the proxy doors imported so far; the caller
+// releases them and Puts it, as for any dead buffer.
+func (s *Server) getWireBuffer(in *buffer.Buffer) error {
 	n, err := in.ReadUint32()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var bytes []byte
 	var region *buffer.Region
-	// A region mapped here is consumed from the ring; if decoding fails
-	// past that point nothing else will ever release it, so every later
-	// error return goes through fail (Release is nil-safe, so inline
-	// payloads pass through untouched).
-	fail := func(err error) (*buffer.Buffer, error) {
-		region.Release()
-		return nil, err
-	}
+	var off int
 	if n == bulkSentinel {
 		id, err := in.ReadUint64()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if s.mapper == nil {
-			return nil, commErr("bulk region %d from a peer but no region tier configured", id)
+			return commErr("bulk region %d from a peer but no region tier configured", id)
 		}
 		region, err = s.mapper.MapRegion(id)
 		if err != nil {
 			// The grant was reclaimed out from under us — the granting
 			// connection died mid-hand-off. Transport-level, retryable.
-			return nil, commErr("map bulk region %d: %v", id, err)
+			return commErr("map bulk region %d: %v", id, err)
 		}
-		bytes = region.Data
 	} else {
-		// The returned buffer aliases the frame's bytes rather than
-		// copying them: the frame was allocated by readFrame for this
-		// message alone, and it stays reachable exactly as long as the
-		// buffer does.
-		bytes, err = in.ReadRaw(int(n))
-		if err != nil {
-			return nil, err
+		off = in.Size() - in.Len()
+		if _, err := in.ReadRaw(int(n)); err != nil {
+			return err
 		}
 	}
+	// A region mapped above is consumed from the ring; adopting it only
+	// after the descriptors are decoded keeps the reads on the frame, so
+	// every later error return releases it by hand.
 	nd, err := in.ReadUvarint()
-	if err != nil {
-		return fail(err)
+	for i := uint64(0); err == nil && i < nd; i++ {
+		var desc descriptor
+		if desc.Addr, err = in.ReadString(); err != nil {
+			break
+		}
+		if desc.Key, err = in.ReadUint64(); err != nil {
+			break
+		}
+		var ref kernel.Ref
+		if ref, err = s.importDesc(desc); err != nil {
+			break
+		}
+		in.AppendDoor(ref)
 	}
-	doors := make([]buffer.Door, 0, nd)
-	for i := uint64(0); i < nd; i++ {
-		addr, err := in.ReadString()
-		if err != nil {
-			return fail(err)
-		}
-		key, err := in.ReadUint64()
-		if err != nil {
-			return fail(err)
-		}
-		ref, err := s.importDesc(descriptor{Addr: addr, Key: key})
-		if err != nil {
-			return fail(err)
-		}
-		doors = append(doors, ref)
+	if err != nil {
+		region.Release()
+		return err
 	}
 	if region != nil {
-		return buffer.FromRegion(region, doors), nil
+		in.Adopt(region)
+	} else {
+		in.Narrow(off, int(n))
 	}
-	return buffer.FromParts(bytes, doors), nil
+	return nil
 }
 
 // dropWireRegion releases the bulk region an undeliverable wirebuf

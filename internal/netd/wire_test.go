@@ -1,6 +1,7 @@
 package netd
 
 import (
+	"bufio"
 	"bytes"
 	"io"
 	"net"
@@ -20,16 +21,18 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	br := bufio.NewReader(&buf)
 	for i, p := range payloads {
-		got, err := readFrame(&buf)
+		got, err := readFrame(br)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if !bytes.Equal(got, p) {
-			t.Fatalf("frame %d: %d bytes, want %d", i, len(got), len(p))
+		if !bytes.Equal(got.Bytes(), p) {
+			t.Fatalf("frame %d: %d bytes, want %d", i, got.Size(), len(p))
 		}
+		buffer.Put(got)
 	}
-	if _, err := readFrame(&buf); err != io.EOF {
+	if _, err := readFrame(br); err != io.EOF {
 		t.Fatalf("read past end = %v, want EOF", err)
 	}
 }
@@ -40,8 +43,9 @@ func TestFrameQuick(t *testing.T) {
 		if err := writeFrame(&buf, p); err != nil {
 			return false
 		}
-		got, err := readFrame(&buf)
-		return err == nil && bytes.Equal(got, p)
+		got, err := readFrame(bufio.NewReader(&buf))
+		defer buffer.Put(got)
+		return err == nil && bytes.Equal(got.Bytes(), p)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -52,7 +56,7 @@ func TestFrameTooLargeRejected(t *testing.T) {
 	var buf bytes.Buffer
 	// Forge a header claiming a frame beyond maxFrame.
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := readFrame(&buf); err == nil {
+	if _, err := readFrame(bufio.NewReader(&buf)); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }
@@ -62,9 +66,11 @@ func TestFrameTruncatedBody(t *testing.T) {
 	if err := writeFrame(&buf, []byte{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
-	trunc := bytes.NewReader(buf.Bytes()[:buf.Len()-2])
-	if _, err := readFrame(trunc); err == nil {
-		t.Fatal("truncated frame accepted")
+	for cut := 1; cut < buf.Len(); cut++ { // inside the body, then inside the header
+		trunc := bufio.NewReader(bytes.NewReader(buf.Bytes()[:buf.Len()-cut]))
+		if _, err := readFrame(trunc); err == nil || err == io.EOF {
+			t.Fatalf("frame truncated by %d bytes: err = %v, want a truncation error", cut, err)
+		}
 	}
 }
 
@@ -100,8 +106,8 @@ func TestWireBufferRoundTrip(t *testing.T) {
 	if err := srv.putWireBuffer(wire, in, c, false); err != nil {
 		t.Fatal(err)
 	}
-	out, err := srv.getWireBuffer(wire)
-	if err != nil {
+	out := wire
+	if err := srv.getWireBuffer(out); err != nil {
 		t.Fatal(err)
 	}
 	if s, err := out.ReadString(); err != nil || s != "hello" {
@@ -133,7 +139,8 @@ func TestPeerDropsConnectionMidCall(t *testing.T) {
 		if err != nil {
 			return
 		}
-		_, _ = readFrame(conn)
+		in, _ := readFrame(bufio.NewReader(conn))
+		buffer.Put(in)
 		_ = conn.Close()
 	}()
 

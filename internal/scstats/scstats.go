@@ -36,6 +36,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/buffer"
 )
 
 // sampleEvery is the RecordSampled8 sampling period (the v1 plane's
@@ -337,6 +339,9 @@ func (s *Stats) snapshot() Snapshot {
 type Gauge struct {
 	name string
 	v    atomic.Int64
+	// src, when set (GaugeFunc), is a counter some other package keeps:
+	// the gauge reads through to it, and v holds only Reset's offset.
+	src func() int64
 }
 
 // Name returns the name the gauge was interned under.
@@ -363,7 +368,11 @@ func (g *Gauge) Value() int64 {
 	if g == nil {
 		return 0
 	}
-	return g.v.Load()
+	v := g.v.Load()
+	if g.src != nil {
+		v += g.src()
+	}
+	return v
 }
 
 var gauges sync.Map // string -> *Gauge
@@ -378,6 +387,24 @@ func GaugeFor(name string) *Gauge {
 	return v.(*Gauge)
 }
 
+// GaugeFunc interns a gauge that reads through to src — a count kept by a
+// package that cannot import this one (scstats sits above kernel and
+// buffer). Register at init, before anything interns the name.
+func GaugeFunc(name string, src func() int64) *Gauge {
+	v, _ := gauges.LoadOrStore(name, &Gauge{name: name, src: src})
+	return v.(*Gauge)
+}
+
+func init() {
+	// The communication-buffer pool's ledger (see buffer.Put): at rest
+	// gets == puts; misses are the Gets that had to allocate, drops the
+	// Puts of buffers the pool does not own.
+	GaugeFunc("buffer.gets", func() int64 { return buffer.Stats().Gets })
+	GaugeFunc("buffer.misses", func() int64 { return buffer.Stats().Misses })
+	GaugeFunc("buffer.puts", func() int64 { return buffer.Stats().Puts })
+	GaugeFunc("buffer.drops", func() int64 { return buffer.Stats().Drops })
+}
+
 // GaugeSnapshot is one gauge's name and value at read time.
 type GaugeSnapshot struct {
 	Name  string
@@ -390,7 +417,7 @@ func GaugeSnapshots() []GaugeSnapshot {
 	var out []GaugeSnapshot
 	gauges.Range(func(_, v any) bool {
 		g := v.(*Gauge)
-		if val := g.v.Load(); val != 0 {
+		if val := g.Value(); val != 0 {
 			out = append(out, GaugeSnapshot{Name: g.name, Value: val})
 		}
 		return true
@@ -407,7 +434,7 @@ func AllGauges() []GaugeSnapshot {
 	var out []GaugeSnapshot
 	gauges.Range(func(_, v any) bool {
 		g := v.(*Gauge)
-		out = append(out, GaugeSnapshot{Name: g.name, Value: g.v.Load()})
+		out = append(out, GaugeSnapshot{Name: g.name, Value: g.Value()})
 		return true
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -489,7 +516,11 @@ func Reset() {
 		return true
 	})
 	gauges.Range(func(_, v any) bool {
-		v.(*Gauge).v.Store(0)
+		g := v.(*Gauge)
+		g.v.Store(0)
+		if g.src != nil {
+			g.v.Store(-g.src())
+		}
 		return true
 	})
 	hists.Range(func(_, v any) bool {

@@ -1,0 +1,66 @@
+package sctest
+
+import (
+	"fmt"
+	"runtime"
+	"time"
+
+	"repro/internal/buffer"
+)
+
+// PoisonRecycled turns on the buffer package's poison-on-recycle hook for
+// the rest of the process: storage returning to a pool is overwritten with
+// 0xDB. Request frames, replies and argument buffers are all reused rather
+// than left to the collector, so a skeleton that keeps argument bytes past
+// its dispatch (the contract in stubs.Skeleton), or a stub that keeps
+// result bytes past its unmarshal, would otherwise fail only when the
+// pool happened to hand the array out again. Suites call it first thing
+// in TestMain.
+func PoisonRecycled() { buffer.PoisonRecycled(true) }
+
+// Baseline is what a suite starts from, for AssertQuiesced.
+type Baseline struct {
+	goroutines int
+	bufs       buffer.Ledger
+}
+
+// Snapshot records the baseline; take it in TestMain before m.Run.
+func Snapshot() Baseline {
+	return Baseline{goroutines: runtime.NumGoroutine(), bufs: buffer.Stats()}
+}
+
+// goroutineSlack is what the audit allows over the baseline: runtime
+// helpers and stragglers mid-exit (timer and dial reapers inside their
+// timeout). A leaked writer, reader or sweeper per test blows well past
+// it. The buffer leg has no slack: every path that draws a buffer puts it
+// back, killed connections, shed calls and abandoned replies included.
+const goroutineSlack = 12
+
+// AssertQuiesced checks that a finished suite gave back what it took:
+// the goroutine count is back at the baseline — every server, executor and
+// dispatch engine a test started wound down — and the buffers drawn from
+// the pool since the baseline were put back (Get == Put, ROADMAP spec item
+// (e)). It polls for a few seconds, since teardown is asynchronous, and
+// returns an error naming the leg that never settled.
+func AssertQuiesced(base Baseline) error {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		g := runtime.NumGoroutine()
+		led := buffer.Stats().Sub(base.bufs)
+		out := led.Gets - led.Puts
+		if g <= base.goroutines+goroutineSlack && out == 0 {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			if out != 0 {
+				return fmt.Errorf("buffer ledger: gets − puts = %d since the baseline (gets %d, puts %d): buffers drawn from the pool and never put back",
+					out, led.Gets, led.Puts)
+			}
+			stacks := make([]byte, 1<<20)
+			stacks = stacks[:runtime.Stack(stacks, true)]
+			return fmt.Errorf("%d goroutines live, want <= baseline %d + %d; stacks:\n%s",
+				g, base.goroutines, goroutineSlack, stacks)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}

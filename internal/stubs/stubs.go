@@ -108,35 +108,49 @@ func Call(obj *core.Object, op core.OpNum, marshalArgs, unmarshalResults Marshal
 	args.WriteUint32(uint32(op))
 	if marshalArgs != nil {
 		if err := marshalArgs(args); err != nil {
-			kernel.ReleaseBufferDoors(args)
+			releaseArgs(call)
 			return fmt.Errorf("stubs: marshalling %s op %d: %w", obj.MT.Type, op, err)
 		}
 	}
 	reply, err := obj.SC.Invoke(obj, call)
-	if err != nil {
-		return err
+	if err == nil {
+		err = DecodeReply(reply, unmarshalResults)
 	}
-	err = DecodeReply(reply, unmarshalResults)
-	// The round trip completed, so every stage is done with the argument
-	// bytes: a local skeleton has returned (retained arguments must be
-	// copied — see Skeleton), and a network grant has been read before the
-	// reply was sent. Recycle the buffer unless a preamble owns it (its
-	// Release hook recycles into the subcontract's own pool). An errored
-	// invoke skips this: a timed-out or cancelled call may still be in
-	// flight, and the buffer must stay intact behind it.
-	if call.Release == nil {
-		kernel.ReleaseBufferDoors(args)
-		buffer.Put(args)
+	if reply != args { // a door that answers with its own request: already put
+		releaseArgs(call)
 	}
 	return err
 }
 
-// DecodeReply consumes a reply buffer's status and either unmarshals the
-// results or reconstructs the remote exception. It releases any door
-// references left unconsumed. Specialized stubs (§9.1; see
+// releaseArgs disposes of a call's argument buffer once Invoke has
+// returned, whatever it returned: a door call is synchronous, so every
+// stage is done with the argument bytes by then — a local skeleton has
+// returned (retained arguments must be copied — see Skeleton), and netd
+// copied or staged them into the request frame before it started waiting,
+// so even a timed-out or cancelled call leaves nothing behind that reads
+// them. Door references the call never shipped are released, as for any
+// abandoned buffer. A buffer a preamble substituted is the preamble's: its
+// Release hook recycles it into the subcontract's own pool.
+func releaseArgs(call *core.Call) {
+	args := call.Args()
+	kernel.ReleaseBufferDoors(args)
+	if call.Release == nil {
+		buffer.Put(args)
+	}
+}
+
+// DecodeReply consumes a reply buffer: it reads the status, either
+// unmarshals the results or reconstructs the remote exception, releases
+// any door references left unconsumed, and puts the buffer back where it
+// came from — the pool, for a reply netd read off the wire or a shipped
+// skeleton marshalled. unmarshalResults must therefore copy any bytes it
+// keeps, as generated stubs do. Specialized stubs (§9.1; see
 // doorsc.FastCall) share it with the general-purpose path.
 func DecodeReply(reply *buffer.Buffer, unmarshalResults MarshalFunc) error {
-	defer kernel.ReleaseBufferDoors(reply)
+	defer func() {
+		kernel.ReleaseBufferDoors(reply)
+		buffer.Put(reply)
+	}()
 	status, err := reply.ReadByte()
 	if err != nil {
 		return fmt.Errorf("stubs: truncated reply: %w", err)
@@ -189,20 +203,19 @@ func CallOneway(obj *core.Object, op core.OpNum, marshalArgs MarshalFunc, opts .
 	args.WriteUint32(uint32(op))
 	if marshalArgs != nil {
 		if err := marshalArgs(args); err != nil {
-			kernel.ReleaseBufferDoors(args)
+			releaseArgs(call)
 			return fmt.Errorf("stubs: marshalling %s op %d: %w", obj.MT.Type, op, err)
 		}
 	}
 	reply, err := obj.SC.Invoke(obj, call)
-	if err != nil {
-		return err
+	if err == nil {
+		kernel.ReleaseBufferDoors(reply)
+		buffer.Put(reply)
 	}
-	kernel.ReleaseBufferDoors(reply)
-	if call.Release == nil {
-		kernel.ReleaseBufferDoors(args)
-		buffer.Put(args)
+	if reply != args {
+		releaseArgs(call)
 	}
-	return nil
+	return err
 }
 
 // Skeleton is the server-side dispatch table generated for an interface:
@@ -212,12 +225,13 @@ func CallOneway(obj *core.Object, op core.OpNum, marshalArgs MarshalFunc, opts .
 // have written to results.
 //
 // The argument buffer's storage is recycled once the call completes —
-// it may be pool-backed, region-backed, or a mapped bulk grant — so a
-// skeleton (or the server application behind it) that retains a byte
-// slice read from args beyond the dispatch must copy it first. Generated
-// skeletons already do (byte parameters are copied before they reach the
-// application); the same rule has always applied to calls under the shm
-// subcontract's recycled regions.
+// it is the pooled request frame itself, a preamble's region, or a mapped
+// bulk grant — so a skeleton (or the server application behind it) that
+// retains a byte slice read from args beyond the dispatch must copy it
+// first. Generated skeletons already do (byte parameters are copied
+// before they reach the application); the same rule has always applied
+// to calls under the shm subcontract's recycled regions. The suites run
+// with sctest.PoisonRecycled on, so a violation reads 0xDB at once.
 type Skeleton interface {
 	Dispatch(op core.OpNum, args, results *buffer.Buffer) error
 }

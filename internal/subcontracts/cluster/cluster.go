@@ -207,12 +207,13 @@ func (s *Server) serve(req *buffer.Buffer, info *kernel.Info) (*buffer.Buffer, e
 	s.mu.Lock()
 	skel, ok := s.skels[tag]
 	s.mu.Unlock()
-	reply := buffer.New(128)
+	reply := buffer.Get(128)
 	if !ok {
 		stubs.WriteException(reply, fmt.Sprintf("cluster: no object with tag %d (revoked?)", tag))
 		return reply, nil
 	}
 	if err := stubs.ServeCallInfo(skel, req, reply, info); err != nil {
+		buffer.Put(reply)
 		return nil, err
 	}
 	return reply, nil

@@ -3,11 +3,10 @@ package conformance_test
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/scstats"
+	"repro/internal/sctest"
 )
 
 // TestMain runs the conformance battery and then audits the per-subcontract
@@ -15,11 +14,14 @@ import (
 // exposition must show nonzero call and latency counters for the core
 // subcontracts. This is the end-to-end proof that the ops-vector
 // instrumentation actually fires on real traffic, not just in unit tests.
-// It also audits goroutine hygiene: the battery starts executors, servers
-// and dispatch engines, and everything it started must have wound down —
-// a serve path that leaks a worker per run fails here, not in production.
+// The battery runs with recycled storage poisoned, and it also audits
+// quiescence: it starts executors, servers and dispatch engines, and
+// everything it started must have wound down and put its buffers back —
+// a serve path that leaks a worker or a frame per run fails here, not in
+// production.
 func TestMain(m *testing.M) {
-	baseline := runtime.NumGoroutine()
+	sctest.PoisonRecycled()
+	base := sctest.Snapshot()
 	code := m.Run()
 	if code == 0 {
 		if err := auditStats(); err != nil {
@@ -28,36 +30,12 @@ func TestMain(m *testing.M) {
 		}
 	}
 	if code == 0 {
-		if err := auditGoroutines(baseline); err != nil {
-			fmt.Fprintf(os.Stderr, "goroutine audit after conformance run: %v\n", err)
+		if err := sctest.AssertQuiesced(base); err != nil {
+			fmt.Fprintf(os.Stderr, "quiescence audit after conformance run: %v\n", err)
 			code = 1
 		}
 	}
 	os.Exit(code)
-}
-
-// auditGoroutines polls until the live goroutine count returns to the
-// pre-run baseline (plus slack for the runtime's own background helpers),
-// failing with a full dump if it never does. Abandoned handlers, unclosed
-// executors and leaked dispatch workers all surface here.
-func auditGoroutines(baseline int) error {
-	const slack = 8
-	deadline := time.Now().Add(5 * time.Second)
-	var n int
-	for {
-		n = runtime.NumGoroutine()
-		if n <= baseline+slack {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	buf := make([]byte, 1<<20)
-	buf = buf[:runtime.Stack(buf, true)]
-	return fmt.Errorf("%d goroutines live, want <= baseline %d + %d; stacks:\n%s",
-		n, baseline, slack, buf)
 }
 
 func auditStats() error {

@@ -43,8 +43,8 @@ func TestValueInstrumentation(t *testing.T) {
 	obj := value.New(env, probeMT, []byte{7, 7})
 	var got []byte
 	err = stubs.Call(obj, 0, nil, func(b *buffer.Buffer) error {
-		var err error
-		got, err = b.ReadBytes()
+		p, err := b.ReadBytes()
+		got = append(got, p...) // the reply buffer is recycled after the unmarshal
 		return err
 	})
 	if err != nil {

@@ -221,18 +221,19 @@ func ServerProc(skel stubs.Skeleton) kernel.ServerProcInfo {
 func ServerProcTyped(typ core.TypeID, skel stubs.Skeleton) kernel.ServerProcInfo {
 	return func(req *buffer.Buffer, info *kernel.Info) (*buffer.Buffer, error) {
 		if op, err := req.PeekUint32(); err == nil && op == typeQueryOp {
-			reply := buffer.New(16)
+			reply := buffer.Get(16)
 			reply.WriteString(string(typ))
 			return reply, nil
 		}
 		// Drawn from the pool, sized by the request: replies tend to be
 		// commensurate with their calls, and a pooled hit spares the
 		// marshal loop's growth reallocation. A mis-sized hint only means
-		// the buffer grows as it always did. The remote serve path (netd)
-		// recycles the buffer after the reply ships; a local caller keeps
-		// it, and the pool simply re-arms from the allocator.
+		// the buffer grows as it always did. Whoever consumes the reply
+		// puts it back: netd after the reply frame ships, the stub layer
+		// after a local caller has unmarshalled its results.
 		reply := buffer.Get(128 + req.Len())
 		if err := stubs.ServeCallInfo(skel, req, reply, info); err != nil {
+			buffer.Put(reply)
 			return nil, err
 		}
 		return reply, nil
@@ -260,7 +261,10 @@ func QueryType(obj *core.Object) (core.TypeID, error) {
 	if err != nil {
 		return "", err
 	}
-	defer kernel.ReleaseBufferDoors(reply)
+	defer func() {
+		kernel.ReleaseBufferDoors(reply)
+		buffer.Put(reply)
+	}()
 	t, err := reply.ReadString()
 	if err != nil {
 		return "", err

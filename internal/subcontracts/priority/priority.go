@@ -114,12 +114,13 @@ func Export(env *core.Env, mt *core.MTable, skel stubs.Skeleton, exec *sched.Exe
 		var reply *buffer.Buffer
 		var serveErr error
 		if err := exec.Run(prio, func() {
-			reply = buffer.New(128)
+			reply = buffer.Get(128)
 			serveErr = stubs.ServeCallInfo(skel, req, reply, info)
 		}); err != nil {
 			return nil, err
 		}
 		if serveErr != nil {
+			buffer.Put(reply)
 			return nil, serveErr
 		}
 		return reply, nil

@@ -57,10 +57,11 @@ func (g *Group) Join(env *core.Env, name string, skel stubs.Skeleton) *Member {
 		if err != nil {
 			return nil, fmt.Errorf("replicon: missing epoch control: %w", err)
 		}
-		reply := buffer.New(128)
+		reply := buffer.Get(128)
 		g.writeUpdate(reply, clientEpoch)
 		if err := stubs.ServeCallInfo(skel, req, reply, info); err != nil {
 			kernel.ReleaseBufferDoors(reply)
+			buffer.Put(reply)
 			return nil, err
 		}
 		return reply, nil

@@ -259,6 +259,7 @@ func invoke(obj *core.Object, call *core.Call) (*buffer.Buffer, error) {
 		}
 		if err := r.applyUpdate(dom, reply); err != nil {
 			kernel.ReleaseBufferDoors(reply)
+			buffer.Put(reply)
 			return nil, err
 		}
 		return reply, nil

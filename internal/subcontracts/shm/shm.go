@@ -147,7 +147,7 @@ func (s *SC) InvokePreamble(obj *core.Object, call *core.Call) error {
 	}
 	region := s.pool.Get()
 	call.SetArgs(region)
-	call.Release = func() { s.pool.Put(region) }
+	call.Release = func() { buffer.Put(region) }
 	return nil
 }
 
@@ -178,7 +178,7 @@ func (s *SC) invoke(obj *core.Object, call *core.Call) (*buffer.Buffer, error) {
 	if s.mode == CopyAfter {
 		region := s.pool.Get()
 		region.Splice(args) // copies the byte stream, transfers the doors
-		defer s.pool.Put(region)
+		defer buffer.Put(region)
 		return obj.Env.Domain.CallInfo(r.H, region, call.Info())
 	}
 	return obj.Env.Domain.CallInfo(r.H, args, call.Info())

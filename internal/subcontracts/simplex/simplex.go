@@ -192,8 +192,9 @@ func localInvoke(obj *core.Object, call *core.Call) (*buffer.Buffer, error) {
 	if revoked {
 		return nil, ErrRevoked
 	}
-	reply := buffer.New(128)
+	reply := buffer.Get(128)
 	if err := stubs.ServeCallInfo(st.skel, call.Args(), reply, call.Info()); err != nil {
+		buffer.Put(reply)
 		return nil, err
 	}
 	return reply, nil

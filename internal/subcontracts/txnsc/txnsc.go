@@ -123,7 +123,7 @@ func Export(env *core.Env, mt *core.MTable, skel Skeleton, part txn.Participant,
 			return nil, fmt.Errorf("txnsc: missing transaction control: %w", err)
 		}
 		id := txn.ID(raw)
-		reply := buffer.New(128)
+		reply := buffer.Get(128)
 		if id != 0 {
 			t, err := coord.Lookup(id)
 			if err != nil {
@@ -139,6 +139,7 @@ func Export(env *core.Env, mt *core.MTable, skel Skeleton, part txn.Participant,
 			return skel.DispatchTxn(id, op, args, results)
 		})
 		if err := stubs.ServeCallInfo(inner, req, reply, info); err != nil {
+			buffer.Put(reply)
 			return nil, err
 		}
 		return reply, nil

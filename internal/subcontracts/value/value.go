@@ -201,8 +201,9 @@ func invoke(obj *core.Object, call *core.Call) (*buffer.Buffer, error) {
 		r.state = next
 		return nil
 	})
-	reply := buffer.New(64)
+	reply := buffer.Get(64)
 	if err := stubs.ServeCallInfo(skel, call.Args(), reply, call.Info()); err != nil {
+		buffer.Put(reply)
 		return nil, err
 	}
 	return reply, nil

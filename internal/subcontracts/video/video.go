@@ -191,6 +191,7 @@ func attach(env *core.Env, r *Rep) error {
 		return fmt.Errorf("video: attaching frame channel: %w", err)
 	}
 	kernel.ReleaseBufferDoors(reply)
+	buffer.Put(reply)
 	r.mu.Lock()
 	r.ch = ch
 	r.mu.Unlock()
@@ -389,10 +390,11 @@ func Export(env *core.Env, mt *core.MTable, skel stubs.Skeleton, src *Source, un
 			src.mu.Lock()
 			src.channels = append(src.channels, ch)
 			src.mu.Unlock()
-			return buffer.New(0), nil
+			return buffer.Get(0), nil
 		}
-		reply := buffer.New(64)
+		reply := buffer.Get(64)
 		if err := stubs.ServeCallInfo(skel, req, reply, info); err != nil {
+			buffer.Put(reply)
 			return nil, err
 		}
 		return reply, nil

@@ -69,25 +69,29 @@ var counterFamilies = []struct {
 // disguise; the exposition gives them counter conventions (_total, TYPE
 // counter). Every other gauge is a level and stays a gauge.
 var counterGauges = map[string]bool{
-	"cache.coalesced_misses":  true,
-	"cache.evictions":         true,
-	"dispatch.inline_hits":    true,
-	"dispatch.shed":           true,
-	"dispatch.stolen":         true,
-	"netd.breaker_closed":     true,
-	"netd.breaker_opened":     true,
-	"netd.bulk_granted":       true,
-	"netd.bulk_mapped":        true,
-	"netd.bulk_reclaimed":     true,
-	"netd.flushes":            true,
-	"netd.frames_coalesced":   true,
-	"netd.leases_expired":     true,
-	"netd.refs_reclaimed":     true,
-	"netd.releases_replayed":  true,
-	"wal.appends":             true,
-	"wal.compactions":         true,
-	"wal.records_replayed":    true,
-	"wal.syncs":               true,
+	"buffer.drops":             true,
+	"buffer.gets":              true,
+	"buffer.misses":            true,
+	"buffer.puts":              true,
+	"cache.coalesced_misses":   true,
+	"cache.evictions":          true,
+	"dispatch.inline_hits":     true,
+	"dispatch.shed":            true,
+	"dispatch.stolen":          true,
+	"netd.breaker_closed":      true,
+	"netd.breaker_opened":      true,
+	"netd.bulk_granted":        true,
+	"netd.bulk_mapped":         true,
+	"netd.bulk_reclaimed":      true,
+	"netd.flushes":             true,
+	"netd.frames_coalesced":    true,
+	"netd.leases_expired":      true,
+	"netd.refs_reclaimed":      true,
+	"netd.releases_replayed":   true,
+	"wal.appends":              true,
+	"wal.compactions":          true,
+	"wal.records_replayed":     true,
+	"wal.syncs":                true,
 	"wal.torn_tails_truncated": true,
 }
 

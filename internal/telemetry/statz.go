@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/buffer"
 	"repro/internal/scstats"
 )
 
@@ -39,6 +40,7 @@ type statzSample struct {
 	scs   []scstats.Snapshot
 	peers []scstats.PeerSnapshot
 	hists []scstats.NamedHistSnapshot
+	bufs  buffer.Ledger
 }
 
 func takeStatzSample(at time.Time) statzSample {
@@ -47,6 +49,7 @@ func takeStatzSample(at time.Time) statzSample {
 		scs:   scstats.AllSnapshots(),
 		peers: scstats.PeerSnapshots(),
 		hists: scstats.HistSnapshots(),
+		bufs:  buffer.Stats(),
 	}
 }
 
@@ -187,6 +190,10 @@ type statzResponse struct {
 	Subcontracts  []statzSC   `json:"subcontracts"`
 	Peers         []statzPeer `json:"peers,omitempty"`
 	Hists         []statzHist `json:"hists,omitempty"`
+	// Buffers is the communication-buffer pool's ledger over the window:
+	// gets − puts is what the window's calls kept, misses the gets that
+	// had to allocate, drops the puts of buffers the pool does not own.
+	Buffers buffer.Ledger `json:"buffers"`
 }
 
 // ---------------------------------------------------------------------
@@ -279,6 +286,7 @@ func statzDelta(cur, prev statzSample, secs float64, withBuckets bool) statzResp
 		}
 		resp.Hists = append(resp.Hists, statzHist{Name: c.Name, Latency: latFrom(d, withBuckets)})
 	}
+	resp.Buffers = cur.bufs.Sub(prev.bufs)
 	return resp
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/buffer"
 	"repro/internal/scstats"
 )
 
@@ -47,7 +48,7 @@ func TestStatzRingBeforeAcrossWraparound(t *testing.T) {
 	// A cutoff older than everything stored clamps to the oldest
 	// surviving sample (t0+1s and t0+2s were overwritten).
 	s, ok = r.before(t0)
-	if !ok || !s.at.Equal(t0.Add(3 * time.Second)) {
+	if !ok || !s.at.Equal(t0.Add(3*time.Second)) {
 		t.Errorf("before(t0) = %v ok=%v, want clamp to t0+3s", s.at, ok)
 	}
 }
@@ -78,6 +79,7 @@ func TestStatzDeltaWindowMath(t *testing.T) {
 		hists: []scstats.NamedHistSnapshot{
 			{Name: "dispatch.queue_delay", Hist: synthLat(100, 200, 10)},
 		},
+		bufs: buffer.Ledger{Gets: 300, Misses: 4, Puts: 298, Drops: 1},
 	}
 	cur := statzSample{
 		at: t0.Add(10 * time.Second),
@@ -92,6 +94,7 @@ func TestStatzDeltaWindowMath(t *testing.T) {
 		hists: []scstats.NamedHistSnapshot{
 			{Name: "dispatch.queue_delay", Hist: synthLat(100, 200, 25)},
 		},
+		bufs: buffer.Ledger{Gets: 450, Misses: 4, Puts: 450, Drops: 1},
 	}
 
 	resp := statzDelta(cur, prev, 10, true)
@@ -128,6 +131,9 @@ func TestStatzDeltaWindowMath(t *testing.T) {
 	}
 	if len(resp.Hists) != 1 || resp.Hists[0].Latency.Count != 15 {
 		t.Fatalf("hist delta = %+v, want dispatch.queue_delay count 15", resp.Hists)
+	}
+	if want := (buffer.Ledger{Gets: 150, Puts: 152}); resp.Buffers != want {
+		t.Errorf("buffer ledger delta = %+v, want %+v", resp.Buffers, want)
 	}
 	// Percentiles of the window fall inside the only populated bucket.
 	if p := busy.Latency.P99Ns; p < 1000 || p > 2000 {
