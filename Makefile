@@ -4,11 +4,11 @@
 # suite — the liveness/partition tests under deterministic fault
 # injection (internal/faultnet) — and a smoke pass over the E15/E16
 # benchmark suites so they cannot silently rot.
-.PHONY: all tier1 tier2 faults crash bench bench-quick bench-e2e-check bench-all gen obs
+.PHONY: all tier1 tier2 faults crash bench bench-quick bench-e2e-check bench-all gen gen-check obs
 
 all: tier1 tier2
 
-tier1:
+tier1: gen-check
 	go build ./...
 	go test ./...
 
@@ -60,9 +60,15 @@ bench:
 		-note 'compare Engine/Queued/Spawn cells within one run; on a one-CPU host the P64 cells share one CPU ceiling and the dispatch win shows at P1/P8, where inline saves every handoff' \
 		-o BENCH_dispatch.json < /tmp/bench_dispatch.out
 
-# One-iteration smoke: the benchmarks still compile and run.
+# One-iteration smoke: the benchmarks still compile and run. Then the E24
+# guards of the file data path, without the race detector (under it the
+# allocation guard skips): a served 64 KiB read or write allocates nothing,
+# a borrowed argument is not retained, a file grown by appends is copied
+# O(n) — so a copy or an allocation creeping back in fails tier2.
 bench-quick:
 	go test -run NONE -bench 'E15|E16|E17|E18|E19|E20|E21_Striped_S[28]_P8_0B|E21_MixedHoL|E22' -benchtime 1x .
+	go test -count=1 -run 'TestServedReadWriteAllocs|TestBorrowedBytesNotRetained|TestSequentialGrowthCopiesLinear' \
+		./internal/netd/ ./internal/filesys/
 
 # The two-process benchmark (BENCHMARK.json, benchmark/) is a module of
 # its own, so tier1's ./... never reaches it: run its arithmetic tests
@@ -79,6 +85,13 @@ bench-all:
 
 gen:
 	go run ./cmd/idlgen -package filesys -o internal/filesys/gen.go internal/filesys/filesys.idl
+	go test ./internal/idl -run TestGolden -update
+
+# The checked-in generator output — filesys's gen.go and the idl golden —
+# is what the generator produces today.
+gen-check:
+	go run ./cmd/idlgen -package filesys internal/filesys/filesys.idl | diff -u internal/filesys/gen.go -
+	go run ./cmd/idlgen -package golden internal/idl/testdata/golden.idl | diff -u internal/idl/testdata/golden.go.golden -
 
 # Observability smoke: boot springfsd with the telemetry plane and
 # every-call tracing, drive a traced write/read through fsh, then scrape

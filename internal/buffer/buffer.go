@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -359,6 +360,47 @@ func (b *Buffer) WriteString(s string) (int, error) {
 func (b *Buffer) WriteBytes(p []byte) {
 	b.WriteUvarint(uint64(len(p)))
 	b.data = append(b.data, p...)
+}
+
+// bytesPrefixLen is the width of the length prefix ReserveBytes leaves room
+// for: a uvarint padded with continuation bytes to a fixed five (lengths
+// below 2^35), which ReadUvarint decodes like WriteBytes' minimal form.
+const bytesPrefixLen = 5
+
+// ReserveBytes starts a length-prefixed byte sequence produced in place
+// rather than copied in: it makes room for the prefix and returns the empty
+// tail of the storage behind it for the producer to append to. The stream
+// is unchanged until CommitBytes, so a producer that fails simply leaves;
+// nothing may be written to the buffer in between.
+func (b *Buffer) ReserveBytes() []byte {
+	body := len(b.data) + bytesPrefixLen
+	if cap(b.data) < body {
+		b.data = slices.Grow(b.data, bytesPrefixLen)
+	}
+	return b.data[body:body:cap(b.data)]
+}
+
+// CommitBytes ends the sequence ReserveBytes started with p, whatever the
+// producer returned, as its content: appended within the reserved tail, p
+// is adopted where it lies; grown onto an array of its own, or unrelated to
+// the tail, it is copied in. Then the prefix is patched to len(p).
+func (b *Buffer) CommitBytes(p []byte) {
+	if uint64(len(p)) >= 1<<(7*bytesPrefixLen) {
+		panic("buffer: byte sequence too long for its length prefix")
+	}
+	tail := b.ReserveBytes()
+	body := len(b.data) + bytesPrefixLen
+	if cap(p) > 0 && cap(tail) >= len(p) && &p[:1][0] == &tail[:1][0] {
+		b.data = b.data[:body+len(p)]
+	} else {
+		b.data = append(b.data[:body], p...)
+	}
+	n := uint64(len(p))
+	for i := body - bytesPrefixLen; i < body-1; i++ {
+		b.data[i] = byte(n) | 0x80
+		n >>= 7
+	}
+	b.data[body-1] = byte(n)
 }
 
 // WriteRaw appends p with no length prefix.

@@ -13,6 +13,13 @@ func FuzzReads(f *testing.F) {
 	seed.WriteString("hello")
 	seed.WriteUint64(42)
 	f.Add(append([]byte(nil), seed.Bytes()...))
+	// Padded length prefixes, as CommitBytes writes them: a sequence in
+	// full, an empty one, and one whose padded length overruns the data.
+	padded := New(0)
+	padded.CommitBytes(append(padded.ReserveBytes(), "padded"...))
+	padded.CommitBytes(padded.ReserveBytes())
+	f.Add(append([]byte(nil), padded.Bytes()...))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x7f, 1, 2, 3})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := FromParts(data, nil)
@@ -20,6 +27,9 @@ func FuzzReads(f *testing.F) {
 			before := b.Len()
 			if s, err := b.ReadString(); err == nil && len(s) > len(data) {
 				t.Fatalf("ReadString returned %d bytes from a %d-byte buffer", len(s), len(data))
+			}
+			if p, err := b.ReadBytes(); err == nil && len(p) > len(data) {
+				t.Fatalf("ReadBytes returned %d bytes from a %d-byte buffer", len(p), len(data))
 			}
 			if _, err := b.ReadDoor(); err == nil {
 				t.Fatal("ReadDoor succeeded with no door slots")

@@ -11,6 +11,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/naming"
 	"repro/internal/sctest"
+	"repro/internal/stubs"
 	"repro/internal/subcontracts/caching"
 	"repro/internal/subcontracts/reconnectable"
 )
@@ -169,9 +170,12 @@ func TestReadWriteEdgeCases(t *testing.T) {
 	if data, err := f.Read(100, 10); err != nil || len(data) != 0 {
 		t.Fatalf("past-end read = %v, %v", data, err)
 	}
-	// Negative offsets are harmless no-ops.
-	if n, err := f.Write(-1, []byte{1}); err != nil || n != 0 {
-		t.Fatalf("negative write = %d, %v", n, err)
+	// Writes at negative offsets, or ending past the size ceiling, are
+	// remote exceptions; reads there are empty.
+	for _, off := range []int64{-1, 1 << 40} {
+		if n, err := f.Write(off, []byte{1}); stubs.CodeOf(err) != CodeBadOffset || n != 0 {
+			t.Fatalf("write at %d = %d, %v; want CodeBadOffset", off, n, err)
+		}
 	}
 	if data, err := f.Read(-5, 3); err != nil || len(data) != 0 {
 		t.Fatalf("negative read = %v, %v", data, err)

@@ -1,12 +1,16 @@
 package filesys
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"repro/internal/buffer"
 )
@@ -33,38 +37,52 @@ const (
 // CRC mismatch. Restore returns it with the in-memory store untouched.
 var ErrCorruptSnapshot = errors.New("filesys: corrupt snapshot")
 
-// Snapshot serializes the store's files, ending with a CRC32 trailer over
-// the whole stream.
-func (s *Store) Snapshot() []byte {
+// snapshotChunk is the write buffer a checkpoint streams through, and so
+// what a checkpoint costs in memory whatever the store's size.
+const snapshotChunk = 64 << 10
+
+// SnapshotTo streams the store's serialized form to w — files in name
+// order, each under its own lock, through a bounded write buffer and a
+// running CRC32 that becomes the trailer — so a checkpoint never holds a
+// second copy of the store; a writer to the file going out waits for it.
+func (s *Store) SnapshotTo(w io.Writer) error {
 	s.mu.Lock()
 	files := make([]*fileState, 0, len(s.files))
 	for _, st := range s.files {
 		files = append(files, st)
 	}
 	s.mu.Unlock()
+	sort.Slice(files, func(i, j int) bool { return files[i].name < files[j].name })
 
-	// Sized from the store's own byte count, so the stream is marshalled
-	// into one allocation instead of doubling its way up to the store's
-	// size on every WAL compaction. A file that grows between the two
-	// passes only means the buffer grows as it always did.
-	size := 4 + binary.MaxVarintLen64 + 4
+	// bufio's error is sticky and comes back from Flush: writes go unchecked.
+	crc := crc32.NewIEEE()
+	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), snapshotChunk)
+	var hdr buffer.Buffer // the fields that frame the files' bytes
+	hdr.WriteUint32(snapshotMagic)
+	hdr.WriteUvarint(uint64(len(files)))
+	_, _ = bw.Write(hdr.Bytes())
 	for _, st := range files {
+		hdr.Reset()
 		st.mu.Lock()
-		size += 2*binary.MaxVarintLen64 + len(st.name) + 4 + len(st.data)
+		hdr.WriteString(st.name)
+		hdr.WriteUint32(st.version)
+		hdr.WriteUvarint(uint64(len(st.data)))
+		_, _ = bw.Write(hdr.Bytes())
+		_, _ = bw.Write(st.data) // past the chunk size bufio writes through instead of copying
 		st.mu.Unlock()
 	}
-	buf := buffer.New(size)
-	buf.WriteUint32(snapshotMagic)
-	buf.WriteUvarint(uint64(len(files)))
-	for _, st := range files {
-		st.mu.Lock()
-		buf.WriteString(st.name)
-		buf.WriteUint32(st.version)
-		buf.WriteBytes(st.data)
-		st.mu.Unlock()
+	if err := bw.Flush(); err != nil {
+		return err
 	}
-	buf.WriteUint32(crc32.ChecksumIEEE(buf.Bytes()))
-	return buf.Bytes()
+	_, err := w.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32()))
+	return err
+}
+
+// Snapshot returns the store's serialized form (see SnapshotTo) in memory.
+func (s *Store) Snapshot() []byte {
+	var out bytes.Buffer
+	_ = s.SnapshotTo(&out) // a bytes.Buffer does not fail
+	return out.Bytes()
 }
 
 // Restore replaces the store's contents from a snapshot. A snapshot that
@@ -142,12 +160,12 @@ func parseSnapshot(data []byte) (map[string]*fileState, error) {
 // holds either the previous complete snapshot or the new one, never a
 // torn mixture.
 func (s *Store) SaveFile(path string) error {
-	return writeFileAtomic(path, s.Snapshot())
+	return writeFileAtomic(path, s.SnapshotTo)
 }
 
 // writeFileAtomic is the temp+fsync+rename+dir-fsync sequence shared by
-// snapshot saves and the WAL's compaction checkpoint.
-func writeFileAtomic(path string, data []byte) error {
+// snapshot saves and the WAL's compaction checkpoint; fill writes the data.
+func writeFileAtomic(path string, fill func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -155,7 +173,7 @@ func writeFileAtomic(path string, data []byte) error {
 	}
 	tmpName := tmp.Name()
 	cleanup := func() { _ = tmp.Close(); _ = os.Remove(tmpName) }
-	if _, err := tmp.Write(data); err != nil {
+	if err := fill(tmp); err != nil {
 		cleanup()
 		return fmt.Errorf("filesys: writing %s: %w", tmpName, err)
 	}

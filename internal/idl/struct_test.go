@@ -72,7 +72,7 @@ func TestGenerateStructEnum(t *testing.T) {
 		"Tint Color",
 		"Outline []Point",
 		"func writeShape(b *buffer.Buffer, v Shape) error",
-		"func readShape(b *buffer.Buffer) (Shape, error)",
+		"func readShape(b *buffer.Buffer, borrow bool) (Shape, error)",
 		"func (c Canvas) Draw(s Shape) error",
 		"func (c Canvas) HitTest(p Point) (Shape, error)",
 		"func (c Canvas) Background() (Color, error)",

@@ -1,0 +1,59 @@
+package netd
+
+import (
+	"bytes"
+	"testing"
+	"time"
+
+	"repro/internal/filesys"
+	"repro/internal/stubs"
+)
+
+// TestRemoteBadOffsetWriteRejected: one remote write with a hostile offset
+// used to take the whole server down (write(1<<40, x) sized a makeslice
+// from the client's number; nothing on the serve path recovers) or, for a
+// negative offset, be acknowledged as written. Both are typed remote
+// exceptions now, over the inline-payload tier and over the bulk-region
+// tier — where the rejected argument is a mapped grant that must still go
+// back — and the server keeps serving the same file afterwards.
+func TestRemoteBadOffsetWriteRejected(t *testing.T) {
+	for _, tier := range []string{"tcp", "same-machine"} {
+		t.Run(tier, func(t *testing.T) {
+			var a, b *machine
+			if tier == "tcp" {
+				a, b = newMachine(t, "A", filesys.RegisterAll), newMachine(t, "B", filesys.RegisterAll)
+			} else {
+				a, b = newSameMachine(t, "A", Config{}, filesys.RegisterAll), newSameMachine(t, "B", Config{}, filesys.RegisterAll)
+			}
+			live0 := gBulkRegionsLive.Value()
+			a.srv.PublishRoot("fs", filesys.NewService(a.env).Object())
+			root, err := b.srv.ImportRootObject(b.env, a.srv.Addr(), "fs", filesys.FileSystemMT)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := filesys.FileSystem{Obj: root}.Create("victim")
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload := bigPayload(64 << 10)
+			if n, err := f.Write(0, payload); err != nil || int(n) != len(payload) {
+				t.Fatalf("write = %d, %v", n, err)
+			}
+			for _, off := range []int64{-1, filesys.MaxFileSize, 1 << 40} {
+				n, err := f.Write(off, payload)
+				if stubs.CodeOf(err) != filesys.CodeBadOffset || n != 0 {
+					t.Fatalf("write at %d = %d, %v; want the CodeBadOffset remote exception", off, n, err)
+				}
+			}
+			if got, err := f.Read(0, 1<<31-1); err != nil || !bytes.Equal(got, payload) {
+				t.Fatalf("read after the rejected writes: %d bytes, %v", len(got), err)
+			}
+			if v, err := f.Version(); err != nil || v != 1 {
+				t.Fatalf("version after the rejected writes = %d, %v; want 1", v, err)
+			}
+			// The server gives a request's grant back after it has sent the
+			// reply, so the last one may still be on its way.
+			waitFor(t, 2*time.Second, "every bulk region released", func() bool { return gBulkRegionsLive.Value() == live0 })
+		})
+	}
+}

@@ -24,7 +24,7 @@ import (
 // newSameMachine starts a machine whose server listens on a unix domain
 // socket and advertises the bulk-region tier. extra overlays fields on
 // the transport config (Transport is always SameMachine).
-func newSameMachine(t *testing.T, name string, extra Config) *machine {
+func newSameMachine(t *testing.T, name string, extra Config, libs ...func(*core.Registry) error) *machine {
 	t.Helper()
 	extra.Transport = SameMachine()
 	k := kernel.New(name)
@@ -33,7 +33,7 @@ func newSameMachine(t *testing.T, name string, extra Config) *machine {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	env, err := sctest.NewEnv(k, name+"-app", singleton.Register)
+	env, err := sctest.NewEnv(k, name+"-app", append(libs, singleton.Register)...)
 	if err != nil {
 		t.Fatal(err)
 	}

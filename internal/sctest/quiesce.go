@@ -2,10 +2,13 @@ package sctest
 
 import (
 	"fmt"
+	"os"
 	"runtime"
+	"testing"
 	"time"
 
 	"repro/internal/buffer"
+	"repro/internal/scstats"
 )
 
 // PoisonRecycled turns on the buffer package's poison-on-recycle hook for
@@ -36,25 +39,35 @@ func Snapshot() Baseline {
 // back, killed connections, shed calls and abandoned replies included.
 const goroutineSlack = 12
 
+// bulkRegionsLive is netd's count of bulk-region grants not yet released or
+// reclaimed, read through the gauge registry: netd's suite imports sctest.
+var bulkRegionsLive = scstats.GaugeFor("netd.bulk_regions_live")
+
 // AssertQuiesced checks that a finished suite gave back what it took:
 // the goroutine count is back at the baseline — every server, executor and
-// dispatch engine a test started wound down — and the buffers drawn from
-// the pool since the baseline were put back (Get == Put, ROADMAP spec item
-// (e)). It polls for a few seconds, since teardown is asynchronous, and
-// returns an error naming the leg that never settled.
+// dispatch engine a test started wound down — the buffers drawn from the
+// pool since the baseline were put back (Get == Put), and no bulk-region
+// grant is still live, since a borrowed []byte argument aliases its grant
+// for the whole handler (ROADMAP spec item (e)). It polls for a few
+// seconds, since teardown is asynchronous, and returns an error naming the
+// leg that never settled.
 func AssertQuiesced(base Baseline) error {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		g := runtime.NumGoroutine()
 		led := buffer.Stats().Sub(base.bufs)
 		out := led.Gets - led.Puts
-		if g <= base.goroutines+goroutineSlack && out == 0 {
+		regions := bulkRegionsLive.Value()
+		if g <= base.goroutines+goroutineSlack && out == 0 && regions == 0 {
 			return nil
 		}
 		if time.Now().After(deadline) {
 			if out != 0 {
 				return fmt.Errorf("buffer ledger: gets − puts = %d since the baseline (gets %d, puts %d): buffers drawn from the pool and never put back",
 					out, led.Gets, led.Puts)
+			}
+			if regions != 0 {
+				return fmt.Errorf("netd.bulk_regions_live = %d, want 0: bulk-region grants neither released nor reclaimed", regions)
 			}
 			stacks := make([]byte, 1<<20)
 			stacks = stacks[:runtime.Stack(stacks, true)]
@@ -63,4 +76,19 @@ func AssertQuiesced(base Baseline) error {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// AuditedMain is a suite's TestMain body, os.Exit(sctest.AuditedMain(m)):
+// it runs m with recycled storage poisoned, then audits quiescence.
+func AuditedMain(m *testing.M) int {
+	PoisonRecycled()
+	base := Snapshot()
+	code := m.Run()
+	if code == 0 {
+		if err := AssertQuiesced(base); err != nil {
+			fmt.Fprintf(os.Stderr, "quiescence audit after the suite: %v\n", err)
+			code = 1
+		}
+	}
+	return code
 }

@@ -226,12 +226,19 @@ func CallOneway(obj *core.Object, op core.OpNum, marshalArgs MarshalFunc, opts .
 //
 // The argument buffer's storage is recycled once the call completes —
 // it is the pooled request frame itself, a preamble's region, or a mapped
-// bulk grant — so a skeleton (or the server application behind it) that
-// retains a byte slice read from args beyond the dispatch must copy it
-// first. Generated skeletons already do (byte parameters are copied
-// before they reach the application); the same rule has always applied
-// to calls under the shm subcontract's recycled regions. The suites run
-// with sctest.PoisonRecycled on, so a violation reads 0xDB at once.
+// bulk grant — so whoever retains a byte slice read from args beyond the
+// dispatch must copy it first. The rule reaches the application: a
+// generated skeleton hands a byte-sequence in-parameter (or struct field)
+// to the server method as the very slice ReadBytes returned, borrowed until
+// the method returns — a file store's copy into the file is then the only
+// copy the bytes get. The suites run with sctest.PoisonRecycled on, so a
+// violation reads 0xDB at once.
+//
+// A byte-sequence result goes the other way round: the server method is
+// append-shaped, the skeleton lends it the reply's own tail
+// (buffer.ReserveBytes) and adopts what it returns in place
+// (buffer.CommitBytes). Client stubs keep copying byte results out of the
+// reply, because DecodeReply recycles it.
 type Skeleton interface {
 	Dispatch(op core.OpNum, args, results *buffer.Buffer) error
 }

@@ -28,7 +28,9 @@ func (l *loopSC) Marshal(obj *core.Object, buf *buffer.Buffer) error     { retur
 func (l *loopSC) MarshalCopy(obj *core.Object, buf *buffer.Buffer) error { return errors.New("no") }
 func (l *loopSC) InvokePreamble(obj *core.Object, call *core.Call) error {
 	l.preambles++
-	call.Release = func() { l.releases++ }
+	// A preamble that installs a Release hook owns the argument buffer
+	// (see releaseArgs), as shm's does; this one owns the pooled default.
+	call.Release = func() { l.releases++; buffer.Put(call.Args()) }
 	return nil
 }
 func (l *loopSC) Invoke(obj *core.Object, call *core.Call) (*buffer.Buffer, error) {
