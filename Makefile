@@ -52,22 +52,26 @@ bench:
 		-note 'E22 prices the v2 always-on histogram against the v1 1-in-8 sampler on the singleton echo; timed-vs-always isolates the record proper (budget 15ns, 0 allocs), and the always cells carry the measured window p50/p99/p999' \
 		-o BENCH_trace.json < /tmp/bench_e17.out
 	go test -run NONE -bench 'E19' -benchmem -benchtime 2s . | tee /tmp/bench_wal.out
-	go run ./cmd/benchjson -experiment 'E19 durable writes: WAL group-commit batch-size sweep vs in-memory baseline' \
+	go run ./cmd/benchjson -experiment 'E19 durable writes: WAL group-commit batch-cap sweep vs in-memory baseline (natural batching, no linger)' \
 		-note 'fsync latency is the unit here and varies with the host disk; compare batch caps within a run' \
 		-o BENCH_wal.json < /tmp/bench_wal.out
 	go test -run NONE -bench 'E20' -benchmem -benchtime 2s . | tee /tmp/bench_dispatch.out
-	go run ./cmd/benchjson -experiment 'E20 server-side dispatch: adaptive inline + sharded worker pool vs goroutine per call' \
-		-note 'compare Engine/Queued/Spawn cells within one run; on a one-CPU host the P64 cells share one CPU ceiling and the dispatch win shows at P1/P8, where inline saves every handoff' \
+	go run ./cmd/benchjson -experiment 'E20 server-side dispatch: adaptive inline over a goroutine per call vs every call spawned' \
+		-note 'compare Inline/Spawn cells within one run; the inline win shows at P1/P8, where it saves every handoff; Blocking_P64 is 64 callers of a 100us handler, all blocked in the server at once' \
 		-o BENCH_dispatch.json < /tmp/bench_dispatch.out
 
 # One-iteration smoke: the benchmarks still compile and run. Then the E24
-# guards of the file data path, without the race detector (under it the
-# allocation guard skips): a served 64 KiB read or write allocates nothing,
-# a borrowed argument is not retained, a file grown by appends is copied
-# O(n) — so a copy or an allocation creeping back in fails tier2.
+# guards of the file data path and the E25 guards of the durable write
+# path, without the race detector (under it the allocation guards skip and
+# the timing ones mean nothing): a served 64 KiB read or write allocates
+# nothing, a borrowed argument is not retained, a file grown by appends is
+# never copied; a served durable write allocates nothing, commit included,
+# sixteen blocked remote writers share fsyncs eight or more at a time, a
+# lone one does not wait for company — so a copy, an allocation, a pool or
+# a timer creeping back in fails tier2.
 bench-quick:
 	go test -run NONE -bench 'E15|E16|E17|E18|E19|E20|E21_Striped_S[28]_P8_0B|E21_MixedHoL|E22' -benchtime 1x .
-	go test -count=1 -run 'TestServedReadWriteAllocs|TestBorrowedBytesNotRetained|TestSequentialGrowthCopiesLinear' \
+	go test -count=1 -run 'TestServedReadWriteAllocs|TestBorrowedBytesNotRetained|TestSequentialGrowthCopiesLinear|TestDurableWriteAllocs|TestGroupCommitGroups|TestLoneDurableWriteDoesNotLinger' \
 		./internal/netd/ ./internal/filesys/
 
 # The two-process benchmark (BENCHMARK.json, benchmark/) is a module of

@@ -180,25 +180,20 @@ func TestE12_WireOverhead(t *testing.T) {
 	}
 }
 
-// E20 — server-side dispatch engine: the serve-side cost of an incoming
-// call under the three execution modes (adaptive inline engine, pool
-// with inline disabled, pre-E20 goroutine per call), 0-byte echo at
-// parallelism ∈ {1, 8, 64}; blocking-handler cells (100µs park, 64
-// workers vs unbounded spawn); and goodput at 4× admission-bound
-// overload. `make bench` records this sweep in BENCH_dispatch.json.
-// Acceptance: Engine ≥ 1.5× Spawn at P64/0B, Engine P1 latency ≤ Spawn
-// P1 within a run.
-func BenchmarkE20_Serve_Engine_P1_0B(b *testing.B)  { bench.E20Serve("engine", 1, 0)(b) }
-func BenchmarkE20_Serve_Engine_P8_0B(b *testing.B)  { bench.E20Serve("engine", 8, 0)(b) }
-func BenchmarkE20_Serve_Engine_P64_0B(b *testing.B) { bench.E20Serve("engine", 64, 0)(b) }
-func BenchmarkE20_Serve_Queued_P1_0B(b *testing.B)  { bench.E20Serve("queued", 1, 0)(b) }
-func BenchmarkE20_Serve_Queued_P8_0B(b *testing.B)  { bench.E20Serve("queued", 8, 0)(b) }
-func BenchmarkE20_Serve_Queued_P64_0B(b *testing.B) { bench.E20Serve("queued", 64, 0)(b) }
+// E20 — server-side dispatch: the serve-side cost of an incoming call
+// under the two execution modes (adaptive inline with a goroutine per
+// call behind it; promotion off, so every call is spawned), 0-byte echo
+// at parallelism ∈ {1, 8, 64}; a blocking-handler cell (100µs park, 64
+// callers blocked in the server at once); and goodput at 4×
+// admission-bound overload. `make bench` records this sweep in
+// BENCH_dispatch.json.
+func BenchmarkE20_Serve_Inline_P1_0B(b *testing.B)  { bench.E20Serve("inline", 1, 0)(b) }
+func BenchmarkE20_Serve_Inline_P8_0B(b *testing.B)  { bench.E20Serve("inline", 8, 0)(b) }
+func BenchmarkE20_Serve_Inline_P64_0B(b *testing.B) { bench.E20Serve("inline", 64, 0)(b) }
 func BenchmarkE20_Serve_Spawn_P1_0B(b *testing.B)   { bench.E20Serve("spawn", 1, 0)(b) }
 func BenchmarkE20_Serve_Spawn_P8_0B(b *testing.B)   { bench.E20Serve("spawn", 8, 0)(b) }
 func BenchmarkE20_Serve_Spawn_P64_0B(b *testing.B)  { bench.E20Serve("spawn", 64, 0)(b) }
-func BenchmarkE20_Blocking_Engine_P64(b *testing.B) { bench.E20Blocking("engine", 64)(b) }
-func BenchmarkE20_Blocking_Spawn_P64(b *testing.B)  { bench.E20Blocking("spawn", 64)(b) }
+func BenchmarkE20_Blocking_P64(b *testing.B)        { bench.E20Blocking(64)(b) }
 func BenchmarkE20_Overload_4x(b *testing.B)         { bench.E20Overload(4)(b) }
 
 // E21 — striped client call engine: the E15 workload re-run with the

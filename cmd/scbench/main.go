@@ -37,10 +37,6 @@ var (
 		"record a trace for 1 in N calls that arrive untraced (0 = only explicitly traced calls)")
 	traceSlow = flag.Duration("trace-slow", 0,
 		"tail-capture calls slower than this into /traces/slow, even when head sampling skips them (0 = off)")
-	dispatchWorkers = flag.Int("dispatch-workers", 0,
-		"dispatch pool workers for the E20 engine cells (0 = GOMAXPROCS, capped at 64)")
-	dispatchInflight = flag.Int("dispatch-inflight", 0,
-		"in-flight admission bound for the E20 engine cells (0 = default 1024)")
 	stripes = flag.Int("stripes", 8,
 		"client connections per peer for the E21 striped cells (the stripes=1 baseline always runs)")
 	mixed = flag.Bool("mixed", false,
@@ -356,17 +352,15 @@ func main() {
 	fmt.Printf("  => group commit recovers %.1fx over one-fsync-per-write; durability costs %.1fx vs memory\n",
 		nsPerOp(b1)/nsPerOp(b256), nsPerOp(b256)/nsPerOp(mem))
 
-	section("E20 server-side dispatch engine (0B echo; inline fast path + sharded pool)")
-	bench.SetE20Dispatch(*dispatchWorkers, *dispatchInflight)
-	spawn64 := run("64 callers, goroutine per call (pre-E20)", bench.E20Serve("spawn", 64, 0))
-	run("64 callers, pool only (inline off)", bench.E20Serve("queued", 64, 0))
-	eng64 := run("64 callers, engine (adaptive inline)", bench.E20Serve("engine", 64, 0))
-	run("1 caller, goroutine per call (pre-E20)", bench.E20Serve("spawn", 1, 0))
-	run("1 caller, engine (adaptive inline)", bench.E20Serve("engine", 1, 0))
-	run("100µs blocking handler, 64 callers, 64 workers", bench.E20Blocking("engine", 64))
+	section("E20 server-side dispatch (0B echo; inline fast path, else a goroutine per call)")
+	spawn64 := run("64 callers, every call spawned (promotion off)", bench.E20Serve("spawn", 64, 0))
+	inl64 := run("64 callers, adaptive inline", bench.E20Serve("inline", 64, 0))
+	run("1 caller, every call spawned (promotion off)", bench.E20Serve("spawn", 1, 0))
+	run("1 caller, adaptive inline", bench.E20Serve("inline", 1, 0))
+	run("100µs blocking handler, 64 callers", bench.E20Blocking(64))
 	run("offered load 4x the admission bound", bench.E20Overload(4))
-	fmt.Printf("  => the dispatch engine serves 64-way traffic %.1fx faster than goroutine-per-call\n",
-		nsPerOp(spawn64)/nsPerOp(eng64))
+	fmt.Printf("  => the inline fast path serves 64-way traffic %.1fx faster than a goroutine per call\n",
+		nsPerOp(spawn64)/nsPerOp(inl64))
 
 	section(fmt.Sprintf("E21 striped client call engine (0B echo; stripes=1 vs stripes=%d)", *stripes))
 	s1 := run("64 callers, 1 stripe", bench.E21Striped(1, 64, 0))

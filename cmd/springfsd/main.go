@@ -46,8 +46,6 @@ var (
 	snapshot = flag.String("snapshot", "", "stable-storage file: loaded at start, saved on shutdown")
 	walDir   = flag.String("wal", "",
 		"durability directory: write-ahead log + snapshot + netd state; mutations are fsynced before acknowledgment and a restart recovers transparently")
-	walLinger = flag.Duration("wal-linger", 0,
-		"group-commit linger window: how long the committer waits for concurrent mutations to join a batch (0 = default 200µs, negative = no linger)")
 	walBatch = flag.Int("wal-batch", 0, "max records fsynced per group-commit batch (0 = default 256)")
 	dumpSC   = flag.Bool("scstats", false, "dump per-subcontract metrics on shutdown and on SIGUSR1")
 
@@ -62,8 +60,6 @@ var (
 		"client connections dialled per peer (0 = scale to GOMAXPROCS, capped at 8); the last stripe carries bulk frames")
 	bulkThreshold = flag.Int("bulk-threshold", 0,
 		"payload size (bytes) above which a same-machine call rides a mapped region instead of the frame (0 = default)")
-	dispatchWorkers = flag.Int("dispatch-workers", 0,
-		"serve-side dispatch pool workers (0 = GOMAXPROCS, capped at 64)")
 	dispatchInflight = flag.Int("dispatch-inflight", 0,
 		"in-flight admission bound for incoming calls; past it callers get a retryable overload reply (0 = default 1024, negative = unbounded)")
 
@@ -125,9 +121,7 @@ func main() {
 	store := filesys.NewStore()
 	var wal *filesys.WAL
 	if *walDir != "" {
-		wal, err = filesys.OpenWAL(*walDir, store, filesys.WALOptions{
-			Linger: *walLinger, MaxBatch: *walBatch,
-		})
+		wal, err = filesys.OpenWAL(*walDir, store, filesys.WALOptions{MaxBatch: *walBatch})
 		if err != nil {
 			log.Fatalf("opening wal: %v", err)
 		}
@@ -179,10 +173,7 @@ func main() {
 		LeaseGrace:        *leaseGrace,
 		Stripes:           *stripesFlag,
 		BulkThreshold:     *bulkThreshold,
-		Dispatch: netd.DispatchConfig{
-			Workers:     *dispatchWorkers,
-			MaxInflight: *dispatchInflight,
-		},
+		Dispatch:          netd.DispatchConfig{MaxInflight: *dispatchInflight},
 	}
 	if *sameMachine {
 		cfg.Transport = netd.SameMachine()

@@ -16,15 +16,15 @@ import (
 // write is acknowledged only after its log record is fsynced, so the
 // cost under test is how well the committer amortizes that fsync:
 // concurrent writers apply in memory, enqueue their records, and one
-// committer goroutine drains the queue — a short linger window plus a
-// MaxBatch cap decide how many acknowledgments each fsync carries.
+// committer goroutine commits whatever is queued — what arrived during
+// the last fsync, up to the MaxBatch cap, is what the next one carries.
 //
 // Knobs: parallelism ∈ {1, 64} concurrent writers × group-commit batch
 // size ∈ {1, 8, 64, 256}. Writers hit distinct files so the sweep
 // measures commit batching, not file-lock contention. The in-memory
 // cells (no WAL) bound what durability costs at all; the P1 cell shows
-// the floor — a lone writer pays a full linger + fsync per write
-// regardless of batch size — and the P64 × batch sweep shows group
+// the floor — a lone writer pays one fsync per write regardless of
+// batch size — and the P64 × batch sweep shows group
 // commit buying back that cost. `make bench` records this sweep in
 // BENCH_wal.json.
 

@@ -17,23 +17,22 @@ import (
 )
 
 // ---------------------------------------------------------------------
-// E20 — server-side dispatch engine. E15 measured what the data path
-// sustains; E20 measures what the *serve side* does with the frames once
-// they arrive. Three execution modes over the same loopback workload:
+// E20 — server-side dispatch. E15 measured what the data path sustains;
+// E20 measures what the *serve side* does with the frames once they
+// arrive. Since E25 a call that is not run inline gets a goroutine of its
+// own, so two execution modes remain over the same loopback workload:
 //
-//   - Serve_Spawn: the pre-E20 baseline, one goroutine per incoming
-//     call (Dispatch.Disable).
-//   - Serve_Queued: the worker pool with the inline path disabled
-//     (InlineThreshold < 0) — every call pays one queue hop.
-//   - Serve_Engine: the full engine — adaptive inline promotion moves
-//     non-blocking handlers onto the reader goroutine, the pool takes
-//     the rest.
+//   - Serve_Inline: the default — adaptive inline promotion moves
+//     non-blocking handlers onto the reader goroutine, everything else is
+//     spawned.
+//   - Serve_Spawn: promotion off (InlineThreshold < 0) — every call pays
+//     one goroutine start, behind the same admission counters.
 //
 // The sweep is parallelism ∈ {1, 8, 64} at 0-byte payload (the dispatch
-// cost dominates exactly when there is no payload to amortize it), plus
-// Blocking cells whose handler parks ~100µs (never promoted; the pool's
-// 64 workers against the spawn path's unbounded goroutines), plus an
-// Overload cell: offered load at 4× the admission bound, reporting
+// cost dominates exactly when there is no payload to amortize it), plus a
+// Blocking cell whose handler parks ~100µs (never promoted, so sixty-four
+// callers are sixty-four goroutines blocked in the server at once), plus
+// an Overload cell: offered load at 4× the admission bound, reporting
 // goodput with the shed-and-retry cost folded in (a shed is a full
 // round trip answered O(1) on the reader — the bench proves refusal is
 // cheap and goodput holds at the bound).
@@ -74,35 +73,19 @@ func e20Setup(dc netd.DispatchConfig, skel func() stubs.Skeleton) func(*testing.
 	}
 }
 
-// e20Workers/e20MaxInflight size the engine cells; zero means the
-// engine's defaults. scbench's -dispatch-workers/-dispatch-inflight
-// flags set them so an operator can sweep pool sizes from the CLI.
-var e20Workers, e20MaxInflight int
-
-// SetE20Dispatch overrides the worker count and admission bound the E20
-// engine cells run with (0 = engine default).
-func SetE20Dispatch(workers, maxInflight int) {
-	e20Workers, e20MaxInflight = workers, maxInflight
-}
-
-// E20Serve is the inline-eligible sweep: echo handlers under the three
-// dispatch modes. mode is "engine", "queued" or "spawn".
+// E20Serve is the inline-eligible sweep: echo handlers under the two
+// dispatch modes. mode is "inline" or "spawn".
 func E20Serve(mode string, parallelism, payload int) func(*testing.B) {
-	dc := netd.DispatchConfig{Workers: e20Workers, MaxInflight: e20MaxInflight}
-	switch mode {
-	case "engine":
-		// Defaults: adaptive inline + pool.
-	case "queued":
-		dc.InlineThreshold = -1 // pool only; every call takes the queue hop
-	case "spawn":
-		dc = netd.DispatchConfig{Disable: true} // pre-E20 goroutine per call
+	var dc netd.DispatchConfig // "inline": the defaults
+	if mode == "spawn" {
+		dc.InlineThreshold = -1 // nothing is promoted; every call is spawned
 	}
 	return throughputBench(e20Setup(dc, echoSkeleton), parallelism, payload)
 }
 
 // blockingSkeleton parks each call for roughly d — long past any inline
-// threshold, so the adaptive state never promotes it and every call
-// exercises the pool (or, under spawn, its own goroutine).
+// threshold, so the adaptive state never promotes it and every call runs
+// on its own goroutine.
 func blockingSkeleton(d time.Duration) func() stubs.Skeleton {
 	return func() stubs.Skeleton {
 		return stubs.SkeletonFunc(func(op core.OpNum, args, results *buffer.Buffer) error {
@@ -117,16 +100,12 @@ func blockingSkeleton(d time.Duration) func() stubs.Skeleton {
 	}
 }
 
-// E20Blocking is the blocking-handler sweep: ~100µs handlers, engine
-// (64 workers) vs spawn. The interesting figure is how close the
-// fixed-width pool stays to the unbounded-goroutine baseline while
-// holding the server's concurrency at 64.
-func E20Blocking(mode string, parallelism int) func(*testing.B) {
-	dc := netd.DispatchConfig{Workers: 64}
-	if mode == "spawn" {
-		dc = netd.DispatchConfig{Disable: true}
-	}
-	return throughputBench(e20Setup(dc, blockingSkeleton(100*time.Microsecond)), parallelism, 0)
+// E20Blocking is the blocking-handler cell: ~100µs handlers under the
+// default configuration. The figure to watch is time per call against the
+// handler's own 100µs ÷ parallelism: the callers' waits overlap only if
+// all of them are inside the server at once.
+func E20Blocking(parallelism int) func(*testing.B) {
+	return throughputBench(e20Setup(netd.DispatchConfig{}, blockingSkeleton(100*time.Microsecond)), parallelism, 0)
 }
 
 // E20Overload offers load at `factor` times the admission bound and
@@ -137,10 +116,9 @@ func E20Overload(factor int) func(*testing.B) {
 	const bound = 64
 	return func(b *testing.B) {
 		setup := e20Setup(netd.DispatchConfig{
-			Workers:         8,
 			MaxInflight:     bound,
 			MaxPerPeer:      -1, // the single benchmark conn IS the load
-			InlineThreshold: -1, // force every admitted call through the queue
+			InlineThreshold: -1, // every admitted call is spawned
 		}, blockingSkeleton(20*time.Microsecond))
 		remote := setup(b)
 		if err := callEcho(remote, nil); err != nil {

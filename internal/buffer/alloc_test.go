@@ -34,3 +34,28 @@ func TestPutClearsDoors(t *testing.T) {
 		t.Fatalf("reset buffer carries %d doors", len(b.doors))
 	}
 }
+
+func TestGetRoundsCapacity(t *testing.T) {
+	// Frames carrying the same 64 KiB payload differ by a few bytes of
+	// varint from one offset to the next. With exact capacities a buffer
+	// sized by the shorter frame was a miss for the longer one, and the
+	// pool kept re-making 64 KiB buffers for sixteen frames in flight.
+	const frame = 64<<10 + 25 // a write's frame at offset 0; two bytes longer from offset 16384 on
+	short, long := roundCap(frame), roundCap(frame+2)
+	if short < frame+2 || short%roundTo != 0 || long != short {
+		t.Fatalf("hints of %d and %d allocate capacities %d and %d, want the same multiple of %d", frame, frame+2, short, long, roundTo)
+	}
+	if got := roundCap(roundFrom); got != roundFrom {
+		t.Fatalf("a hint of %d allocates capacity %d: small buffers are not rounded", roundFrom, got)
+	}
+	b := Get(1 << 20) // larger than anything the suite has pooled, so freshly allocated
+	defer Put(b)
+	if got := cap(b.Bytes()); got != roundCap(1<<20) || got != 1<<20 {
+		t.Fatalf("Get(1 MiB) has capacity %d", got)
+	}
+	b2 := Get(1<<20 + 3)
+	defer Put(b2)
+	if got := cap(b2.Bytes()); got != 1<<20+roundTo {
+		t.Fatalf("Get(1 MiB + 3) has capacity %d, want %d", got, 1<<20+roundTo)
+	}
+}

@@ -128,7 +128,11 @@ func Stats() Ledger {
 // least capacity hint n. Release it with Put when its contents are dead.
 // A buffer whose pooled capacity is too small is re-armed from the
 // storage pool (see Recycle) before falling back to a fresh allocation,
-// so detached payload arrays circulate back into the marshal paths.
+// so detached payload arrays circulate back into the marshal paths. A
+// fresh allocation past roundFrom is rounded up to a multiple of roundTo:
+// hints sized to frames that carry the same payload differ by a few bytes
+// (a 64 KiB write at offset 0 is two varint bytes shorter than one at
+// offset 16384), and exact capacities made each a miss for the other.
 func Get(n int) *Buffer {
 	ledger.gets.Add(1)
 	b, _ := pool.Get().(*Buffer)
@@ -141,7 +145,7 @@ func Get(n int) *Buffer {
 		if s := getStorage(n); s != nil {
 			b.data = s
 		} else {
-			b.data = make([]byte, 0, n)
+			b.data = make([]byte, 0, roundCap(n))
 			fresh = true
 		}
 	}
@@ -149,6 +153,21 @@ func Get(n int) *Buffer {
 		ledger.misses.Add(1)
 	}
 	return b
+}
+
+// Get's capacity rounding. The allocator hands out whole 8 KiB pages past
+// 32 KiB anyway, so the rounding mostly claims bytes already paid for.
+const (
+	roundFrom = 4 << 10
+	roundTo   = 8 << 10
+)
+
+// roundCap is the capacity Get allocates for a hint of n.
+func roundCap(n int) int {
+	if n <= roundFrom {
+		return n
+	}
+	return (n + roundTo - 1) / roundTo * roundTo
 }
 
 // storagePool recycles bare byte arrays: the payload storage behind

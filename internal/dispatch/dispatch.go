@@ -1,14 +1,17 @@
-// Package dispatch is the server-side execution engine (E20): the one
-// substrate under the netd serve path, the priority subcontract's
-// executor and the kernel's unreferenced-notification drain.
+// Package dispatch holds the two halves of server-side execution (E20):
+// the worker-pool engine under the priority subcontract's executor
+// (sched.Executor), and the admission and inline bookkeeping the netd serve
+// path shares with it — InlineState, and the counters and queue-delay
+// histogram both report through.
 //
-// Before it, every incoming network call span a goroutine
-// (`go s.handleCall(...)`) and the priority executor serialized all
-// submissions through a single mutex + heap + sync.Cond. Under the P64
-// bench sweeps the server burnt its throughput win on goroutine churn and
-// scheduler wakeups, and under overload it grew goroutines without bound.
-// The engine replaces both with a fixed worker pool over per-shard
-// priority queues:
+// The engine replaced a single mutex + heap + sync.Cond that serialized all
+// of the priority executor's submissions. Until E25 it also ran every
+// incoming network call; netd now gives a call that cannot run inline a
+// goroutine of its own, because a pool's workers are held by handlers that
+// block (a group commit, a call to another server) and a fixed pool then
+// hides the callers' concurrency from whatever they block on. What is left
+// for the engine is the work it is right for — short, CPU-bound, ordered by
+// priority — on a fixed worker pool over per-shard priority queues:
 //
 //   - Sharded run queues. Each worker owns one shard (a small
 //     priority heap: highest priority first, FIFO within a level, the
@@ -26,11 +29,9 @@
 //     after setting its bit; the submitter enqueues before reading the
 //     mask; sequential consistency of Go atomics guarantees one side
 //     sees the other).
-//   - Bounded admission. An optional per-shard queue bound turns
-//     saturation into an immediate ErrSaturated instead of unbounded
-//     memory; callers (netd) translate that into a retryable overload
-//     reply. With no bound (the sched executor's configuration) Submit
-//     never sheds.
+//
+// The run queues are unbounded: Submit never sheds. (Bounding load is
+// admission's job, in front of whatever submits.)
 //
 // Close drains: queued work runs to completion before workers exit, so
 // an Executor built on the engine keeps the old drain-on-Close contract.
@@ -46,15 +47,8 @@ import (
 	"repro/internal/scstats"
 )
 
-var (
-	// ErrClosed is returned by Submit after Close.
-	ErrClosed = errors.New("dispatch: engine closed")
-	// ErrSaturated is returned by Submit when every shard's run queue is
-	// at its configured bound: the engine is refusing load, not queueing
-	// to death. The netd serve path converts it into a retryable
-	// overload reply.
-	ErrSaturated = errors.New("dispatch: run queues saturated")
-)
+// ErrClosed is returned by Submit after Close.
+var ErrClosed = errors.New("dispatch: engine closed")
 
 // The engine's operational gauges, exposed through the scstats registry
 // (and from there the telemetry plane's /metrics). inline_hits and shed
@@ -67,36 +61,42 @@ var (
 	gShed        = scstats.GaugeFor("dispatch.shed")
 	gWorkersLive = scstats.GaugeFor("dispatch.workers_live")
 
-	// hQueueDelay measures Submit→poll latency — how long admitted work
-	// sat in a run queue before a worker picked it up. The inline fast
-	// path never touches it, so the histogram prices exactly the queued
-	// slow path. Exposed as dispatch_queue_delay_seconds.
+	// hQueueDelay measures how long admitted work waited to start: in a
+	// run queue until a worker picked it up, or — a netd call, see
+	// NoteQueued — for the goroutine it was given to be scheduled. The
+	// inline fast path never touches it, so the histogram prices exactly
+	// the slow path. Exposed as dispatch_queue_delay_seconds.
 	hQueueDelay = scstats.HistFor("dispatch.queue_delay")
 )
 
 // NoteInline records one call served on the inline fast path (executed
-// directly on a reader goroutine, never entering the pool).
+// directly on a reader goroutine).
 func NoteInline() { gInlineHits.Add(1) }
 
 // NoteShed records one call refused at admission and answered with a
 // retryable overload error.
 func NoteShed() { gShed.Add(1) }
 
+// NoteQueued stamps a call that was admitted but not run inline: the netd
+// serve path gives it a goroutine of its own and hands the stamp to
+// NoteStarted once that goroutine runs, so dispatch.queue_delay prices
+// admission → handler start for every call off the inline path, whether an
+// engine's run queue or the Go scheduler's carried it.
+func NoteQueued() int64 { return hQueueDelay.Start() }
+
+// NoteStarted records the queue delay of a call stamped by NoteQueued.
+func NoteStarted(queued int64) { hQueueDelay.ObserveSince(queued, 0) }
+
 // maxWorkers bounds the pool so a worker fits one bit of the parked
 // bitmask. 64 workers of mostly-CPU work is far past the point where
 // more parallelism helps this engine's workloads.
 const maxWorkers = 64
 
-// Config sizes an engine. The zero value is usable: GOMAXPROCS workers,
-// unbounded queues.
+// Config sizes an engine. The zero value is usable: GOMAXPROCS workers.
 type Config struct {
 	// Workers is the number of pool workers (and shards). 0 means
 	// GOMAXPROCS; the value is clamped to [1, 64].
 	Workers int
-	// QueueLen bounds each shard's run queue. When every shard is at its
-	// bound Submit returns ErrSaturated. 0 means unbounded (the sched
-	// executor's semantics: Submit never sheds).
-	QueueLen int
 }
 
 // item is one queued unit of work.
@@ -179,9 +179,8 @@ type Engine struct {
 	rr      atomic.Uint64 // round-robin shard cursor
 	stopped atomic.Bool   // gates Submit; workers exit via stop
 
-	queueLen int
-	stop     chan struct{}
-	wg       sync.WaitGroup
+	stop chan struct{}
+	wg   sync.WaitGroup
 }
 
 // New starts an engine.
@@ -194,10 +193,9 @@ func New(cfg Config) *Engine {
 		w = maxWorkers
 	}
 	e := &Engine{
-		shards:   make([]shard, w),
-		wake:     make([]chan struct{}, w),
-		queueLen: cfg.QueueLen,
-		stop:     make(chan struct{}),
+		shards: make([]shard, w),
+		wake:   make([]chan struct{}, w),
+		stop:   make(chan struct{}),
 	}
 	for i := range e.wake {
 		e.wake[i] = make(chan struct{}, 1)
@@ -210,45 +208,29 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// Workers returns the pool width.
-func (e *Engine) Workers() int { return len(e.shards) }
-
 // Queued reports the number of items waiting in run queues (not
 // running).
 func (e *Engine) Queued() int { return int(e.queued.Load()) }
 
-// Submit enqueues fn at the given priority. It returns ErrClosed after
-// Close and ErrSaturated when a queue bound is configured and every
-// shard is full; fn is not retained in either case.
+// Submit enqueues fn at the given priority on the next shard in turn. It
+// returns ErrClosed after Close; fn is not retained then.
 func (e *Engine) Submit(prio int32, fn func()) error {
 	seq := e.seq.Add(1)
-	n := len(e.shards)
-	start := int((e.rr.Add(1) - 1) % uint64(n))
-	for k := 0; k < n; k++ {
-		si := start + k
-		if si >= n {
-			si -= n
-		}
-		sh := &e.shards[si]
-		sh.mu.Lock()
-		// The closed check lives under the shard lock so Close can
-		// barrier on every shard and know no further pushes follow.
-		if e.stopped.Load() {
-			sh.mu.Unlock()
-			return ErrClosed
-		}
-		if e.queueLen > 0 && len(sh.q) >= e.queueLen {
-			sh.mu.Unlock()
-			continue // spill to the next shard before shedding
-		}
-		sh.q.push(item{prio: prio, seq: seq, at: hQueueDelay.Start(), run: fn})
-		e.queued.Add(1)
+	si := int((e.rr.Add(1) - 1) % uint64(len(e.shards)))
+	sh := &e.shards[si]
+	sh.mu.Lock()
+	// The closed check lives under the shard lock so Close can barrier on
+	// every shard and know no further pushes follow.
+	if e.stopped.Load() {
 		sh.mu.Unlock()
-		gQueued.Add(1)
-		e.wakeOne(si)
-		return nil
+		return ErrClosed
 	}
-	return ErrSaturated
+	sh.q.push(item{prio: prio, seq: seq, at: hQueueDelay.Start(), run: fn})
+	e.queued.Add(1)
+	sh.mu.Unlock()
+	gQueued.Add(1)
+	e.wakeOne(si)
+	return nil
 }
 
 // poll takes the highest-priority item from worker i's own shard, or

@@ -120,40 +120,6 @@ func TestCloseDrains(t *testing.T) {
 	}
 }
 
-// With every shard at its bound, Submit must shed instead of queueing.
-func TestQueueBoundSheds(t *testing.T) {
-	e := New(Config{Workers: 2, QueueLen: 2})
-	defer e.Close()
-
-	gate := make(chan struct{})
-	var held sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		held.Add(1)
-		if err := e.Submit(0, func() { held.Done(); <-gate }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	held.Wait()
-
-	// 2 shards × bound 2 = 4 queue slots.
-	accepted := 0
-	var sheds int
-	for i := 0; i < 8; i++ {
-		switch err := e.Submit(0, func() {}); err {
-		case nil:
-			accepted++
-		case ErrSaturated:
-			sheds++
-		default:
-			t.Fatalf("unexpected error: %v", err)
-		}
-	}
-	if accepted != 4 || sheds != 4 {
-		t.Fatalf("accepted %d / shed %d, want 4/4", accepted, sheds)
-	}
-	close(gate)
-}
-
 // Hammer the park/wake protocol: many producers, many workers, nothing
 // lost, no deadlock. (Run with -race in tier-2.)
 func TestParkWakeStress(t *testing.T) {

@@ -15,7 +15,7 @@ const PromoteStreak = 8
 // exported door. The netd serve path consults it per call: a promoted
 // door's calls execute directly on the connection's reader goroutine
 // (zero spawn, zero queueing) under the reader's per-batch budget;
-// everything else goes through the worker pool, where completion times
+// everything else runs on a goroutine of its own, where completion times
 // feed back into the state.
 //
 // The whole state packs into one atomic word — bit 0 is the promotion

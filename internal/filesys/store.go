@@ -29,14 +29,28 @@ const MaxFileSize = 1 << 30
 // IsNotFound reports whether err is the file-not-found remote exception.
 func IsNotFound(err error) bool { return stubs.CodeOf(err) == CodeNotFound }
 
+// extentSize is the unit a file's storage is allocated in. A file is a table
+// of extents, so growing it allocates the extents the write touches and
+// never copies or discards what the file already holds.
+const extentSize = 64 << 10
+
+// zeroExtent is what a hole reads as.
+var zeroExtent [extentSize]byte
+
 // fileState is the underlying state of one file: what the server owns and
 // Spring objects point at. When the store has a WAL attached, wal points
 // at it and every mutation is logged and group-committed before the
 // operation returns.
+//
+// extents[i] holds the bytes from i*extentSize on and covers the file's
+// length. A nil extent is a hole, never written and never allocated, and
+// bytes past an extent's own length read as zeros like a hole's: only
+// extent 0 of a file that fits in it is ever shorter than extentSize.
 type fileState struct {
 	mu      sync.Mutex
 	name    string
-	data    []byte
+	length  int64
+	extents [][]byte
 	version uint32
 	wal     *WAL
 }
@@ -44,7 +58,7 @@ type fileState struct {
 func (st *fileState) size() int64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return int64(len(st.data))
+	return st.length
 }
 
 // read appends the file's bytes in [offset, offset+count) to dst — one copy,
@@ -53,11 +67,30 @@ func (st *fileState) size() int64 {
 func (st *fileState) read(offset int64, count int32, dst []byte) []byte {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if offset < 0 || offset >= int64(len(st.data)) || count <= 0 {
+	if offset < 0 || offset >= st.length || count <= 0 {
 		return dst
 	}
-	end := min(offset+int64(count), int64(len(st.data)))
-	return append(dst, st.data[offset:end]...)
+	return st.appendRange(dst, offset, min(offset+int64(count), st.length))
+}
+
+// appendRange appends the bytes in [off, end), a range inside the file, to
+// dst extent by extent. The caller holds st.mu.
+func (st *fileState) appendRange(dst []byte, off, end int64) []byte {
+	for off < end {
+		ext, lo := st.extents[off/extentSize], int(off%extentSize)
+		n := int(min(end-off, int64(extentSize-lo)))
+		if lo < len(ext) {
+			ext = ext[lo:min(lo+n, len(ext))]
+		} else {
+			ext = nil
+		}
+		dst = append(dst, ext...)
+		if hole := n - len(ext); hole > 0 {
+			dst = append(dst, zeroExtent[:hole]...)
+		}
+		off += int64(n)
+	}
+	return dst
 }
 
 // checkRange is the one bounds check on a write, live or replayed.
@@ -70,22 +103,44 @@ func checkRange(offset int64, n int) error {
 }
 
 // apply copies data into the file at offset — the one copy a written byte
-// gets, and the one place a file grows. Capacity doubles, so extending a
-// file by sequential writes copies O(n) bytes in total rather than the
-// whole file per write. The caller holds st.mu.
+// gets, and the one place a file grows: by the extents the write touches,
+// whatever lies between them and the old end staying a hole. Files do not
+// shrink. The caller holds st.mu.
 func (st *fileState) apply(offset int64, data []byte) error {
 	if err := checkRange(offset, len(data)); err != nil {
 		return err
 	}
-	end := int(offset) + len(data)
-	if end > cap(st.data) {
-		st.data = append(make([]byte, 0, max(end, 2*cap(st.data))), st.data...)
+	end := offset + int64(len(data))
+	if need := int((end + extentSize - 1) / extentSize); need > len(st.extents) {
+		st.extents = append(st.extents, make([][]byte, need-len(st.extents))...)
 	}
-	if end > len(st.data) {
-		st.data = st.data[:end] // never written, so still zero: files do not shrink
+	for off := offset; len(data) > 0; {
+		i, lo := int(off/extentSize), int(off%extentSize)
+		n := min(len(data), extentSize-lo)
+		copy(st.extent(i, lo+n)[lo:], data[:n])
+		data = data[n:]
+		off += int64(n)
 	}
-	copy(st.data[offset:end], data)
+	st.length = max(st.length, end)
 	return nil
+}
+
+// extent returns extent i allocated to at least n bytes. An extent is
+// allocated whole, except that a file within its first extent grows by
+// doubling as a plain slice would, so a small file costs what it holds.
+func (st *fileState) extent(i, n int) []byte {
+	ext := st.extents[i]
+	if n <= len(ext) {
+		return ext
+	}
+	size := extentSize
+	if len(st.extents) == 1 {
+		size = min(extentSize, max(n, 2*len(ext)))
+	}
+	grown := make([]byte, size)
+	copy(grown, ext)
+	st.extents[i] = grown
+	return grown
 }
 
 // write applies the bytes in memory and, with a WAL attached, blocks on
@@ -193,6 +248,18 @@ func (s *Store) AttachWAL(w *WAL) {
 	s.mu.Unlock()
 }
 
+// bytesHeld returns the bytes of file content the store holds, holes
+// counted: what a checkpoint of it would write.
+func (s *Store) bytesHeld() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var n int64
+	for _, st := range s.files {
+		n += st.size()
+	}
+	return n
+}
+
 // list returns the sorted file names.
 func (s *Store) list() []string {
 	s.mu.Lock()
@@ -234,7 +301,7 @@ func (f fileImpl) Name() (string, error) { return f.st.name, nil }
 func (f fileImpl) Stat() (FileInfo, error) {
 	f.st.mu.Lock()
 	defer f.st.mu.Unlock()
-	return FileInfo{Name: f.st.name, Size: int64(len(f.st.data)), Version: f.st.version}, nil
+	return FileInfo{Name: f.st.name, Size: f.st.length, Version: f.st.version}, nil
 }
 
 // cacheableImpl adds the cacheable_file operations.

@@ -5,12 +5,13 @@
 // to recover exactly the acknowledged state.
 //
 // Commit is grouped: mutators enqueue their records and block while a
-// single committer goroutine drains the queue, writes one batch with one
-// write syscall and one fsync, and then wakes every waiter in the batch —
-// the same coalescing shape as netd's connection writer (PR 3), applied to
-// fsync cost instead of syscall cost. A bounded linger window lets
-// concurrent mutators pile into the batch; E19 sweeps the batch size
-// against throughput.
+// single committer goroutine takes whatever is queued, writes it and fsyncs
+// once, and then wakes every waiter in the batch — the same coalescing
+// shape as netd's connection writer (PR 3), applied to fsync cost instead
+// of syscall cost. There is no timer: the batch after this one gathers
+// while this one's fsync is in progress, so a lone writer pays one fsync
+// and n concurrent writers share one. E19 sweeps the batch cap against
+// throughput.
 //
 // On-disk format, per record:
 //
@@ -29,6 +30,8 @@
 package filesys
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -36,8 +39,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/scstats"
@@ -93,24 +96,16 @@ var (
 // WALOptions tune the group-commit and compaction behavior. Zero fields
 // take the documented defaults.
 type WALOptions struct {
-	// Linger is how long the committer waits after waking before draining
-	// the queue, letting concurrent mutators join the batch. 0 takes the
-	// default; negative disables lingering (sync immediately).
-	Linger time.Duration
 	// MaxBatch caps the records fsynced together. Default 256.
 	MaxBatch int
-	// CompactBytes is the log size that triggers a snapshot checkpoint
-	// and log truncation. Default 4MiB; negative disables compaction.
+	// CompactBytes is the least log size that triggers a snapshot checkpoint
+	// and log truncation; the log is also let grow to the size of the store
+	// it would checkpoint, so checkpoints at most double the bytes written.
+	// Default 4MiB; negative disables compaction.
 	CompactBytes int64
 }
 
 func (o WALOptions) withDefaults() WALOptions {
-	if o.Linger == 0 {
-		o.Linger = 200 * time.Microsecond
-	}
-	if o.Linger < 0 {
-		o.Linger = 0
-	}
 	if o.MaxBatch == 0 {
 		o.MaxBatch = 256
 	}
@@ -130,22 +125,35 @@ type walRecord struct {
 }
 
 // walPending is one mutation waiting for its group commit. The data slice
-// is only referenced until done closes, so mutators can enqueue their
-// argument bytes without copying.
+// is only referenced until the commit is signalled, so mutators can enqueue
+// their argument bytes without copying. Pendings are pooled: done has room
+// for the one signal a commit sends, so it is left empty by the one wait
+// that receives it and the pending goes round again.
 type walPending struct {
 	rec  walRecord
 	done chan struct{}
 	err  error
 }
 
-// wait blocks until the record's batch is on disk. A nil pending (store
-// without a WAL) commits trivially.
+var pendingPool = sync.Pool{New: func() any { return &walPending{done: make(chan struct{}, 1)} }}
+
+// finish reports the record's commit, successful or not, to its waiter.
+func (p *walPending) finish(err error) {
+	p.err = err
+	p.done <- struct{}{}
+}
+
+// wait blocks until the record's batch is on disk, and recycles p. A nil
+// pending (store without a WAL) commits trivially.
 func (p *walPending) wait() error {
 	if p == nil {
 		return nil
 	}
 	<-p.done
-	return p.err
+	err := p.err
+	p.rec, p.err = walRecord{}, nil
+	pendingPool.Put(p)
+	return err
 }
 
 // WAL is an open write-ahead log bound to a store.
@@ -154,11 +162,18 @@ type WAL struct {
 	store *Store
 	opts  WALOptions
 
-	// f, size and batch (the batch being committed, encoded; reused from one
-	// to the next) belong to the committer goroutine after OpenWAL.
-	f     *os.File
-	size  int64
-	batch buffer.Buffer
+	// The rest of this group belongs to the committer goroutine after
+	// OpenWAL: the log and its length; sync, which is f.Sync outside tests;
+	// the records taken off the queue and the buffer they are framed in,
+	// both reused from one batch to the next; the log length the next
+	// checkpoint is due at; and the checkpoint's write buffer.
+	f         *os.File
+	size      int64
+	sync      func() error
+	taken     []*walPending
+	batch     buffer.Buffer
+	compactAt int64
+	ckpt      *bufio.Writer
 
 	mu     sync.Mutex
 	queue  []*walPending
@@ -174,6 +189,8 @@ type WAL struct {
 // rejecting corruption — attaches the log to the store so every further
 // mutation is group-committed before acknowledgment, and starts the
 // committer. The store should be empty; recovery replaces its contents.
+// Snapshot and log are both streamed through bounded buffers: a restart
+// costs the store it rebuilds, not a copy of the files it reads.
 func OpenWAL(dir string, store *Store, opts WALOptions) (*WAL, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -182,50 +199,66 @@ func OpenWAL(dir string, store *Store, opts WALOptions) (*WAL, error) {
 	if err := store.LoadFile(filepath.Join(dir, SnapshotFileName)); err != nil {
 		return nil, err
 	}
-	logPath := filepath.Join(dir, LogFileName)
-	data, err := os.ReadFile(logPath)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("filesys: reading wal: %w", err)
-	}
-	recs, goodLen, perr := parseLog(data)
-	if perr != nil && !errors.Is(perr, ErrTornLogTail) {
-		return nil, perr
-	}
-	store.applyRecords(recs)
-	gWALReplayed.Add(int64(len(recs)))
-
-	f, err := os.OpenFile(logPath, os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, LogFileName), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("filesys: opening wal: %w", err)
 	}
-	if goodLen < int64(len(data)) {
-		if err := f.Truncate(goodLen); err != nil {
-			_ = f.Close()
-			return nil, fmt.Errorf("filesys: truncating torn wal tail: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			_ = f.Close()
-			return nil, fmt.Errorf("filesys: syncing truncated wal: %w", err)
-		}
-		gWALTornTails.Add(1)
-	}
-	if _, err := f.Seek(goodLen, io.SeekStart); err != nil {
+	goodLen, err := replayLogFile(f, store)
+	if err != nil {
 		_ = f.Close()
-		return nil, fmt.Errorf("filesys: seeking wal end: %w", err)
+		return nil, err
 	}
 	w := &WAL{
-		dir:   dir,
-		store: store,
-		opts:  opts,
-		f:     f,
-		size:  goodLen,
-		kick:  make(chan struct{}, 1),
-		done:  make(chan struct{}),
+		dir:       dir,
+		store:     store,
+		opts:      opts,
+		f:         f,
+		size:      goodLen,
+		sync:      f.Sync,
+		compactAt: opts.CompactBytes,
+		kick:      make(chan struct{}, 1),
+		done:      make(chan struct{}),
 	}
 	gWALBytes.Add(goodLen)
 	store.AttachWAL(w)
 	go w.committer()
 	return w, nil
+}
+
+// replayLogFile recovers store from the open log f, in two streamed passes:
+// the whole log is validated before any of it is applied. A torn tail is
+// cut off; f is left positioned at the end of the valid prefix, whose
+// length is returned.
+func replayLogFile(f *os.File, store *Store) (goodLen int64, err error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("filesys: reading wal: %w", err)
+	}
+	_, goodLen, err = scanLog(f, fi.Size(), nil)
+	if err != nil && !errors.Is(err, ErrTornLogTail) {
+		return 0, err
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return 0, fmt.Errorf("filesys: rewinding wal: %w", err)
+	}
+	n, _, err := scanLog(f, goodLen, store.applyRecord)
+	if err != nil {
+		return 0, err
+	}
+	gWALReplayed.Add(int64(n))
+	if goodLen < fi.Size() {
+		if err := f.Truncate(goodLen); err != nil {
+			return 0, fmt.Errorf("filesys: truncating torn wal tail: %w", err)
+		}
+		if err := f.Sync(); err != nil {
+			return 0, fmt.Errorf("filesys: syncing truncated wal: %w", err)
+		}
+		gWALTornTails.Add(1)
+	}
+	if _, err := f.Seek(goodLen, io.SeekStart); err != nil {
+		return 0, fmt.Errorf("filesys: seeking wal end: %w", err)
+	}
+	return goodLen, nil
 }
 
 // Dir returns the durability directory the WAL lives in.
@@ -234,12 +267,12 @@ func (w *WAL) Dir() string { return w.dir }
 // append enqueues one record for the next group commit. Callers may hold
 // store or file locks; only w.mu is taken here.
 func (w *WAL) append(rec walRecord) *walPending {
-	p := &walPending{rec: rec, done: make(chan struct{})}
+	p := pendingPool.Get().(*walPending)
+	p.rec = rec
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
-		p.err = ErrWALClosed
-		close(p.done)
+		p.finish(ErrWALClosed)
 		return p
 	}
 	w.queue = append(w.queue, p)
@@ -295,8 +328,7 @@ func (w *WAL) Kill() {
 	w.queue = nil
 	w.mu.Unlock()
 	for _, p := range dropped {
-		p.err = ErrWALClosed
-		close(p.done)
+		p.finish(ErrWALClosed)
 	}
 	select {
 	case w.kick <- struct{}{}:
@@ -307,39 +339,23 @@ func (w *WAL) Kill() {
 	gWALBytes.Add(-w.size)
 }
 
-// committer is the group-commit loop: wake on the first queued record,
-// linger so concurrent mutators can join, then drain the queue in batches
-// of at most MaxBatch — one write and one fsync per batch — and wake the
-// batch's waiters. Compaction runs between batches, on this goroutine, so
-// it never races a log append.
+// committer is the group-commit loop: wake on the first queued record and
+// commit whatever is queued, at most MaxBatch records at a time — one fsync
+// per batch — waking each batch's waiters; what arrives meanwhile is the
+// next batch. The queue's head moves into the committer's own slice and the
+// rest slides down, so neither array is ever let go of. Compaction runs
+// between batches, on this goroutine, so it never races a log append.
 func (w *WAL) committer() {
 	defer close(w.done)
 	for {
 		<-w.kick
-		w.mu.Lock()
-		if w.killed {
-			w.mu.Unlock()
-			return
-		}
-		empty := len(w.queue) == 0
-		closed := w.closed
-		w.mu.Unlock()
-		if empty {
-			if closed {
-				return
-			}
-			continue
-		}
-		if w.opts.Linger > 0 {
-			time.Sleep(w.opts.Linger)
-		}
 		for {
 			w.mu.Lock()
 			if w.killed {
 				w.mu.Unlock()
 				return
 			}
-			n := len(w.queue)
+			n := min(len(w.queue), w.opts.MaxBatch)
 			if n == 0 {
 				closed := w.closed
 				w.mu.Unlock()
@@ -348,56 +364,88 @@ func (w *WAL) committer() {
 				}
 				break
 			}
-			if n > w.opts.MaxBatch {
-				n = w.opts.MaxBatch
-			}
-			batch := w.queue[:n:n]
-			w.queue = w.queue[n:]
+			w.taken = append(w.taken[:0], w.queue[:n]...)
+			rest := copy(w.queue, w.queue[n:])
+			clear(w.queue[rest:])
+			w.queue = w.queue[:rest]
 			w.mu.Unlock()
-			w.commitBatch(batch)
-			if w.opts.CompactBytes > 0 && w.size > w.opts.CompactBytes {
-				// A failed compaction loses nothing: the log is intact and
-				// the threshold will trip again after the next batch.
-				_ = w.compact()
-			}
+			w.commitBatch(w.taken)
+			w.maybeCompact()
 		}
 	}
 }
 
-// commitBatch writes one batch of records as a single write syscall
-// followed by a single fsync, then wakes the waiters. Each record is
-// encoded once, in place in the committer's own batch buffer, behind a
-// header reserved first and patched once its length and CRC are known.
+// A record's write data of walRefBytes or more is written to the log from
+// where it lies, behind a header that already covers it, instead of being
+// copied into the batch buffer; the buffer itself is written out whenever
+// it passes walChunk, so it never grows with a burst.
+const (
+	walRefBytes = 4 << 10
+	walChunk    = 64 << 10
+)
+
+// commitBatch writes one batch of records — each framed once, in place, in
+// the committer's own batch buffer — follows it with a single fsync, and
+// wakes the waiters. A batch is usually one write; it is several when it
+// outgrows the buffer or carries data by reference. Nothing in the batch is
+// acknowledged before the fsync that follows the last write, and a crash
+// between two writes leaves a record cut short at the end of the log: the
+// torn tail replay truncates.
 func (w *WAL) commitBatch(batch []*walPending) {
 	out := &w.batch
 	out.Reset()
-	for _, p := range batch {
-		hdr := out.Size()
-		out.WriteUint64(0)
-		encodeRecord(out, &p.rec)
-		payload := out.Bytes()[hdr+walHeaderSize:]
-		binary.LittleEndian.PutUint32(out.Bytes()[hdr:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(out.Bytes()[hdr+4:], crc32.ChecksumIEEE(payload))
-	}
+	var wrote int64
 	var err error
-	if _, werr := w.f.Write(out.Bytes()); werr != nil {
-		err = fmt.Errorf("filesys: wal write: %w", werr)
-	} else if serr := w.f.Sync(); serr != nil {
-		err = fmt.Errorf("filesys: wal sync: %w", serr)
+	write := func(p []byte) {
+		if err != nil || len(p) == 0 {
+			return
+		}
+		n, werr := w.f.Write(p)
+		wrote += int64(n)
+		if werr != nil {
+			err = fmt.Errorf("filesys: wal write: %w", werr)
+		}
+	}
+	for _, p := range batch {
+		ref := frameRecord(out, &p.rec)
+		if ref != nil || out.Size() >= walChunk {
+			write(out.Bytes())
+			write(ref)
+			out.Reset()
+		}
+	}
+	write(out.Bytes())
+	if err == nil {
+		if serr := w.sync(); serr != nil {
+			err = fmt.Errorf("filesys: wal sync: %w", serr)
+		}
 	}
 	if err == nil {
-		w.size += int64(out.Size())
-		gWALBytes.Add(int64(out.Size()))
+		w.size += wrote
+		gWALBytes.Add(wrote)
 		gWALAppends.Add(int64(len(batch)))
 		gWALSyncs.Add(1)
 	}
 	for _, p := range batch {
-		p.err = err
-		close(p.done)
+		p.finish(err)
 	}
-	if cap(out.Bytes()) > 1<<20 {
-		*out = buffer.Buffer{} // one burst of bulk writes must not pin its size for good
+}
+
+// maybeCompact checkpoints once the log is longer than both CompactBytes
+// and the store a checkpoint would write, which bounds the bytes
+// checkpoints add at the bytes logged. The store is only measured when the
+// log has passed the mark the last measurement set.
+func (w *WAL) maybeCompact() {
+	if w.opts.CompactBytes <= 0 || w.size <= w.compactAt {
+		return
 	}
+	if held := w.store.bytesHeld(); w.size <= held {
+		w.compactAt = held
+		return
+	}
+	// A failed compaction loses nothing: the log is intact and the
+	// threshold will trip again after the next batch.
+	_ = w.compact()
 }
 
 // compact checkpoints the store into the snapshot file (atomically: the
@@ -408,7 +456,11 @@ func (w *WAL) commitBatch(batch []*walPending) {
 // log records over a snapshot that already contains them, which the
 // idempotent record semantics absorb.
 func (w *WAL) compact() error {
-	if err := writeFileAtomic(filepath.Join(w.dir, SnapshotFileName), w.store.SnapshotTo); err != nil {
+	if w.ckpt == nil {
+		w.ckpt = bufio.NewWriterSize(nil, snapshotChunk)
+	}
+	fill := func(f io.Writer) error { return w.store.snapshotTo(f, w.ckpt) }
+	if err := writeFileAtomic(filepath.Join(w.dir, SnapshotFileName), fill); err != nil {
 		return err
 	}
 	if err := w.f.Truncate(0); err != nil {
@@ -422,19 +474,34 @@ func (w *WAL) compact() error {
 	}
 	gWALBytes.Add(-w.size)
 	w.size = 0
+	w.compactAt = w.opts.CompactBytes
 	gWALCompactions.Add(1)
 	return nil
 }
 
-// encodeRecord writes one record payload (no framing) into buf.
-func encodeRecord(buf *buffer.Buffer, rec *walRecord) {
-	buf.WriteByte(rec.op)
-	buf.WriteString(rec.name)
+// frameRecord appends rec to out as [len][crc][payload], header patched
+// once the payload is in place. Write data of walRefBytes or more is left
+// out and returned instead: the caller writes it right behind, where the
+// header's length and CRC already account for it.
+func frameRecord(out *buffer.Buffer, rec *walRecord) (ref []byte) {
+	hdr := out.Size()
+	out.WriteUint64(0)
+	out.WriteByte(rec.op)
+	out.WriteString(rec.name)
 	if rec.op == walOpWrite {
-		buf.WriteVarint(rec.offset)
-		buf.WriteUint32(rec.version)
-		buf.WriteBytes(rec.data)
+		out.WriteVarint(rec.offset)
+		out.WriteUint32(rec.version)
+		if len(rec.data) >= walRefBytes {
+			out.WriteUvarint(uint64(len(rec.data)))
+			ref = rec.data
+		} else {
+			out.WriteBytes(rec.data)
+		}
 	}
+	head := out.Bytes()[hdr+walHeaderSize:]
+	binary.LittleEndian.PutUint32(out.Bytes()[hdr:], uint32(len(head)+len(ref)))
+	binary.LittleEndian.PutUint32(out.Bytes()[hdr+4:], crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, ref))
+	return ref
 }
 
 // decodeRecord parses one record payload. Every failure is corruption:
@@ -477,41 +544,52 @@ func decodeRecord(payload []byte) (walRecord, error) {
 	return rec, nil
 }
 
-// parseLog validates an entire log byte stream, returning the decoded
-// records and the byte length of the valid prefix. It applies nothing. A
-// record cut off by the end of the stream yields ErrTornLogTail with the
-// records before it; a complete-but-invalid record yields ErrCorruptLog.
-func parseLog(data []byte) (recs []walRecord, goodLen int64, err error) {
+// scanLog reads total bytes of log from r in bounded chunks — a read buffer
+// and the one record being checked — validating every record and, when
+// apply is set, applying each as it goes. It returns the number of valid
+// records and the byte length of the prefix they make up. A record cut off
+// by the end of the stream yields ErrTornLogTail; a complete-but-invalid
+// record yields ErrCorruptLog.
+func scanLog(r io.Reader, total int64, apply func(*walRecord)) (n int, goodLen int64, err error) {
+	br := bufio.NewReaderSize(r, snapshotChunk)
+	var hdr [walHeaderSize]byte
+	var payload []byte
 	off := int64(0)
-	total := int64(len(data))
 	for off < total {
 		if total-off < walHeaderSize {
-			return recs, off, fmt.Errorf("%w: %d header bytes at offset %d", ErrTornLogTail, total-off, off)
+			return n, off, fmt.Errorf("%w: %d header bytes at offset %d", ErrTornLogTail, total-off, off)
 		}
-		hdr := buffer.FromParts(data[off:off+walHeaderSize], nil)
-		plen32, _ := hdr.ReadUint32()
-		crc, _ := hdr.ReadUint32()
-		plen := int64(plen32)
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+			return n, off, fmt.Errorf("filesys: reading wal: %w", err)
+		}
+		plen := int64(binary.LittleEndian.Uint32(hdr[:]))
+		crc := binary.LittleEndian.Uint32(hdr[4:])
 		if plen > maxWALRecord {
-			return recs, off, fmt.Errorf("%w: record length %d at offset %d", ErrCorruptLog, plen, off)
+			return n, off, fmt.Errorf("%w: record length %d at offset %d", ErrCorruptLog, plen, off)
 		}
 		if off+walHeaderSize+plen > total {
-			return recs, off, fmt.Errorf("%w: record needs %d bytes, %d remain at offset %d",
+			return n, off, fmt.Errorf("%w: record needs %d bytes, %d remain at offset %d",
 				ErrTornLogTail, plen, total-off-walHeaderSize, off)
 		}
-		payload := data[off+walHeaderSize : off+walHeaderSize+plen]
+		payload = slices.Grow(payload[:0], int(plen))[:plen]
+		if _, err := io.ReadFull(br, payload); err != nil {
+			return n, off, fmt.Errorf("filesys: reading wal: %w", err)
+		}
 		if sum := crc32.ChecksumIEEE(payload); sum != crc {
-			return recs, off, fmt.Errorf("%w: CRC mismatch at offset %d (stored %#x, computed %#x)",
+			return n, off, fmt.Errorf("%w: CRC mismatch at offset %d (stored %#x, computed %#x)",
 				ErrCorruptLog, off, crc, sum)
 		}
 		rec, derr := decodeRecord(payload)
 		if derr != nil {
-			return recs, off, fmt.Errorf("%w at offset %d", derr, off)
+			return n, off, fmt.Errorf("%w at offset %d", derr, off)
 		}
-		recs = append(recs, rec)
+		if apply != nil {
+			apply(&rec)
+		}
+		n++
 		off += walHeaderSize + plen
 	}
-	return recs, off, nil
+	return n, off, nil
 }
 
 // ReplayLog validates data as a WAL byte stream and, only when every
@@ -519,23 +597,17 @@ func parseLog(data []byte) (recs []walRecord, goodLen int64, err error) {
 // corruption or a torn tail — leaves the store untouched; OpenWAL is the
 // forgiving path that recovers the valid prefix of a torn log.
 func (s *Store) ReplayLog(data []byte) (int, error) {
-	recs, _, err := parseLog(data)
-	if err != nil {
+	if _, _, err := scanLog(bytes.NewReader(data), int64(len(data)), nil); err != nil {
 		return 0, err
 	}
-	s.applyRecords(recs)
-	return len(recs), nil
+	n, _, err := scanLog(bytes.NewReader(data), int64(len(data)), s.applyRecord)
+	return n, err
 }
 
-// applyRecords applies decoded log records in order. Application is
-// idempotent: create of an existing file and remove of a missing one are
-// no-ops, and writes set the version they originally produced.
-func (s *Store) applyRecords(recs []walRecord) {
-	for i := range recs {
-		s.applyRecord(&recs[i])
-	}
-}
-
+// applyRecord applies one decoded log record; replay applies them in order.
+// Application is idempotent: create of an existing file and remove of a
+// missing one are no-ops, and a write sets the version it originally
+// produced. rec.data is only borrowed.
 func (s *Store) applyRecord(rec *walRecord) {
 	switch rec.op {
 	case walOpCreate:

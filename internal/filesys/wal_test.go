@@ -34,7 +34,7 @@ func mustWrite(t *testing.T, st *fileState, off int64, data []byte) {
 func TestWALRecoversAcrossKill(t *testing.T) {
 	dir := t.TempDir()
 	s := NewStore()
-	w, err := OpenWAL(dir, s, WALOptions{Linger: -1})
+	w, err := OpenWAL(dir, s, WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestWALRecoversAcrossKill(t *testing.T) {
 func TestWALCloseCompacts(t *testing.T) {
 	dir := t.TempDir()
 	s := NewStore()
-	w, err := OpenWAL(dir, s, WALOptions{Linger: -1})
+	w, err := OpenWAL(dir, s, WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestWALClosedMutationsFail(t *testing.T) {
 func TestWALCompactionBounds(t *testing.T) {
 	dir := t.TempDir()
 	s := NewStore()
-	w, err := OpenWAL(dir, s, WALOptions{Linger: -1, CompactBytes: 1})
+	w, err := OpenWAL(dir, s, WALOptions{CompactBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestWALConcurrentWriters(t *testing.T) {
 func TestWALTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	s := NewStore()
-	w, err := OpenWAL(dir, s, WALOptions{Linger: -1})
+	w, err := OpenWAL(dir, s, WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func walStream(t *testing.T) ([]byte, *Store) {
 	t.Helper()
 	dir := t.TempDir()
 	s := NewStore()
-	w, err := OpenWAL(dir, s, WALOptions{Linger: -1})
+	w, err := OpenWAL(dir, s, WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

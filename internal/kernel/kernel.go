@@ -181,12 +181,6 @@ type Kernel struct {
 	unrefMu      sync.Mutex
 	unrefQueue   []func()
 	unrefRunning bool
-	// unrefDispatch, when set (SetUnrefDispatcher), supplies the
-	// execution context for the drain instead of a dedicated goroutine —
-	// the netd servers point it at their dispatch engine so unreferenced
-	// notifications share the serve pool. FIFO and single-drainer
-	// semantics are unchanged either way.
-	unrefDispatch atomic.Pointer[func(drain func())]
 }
 
 // LiveDoors reports the number of door objects currently alive on this
@@ -213,28 +207,9 @@ func (k *Kernel) noteUnreferenced(d *door) {
 	k.unrefQueue = append(k.unrefQueue, d.unref)
 	if !k.unrefRunning {
 		k.unrefRunning = true
-		if start := k.unrefDispatch.Load(); start != nil {
-			(*start)(k.drainUnrefs)
-		} else {
-			go k.drainUnrefs()
-		}
+		go k.drainUnrefs()
 	}
 	k.unrefMu.Unlock()
-}
-
-// SetUnrefDispatcher injects the execution context for unreferenced-
-// notification drains: start is invoked (at most once per idle→busy
-// transition) with the drain function to run, letting a server host the
-// drain on its worker pool instead of a fresh goroutine. start must run
-// drain exactly once, asynchronously (never on the caller's stack — the
-// caller holds kernel locks). A nil start restores the default
-// goroutine-per-drain behaviour.
-func (k *Kernel) SetUnrefDispatcher(start func(drain func())) {
-	if start == nil {
-		k.unrefDispatch.Store(nil)
-		return
-	}
-	k.unrefDispatch.Store(&start)
 }
 
 // drainUnrefs runs queued unreferenced notifications in FIFO order until

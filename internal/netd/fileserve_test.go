@@ -2,6 +2,7 @@ package netd
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -54,6 +55,67 @@ func TestRemoteBadOffsetWriteRejected(t *testing.T) {
 			// The server gives a request's grant back after it has sent the
 			// reply, so the last one may still be on its way.
 			waitFor(t, 2*time.Second, "every bulk region released", func() bool { return gBulkRegionsLive.Value() == live0 })
+		})
+	}
+}
+
+// TestSparseWriteAllocatesOneExtent: one remote write just under the file
+// ceiling used to size a gibibyte allocation from the client's offset — in
+// range, so accepted, and paid for in full. A file is a table of extents
+// now: the write costs the extent it lands in and the table's slots, the
+// gibibyte before it is a hole that reads as zeros, and the server goes on
+// serving — over the inline-payload tier and the bulk-region tier alike.
+func TestSparseWriteAllocatesOneExtent(t *testing.T) {
+	for _, tier := range []string{"tcp", "same-machine"} {
+		t.Run(tier, func(t *testing.T) {
+			var a, b *machine
+			if tier == "tcp" {
+				a, b = newMachine(t, "A", filesys.RegisterAll), newMachine(t, "B", filesys.RegisterAll)
+			} else {
+				a, b = newSameMachine(t, "A", Config{}, filesys.RegisterAll), newSameMachine(t, "B", Config{}, filesys.RegisterAll)
+			}
+			a.srv.PublishRoot("fs", filesys.NewService(a.env).Object())
+			root, err := b.srv.ImportRootObject(b.env, a.srv.Addr(), "fs", filesys.FileSystemMT)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := filesys.FileSystem{Obj: root}.Create("sparse")
+			if err != nil {
+				t.Fatal(err)
+			}
+			const block = 64 << 10
+			payload := bigPayload(block)
+			// Once at the front, so every pooled buffer on the way has grown to
+			// the payload before the measured write.
+			if n, err := f.Write(0, payload); err != nil || int(n) != block {
+				t.Fatalf("write = %d, %v", n, err)
+			}
+			const far = filesys.MaxFileSize - block
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			n, err := f.Write(far, payload)
+			runtime.ReadMemStats(&after)
+			if err != nil || int(n) != block {
+				t.Fatalf("write at %d = %d, %v", int64(far), n, err)
+			}
+			// (Under the race detector sync.Pool drops puts, and the frames on
+			// the way are allocated afresh.)
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 && !raceEnabled {
+				t.Fatalf("a 64 KiB write at offset %d allocated %d bytes, want < 1 MiB", int64(far), got)
+			}
+			if size, err := f.Size(); err != nil || size != filesys.MaxFileSize {
+				t.Fatalf("size = %d, %v; want %d", size, err, int64(filesys.MaxFileSize))
+			}
+			if got, err := f.Read(far-block, 2*block); err != nil ||
+				!bytes.Equal(got[:block], make([]byte, block)) || !bytes.Equal(got[block:], payload) {
+				t.Fatalf("read across the hole's end: %d bytes, %v", len(got), err)
+			}
+			if got, err := f.Read(block, block); err != nil || !bytes.Equal(got, make([]byte, block)) {
+				t.Fatalf("read at the hole's start: %d bytes, %v", len(got), err)
+			}
+			if got, err := f.Read(0, block); err != nil || !bytes.Equal(got, payload) {
+				t.Fatalf("read of the first extent: %d bytes, %v", len(got), err)
+			}
 		})
 	}
 }

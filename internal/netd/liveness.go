@@ -30,6 +30,10 @@ var (
 	gBreakerClosed    = scstats.GaugeFor("netd.breaker_closed")
 	gReleasesQueued   = scstats.GaugeFor("netd.releases_queued")
 	gReleasesReplayed = scstats.GaugeFor("netd.releases_replayed")
+	// gServeInflight is the admission counter, summed over the process's
+	// servers: incoming calls admitted and not yet replied to, so handlers
+	// blocked inside the server are visible from outside it.
+	gServeInflight = scstats.GaugeFor("netd.serve_inflight")
 )
 
 // Data-path gauges (E15): the frames currently queued behind connection

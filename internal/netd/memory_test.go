@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/filesys"
+	"repro/internal/scstats"
 	"repro/internal/sctest"
 )
 
@@ -271,5 +272,50 @@ func TestServedReadWriteAllocs(t *testing.T) {
 				t.Fatalf("file after the run: %d bytes, %v", len(got), err)
 			}
 		})
+	}
+}
+
+func TestDurableWriteAllocs(t *testing.T) {
+	// The server side of a 1 KiB write to a WAL-backed store, end to end as
+	// above plus what durability adds: the handler blocks on its group
+	// commit, so the call is never promoted and runs on a goroutine of its
+	// own; the record is queued, framed, written, fsynced and acknowledged
+	// by the committer. None of it allocates. (A goroutine start, a pending
+	// with its signal channel and a queue sliding off its array did: about
+	// 220 bytes a write.)
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
+	}
+	a := newMachineCfg(t, "A", Config{}, filesys.RegisterAll)
+	store := filesys.NewStore()
+	wal, err := filesys.OpenWAL(t.TempDir(), store, filesys.WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = wal.Close() })
+	f, err := filesys.NewServiceWithStore(a.env, store).Create("durable")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.srv.PublishRoot("durable", f.Obj)
+	peer := dialRawPeer(t, a.srv.Addr())
+	key := peer.importRoot("durable")
+
+	content := bytes.Repeat([]byte{0x17}, 1<<10)
+	write := buffer.New(len(content) + 16)
+	write.WriteUint32(uint32(filesys.FileWriteOp))
+	write.WriteInt64(0)
+	write.WriteBytes(content)
+	peer.prepareCall(key, write)
+	inline0 := scstats.GaugeFor("dispatch.inline_hits").Value()
+	peer.roundTrips(200)
+	if n := testing.AllocsPerRun(500, func() { peer.roundTrips(1) }); n > 0 {
+		t.Errorf("one served durable 1 KiB write allocates %.2f objects, want 0", n)
+	}
+	if d := scstats.GaugeFor("dispatch.inline_hits").Value() - inline0; d != 0 {
+		t.Errorf("%d durable writes ran on the reader goroutine, want none: they block on fsync", d)
+	}
+	if got, err := f.Read(0, int32(len(content))); err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("file after the run: %d bytes, %v", len(got), err)
 	}
 }

@@ -164,19 +164,18 @@ type Config struct {
 	// "root:<name>/<i>" family; see RootRebinder. Nil means labeled
 	// exports are not recovered.
 	Rebinder func(label string) (kernel.Ref, bool)
-	// Dispatch tunes the server-side dispatch engine (E20): the worker
-	// pool incoming calls execute on, the adaptive inline fast path, and
-	// bounded admission. The zero value takes the documented defaults.
+	// Dispatch tunes serve-side dispatch (E20, E25): bounded admission and
+	// the adaptive inline fast path. The zero value takes the documented
+	// defaults.
 	Dispatch DispatchConfig
 }
 
-// DispatchConfig sizes the serve-side dispatch engine. Zero fields take
-// the documented defaults; negative values disable the corresponding
-// mechanism where noted.
+// DispatchConfig tunes how incoming calls are executed: admitted against
+// the in-flight bounds, then run on the reader goroutine when the door has
+// proved non-blocking, and on a goroutine of their own otherwise. Zero
+// fields take the documented defaults; negative values disable the
+// corresponding mechanism where noted.
 type DispatchConfig struct {
-	// Workers is the worker-pool width (and shard count). Default
-	// GOMAXPROCS, clamped to [1, 64].
-	Workers int
 	// MaxInflight caps admitted-and-unreplied calls across the whole
 	// server; past it calls are shed immediately with a retryable
 	// kernel.ErrOverload instead of queueing without bound. Default
@@ -188,17 +187,13 @@ type DispatchConfig struct {
 	// unlimited.
 	MaxPerPeer int
 	// InlineBudget is how much handler execution time one reader may
-	// spend inline per read batch before falling back to the pool.
-	// Default 200µs; negative disables the inline fast path.
+	// spend inline per read batch before giving calls goroutines of their
+	// own. Default 200µs; negative disables the inline fast path.
 	InlineBudget time.Duration
 	// InlineThreshold is the completion time under which a handler
 	// counts toward inline promotion (and over which it is demoted).
 	// Default 50µs; negative means nothing is ever promoted.
 	InlineThreshold time.Duration
-	// Disable reverts to the pre-E20 goroutine-per-call serve path (no
-	// engine, no admission bound, no inline path). The E20 bench uses it
-	// as its baseline.
-	Disable bool
 }
 
 // withDefaults is the single defaulting path: every zero field takes its
@@ -237,23 +232,21 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Transport == nil {
 		cfg.Transport = TCPTransport{}
 	}
-	if !cfg.Dispatch.Disable {
-		if cfg.Dispatch.MaxInflight == 0 {
-			cfg.Dispatch.MaxInflight = 1024
+	if cfg.Dispatch.MaxInflight == 0 {
+		cfg.Dispatch.MaxInflight = 1024
+	}
+	if cfg.Dispatch.MaxPerPeer == 0 {
+		if cfg.Dispatch.MaxInflight > 0 {
+			cfg.Dispatch.MaxPerPeer = cfg.Dispatch.MaxInflight / 2
+		} else {
+			cfg.Dispatch.MaxPerPeer = -1
 		}
-		if cfg.Dispatch.MaxPerPeer == 0 {
-			if cfg.Dispatch.MaxInflight > 0 {
-				cfg.Dispatch.MaxPerPeer = cfg.Dispatch.MaxInflight / 2
-			} else {
-				cfg.Dispatch.MaxPerPeer = -1
-			}
-		}
-		if cfg.Dispatch.InlineBudget == 0 {
-			cfg.Dispatch.InlineBudget = 200 * time.Microsecond
-		}
-		if cfg.Dispatch.InlineThreshold == 0 {
-			cfg.Dispatch.InlineThreshold = 50 * time.Microsecond
-		}
+	}
+	if cfg.Dispatch.InlineBudget == 0 {
+		cfg.Dispatch.InlineBudget = 200 * time.Microsecond
+	}
+	if cfg.Dispatch.InlineThreshold == 0 {
+		cfg.Dispatch.InlineThreshold = 50 * time.Microsecond
 	}
 	return cfg
 }
@@ -306,8 +299,8 @@ func With(cfg Config) Option {
 	}
 }
 
-// WithDispatch tunes the serve-side dispatch engine (worker pool width,
-// admission bounds, inline fast path).
+// WithDispatch tunes serve-side dispatch (admission bounds, inline fast
+// path).
 func WithDispatch(dc DispatchConfig) Option {
 	return func(c *Config) { c.Dispatch = dc }
 }
@@ -374,11 +367,8 @@ type Server struct {
 	// one.
 	connCache sync.Map
 
-	// Serve-side dispatch (E20): eng is the worker pool incoming calls
-	// execute on (nil under Dispatch.Disable — the legacy goroutine per
-	// call), inflight the server-wide admission counter against
-	// cfg.Dispatch.MaxInflight.
-	eng      *dispatch.Engine
+	// inflight is the server-wide admission counter against
+	// cfg.Dispatch.MaxInflight: calls admitted and not yet replied to.
 	inflight atomic.Int64
 
 	stop chan struct{}
@@ -531,31 +521,9 @@ func Start(dom *kernel.Domain, listenAddr string, opts ...Option) (*Server, erro
 		labels:        make(map[uint64]string),
 		pendingLabels: make(map[uint64]string),
 	}
-	if !cfg.Dispatch.Disable {
-		// One engine serves the whole server: incoming calls, and the
-		// kernel's unreferenced-notification drains (a mass release
-		// reclaimed off the wire runs on a pool worker instead of its
-		// own goroutine). The per-shard queue bound is belt to the
-		// admission counter's suspenders — admission keeps the queues
-		// under MaxInflight, the bound catches anything that slips by.
-		qlen := 0
-		if cfg.Dispatch.MaxInflight > 0 {
-			qlen = cfg.Dispatch.MaxInflight
-		}
-		s.eng = dispatch.New(dispatch.Config{Workers: cfg.Dispatch.Workers, QueueLen: qlen})
-		dom.Kernel().SetUnrefDispatcher(func(drain func()) {
-			if s.eng.Submit(0, drain) != nil {
-				go drain() // engine closing; fall back to the default
-			}
-		})
-	}
 	if cfg.StateFile != "" {
 		if err := s.loadState(); err != nil {
 			_ = ln.Close()
-			if s.eng != nil {
-				dom.Kernel().SetUnrefDispatcher(nil)
-				s.eng.Close()
-			}
 			return nil, err
 		}
 		// Make the identity durable before serving: a crash before the
@@ -628,18 +596,6 @@ func (s *Server) shutdown() error {
 	for _, c := range conns {
 		c.fail(ErrClosed)
 	}
-	if s.eng != nil {
-		// Restore the kernel's default unref dispatch, then drain the
-		// engine: queued serve tasks observe their dead connections and
-		// reduce to releasing the resources the parked requests carried
-		// (buffers, door refs, bulk-region grants). The drain runs in the
-		// background because a worker may be inside a user handler that
-		// outlives the server — the goroutine-per-call path abandoned such
-		// handlers at Close, and Close must not block on user code now
-		// either.
-		s.dom.Kernel().SetUnrefDispatcher(nil)
-		go s.eng.Close()
-	}
 	s.wg.Wait()
 	return err
 }
@@ -668,10 +624,9 @@ var (
 	spanSend  = trace.Name("netd.send")
 	spanServe = trace.Name("netd.serve")
 	spanReply = trace.Name("netd.reply")
-	// spanDispatchWait brackets a queued call's time in the dispatch
-	// engine's run queue (enqueue → a worker picks it up), separating
-	// queue wait from run time in the trace waterfall. Inline calls
-	// never open it.
+	// spanDispatchWait brackets a call's wait for the goroutine it was
+	// given (admission → the handler about to start), separating that wait
+	// from run time in the trace waterfall. Inline calls never open it.
 	spanDispatchWait = trace.Name("netd.dispatch.wait")
 )
 
@@ -1483,19 +1438,17 @@ func (s *Server) serveFrame(c *conn, br *bufio.Reader, in *buffer.Buffer, rel *[
 	return ok
 }
 
-// dispatchCall routes one incoming call through the dispatch engine
-// (E20): admission first (server-wide and per-peer in-flight bounds —
-// past either, the call is shed immediately with a retryable overload
-// reply instead of queueing to death), then the inline fast path (a door
-// whose adaptive state proves it non-blocking executes right here on the
-// reader goroutine, spending the batch's inline budget), and otherwise
-// the worker pool, queued at the priority the wire context carried.
-// budget points at the reader's remaining per-batch inline allowance.
+// dispatchCall decides where one incoming call runs (E20, E25): admission
+// first (server-wide and per-peer in-flight bounds — past either, the call
+// is shed immediately with a retryable overload reply instead of queueing
+// to death), then the inline fast path (a door whose adaptive state proves
+// it non-blocking executes right here on the reader goroutine, spending the
+// batch's inline budget), and otherwise a goroutine of its own, so a handler
+// that blocks — on a group commit, on another server — holds nothing the
+// next call needs, and as many callers can be blocked in the server at once
+// as admission lets in. budget points at the reader's remaining per-batch
+// inline allowance.
 func (s *Server) dispatchCall(c *conn, reqID, key uint64, req *buffer.Buffer, info *kernel.Info, budget *time.Duration) {
-	if s.eng == nil { // Dispatch.Disable: the pre-E20 goroutine per call
-		go s.handleCall(c, reqID, key, req, info)
-		return
-	}
 	if !s.admitServe(c) {
 		s.shed(c, reqID, req)
 		return
@@ -1521,41 +1474,26 @@ func (s *Server) dispatchCall(c *conn, reqID, key uint64, req *buffer.Buffer, in
 		s.doneServe(c)
 		return
 	}
-	var prio int32
-	if info != nil {
-		prio = info.Priority
-	}
 	t := getServeTask()
 	*t = serveTask{s: s, c: c, reqID: reqID, h: h, ist: ist, req: req, info: info,
-		wait: trace.Begin(info, spanDispatchWait), fn: t.fn}
-	if err := s.eng.Submit(prio, t.fn); err != nil {
-		t.wait.End(info, err)
-		t.recycle()
-		s.doneServe(c)
-		if errors.Is(err, dispatch.ErrSaturated) {
-			s.shed(c, reqID, req)
-			return
-		}
-		// Engine closed: the server is going down; no reply will be
-		// deliverable anyway.
-		kernel.ReleaseBufferDoors(req)
-		buffer.Put(req)
-	}
+		wait: trace.Begin(info, spanDispatchWait), queued: dispatch.NoteQueued(), fn: t.fn}
+	go t.fn()
 }
 
-// serveTask is one admitted call parked in the dispatch engine's run
-// queue. The structs are pooled and each carries its run method bound once
-// (fn), so queueing a call allocates nothing — no closure per call.
+// serveTask is one admitted call on its way to a goroutine of its own. The
+// structs are pooled and each carries its run method bound once (fn), so
+// starting a call allocates nothing — no closure per call.
 type serveTask struct {
-	s     *Server
-	c     *conn
-	reqID uint64
-	h     kernel.Handle
-	ist   *dispatch.InlineState
-	req   *buffer.Buffer
-	info  *kernel.Info
-	wait  trace.Span
-	fn    func() // t.run, bound at construction and kept across pool cycles
+	s      *Server
+	c      *conn
+	reqID  uint64
+	h      kernel.Handle
+	ist    *dispatch.InlineState
+	req    *buffer.Buffer
+	info   *kernel.Info
+	wait   trace.Span
+	queued int64  // dispatch.NoteQueued's stamp, for the queue-delay histogram
+	fn     func() // t.run, bound at construction and kept across pool cycles
 }
 
 var serveTaskPool sync.Pool
@@ -1569,27 +1507,13 @@ func getServeTask() *serveTask {
 	return t
 }
 
-// recycle returns t to the pool, dropping everything it referenced.
-func (t *serveTask) recycle() {
-	*t = serveTask{fn: t.fn}
-	serveTaskPool.Put(t)
-}
-
-// run executes the parked call on the pool worker that dequeued it.
+// run executes the call on the goroutine started for it.
 func (t *serveTask) run() {
 	s, c, reqID, h, ist, req, info := t.s, t.c, t.reqID, t.h, t.ist, t.req, t.info
+	dispatch.NoteStarted(t.queued)
 	t.wait.End(info, nil)
-	t.recycle()
-	if c.isDead() {
-		// The connection died while the call was parked in the run
-		// queue: there is nobody to reply to, so reduce to releasing
-		// what the request carried — door references, the buffer,
-		// and (Put releases an adopted region) any bulk-region grant.
-		kernel.ReleaseBufferDoors(req)
-		buffer.Put(req)
-		s.doneServe(c)
-		return
-	}
+	*t = serveTask{fn: t.fn} // drop everything it referenced
+	serveTaskPool.Put(t)
 	start := time.Now()
 	s.runCall(c, reqID, h, req, info)
 	ist.Observe(time.Since(start), s.cfg.Dispatch.InlineThreshold)
@@ -1613,6 +1537,7 @@ func (s *Server) admitServe(c *conn) bool {
 	} else if max <= 0 {
 		c.inflight.Add(1)
 	}
+	gServeInflight.Add(1)
 	return true
 }
 
@@ -1620,11 +1545,12 @@ func (s *Server) admitServe(c *conn) bool {
 func (s *Server) doneServe(c *conn) {
 	c.inflight.Add(-1)
 	s.inflight.Add(-1)
+	gServeInflight.Add(-1)
 }
 
 // shed refuses a call at admission: release what the request carried and
 // answer with the retryable overload code — O(1) work on the reader, no
-// goroutine, no queue entry.
+// goroutine started.
 func (s *Server) shed(c *conn, reqID uint64, req *buffer.Buffer) {
 	dispatch.NoteShed()
 	kernel.ReleaseBufferDoors(req)
@@ -1632,32 +1558,13 @@ func (s *Server) shed(c *conn, reqID uint64, req *buffer.Buffer) {
 	s.reply(c, reqID, codeOverload, nil, "")
 }
 
-// handleCall is the legacy (Dispatch.Disable) serve path: export lookup
-// plus runCall on a per-call goroutine.
-func (s *Server) handleCall(c *conn, reqID, key uint64, req *buffer.Buffer, info *kernel.Info) {
-	s.mu.Lock()
-	e, ok := s.exports[key]
-	var h kernel.Handle
-	if ok {
-		h = e.h
-	}
-	s.mu.Unlock()
-	if !ok {
-		kernel.ReleaseBufferDoors(req)
-		buffer.Put(req)
-		s.reply(c, reqID, codeBadKey, nil, "")
-		return
-	}
-	s.runCall(c, reqID, h, req, info)
-}
-
 // runCall executes an incoming forwarded door call under the context
 // reconstructed from the wire header, so the exported door sees the
 // caller's remaining budget and trace exactly as a local caller's would
 // look. (The caller-side cancellation channel cannot cross the wire; a
 // cancelled caller simply abandons the reply.) It runs wherever the
-// dispatch decision put it: a reader goroutine (inline), a pool worker
-// (queued), or a dedicated goroutine (legacy path).
+// dispatch decision put it: the reader goroutine (inline) or a goroutine of
+// the call's own.
 func (s *Server) runCall(c *conn, reqID uint64, h kernel.Handle, req *buffer.Buffer, info *kernel.Info) {
 	start := serveStats.Begin()
 	sp := trace.Begin(info, spanServe)

@@ -58,14 +58,21 @@ func TestStripesShareOneSessionAndLease(t *testing.T) {
 		t.Fatalf("exporter sees %d sessions for 4 stripes, want 1", got)
 	}
 	// All four stripes must be bound to the one session on the exporter.
-	a.srv.mu.Lock()
-	var sessConns int
-	for _, sess := range a.srv.sessions {
-		sessConns = len(sess.conns)
+	// (The exporter binds a stripe when its reader gets to that stripe's
+	// hello, which the reply to a call on another stripe may overtake.)
+	bound := func() (n int) {
+		a.srv.mu.Lock()
+		defer a.srv.mu.Unlock()
+		for _, sess := range a.srv.sessions {
+			n = len(sess.conns)
+		}
+		return n
 	}
-	a.srv.mu.Unlock()
-	if sessConns != 4 {
-		t.Fatalf("exporter session binds %d conns, want 4", sessConns)
+	for deadline := time.Now().Add(time.Second); bound() != 4 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if got := bound(); got != 4 {
+		t.Fatalf("exporter session binds %d conns, want 4", got)
 	}
 }
 

@@ -136,13 +136,12 @@ func echoSkel() stubs.Skeleton {
 func TestSlowHandlerIsolation(t *testing.T) {
 	// E20 acceptance: a blocking handler must not delay inline-eligible
 	// calls — neither on its own connection nor on sibling connections —
-	// because the inline fast path runs on the reader goroutine, outside
-	// the worker pool the blocker is occupying. The server runs exactly
-	// two workers; both get wedged on a gated door, and echo traffic must
-	// keep flowing through the inline path the whole time.
+	// because the inline fast path runs on the reader goroutine and the
+	// blockers wait on goroutines of their own. Two calls get wedged on a
+	// gated door, and echo traffic must keep flowing through the inline path
+	// the whole time.
 	cfgA := quickCfg()
 	cfgA.Dispatch = DispatchConfig{
-		Workers: 2,
 		// A generous threshold makes promotion deterministic: loopback
 		// echo always observes far under 5ms, so eight warm calls promote
 		// regardless of scheduler jitter.
@@ -183,16 +182,16 @@ func TestSlowHandlerIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Warm the echo door past the promotion streak while the pool is
-	// still free: these run on workers, and their observed durations
-	// promote the door to inline eligibility.
+	// Warm the echo door past the promotion streak: these calls are
+	// spawned, and their observed durations promote the door to inline
+	// eligibility.
 	for i := 0; i < 4*dispatch.PromoteStreak; i++ {
 		if err := echoBytes(remote, []byte("warm")); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	// Wedge both workers.
+	// Wedge two calls in the slow door's handler.
 	var slowErrs sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		slowErrs.Add(1)
@@ -206,7 +205,7 @@ func TestSlowHandlerIsolation(t *testing.T) {
 	<-entered
 	<-entered
 
-	// The pool is now fully occupied; only the inline path can serve.
+	// With the blockers parked, the echo calls must all be served inline.
 	inline0 := scstats.GaugeFor("dispatch.inline_hits").Value()
 	done := make(chan error, 1)
 	go func() {
@@ -251,8 +250,16 @@ func TestSlowHandlerIsolation(t *testing.T) {
 		t.Fatal("sibling connection's calls stuck behind another peer's blocking handler")
 	}
 
-	if d := scstats.GaugeFor("dispatch.inline_hits").Value() - inline0; d < 40 {
-		t.Fatalf("inline fast path served %d of the 40 calls made while the pool was wedged, want all 40", d)
+	// The promoted door stays promoted beside the blockers: every one of
+	// the 40 calls is an inline hit, none demoted and spawned. (The reader
+	// counts a hit after it has sent the reply, so the last one may land a
+	// moment after the caller has returned; a spawned call never counts.)
+	hits := func() int64 { return scstats.GaugeFor("dispatch.inline_hits").Value() - inline0 }
+	for deadline := time.Now().Add(time.Second); hits() < 40 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if d := hits(); d < 40 {
+		t.Fatalf("inline fast path served %d of the 40 calls made beside the blocked handlers, want all 40", d)
 	}
 
 	close(gate)

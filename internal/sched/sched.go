@@ -5,10 +5,8 @@
 //
 // Work submitted at a higher priority runs before lower-priority work;
 // within a priority level execution is FIFO. Since E20 the executor is a
-// thin veneer over the shared dispatch engine (internal/dispatch) — the
-// same sharded worker pool the netd serve path and the kernel's
-// unreferenced-notification drain run on — so the old global
-// mutex + heap + sync.Cond is gone. A single-worker executor (what the
+// thin veneer over the dispatch engine (internal/dispatch), a sharded
+// worker pool, so the old global mutex + heap + sync.Cond is gone. A single-worker executor (what the
 // priority conformance battery saturates) maps to a single-shard engine
 // and keeps the exact strict ordering; wider executors relax global
 // priority order to per-shard order with work stealing, which is the

@@ -41,15 +41,20 @@ type statzSample struct {
 	peers []scstats.PeerSnapshot
 	hists []scstats.NamedHistSnapshot
 	bufs  buffer.Ledger
+	// inflight is netd's admission counter: a level, not a count.
+	inflight int64
 }
+
+var gServeInflight = scstats.GaugeFor("netd.serve_inflight")
 
 func takeStatzSample(at time.Time) statzSample {
 	return statzSample{
-		at:    at,
-		scs:   scstats.AllSnapshots(),
-		peers: scstats.PeerSnapshots(),
-		hists: scstats.HistSnapshots(),
-		bufs:  buffer.Stats(),
+		at:       at,
+		scs:      scstats.AllSnapshots(),
+		peers:    scstats.PeerSnapshots(),
+		hists:    scstats.HistSnapshots(),
+		bufs:     buffer.Stats(),
+		inflight: gServeInflight.Value(),
 	}
 }
 
@@ -194,6 +199,10 @@ type statzResponse struct {
 	// gets − puts is what the window's calls kept, misses the gets that
 	// had to allocate, drops the puts of buffers the pool does not own.
 	Buffers buffer.Ledger `json:"buffers"`
+	// ServeInflight is the number of incoming calls admitted by the network
+	// door servers and not yet replied to, as of the window's end: handlers
+	// running or blocked inside this process.
+	ServeInflight int64 `json:"serve_inflight"`
 }
 
 // ---------------------------------------------------------------------
@@ -287,6 +296,7 @@ func statzDelta(cur, prev statzSample, secs float64, withBuckets bool) statzResp
 		resp.Hists = append(resp.Hists, statzHist{Name: c.Name, Latency: latFrom(d, withBuckets)})
 	}
 	resp.Buffers = cur.bufs.Sub(prev.bufs)
+	resp.ServeInflight = cur.inflight
 	return resp
 }
 

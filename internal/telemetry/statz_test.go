@@ -94,12 +94,16 @@ func TestStatzDeltaWindowMath(t *testing.T) {
 		hists: []scstats.NamedHistSnapshot{
 			{Name: "dispatch.queue_delay", Hist: synthLat(100, 200, 25)},
 		},
-		bufs: buffer.Ledger{Gets: 450, Misses: 4, Puts: 450, Drops: 1},
+		bufs:     buffer.Ledger{Gets: 450, Misses: 4, Puts: 450, Drops: 1},
+		inflight: 16,
 	}
 
 	resp := statzDelta(cur, prev, 10, true)
 	if resp.WindowSeconds != 10 {
 		t.Errorf("WindowSeconds = %v", resp.WindowSeconds)
+	}
+	if resp.ServeInflight != 16 {
+		t.Errorf("ServeInflight = %d, want the level at the window's end, 16", resp.ServeInflight)
 	}
 	bySC := map[string]statzSC{}
 	for _, sc := range resp.Subcontracts {

@@ -203,7 +203,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 	// Level gauges appear under sanitized names, even when zero.
-	for _, want := range []string{"netd_conns_live", "netd_sessions_live"} {
+	for _, want := range []string{"netd_conns_live", "netd_sessions_live", "netd_serve_inflight"} {
 		if !strings.Contains(body, "# TYPE "+want+" gauge") {
 			t.Errorf("/metrics missing gauge %s", want)
 		}
