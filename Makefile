@@ -20,7 +20,7 @@ tier2: faults crash bench-quick bench-e2e-check obs
 # transport-tier (negotiation, fallback, bulk hand-off teardown) tests
 # across netd and the subcontracts, under the race detector.
 faults:
-	go test -race -run 'Lease|Partition|Breaker|Fault|Sever|Truncat|Kill|Refus|Hung|Dead|Replay|Heartbeat|Reclaim|Negotiat|Fallback|Handoff|Teardown|Stripe' \
+	go test -race -run 'Lease|Partition|Breaker|Fault|Sever|Truncat|Kill|Refus|Hung|Dead|Replay|Heartbeat|Reclaim|Negotiat|Fallback|Handoff|Teardown|Link|Bulk' \
 		./internal/faultnet/ ./internal/netd/ ./internal/integration/
 
 # The E19 crash suite: SIGKILL the durable server mid-write-load and
@@ -31,18 +31,19 @@ crash:
 	go test -race -run 'KillRestart|RestartRecovers|RestartRejoins|StateFile|CorruptState|FirstBoot|WAL|Snapshot|SaveFile' \
 		./internal/integration/ ./internal/netd/ ./internal/filesys/
 
-# The E15/E18/E21 throughput sweeps (parallelism × payload, over
-# loopback TCP, the same-machine transport tier, and the striped client
-# engine) and the E16 local-path sweep (null door calls, refcount churn,
-# cache-hit mixes), recorded as JSON. The netd sweep runs -count=3 and
-# benchjson collapses the repeats to per-cell medians. Existing
-# baselines in BENCH_netd.json / BENCH_cache.json are preserved, so
-# each file carries before/after numbers across optimization PRs.
+# The E15/E18 throughput sweeps (parallelism × payload, over loopback TCP
+# and the same-machine transport tier), E21's two head-of-line rows (small
+# calls under bulk load, one shared connection vs the link's two) and the
+# E16 local-path sweep (null door calls, refcount churn, cache-hit mixes),
+# recorded as JSON with the host they ran on. The netd sweep runs
+# -count=3 and benchjson collapses the repeats to per-cell medians.
+# Existing baselines in BENCH_netd.json / BENCH_cache.json are preserved,
+# so each file carries before/after numbers across optimization PRs.
 bench:
 	go test -run NONE -bench 'E15|E18' -benchmem -benchtime 2s -count=3 . | tee /tmp/bench_netd.out
 	go test -run NONE -bench 'E21' -benchmem -benchtime 1s -count=3 . | tee -a /tmp/bench_netd.out
-	go run ./cmd/benchjson -experiment 'E15/E18/E21 netd throughput: loopback TCP vs same-machine tier vs striped client engine' \
-		-note 'per-cell medians of 3 runs on a shared host; compare E18/E21 vs E15 within a run, and 64KiB cells against the baseline array; on a one-CPU host stripes>1 splits the writer batches without adding send capacity, so the S1 column is the fast one there — the stripe sweep is the artifact for multi-core hosts' \
+	go run ./cmd/benchjson -experiment 'E15/E18/E21 netd throughput: loopback TCP vs same-machine tier; small calls under bulk load, shared vs isolated' \
+		-note 'per-cell medians of 3 runs on a shared host; compare E18 vs E15 and MixedHoL_Isolated vs _Shared within a run, and 64KiB cells against the baseline array' \
 		-o BENCH_netd.json < /tmp/bench_netd.out
 	go test -run NONE -bench 'E16' -benchmem . | tee /tmp/bench_e16.out
 	go run ./cmd/benchjson -experiment 'E16 lock-free local door path + scalable cache manager (intra-machine)' \
@@ -70,7 +71,7 @@ bench:
 # lone one does not wait for company — so a copy, an allocation, a pool or
 # a timer creeping back in fails tier2.
 bench-quick:
-	go test -run NONE -bench 'E15|E16|E17|E18|E19|E20|E21_Striped_S[28]_P8_0B|E21_MixedHoL|E22' -benchtime 1x .
+	go test -run NONE -bench 'E15|E16|E17|E18|E19|E20|E21_MixedHoL|E22' -benchtime 1x .
 	go test -count=1 -run 'TestServedReadWriteAllocs|TestBorrowedBytesNotRetained|TestSequentialGrowthCopiesLinear|TestDurableWriteAllocs|TestGroupCommitGroups|TestLoneDurableWriteDoesNotLinger' \
 		./internal/netd/ ./internal/filesys/
 

@@ -196,45 +196,12 @@ func BenchmarkE20_Serve_Spawn_P64_0B(b *testing.B)  { bench.E20Serve("spawn", 64
 func BenchmarkE20_Blocking_P64(b *testing.B)        { bench.E20Blocking(64)(b) }
 func BenchmarkE20_Overload_4x(b *testing.B)         { bench.E20Overload(4)(b) }
 
-// E21 — striped client call engine: the E15 workload re-run with the
-// client dialling stripes ∈ {1, 2, 8} connections per peer (stripes=1
-// is the within-run baseline on the future-based engine), plus the
-// MixedHoL cells where two 64KiB bulk callers interfere with small
-// calls — with stripes > 1 the bulk traffic rides its dedicated stripe
-// and the small-call p99 should stop paying for it. `make bench`
-// records this sweep (medians of 3 runs) in BENCH_netd.json.
-func BenchmarkE21_Striped_S1_P1_0B(b *testing.B)    { bench.E21Striped(1, 1, 0)(b) }
-func BenchmarkE21_Striped_S1_P1_1KiB(b *testing.B)  { bench.E21Striped(1, 1, 1024)(b) }
-func BenchmarkE21_Striped_S1_P1_64KiB(b *testing.B) { bench.E21Striped(1, 1, 65536)(b) }
-func BenchmarkE21_Striped_S1_P8_0B(b *testing.B)    { bench.E21Striped(1, 8, 0)(b) }
-func BenchmarkE21_Striped_S1_P8_1KiB(b *testing.B)  { bench.E21Striped(1, 8, 1024)(b) }
-func BenchmarkE21_Striped_S1_P8_64KiB(b *testing.B) { bench.E21Striped(1, 8, 65536)(b) }
-func BenchmarkE21_Striped_S1_P64_0B(b *testing.B)   { bench.E21Striped(1, 64, 0)(b) }
-func BenchmarkE21_Striped_S1_P64_1KiB(b *testing.B) { bench.E21Striped(1, 64, 1024)(b) }
-func BenchmarkE21_Striped_S1_P64_64KiB(b *testing.B) {
-	bench.E21Striped(1, 64, 65536)(b)
-}
-func BenchmarkE21_Striped_S2_P1_0B(b *testing.B)    { bench.E21Striped(2, 1, 0)(b) }
-func BenchmarkE21_Striped_S2_P1_1KiB(b *testing.B)  { bench.E21Striped(2, 1, 1024)(b) }
-func BenchmarkE21_Striped_S2_P1_64KiB(b *testing.B) { bench.E21Striped(2, 1, 65536)(b) }
-func BenchmarkE21_Striped_S2_P8_0B(b *testing.B)    { bench.E21Striped(2, 8, 0)(b) }
-func BenchmarkE21_Striped_S2_P8_1KiB(b *testing.B)  { bench.E21Striped(2, 8, 1024)(b) }
-func BenchmarkE21_Striped_S2_P8_64KiB(b *testing.B) { bench.E21Striped(2, 8, 65536)(b) }
-func BenchmarkE21_Striped_S2_P64_0B(b *testing.B)   { bench.E21Striped(2, 64, 0)(b) }
-func BenchmarkE21_Striped_S2_P64_1KiB(b *testing.B) { bench.E21Striped(2, 64, 1024)(b) }
-func BenchmarkE21_Striped_S2_P64_64KiB(b *testing.B) {
-	bench.E21Striped(2, 64, 65536)(b)
-}
-func BenchmarkE21_Striped_S8_P1_0B(b *testing.B)    { bench.E21Striped(8, 1, 0)(b) }
-func BenchmarkE21_Striped_S8_P1_1KiB(b *testing.B)  { bench.E21Striped(8, 1, 1024)(b) }
-func BenchmarkE21_Striped_S8_P1_64KiB(b *testing.B) { bench.E21Striped(8, 1, 65536)(b) }
-func BenchmarkE21_Striped_S8_P8_0B(b *testing.B)    { bench.E21Striped(8, 8, 0)(b) }
-func BenchmarkE21_Striped_S8_P8_1KiB(b *testing.B)  { bench.E21Striped(8, 8, 1024)(b) }
-func BenchmarkE21_Striped_S8_P8_64KiB(b *testing.B) { bench.E21Striped(8, 8, 65536)(b) }
-func BenchmarkE21_Striped_S8_P64_0B(b *testing.B)   { bench.E21Striped(8, 64, 0)(b) }
-func BenchmarkE21_Striped_S8_P64_1KiB(b *testing.B) { bench.E21Striped(8, 64, 1024)(b) }
-func BenchmarkE21_Striped_S8_P64_64KiB(b *testing.B) {
-	bench.E21Striped(8, 64, 65536)(b)
-}
-func BenchmarkE21_MixedHoL_S1(b *testing.B) { bench.E21MixedHoL(1)(b) }
-func BenchmarkE21_MixedHoL_S8(b *testing.B) { bench.E21MixedHoL(8)(b) }
+// E21 — head-of-line blocking between request classes: two 64 KiB bulk
+// callers interfere with eight small callers. Shared is the reference
+// (the client's BulkThreshold raised above the payload, so everything
+// rides the call connection); Isolated is the stock client, whose bulk
+// requests ride the link's bulk connection. Each row reports the small
+// callers' calls/s and p99-ns and the bulk callers' bulk/s. `make bench`
+// records both (medians of 3 runs) in BENCH_netd.json.
+func BenchmarkE21_MixedHoL_Shared(b *testing.B)   { bench.E21MixedHoL(true)(b) }
+func BenchmarkE21_MixedHoL_Isolated(b *testing.B) { bench.E21MixedHoL(false)(b) }

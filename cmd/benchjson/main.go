@@ -12,7 +12,9 @@
 // "current". On later runs an existing file's baseline is preserved and
 // only "current" is replaced — so the committed artifact records the
 // pre-change numbers next to the latest ones. Pass -rebaseline to promote
-// the new run to the baseline as well.
+// the new run to the baseline as well. Every file carries a "host" block —
+// CPU count, the run's GOMAXPROCS, Go version, kernel release — describing
+// the machine "current" was measured on.
 package main
 
 import (
@@ -22,6 +24,7 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -34,10 +37,20 @@ type Result struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
-// File is the on-disk schema.
+// Host fingerprints the machine and toolchain a run was made on, so that a
+// recorded number is not read against a host it never ran on.
+type Host struct {
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"` // of the benchmark run, from its -N name suffix
+	GoVersion  string `json:"go_version"`
+	Kernel     string `json:"kernel,omitempty"`
+}
+
+// File is the on-disk schema. Host describes the Current run.
 type File struct {
 	Experiment string   `json:"experiment"`
 	Note       string   `json:"note,omitempty"`
+	Host       Host     `json:"host"`
 	Baseline   []Result `json:"baseline"`
 	Current    []Result `json:"current"`
 }
@@ -52,21 +65,27 @@ var (
 // benchLine matches e.g.
 //
 //	BenchmarkE15_Throughput_P64_0B-8   12345   9876 ns/op   512 B/op   4 allocs/op   101234 calls/s
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+(.*)$`)
 
-func parse(lines []string) []Result {
+// parse returns the aggregated results and the GOMAXPROCS the benchmarks
+// ran at (go test appends it to each name, except when it is 1).
+func parse(lines []string) ([]Result, int) {
 	var results []Result
+	procs := 1
 	for _, line := range lines {
 		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
 		if m == nil {
 			continue
 		}
-		iters, err := strconv.ParseInt(m[2], 10, 64)
+		iters, err := strconv.ParseInt(m[3], 10, 64)
 		if err != nil {
 			continue
 		}
+		if n, err := strconv.Atoi(m[2]); err == nil {
+			procs = n
+		}
 		r := Result{Name: m[1], Iters: iters, Metrics: map[string]float64{}}
-		fields := strings.Fields(m[3])
+		fields := strings.Fields(m[4])
 		for i := 0; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
@@ -76,7 +95,7 @@ func parse(lines []string) []Result {
 		}
 		results = append(results, r)
 	}
-	return aggregate(results)
+	return aggregate(results), procs
 }
 
 // aggregate collapses repeated benchmark names (a -count=N run) into one
@@ -148,12 +167,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: read:", err)
 		os.Exit(1)
 	}
-	current := parse(lines)
+	current, procs := parse(lines)
 	if len(current) == 0 {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
 		os.Exit(1)
 	}
-	f := File{Experiment: *experiment, Note: *note, Baseline: current, Current: current}
+	host := Host{NProc: runtime.NumCPU(), GOMAXPROCS: procs, GoVersion: runtime.Version()}
+	if rel, err := os.ReadFile("/proc/sys/kernel/osrelease"); err == nil { // absent off Linux: left empty
+		host.Kernel = strings.TrimSpace(string(rel))
+	}
+	f := File{Experiment: *experiment, Note: *note, Host: host, Baseline: current, Current: current}
 	if *out != "" && !*rebaseline {
 		if prev, err := os.ReadFile(*out); err == nil {
 			var old File

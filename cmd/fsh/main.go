@@ -41,8 +41,6 @@ var (
 	hbInterval  = flag.Duration("heartbeat", time.Second, "heartbeat interval on idle peer connections")
 	leaseGrace  = flag.Duration("lease-grace", 10*time.Second,
 		"how long a peer may be silent or disconnected before its references are reclaimed")
-	stripesFlag = flag.Int("stripes", 0,
-		"client connections dialled per peer (0 = scale to GOMAXPROCS, capped at 8)")
 	sameMachine = flag.Bool("same-machine", false,
 		"enable the same-machine transport tier (unix:<path> addresses, mapped-region bulk replies)")
 
@@ -93,7 +91,6 @@ func main() {
 		DialTimeout:       *dialTimeout,
 		HeartbeatInterval: *hbInterval,
 		LeaseGrace:        *leaseGrace,
-		Stripes:           *stripesFlag,
 	}
 	if *sameMachine {
 		cfg.Transport = netd.SameMachine()

@@ -37,10 +37,8 @@ var (
 		"record a trace for 1 in N calls that arrive untraced (0 = only explicitly traced calls)")
 	traceSlow = flag.Duration("trace-slow", 0,
 		"tail-capture calls slower than this into /traces/slow, even when head sampling skips them (0 = off)")
-	stripes = flag.Int("stripes", 8,
-		"client connections per peer for the E21 striped cells (the stripes=1 baseline always runs)")
 	mixed = flag.Bool("mixed", false,
-		"run only the E21 mixed small+bulk head-of-line workload (with -stripes) and exit")
+		"run only the E21 mixed small+bulk head-of-line workload and exit")
 )
 
 // run executes one experiment body under the testing benchmark driver.
@@ -56,6 +54,22 @@ func run(name string, fn func(*testing.B)) testing.BenchmarkResult {
 		fmt.Printf("      %s\n", line)
 	}
 	return r
+}
+
+// runMixedHoL runs E21's two rows — two 64KiB bulk callers interfering with
+// 8 small callers, over one shared connection and over the link's two — and
+// prints each row's small-call rate and tail next to the bulk callers' rate.
+func runMixedHoL() {
+	section("E21 mixed small+bulk head-of-line workload (one shared connection vs call + bulk connections)")
+	row := func(name string, shared bool) float64 {
+		r := run(name, bench.E21MixedHoL(shared))
+		fmt.Printf("      small %.0f calls/s, p99 %.0f ns; bulk %.0f calls/s\n",
+			r.Extra["calls/s"], r.Extra["p99-ns"], r.Extra["bulk/s"])
+		return r.Extra["calls/s"]
+	}
+	shared := row("small calls under bulk load, shared", true)
+	isolated := row("small calls under bulk load, isolated", false)
+	fmt.Printf("  => a bulk connection of its own serves the small callers %.1fx faster\n", isolated/shared)
 }
 
 // ---------------------------------------------------------------------
@@ -209,14 +223,8 @@ func main() {
 		}
 	}
 	if *mixed {
-		// The head-of-line cell on its own, for quick flush/stripe tuning:
-		// two 64KiB bulk callers interfere with 8 small callers; compare
-		// the p99 at -stripes 1 vs -stripes N.
-		section(fmt.Sprintf("E21 mixed small+bulk head-of-line workload (stripes=1 vs stripes=%d)", *stripes))
-		run("small calls under bulk load, 1 stripe", bench.E21MixedHoL(1))
-		if *stripes > 1 {
-			run(fmt.Sprintf("small calls under bulk load, %d stripes", *stripes), bench.E21MixedHoL(*stripes))
-		}
+		// The head-of-line cells on their own, for quick flush tuning.
+		runMixedHoL()
 		fmt.Println("\ndone.")
 		return
 	}
@@ -362,19 +370,7 @@ func main() {
 	fmt.Printf("  => the inline fast path serves 64-way traffic %.1fx faster than a goroutine per call\n",
 		nsPerOp(spawn64)/nsPerOp(inl64))
 
-	section(fmt.Sprintf("E21 striped client call engine (0B echo; stripes=1 vs stripes=%d)", *stripes))
-	s1 := run("64 callers, 1 stripe", bench.E21Striped(1, 64, 0))
-	sN := s1
-	if *stripes > 1 {
-		sN = run(fmt.Sprintf("64 callers, %d stripes", *stripes), bench.E21Striped(*stripes, 64, 0))
-		run(fmt.Sprintf("8 callers, %d stripes", *stripes), bench.E21Striped(*stripes, 8, 0))
-	}
-	run("small calls under bulk load, 1 stripe", bench.E21MixedHoL(1))
-	if *stripes > 1 {
-		run(fmt.Sprintf("small calls under bulk load, %d stripes", *stripes), bench.E21MixedHoL(*stripes))
-	}
-	fmt.Printf("  => striping the peer connection serves 64-way traffic %.1fx faster than one conn\n",
-		nsPerOp(s1)/nsPerOp(sN))
+	runMixedHoL()
 
 	section("E22 always-on latency recording (v1 sampled-8 vs v2 always-on HDR histograms)")
 	offR := run("record off, 1 caller", bench.E22RecordCost("off", 1))

@@ -281,13 +281,12 @@ func render(w *os.File, cur, prev *scrape, elapsed time.Duration, asRates bool) 
 		}
 	}
 
-	// One-line netd link summary: sockets vs stripes vs peer sessions.
-	// With a striped client (E21) conns > sessions is the normal shape —
-	// stripes_live counts the per-peer sockets, sessions_live the peers.
-	if stripes, ok := cur.gauges["netd_stripes_live"]; ok {
-		fmt.Fprintf(w, "\nnetd link: CONNS %g  STRIPES %g  SESSIONS %g  SENDQ %g\n",
-			cur.gauges["netd_conns_live"], stripes,
-			cur.gauges["netd_sessions_live"], cur.gauges["netd_sendq_depth"])
+	// One-line netd link summary: sockets vs peer sessions. A peer that has
+	// sent a bulk request holds two sockets (call + bulk) under one session,
+	// so conns > sessions is the normal shape.
+	if conns, ok := cur.gauges["netd_conns_live"]; ok {
+		fmt.Fprintf(w, "\nnetd link: CONNS %g  SESSIONS %g  SENDQ %g\n",
+			conns, cur.gauges["netd_sessions_live"], cur.gauges["netd_sendq_depth"])
 	}
 
 	// A footer of the liveness gauges, when present in the scrape.

@@ -56,10 +56,8 @@ var (
 		"how long a peer may be silent or disconnected before its references are reclaimed")
 	sameMachine = flag.Bool("same-machine", false,
 		"enable the same-machine transport tier: listen on unix:<path> addresses and hand large replies over as mapped regions to co-resident peers")
-	stripesFlag = flag.Int("stripes", 0,
-		"client connections dialled per peer (0 = scale to GOMAXPROCS, capped at 8); the last stripe carries bulk frames")
 	bulkThreshold = flag.Int("bulk-threshold", 0,
-		"payload size (bytes) above which a same-machine call rides a mapped region instead of the frame (0 = default)")
+		"payload size (bytes) from which a request rides the peer's bulk connection, and a same-machine payload a mapped region instead of the frame (0 = default 8192)")
 	dispatchInflight = flag.Int("dispatch-inflight", 0,
 		"in-flight admission bound for incoming calls; past it callers get a retryable overload reply (0 = default 1024, negative = unbounded)")
 
@@ -171,7 +169,6 @@ func main() {
 		DialTimeout:       *dialTimeout,
 		HeartbeatInterval: *hbInterval,
 		LeaseGrace:        *leaseGrace,
-		Stripes:           *stripesFlag,
 		BulkThreshold:     *bulkThreshold,
 		Dispatch:          netd.DispatchConfig{MaxInflight: *dispatchInflight},
 	}

@@ -7,83 +7,38 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/kernel"
 	"repro/internal/netd"
-	"repro/internal/sctest"
-	"repro/internal/subcontracts/singleton"
 )
 
 // ---------------------------------------------------------------------
-// E21 — the striped client call engine over loopback TCP. E15's sweep
-// pipelines every caller through ONE connection per peer: one writer
-// goroutine, one TCP stream, one reply demultiplexer. E21 re-runs the
-// same workload with the client dialling stripes ∈ {1, 2, 8} connections
-// to the peer (stripes=1 is the E15 configuration on the new future-based
-// engine, the within-run baseline) so the costs under test are the
-// stripe routing overhead, the per-stripe writer/flush behavior, and —
-// in the MixedHoL cell — head-of-line blocking: with one connection a
-// 64 KiB bulk frame stalls every small call queued behind it; with a
-// dedicated bulk stripe the small-call p99 should collapse.
+// E21 — head-of-line blocking between request classes over loopback TCP.
+// With every request on one connection a 64 KiB frame stalls each small
+// call queued behind it in the writer and the socket; netd's link keeps
+// requests of BulkThreshold bytes or more on a connection of their own
+// (DESIGN §12). MixedHoL measures what that buys, against a reference
+// client that shares one connection.
 //
-// Reported: ns/op, calls/s, allocs/op as in E15; MixedHoL adds
-// p99-ns (small-call tail latency while a bulk caller saturates the
-// same peer). Single-CPU hosts flatten the stripes>1 gains: the sweep
-// still measures routing overhead, but parallel stream wins need cores.
+// Reported: ns/op and calls/s of the small callers, p99-ns (their tail
+// latency while the bulk callers saturate the same peer) and bulk/s — the
+// bulk callers' own rate, because a small-call rate alone cannot tell
+// isolation from CPU taken away from the bulk class.
 
-// e21Setup is e15Setup with a striped client: the server machine is
-// stock, the client dials `stripes` connections to it.
-func e21Setup(stripes int) func(*testing.B) *core.Object {
-	return func(b *testing.B) *core.Object {
-		b.Helper()
-		ka := kernel.New("e21-server")
-		sa, err := netd.Start(ka.NewDomain("server-netd"), "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { sa.Close() })
-		envA, err := sctest.NewEnv(ka, "server-app", singleton.Register)
-		if err != nil {
-			b.Fatal(err)
-		}
-		obj, _ := singleton.Export(envA, echoMT, echoSkeleton(), nil)
-		sa.PublishRoot("echo", obj)
-
-		kb := kernel.New("e21-client")
-		sb, err := netd.Start(kb.NewDomain("client-netd"), "127.0.0.1:0", netd.WithStripes(stripes))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { sb.Close() })
-		envB, err := sctest.NewEnv(kb, "client-app", singleton.Register)
-		if err != nil {
-			b.Fatal(err)
-		}
-		remote, err := sb.ImportRootObject(envB, sa.Addr(), "echo", echoMT)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return remote
-	}
-}
-
-// E21Striped echoes payload bytes with the given caller parallelism over
-// a client striped `stripes` wide.
-func E21Striped(stripes, parallelism, payload int) func(*testing.B) {
-	return throughputBench(e21Setup(stripes), parallelism, payload)
-}
-
-// E21MixedHoL measures small-call tail latency under bulk interference:
-// two background callers stream 64 KiB echoes at the peer for the whole
-// run while 8 foreground callers split b.N small (0-byte) calls,
-// recording per-call latency. Reported p99-ns is the foreground tail —
-// the head-of-line number striping's dedicated bulk stripe exists to
-// fix.
-func E21MixedHoL(stripes int) func(*testing.B) {
+// E21MixedHoL measures small-call throughput and tail latency under bulk
+// interference: two background callers stream 64 KiB echoes at the peer
+// for the whole run while 8 foreground callers split b.N small (0-byte)
+// calls, recording per-call latency. shared is the reference row: the
+// client's BulkThreshold is raised above the bulk payload, so every request
+// rides the call connection; otherwise the client is stock and the bulk
+// callers ride the bulk connection.
+func E21MixedHoL(shared bool) func(*testing.B) {
 	return func(b *testing.B) {
-		remote := e21Setup(stripes)(b)
-		small := []byte{}
 		bulk := make([]byte, 64<<10)
+		var opts []netd.Option
+		if shared {
+			opts = append(opts, netd.WithBulkThreshold(2*len(bulk)))
+		}
+		remote := e15Setup(b, opts...)
+		small := []byte{}
 		if err := callEcho(remote, bulk); err != nil { // warm conns + pools
 			b.Fatal(err)
 		}
@@ -92,6 +47,7 @@ func E21MixedHoL(stripes int) func(*testing.B) {
 			smallCallers = 8
 		)
 		var failed atomic.Value
+		var bulkDone atomic.Int64
 		stop := make(chan struct{})
 		var bg sync.WaitGroup
 		for g := 0; g < bulkCallers; g++ {
@@ -108,12 +64,14 @@ func E21MixedHoL(stripes int) func(*testing.B) {
 						failed.Store(err)
 						return
 					}
+					bulkDone.Add(1)
 				}
 			}()
 		}
 		lats := make([][]int64, smallCallers)
 		b.ReportAllocs()
 		b.ResetTimer()
+		bulk0 := bulkDone.Load()
 		var wg sync.WaitGroup
 		per, rem := b.N/smallCallers, b.N%smallCallers
 		for g := 0; g < smallCallers; g++ {
@@ -141,6 +99,7 @@ func E21MixedHoL(stripes int) func(*testing.B) {
 		}
 		wg.Wait()
 		b.StopTimer()
+		bulkCalls := bulkDone.Load() - bulk0
 		close(stop)
 		bg.Wait()
 		if err := failed.Load(); err != nil {
@@ -156,6 +115,7 @@ func E21MixedHoL(stripes int) func(*testing.B) {
 		}
 		if secs := b.Elapsed().Seconds(); secs > 0 {
 			b.ReportMetric(float64(b.N)/secs, "calls/s")
+			b.ReportMetric(float64(bulkCalls)/secs, "bulk/s")
 		}
 	}
 }

@@ -28,9 +28,10 @@ import (
 // the whole-system figure, not the client hot path alone (the strict
 // client-path bound is enforced by TestAllocs* in internal/netd).
 
-// e15Setup builds two machines connected over loopback TCP and returns a
-// client-side proxy for an echo object exported on the server machine.
-func e15Setup(b *testing.B) *core.Object {
+// e15Setup builds two machines connected over loopback TCP — the server
+// stock, the client started with clientOpts — and returns a client-side
+// proxy for an echo object exported on the server machine.
+func e15Setup(b *testing.B, clientOpts ...netd.Option) *core.Object {
 	b.Helper()
 	ka := kernel.New("e15-server")
 	sa, err := netd.Start(ka.NewDomain("server-netd"), "127.0.0.1:0")
@@ -46,7 +47,7 @@ func e15Setup(b *testing.B) *core.Object {
 	sa.PublishRoot("echo", obj)
 
 	kb := kernel.New("e15-client")
-	sb, err := netd.Start(kb.NewDomain("client-netd"), "127.0.0.1:0")
+	sb, err := netd.Start(kb.NewDomain("client-netd"), "127.0.0.1:0", clientOpts...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func e15Setup(b *testing.B) *core.Object {
 // E15Throughput echoes payload bytes through the wire with the given
 // number of concurrent callers, splitting b.N across them.
 func E15Throughput(parallelism, payload int) func(*testing.B) {
-	return throughputBench(e15Setup, parallelism, payload)
+	return throughputBench(func(b *testing.B) *core.Object { return e15Setup(b) }, parallelism, payload)
 }
 
 // throughputBench is the body shared by the E15 (loopback TCP) and E18

@@ -147,8 +147,8 @@ func (n *Net) KillAfterWrites(k int) {
 }
 
 // KillOne hard-closes one live wrapped connection (any one) and reports
-// whether there was one to kill — a single-stripe loss, as opposed to
-// CloseAll's full crash.
+// whether there was one to kill — the loss of a single connection, as
+// opposed to CloseAll's full crash.
 func (n *Net) KillOne() bool {
 	n.mu.Lock()
 	var victim *Conn

@@ -128,10 +128,10 @@ type sendReq struct {
 }
 
 // conn is one transport connection with multiplexed request/reply
-// framing, batched writes, and heartbeat bookkeeping. A peer address may
-// be served by several conns — a stripe set (E21); each stripe has its
-// own writer, pending table and request-id space, so nothing here is
-// stripe-aware except the bookkeeping connClosed uses to heal the set.
+// framing, batched writes, and heartbeat bookkeeping. A peer address is
+// served by up to two conns — its link's call and bulk connections
+// (link.go); each has its own writer, pending table and request-id space,
+// so nothing here knows which role it plays.
 type conn struct {
 	netc  net.Conn
 	sendq chan sendReq

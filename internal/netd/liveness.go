@@ -21,7 +21,6 @@ import (
 // queued) move both ways; the rest are monotonic event counts.
 var (
 	gConns            = scstats.GaugeFor("netd.conns_live")
-	gStripes          = scstats.GaugeFor("netd.stripes_live")
 	gSessions         = scstats.GaugeFor("netd.sessions_live")
 	gExports          = scstats.GaugeFor("netd.exports_live")
 	gLeasesExpired    = scstats.GaugeFor("netd.leases_expired")
@@ -67,7 +66,7 @@ type session struct {
 	addr      string         // remote's advertised listen address ("" if none)
 	refs      map[uint64]int // export key → references held by this peer
 	conns     map[*conn]struct{}
-	hb        *conn     // designated heartbeat stripe (E21); nil until a hello
+	hb        *conn     // designated heartbeat connection; nil until a hello
 	downSince time.Time // zero while at least one connection is live
 	expired   bool      // set when the lease lapses; rejects late exports
 }
@@ -224,7 +223,7 @@ func (s *Server) handleHello(c *conn, instance, epoch uint64, listenAddr string,
 	}
 	sess.conns[c] = struct{}{}
 	if sess.hb == nil || sess.hb.isDead() {
-		sess.hb = c // heartbeats for the whole stripe set ride this conn
+		sess.hb = c // heartbeats for all of the peer's connections ride this one
 	}
 	sess.downSince = time.Time{}
 	s.markDirtyLocked()
@@ -252,30 +251,17 @@ func (s *Server) sendHello(c *conn, epoch uint64) error {
 
 // connClosed is the single teardown path for a connection, run when its
 // read loop exits for any reason (EOF, error, heartbeat kill, Close). It
-// wakes pending calls, prunes the dial pool so the next call redials
-// instead of using a dead connection, detaches the session (starting its
-// lease-expiry clock if this was the last connection), and starts the
-// importer-side disconnection clock for the peer's address.
+// wakes pending calls, empties the connection's link slot so the next call
+// of its role redials, detaches the session (starting its lease-expiry
+// clock if this was the last connection), and starts the importer-side
+// disconnection clock for the peer's address.
 func (s *Server) connClosed(c *conn, addr string) {
 	c.fail(commErr("connection lost"))
 	s.mu.Lock()
 	if addr != "" {
-		if ss, ok := s.conns[addr]; ok {
-			if ss.remove(c) {
-				ss.counted--
-				gStripes.Add(-1)
-			}
-			// A lost stripe degrades the set; healAt=0 makes the very next
-			// call's slow-path visit redial the missing width.
-			ss.degraded.Store(true)
-			ss.healAt.Store(0)
-			if len(ss.live()) == 0 {
-				delete(s.conns, addr)
-				s.connCache.Delete(addr)
-				gStripes.Add(int64(-ss.counted)) // residue from publish races
-				ss.counted = 0
-			}
-		}
+		l := s.linkFor(addr)
+		l.conns[roleCall].CompareAndSwap(c, nil)
+		l.conns[roleBulk].CompareAndSwap(c, nil)
 	}
 	if _, ok := s.allConns[c]; ok {
 		delete(s.allConns, c)
@@ -300,21 +286,11 @@ func (s *Server) connClosed(c *conn, addr string) {
 	if pa == "" {
 		pa = addr
 	}
-	if pa != "" {
-		down := true
-		if ss, ok := s.conns[pa]; ok {
-			for _, lc := range ss.live() {
-				if lc != c && !lc.isDead() {
-					down = false // a surviving stripe keeps the peer up
-					break
-				}
-			}
-		}
-		if down {
-			p := s.peerLocked(pa)
-			if p.downSince.IsZero() {
-				p.downSince = time.Now()
-			}
+	// The link's other connection, if it survives, keeps the peer up.
+	if pa != "" && s.liveConn(pa) == nil {
+		p := s.peerLocked(pa)
+		if p.downSince.IsZero() {
+			p.downSince = time.Now()
 		}
 	}
 	s.mu.Unlock()
@@ -361,11 +337,11 @@ func (s *Server) sweeper() {
 }
 
 // heartbeat pings connections idle on the send side and kills those
-// silent on the receive side past the grace period. Stripes share their
-// session's liveness clock: silence is judged on the session's freshest
-// receive across all stripes (an idle non-lead stripe is not a dead
-// peer), and only the designated heartbeat stripe — or a sessionless
-// conn still mid-handshake — sends pings.
+// silent on the receive side past the grace period. A peer's connections
+// share their session's liveness clock: silence is judged on the session's
+// freshest receive across all of them (an idle bulk connection is not a
+// dead peer), and only the designated heartbeat connection — or a
+// sessionless conn still mid-handshake — sends pings.
 func (s *Server) heartbeat(now time.Time) {
 	type hbConn struct {
 		c    *conn
@@ -490,7 +466,7 @@ func (s *Server) replayQueued() {
 	}
 	s.mu.Unlock()
 	for _, addr := range addrs {
-		c, err := s.getConn(addr, false)
+		c, err := s.getConn(addr, roleCall)
 		if err != nil {
 			continue
 		}

@@ -22,9 +22,6 @@ func quickCfg() Config {
 		LeaseGrace:        150 * time.Millisecond,
 		BreakerBackoff:    25 * time.Millisecond,
 		BreakerMaxBackoff: 100 * time.Millisecond,
-		// Pinned so conn-count assertions (dial singleflight, pool
-		// pruning) hold on any host; stripe tests override explicitly.
-		Stripes: 1,
 	}
 }
 

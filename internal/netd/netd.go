@@ -55,11 +55,9 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"repro/internal/buffer"
 	"repro/internal/core"
@@ -138,17 +136,6 @@ type Config struct {
 	// Default 8KiB (below it the grant bookkeeping costs more than the
 	// copy it saves).
 	BulkThreshold int
-	// Stripes is the number of connections dialled per peer address
-	// (E21): one writer goroutine and one socket per stripe, so pipelined
-	// callers stop serializing behind a single stream. Calls are routed
-	// across the stripes by a cheap per-goroutine hash; when more than
-	// one stripe is live the last is dedicated to bulk payloads
-	// (≥ BulkThreshold), so a large transfer cannot head-of-line block
-	// small calls. All stripes to one peer share one hello-derived
-	// session — leases, heartbeats and netd.sessions_live count peers,
-	// not connections. Default GOMAXPROCS/2 clamped to [1, 8]; 1
-	// preserves the single-connection behavior exactly.
-	Stripes int
 	// Transport supplies the listener, dialer and capability set
 	// (transport tiers, fault injection). Nil defaults to TCPTransport.
 	Transport Transport
@@ -221,14 +208,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.BulkThreshold == 0 {
 		cfg.BulkThreshold = 8 << 10
 	}
-	if cfg.Stripes == 0 {
-		cfg.Stripes = runtime.GOMAXPROCS(0) / 2
-	}
-	if cfg.Stripes < 1 {
-		cfg.Stripes = 1
-	} else if cfg.Stripes > 8 {
-		cfg.Stripes = 8
-	}
 	if cfg.Transport == nil {
 		cfg.Transport = TCPTransport{}
 	}
@@ -281,9 +260,6 @@ func With(cfg Config) Option {
 		if cfg.BulkThreshold != 0 {
 			c.BulkThreshold = cfg.BulkThreshold
 		}
-		if cfg.Stripes != 0 {
-			c.Stripes = cfg.Stripes
-		}
 		if cfg.Transport != nil {
 			c.Transport = cfg.Transport
 		}
@@ -310,9 +286,6 @@ func WithTransport(t Transport) Option { return func(c *Config) { c.Transport = 
 
 // WithBulkThreshold sets the bulk hand-off threshold in bytes.
 func WithBulkThreshold(n int) Option { return func(c *Config) { c.BulkThreshold = n } }
-
-// WithStripes sets the number of connections dialled per peer address.
-func WithStripes(n int) Option { return func(c *Config) { c.Stripes = n } }
 
 // WithStateFile makes the server durable: its session/lease table and
 // labeled exports persist to path, and a restart against the same path
@@ -346,10 +319,8 @@ type Server struct {
 	nextKey   uint64
 	nextEpoch uint64
 	roots     map[string]*core.Object
-	conns     map[string]*stripeSet  // dialled stripe sets, pooled by address
-	allConns  map[*conn]struct{}     // every live connection, for teardown
-	dialing   map[string]*dialFlight // singleflight: one dial/heal per address
-	sessions  map[uint64]*session    // peer instance → lease session
+	allConns  map[*conn]struct{}  // every live connection, for teardown
+	sessions  map[uint64]*session // peer instance → lease session
 	peers     map[string]*peerState
 	closed    bool
 
@@ -361,11 +332,9 @@ type Server struct {
 	pendingLabels map[uint64]string
 	stateDirty    bool
 
-	// connCache mirrors conns for the lock-free forward fast path; it is
-	// maintained under mu at every conns mutation and may only lag by
-	// holding a stripe set with dead conns (pick skips them) or missing
-	// one.
-	connCache sync.Map
+	// links holds the dialled connections, one *link per peer address
+	// (link.go); the forward fast path reads it without taking mu.
+	links sync.Map
 
 	// inflight is the server-wide admission counter against
 	// cfg.Dispatch.MaxInflight: calls admitted and not yet replied to.
@@ -373,108 +342,6 @@ type Server struct {
 
 	stop chan struct{}
 	wg   sync.WaitGroup
-}
-
-// dialFlight is one in-progress dial (or stripe-set heal) that concurrent
-// callers for the same address wait on instead of dialling themselves
-// (and instead of each reporting a spurious outcome to the circuit
-// breaker).
-type dialFlight struct {
-	done chan struct{} // closed once ss/err are set
-	ss   *stripeSet
-	err  error
-}
-
-// stripeSet is the dialled connection group for one peer address (E21).
-// The live slice is copy-on-write: heals publish a new slice, connClosed
-// removes dead members, and readers route lock-free through pick. When
-// more than one stripe is live the last is the dedicated bulk stripe;
-// positions do not persist across heals. All members share the peer's
-// one hello-derived session.
-type stripeSet struct {
-	addr string
-	want int // Config.Stripes at creation
-
-	// conns is the published live-stripe slice; mutations happen under
-	// Server.mu, loads are lock-free.
-	conns atomic.Pointer[[]*conn]
-	// degraded marks the set as missing stripes; the next forward that
-	// reaches the slow path heals it. healAt rate-limits heal attempts
-	// that could not complete the set (unix nanos before which healing
-	// is suppressed and the live remainder serves alone).
-	degraded atomic.Bool
-	healAt   atomic.Int64
-	// counted is the number of stripes reflected in the netd.stripes_live
-	// gauge for this set; guarded by Server.mu. It can transiently
-	// overcount by a stripe that died in the instant between dialling
-	// and publication — the next heal recomputes it.
-	counted int
-}
-
-// live returns the current published stripe slice (possibly containing
-// conns that died since publication; pick skips those).
-func (ss *stripeSet) live() []*conn {
-	if p := ss.conns.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// pick routes one call to a stripe: bulk payloads go to the dedicated
-// last stripe, small calls spread over the rest by a per-goroutine hash —
-// so concurrent callers fan out across sockets while one goroutine's
-// pipelined calls stay FIFO on one stripe. Dead stripes are skipped by
-// linear probe; nil means no live stripe remains.
-func (ss *stripeSet) pick(bulk bool) *conn {
-	conns := ss.live()
-	n := len(conns)
-	if n == 0 {
-		return nil
-	}
-	var i int
-	switch {
-	case n == 1:
-		// A lone stripe carries everything (Stripes=1, or a degraded set
-		// down to its last conn).
-	case bulk:
-		i = n - 1
-	default:
-		i = int(goroutineHint() % uint64(n-1))
-	}
-	for j := 0; j < n; j++ {
-		if c := conns[(i+j)%n]; !c.isDead() {
-			return c
-		}
-	}
-	return nil
-}
-
-// remove drops c from the published slice, reporting whether it was
-// present. Callers hold Server.mu.
-func (ss *stripeSet) remove(c *conn) bool {
-	cur := ss.live()
-	for i, cc := range cur {
-		if cc == c {
-			next := make([]*conn, 0, len(cur)-1)
-			next = append(next, cur[:i]...)
-			next = append(next, cur[i+1:]...)
-			ss.conns.Store(&next)
-			return true
-		}
-	}
-	return false
-}
-
-// goroutineHint derives a cheap per-goroutine routing value from the
-// address of a stack local: goroutine stacks are disjoint, so concurrent
-// callers spread across stripes, while one goroutine's pipelined calls
-// tend to stay on one stripe (a stack move can migrate it; correctness
-// does not depend on stability — request ids are per-conn).
-func goroutineHint() uint64 {
-	var x byte
-	h := uint64(uintptr(unsafe.Pointer(&x)))
-	h *= 0x9E3779B97F4A7C15 // fibonacci mix: stack addresses share low bits
-	return h >> 33
 }
 
 // Start launches a network door server for dom's kernel, listening on
@@ -511,9 +378,7 @@ func Start(dom *kernel.Domain, listenAddr string, opts ...Option) (*Server, erro
 		byDoor:    make(map[uint64]uint64),
 		nextKey:   1,
 		roots:     make(map[string]*core.Object),
-		conns:     make(map[string]*stripeSet),
 		allConns:  make(map[*conn]struct{}),
-		dialing:   make(map[string]*dialFlight),
 		sessions:  make(map[uint64]*session),
 		peers:     make(map[string]*peerState),
 		stop:      make(chan struct{}),
@@ -578,17 +443,8 @@ func (s *Server) shutdown() error {
 		gReleasesQueued.Add(int64(-len(p.queue)))
 		p.queue = nil
 	}
-	for _, ss := range s.conns {
-		gStripes.Add(int64(-ss.counted))
-		ss.counted = 0
-	}
-	s.conns = make(map[string]*stripeSet)
 	s.allConns = make(map[*conn]struct{})
 	s.sessions = make(map[uint64]*session)
-	s.connCache.Range(func(k, _ any) bool {
-		s.connCache.Delete(k)
-		return true
-	})
 	s.mu.Unlock()
 
 	close(s.stop)
@@ -815,10 +671,7 @@ func (s *Server) release(desc descriptor, p *peerState, epoch uint64, count int)
 		s.mu.Unlock()
 		return
 	}
-	var c *conn
-	if ss, ok := s.conns[desc.Addr]; ok {
-		c = ss.pick(false) // any live stripe will do for a release
-	}
+	c := s.liveConn(desc.Addr) // either connection will do for a release
 	if c == nil {
 		s.queueReleaseLocked(p, desc.Key, count)
 		s.mu.Unlock()
@@ -917,9 +770,13 @@ func (s *Server) forwardInfo(desc descriptor, p *peerState, epoch uint64, req *b
 		return nil, fmt.Errorf("%w: proxy door to %s: %w", kernel.ErrCommFailure, desc.Addr, ErrLeaseExpired)
 	}
 	// Bulk steering happens at routing, by payload size alone: even
-	// without a region tier, isolating large frames on their own stripe
-	// is what keeps them from head-of-line blocking small calls.
-	c, err := s.getConn(desc.Addr, req.Size() >= s.cfg.BulkThreshold)
+	// without a region tier, isolating large frames on their own
+	// connection is what keeps them from head-of-line blocking small calls.
+	r := roleCall
+	if req.Size() >= s.cfg.BulkThreshold {
+		r = roleBulk
+	}
+	c, err := s.getConn(desc.Addr, r)
 	if err != nil {
 		return nil, err
 	}
@@ -1008,206 +865,6 @@ func (s *Server) decodeReply(reply *buffer.Buffer, desc descriptor) error {
 	}
 }
 
-// getConn returns a live connection to addr — the stripe pick() chose
-// for this caller — establishing the stripe set (with its session
-// handshakes) if needed. The steady-state lookup is one sync.Map load
-// plus the routing arithmetic — no lock, no contention with other
-// callers or the liveness sweeper. bulk steers the call to the dedicated
-// bulk stripe when the set has one.
-func (s *Server) getConn(addr string, bulk bool) (*conn, error) {
-	if v, ok := s.connCache.Load(addr); ok {
-		ss := v.(*stripeSet)
-		if c := ss.pick(bulk); c != nil {
-			// A degraded set whose heal is due goes to the slow path even
-			// though a live stripe could serve; while heals are
-			// suppressed (healAt), the live remainder serves alone.
-			if !ss.degraded.Load() || time.Now().UnixNano() < ss.healAt.Load() {
-				return c, nil
-			}
-		}
-	}
-	return s.getConnSlow(addr, bulk)
-}
-
-// getConnSlow establishes (or waits for) the stripe set to addr, healing
-// a degraded one by dialling only its missing stripes. Fully dead sets
-// are pruned so the next call redials cold; dials are admitted by the
-// per-address circuit breaker; and concurrent cold calls to one address
-// share a single flight (singleflight) instead of stampeding — one
-// flight's outcome is reported to the breaker exactly once, however many
-// stripes it dialled.
-func (s *Server) getConnSlow(addr string, bulk bool) (*conn, error) {
-	for attempt := 0; ; attempt++ {
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return nil, ErrClosed
-		}
-		var heal *stripeSet
-		if ss, ok := s.conns[addr]; ok {
-			healDue := ss.degraded.Load() && time.Now().UnixNano() >= ss.healAt.Load()
-			if c := ss.pick(bulk); c != nil && !healDue {
-				s.mu.Unlock()
-				return c, nil
-			}
-			alive := 0
-			for _, lc := range ss.live() {
-				if !lc.isDead() {
-					alive++
-				}
-			}
-			if alive == 0 {
-				// The whole set is dead: prune it so the address redials
-				// cold below, through the breaker like any first dial.
-				delete(s.conns, addr)
-				s.connCache.Delete(addr)
-				gStripes.Add(int64(-ss.counted))
-				ss.counted = 0
-			} else {
-				heal = ss // dial only the missing stripes
-			}
-		}
-		if f, ok := s.dialing[addr]; ok {
-			s.mu.Unlock()
-			select {
-			case <-f.done:
-			case <-s.stop:
-				return nil, ErrClosed
-			}
-			if f.err != nil {
-				return nil, f.err
-			}
-			if c := f.ss.pick(bulk); c != nil {
-				return c, nil
-			}
-			if attempt >= 1 {
-				return nil, commErr("connection to %s lost", addr)
-			}
-			continue // the shared flight's conns died already; try once more
-		}
-		p := s.peerLocked(addr)
-		if heal == nil && !s.breakerAdmitLocked(p, time.Now()) {
-			// Heals skip breaker admission: a live stripe proves the peer
-			// is reachable, and the flight still reports its outcome.
-			until := time.Until(p.openUntil).Round(time.Millisecond)
-			s.mu.Unlock()
-			return nil, fmt.Errorf("%w: %s: %w (next probe in %v)", kernel.ErrCommFailure, addr, ErrBreakerOpen, until)
-		}
-		f := &dialFlight{done: make(chan struct{})}
-		s.dialing[addr] = f
-		s.mu.Unlock()
-
-		ss, err := s.healStripes(addr, heal)
-		s.mu.Lock()
-		delete(s.dialing, addr)
-		p = s.peerLocked(addr)
-		if err != nil {
-			s.breakerFailLocked(p)
-		} else {
-			s.breakerOKLocked(p)
-			if s.closed {
-				err = ErrClosed
-			}
-		}
-		f.ss, f.err = ss, err
-		s.mu.Unlock()
-		close(f.done)
-		if err != nil {
-			return nil, err
-		}
-		if c := ss.pick(bulk); c != nil {
-			return c, nil
-		}
-		return nil, commErr("connection to %s lost", addr)
-	}
-}
-
-// healStripes brings addr's stripe set to its configured width, dialling
-// the missing stripes in parallel (all of them, for a cold address) and
-// publishing the result under s.mu. It fails only when no live stripe
-// remains at all; a partial heal publishes what it got, marks the set
-// degraded and suppresses re-heals for a breaker-backoff period so an
-// address that can only sustain some stripes is not re-dialled per call.
-func (s *Server) healStripes(addr string, ss *stripeSet) (*stripeSet, error) {
-	want := s.cfg.Stripes
-	if ss == nil {
-		ss = &stripeSet{addr: addr, want: want}
-	}
-	keep := make([]*conn, 0, want)
-	for _, c := range ss.live() {
-		if !c.isDead() {
-			keep = append(keep, c)
-		}
-	}
-	need := want - len(keep)
-	dialed := make([]*conn, need)
-	errs := make([]error, need)
-	if need > 0 {
-		var wg sync.WaitGroup
-		for i := 0; i < need; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				dialed[i], errs[i] = s.dialAndHello(addr)
-			}(i)
-		}
-		wg.Wait()
-	}
-	next := keep
-	var firstErr error
-	for i, c := range dialed {
-		if errs[i] != nil {
-			if firstErr == nil {
-				firstErr = errs[i]
-			}
-			continue
-		}
-		next = append(next, c)
-	}
-	if len(next) == 0 {
-		if firstErr == nil {
-			firstErr = commErr("connection to %s lost", addr)
-		}
-		return nil, firstErr
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		for _, c := range dialed {
-			if c != nil {
-				c.fail(ErrClosed)
-			}
-		}
-		return nil, ErrClosed
-	}
-	// Re-filter at publication: a stripe can die during a sibling's dial,
-	// and its connClosed could not remove it (it was not published yet).
-	live := next[:0]
-	for _, c := range next {
-		if !c.isDead() {
-			live = append(live, c)
-		}
-	}
-	published := append([]*conn(nil), live...)
-	ss.conns.Store(&published)
-	gStripes.Add(int64(len(published) - ss.counted))
-	ss.counted = len(published)
-	if len(published) < want {
-		ss.degraded.Store(true)
-		ss.healAt.Store(time.Now().Add(s.cfg.BreakerBackoff).UnixNano())
-	} else {
-		ss.degraded.Store(false)
-		ss.healAt.Store(0)
-	}
-	s.conns[addr] = ss
-	s.connCache.Store(addr, ss)
-	s.mu.Unlock()
-	if len(published) == 0 {
-		return nil, commErr("connection to %s lost", addr)
-	}
-	return ss, nil
-}
-
 // dialAndHello dials addr (bounded by DialTimeout), starts the read
 // loop, and completes the session handshake: our hello goes out first,
 // and the connection is not usable until the peer's hello arrives.
@@ -1216,19 +873,23 @@ func (s *Server) dialAndHello(addr string) (*conn, error) {
 	if err != nil {
 		return nil, commErr("dial %s: %v", addr, err)
 	}
-	c := s.newConn(netc)
+	// The connection's goroutines join s.wg under s.mu while the server is
+	// still open: shutdown sets closed under the same lock before it Waits,
+	// so a dial that lands after Close never Adds to a WaitGroup whose Wait
+	// may already have returned.
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		c.fail(ErrClosed)
+		_ = netc.Close()
 		return nil, ErrClosed
 	}
+	c := s.newConn(netc)
 	s.allConns[c] = struct{}{}
 	epoch := s.nextEpoch
 	s.nextEpoch++
+	s.wg.Add(1)
 	s.mu.Unlock()
 	gConns.Add(1)
-	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		s.serveConn(c, addr)
@@ -1709,7 +1370,7 @@ func (s *Server) handleRoot(c *conn, reqID uint64, name string) {
 // ImportRootObject fetches the named root object from the server at addr
 // and unmarshals it into env (which must belong to this server's kernel).
 func (s *Server) ImportRootObject(env *core.Env, addr, name string, expected *core.MTable) (*core.Object, error) {
-	c, err := s.getConn(addr, false)
+	c, err := s.getConn(addr, roleCall)
 	if err != nil {
 		return nil, err
 	}

@@ -293,9 +293,7 @@ func TestColdDialSingleflight(t *testing.T) {
 	// call finds the address cold.
 	fn.CloseAll()
 	waitFor(t, 2*time.Second, "dead conn pruned", func() bool {
-		b.srv.mu.Lock()
-		defer b.srv.mu.Unlock()
-		return len(b.srv.conns) == 0
+		return b.srv.liveConn(a.srv.Addr()) == nil
 	})
 	dials.Store(0)
 

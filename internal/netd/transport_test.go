@@ -190,7 +190,9 @@ func TestFaultnetKillDuringBulkHandoffReclaimsRegion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := echoBytes(remote, []byte("warm")); err != nil {
+	// Warm the bulk connection: the truncation must land on the hand-off's
+	// frame, not on the hello of a first dial.
+	if err := echoBytes(remote, bigPayload(64<<10)); err != nil {
 		t.Fatal(err)
 	}
 
