@@ -62,18 +62,23 @@ bench:
 		-o BENCH_dispatch.json < /tmp/bench_dispatch.out
 
 # One-iteration smoke: the benchmarks still compile and run. Then the E24
-# guards of the file data path and the E25 guards of the durable write
-# path, without the race detector (under it the allocation guards skip and
-# the timing ones mean nothing): a served 64 KiB read or write allocates
-# nothing, a borrowed argument is not retained, a file grown by appends is
-# never copied; a served durable write allocates nothing, commit included,
+# guards of the file data path, the E25 guards of the durable write path
+# and the E27 guards of the reply path and the buffer pool, without the
+# race detector (under it the allocation guards skip and the timing ones
+# mean nothing): a served 64 KiB read or write allocates nothing, a
+# borrowed argument is not retained, a file grown by appends is never
+# copied; a served durable write allocates nothing, commit included,
 # sixteen blocked remote writers share fsyncs eight or more at a time, a
-# lone one does not wait for company — so a copy, an allocation, a pool or
-# a timer creeping back in fails tier2.
+# lone one does not wait for company; the reply buffer is the reply frame,
+# a payload-sized frame leaves uncopied, a 64 KiB read between 1 KiB reads
+# of the same file and of another allocates nothing, sixteen 64 KiB frames
+# in flight leave at most eighteen payload-sized arrays, a growing buffer
+# and a bytes result borrow an idle one — so a
+# copy, an allocation, a pool or a timer creeping back in fails tier2.
 bench-quick:
 	go test -run NONE -bench 'E15|E16|E17|E18|E19|E20|E21_MixedHoL|E22' -benchtime 1x .
-	go test -count=1 -run 'TestServedReadWriteAllocs|TestBorrowedBytesNotRetained|TestSequentialGrowthCopiesLinear|TestDurableWriteAllocs|TestGroupCommitGroups|TestLoneDurableWriteDoesNotLinger' \
-		./internal/netd/ ./internal/filesys/
+	go test -count=1 -run 'TestServedReadWriteAllocs|TestServedMixedReadAllocs|TestReplyIsFrame|TestLargeFrameBypassesBatch|TestBorrowedBytesNotRetained|TestSequentialGrowthCopiesLinear|TestDurableWriteAllocs|TestGroupCommitGroups|TestLoneDurableWriteDoesNotLinger|TestSmallCallsDoNotPinLargeArrays|TestGrowthBorrowsIdleLarge|TestReserveBorrowsIdleLarge|TestGrowthRearmsFromStoragePool|TestSameMachineReadReusesPayloadArrays|TestFramePrependAllocs' \
+		./internal/netd/ ./internal/filesys/ ./internal/buffer/
 
 # The two-process benchmark (BENCHMARK.json, benchmark/) is a module of
 # its own, so tier1's ./... never reaches it: run its arithmetic tests

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/buffer"
 	"repro/internal/netd"
 )
 
@@ -19,9 +20,12 @@ import (
 // client that shares one connection.
 //
 // Reported: ns/op and calls/s of the small callers, p99-ns (their tail
-// latency while the bulk callers saturate the same peer) and bulk/s — the
+// latency while the bulk callers saturate the same peer), bulk/s — the
 // bulk callers' own rate, because a small-call rate alone cannot tell
-// isolation from CPU taken away from the bulk class.
+// isolation from CPU taken away from the bulk class — and large-allocs/op,
+// the payload-sized buffer arrays both machines allocated per small call:
+// zero once as many exist as the bulk callers keep in flight, whatever the
+// small calls between them draw (DESIGN §14).
 
 // E21MixedHoL measures small-call throughput and tail latency under bulk
 // interference: two background callers stream 64 KiB echoes at the peer
@@ -71,7 +75,7 @@ func E21MixedHoL(shared bool) func(*testing.B) {
 		lats := make([][]int64, smallCallers)
 		b.ReportAllocs()
 		b.ResetTimer()
-		bulk0 := bulkDone.Load()
+		bulk0, large0 := bulkDone.Load(), buffer.Stats().LargeAllocs
 		var wg sync.WaitGroup
 		per, rem := b.N/smallCallers, b.N%smallCallers
 		for g := 0; g < smallCallers; g++ {
@@ -99,7 +103,7 @@ func E21MixedHoL(shared bool) func(*testing.B) {
 		}
 		wg.Wait()
 		b.StopTimer()
-		bulkCalls := bulkDone.Load() - bulk0
+		bulkCalls, largeAllocs := bulkDone.Load()-bulk0, buffer.Stats().LargeAllocs-large0
 		close(stop)
 		bg.Wait()
 		if err := failed.Load(); err != nil {
@@ -117,5 +121,6 @@ func E21MixedHoL(shared bool) func(*testing.B) {
 			b.ReportMetric(float64(b.N)/secs, "calls/s")
 			b.ReportMetric(float64(bulkCalls)/secs, "bulk/s")
 		}
+		b.ReportMetric(float64(largeAllocs)/float64(b.N), "large-allocs/op")
 	}
 }

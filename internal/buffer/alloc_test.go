@@ -39,23 +39,29 @@ func TestGetRoundsCapacity(t *testing.T) {
 	// Frames carrying the same 64 KiB payload differ by a few bytes of
 	// varint from one offset to the next. With exact capacities a buffer
 	// sized by the shorter frame was a miss for the longer one, and the
-	// pool kept re-making 64 KiB buffers for sixteen frames in flight.
-	const frame = 64<<10 + 25 // a write's frame at offset 0; two bytes longer from offset 16384 on
-	short, long := roundCap(frame), roundCap(frame+2)
-	if short < frame+2 || short%roundTo != 0 || long != short {
-		t.Fatalf("hints of %d and %d allocate capacities %d and %d, want the same multiple of %d", frame, frame+2, short, long, roundTo)
+	// pool kept re-making 64 KiB buffers for sixteen frames in flight. The
+	// same holds for an 8 KiB BulkThreshold payload in the small class.
+	arrayFor := func(hint int) int {
+		var b Buffer
+		b.alloc(hint)
+		if !b.headed() || cap(b.data) < hint {
+			t.Fatalf("alloc(%d): headed %v, capacity %d", hint, b.headed(), cap(b.data))
+		}
+		return cap(b.front)
 	}
-	if got := roundCap(roundFrom); got != roundFrom {
-		t.Fatalf("a hint of %d allocates capacity %d: small buffers are not rounded", roundFrom, got)
+	for _, frame := range []int{64<<10 + 25, 8<<10 + 25} { // a write's frame at offset 0; two bytes longer from offset 16384 on
+		if short, long := arrayFor(frame), arrayFor(frame+2); short != long || short%roundTo != 0 {
+			t.Errorf("hints of %d and %d have arrays of %d and %d bytes, want the same multiple of %d", frame, frame+2, short, long, roundTo)
+		}
+	}
+	if got := arrayFor(roundFrom - headroom); got != roundFrom {
+		t.Errorf("an array of %d bytes is rounded to %d: small buffers are exact", roundFrom, got)
 	}
 	b := Get(1 << 20) // larger than anything the suite has pooled, so freshly allocated
 	defer Put(b)
-	if got := cap(b.Bytes()); got != roundCap(1<<20) || got != 1<<20 {
-		t.Fatalf("Get(1 MiB) has capacity %d", got)
-	}
 	b2 := Get(1<<20 + 3)
 	defer Put(b2)
-	if got := cap(b2.Bytes()); got != 1<<20+roundTo {
-		t.Fatalf("Get(1 MiB + 3) has capacity %d, want %d", got, 1<<20+roundTo)
+	if got, got2 := cap(b.Bytes()), cap(b2.Bytes()); got != 1<<20+roundTo-headroom || got2 != got {
+		t.Errorf("Get(1 MiB) and Get(1 MiB + 3) have capacities %d and %d, want the next multiple of %d less the headroom", got, got2, roundTo)
 	}
 }

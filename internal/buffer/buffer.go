@@ -65,6 +65,11 @@ type Buffer struct {
 	// both.
 	region *Region
 	store  []byte
+	// front is the pooled array from its first byte: Get starts the stream
+	// headroom bytes into it, the room Prepend extends the stream over. An
+	// append or a re-arm from the storage pool moves the stream elsewhere
+	// and leaves front behind; headed tells.
+	front []byte
 	// home is how the buffer was obtained: the pool that handed it out
 	// and that Put returns it to. Nil for a buffer no pool handed out
 	// (New, FromParts, the zero value) and for one already returned.
@@ -77,11 +82,32 @@ func New(n int) *Buffer {
 	return &Buffer{data: make([]byte, 0, n)}
 }
 
-// pool recycles Buffers for the marshal and frame paths (netd frame
-// assembly and frame reads, skeleton replies, stub arguments). Capacity
-// and the door slice are retained across uses, so a steady-state small
-// call allocates nothing.
-var pool sync.Pool
+// pool and largePool recycle Buffers for the marshal and frame paths (netd
+// frames, skeleton replies, stub arguments) in two size classes. Capacity
+// and the door slice are retained across uses, so a steady-state call
+// allocates nothing. Put files a buffer by the capacity it has, Get(n)
+// draws from the class of n, and a buffer that must cross from small to
+// large takes over an idle large buffer's array (grow, ReserveBytes): a
+// payload-sized array is allocated only when none is idle, and the small
+// calls after a large one never draw, so never pin, its array. home is
+// &pool for both.
+var pool, largePool sync.Pool
+
+// largeClass is the array size from which a buffer is in the large class.
+// Recorded frames below it: the 30-byte null call, 1 KiB reads and writes
+// (≈ 1.1 KiB), root imports, stat replies, an 8 KiB BulkThreshold payload;
+// above it: the 64 KiB read and write frames (65 561 bytes, a 72 KiB
+// array). It is the allocator's boundary too: from 32 KiB an array is a
+// page run of its own, not a slot in a size-classed span.
+const largeClass = 32 << 10
+
+// headroom is what Get leaves free in front of the stream: room for the
+// header netd prepends to turn a reply buffer into the reply frame (14
+// bytes; 16 keeps the stream aligned).
+const headroom = 16
+
+// isLarge reports whether a stream capacity of n belongs to the large class.
+func isLarge(n int) bool { return n+headroom >= largeClass }
 
 // maxPooledCap bounds the byte capacity a pooled buffer may retain; the
 // storage of one grown past it (one giant frame) is dropped to the
@@ -89,65 +115,69 @@ var pool sync.Pool
 const maxPooledCap = 256 << 10
 
 // ledger counts the pool's traffic. Gets and puts balance when every
-// buffer drawn is handed back; misses are the Gets that had to allocate
-// (a fresh struct, fresh storage, or both); drops are Puts of buffers
-// the pool never handed out, or handed out and already took back.
+// buffer drawn is handed back (an exchange of storage with an idle buffer
+// is neither); misses are the Gets that had to allocate (a fresh struct,
+// fresh storage, or both); drops are Puts of buffers the pool never handed
+// out, or handed out and already took back; largeAllocs are the large-class
+// arrays allocated — by the pool, or by a producer whose result outgrew
+// ReserveBytes' tail — flat once as many exist as are ever in use at once.
 var ledger struct {
-	gets, misses, puts, drops atomic.Int64
+	gets, misses, puts, drops, largeAllocs atomic.Int64
 }
 
 // Ledger is a snapshot of the pool's counters since process start.
 type Ledger struct {
-	Gets   int64 `json:"gets"`
-	Misses int64 `json:"misses"`
-	Puts   int64 `json:"puts"`
-	Drops  int64 `json:"drops"`
+	Gets        int64 `json:"gets"`
+	Misses      int64 `json:"misses"`
+	Puts        int64 `json:"puts"`
+	Drops       int64 `json:"drops"`
+	LargeAllocs int64 `json:"large_allocs"`
 }
 
 // Sub returns the traffic between an earlier snapshot and l.
 func (l Ledger) Sub(earlier Ledger) Ledger {
 	return Ledger{
-		Gets:   l.Gets - earlier.Gets,
-		Misses: l.Misses - earlier.Misses,
-		Puts:   l.Puts - earlier.Puts,
-		Drops:  l.Drops - earlier.Drops,
+		Gets:        l.Gets - earlier.Gets,
+		Misses:      l.Misses - earlier.Misses,
+		Puts:        l.Puts - earlier.Puts,
+		Drops:       l.Drops - earlier.Drops,
+		LargeAllocs: l.LargeAllocs - earlier.LargeAllocs,
 	}
 }
 
 // Stats returns the pool's ledger.
 func Stats() Ledger {
 	return Ledger{
-		Gets:   ledger.gets.Load(),
-		Misses: ledger.misses.Load(),
-		Puts:   ledger.puts.Load(),
-		Drops:  ledger.drops.Load(),
+		Gets:        ledger.gets.Load(),
+		Misses:      ledger.misses.Load(),
+		Puts:        ledger.puts.Load(),
+		Drops:       ledger.drops.Load(),
+		LargeAllocs: ledger.largeAllocs.Load(),
 	}
 }
 
-// Get returns an empty buffer from the process-wide pool, grown to at
-// least capacity hint n. Release it with Put when its contents are dead.
-// A buffer whose pooled capacity is too small is re-armed from the
-// storage pool (see Recycle) before falling back to a fresh allocation,
-// so detached payload arrays circulate back into the marshal paths. A
-// fresh allocation past roundFrom is rounded up to a multiple of roundTo:
-// hints sized to frames that carry the same payload differ by a few bytes
-// (a 64 KiB write at offset 0 is two varint bytes shorter than one at
-// offset 16384), and exact capacities made each a miss for the other.
+// Get returns an empty buffer from the process-wide pool, drawn from the
+// size class of n — the hint says what the buffer will hold, not what it
+// holds at first — with capacity at least n. Release it with Put when its
+// contents are dead. A buffer whose pooled capacity is too small is
+// re-armed from the storage pool (see Recycle) before falling back to a
+// fresh allocation, here and when it grows, so detached payload arrays
+// circulate back.
 func Get(n int) *Buffer {
 	ledger.gets.Add(1)
-	b, _ := pool.Get().(*Buffer)
+	p := &pool
+	if isLarge(n) {
+		p = &largePool
+	}
+	b, _ := p.Get().(*Buffer)
 	fresh := b == nil
 	if fresh {
 		b = &Buffer{}
 	}
 	b.home = &pool
-	if cap(b.data) < n {
-		if s := getStorage(n); s != nil {
-			b.data = s
-		} else {
-			b.data = make([]byte, 0, roundCap(n))
-			fresh = true
-		}
+	if cap(b.data) < n && !b.rearm(n) {
+		b.alloc(n)
+		fresh = true
 	}
 	if fresh {
 		ledger.misses.Add(1)
@@ -155,19 +185,85 @@ func Get(n int) *Buffer {
 	return b
 }
 
-// Get's capacity rounding. The allocator hands out whole 8 KiB pages past
-// 32 KiB anyway, so the rounding mostly claims bytes already paid for.
+// alloc moves the stream to a fresh array of its own: the headroom, then
+// room for n bytes. An array past roundFrom is rounded up to a multiple of
+// roundTo (8 KiB pages, which the allocator hands out whole from 32 KiB
+// anyway): frames carrying the same payload differ by a few bytes (a 64 KiB
+// write at offset 0 is two varint bytes shorter than one at offset 16384),
+// and exact capacities made each a miss for the other.
+func (b *Buffer) alloc(n int) {
+	total := headroom + n
+	if total > roundFrom {
+		total = (total + roundTo - 1) / roundTo * roundTo
+	}
+	if total >= largeClass {
+		ledger.largeAllocs.Add(1)
+	}
+	front := make([]byte, headroom+len(b.data), total)
+	copy(front[headroom:], b.data)
+	b.front, b.data = front[:0], front[headroom:]
+}
+
 const (
 	roundFrom = 4 << 10
 	roundTo   = 8 << 10
 )
 
-// roundCap is the capacity Get allocates for a hint of n.
-func roundCap(n int) int {
-	if n <= roundFrom {
-		return n
+// headed reports whether the stream still begins headroom bytes into front.
+func (b *Buffer) headed() bool {
+	return cap(b.front) > headroom && cap(b.data) > 0 && &b.front[:headroom+1][headroom] == &b.data[:1][0]
+}
+
+// pooled reports whether the stream lies on an array the process pool may
+// exchange: not a foreign, narrowed or region-backed one.
+func (b *Buffer) pooled() bool { return b.home == &pool && b.store == nil && b.region == nil }
+
+// grow makes room for n more bytes at a write that knows n. A foreign,
+// narrowed or region-backed stream grows as append would; a pooled one
+// keeps its headroom, and one crossing from the small class into the large
+// takes over an idle large buffer's array before it allocates another.
+func (b *Buffer) grow(n int) {
+	if !b.pooled() {
+		b.data = slices.Grow(b.data, n)
+		return
 	}
-	return (n + roundTo - 1) / roundTo * roundTo
+	need := len(b.data) + n
+	if isLarge(need) && !isLarge(cap(b.data)) && b.swapLarge(need) {
+		return
+	}
+	if !b.rearm(need) {
+		b.alloc(max(need, 2*cap(b.data)))
+	}
+}
+
+// swapLarge moves the stream onto the array of an idle large buffer with
+// room for need bytes and reports whether there was one. The idle buffer
+// goes to the small class with the array the stream was on: the ledger does
+// not move and no array is allocated or dropped.
+func (b *Buffer) swapLarge(need int) bool {
+	l, _ := largePool.Get().(*Buffer)
+	if l == nil {
+		return false
+	}
+	if cap(l.data) < need {
+		largePool.Put(l)
+		return false
+	}
+	b.exchange(l)
+	pool.Put(l)
+	return true
+}
+
+// exchange swaps arrays with o, which is empty and has room for the stream,
+// carrying the stream across.
+func (b *Buffer) exchange(o *Buffer) {
+	n := len(b.data)
+	copy(o.data[:n], b.data)
+	if poison.Load() {
+		fill(b.data[:cap(b.data)])
+	}
+	b.data, o.data = o.data[:n], b.data[:0]
+	b.front, o.front = o.front, b.front
 }
 
 // storagePool recycles bare byte arrays: the payload storage behind
@@ -191,6 +287,22 @@ func getStorage(n int) []byte {
 	return s
 }
 
+// rearm moves the stream onto an array from the storage pool with room for n
+// bytes and reports whether there was one. Those are payload arrays: a
+// request too small for alloc to round leaves them alone. front stays with
+// the array the buffer had, which Detach goes back to.
+func (b *Buffer) rearm(n int) bool {
+	if n <= roundFrom {
+		return false
+	}
+	s := getStorage(n)
+	if s == nil {
+		return false
+	}
+	b.data = append(s, b.data...)
+	return true
+}
+
 // Recycle returns a detached payload array to the storage pool. The
 // caller must own p outright — no buffer, region or reader may alias it
 // afterwards. Oversized arrays are dropped, mirroring Put.
@@ -211,7 +323,8 @@ func Recycle(p []byte) {
 // kernel.ReleaseBufferDoors). What happens next follows from how b was
 // obtained, not from which call site holds it: a region it adopted goes
 // back to the region's owner, a pooled buffer is reset and returned to the
-// pool that handed it out with its whole storage, and everything else —
+// pool that handed it out with its whole storage — the process pool files
+// it in the size class of the capacity it has now — and everything else —
 // New, FromParts, the zero value, a buffer Put twice, nil — is left to the
 // collector untouched, so storage the pool does not own can never enter
 // it.
@@ -229,8 +342,16 @@ func Put(b *Buffer) {
 	b.Reset()
 	if h == &pool {
 		ledger.puts.Add(1)
-		if cap(b.data) > maxPooledCap {
-			b.data = nil
+		switch {
+		case cap(b.data) > maxPooledCap:
+			b.data, b.front = nil, nil
+		case !b.headed() && cap(b.data) > headroom:
+			// An append (or a re-arm from the storage pool) left the
+			// stream on an array without headroom: give it one.
+			b.front, b.data = b.data, b.data[headroom:headroom]
+		}
+		if isLarge(cap(b.data)) {
+			h = &largePool
 		}
 	}
 	if poison.Load() {
@@ -378,7 +499,7 @@ func (b *Buffer) WriteString(s string) (int, error) {
 // WriteBytes appends a length-prefixed byte sequence.
 func (b *Buffer) WriteBytes(p []byte) {
 	b.WriteUvarint(uint64(len(p)))
-	b.data = append(b.data, p...)
+	b.WriteRaw(p)
 }
 
 // bytesPrefixLen is the width of the length prefix ReserveBytes leaves room
@@ -390,11 +511,22 @@ const bytesPrefixLen = 5
 // rather than copied in: it makes room for the prefix and returns the empty
 // tail of the storage behind it for the producer to append to. The stream
 // is unchanged until CommitBytes, so a producer that fails simply leaves;
-// nothing may be written to the buffer in between.
+// nothing may be written to the buffer in between. The buffer cannot see
+// how much the producer will append, so a small pooled one moves onto an
+// idle large array while there is one (or a recycled payload array): a
+// payload then lands in place, and CommitBytes hands the array back at once
+// if the result turned out small.
 func (b *Buffer) ReserveBytes() []byte {
+	if b.pooled() && !isLarge(cap(b.data)) && !b.swapLarge(len(b.data)+bytesPrefixLen) {
+		b.rearm(roundFrom + 1) // any payload array
+	}
+	return b.reserve()
+}
+
+func (b *Buffer) reserve() []byte {
 	body := len(b.data) + bytesPrefixLen
 	if cap(b.data) < body {
-		b.data = slices.Grow(b.data, bytesPrefixLen)
+		b.grow(bytesPrefixLen)
 	}
 	return b.data[body:body:cap(b.data)]
 }
@@ -402,16 +534,23 @@ func (b *Buffer) ReserveBytes() []byte {
 // CommitBytes ends the sequence ReserveBytes started with p, whatever the
 // producer returned, as its content: appended within the reserved tail, p
 // is adopted where it lies; grown onto an array of its own, or unrelated to
-// the tail, it is copied in. Then the prefix is patched to len(p).
+// the tail, it is copied in. Then the prefix is patched to len(p). The
+// caller is done with p: the array under it may be another buffer's next.
 func (b *Buffer) CommitBytes(p []byte) {
 	if uint64(len(p)) >= 1<<(7*bytesPrefixLen) {
 		panic("buffer: byte sequence too long for its length prefix")
 	}
-	tail := b.ReserveBytes()
+	tail := b.reserve()
 	body := len(b.data) + bytesPrefixLen
 	if cap(p) > 0 && cap(tail) >= len(p) && &p[:1][0] == &tail[:1][0] {
 		b.data = b.data[:body+len(p)]
 	} else {
+		if cap(tail) < len(p) {
+			if isLarge(len(p)) {
+				ledger.largeAllocs.Add(1) // the producer found no room and made its own
+			}
+			b.grow(bytesPrefixLen + len(p))
+		}
 		b.data = append(b.data[:body], p...)
 	}
 	n := uint64(len(p))
@@ -420,10 +559,20 @@ func (b *Buffer) CommitBytes(p []byte) {
 		n >>= 7
 	}
 	b.data[body-1] = byte(n)
+	if need := len(b.data) + headroom; b.pooled() && isLarge(cap(b.data)) && !isLarge(need) {
+		// A small result on a large array: move to a small buffer's, so
+		// the large one is idle again before this buffer reaches a socket.
+		s := Get(need)
+		b.exchange(s)
+		Put(s)
+	}
 }
 
 // WriteRaw appends p with no length prefix.
 func (b *Buffer) WriteRaw(p []byte) {
+	if cap(b.data)-len(b.data) < len(p) {
+		b.grow(len(p))
+	}
 	b.data = append(b.data, p...)
 }
 
@@ -446,9 +595,7 @@ func (b *Buffer) AppendDoor(d Door) {
 func (b *Buffer) ReadFull(r io.Reader, n int) error {
 	at := len(b.data)
 	if cap(b.data)-at < n {
-		grown := make([]byte, at, at+n)
-		copy(grown, b.data)
-		b.data = grown
+		b.grow(n)
 	}
 	b.data = b.data[:at+n]
 	if _, err := io.ReadFull(r, b.data[at:]); err != nil {
@@ -628,15 +775,38 @@ func (b *Buffer) Splice(other *Buffer) {
 // owner of the returned slice. It refuses (nil, false) when the stream is
 // not the buffer's own storage — a region's bytes, which belong to the
 // region's owner, or a window into a larger array that Put will recycle
-// whole.
+// whole. A buffer whose stream a re-arm had moved onto a storage-pool array
+// goes back to the pooled array it had, and stays a small buffer.
 func (b *Buffer) Detach() ([]byte, bool) {
 	if b.region != nil || b.store != nil {
 		return nil, false
 	}
 	data := b.data
-	b.data = nil
+	if b.headed() || cap(b.front) <= headroom {
+		b.data, b.front = nil, nil
+	} else {
+		b.data = b.front[headroom:headroom] // the array it had before a re-arm
+	}
 	b.rpos = 0
 	return data, true
+}
+
+// Prepend extends the stream n bytes to the front, over the headroom, and
+// returns them for the caller to fill: a frame header lands in front of a
+// marshalled payload and the payload does not move. It returns nil, the
+// stream untouched, when those bytes are not the buffer's to write — n
+// exceeds the headroom, or the stream is not where Get put it (a New or
+// FromParts buffer, a narrowed or region-backed one, one an append moved) —
+// or when fewer than tail bytes are free behind the stream, so that what
+// the caller appends next would move it after all. Like Narrow it is
+// undone by Reset and Put.
+func (b *Buffer) Prepend(n, tail int) []byte {
+	if n > headroom || cap(b.data)-len(b.data) < tail || b.store != nil || b.region != nil || !b.headed() {
+		return nil
+	}
+	b.store = b.data
+	b.data = b.front[headroom-n : headroom+len(b.data)]
+	return b.data[:n]
 }
 
 // Narrow re-scopes the stream, in place, to the n bytes at offset off — a

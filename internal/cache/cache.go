@@ -441,7 +441,7 @@ func waitFlight(done <-chan struct{}, info *kernel.Info) error {
 // replyBuffer copies an immutable cached snapshot into a pooled buffer
 // the caller may consume (and recycle) freely.
 func replyBuffer(data []byte) *buffer.Buffer {
-	out := buffer.Get(len(data))
+	out := buffer.Get(len(data)) // holds the snapshot and nothing else: the stub layer reads it and puts it back
 	out.WriteRaw(data)
 	return out
 }

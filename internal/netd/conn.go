@@ -49,12 +49,10 @@ const (
 	// writer. Enqueueing blocks (fail-fast on conn death) beyond it —
 	// backpressure, not unbounded memory.
 	sendQueueLen = 256
-	// flushHighWater caps how many payload bytes one flush batches
-	// before it goes to the socket even if more frames are queued.
+	// flushHighWater caps how many bytes one flush batches: a frame that
+	// would take the batch past it is not copied in — it ends the batch
+	// and goes to the socket from where it lies, in the same write.
 	flushHighWater = 64 << 10
-	// flushRetainCap bounds the flush buffer capacity kept across
-	// batches; a larger one (a giant frame went through) is released.
-	flushRetainCap = 256 << 10
 )
 
 // callFuture states. A future is pending from register until exactly one
@@ -317,12 +315,19 @@ func (c *conn) sendDrop(payload *buffer.Buffer, drop func()) error {
 }
 
 // writeLoop drains the send queue, coalescing every frame it can grab —
-// up to flushHighWater bytes — into one buffered write. The flush buffer
-// is reused across batches, so steady-state sends allocate nothing.
+// up to flushHighWater bytes — into one buffered write. A frame that does
+// not fit under the mark (every 64 KiB read reply or write call) is never
+// copied: the batch so far, its length prefix and the frame where it lies
+// leave in one writev. The flush buffer and the vector are reused across
+// batches, so steady-state sends allocate nothing.
 func (c *conn) writeLoop() {
 	flush := make([]byte, 0, 16<<10)
 	recycle := make([]*buffer.Buffer, 0, 32)
 	drops := make([]func(), 0, 8)
+	// WriteTo consumes the net.Buffers it is called on, so vec is re-sliced
+	// from iov per writev; a literal per frame would be two allocations.
+	var iov [2][]byte
+	var vec net.Buffers
 	// Adaptive linger credit (E21): when the queue runs dry mid-batch the
 	// writer may yield a couple of times to let concurrent producers land
 	// their frames — the win that turns N near-simultaneous sends into
@@ -346,19 +351,19 @@ func (c *conn) writeLoop() {
 		case r := <-c.sendq:
 			flush, recycle, drops = flush[:0], recycle[:0], drops[:0]
 			lingered := 0
+			var direct []byte // the frame that ended the batch, sent uncopied
 			for {
 				p := r.buf.Bytes()
-				var hdr [4]byte
-				binary.LittleEndian.PutUint32(hdr[:], uint32(len(p)))
-				flush = append(flush, hdr[:]...)
-				flush = append(flush, p...)
+				flush = binary.LittleEndian.AppendUint32(flush, uint32(len(p)))
 				recycle = append(recycle, r.buf)
 				if r.drop != nil {
 					drops = append(drops, r.drop)
 				}
-				if len(flush) >= flushHighWater {
+				if len(flush)+len(p) > flushHighWater {
+					direct = p
 					break
 				}
+				flush = append(flush, p...)
 				select {
 				case r = <-c.sendq:
 					continue
@@ -386,7 +391,14 @@ func (c *conn) writeLoop() {
 				credit--
 			}
 			gSendQueueDepth.Add(int64(-len(recycle)))
-			_, err := c.netc.Write(flush)
+			var err error
+			if direct == nil {
+				_, err = c.netc.Write(flush)
+			} else {
+				iov[0], iov[1] = flush, direct
+				vec = iov[:]
+				_, err = vec.WriteTo(c.netc)
+			}
 			for _, b := range recycle {
 				buffer.Put(b)
 			}
@@ -401,9 +413,6 @@ func (c *conn) writeLoop() {
 			gFlushes.Add(1)
 			gFramesCoalesced.Add(int64(len(recycle)))
 			c.lastSend.Store(time.Now().UnixNano())
-			if cap(flush) > flushRetainCap {
-				flush = make([]byte, 0, 16<<10)
-			}
 		}
 	}
 }

@@ -780,7 +780,7 @@ func (s *Server) forwardInfo(desc descriptor, p *peerState, epoch uint64, req *b
 	if err != nil {
 		return nil, err
 	}
-	hint := 64 + req.Size()
+	hint := 64 + req.Size() // holds the header, ctx and descriptors (the 64) and the arguments, copied in
 	if s.bulkEligible(c, req) {
 		hint = 128 // the payload travels as a region, not in the frame
 	}
@@ -1233,6 +1233,12 @@ func (s *Server) runCall(c *conn, reqID uint64, h kernel.Handle, req *buffer.Buf
 	sp.End(info, err)
 	serveStats.EndCall(start, scstats.OpNone, info.ExemplarTrace(), err)
 	trace.Event(info, spanReply)
+	if err != nil {
+		if out != req {
+			buffer.Put(out) // a result is dead with its error
+		}
+		out = nil
+	}
 	switch {
 	case err == nil:
 		s.reply(c, reqID, codeOK, out, "")
@@ -1247,18 +1253,15 @@ func (s *Server) runCall(c *conn, reqID uint64, h kernel.Handle, req *buffer.Buf
 	default:
 		s.reply(c, reqID, codeError, nil, err.Error())
 	}
-	// Both served buffers are dead: the dispatch is over (a skeleton that
-	// kept argument bytes copied them — see stubs.Skeleton) and reply()
-	// has copied, granted or detached out's payload. Putting req returns
-	// the request frame's storage to the pool and, for a bulk request,
-	// the mapped grant to the sender's ring side; putting out returns a
-	// pooled reply (every shipped skeleton's) and leaves an application
-	// door's own buffer alone. Leftover door references are released
-	// first, as an abandoning client would.
-	kernel.ReleaseBufferDoors(req)
-	buffer.Put(req)
+	// The request is dead: the dispatch is over (a skeleton that kept
+	// argument bytes copied them — see stubs.Skeleton). Putting it returns
+	// the request frame's storage to the pool and, for a bulk request, the
+	// mapped grant to the sender's ring side; leftover door references are
+	// released first, as an abandoning client would. A request answered
+	// with itself was the result, and reply() has put it.
 	if out != req {
-		buffer.Put(out)
+		kernel.ReleaseBufferDoors(req)
+		buffer.Put(req)
 	}
 }
 
@@ -1303,30 +1306,74 @@ func coalesceReleases(br *bufio.Reader, rel []releasePair) []releasePair {
 	}
 }
 
-// reply sends a reply frame for reqID.
+// replyHeaderLen is what comes before a result in its reply frame:
+// [msgReply u8] [reqID u64] [code u8] [nbytes u32]. Behind the result come
+// the door count and, per door, a descriptor: descriptorRoom holds one
+// whose address is up to 54 bytes long.
+const (
+	replyHeaderLen = 1 + 8 + 1 + 4
+	descriptorRoom = 64
+)
+
+// reply sends the reply frame for reqID and disposes of out, the result of
+// a codeOK reply (nil otherwise).
 func (s *Server) reply(c *conn, reqID uint64, code byte, out *buffer.Buffer, errMsg string) {
-	size := 64
-	if out != nil && !s.bulkEligible(c, out) {
-		size += out.Size()
-	}
-	payload := buffer.Get(size)
-	payload.WriteByte(msgReply)
-	payload.WriteUint64(reqID)
-	payload.WriteByte(code)
-	switch code {
-	case codeOK:
-		if err := s.putWireBuffer(payload, out, c, true); err != nil {
-			// Re-encode as an error reply; the doors are already gone.
-			payload.Reset()
-			payload.WriteByte(msgReply)
-			payload.WriteUint64(reqID)
-			payload.WriteByte(codeError)
-			payload.WriteString(err.Error())
+	if code == codeOK {
+		frame, err := s.frameResult(c, reqID, out)
+		if err == nil {
+			_ = c.send(frame)
+			return
 		}
-	case codeError:
-		payload.WriteString(errMsg)
+		code, errMsg = codeError, err.Error() // the doors are already gone
 	}
-	_ = c.send(payload)
+	frame := replyHeader(buffer.Get(16+len(errMsg)), reqID, code) // holds the header and the message
+	if code == codeError {
+		frame.WriteString(errMsg)
+	}
+	_ = c.send(frame)
+}
+
+func replyHeader(b *buffer.Buffer, reqID uint64, code byte) *buffer.Buffer {
+	b.WriteByte(msgReply)
+	b.WriteUint64(reqID)
+	b.WriteByte(code)
+	return b
+}
+
+// frameResult makes the result out its own reply frame: the header goes
+// into the headroom in front of the marshalled bytes and the door
+// descriptors behind them, so the buffer the skeleton filled is the one the
+// writer sends from — nothing is drawn and no payload byte moves. Two kinds
+// of result are framed by copy, as all used to be: one whose payload leaves
+// as a bulk-region grant (the frame carries its identifier) and one with no
+// headroom to prepend into — a request buffer answered with itself, an
+// application door's own buffer, a reply a small append has regrown — or no
+// room behind it for the descriptors, which appending them would move
+// whole. An error is a door that could not be exported; out is disposed of
+// either way.
+func (s *Server) frameResult(c *conn, reqID uint64, out *buffer.Buffer) (*buffer.Buffer, error) {
+	var hdr []byte
+	n := out.Size()
+	if !s.bulkEligible(c, out) {
+		hdr = out.Prepend(replyHeaderLen, 1+descriptorRoom*out.DoorCount())
+	}
+	frame := out
+	var err error
+	if hdr != nil {
+		hdr[0], hdr[9] = msgReply, codeOK
+		binary.LittleEndian.PutUint64(hdr[1:], reqID)
+		binary.LittleEndian.PutUint32(hdr[10:], uint32(n))
+		err = s.putDoors(out, out, c)
+	} else {
+		frame = replyHeader(buffer.Get(32), reqID, codeOK) // grows to the payload, if that is copied in
+		err = s.putWireBuffer(frame, out, c, true)
+		buffer.Put(out)
+	}
+	if err != nil {
+		buffer.Put(frame)
+		return nil, err
+	}
+	return frame, nil
 }
 
 // ---------------------------------------------------------------------
@@ -1364,7 +1411,6 @@ func (s *Server) handleRoot(c *conn, reqID uint64, name string) {
 		s.mu.Unlock()
 	}
 	s.reply(c, reqID, codeOK, tmp, "")
-	buffer.Put(tmp) // reply() copied, granted or detached the payload and took the doors
 }
 
 // ImportRootObject fetches the named root object from the server at addr

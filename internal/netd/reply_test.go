@@ -1,0 +1,439 @@
+package netd
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"flag"
+	"fmt"
+	"io"
+	"net"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/buffer"
+	"repro/internal/filesys"
+	"repro/internal/kernel"
+)
+
+// Tests for the serve side's send half: the result buffer is the reply
+// frame, and a payload-sized frame leaves by writev from where it lies.
+
+var updateCorpus = flag.Bool("update-corpus", false, "rewrite FuzzFrame's checked-in corpus from TestReplyIsFrame's frames")
+
+// socketPair returns the two ends of a loopback TCP connection: real
+// sockets, so the writer's net.Buffers takes the writev path.
+func socketPair(t *testing.T) (near, far net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, _ := ln.Accept()
+		accepted <- c
+	}()
+	near, err = net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	far = <-accepted
+	if far == nil {
+		t.Fatal("accept failed")
+	}
+	t.Cleanup(func() { near.Close(); far.Close() })
+	return near, far
+}
+
+// servedConn gives srv a connection with a session bound, whose writer the
+// test reads the output of at far.
+func servedConn(t *testing.T, srv *Server) (*conn, net.Conn) {
+	t.Helper()
+	near, far := socketPair(t)
+	c := srv.newConn(near)
+	c.sess = &session{refs: make(map[uint64]int), conns: make(map[*conn]struct{})}
+	c.helloDone = true
+	t.Cleanup(func() { c.fail(errConnDead) })
+	return c, far
+}
+
+// rawFrame reads one frame, length prefix included.
+func rawFrame(t *testing.T, r io.Reader) []byte {
+	t.Helper()
+	hdr := make([]byte, 4)
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		t.Fatal(err)
+	}
+	frame := append(hdr, make([]byte, binary.LittleEndian.Uint32(hdr))...)
+	if _, err := io.ReadFull(r, frame[4:]); err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// referenceReply is the reply encoding as netd.reply assembled it before
+// the result buffer became the frame: a fresh buffer, the header written
+// field by field, the payload copied in behind its length, then the
+// descriptors.
+func referenceReply(reqID uint64, code byte, payload []byte, descs []descriptor, errMsg string) []byte {
+	b := buffer.New(64 + len(payload))
+	b.WriteUint32(0) // frame length, patched below
+	b.WriteByte(msgReply)
+	b.WriteUint64(reqID)
+	b.WriteByte(code)
+	switch code {
+	case codeOK:
+		b.WriteUint32(uint32(len(payload)))
+		b.WriteRaw(payload)
+		b.WriteUvarint(uint64(len(descs)))
+		for _, d := range descs {
+			b.WriteString(d.Addr)
+			b.WriteUint64(d.Key)
+		}
+	case codeError:
+		b.WriteString(errMsg)
+	}
+	frame := b.Bytes()
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+	return frame
+}
+
+func TestReplyIsFrame(t *testing.T) {
+	k := kernel.New("m")
+	srv, err := Start(k.NewDomain("netd"), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() }) // after servedConn's, which stops the writer Close waits for
+	c, far := servedConn(t, srv)
+	app := k.NewDomain("app")
+	door, _ := app.CreateDoor(func(*buffer.Buffer) (*buffer.Buffer, error) { return buffer.New(0), nil }, nil)
+
+	// bytesResult marshals what a generated skeleton does for a read.
+	bytesResult := func(b *buffer.Buffer, n int) *buffer.Buffer {
+		b.WriteUint32(0) // the stub layer's status word
+		b.CommitBytes(append(b.ReserveBytes(), bytes.Repeat([]byte("spring"), n/6+1)[:n]...))
+		return b
+	}
+	cases := []struct {
+		name    string
+		code    byte
+		errMsg  string
+		ndoors  int
+		inPlace bool
+		out     func() *buffer.Buffer
+	}{
+		{name: "null", inPlace: true, out: func() *buffer.Buffer {
+			b := buffer.Get(128)
+			b.WriteUint32(0)
+			b.WriteInt64(42)
+			return b
+		}},
+		{name: "read-1k", inPlace: true, out: func() *buffer.Buffer { return bytesResult(buffer.Get(128+1<<10), 1<<10) }},
+		{name: "read-64k", inPlace: true, out: func() *buffer.Buffer { return bytesResult(buffer.Get(128+64<<10), 64<<10) }},
+		{name: "two-doors", ndoors: 2, inPlace: true, out: func() *buffer.Buffer {
+			b := buffer.Get(256) // room behind the stream for both descriptors
+			b.WriteString("first")
+			if err := app.CopyToBuffer(door, b); err != nil {
+				t.Fatal(err)
+			}
+			b.WriteUint32(7)
+			if err := app.CopyToBuffer(door, b); err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}},
+		{name: "error", code: codeError, errMsg: "filesys: no such file", out: func() *buffer.Buffer { return nil }},
+		{name: "foreign-buffer", out: func() *buffer.Buffer { return bytesResult(buffer.New(64), 300) }},
+		{name: "request-answered-with-itself", out: func() *buffer.Buffer {
+			b := buffer.Get(256) // a request frame, narrowed to its payload
+			b.WriteString("call header")
+			at := b.Size()
+			b.WriteString("echoed arguments")
+			b.Narrow(at, b.Size()-at)
+			return b
+		}},
+		{name: "no-tail-room", out: func() *buffer.Buffer {
+			b := buffer.Get(128)
+			b.WriteUint32(0)
+			b.WriteRaw(bytes.Repeat([]byte("s"), cap(b.Bytes())-4)) // the result ends where the array does
+			return b
+		}},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			reqID := uint64(1000 + i)
+			out := tc.out()
+			var payload []byte
+			if out != nil {
+				payload = append(payload, out.Bytes()...)
+			}
+			before := buffer.Stats()
+			srv.reply(c, reqID, tc.code, out, tc.errMsg)
+			drawn := buffer.Stats().Sub(before).Gets
+			if want := int64(1); tc.inPlace {
+				if drawn != 0 {
+					t.Errorf("reply drew %d buffers, want 0: the result buffer is the frame", drawn)
+				}
+			} else if drawn != want {
+				t.Errorf("reply drew %d buffers, want %d", drawn, want)
+			}
+			got := rawFrame(t, far)
+
+			// The existing decoder reads it: header, then the result in place.
+			in, err := readFrame(bufio.NewReader(bytes.NewReader(got)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer buffer.Put(in)
+			msg, _ := in.ReadByte()
+			id, _ := in.ReadUint64()
+			if msg != msgReply || id != reqID {
+				t.Fatalf("frame type %d for request %d, want msgReply for %d", msg, id, reqID)
+			}
+			err = srv.decodeReply(in, descriptor{Addr: "test"})
+			if tc.code == codeError {
+				if err == nil || !strings.Contains(err.Error(), tc.errMsg) {
+					t.Fatalf("decoded error = %v, want %q", err, tc.errMsg)
+				}
+			} else {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(in.Bytes(), payload) || in.DoorCount() != tc.ndoors {
+					t.Fatalf("decoded %d bytes and %d doors, want %d and %d", in.Size(), in.DoorCount(), len(payload), tc.ndoors)
+				}
+				kernel.ReleaseBufferDoors(in)
+			}
+
+			// And it is, byte for byte, what the copying encoder produced
+			// (for the descriptors the frame carries: export keys are the
+			// server's to pick).
+			if want := referenceReply(reqID, tc.code, payload, frameDescriptors(got, tc.ndoors), tc.errMsg); !bytes.Equal(got, want) {
+				t.Fatalf("frame differs from the reference encoding:\n got %d bytes % x …\nwant %d bytes % x …", len(got), got[:min(len(got), 48)], len(want), want[:min(len(want), 48)])
+			}
+			if *updateCorpus {
+				writeCorpus(t, tc.name, got)
+			}
+		})
+	}
+}
+
+// frameDescriptors reads the n descriptors that end a codeOK reply frame.
+func frameDescriptors(frame []byte, n int) []descriptor {
+	if n == 0 {
+		return nil
+	}
+	r := buffer.FromParts(frame[4+replyHeaderLen-4:], nil) // positioned at nbytes
+	nbytes, _ := r.ReadUint32()
+	_, _ = r.ReadRaw(int(nbytes))
+	_, _ = r.ReadUvarint()
+	descs := make([]descriptor, n)
+	for i := range descs {
+		descs[i].Addr, _ = r.ReadString()
+		descs[i].Key, _ = r.ReadUint64()
+	}
+	return descs
+}
+
+// writeCorpus checks frame in as a FuzzFrame seed.
+func writeCorpus(t *testing.T, name string, frame []byte) {
+	t.Helper()
+	dir := filepath.Join("testdata", "fuzz", "FuzzFrame")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", frame)
+	if err := os.WriteFile(filepath.Join(dir, "reply-"+name), []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// queuedConn is a conn whose writer has not started: frames pile up in its
+// send queue until the test runs writeLoop.
+func queuedConn(netc net.Conn) *conn {
+	return &conn{netc: netc, sendq: make(chan sendReq, sendQueueLen), helloed: make(chan struct{}), done: make(chan struct{})}
+}
+
+// testFrame is a pooled frame of n bytes whose first byte is tag.
+func testFrame(tag byte, n int) *buffer.Buffer {
+	b := buffer.Get(n)
+	b.WriteByte(tag)
+	b.WriteRaw(bytes.Repeat([]byte{tag}, n-1))
+	return b
+}
+
+func TestLargeFrameBypassesBatch(t *testing.T) {
+	near, far := socketPair(t)
+	c := queuedConn(near)
+	sizes := []int{40, 1 << 10, 64<<10 + 30, 40, 200} // small, small, a 64 KiB read's reply, small, small
+	for i, n := range sizes {
+		if err := c.send(testFrame(byte(i+1), n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flushes, frames, ledger := gFlushes.Value(), gFramesCoalesced.Value(), buffer.Stats()
+	stopped := make(chan struct{})
+	go func() { c.writeLoop(); close(stopped) }()
+	for i, n := range sizes { // FIFO, each frame whole
+		got := rawFrame(t, far)
+		if len(got) != 4+n || got[4] != byte(i+1) || got[len(got)-1] != byte(i+1) {
+			t.Fatalf("frame %d: %d bytes tagged %d, want %d tagged %d", i, len(got)-4, got[4], n, i+1)
+		}
+	}
+	// The large frame ended the first batch and left with it: two writes
+	// for five frames, not three.
+	waitFor(t, time.Second, "both flushes counted", func() bool { return gFramesCoalesced.Value()-frames == int64(len(sizes)) })
+	if d := gFlushes.Value() - flushes; d != 2 {
+		t.Errorf("%d flushes for [small small LARGE] [small small], want 2", d)
+	}
+	c.fail(errConnDead)
+	<-stopped
+	if d := buffer.Stats().Sub(ledger); d.Puts != int64(len(sizes)) || d.Gets != 0 {
+		t.Errorf("the writer put %d of %d frames back and drew %d", d.Puts, len(sizes), d.Gets)
+	}
+}
+
+// failingConn accepts writes until it has taken limit bytes, then fails.
+type failingConn struct {
+	net.Conn
+	limit int
+}
+
+func (f *failingConn) Write(p []byte) (int, error) {
+	if f.limit -= len(p); f.limit < 0 {
+		return 0, errors.New("link severed")
+	}
+	return len(p), nil
+}
+
+func TestConnectionDeathMidWritevRunsEveryDrop(t *testing.T) {
+	near, _ := socketPair(t)
+	// The batch's small frames get out; the large frame behind them, in
+	// the same flush, does not.
+	c := queuedConn(&failingConn{Conn: near, limit: 4 << 10})
+	var dropped atomic.Int32
+	ledger := buffer.Stats()
+	sizes := []int{40, 64<<10 + 30, 40, 64<<10 + 30, 40} // two flushes' worth: the second never starts
+	for i, n := range sizes {
+		if err := c.sendDrop(testFrame(byte(i+1), n), func() { dropped.Add(1) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.writeLoop() // returns once the connection has failed and the queue is drained
+	if !c.isDead() {
+		t.Fatal("a failed writev left the connection alive")
+	}
+	if got := dropped.Load(); got != int32(len(sizes)) {
+		t.Errorf("%d of %d frames had their drop run", got, len(sizes))
+	}
+	if d := buffer.Stats().Sub(ledger); d.Gets != d.Puts {
+		t.Errorf("ledger after the failed flush: %d gets, %d puts", d.Gets, d.Puts)
+	}
+}
+
+func TestServedMixedReadAllocs(t *testing.T) {
+	// A 64 KiB read on one file interleaved with 1 KiB reads on another, and
+	// with 1 KiB reads on the same file: the large result finds an idle
+	// large array at ReserveBytes whatever that door returned last, and the
+	// small ones neither regrow theirs nor carry a payload-sized array to
+	// the socket.
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
+	}
+	a := newMachineCfg(t, "A", Config{}, filesys.RegisterAll)
+	svc := filesys.NewService(a.env)
+	peer := dialRawPeer(t, a.srv.Addr())
+	var calls [][]byte
+	for _, f := range []struct {
+		name  string
+		reads []int
+	}{{"bulk", []int{64 << 10, 1 << 10}}, {"small", []int{1 << 10}}} {
+		file, err := svc.Create(f.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := file.Write(0, bytes.Repeat([]byte{0x42}, f.reads[0])); err != nil {
+			t.Fatal(err)
+		}
+		a.srv.PublishRoot(f.name, file.Obj)
+		key := peer.importRoot(f.name)
+		for _, n := range f.reads {
+			read := buffer.New(16)
+			read.WriteUint32(uint32(filesys.FileReadOp))
+			read.WriteInt64(0)
+			read.WriteInt32(int32(n))
+			peer.prepareCall(key, read)
+			calls = append(calls, peer.call)
+		}
+	}
+	all := func() {
+		for _, call := range calls {
+			peer.call = call
+			peer.roundTrips(1)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		all()
+	}
+	before := buffer.Stats()
+	if n := testing.AllocsPerRun(500, all); n > 0 {
+		t.Errorf("a 64 KiB read, a 1 KiB read of the same file and one of another allocate %.2f objects a round, want 0", n)
+	}
+	if d := buffer.Stats().Sub(before); d.LargeAllocs != 0 || d.Misses != 0 {
+		t.Errorf("%d payload-sized arrays allocated and %d pool misses in steady state", d.LargeAllocs, d.Misses)
+	}
+}
+
+func TestSameMachineReadReusesPayloadArrays(t *testing.T) {
+	// On the in-process bulk tier a reply's array leaves as a grant and
+	// comes back through buffer.Recycle, so the large class is empty when
+	// the next read reserves its result: the recycled array is what
+	// ReserveBytes must find, or every read makes a 64 KiB array of its own.
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
+	}
+	a := newSameMachine(t, "A", Config{}, filesys.RegisterAll)
+	b := newSameMachine(t, "B", Config{}, filesys.RegisterAll)
+	file, err := filesys.NewService(a.env).Create("bulk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := file.Write(0, bytes.Repeat([]byte{0x42}, 64<<10)); err != nil {
+		t.Fatal(err)
+	}
+	a.srv.PublishRoot("bulk", file.Obj)
+	obj, err := b.srv.ImportRootObject(b.env, a.srv.Addr(), "bulk", filesys.FileMT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := filesys.File{Obj: obj}
+	read := func() {
+		if p, err := remote.Read(0, 64<<10); err != nil || len(p) != 64<<10 {
+			t.Fatalf("read %d bytes, %v", len(p), err)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		read()
+	}
+	granted, before := gBulkGranted.Value(), buffer.Stats()
+	for i := 0; i < 1000; i++ {
+		read()
+	}
+	if gBulkGranted.Value() == granted {
+		t.Fatal("the reads did not ride the bulk tier")
+	}
+	// The client copies each result out, so the collector runs every few
+	// dozen reads and empties the pools now and then: a handful of arrays
+	// are re-made, not one per read.
+	if d := buffer.Stats().Sub(before); d.LargeAllocs > 100 {
+		t.Errorf("1000 reads on the bulk tier allocated %d payload-sized arrays (%d pool misses), want a handful", d.LargeAllocs, d.Misses)
+	}
+}

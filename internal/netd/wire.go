@@ -313,19 +313,25 @@ func (s *Server) putWireBuffer(out *buffer.Buffer, buf *buffer.Buffer, c *conn, 
 		out.WriteUint32(uint32(len(buf.Bytes())))
 		out.WriteRaw(buf.Bytes())
 	}
+	err := s.putDoors(out, buf, c)
+	if err != nil && granted {
+		// The frame will never be sent; pull the grant back out of the
+		// ring so the region is not stranded until the connection dies.
+		if reg, e := s.mapper.MapRegion(regionID); e == nil {
+			reg.Release()
+		}
+	}
+	return err
+}
+
+// putDoors ends a wirebuf: it appends to out the descriptors of buf's door
+// references, exported to c's session and consumed. out may be buf itself.
+func (s *Server) putDoors(out, buf *buffer.Buffer, c *conn) error {
 	doors := buf.TakeDoors()
 	out.WriteUvarint(uint64(len(doors)))
 	for _, slot := range doors {
 		desc, err := s.exportSlot(slot, c)
 		if err != nil {
-			// The frame will never be sent; pull the grant back out of the
-			// ring so the region (and its storage) is not stranded until
-			// the connection dies.
-			if granted {
-				if reg, e := s.mapper.MapRegion(regionID); e == nil {
-					reg.Release()
-				}
-			}
 			return err
 		}
 		out.WriteString(desc.Addr)

@@ -398,11 +398,13 @@ func GaugeFunc(name string, src func() int64) *Gauge {
 func init() {
 	// The communication-buffer pool's ledger (see buffer.Put): at rest
 	// gets == puts; misses are the Gets that had to allocate, drops the
-	// Puts of buffers the pool does not own.
+	// Puts of buffers the pool does not own, large_allocs the payload-class
+	// arrays allocated since start.
 	GaugeFunc("buffer.gets", func() int64 { return buffer.Stats().Gets })
 	GaugeFunc("buffer.misses", func() int64 { return buffer.Stats().Misses })
 	GaugeFunc("buffer.puts", func() int64 { return buffer.Stats().Puts })
 	GaugeFunc("buffer.drops", func() int64 { return buffer.Stats().Drops })
+	GaugeFunc("buffer.large_allocs", func() int64 { return buffer.Stats().LargeAllocs })
 }
 
 // GaugeSnapshot is one gauge's name and value at read time.

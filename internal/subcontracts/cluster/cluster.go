@@ -207,7 +207,7 @@ func (s *Server) serve(req *buffer.Buffer, info *kernel.Info) (*buffer.Buffer, e
 	s.mu.Lock()
 	skel, ok := s.skels[tag]
 	s.mu.Unlock()
-	reply := buffer.Get(128)
+	reply := buffer.Get(128) // holds the tagged skeleton's results, or the exception for a tag with none
 	if !ok {
 		stubs.WriteException(reply, fmt.Sprintf("cluster: no object with tag %d (revoked?)", tag))
 		return reply, nil

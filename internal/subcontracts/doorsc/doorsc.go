@@ -221,17 +221,18 @@ func ServerProc(skel stubs.Skeleton) kernel.ServerProcInfo {
 func ServerProcTyped(typ core.TypeID, skel stubs.Skeleton) kernel.ServerProcInfo {
 	return func(req *buffer.Buffer, info *kernel.Info) (*buffer.Buffer, error) {
 		if op, err := req.PeekUint32(); err == nil && op == typeQueryOp {
-			reply := buffer.Get(16)
+			reply := buffer.Get(16 + len(typ)) // holds the type name
 			reply.WriteString(string(typ))
 			return reply, nil
 		}
-		// Drawn from the pool, sized by the request: replies tend to be
-		// commensurate with their calls, and a pooled hit spares the
-		// marshal loop's growth reallocation. A mis-sized hint only means
-		// the buffer grows as it always did. Whoever consumes the reply
-		// puts it back: netd after the reply frame ships, the stub layer
-		// after a local caller has unmarshalled its results.
-		reply := buffer.Get(128 + req.Len())
+		// Drawn small, not at the size of the request (a 64 KiB write
+		// answers with four bytes): it holds the status word, the fixed-size
+		// results and the door descriptors netd ends the reply frame this
+		// buffer becomes with; a bytes result finds its own room
+		// (buffer.ReserveBytes). Whoever consumes the reply puts it back:
+		// netd once the frame has shipped, the stub layer after a local
+		// caller has unmarshalled its results.
+		reply := buffer.Get(128)
 		if err := stubs.ServeCallInfo(skel, req, reply, info); err != nil {
 			buffer.Put(reply)
 			return nil, err

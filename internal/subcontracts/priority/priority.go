@@ -114,7 +114,7 @@ func Export(env *core.Env, mt *core.MTable, skel stubs.Skeleton, exec *sched.Exe
 		var reply *buffer.Buffer
 		var serveErr error
 		if err := exec.Run(prio, func() {
-			reply = buffer.Get(128)
+			reply = buffer.Get(128) // holds the skeleton's results
 			serveErr = stubs.ServeCallInfo(skel, req, reply, info)
 		}); err != nil {
 			return nil, err

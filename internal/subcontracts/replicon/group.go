@@ -57,7 +57,7 @@ func (g *Group) Join(env *core.Env, name string, skel stubs.Skeleton) *Member {
 		if err != nil {
 			return nil, fmt.Errorf("replicon: missing epoch control: %w", err)
 		}
-		reply := buffer.Get(128)
+		reply := buffer.Get(128) // holds the epoch update, then the skeleton's results
 		g.writeUpdate(reply, clientEpoch)
 		if err := stubs.ServeCallInfo(skel, req, reply, info); err != nil {
 			kernel.ReleaseBufferDoors(reply)

@@ -192,7 +192,7 @@ func localInvoke(obj *core.Object, call *core.Call) (*buffer.Buffer, error) {
 	if revoked {
 		return nil, ErrRevoked
 	}
-	reply := buffer.Get(128)
+	reply := buffer.Get(128) // holds the skeleton's results for a same-domain caller; larger ones grow it
 	if err := stubs.ServeCallInfo(st.skel, call.Args(), reply, call.Info()); err != nil {
 		buffer.Put(reply)
 		return nil, err

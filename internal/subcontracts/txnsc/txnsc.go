@@ -123,7 +123,7 @@ func Export(env *core.Env, mt *core.MTable, skel Skeleton, part txn.Participant,
 			return nil, fmt.Errorf("txnsc: missing transaction control: %w", err)
 		}
 		id := txn.ID(raw)
-		reply := buffer.Get(128)
+		reply := buffer.Get(128) // holds the skeleton's results, or the exception that stands in for them
 		if id != 0 {
 			t, err := coord.Lookup(id)
 			if err != nil {

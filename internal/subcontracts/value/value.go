@@ -201,7 +201,7 @@ func invoke(obj *core.Object, call *core.Call) (*buffer.Buffer, error) {
 		r.state = next
 		return nil
 	})
-	reply := buffer.Get(64)
+	reply := buffer.Get(64) // holds the results of a call on the local copy
 	if err := stubs.ServeCallInfo(skel, call.Args(), reply, call.Info()); err != nil {
 		buffer.Put(reply)
 		return nil, err

@@ -390,9 +390,9 @@ func Export(env *core.Env, mt *core.MTable, skel stubs.Skeleton, src *Source, un
 			src.mu.Lock()
 			src.channels = append(src.channels, ch)
 			src.mu.Unlock()
-			return buffer.Get(0), nil
+			return buffer.Get(0), nil // attach returns nothing
 		}
-		reply := buffer.Get(64)
+		reply := buffer.Get(64) // holds control-plane results, a few words; frames go by datagram
 		if err := stubs.ServeCallInfo(skel, req, reply, info); err != nil {
 			buffer.Put(reply)
 			return nil, err

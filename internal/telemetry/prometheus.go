@@ -71,6 +71,7 @@ var counterFamilies = []struct {
 var counterGauges = map[string]bool{
 	"buffer.drops":             true,
 	"buffer.gets":              true,
+	"buffer.large_allocs":      true,
 	"buffer.misses":            true,
 	"buffer.puts":              true,
 	"cache.coalesced_misses":   true,
