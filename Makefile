@@ -4,7 +4,7 @@
 # suite — the liveness/partition tests under deterministic fault
 # injection (internal/faultnet) — and a smoke pass over the E15/E16
 # benchmark suites so they cannot silently rot.
-.PHONY: all tier1 tier2 faults crash bench bench-quick bench-e2e-check bench-all gen gen-check obs
+.PHONY: all tier1 tier2 faults crash bench bench-quick bench-pair bench-e2e-check bench-all gen gen-check obs
 
 all: tier1 tier2
 
@@ -73,12 +73,24 @@ bench:
 # a payload-sized frame leaves uncopied, a 64 KiB read between 1 KiB reads
 # of the same file and of another allocates nothing, sixteen 64 KiB frames
 # in flight leave at most eighteen payload-sized arrays, a growing buffer
-# and a bytes result borrow an idle one — so a
-# copy, an allocation, a pool or a timer creeping back in fails tier2.
+# and a bytes result borrow an idle one; and the E28 counts of the write
+# path — an idle connection is one goroutine, a null call is one write each
+# way, a caller writes its own frame and one batch, sixteen 64 KiB requests
+# whose handlers do not block make GOMAXPROCS + 2 arrays — so a
+# copy, an allocation, a pool, a timer or a writer goroutine creeping back
+# in fails tier2.
 bench-quick:
 	go test -run NONE -bench 'E15|E16|E17|E18|E19|E20|E21_MixedHoL|E22' -benchtime 1x .
-	go test -count=1 -run 'TestServedReadWriteAllocs|TestServedMixedReadAllocs|TestReplyIsFrame|TestLargeFrameBypassesBatch|TestBorrowedBytesNotRetained|TestSequentialGrowthCopiesLinear|TestDurableWriteAllocs|TestGroupCommitGroups|TestLoneDurableWriteDoesNotLinger|TestSmallCallsDoNotPinLargeArrays|TestGrowthBorrowsIdleLarge|TestReserveBorrowsIdleLarge|TestGrowthRearmsFromStoragePool|TestSameMachineReadReusesPayloadArrays|TestFramePrependAllocs' \
+	go test -count=1 -run 'TestServedReadWriteAllocs|TestServedMixedReadAllocs|TestReplyIsFrame|TestLargeFrameBypassesBatch|TestBorrowedBytesNotRetained|TestSequentialGrowthCopiesLinear|TestDurableWriteAllocs|TestGroupCommitGroups|TestLoneDurableWriteDoesNotLinger|TestSmallCallsDoNotPinLargeArrays|TestGrowthBorrowsIdleLarge|TestReserveBorrowsIdleLarge|TestGrowthRearmsFromStoragePool|TestSameMachineReadReusesPayloadArrays|TestFramePrependAllocs|TestIdleConnGoroutines|TestNullCallOneFlushEachWay|TestFlusherNotCaptive|TestBulkBurstHandsOff' \
 		./internal/netd/ ./internal/filesys/ ./internal/buffer/
+
+# The regression gate in its minimal form: N (default 10) runs of one
+# workload of the two-process benchmark on BASE and on this tree, same seed
+# within a pair, alternating which side goes first; per metric, each side's
+# quartiles, the pairs this tree won and the median paired difference.
+#   make bench-pair BASE=HEAD~1 WORKLOAD=null_c1 [N=10] [PAIRFLAGS='-trace 1 -metrics flushes']
+bench-pair:
+	go run ./cmd/benchjson -pair -base $(BASE) -workload $(WORKLOAD) -n $(or $(N),10) $(PAIRFLAGS)
 
 # The two-process benchmark (BENCHMARK.json, benchmark/) is a module of
 # its own, so tier1's ./... never reaches it: run its arithmetic tests

@@ -15,6 +15,8 @@
 // the new run to the baseline as well. Every file carries a "host" block —
 // CPU count, the run's GOMAXPROCS, Go version, kernel release — describing
 // the machine "current" was measured on.
+//
+// With -pair it is something else: see pair.go.
 package main
 
 import (
@@ -144,19 +146,22 @@ func aggregate(results []Result) []Result {
 }
 
 func median(vals []float64) float64 {
-	sort.Float64s(vals)
-	n := len(vals)
-	if n == 0 {
+	if len(vals) == 0 {
 		return 0
 	}
-	if n%2 == 1 {
-		return vals[n/2]
-	}
-	return (vals[n/2-1] + vals[n/2]) / 2
+	sort.Float64s(vals)
+	return quantile(vals, 0.5)
 }
 
 func main() {
 	flag.Parse()
+	if *pair {
+		if err := runPairs(); err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+		return
+	}
 	var lines []string
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)

@@ -86,6 +86,9 @@ func TestE17UntracedLatencyGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing guard skipped in -short")
 	}
+	if raceEnabled {
+		t.Skip("a 30 ns margin means nothing under the race detector; TestE17UntracedAllocGuard still runs")
+	}
 	remote := e17World(t)
 	measure := func(every int) float64 {
 		trace.SetSampling(every)

@@ -109,6 +109,15 @@ const headroom = 16
 // isLarge reports whether a stream capacity of n belongs to the large class.
 func isLarge(n int) bool { return n+headroom >= largeClass }
 
+// Large reports whether the buffer's own array is in the large class —
+// for a frame, whether reading it drew a payload-sized array.
+func (b *Buffer) Large() bool {
+	if b.store != nil {
+		return isLarge(cap(b.store))
+	}
+	return isLarge(cap(b.data))
+}
+
 // maxPooledCap bounds the byte capacity a pooled buffer may retain; the
 // storage of one grown past it (one giant frame) is dropped to the
 // collector rather than pinning the memory in the pool.

@@ -3,6 +3,7 @@ package netd
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"net"
 	"runtime"
 	"sync"
@@ -12,30 +13,26 @@ import (
 	"repro/internal/buffer"
 )
 
-// This file is the connection data path, rebuilt for throughput under
-// concurrency (E15) and rebuilt again as the client call engine (E21):
+// This file is the connection data path. One rule shapes it (DESIGN §12):
+// the goroutine that has the bytes and the processor finishes the job.
 //
-//   - Frames are not written caller-side under a mutex. Each connection
-//     runs one writer goroutine draining a bounded send queue; all the
-//     frames it can grab are flattened into one buffered flush and hit
-//     the socket in a single write, so N pipelined callers cost ~one
-//     syscall per batch instead of N (×2 — the old path wrote the length
-//     header and the payload separately). Ordering is strict FIFO in
-//     enqueue order; on connection death every queued and in-flight call
+//   - There is no writer goroutine. A sender that finds the write side idle
+//     takes it and writes its own frame, and whatever queued behind it, in
+//     one writev from the buffers the frames were marshalled in; a sender
+//     that finds it taken appends to the queue and returns. What queues
+//     while one write is in the kernel is the next batch, so N pipelined
+//     callers still cost about one syscall per batch, and a lone caller's
+//     frame is on the socket before send returns. Ordering is strict FIFO
+//     in enqueue order; on connection death every queued and in-flight call
 //     fails fast in the kernel.ErrCommFailure class.
-//   - The flush policy is occupancy-aware: the writer lingers (a bounded
-//     scheduler yield) to coalesce only while some producer is observed
-//     mid-enqueue; a lone pipelining caller's frame goes to the socket
-//     immediately, so P1 latency no longer pays for P64 batching.
 //   - The request/reply demultiplexer is sharded: request-id registration,
 //     delivery and abandonment distribute over pendShards mutexes instead
 //     of contending on one, and liveness checks are a single atomic load.
 //   - A pending call is one pooled callFuture — an atomic state machine
-//     parked on a one-shot semaphore with an embedded reusable timer —
-//     instead of a pooled channel plus a pooled timer plus a map entry
-//     with its own lifecycle. Register/deliver/abandon/fail collapse into
-//     transitions on that struct, and a context-free small call allocates
-//     near-zero on the client hot path (enforced by TestAllocs* guards).
+//     parked on a one-shot semaphore with an embedded reusable timer.
+//     Register/deliver/abandon/fail are transitions on that struct, and a
+//     context-free small call allocates near-zero on the client hot path
+//     (enforced by TestAllocs* guards).
 
 // errConnDead is the sentinel for operations on a failed connection; the
 // call sites wrap it in the kernel.ErrCommFailure class via commErr.
@@ -45,14 +42,10 @@ const (
 	// pendShards is the number of pending-call shards per connection
 	// (a power of two; request ids distribute round-robin).
 	pendShards = 16
-	// sendQueueLen bounds the frames queued behind one connection's
-	// writer. Enqueueing blocks (fail-fast on conn death) beyond it —
+	// sendQueueLen bounds the frames queued behind one connection's write
+	// side. Enqueueing blocks (fail-fast on conn death) beyond it —
 	// backpressure, not unbounded memory.
 	sendQueueLen = 256
-	// flushHighWater caps how many bytes one flush batches: a frame that
-	// would take the batch past it is not copied in — it ends the batch
-	// and goes to the socket from where it lies, in the same write.
-	flushHighWater = 64 << 10
 )
 
 // callFuture states. A future is pending from register until exactly one
@@ -116,40 +109,48 @@ type pendShard struct {
 	m  map[uint64]*callFuture
 }
 
-// sendReq is one queued frame. buf is owned by the queue from the moment
-// send accepts it and is recycled after the flush. drop, if set, is
-// called when the frame may not have reached the peer (write error or
-// queue discard on conn death) — the release path uses it to requeue.
+// sendReq is one queued frame: buf is the connection's from the moment send
+// accepts it, and drop, if set, runs if the frame may not have reached the
+// peer (write error, death with it queued) — the release path requeues.
 type sendReq struct {
 	buf  *buffer.Buffer
 	drop func()
 }
 
 // conn is one transport connection with multiplexed request/reply
-// framing, batched writes, and heartbeat bookkeeping. A peer address is
+// framing, combined writes, and heartbeat bookkeeping. A peer address is
 // served by up to two conns — its link's call and bulk connections
-// (link.go); each has its own writer, pending table and request-id space,
-// so nothing here knows which role it plays.
+// (link.go); each has its own queue, pending table and request-id space,
+// so nothing here knows which role it plays. Idle, it owns one goroutine:
+// its reader (serveConn).
 type conn struct {
-	netc  net.Conn
-	sendq chan sendReq
+	netc net.Conn
+
+	// The write side. q holds the frames accepted and not yet taken, in
+	// order; writing says some goroutine owns the socket's write half, and
+	// is only cleared with q empty. room wakes senders waiting out a full
+	// queue. batch, lens, iov and vec are the writer's own — the frames it
+	// took, their length prefixes and the vector they leave by — reused
+	// from one write to the next.
+	wmu     sync.Mutex
+	room    sync.Cond
+	q       []sendReq
+	writing bool
+	batch   []sendReq
+	lens    []byte
+	iov     [][]byte
+	vec     net.Buffers
 
 	helloed  chan struct{} // closed once the peer's hello arrives
 	done     chan struct{} // closed when the conn dies
 	dead     atomic.Bool
-	lastRecv atomic.Int64 // unix nanos of the last frame received
+	lastRecv atomic.Int64 // unix nanos of the last read that returned bytes
 	lastSend atomic.Int64 // unix nanos of the last flush written
 	pinging  atomic.Bool
 
-	// producers counts goroutines currently inside sendDrop, and pending
-	// counts registered calls awaiting replies — the writer's occupancy
-	// signals: when the queue runs dry mid-batch it lingers for
-	// stragglers only while concurrency is in evidence.
-	producers atomic.Int32
-	pending   atomic.Int32
-
-	nextID atomic.Uint64
-	shards [pendShards]pendShard
+	nextID  atomic.Uint64
+	pending atomic.Int32 // registered calls awaiting replies
+	shards  [pendShards]pendShard
 
 	// inflight counts this peer's serve calls admitted and not yet
 	// replied — the per-peer half of the dispatch engine's bounded
@@ -170,27 +171,33 @@ type conn struct {
 	peerAddr  string   // peer's advertised listen address; set at hello
 }
 
-// newConn wraps netc and starts its writer goroutine, tracked by s.wg.
-func (s *Server) newConn(netc net.Conn) *conn {
+// newConn wraps netc. It starts nothing: the caller runs serveConn.
+func newConn(netc net.Conn) *conn {
 	c := &conn{
 		netc:    netc,
-		sendq:   make(chan sendReq, sendQueueLen),
 		helloed: make(chan struct{}),
 		done:    make(chan struct{}),
 		owner:   nextOwner.Add(1),
 	}
+	c.room.L = &c.wmu
 	for i := range c.shards {
 		c.shards[i].m = make(map[uint64]*callFuture)
 	}
 	now := time.Now().UnixNano()
 	c.lastRecv.Store(now)
 	c.lastSend.Store(now)
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		c.writeLoop()
-	}()
 	return c
+}
+
+// Read is the reader's source: the socket, with the liveness clock stamped
+// once per read that returned bytes — once per batch of frames rather than
+// per frame, and never skipped however long the stream stays busy.
+func (c *conn) Read(p []byte) (int, error) {
+	n, err := c.netc.Read(p)
+	if n > 0 {
+		c.lastRecv.Store(time.Now().UnixNano())
+	}
+	return n, err
 }
 
 // isDead reports whether the connection has failed.
@@ -280,169 +287,161 @@ func (c *conn) abandon(id uint64, f *callFuture, drop func(*buffer.Buffer)) {
 	putFuture(f)
 }
 
-// send transfers ownership of payload to the connection's writer. It
-// returns an error only when the connection is (or while blocked becomes)
-// dead; a later write failure surfaces through the pending futures.
-func (c *conn) send(payload *buffer.Buffer) error {
-	return c.sendDrop(payload, nil)
-}
+// send transfers ownership of payload to the connection and, if the write
+// side is idle, writes it before returning. It returns an error only when
+// the connection is (or while blocked becomes) dead; a later write failure
+// surfaces through the pending futures.
+func (c *conn) send(payload *buffer.Buffer) error { return c.enqueue(payload, nil, true) }
 
-// sendDrop is send with a loss callback: drop runs if the frame was
-// accepted but may never have reached the peer (conn death before or
-// during its flush). On an error return drop is NOT called — the caller
+// sendDrop is send with a loss callback: drop runs exactly once if the
+// frame was accepted but may never have reached the peer (conn death before
+// or during its write). On an error return drop is NOT called — the caller
 // still owns the failure.
 func (c *conn) sendDrop(payload *buffer.Buffer, drop func()) error {
+	return c.enqueue(payload, drop, true)
+}
+
+// queue is send without the write: the frame leaves with the next flush.
+// Only the reader, which always flushes before it blocks, may use it
+// (serveConn): what a read batch's handlers answer leaves in one write.
+func (c *conn) queue(payload *buffer.Buffer) error { return c.enqueue(payload, nil, false) }
+
+func (c *conn) enqueue(payload *buffer.Buffer, drop func(), flush bool) error {
+	c.wmu.Lock()
+	for len(c.q) >= sendQueueLen && c.writing && !c.dead.Load() {
+		c.room.Wait()
+	}
 	if c.dead.Load() {
+		c.wmu.Unlock()
 		buffer.Put(payload)
 		return errConnDead
 	}
-	c.producers.Add(1)
-	select {
-	case c.sendq <- sendReq{buf: payload, drop: drop}:
-		c.producers.Add(-1)
-		gSendQueueDepth.Add(1)
-		if c.dead.Load() {
-			// The writer may have exited between our enqueue and its
-			// drain; sweep so no frame (ours or a racer's) is stranded.
-			c.drainSendq()
-		}
-		return nil
-	case <-c.done:
-		c.producers.Add(-1)
-		buffer.Put(payload)
-		return errConnDead
+	c.q = append(c.q, sendReq{buf: payload, drop: drop})
+	gSendQueueDepth.Add(1)
+	if flush || len(c.q) >= sendQueueLen {
+		c.flushLocked(2)
+	} else {
+		c.wmu.Unlock()
 	}
+	return nil
 }
 
-// writeLoop drains the send queue, coalescing every frame it can grab —
-// up to flushHighWater bytes — into one buffered write. A frame that does
-// not fit under the mark (every 64 KiB read reply or write call) is never
-// copied: the batch so far, its length prefix and the frame where it lies
-// leave in one writev. The flush buffer and the vector are reused across
-// batches, so steady-state sends allocate nothing.
-func (c *conn) writeLoop() {
-	flush := make([]byte, 0, 16<<10)
-	recycle := make([]*buffer.Buffer, 0, 32)
-	drops := make([]func(), 0, 8)
-	// WriteTo consumes the net.Buffers it is called on, so vec is re-sliced
-	// from iov per writev; a literal per frame would be two allocations.
-	var iov [2][]byte
-	var vec net.Buffers
-	// Adaptive linger credit (E21): when the queue runs dry mid-batch the
-	// writer may yield a couple of times to let concurrent producers land
-	// their frames — the win that turns N near-simultaneous sends into
-	// one syscall. Lingering is a pure latency tax for a lone caller, so
-	// it is gated on evidence of concurrency: more than one registered
-	// call awaiting a reply, a producer observed mid-enqueue right now,
-	// or recent batches that actually coalesced (credit, earned when a
-	// batch carries >1 frame, spent when lingering yields nothing). A
-	// single pipelining caller has pending == 1 at drain time, drains
-	// its credit after two batches and gets immediate flushes from then
-	// on; a client writer with 64 calls outstanding always lingers, and
-	// a server's reply writer (pending is client-side, so 0 for it)
-	// sustains lingering through credit as long as batching keeps paying.
-	const maxLingerCredit = 4
-	credit := 0
-	for {
-		select {
-		case <-c.done:
-			c.drainSendq()
-			return
-		case r := <-c.sendq:
-			flush, recycle, drops = flush[:0], recycle[:0], drops[:0]
-			lingered := 0
-			var direct []byte // the frame that ended the batch, sent uncopied
-			for {
-				p := r.buf.Bytes()
-				flush = binary.LittleEndian.AppendUint32(flush, uint32(len(p)))
-				recycle = append(recycle, r.buf)
-				if r.drop != nil {
-					drops = append(drops, r.drop)
-				}
-				if len(flush)+len(p) > flushHighWater {
-					direct = p
-					break
-				}
-				flush = append(flush, p...)
-				select {
-				case r = <-c.sendq:
-					continue
-				default:
-				}
-				grabbed := false
-				for !grabbed && lingered < 2 && (c.pending.Load() > 1 || credit > 0 || c.producers.Load() > 0) {
-					lingered++
-					runtime.Gosched()
-					select {
-					case r = <-c.sendq:
-						grabbed = true
-					default:
-					}
-				}
-				if !grabbed {
-					break
-				}
-			}
-			if len(recycle) > 1 {
-				if credit = credit + 2; credit > maxLingerCredit {
-					credit = maxLingerCredit
-				}
-			} else if lingered > 0 && credit > 0 {
-				credit--
-			}
-			gSendQueueDepth.Add(int64(-len(recycle)))
-			var err error
-			if direct == nil {
-				_, err = c.netc.Write(flush)
-			} else {
-				iov[0], iov[1] = flush, direct
-				vec = iov[:]
-				_, err = vec.WriteTo(c.netc)
-			}
-			for _, b := range recycle {
-				buffer.Put(b)
-			}
-			if err != nil {
-				for _, d := range drops {
-					d()
-				}
-				c.fail(err)
-				c.drainSendq()
-				return
-			}
-			gFlushes.Add(1)
-			gFramesCoalesced.Add(int64(len(recycle)))
-			c.lastSend.Store(time.Now().UnixNano())
-		}
-	}
+// flush writes what is queued, if nobody else is writing it already.
+func (c *conn) flush() {
+	c.wmu.Lock()
+	c.flushLocked(2)
 }
 
-// drainSendq discards queued frames after the connection died, recycling
-// their buffers and running their loss callbacks.
-func (c *conn) drainSendq() {
-	for {
-		select {
-		case r := <-c.sendq:
-			gSendQueueDepth.Add(-1)
-			buffer.Put(r.buf)
-			if r.drop != nil {
-				r.drop()
-			}
-		default:
+// flushLocked is the combining protocol. Called with wmu held, it releases
+// it. If frames are queued and the write side is idle it takes the write
+// side and writes up to batches batches, each everything queued at that
+// moment: the caller's own frame first, then what other senders queued
+// while that was in the kernel. What is queued after that goes to a
+// goroutine started for it, which writes until the queue is empty: no
+// caller is captive to other callers' traffic, and the write side is never
+// left idle over a non-empty queue.
+func (c *conn) flushLocked(batches int) {
+	if c.writing || len(c.q) == 0 {
+		c.wmu.Unlock()
+		return
+	}
+	c.writing = true
+	if c.pending.Load() > 1 {
+		// Other calls are out, so other callers are about: one yield lets
+		// the runnable ones queue behind this frame and share its write.
+		c.wmu.Unlock()
+		runtime.Gosched()
+		c.wmu.Lock()
+	}
+	for i := 0; i < batches; i++ {
+		c.batch, c.q = c.q, c.batch[:0]
+		c.room.Broadcast()
+		c.wmu.Unlock()
+		c.writeBatch()
+		c.wmu.Lock()
+		if len(c.q) == 0 {
+			c.writing = false
+			c.wmu.Unlock()
 			return
 		}
 	}
+	c.wmu.Unlock()
+	go c.flushRest()
 }
 
-// fail marks the connection dead and wakes all pending requests. The
-// error is implicit: waiters observe a failed future and report a
-// communications failure for their own peer address.
+// flushRest is the transient flusher: it inherits the write side from a
+// caller that has done its share and gives it up when the queue is empty.
+func (c *conn) flushRest() {
+	c.wmu.Lock()
+	c.writing = false
+	c.flushLocked(math.MaxInt)
+}
+
+// writeBatch sends c.batch — each frame's length prefix and the frame, from
+// the buffer it lies in — as one writev (on a connection that is not a
+// socket, net.Buffers degrades to a write per element), then recycles the
+// buffers. A failed write runs the drop of every frame in the batch and
+// fails the connection. Only the holder of the write side calls it.
+func (c *conn) writeBatch() {
+	n := len(c.batch)
+	if len(c.iov) < 2*n {
+		m := max(2*n, 8) // frames; doubling, so a deepening queue re-makes them rarely
+		c.lens, c.iov = make([]byte, 4*m), make([][]byte, 2*m)
+	}
+	for i, r := range c.batch {
+		p := r.buf.Bytes()
+		l := c.lens[4*i : 4*i+4]
+		binary.LittleEndian.PutUint32(l, uint32(len(p)))
+		c.iov[2*i], c.iov[2*i+1] = l, p
+	}
+	err := errConnDead
+	if !c.dead.Load() {
+		// WriteTo consumes the net.Buffers it is called on, so vec is
+		// re-sliced from iov per write.
+		c.vec = c.iov[:2*n]
+		_, err = c.vec.WriteTo(c.netc)
+	}
+	clear(c.iov[:2*n])
+	if err == nil {
+		gFlushes.Add(1)
+		gFramesCoalesced.Add(int64(n))
+		c.lastSend.Store(time.Now().UnixNano())
+	} else {
+		c.fail(err)
+	}
+	discard(c.batch, err != nil)
+}
+
+// discard recycles frames that have left the queue, lost or written.
+func discard(frames []sendReq, lost bool) {
+	for _, r := range frames {
+		buffer.Put(r.buf)
+		if lost && r.drop != nil {
+			r.drop()
+		}
+	}
+	gSendQueueDepth.Add(int64(-len(frames))) // last: at depth 0 nothing is owed
+	clear(frames)
+}
+
+// fail marks the connection dead, discards what is queued (a batch already
+// taken is its writer's to discard, when the write fails on the closed
+// socket), releases senders waiting for room and wakes all pending
+// requests: waiters observe a failed future and report a communications
+// failure for their own peer address. Loss callbacks run here, so fail is
+// never called under Server.mu.
 func (c *conn) fail(error) {
 	if !c.dead.CompareAndSwap(false, true) {
 		return
 	}
 	close(c.done)
 	_ = c.netc.Close()
+	c.wmu.Lock()
+	q := c.q
+	c.q = nil
+	c.room.Broadcast()
+	c.wmu.Unlock()
+	discard(q, true)
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()

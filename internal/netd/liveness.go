@@ -35,9 +35,9 @@ var (
 	gServeInflight = scstats.GaugeFor("netd.serve_inflight")
 )
 
-// Data-path gauges (E15): the frames currently queued behind connection
-// writers, and the flush/coalescing counters whose ratio is the mean
-// frames-per-write the batching achieves.
+// Data-path gauges (E15): the frames accepted by connections and not yet
+// written (or discarded), and the flush/coalescing counters — one flush is
+// one write syscall — whose ratio is the mean frames per write.
 var (
 	gSendQueueDepth  = scstats.GaugeFor("netd.sendq_depth")
 	gFlushes         = scstats.GaugeFor("netd.flushes")
@@ -378,9 +378,9 @@ func (s *Server) heartbeat(now time.Time) {
 		}
 		idle := now.Sub(time.Unix(0, c.lastSend.Load()))
 		if idle >= s.cfg.HeartbeatInterval && c.pinging.CompareAndSwap(false, true) {
-			// Off the sweeper goroutine: enqueueing can block behind a
-			// stalled socket write, and the sweeper must keep serving
-			// the other connections' liveness clocks.
+			// Off the sweeper goroutine: on an idle connection the sender
+			// is the writer, a write to a stalled socket blocks, and the
+			// sweeper must keep serving the other connections' clocks.
 			go func(c *conn) {
 				defer c.pinging.Store(false)
 				ping := buffer.Get(1)

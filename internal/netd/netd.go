@@ -55,6 +55,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -883,7 +884,7 @@ func (s *Server) dialAndHello(addr string) (*conn, error) {
 		_ = netc.Close()
 		return nil, ErrClosed
 	}
-	c := s.newConn(netc)
+	c := newConn(netc)
 	s.allConns[c] = struct{}{}
 	epoch := s.nextEpoch
 	s.nextEpoch++
@@ -944,7 +945,7 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return
 		}
-		c := s.newConn(netc)
+		c := newConn(netc)
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -975,7 +976,7 @@ func (s *Server) serveConn(c *conn, addr string) {
 	// peer's flush arrives as one TCP segment train, and the buffered
 	// reader drains many frames per read syscall instead of paying two
 	// (header, payload) each.
-	br := bufio.NewReaderSize(c.netc, 64<<10)
+	br := bufio.NewReaderSize(c, 64<<10)
 	// budget is the inline fast path's allowance for the current read
 	// batch: handler time spent executing calls directly on this
 	// goroutine. It refills whenever the buffered reader runs dry —
@@ -986,12 +987,15 @@ func (s *Server) serveConn(c *conn, addr string) {
 	for {
 		if br.Buffered() == 0 {
 			budget = s.cfg.Dispatch.InlineBudget
+			// What this goroutine queued while serving the batch — inline
+			// handlers' replies, pongs, refusals — leaves now, in one
+			// write: frames that arrived together are answered together.
+			c.flush()
 		}
 		in, err := readFrame(br)
 		if err != nil {
 			break
 		}
-		c.lastRecv.Store(time.Now().UnixNano())
 		if !s.serveFrame(c, br, in, &rel, &budget) {
 			break
 		}
@@ -1023,9 +1027,9 @@ func (s *Server) serveFrame(c *conn, br *bufio.Reader, in *buffer.Buffer, rel *[
 	case msgPing:
 		pong := buffer.Get(1)
 		pong.WriteByte(msgPong)
-		_ = c.send(pong)
+		_ = c.queue(pong)
 	case msgPong:
-		// lastRecv above is all a pong is for.
+		// The read that brought it stamped lastRecv: all a pong is for.
 	case msgReply:
 		reqID, err := in.ReadUint64()
 		if err != nil {
@@ -1127,18 +1131,28 @@ func (s *Server) dispatchCall(c *conn, reqID, key uint64, req *buffer.Buffer, in
 	h, ist := e.h, e.inline
 	if *budget > 0 && ist.Eligible() {
 		start := time.Now()
-		s.runCall(c, reqID, h, req, info)
+		frame := s.runCall(c, reqID, h, req, info)
 		d := time.Since(start)
 		*budget -= d
 		ist.Observe(d, s.cfg.Dispatch.InlineThreshold)
 		dispatch.NoteInline()
+		_ = c.queue(frame)
 		s.doneServe(c)
 		return
 	}
+	large := req.Large()
 	t := getServeTask()
 	*t = serveTask{s: s, c: c, reqID: reqID, h: h, ist: ist, req: req, info: info,
 		wait: trace.Begin(info, spanDispatchWait), queued: dispatch.NoteQueued(), fn: t.fn}
 	go t.fn()
+	if large {
+		// The hand-off (DESIGN §11): a payload-sized request gets the
+		// processor it was read on, and gives its array back before this
+		// goroutine draws the next frame's; reading on, a burst of N holds
+		// N arrays while the handlers wait for a CPU. A handler that blocks
+		// parks, and the reader is back at once.
+		runtime.Gosched()
+	}
 }
 
 // serveTask is one admitted call on its way to a goroutine of its own. The
@@ -1176,8 +1190,9 @@ func (t *serveTask) run() {
 	*t = serveTask{fn: t.fn} // drop everything it referenced
 	serveTaskPool.Put(t)
 	start := time.Now()
-	s.runCall(c, reqID, h, req, info)
+	frame := s.runCall(c, reqID, h, req, info)
 	ist.Observe(time.Since(start), s.cfg.Dispatch.InlineThreshold)
+	_ = c.send(frame)
 	s.doneServe(c)
 }
 
@@ -1222,11 +1237,12 @@ func (s *Server) shed(c *conn, reqID uint64, req *buffer.Buffer) {
 // runCall executes an incoming forwarded door call under the context
 // reconstructed from the wire header, so the exported door sees the
 // caller's remaining budget and trace exactly as a local caller's would
-// look. (The caller-side cancellation channel cannot cross the wire; a
-// cancelled caller simply abandons the reply.) It runs wherever the
-// dispatch decision put it: the reader goroutine (inline) or a goroutine of
-// the call's own.
-func (s *Server) runCall(c *conn, reqID uint64, h kernel.Handle, req *buffer.Buffer, info *kernel.Info) {
+// look, and returns the reply frame. (The caller-side cancellation channel
+// cannot cross the wire; a cancelled caller simply abandons the reply.) It
+// runs wherever the dispatch decision put it: the reader goroutine
+// (inline), which queues the frame for its next flush, or a goroutine of
+// the call's own, which sends it.
+func (s *Server) runCall(c *conn, reqID uint64, h kernel.Handle, req *buffer.Buffer, info *kernel.Info) *buffer.Buffer {
 	start := serveStats.Begin()
 	sp := trace.Begin(info, spanServe)
 	out, err := s.dom.CallInfo(h, req, info)
@@ -1239,30 +1255,33 @@ func (s *Server) runCall(c *conn, reqID uint64, h kernel.Handle, req *buffer.Buf
 		}
 		out = nil
 	}
+	code, msg := byte(codeOK), ""
 	switch {
 	case err == nil:
-		s.reply(c, reqID, codeOK, out, "")
 	case errors.Is(err, kernel.ErrDeadlineExceeded):
-		s.reply(c, reqID, codeDeadline, nil, "")
+		code = codeDeadline
 	case errors.Is(err, kernel.ErrCancelled):
-		s.reply(c, reqID, codeCancelled, nil, "")
+		code = codeCancelled
 	case errors.Is(err, kernel.ErrRevoked):
-		s.reply(c, reqID, codeRevoked, nil, "")
+		code = codeRevoked
 	case errors.Is(err, kernel.ErrBadHandle):
-		s.reply(c, reqID, codeBadKey, nil, "")
+		code = codeBadKey
 	default:
-		s.reply(c, reqID, codeError, nil, err.Error())
+		code, msg = codeError, err.Error()
 	}
+	frame := s.replyFrame(c, reqID, code, out, msg)
 	// The request is dead: the dispatch is over (a skeleton that kept
-	// argument bytes copied them — see stubs.Skeleton). Putting it returns
-	// the request frame's storage to the pool and, for a bulk request, the
-	// mapped grant to the sender's ring side; leftover door references are
-	// released first, as an abandoning client would. A request answered
-	// with itself was the result, and reply() has put it.
+	// argument bytes copied them — see stubs.Skeleton). Putting it — before
+	// the reply's write, not after — returns the request frame's storage to
+	// the pool and, for a bulk request, the mapped grant to the sender's
+	// ring side; leftover door references are released first, as an
+	// abandoning client would. A request answered with itself was the
+	// result, and replyFrame has put it.
 	if out != req {
 		kernel.ReleaseBufferDoors(req)
 		buffer.Put(req)
 	}
+	return frame
 }
 
 // releasePair is one decoded release frame, for the coalescer.
@@ -1315,14 +1334,20 @@ const (
 	descriptorRoom = 64
 )
 
-// reply sends the reply frame for reqID and disposes of out, the result of
-// a codeOK reply (nil otherwise).
+// reply answers reqID from the reader goroutine — a refusal, a root, a
+// frame that would not parse: the frame is queued and leaves at the
+// reader's next flush (serveConn).
 func (s *Server) reply(c *conn, reqID uint64, code byte, out *buffer.Buffer, errMsg string) {
+	_ = c.queue(s.replyFrame(c, reqID, code, out, errMsg))
+}
+
+// replyFrame builds the reply frame for reqID and disposes of out, the
+// result of a codeOK reply (nil otherwise).
+func (s *Server) replyFrame(c *conn, reqID uint64, code byte, out *buffer.Buffer, errMsg string) *buffer.Buffer {
 	if code == codeOK {
 		frame, err := s.frameResult(c, reqID, out)
 		if err == nil {
-			_ = c.send(frame)
-			return
+			return frame
 		}
 		code, errMsg = codeError, err.Error() // the doors are already gone
 	}
@@ -1330,7 +1355,7 @@ func (s *Server) reply(c *conn, reqID uint64, code byte, out *buffer.Buffer, err
 	if code == codeError {
 		frame.WriteString(errMsg)
 	}
-	_ = c.send(frame)
+	return frame
 }
 
 func replyHeader(b *buffer.Buffer, reqID uint64, code byte) *buffer.Buffer {

@@ -1,0 +1,399 @@
+package netd
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"net"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/buffer"
+	"repro/internal/core"
+	"repro/internal/sctest"
+	"repro/internal/stubs"
+	"repro/internal/subcontracts/singleton"
+)
+
+// Tests for the combining write path (E28) and the reader's hand-off of
+// payload-sized requests. Each fails, or cannot be written, at the parent:
+// there a writer goroutine owned every socket write.
+
+// seqFrame is a frame naming its sender, its place among that sender's
+// frames and, if known, its place among all frames enqueued.
+func seqFrame(sender, own, global uint32) *buffer.Buffer {
+	b := buffer.Get(16)
+	b.WriteByte(msgPing)
+	b.WriteUint32(sender)
+	b.WriteUint32(own)
+	b.WriteUint32(global)
+	return b
+}
+
+func TestSendFIFOUnderContention(t *testing.T) {
+	near, far := socketPair(t)
+	c := newConn(near)
+	defer c.fail(errConnDead)
+	const senders, per = 16, 300
+	frames0, depth0 := gFramesCoalesced.Value(), gSendQueueDepth.Value()
+
+	read := make(chan error, 1)
+	go func() {
+		read <- func() error {
+			br := bufio.NewReader(far)
+			if f := rawFrame(t, br); f[4] != msgHello {
+				return errors.New("the first frame on the wire is not the hello")
+			}
+			var next [senders]uint32
+			var global uint32
+			for i := 0; i < senders*per; i++ {
+				f := rawFrame(t, br)
+				s, own, g := binary.LittleEndian.Uint32(f[5:]), binary.LittleEndian.Uint32(f[9:]), binary.LittleEndian.Uint32(f[13:])
+				if own != next[s] {
+					return errors.New("a sender's frames arrived out of its own order")
+				}
+				next[s]++
+				if g != 0 {
+					if g <= global {
+						return errors.New("frames arrived out of enqueue order")
+					}
+					global = g
+				}
+			}
+			return nil
+		}()
+	}()
+
+	hello := buffer.Get(16)
+	hello.WriteByte(msgHello)
+	if err := c.send(hello); err != nil {
+		t.Fatal(err)
+	}
+	// Even senders take a ticket and enqueue under one lock, so the order
+	// frames were accepted in is known, and flush outside it; odd senders
+	// use send as callers do.
+	var ticket sync.Mutex
+	var issued uint32
+	var wg sync.WaitGroup
+	for s := uint32(0); s < senders; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := uint32(0); i < per; i++ {
+				var err error
+				if s%2 == 0 {
+					ticket.Lock()
+					issued++
+					err = c.enqueue(seqFrame(s, i, issued), nil, false)
+					ticket.Unlock()
+					c.flush()
+				} else {
+					err = c.send(seqFrame(s, i, 0))
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := <-read; err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, time.Second, "the write side to go idle", func() bool { return gSendQueueDepth.Value() == depth0 })
+	if d := gFramesCoalesced.Value() - frames0; d != senders*per+1 {
+		t.Errorf("%d frames counted written, want %d", d, senders*per+1)
+	}
+}
+
+func TestSendDropExactlyOnce(t *testing.T) {
+	base, depth0 := sctest.Snapshot(), gSendQueueDepth.Value()
+	near, far := socketPair(t)
+	c := newConn(near)
+	// The peer reads nothing until the connection has died: the socket
+	// fills, one sender blocks in its write, the queue fills behind it and
+	// the rest block for room.
+	const senders, per, size = 16, 128, 16 << 10
+	var drops [senders * per]atomic.Int32
+	var accepted [senders * per]atomic.Bool
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				id := s*per + i
+				f := testFrame(msgPing, size)
+				binary.LittleEndian.PutUint32(f.Bytes()[1:], uint32(id))
+				if c.sendDrop(f, func() { drops[id].Add(1) }) != nil {
+					return
+				}
+				accepted[id].Store(true)
+			}
+		}()
+	}
+	waitFor(t, 5*time.Second, "the queue to fill behind the stalled write", func() bool {
+		c.wmu.Lock()
+		defer c.wmu.Unlock()
+		return c.writing && len(c.q) >= sendQueueLen
+	})
+	c.fail(errConnDead)
+	wg.Wait()
+	// A transient flusher may still be discarding the batch it held.
+	waitFor(t, 5*time.Second, "every accepted frame to be written or dropped", func() bool { return gSendQueueDepth.Value() == depth0 })
+
+	arrived := make(map[int]bool)
+	br := bufio.NewReader(far)
+	for {
+		hdr := make([]byte, 4+5)
+		if _, err := io.ReadFull(br, hdr); err != nil {
+			break
+		}
+		if _, err := br.Discard(size - 5); err != nil {
+			break // cut off mid-frame
+		}
+		arrived[int(binary.LittleEndian.Uint32(hdr[5:]))] = true
+	}
+	lost := 0
+	for id := range drops {
+		n := drops[id].Load()
+		switch {
+		case !accepted[id].Load() && n != 0:
+			t.Fatalf("frame %d was refused and its drop ran %d times", id, n)
+		case accepted[id].Load() && !arrived[id] && n != 1:
+			t.Fatalf("frame %d was accepted and lost and its drop ran %d times", id, n)
+		case n > 1:
+			t.Fatalf("frame %d: drop ran %d times", id, n)
+		}
+		lost += int(n)
+	}
+	if lost == 0 || len(arrived) == 0 {
+		t.Fatalf("%d frames arrived and %d were lost: the test wants some of each", len(arrived), lost)
+	}
+	near.Close()
+	far.Close()
+	if err := sctest.AssertQuiesced(base); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// tokenConn is a connection whose every Write waits for a token from the
+// test (net.Buffers writes a frame to it as two: prefix, then payload).
+type tokenConn struct {
+	*discardConn
+	tokens  chan struct{}
+	waiting chan struct{} // a Write is waiting for its token
+	wrote   bytes.Buffer
+}
+
+func (c *tokenConn) Write(p []byte) (int, error) {
+	select {
+	case <-c.tokens:
+		return c.wrote.Write(p)
+	default:
+		c.waiting <- struct{}{}
+	}
+	select {
+	case <-c.tokens:
+		return c.wrote.Write(p)
+	case <-c.ch:
+		return 0, net.ErrClosed
+	}
+}
+
+func TestFlusherNotCaptive(t *testing.T) {
+	base := sctest.Snapshot()
+	netc := &tokenConn{discardConn: newDiscardConn(), tokens: make(chan struct{}, 64), waiting: make(chan struct{}, 1)}
+	c := newConn(netc)
+	give := func(frames int) {
+		for i := 0; i < 2*frames; i++ {
+			netc.tokens <- struct{}{}
+		}
+	}
+	returned := make(chan error, 1)
+	go func() { returned <- c.send(testFrame(1, 8)) }()
+	<-netc.waiting // the first sender holds the write side, in its write
+
+	// Senders that find it held enqueue and go.
+	for tag := byte(2); tag <= 3; tag++ {
+		if err := c.send(testFrame(tag, 8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	give(1)        // its own frame
+	<-netc.waiting // and it is into the batch that queued meanwhile
+	var dropped atomic.Int32
+	if err := c.sendDrop(testFrame(4, 8), func() { dropped.Add(1) }); err != nil {
+		t.Fatal(err)
+	}
+	give(2)
+	// Its own frame and one batch: frame 4 is somebody else's to write, and
+	// the first sender is back before a byte of it moves.
+	select {
+	case err := <-returned:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first sender is still writing other senders' frames")
+	}
+	<-netc.waiting // the transient flusher, stalled on frame 4
+	if got := netc.wrote.Len(); got != 3*(4+8) {
+		t.Fatalf("%d bytes written with the first sender back, want its frame and one batch of two", got)
+	}
+
+	// A sender waiting for room behind the stalled flusher is released by
+	// fail, and what was accepted and not written is dropped, once.
+	for i := 0; i < sendQueueLen; i++ {
+		if err := c.send(testFrame(5, 8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	go func() { returned <- c.send(testFrame(6, 8)) }()
+	select {
+	case err := <-returned:
+		t.Fatalf("send into a full queue behind a stalled write returned %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	c.fail(errConnDead)
+	select {
+	case err := <-returned:
+		if !errors.Is(err, errConnDead) {
+			t.Fatalf("the blocked sender was released with %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("fail did not release the sender waiting for room")
+	}
+	waitFor(t, 5*time.Second, "frame 4's drop", func() bool { return dropped.Load() == 1 })
+	if err := sctest.AssertQuiesced(base); err != nil {
+		t.Fatal(err)
+	}
+	if n := dropped.Load(); n != 1 {
+		t.Fatalf("frame 4's drop ran %d times", n)
+	}
+}
+
+func TestIdleConnGoroutines(t *testing.T) {
+	a := newMachine(t, "A")
+	b := newMachine(t, "B")
+	exportCounter(t, a, "counter")
+	remote, err := b.srv.ImportRootObject(b.env, a.srv.Addr(), "counter", sctest.CounterMT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := sctest.Get(remote); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One connection, two ends: each end's reader, and nothing else of
+	// conn's. (Earlier tests' servers are closed, and Close waits for
+	// their readers.)
+	var readers, others int
+	waitFor(t, 2*time.Second, "the connection to go idle with one goroutine an end", func() bool {
+		stacks := make([]byte, 1<<20)
+		stacks = stacks[:runtime.Stack(stacks, true)]
+		readers, others = 0, 0
+		for _, g := range bytes.Split(stacks, []byte("\n\n")) {
+			switch {
+			case bytes.Contains(g, []byte("netd.(*Server).serveConn")):
+				readers++
+			case bytes.Contains(g, []byte("netd.(*conn).")):
+				others++
+			}
+		}
+		return readers == 2 && others == 0
+	})
+}
+
+func TestNullCallOneFlushEachWay(t *testing.T) {
+	a := newMachine(t, "A")
+	b := newMachine(t, "B")
+	exportCounter(t, a, "counter")
+	remote, err := b.srv.ImportRootObject(b.env, a.srv.Addr(), "counter", sctest.CounterMT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// From the first call, while the door still gets a goroutine a call, to
+	// well past its promotion to the reader: a call is one write, its reply
+	// is one write.
+	const calls = 100
+	idle := func() bool { return gSendQueueDepth.Value() == 0 } // the counters move before the depth does
+	waitFor(t, time.Second, "the import's writes to be counted", idle)
+	flushes, frames := gFlushes.Value(), gFramesCoalesced.Value()
+	for i := 0; i < calls; i++ {
+		if _, err := sctest.Get(remote); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, time.Second, "the last reply's write to be counted", idle)
+	if df, dn := gFlushes.Value()-flushes, gFramesCoalesced.Value()-frames; df != 2*calls || dn != 2*calls {
+		t.Errorf("%d null calls one at a time made %d writes of %d frames, want %d of %d", calls, df, dn, 2*calls, 2*calls)
+	}
+}
+
+func TestBulkBurstHandsOff(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
+	}
+	const n, size = 16, 64 << 10
+	// burst sends one 64 KiB call to each of n fresh doors — doors with no
+	// history get a goroutine a call — back to back on one connection, and
+	// waits for the n replies.
+	burst := func(t *testing.T, skel stubs.Skeleton) buffer.Ledger {
+		a := newMachine(t, "A")
+		peer := dialRawPeer(t, a.srv.Addr())
+		var wire []byte
+		for i := 0; i < n; i++ {
+			name := string(rune('a' + i))
+			obj, _ := singleton.Export(a.env, stressEchoMT, skel, nil)
+			a.srv.PublishRoot(name, obj)
+			args := buffer.New(4 + size)
+			args.WriteUint32(0)
+			args.WriteRaw(make([]byte, size))
+			peer.prepareCall(peer.importRoot(name), args)
+			binary.LittleEndian.PutUint64(peer.call[5:], uint64(100+i))
+			wire = append(wire, peer.call...)
+		}
+		runtime.GC() // twice: the pools' arrays are idle no more, so every
+		runtime.GC() // array the burst needs at once is one it makes
+		before := buffer.Stats()
+		_ = peer.conn.SetDeadline(time.Now().Add(10 * time.Second))
+		if _, err := peer.conn.Write(wire); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if reply := peer.next(msgReply); reply[8] != codeOK {
+				t.Fatalf("reply %d: code %d", i, reply[8])
+			}
+		}
+		return buffer.Stats().Sub(before)
+	}
+
+	t.Run("runnable handlers do not pile up", func(t *testing.T) {
+		nop := stubs.SkeletonFunc(func(core.OpNum, *buffer.Buffer, *buffer.Buffer) error { return nil })
+		if d, max := burst(t, nop), int64(runtime.GOMAXPROCS(0)+2); d.LargeAllocs > max {
+			t.Errorf("%d payload-sized arrays made for %d requests whose handlers never block, want at most %d", d.LargeAllocs, n, max)
+		}
+	})
+	t.Run("blocked handlers do", func(t *testing.T) {
+		// Nobody is answered until all n are in their handlers: the yield
+		// must never wait for the handler it yields to.
+		var in atomic.Int32
+		all := make(chan struct{})
+		rendezvous := stubs.SkeletonFunc(func(core.OpNum, *buffer.Buffer, *buffer.Buffer) error {
+			if in.Add(1) == n {
+				close(all)
+			}
+			<-all
+			return nil
+		})
+		burst(t, rendezvous)
+	})
+}

@@ -263,8 +263,8 @@ func TestBulkRequestGrantDoesNotAliasCallerArgs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c := srv.newConn(newDiscardConn())
-	defer c.fail(errConnDead) // before srv.Close, whose wg includes c's writer
+	c := newConn(newDiscardConn())
+	defer c.fail(errConnDead)
 	c.caps.Store(uint32(CapBulkRegions))
 
 	payload := bigPayload(64 << 10)
@@ -299,7 +299,7 @@ func TestAbandonRacedByDeliveryDrainsParkedReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c := srv.newConn(newDiscardConn())
+	c := newConn(newDiscardConn())
 	defer c.fail(errConnDead)
 	c.caps.Store(uint32(CapBulkRegions))
 
@@ -335,7 +335,7 @@ func TestBulkGrantReclaimedOnDoorExportError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c := srv.newConn(newDiscardConn())
+	c := newConn(newDiscardConn())
 	defer c.fail(errConnDead)
 	c.caps.Store(uint32(CapBulkRegions))
 
@@ -379,8 +379,8 @@ func TestBulkWireBufferRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c := srv.newConn(newDiscardConn())
-	defer c.fail(errConnDead) // before srv.Close, whose wg includes c's writer
+	c := newConn(newDiscardConn())
+	defer c.fail(errConnDead)
 	c.caps.Store(uint32(CapBulkRegions))
 
 	for _, n := range []int{srv.cfg.BulkThreshold - 1, srv.cfg.BulkThreshold, 64 << 10} {

@@ -226,17 +226,6 @@ type descriptor struct {
 	Key  uint64
 }
 
-// writeFrame sends one length-prefixed payload.
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
 // readFrame reads one length-prefixed payload into a pooled buffer, which
 // the caller owns (buffer.Put). The header is peeked rather than read into
 // a local so that nothing per frame escapes to the heap.

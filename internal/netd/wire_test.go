@@ -3,6 +3,7 @@ package netd
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"io"
 	"net"
 	"testing"
@@ -208,4 +209,15 @@ func TestGarbageConnectionIgnored(t *testing.T) {
 	if srv.Exports() != 0 {
 		t.Fatalf("garbage created exports: %d", srv.Exports())
 	}
+}
+
+// writeFrame sends one length-prefixed payload.
+func writeFrame(w io.Writer, payload []byte) error {
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	_, err := w.Write(payload)
+	return err
 }

@@ -193,6 +193,25 @@ type HistBucket struct {
 	ExNs    int64
 }
 
+// BucketCount is an occupied bucket as index and count — all that Sub reads
+// of the older snapshot, in 16 bytes where a HistBucket is 40 — for a
+// sampler that retains many snapshots only to subtract them later (Pack).
+type BucketCount struct {
+	Idx   uint16
+	Count uint64
+}
+
+// Unpack rebuilds the subtrahend a BucketCount list stands for: bounds
+// derived from the indices, counts, and no exemplars (Sub takes those from
+// the newer side).
+func Unpack(p []BucketCount) HistSnapshot {
+	s := HistSnapshot{Buckets: make([]HistBucket, len(p))}
+	for i, c := range p {
+		s.Buckets[i] = HistBucket{Lo: boundNs(bucketLo(int(c.Idx))), Hi: boundNs(bucketHi(int(c.Idx))), Count: c.Count}
+	}
+	return s
+}
+
 // HistSnapshot is a point-in-time copy of a Hist with bounds converted to
 // nanoseconds. Buckets are ascending and sparse (zero-count buckets
 // omitted). Snapshots from one process share bucket bounds (the tick
@@ -209,11 +228,7 @@ func (h *Hist) histSnapshot() HistSnapshot {
 		return HistSnapshot{}
 	}
 	var counts [histBuckets]uint64
-	for _, sh := range h.shards {
-		for i := range sh.counts {
-			counts[i] += sh.counts[i].Load()
-		}
-	}
+	h.addTo(&counts)
 	var sn HistSnapshot
 	for i, c := range counts {
 		if c == 0 {
@@ -229,6 +244,15 @@ func (h *Hist) histSnapshot() HistSnapshot {
 		sn.SumNs += int64(c) * midNs(b.Lo, b.Hi)
 	}
 	return sn
+}
+
+// addTo sums the shards into counts.
+func (h *Hist) addTo(counts *[histBuckets]uint64) {
+	for _, sh := range h.shards {
+		for i := range sh.counts {
+			counts[i] += sh.counts[i].Load()
+		}
+	}
 }
 
 // boundNs converts a tick bound to a nanosecond bound, preserving the

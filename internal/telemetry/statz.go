@@ -24,9 +24,9 @@ import (
 // which is what scbench uses: two scrapes bracket a benchmark phase and
 // the cells' percentiles come from the client-side difference.
 //
-// Snapshots store sparse bucket lists, so a sample is a few KB and the
-// default ring (128 samples ≈ 2 minutes) stays in the low MBs even with
-// every subsystem instrumented.
+// The ring keeps of each sample only what a later delta reads of the older
+// side (packed, below): a sample is a few KB, and once the default ring
+// (128 samples ≈ 2 minutes) has wrapped, sampling allocates nothing.
 
 const (
 	statzInterval = time.Second
@@ -58,26 +58,77 @@ func takeStatzSample(at time.Time) statzSample {
 	}
 }
 
+// packed is what the ring keeps of a sample: scstats' packed form — one row
+// per histogram with the counters a delta subtracts, the rows' occupied
+// buckets back to back as (index, count) — taken straight off the live
+// registry. Bounds are derived when a window is asked for, and exemplars
+// come from the newer side of a delta, which is live.
+type packed struct {
+	at       time.Time
+	rows     []scstats.PackedRow
+	cells    []scstats.BucketCount
+	bufs     buffer.Ledger
+	inflight int64
+}
+
+// take samples the registry into p. A slot filled for the first time is
+// sized by the sample before it, last, which a second later is exact or a
+// bucket or two short: one allocation each for rows and cells, not a
+// doubling series of them.
+func (p *packed) take(at time.Time, last *packed) {
+	if p.rows == nil {
+		p.rows = make([]scstats.PackedRow, 0, len(last.rows)+4)
+		p.cells = make([]scstats.BucketCount, 0, len(last.cells)+16)
+	}
+	p.at, p.bufs, p.inflight = at, buffer.Stats(), gServeInflight.Value()
+	p.rows, p.cells = scstats.Pack(p.rows[:0], p.cells[:0])
+}
+
+// unpack rebuilds the sample as statzDelta's older side.
+func (p *packed) unpack() statzSample {
+	s := statzSample{at: p.at, bufs: p.bufs, inflight: p.inflight}
+	cells := p.cells
+	for _, r := range p.rows {
+		h := scstats.Unpack(cells[:r.N])
+		cells = cells[r.N:]
+		switch r.Kind {
+		case 's':
+			s.scs = append(s.scs, scstats.Snapshot{Name: r.Name, Calls: r.C[0], Errors: r.C[1],
+				Retries: r.C[2], Hits: r.C[3], Misses: r.C[4], Coalesced: r.C[5], Lat: h})
+		case 'o':
+			sc := &s.scs[len(s.scs)-1]
+			sc.Ops = append(sc.Ops, scstats.OpSnapshot{Op: r.Op, Overflow: r.Overflow, Lat: h})
+		case 'p':
+			s.peers = append(s.peers, scstats.PeerSnapshot{Addr: r.Name, Calls: r.C[0], Errors: r.C[1], Lat: h})
+		case 'h':
+			s.hists = append(s.hists, scstats.NamedHistSnapshot{Name: r.Name, Hist: h})
+		}
+	}
+	return s
+}
+
 // statzRing is a fixed-capacity ring of samples, oldest overwritten
 // first. Kept free of HTTP concerns so the wraparound math is unit
 // testable.
 type statzRing struct {
 	mu      sync.Mutex
-	samples []statzSample
+	samples []packed
 	next    int // index the next push writes
 	count   int // stored samples, ≤ cap
 	start   time.Time
 }
 
 func newStatzRing(capacity int, start time.Time) *statzRing {
-	return &statzRing{samples: make([]statzSample, capacity), start: start}
+	return &statzRing{samples: make([]packed, capacity), start: start}
 }
 
-func (r *statzRing) push(s statzSample) {
+// push samples the registry, as of at, into the oldest slot.
+func (r *statzRing) push(at time.Time) {
 	r.mu.Lock()
-	r.samples[r.next] = s
-	r.next = (r.next + 1) % len(r.samples)
-	if r.count < len(r.samples) {
+	n := len(r.samples)
+	r.samples[r.next].take(at, &r.samples[(r.next+n-1)%n])
+	r.next = (r.next + 1) % n
+	if r.count < n {
 		r.count++
 	}
 	r.mu.Unlock()
@@ -94,27 +145,15 @@ func (r *statzRing) before(cutoff time.Time) (statzSample, bool) {
 	if r.count == 0 {
 		return statzSample{}, false
 	}
-	var best statzSample
-	found := false
-	oldest := statzSample{}
-	oldestSet := false
-	for i := 0; i < r.count; i++ {
-		// Walk stored slots; order within the ring does not matter for
-		// max-under-cutoff or min-overall.
-		s := r.samples[(r.next-1-i+2*len(r.samples))%len(r.samples)]
-		if !oldestSet || s.at.Before(oldest.at) {
-			oldest = s
-			oldestSet = true
-		}
-		if !s.at.After(cutoff) && (!found || s.at.After(best.at)) {
-			best = s
-			found = true
+	// Newest first: the first sample not after cutoff, else the oldest.
+	var p *packed
+	for i := 1; i <= r.count; i++ {
+		p = &r.samples[(r.next-i+len(r.samples))%len(r.samples)]
+		if !p.at.After(cutoff) {
+			break
 		}
 	}
-	if found {
-		return best, true
-	}
-	return oldest, true
+	return p.unpack(), true
 }
 
 // ---------------------------------------------------------------------
@@ -328,7 +367,7 @@ func (st *statzState) sample() {
 		case <-st.stop:
 			return
 		case now := <-t.C:
-			st.ring.push(takeStatzSample(now))
+			st.ring.push(now)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -11,10 +12,6 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/scstats"
 )
-
-// sampleAt builds an empty sample with only a timestamp — enough for the
-// ring's ordering logic.
-func sampleAt(at time.Time) statzSample { return statzSample{at: at} }
 
 func TestStatzRingBeforeAcrossWraparound(t *testing.T) {
 	t0 := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
@@ -27,7 +24,7 @@ func TestStatzRingBeforeAcrossWraparound(t *testing.T) {
 	// Push 5 samples at t0+1s .. t0+5s into a capacity-3 ring: the ring
 	// now holds t0+3s, t0+4s, t0+5s with its write cursor wrapped.
 	for i := 1; i <= 5; i++ {
-		r.push(sampleAt(t0.Add(time.Duration(i) * time.Second)))
+		r.push(t0.Add(time.Duration(i) * time.Second))
 	}
 
 	// A cutoff between stored samples picks the newest at-or-before it.
@@ -210,5 +207,48 @@ func TestStatzEndpoint(t *testing.T) {
 	// Bad windows are rejected.
 	if code, _ := get(t, "http://"+s.Addr()+"/statz?window=bogus"); code != http.StatusBadRequest {
 		t.Errorf("bad window: status %d, want 400", code)
+	}
+}
+
+func TestStatzRingPacksSamples(t *testing.T) {
+	// A window's delta against a sample that went through the ring is, byte
+	// for byte, the delta against the sample itself: the ring keeps bucket
+	// indices and counts, and the bounds come back when they are asked for.
+	sc, hist, peer := scstats.For("ring-test"), scstats.HistFor("ring-test.hist"), scstats.PeerFor("ring-test:1")
+	record := func(n int) {
+		for i := 1; i <= n; i++ {
+			d := time.Duration(i*i) * time.Microsecond
+			sc.RecordLatency(d)
+			sc.EndCall(sc.Begin(), uint32(i%3), 0, nil)
+			hist.Observe(d, uint64(i))
+			peer.Record(int64(i)*1000, 0, nil)
+		}
+	}
+	t0 := time.Now()
+	record(200)
+	older := takeStatzSample(t0) // and the ring's own sample, with nothing recorded between
+	r := newStatzRing(4, t0)
+	r.push(t0)
+	record(300)
+	cur := takeStatzSample(t0.Add(10 * time.Second))
+	kept, ok := r.before(t0)
+	if !ok {
+		t.Fatal("the ring lost its only sample")
+	}
+	want, _ := json.Marshal(statzDelta(cur, older, 10, true))
+	got, _ := json.Marshal(statzDelta(cur, kept, 10, true))
+	if !bytes.Equal(got, want) {
+		t.Fatalf("delta against the ring's copy differs:\n got %s\nwant %s", got, want)
+	}
+	if !bytes.Contains(want, []byte(`"name":"ring-test"`)) || !bytes.Contains(want, []byte(`"ops":[`)) {
+		t.Fatalf("the delta under test has no per-op histograms: %s", want)
+	}
+	// Once the ring has wrapped, a sample reuses the evicted slot's arrays:
+	// taken off the live registry, it allocates nothing.
+	for i := 0; i < 4; i++ {
+		r.push(t0)
+	}
+	if n := testing.AllocsPerRun(50, func() { r.push(t0) }); n != 0 {
+		t.Errorf("a sample into a wrapped ring allocates %.0f objects, want 0", n)
 	}
 }
