@@ -75,7 +75,7 @@ bench:
 # in flight leave at most eighteen payload-sized arrays, a growing buffer
 # and a bytes result borrow an idle one; and the E28 counts of the write
 # path — an idle connection is one goroutine, a null call is one write each
-# way, a caller writes its own frame and one batch, sixteen 64 KiB requests
+# way, a caller writes one batch and no more, sixteen 64 KiB requests
 # whose handlers do not block make GOMAXPROCS + 2 arrays — so a
 # copy, an allocation, a pool, a timer or a writer goroutine creeping back
 # in fails tier2.

@@ -3,8 +3,8 @@ package netd
 import (
 	"encoding/binary"
 	"errors"
-	"math"
 	"net"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -46,6 +46,12 @@ const (
 	// side. Enqueueing blocks (fail-fast on conn death) beyond it —
 	// backpressure, not unbounded memory.
 	sendQueueLen = 256
+	// writePatience is how long a sender, or the reader, stays in a write
+	// the socket will not take before it passes what is left to a flusher
+	// goroutine (at most twice this: see write). A write that outlasts it
+	// is only ever handed on, never failed. Not shorter: a deadline timer a
+	// millisecond or two out cost null_c1 a tenth of its calls (E28).
+	writePatience = 10 * time.Millisecond
 )
 
 // callFuture states. A future is pending from register until exactly one
@@ -129,9 +135,9 @@ type conn struct {
 	// The write side. q holds the frames accepted and not yet taken, in
 	// order; writing says some goroutine owns the socket's write half, and
 	// is only cleared with q empty. room wakes senders waiting out a full
-	// queue. batch, lens, iov and vec are the writer's own — the frames it
-	// took, their length prefixes and the vector they leave by — reused
-	// from one write to the next.
+	// queue. The rest is the holder's own, reused from write to write: the
+	// frames it took, their length prefixes, the vector they leave by, and
+	// the write deadline the socket is under (zero: none).
 	wmu     sync.Mutex
 	room    sync.Cond
 	q       []sendReq
@@ -140,12 +146,13 @@ type conn struct {
 	lens    []byte
 	iov     [][]byte
 	vec     net.Buffers
+	wdl     time.Time
 
 	helloed  chan struct{} // closed once the peer's hello arrives
 	done     chan struct{} // closed when the conn dies
 	dead     atomic.Bool
 	lastRecv atomic.Int64 // unix nanos of the last read that returned bytes
-	lastSend atomic.Int64 // unix nanos of the last flush written
+	lastSend atomic.Int64 // unix nanos of the last write begun
 	pinging  atomic.Bool
 
 	nextID  atomic.Uint64
@@ -319,7 +326,7 @@ func (c *conn) enqueue(payload *buffer.Buffer, drop func(), flush bool) error {
 	c.q = append(c.q, sendReq{buf: payload, drop: drop})
 	gSendQueueDepth.Add(1)
 	if flush || len(c.q) >= sendQueueLen {
-		c.flushLocked(2)
+		c.flushLocked()
 	} else {
 		c.wmu.Unlock()
 	}
@@ -329,18 +336,17 @@ func (c *conn) enqueue(payload *buffer.Buffer, drop func(), flush bool) error {
 // flush writes what is queued, if nobody else is writing it already.
 func (c *conn) flush() {
 	c.wmu.Lock()
-	c.flushLocked(2)
+	c.flushLocked()
 }
 
 // flushLocked is the combining protocol. Called with wmu held, it releases
 // it. If frames are queued and the write side is idle it takes the write
-// side and writes up to batches batches, each everything queued at that
-// moment: the caller's own frame first, then what other senders queued
-// while that was in the kernel. What is queued after that goes to a
-// goroutine started for it, which writes until the queue is empty: no
-// caller is captive to other callers' traffic, and the write side is never
-// left idle over a non-empty queue.
-func (c *conn) flushLocked(batches int) {
+// side and writes one batch — everything queued at that moment — for at
+// most two writePatience. What is left then, of the batch or in the queue,
+// goes with the write side to a goroutine started for it: no caller, and no
+// reader, is captive to other senders' traffic or to a peer that has
+// stopped reading, and the write side is never idle over a non-empty queue.
+func (c *conn) flushLocked() {
 	if c.writing || len(c.q) == 0 {
 		c.wmu.Unlock()
 		return
@@ -348,41 +354,47 @@ func (c *conn) flushLocked(batches int) {
 	c.writing = true
 	if c.pending.Load() > 1 {
 		// Other calls are out, so other callers are about: one yield lets
-		// the runnable ones queue behind this frame and share its write.
+		// the runnable ones queue behind this frame and share its write
+		// (E28: without it small_open's server CPU per call is 4 % up).
 		c.wmu.Unlock()
 		runtime.Gosched()
 		c.wmu.Lock()
 	}
-	for i := 0; i < batches; i++ {
-		c.batch, c.q = c.q, c.batch[:0]
-		c.room.Broadcast()
-		c.wmu.Unlock()
-		c.writeBatch()
-		c.wmu.Lock()
-		if len(c.q) == 0 {
-			c.writing = false
-			c.wmu.Unlock()
-			return
-		}
+	c.take()
+	if !c.write(true) || c.more() {
+		go c.flushRest()
 	}
-	c.wmu.Unlock()
-	go c.flushRest()
 }
 
-// flushRest is the transient flusher: it inherits the write side from a
-// caller that has done its share and gives it up when the queue is empty.
+// flushRest is the transient flusher: it inherits the write side and a
+// batch taken, and gives the write side up when the queue is empty.
 func (c *conn) flushRest() {
-	c.wmu.Lock()
-	c.writing = false
-	c.flushLocked(math.MaxInt)
+	c.write(false)
+	for c.more() {
+		c.write(false)
+	}
 }
 
-// writeBatch sends c.batch — each frame's length prefix and the frame, from
-// the buffer it lies in — as one writev (on a connection that is not a
-// socket, net.Buffers degrades to a write per element), then recycles the
-// buffers. A failed write runs the drop of every frame in the batch and
-// fails the connection. Only the holder of the write side calls it.
-func (c *conn) writeBatch() {
+// more takes what queued during a write as the next batch, or gives the
+// write side up if nothing did.
+func (c *conn) more() bool {
+	c.wmu.Lock()
+	if len(c.q) == 0 {
+		c.writing = false
+		c.wmu.Unlock()
+		return false
+	}
+	c.take()
+	return true
+}
+
+// take makes the queue the batch and lays it out for one writev: each
+// frame's length prefix, then the frame, from the buffer it lies in. Called
+// by the holder of the write side with wmu held, it releases it.
+func (c *conn) take() {
+	c.batch, c.q = c.q, c.batch[:0]
+	c.room.Broadcast()
+	c.wmu.Unlock()
 	n := len(c.batch)
 	if len(c.iov) < 2*n {
 		m := max(2*n, 8) // frames; doubling, so a deepening queue re-makes them rarely
@@ -394,22 +406,43 @@ func (c *conn) writeBatch() {
 		binary.LittleEndian.PutUint32(l, uint32(len(p)))
 		c.iov[2*i], c.iov[2*i+1] = l, p
 	}
+	c.vec = c.iov[:2*n] // WriteTo consumes vec as it writes; iov keeps the layout
+}
+
+// write sends what is left of the batch (on a connection that is not a
+// socket, net.Buffers degrades to a write per element) and reports whether
+// the batch is done with: written and recycled, or lost with the connection
+// — a failed write runs the drop of every frame in it. A patient write is
+// under a deadline one to two writePatience away, moved only when it has
+// come nearer than one (a busy connection sets it a hundred times a second,
+// not once a write); if it expires, what was not written is still in vec
+// and the caller passes it on. Only the holder calls it.
+func (c *conn) write(patient bool) bool {
 	err := errConnDead
 	if !c.dead.Load() {
-		// WriteTo consumes the net.Buffers it is called on, so vec is
-		// re-sliced from iov per write.
-		c.vec = c.iov[:2*n]
+		now := time.Now()
+		c.lastSend.Store(now.UnixNano())
+		if patient && c.wdl.Sub(now) < writePatience {
+			c.wdl = now.Add(2 * writePatience)
+			_ = c.netc.SetWriteDeadline(c.wdl)
+		} else if !patient && !c.wdl.IsZero() {
+			c.wdl = time.Time{}
+			_ = c.netc.SetWriteDeadline(c.wdl)
+		}
 		_, err = c.vec.WriteTo(c.netc)
+		if patient && errors.Is(err, os.ErrDeadlineExceeded) {
+			return false
+		}
 	}
-	clear(c.iov[:2*n])
+	clear(c.iov[:2*len(c.batch)])
 	if err == nil {
 		gFlushes.Add(1)
-		gFramesCoalesced.Add(int64(n))
-		c.lastSend.Store(time.Now().UnixNano())
+		gFramesCoalesced.Add(int64(len(c.batch)))
 	} else {
 		c.fail(err)
 	}
 	discard(c.batch, err != nil)
+	return true
 }
 
 // discard recycles frames that have left the queue, lost or written.

@@ -11,6 +11,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -384,6 +385,12 @@ func TestServedMixedReadAllocs(t *testing.T) {
 			peer.roundTrips(1)
 		}
 	}
+	// AllocsPerRun measures on one processor; so must the warm-up, or what it
+	// left in the other processor's private pool slot is out of reach and the
+	// first measured round makes it again. (The writer goroutine used to put
+	// frames back from wherever it ran and hid this; the reader, which puts
+	// them back now, warms exactly one slot. E28.)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for i := 0; i < 100; i++ {
 		all()
 	}
@@ -391,12 +398,8 @@ func TestServedMixedReadAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(500, all); n > 0 {
 		t.Errorf("a 64 KiB read, a 1 KiB read of the same file and one of another allocate %.2f objects a round, want 0", n)
 	}
-	// The reader writes the replies itself now, and a 64 KiB write can outlast
-	// the scheduler's patience: resumed on the other processor, the reader
-	// finds that processor's pool slot empty and a small buffer is made. One
-	// call in a hundred is far above that; a payload-sized array is never made.
-	if d := buffer.Stats().Sub(before); d.LargeAllocs != 0 || d.Misses > 15 {
-		t.Errorf("%d payload-sized arrays allocated and %d pool misses in 1500 steady-state calls", d.LargeAllocs, d.Misses)
+	if d := buffer.Stats().Sub(before); d.LargeAllocs != 0 || d.Misses != 0 {
+		t.Errorf("%d payload-sized arrays allocated and %d pool misses in steady state", d.LargeAllocs, d.Misses)
 	}
 }
 

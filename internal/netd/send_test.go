@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/core"
+	"repro/internal/faultnet"
 	"repro/internal/sctest"
 	"repro/internal/stubs"
 	"repro/internal/subcontracts/singleton"
@@ -183,39 +184,41 @@ func TestSendDropExactlyOnce(t *testing.T) {
 	}
 }
 
-// tokenConn is a connection whose every Write waits for a token from the
-// test (net.Buffers writes a frame to it as two: prefix, then payload).
+// tokenConn is a connection whose every Write spends a token the test
+// grants (net.Buffers writes a frame to it as two: prefix, then payload).
+// Tokens are granted in one piece, so a writer never runs out half way
+// through a grant and reports itself waiting.
 type tokenConn struct {
 	*discardConn
-	tokens  chan struct{}
-	waiting chan struct{} // a Write is waiting for its token
+	tokens  chan int
+	left    int           // the writer's: granted and not yet spent
+	waiting chan struct{} // a Write is waiting for a grant
 	wrote   bytes.Buffer
 }
 
 func (c *tokenConn) Write(p []byte) (int, error) {
-	select {
-	case <-c.tokens:
-		return c.wrote.Write(p)
-	default:
-		c.waiting <- struct{}{}
+	if c.left == 0 {
+		select {
+		case c.left = <-c.tokens:
+		default:
+			c.waiting <- struct{}{}
+			select {
+			case c.left = <-c.tokens:
+			case <-c.ch:
+				return 0, net.ErrClosed
+			}
+		}
 	}
-	select {
-	case <-c.tokens:
-		return c.wrote.Write(p)
-	case <-c.ch:
-		return 0, net.ErrClosed
-	}
+	c.left--
+	return c.wrote.Write(p)
 }
 
 func TestFlusherNotCaptive(t *testing.T) {
 	base := sctest.Snapshot()
-	netc := &tokenConn{discardConn: newDiscardConn(), tokens: make(chan struct{}, 64), waiting: make(chan struct{}, 1)}
+	netc := &tokenConn{discardConn: newDiscardConn(), tokens: make(chan int, 1), waiting: make(chan struct{}, 1)}
 	c := newConn(netc)
-	give := func(frames int) {
-		for i := 0; i < 2*frames; i++ {
-			netc.tokens <- struct{}{}
-		}
-	}
+	defer c.fail(errConnDead)
+	give := func(frames int) { netc.tokens <- 2 * frames }
 	returned := make(chan error, 1)
 	go func() { returned <- c.send(testFrame(1, 8)) }()
 	<-netc.waiting // the first sender holds the write side, in its write
@@ -226,15 +229,10 @@ func TestFlusherNotCaptive(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	give(1)        // its own frame
-	<-netc.waiting // and it is into the batch that queued meanwhile
-	var dropped atomic.Int32
-	if err := c.sendDrop(testFrame(4, 8), func() { dropped.Add(1) }); err != nil {
-		t.Fatal(err)
-	}
-	give(2)
-	// Its own frame and one batch: frame 4 is somebody else's to write, and
-	// the first sender is back before a byte of it moves.
+	give(1)
+	// Its own batch, which was its own frame: the two that queued meanwhile
+	// are somebody else's to write, and the first sender is back before a
+	// byte of them moves.
 	select {
 	case err := <-returned:
 		if err != nil {
@@ -243,10 +241,16 @@ func TestFlusherNotCaptive(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("the first sender is still writing other senders' frames")
 	}
-	<-netc.waiting // the transient flusher, stalled on frame 4
-	if got := netc.wrote.Len(); got != 3*(4+8) {
-		t.Fatalf("%d bytes written with the first sender back, want its frame and one batch of two", got)
+	<-netc.waiting // the transient flusher, stalled on frame 2
+	if got := netc.wrote.Len(); got != 4+8 {
+		t.Fatalf("%d bytes written with the first sender back, want its own frame's 12", got)
 	}
+	var dropped atomic.Int32
+	if err := c.sendDrop(testFrame(4, 8), func() { dropped.Add(1) }); err != nil {
+		t.Fatal(err)
+	}
+	give(2)
+	<-netc.waiting // one batch at a time: frame 4 is the flusher's next
 
 	// A sender waiting for room behind the stalled flusher is released by
 	// fail, and what was accepted and not written is dropped, once.
@@ -276,6 +280,97 @@ func TestFlusherNotCaptive(t *testing.T) {
 	}
 	if n := dropped.Load(); n != 1 {
 		t.Fatalf("frame 4's drop ran %d times", n)
+	}
+}
+
+func TestStalledPeerDoesNotHoldCallers(t *testing.T) {
+	// A stops reading — and keeps pinging, so B's heartbeat never finds it
+	// silent. B's callers send 192 KiB requests until the socket is full and
+	// one of them is in a write the socket will not take: that write is handed
+	// to a flusher after writePatience, and every caller comes back on its
+	// own deadline, a hundredth of B's LeaseGrace.
+	fn := faultnet.New()
+	a := newMachineCfg(t, "A", Config{Transport: FuncTransport{ListenFunc: fn.ListenFunc(nil)}})
+	b := newMachine(t, "B")
+	obj, _ := singleton.Export(a.env, stressEchoMT, echoSkel(), nil)
+	a.srv.PublishRoot("echo", obj)
+	remote, err := b.srv.ImportRootObject(b.env, a.srv.Addr(), "echo", stressEchoMT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bigPayload(192 << 10)
+	if err := echoBytes(remote, payload); err != nil {
+		t.Fatal(err)
+	}
+	bulk := b.srv.linkFor(a.srv.Addr()).conns[roleBulk].Load()
+	stalled := func() bool {
+		bulk.wmu.Lock()
+		defer bulk.wmu.Unlock()
+		return bulk.writing
+	}
+	fn.SeverInbound()
+	const callers, deadline = 16, 100 * time.Millisecond
+	for round := 0; !stalled(); round++ {
+		if round == 40 {
+			t.Fatal("120 MiB sent to a peer that reads nothing and no write has stalled")
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < callers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				start := time.Now()
+				err := stubs.Call(remote, 0, func(b *buffer.Buffer) error { b.WriteBytes(payload); return nil },
+					func(*buffer.Buffer) error { return nil }, core.WithTimeout(deadline))
+				if !errors.Is(err, core.ErrDeadlineExceeded) {
+					t.Errorf("a call to a peer that reads nothing: %v", err)
+				}
+				if d := time.Since(start); d > 10*deadline {
+					t.Errorf("a call with a %v deadline came back after %v", deadline, d)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	// Nothing was failed for being slow: the peer reads again, the backlog
+	// goes out, and the connection the flusher was stalled on carries the
+	// next call.
+	fn.Heal()
+	if err := echoBytes(remote, payload); err != nil {
+		t.Fatal(err)
+	}
+	if bulk.isDead() {
+		t.Fatal("the stalled connection was failed")
+	}
+}
+
+func TestStalledPeerDoesNotHoldReader(t *testing.T) {
+	// A peer that sends requests five at a time and reads no replies: the
+	// reader answers each five inline and writes the replies itself, until
+	// the socket is full; then it hands what is left to a flusher and is back
+	// reading, and the requests after that are served with every reply before
+	// them still stuck. (The queue bounds how far: sendQueueLen frames.)
+	a := newMachine(t, "A")
+	var served atomic.Int32
+	reply := bigPayload(100 << 10)
+	obj, _ := singleton.Export(a.env, stressEchoMT, stubs.SkeletonFunc(func(_ core.OpNum, _, results *buffer.Buffer) error {
+		served.Add(1)
+		results.WriteBytes(reply)
+		return nil
+	}), nil)
+	a.srv.PublishRoot("big", obj)
+	peer := dialRawPeer(t, a.srv.Addr())
+	args := buffer.New(4)
+	args.WriteUint32(0)
+	peer.prepareCall(peer.importRoot("big"), args)
+	peer.roundTrips(50)       // the door earns its place on the reader
+	const bursts, per = 60, 5 // 30 MB of replies: three times what two socket buffers hold
+	wire := bytes.Repeat(peer.call, per)
+	for i := int32(1); i <= bursts; i++ {
+		if _, err := peer.conn.Write(wire); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, 5*time.Second, "the reader to serve five more requests with their replies unread", func() bool { return served.Load() == 50+i*per })
 	}
 }
 

@@ -10,7 +10,10 @@ package scstats
 // is retained.
 
 // PackedRow is one histogram of a packed sample, with N buckets of its own
-// in the cell array the rows share, in row order.
+// in the cell array the rows share, in row order. C carries the counters a
+// delta subtracts; one it starts to read must be added here and in
+// telemetry's unpack (TestStatzRingPacksSamples moves every exported counter
+// of a block and fails on one that is not carried).
 type PackedRow struct {
 	Kind     byte // 's'ubcontract aggregate, 'o'p of the subcontract above it, 'p'eer, 'h' named histogram
 	Overflow bool // 'o': the shared slot of every op ≥ maxOps

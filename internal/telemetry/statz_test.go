@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -215,6 +217,20 @@ func TestStatzRingPacksSamples(t *testing.T) {
 	// for byte, the delta against the sample itself: the ring keeps bucket
 	// indices and counts, and the bounds come back when they are asked for.
 	sc, hist, peer := scstats.For("ring-test"), scstats.HistFor("ring-test.hist"), scstats.PeerFor("ring-test:1")
+	// Every exported counter moves, each by its own amount, so a counter the
+	// delta reads and the packed form does not carry shows up as a difference
+	// — including one added to Snapshot after this test was written.
+	bump := func(block any, by uint64) {
+		v := reflect.ValueOf(block).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			if !v.Type().Field(i).IsExported() {
+				continue
+			}
+			if c, ok := v.Field(i).Addr().Interface().(*atomic.Uint64); ok {
+				c.Add(by * uint64(i+1))
+			}
+		}
+	}
 	record := func(n int) {
 		for i := 1; i <= n; i++ {
 			d := time.Duration(i*i) * time.Microsecond
@@ -223,6 +239,8 @@ func TestStatzRingPacksSamples(t *testing.T) {
 			hist.Observe(d, uint64(i))
 			peer.Record(int64(i)*1000, 0, nil)
 		}
+		bump(sc, uint64(n))
+		bump(peer, uint64(n))
 	}
 	t0 := time.Now()
 	record(200)
