@@ -16,23 +16,24 @@ tier2: faults crash bench-quick bench-e2e-check obs
 	go vet ./...
 	go test -race ./...
 
-# The fault suite: partition, crash-recovery, lease-expiry, breaker and
-# transport-tier (negotiation, fallback, bulk hand-off teardown) tests
-# across netd and the subcontracts, under the race detector.
+# The fault suite: partition, crash-recovery, lease-expiry, breaker,
+# transport-teardown and link tests across netd and the subcontracts,
+# under the race detector.
 faults:
-	go test -race -run 'Lease|Partition|Breaker|Fault|Sever|Truncat|Kill|Refus|Hung|Dead|Replay|Heartbeat|Reclaim|Negotiat|Fallback|Handoff|Teardown|Link|Bulk' \
+	go test -race -run 'Lease|Partition|Breaker|Sever|Truncat|Kill|Refus|Hung|Dead|Replay|Heartbeat|Reclaim|Teardown|Link|Bulk' \
 		./internal/faultnet/ ./internal/netd/ ./internal/integration/
 
 # The E19 crash suite: SIGKILL the durable server mid-write-load and
-# restart it against the same WAL directories and netd state file —
-# same instance identity, no acked write lost, zero client-visible
-# errors — plus the WAL/snapshot corruption property tests.
+# restart it against the same WAL directories and netd state file, on a
+# TCP address and on a unix: one whose socket file the kill leaves
+# behind — same instance identity, no acked write lost, zero
+# client-visible errors — plus the WAL/snapshot corruption property tests.
 crash:
 	go test -race -run 'KillRestart|RestartRecovers|RestartRejoins|StateFile|CorruptState|FirstBoot|WAL|Snapshot|SaveFile' \
 		./internal/integration/ ./internal/netd/ ./internal/filesys/
 
 # The E15/E18 throughput sweeps (parallelism × payload, over loopback TCP
-# and the same-machine transport tier), E21's two head-of-line rows (small
+# and the same-machine tier's unix sockets), E21's two head-of-line rows (small
 # calls under bulk load, one shared connection vs the link's two) and the
 # E16 local-path sweep (null door calls, refcount churn, cache-hit mixes),
 # recorded as JSON with the host they ran on. The netd sweep runs
@@ -42,8 +43,8 @@ crash:
 bench:
 	go test -run NONE -bench 'E15|E18' -benchmem -benchtime 2s -count=3 . | tee /tmp/bench_netd.out
 	go test -run NONE -bench 'E21' -benchmem -benchtime 1s -count=3 . | tee -a /tmp/bench_netd.out
-	go run ./cmd/benchjson -experiment 'E15/E18/E21 netd throughput: loopback TCP vs same-machine tier; small calls under bulk load, shared vs isolated' \
-		-note 'per-cell medians of 3 runs on a shared host; compare E18 vs E15 and MixedHoL_Isolated vs _Shared within a run, and 64KiB cells against the baseline array' \
+	go run ./cmd/benchjson -experiment 'E15/E18/E21 netd throughput: loopback TCP vs the same-machine tier (unix sockets); small calls under bulk load, shared vs isolated' \
+		-note 'per-cell medians of 3 runs on a shared host; compare E18 vs E15 and MixedHoL_Isolated vs _Shared within a run; the E18 64KiB cells are the unix-socket copy since PR 20 (E29) — the in-process region hand-off that read 12-26 us there is deleted' \
 		-o BENCH_netd.json < /tmp/bench_netd.out
 	go test -run NONE -bench 'E16' -benchmem . | tee /tmp/bench_e16.out
 	go run ./cmd/benchjson -experiment 'E16 lock-free local door path + scalable cache manager (intra-machine)' \
@@ -73,16 +74,25 @@ bench:
 # a payload-sized frame leaves uncopied, a 64 KiB read between 1 KiB reads
 # of the same file and of another allocates nothing, sixteen 64 KiB frames
 # in flight leave at most eighteen payload-sized arrays, a growing buffer
-# and a bytes result borrow an idle one; and the E28 counts of the write
+# and a bytes result borrow an idle one, the same reads and writes over a
+# unix socket make no array either; and the E28 counts of the write
 # path — an idle connection is one goroutine, a null call is one write each
 # way, a caller writes one batch and no more, sixteen 64 KiB requests
 # whose handlers do not block make GOMAXPROCS + 2 arrays — so a
 # copy, an allocation, a pool, a timer or a writer goroutine creeping back
-# in fails tier2.
+# in fails tier2. -run exits 0 for a name that matches nothing, so the
+# list is checked against go test -list first: a guard that was renamed or
+# deleted fails the target instead of silently no longer running.
+GUARDS = TestServedReadWriteAllocs|TestServedMixedReadAllocs|TestReplyIsFrame|TestLargeFrameBypassesBatch|TestBorrowedBytesNotRetained|TestSequentialGrowthCopiesLinear|TestDurableWriteAllocs|TestGroupCommitGroups|TestLoneDurableWriteDoesNotLinger|TestSmallCallsDoNotPinLargeArrays|TestGrowthBorrowsIdleLarge|TestReserveBorrowsIdleLarge|TestSameMachineReadWriteAllocs|TestFramePrependAllocs|TestIdleConnGoroutines|TestNullCallOneFlushEachWay|TestFlusherNotCaptive|TestBulkBurstHandsOff
+GUARD_PKGS = ./internal/netd/ ./internal/filesys/ ./internal/buffer/
+
 bench-quick:
 	go test -run NONE -bench 'E15|E16|E17|E18|E19|E20|E21_MixedHoL|E22' -benchtime 1x .
-	go test -count=1 -run 'TestServedReadWriteAllocs|TestServedMixedReadAllocs|TestReplyIsFrame|TestLargeFrameBypassesBatch|TestBorrowedBytesNotRetained|TestSequentialGrowthCopiesLinear|TestDurableWriteAllocs|TestGroupCommitGroups|TestLoneDurableWriteDoesNotLinger|TestSmallCallsDoNotPinLargeArrays|TestGrowthBorrowsIdleLarge|TestReserveBorrowsIdleLarge|TestGrowthRearmsFromStoragePool|TestSameMachineReadReusesPayloadArrays|TestFramePrependAllocs|TestIdleConnGoroutines|TestNullCallOneFlushEachWay|TestFlusherNotCaptive|TestBulkBurstHandsOff' \
-		./internal/netd/ ./internal/filesys/ ./internal/buffer/
+	@have=$$(go test -list 'Test' $(GUARD_PKGS)) || exit 1; \
+	for t in $$(echo '$(GUARDS)' | tr '|' ' '); do \
+		echo "$$have" | grep -qx "$$t" || { echo "bench-quick: guard $$t names no test in $(GUARD_PKGS)" >&2; exit 1; }; \
+	done
+	go test -count=1 -run '$(GUARDS)' $(GUARD_PKGS)
 
 # The regression gate in its minimal form: N (default 10) runs of one
 # workload of the two-process benchmark on BASE and on this tree, same seed

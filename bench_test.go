@@ -93,9 +93,8 @@ func BenchmarkE15_Throughput_P64_1KiB(b *testing.B)  { bench.E15Throughput(64, 1
 func BenchmarkE15_Throughput_P64_64KiB(b *testing.B) { bench.E15Throughput(64, 65536)(b) }
 
 // E18 — the same workload over the same-machine transport tier (unix
-// control path + mapped bulk regions), so every cell has its E15
-// loopback-TCP twin in BENCH_netd.json. The 64 KiB cells are the
-// tier's acceptance gate (≥5× over TCP).
+// sockets, every payload in its frame), so every cell has its E15
+// loopback-TCP twin in BENCH_netd.json.
 func BenchmarkE18_SameMachine_P1_0B(b *testing.B)     { bench.E18SameMachine(1, 0)(b) }
 func BenchmarkE18_SameMachine_P1_1KiB(b *testing.B)   { bench.E18SameMachine(1, 1024)(b) }
 func BenchmarkE18_SameMachine_P1_64KiB(b *testing.B)  { bench.E18SameMachine(1, 65536)(b) }

@@ -42,7 +42,7 @@ var (
 	leaseGrace  = flag.Duration("lease-grace", 10*time.Second,
 		"how long a peer may be silent or disconnected before its references are reclaimed")
 	sameMachine = flag.Bool("same-machine", false,
-		"enable the same-machine transport tier (unix:<path> addresses, mapped-region bulk replies)")
+		"enable the same-machine transport tier: dial and listen on unix:<path> addresses beside host:port ones")
 
 	cacheBudget = flag.Int64("cache-budget", 0,
 		"per-entry reply-cache byte budget for the cache manager (0 = default, negative = unbounded)")

@@ -343,14 +343,14 @@ func main() {
 	fmt.Printf("  => head sampling adds %.0f ns to an untraced call; recording a full span set adds %.0f ns\n",
 		nsPerOp(unsampled)-nsPerOp(off), nsPerOp(sampled)-nsPerOp(off))
 
-	section("E18 same-machine transport tier (unix control path + mapped bulk regions)")
+	section("E18 same-machine transport tier (the frame stream over unix sockets)")
 	run("1 caller, 0B", bench.E18SameMachine(1, 0))
 	run("1 caller, 1KiB", bench.E18SameMachine(1, 1024))
 	tcp64 := run("1 caller, 64KiB over TCP (E15 baseline)", bench.E15Throughput(1, 65536))
-	shm64 := run("1 caller, 64KiB over the tier", bench.E18SameMachine(1, 65536))
+	unix64 := run("1 caller, 64KiB over the tier", bench.E18SameMachine(1, 65536))
 	run("64 callers, 64KiB over the tier", bench.E18SameMachine(64, 65536))
-	fmt.Printf("  => the bulk-region hand-off moves a same-machine 64KiB call %.1fx faster than loopback TCP\n",
-		nsPerOp(tcp64)/nsPerOp(shm64))
+	fmt.Printf("  => a 64KiB call over a unix socket takes %.2fx the time it takes over loopback TCP\n",
+		nsPerOp(unix64)/nsPerOp(tcp64))
 
 	section("E19 durable writes through the WAL group committer (1KiB, fsync before ack)")
 	mem := run("in-memory store, 64 writers", bench.E19DurableWrite(64, 0))

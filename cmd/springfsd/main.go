@@ -55,9 +55,9 @@ var (
 	leaseGrace  = flag.Duration("lease-grace", 10*time.Second,
 		"how long a peer may be silent or disconnected before its references are reclaimed")
 	sameMachine = flag.Bool("same-machine", false,
-		"enable the same-machine transport tier: listen on unix:<path> addresses and hand large replies over as mapped regions to co-resident peers")
+		"enable the same-machine transport tier: listen on and dial unix:<path> addresses beside host:port ones (a stale socket file left by a killed server is replaced)")
 	bulkThreshold = flag.Int("bulk-threshold", 0,
-		"payload size (bytes) from which a request rides the peer's bulk connection, and a same-machine payload a mapped region instead of the frame (0 = default 8192)")
+		"payload size (bytes) from which a request rides the peer's bulk connection instead of its call connection (0 = default 8192)")
 	dispatchInflight = flag.Int("dispatch-inflight", 0,
 		"in-flight admission bound for incoming calls; past it callers get a retryable overload reply (0 = default 1024, negative = unbounded)")
 

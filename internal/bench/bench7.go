@@ -12,20 +12,17 @@ import (
 
 // ---------------------------------------------------------------------
 // E18 — the same-machine transport tier, measured against the E15
-// loopback-TCP baseline with the identical workload. The control/frame
-// path runs over a unix domain socket and payloads at or above the bulk
-// threshold are handed over as mapped regions instead of being copied
-// through the frame stream, so the 64 KiB cells measure what the tier
-// redesign buys: the wire carries a region identifier, and the payload
-// bytes cross the machine once, at grant, instead of being copied
-// through both endpoints' socket buffers. The sweep mirrors E15 —
-// parallelism ∈ {1, 8, 64} × payload ∈ {0, 1 KiB, 64 KiB} — so every
-// cell has a TCP twin in BENCH_netd.json; the 0-byte cells bound what
-// the unix control path alone changes for calls too small for the bulk
-// tier.
+// loopback-TCP baseline with the identical workload. The same frame
+// stream runs over a unix domain socket, every payload in its frame, so
+// the cells measure what the socket family alone changes — in one
+// process, the path bulk_mixed_c8 runs between two. The sweep mirrors E15
+// — parallelism ∈ {1, 8, 64} × payload ∈ {0, 1 KiB, 64 KiB} — so every
+// cell has a TCP twin in BENCH_netd.json, and the 64 KiB cells are the
+// baseline a mapped-region tier would have to beat across a process
+// boundary (EXPERIMENTS E29).
 
 // e18Setup builds two machines joined by the same-machine transport:
-// unix-socket listeners, bulk regions negotiated at hello.
+// unix-socket listeners on both sides.
 func e18Setup(b *testing.B) *core.Object {
 	b.Helper()
 	ka := kernel.New("e18-server")

@@ -59,16 +59,14 @@ type Buffer struct {
 	rpos    int
 	doors   []Door
 	dcursor int
-	// region is the region the stream aliases after Adopt; store is the
-	// buffer's own array while data is something narrower or something
-	// else — a window into it (Narrow) or a region's bytes. Reset undoes
-	// both.
-	region *Region
-	store  []byte
+	// store is the stream's whole extent while data is a window into it
+	// (Narrow) or runs over the headroom in front of it (Prepend). Reset
+	// undoes both.
+	store []byte
 	// front is the pooled array from its first byte: Get starts the stream
 	// headroom bytes into it, the room Prepend extends the stream over. An
-	// append or a re-arm from the storage pool moves the stream elsewhere
-	// and leaves front behind; headed tells.
+	// append moves the stream elsewhere and leaves front behind; headed
+	// tells.
 	front []byte
 	// home is how the buffer was obtained: the pool that handed it out
 	// and that Put returns it to. Nil for a buffer no pool handed out
@@ -168,10 +166,7 @@ func Stats() Ledger {
 // Get returns an empty buffer from the process-wide pool, drawn from the
 // size class of n — the hint says what the buffer will hold, not what it
 // holds at first — with capacity at least n. Release it with Put when its
-// contents are dead. A buffer whose pooled capacity is too small is
-// re-armed from the storage pool (see Recycle) before falling back to a
-// fresh allocation, here and when it grows, so detached payload arrays
-// circulate back.
+// contents are dead.
 func Get(n int) *Buffer {
 	ledger.gets.Add(1)
 	p := &pool
@@ -184,7 +179,7 @@ func Get(n int) *Buffer {
 		b = &Buffer{}
 	}
 	b.home = &pool
-	if cap(b.data) < n && !b.rearm(n) {
+	if cap(b.data) < n {
 		b.alloc(n)
 		fresh = true
 	}
@@ -224,13 +219,13 @@ func (b *Buffer) headed() bool {
 }
 
 // pooled reports whether the stream lies on an array the process pool may
-// exchange: not a foreign, narrowed or region-backed one.
-func (b *Buffer) pooled() bool { return b.home == &pool && b.store == nil && b.region == nil }
+// exchange: not a foreign or narrowed one.
+func (b *Buffer) pooled() bool { return b.home == &pool && b.store == nil }
 
-// grow makes room for n more bytes at a write that knows n. A foreign,
-// narrowed or region-backed stream grows as append would; a pooled one
-// keeps its headroom, and one crossing from the small class into the large
-// takes over an idle large buffer's array before it allocates another.
+// grow makes room for n more bytes at a write that knows n. A foreign or
+// narrowed stream grows as append would; a pooled one keeps its headroom,
+// and one crossing from the small class into the large takes over an idle
+// large buffer's array before it allocates another.
 func (b *Buffer) grow(n int) {
 	if !b.pooled() {
 		b.data = slices.Grow(b.data, n)
@@ -240,9 +235,7 @@ func (b *Buffer) grow(n int) {
 	if isLarge(need) && !isLarge(cap(b.data)) && b.swapLarge(need) {
 		return
 	}
-	if !b.rearm(need) {
-		b.alloc(max(need, 2*cap(b.data)))
-	}
+	b.alloc(max(need, 2*cap(b.data)))
 }
 
 // swapLarge moves the stream onto the array of an idle large buffer with
@@ -275,75 +268,22 @@ func (b *Buffer) exchange(o *Buffer) {
 	b.front, o.front = o.front, b.front
 }
 
-// storagePool recycles bare byte arrays: the payload storage behind
-// detached buffers handed over as bulk-region grants, which outlives the
-// Buffer struct that grew it. Entries are *[]byte with length 0.
-var storagePool sync.Pool
-
-// getStorage returns a zero-length pooled array with capacity at least n,
-// or nil when the pool cannot supply one. An array too small for the
-// request is dropped to the collector rather than returned to the pool:
-// the hot paths that miss here are about to grow past it anyway.
-func getStorage(n int) []byte {
-	v := storagePool.Get()
-	if v == nil {
-		return nil
-	}
-	s := *(v.(*[]byte))
-	if cap(s) < n {
-		return nil
-	}
-	return s
-}
-
-// rearm moves the stream onto an array from the storage pool with room for n
-// bytes and reports whether there was one. Those are payload arrays: a
-// request too small for alloc to round leaves them alone. front stays with
-// the array the buffer had, which Detach goes back to.
-func (b *Buffer) rearm(n int) bool {
-	if n <= roundFrom {
-		return false
-	}
-	s := getStorage(n)
-	if s == nil {
-		return false
-	}
-	b.data = append(s, b.data...)
-	return true
-}
-
-// Recycle returns a detached payload array to the storage pool. The
-// caller must own p outright — no buffer, region or reader may alias it
-// afterwards. Oversized arrays are dropped, mirroring Put.
-func Recycle(p []byte) {
-	if cap(p) == 0 || cap(p) > maxPooledCap {
-		return
-	}
-	if poison.Load() {
-		fill(p[:cap(p)])
-	}
-	p = p[:0]
-	storagePool.Put(&p)
-}
-
 // Put is the one way to dispose of a buffer, whatever produced it. The
 // caller must own b exclusively and must not use it afterwards; unconsumed
 // door references are dropped, not released, so release them first (see
 // kernel.ReleaseBufferDoors). What happens next follows from how b was
-// obtained, not from which call site holds it: a region it adopted goes
-// back to the region's owner, a pooled buffer is reset and returned to the
-// pool that handed it out with its whole storage — the process pool files
-// it in the size class of the capacity it has now — and everything else —
-// New, FromParts, the zero value, a buffer Put twice, nil — is left to the
-// collector untouched, so storage the pool does not own can never enter
-// it.
+// obtained, not from which call site holds it: a pooled buffer is reset
+// and returned to the pool that handed it out with its whole storage — the
+// process pool files it in the size class of the capacity it has now — and
+// everything else — New, FromParts, the zero value, a buffer Put twice, nil
+// — is left to the collector untouched, so storage the pool does not own
+// can never enter it.
 func Put(b *Buffer) {
 	if b == nil {
 		return
 	}
 	h := b.home
 	if h == nil {
-		b.dropRegion()
 		ledger.drops.Add(1)
 		return
 	}
@@ -355,8 +295,8 @@ func Put(b *Buffer) {
 		case cap(b.data) > maxPooledCap:
 			b.data, b.front = nil, nil
 		case !b.headed() && cap(b.data) > headroom:
-			// An append (or a re-arm from the storage pool) left the
-			// stream on an array without headroom: give it one.
+			// An append left the stream on an array without headroom:
+			// give it one.
 			b.front, b.data = b.data, b.data[headroom:headroom]
 		}
 		if isLarge(cap(b.data)) {
@@ -369,7 +309,7 @@ func Put(b *Buffer) {
 	h.Put(b)
 }
 
-// poison makes Put and Recycle overwrite storage as it returns to a pool.
+// poison makes Put overwrite storage as it returns to a pool.
 var poison atomic.Bool
 
 // PoisonRecycled is a test hook (see sctest.PoisonRecycled): while on, every byte of
@@ -413,10 +353,9 @@ func (b *Buffer) DoorCount() int { return len(b.doors) }
 
 // Reset empties the buffer for reuse, retaining allocated capacity.
 // Any unconsumed door references are dropped; the caller is responsible for
-// releasing them first (see kernel.ReleaseBufferDoors). An adopted region
-// is released and a narrowed stream widens back to the whole storage.
+// releasing them first (see kernel.ReleaseBufferDoors). A narrowed stream
+// widens back to the whole storage.
 func (b *Buffer) Reset() {
-	b.dropRegion()
 	if b.store != nil {
 		b.data, b.store = b.store, nil
 	}
@@ -425,16 +364,6 @@ func (b *Buffer) Reset() {
 	clear(b.doors) // don't let a recycled buffer pin dropped references
 	b.doors = b.doors[:0]
 	b.dcursor = 0
-}
-
-// dropRegion releases the adopted region, if any, and lets go of its
-// bytes.
-func (b *Buffer) dropRegion() {
-	if r := b.region; r != nil {
-		b.region = nil
-		b.data = nil // the bytes belong to the released region
-		r.Release()
-	}
 }
 
 // Rewind moves the read position back to the start of the stream. Door
@@ -522,12 +451,11 @@ const bytesPrefixLen = 5
 // is unchanged until CommitBytes, so a producer that fails simply leaves;
 // nothing may be written to the buffer in between. The buffer cannot see
 // how much the producer will append, so a small pooled one moves onto an
-// idle large array while there is one (or a recycled payload array): a
-// payload then lands in place, and CommitBytes hands the array back at once
-// if the result turned out small.
+// idle large array while there is one: a payload then lands in place, and
+// CommitBytes hands the array back at once if the result turned out small.
 func (b *Buffer) ReserveBytes() []byte {
-	if b.pooled() && !isLarge(cap(b.data)) && !b.swapLarge(len(b.data)+bytesPrefixLen) {
-		b.rearm(roundFrom + 1) // any payload array
+	if b.pooled() && !isLarge(cap(b.data)) {
+		b.swapLarge(len(b.data) + bytesPrefixLen)
 	}
 	return b.reserve()
 }
@@ -779,38 +707,17 @@ func (b *Buffer) Splice(other *Buffer) {
 	b.doors = append(b.doors, other.doors...)
 }
 
-// Detach removes and returns the buffer's byte storage, leaving the byte
-// stream empty (door slots are untouched). The caller becomes the sole
-// owner of the returned slice. It refuses (nil, false) when the stream is
-// not the buffer's own storage — a region's bytes, which belong to the
-// region's owner, or a window into a larger array that Put will recycle
-// whole. A buffer whose stream a re-arm had moved onto a storage-pool array
-// goes back to the pooled array it had, and stays a small buffer.
-func (b *Buffer) Detach() ([]byte, bool) {
-	if b.region != nil || b.store != nil {
-		return nil, false
-	}
-	data := b.data
-	if b.headed() || cap(b.front) <= headroom {
-		b.data, b.front = nil, nil
-	} else {
-		b.data = b.front[headroom:headroom] // the array it had before a re-arm
-	}
-	b.rpos = 0
-	return data, true
-}
-
 // Prepend extends the stream n bytes to the front, over the headroom, and
 // returns them for the caller to fill: a frame header lands in front of a
 // marshalled payload and the payload does not move. It returns nil, the
 // stream untouched, when those bytes are not the buffer's to write — n
 // exceeds the headroom, or the stream is not where Get put it (a New or
-// FromParts buffer, a narrowed or region-backed one, one an append moved) —
+// FromParts buffer, a narrowed one, one an append moved) —
 // or when fewer than tail bytes are free behind the stream, so that what
 // the caller appends next would move it after all. Like Narrow it is
 // undone by Reset and Put.
 func (b *Buffer) Prepend(n, tail int) []byte {
-	if n > headroom || cap(b.data)-len(b.data) < tail || b.store != nil || b.region != nil || !b.headed() {
+	if n > headroom || cap(b.data)-len(b.data) < tail || b.store != nil || !b.headed() {
 		return nil
 	}
 	b.store = b.data
@@ -824,23 +731,10 @@ func (b *Buffer) Prepend(n, tail int) []byte {
 // restore it), and the window's capacity is clipped, so appending to it
 // reallocates rather than writing over what follows in the frame.
 func (b *Buffer) Narrow(off, n int) {
-	if b.store == nil && b.region == nil {
-		b.store = b.data
-	}
-	b.data = b.data[off : off+n : off+n]
-	b.rpos = 0
-}
-
-// Adopt re-scopes the stream, in place, to r's bytes, read in place with
-// the read position at their start. The buffer takes over the region:
-// Reset and Put release it, and restore the buffer's own storage.
-func (b *Buffer) Adopt(r *Region) {
-	b.dropRegion()
 	if b.store == nil {
 		b.store = b.data
 	}
-	b.data = r.Data
-	b.region = r
+	b.data = b.data[off : off+n : off+n]
 	b.rpos = 0
 }
 

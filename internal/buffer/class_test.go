@@ -198,53 +198,6 @@ func TestReserveBorrowsIdleLarge(t *testing.T) {
 	}
 }
 
-func TestGrowthRearmsFromStoragePool(t *testing.T) {
-	// The in-process bulk tier's cycle: a reply drawn small learns its size
-	// at WriteBytes, its array is detached into a grant, and the receiver
-	// recycles it. With no large buffer idle, growth takes the recycled
-	// array rather than allocating, and Detach leaves the buffer the small
-	// array it was drawn with — not arrayless, for the next small Get to
-	// allocate for. Small requests leave payload arrays alone.
-	if raceEnabled {
-		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
-	}
-	payload := bytes.Repeat([]byte{0x5A}, 64<<10)
-	var detached []byte
-	cycle := func() {
-		drainLarge()
-		b := Get(128)
-		own := base(b.front)
-		b.WriteBytes(payload)
-		if detached != nil && base(b.data) != base(detached) {
-			t.Fatal("growth did not take the recycled array")
-		}
-		p, ok := b.Detach()
-		if !ok || len(p) < len(payload) {
-			t.Fatalf("Detach = %d bytes, %v", len(p), ok)
-		}
-		if detached != nil && (base(b.front) != own || !b.headed() || len(b.data) != 0) {
-			t.Fatal("Detach did not go back to the array the buffer was drawn with")
-		}
-		Put(b)
-		detached = p
-		Recycle(p)
-	}
-	cycle() // allocates the payload array
-	before := Stats()
-	if n := testing.AllocsPerRun(100, cycle); n > 1 { // Recycle's slice header
-		t.Fatalf("a detach/recycle cycle allocates %.1f objects, want 1", n)
-	}
-	if d := Stats().Sub(before); d.LargeAllocs != 0 {
-		t.Fatalf("%d payload-sized arrays allocated with one recycled", d.LargeAllocs)
-	}
-	small := Get(roundFrom)
-	if cap(small.data) >= len(payload) {
-		t.Fatal("a small Get took a payload array from the storage pool")
-	}
-	Put(small)
-	Put(Get(len(payload))) // takes the recycled array out of the storage pool
-}
-
 func TestExchangePoisonsBothArrays(t *testing.T) {
 	// Poison-on-recycle covers the array exchanged out of a growing buffer
 	// as well as the one Put returns.
@@ -290,16 +243,13 @@ func TestPrepend(t *testing.T) {
 	if b.Prepend(1, 0) != nil {
 		t.Fatal("a second Prepend found room")
 	}
-	if _, ok := b.Detach(); ok {
-		t.Fatal("Detach handed out a stream that starts inside the headroom")
-	}
 	Put(b)
 	if base(b.data) != own || cap(b.data) != capacity || len(b.data) != 0 || b.store != nil {
 		t.Fatalf("after Put: cap %d (want %d), len %d, store %v", cap(b.data), capacity, len(b.data), b.store != nil)
 	}
 
 	// No headroom to write into: more than there is, foreign storage, a
-	// window into a frame, a region's bytes, an array append made.
+	// window into a frame, an array append made.
 	if b := Get(64); b.Prepend(headroom+1, 0) != nil {
 		t.Error("Prepend handed out more than the headroom")
 	} else {
@@ -323,12 +273,6 @@ func TestPrepend(t *testing.T) {
 		t.Error("Prepend wrote over the frame in front of a narrowed stream")
 	}
 	Put(narrowed)
-	adopted := Get(64)
-	adopted.Adopt(NewRegion([]byte("bulk"), nil))
-	if adopted.Prepend(4, 0) != nil {
-		t.Error("Prepend wrote in front of a region's bytes")
-	}
-	Put(adopted)
 	regrown := Get(64)
 	for regrown.headed() {
 		regrown.WriteUint64(1) // small appends, until one moves the stream

@@ -126,40 +126,9 @@ func TestNarrowedFrameReturnsWhole(t *testing.T) {
 	if string(b.store) != string(frame) {
 		t.Fatalf("append to a narrowed stream wrote over the rest of the frame: %q", b.store)
 	}
-	if _, ok := b.Detach(); ok {
-		t.Fatal("Detach handed out a window into storage Put will recycle")
-	}
 	Put(b)
 	if base(b.data) != whole || cap(b.data) != capacity || len(b.data) != 0 || b.store != nil || len(b.doors) != 0 {
 		t.Fatalf("after Put: cap %d (want %d), len %d, store %v, %d doors", cap(b.data), capacity, len(b.data), b.store != nil, len(b.doors))
-	}
-}
-
-func TestAdoptedRegionReleasedOnce(t *testing.T) {
-	for _, pooled := range []bool{true, false} {
-		released := 0
-		r := NewRegion([]byte("bulk payload"), func() { released++ })
-		b := New(16)
-		if pooled {
-			b = Get(16)
-		}
-		b.WriteString("frame")
-		own := base(b.data)
-		b.Adopt(r)
-		if string(b.Bytes()) != "bulk payload" || b.Len() != len(r.Data) {
-			t.Fatalf("adopted stream = %q", b.Bytes())
-		}
-		if _, ok := b.Detach(); ok {
-			t.Fatal("Detach handed out a region's bytes")
-		}
-		Put(b)
-		Put(b)
-		if released != 1 {
-			t.Fatalf("pooled=%v: region released %d times, want 1", pooled, released)
-		}
-		if pooled && (base(b.data) != own || b.region != nil) {
-			t.Fatal("pooled buffer did not get its own storage back after the region")
-		}
 	}
 }
 

@@ -2,39 +2,6 @@ package buffer
 
 import "sync"
 
-// Regions are the bulk hand-off primitive behind the shared-memory
-// transport tier and the shm subcontract: a payload window passed between
-// domains (and, through netd's same-machine transport, between kernels in
-// one process) by reference instead of being copied through a byte
-// stream. A Region owns its bytes until Release; the receiving side
-// aliases them through a Buffer that adopted the region (Buffer.Adopt).
-
-// Region is one bulk payload window.
-type Region struct {
-	// Data is the payload. The producer must not touch it again after
-	// handing the region off; the consumer may alias it until Release.
-	Data []byte
-
-	release func()
-	once    sync.Once
-}
-
-// NewRegion wraps data as a region. release, if non-nil, runs exactly
-// once when the region is released (recycling into a pool, unmapping);
-// nil leaves reclamation to the collector.
-func NewRegion(data []byte, release func()) *Region {
-	return &Region{Data: data, release: release}
-}
-
-// Release returns the region to its owner. It is idempotent; the bytes
-// must not be used afterwards.
-func (r *Region) Release() {
-	if r == nil || r.release == nil {
-		return
-	}
-	r.once.Do(r.release)
-}
-
 // RegionPool recycles fixed-capacity buffers used as shared regions. The
 // shm subcontract draws its invoke_preamble regions from one; sizing is
 // fixed so a pooled region never reallocates mid-marshal (reallocation

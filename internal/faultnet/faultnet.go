@@ -9,9 +9,8 @@
 // wrapped listener or dialer. Faults are flipped at runtime and apply to
 // live connections as well as future ones. It composes over the netd
 // Transport interface through netd.FuncTransport: the wrapped funcs
-// carry the fault control, Inner supplies the underlying transport (and,
-// via Unwrap, its capability set and bulk-region tier), so every fault
-// scenario runs unchanged over TCP or the same-machine tier:
+// carry the fault control, Inner supplies the underlying transport, so
+// every fault scenario runs unchanged over TCP or the same-machine tier:
 //
 //	fn := faultnet.New()
 //	tr := netd.FuncTransport{

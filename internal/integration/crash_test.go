@@ -38,8 +38,9 @@ type durableServer struct {
 }
 
 // startDurableServer boots (or re-boots) the server process against the
-// given durable directories. listenAddr is "127.0.0.1:0" on first boot
-// and the concrete first-boot address on restart.
+// given durable directories. listenAddr is "127.0.0.1:0" (or a unix: path)
+// on first boot and the concrete first-boot address on restart. The
+// transport is the same-machine tier, which serves both kinds of address.
 func startDurableServer(t *testing.T, listenAddr, walDir, rwalDir, stateFile string) *durableServer {
 	t.Helper()
 	k := kernel.New("S")
@@ -122,7 +123,8 @@ func startDurableServer(t *testing.T, listenAddr, walDir, rwalDir, stateFile str
 	}
 
 	srv.net, err = netd.Start(k.NewDomain("S-netd"), listenAddr,
-		netd.With(fastCfg()), netd.WithStateFile(stateFile), netd.WithRebinder(rebinder))
+		netd.With(fastCfg()), netd.WithTransport(netd.SameMachine()),
+		netd.WithStateFile(stateFile), netd.WithRebinder(rebinder))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,14 +176,27 @@ func payload(seq int64) []byte { return []byte(fmt.Sprintf("%012d", seq)) }
 // require transparent recovery — same instance identity, zero
 // application-visible client errors, every acked write readable.
 func TestKillRestartDurableServer(t *testing.T) {
+	killRestartDurableServer(t, "127.0.0.1:0")
+}
+
+// TestKillRestartDurableServerUnixSocket is the same scenario on a unix:
+// address, where the kill leaves the server's socket file behind and the
+// restart has to take the path back (SameMachineTransport.Listen).
+func TestKillRestartDurableServerUnixSocket(t *testing.T) {
+	killRestartDurableServer(t, "unix:"+t.TempDir()+"/springfsd.sock")
+}
+
+func killRestartDurableServer(t *testing.T, listenAddr string) {
 	walDir, rwalDir := t.TempDir(), t.TempDir()
 	stateFile := t.TempDir() + "/netd.state"
 
-	srv := startDurableServer(t, "127.0.0.1:0", walDir, rwalDir, stateFile)
+	srv := startDurableServer(t, listenAddr, walDir, rwalDir, stateFile)
 	addr := srv.net.Addr()
 	firstInstance := srv.net.Instance()
 
-	cli := newFaultMachine(t, "C", nil, fastCfg())
+	cliCfg := fastCfg()
+	cliCfg.Transport = netd.SameMachine()
+	cli := newFaultMachine(t, "C", nil, cliCfg)
 	cliEnv := cli.env("client")
 	ctxObj, err := cli.net.ImportRootObject(cliEnv, addr, "naming", naming.ContextMT)
 	if err != nil {

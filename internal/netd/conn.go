@@ -164,14 +164,6 @@ type conn struct {
 	// admission (Config.Dispatch.MaxPerPeer).
 	inflight atomic.Int64
 
-	// owner is this connection's region-grant token: every bulk region
-	// granted for a frame sent on this connection is keyed under it, so
-	// connClosed can reclaim exactly the in-flight grants a dead
-	// connection strands. caps is the capability set negotiated at hello
-	// (local ∩ peer ∩ same machine); zero until the handshake completes.
-	owner uint64
-	caps  atomic.Uint32
-
 	mu        sync.Mutex
 	helloDone bool
 	sess      *session // peer lease session; guarded by Server.mu
@@ -184,7 +176,6 @@ func newConn(netc net.Conn) *conn {
 		netc:    netc,
 		helloed: make(chan struct{}),
 		done:    make(chan struct{}),
-		owner:   nextOwner.Add(1),
 	}
 	c.room.L = &c.wmu
 	for i := range c.shards {
@@ -209,9 +200,6 @@ func (c *conn) Read(p []byte) (int, error) {
 
 // isDead reports whether the connection has failed.
 func (c *conn) isDead() bool { return c.dead.Load() }
-
-// bulk reports whether the connection negotiated the bulk-region tier.
-func (c *conn) bulk() bool { return Capability(c.caps.Load())&CapBulkRegions != 0 }
 
 // hasSession reports whether the session handshake completed.
 func (c *conn) hasSession() bool {
@@ -246,9 +234,7 @@ func (c *conn) register() (uint64, *callFuture) {
 
 // deliver completes a pending request. It reports whether a waiter owns
 // the reply now; an undeliverable reply (its caller timed out or
-// cancelled, and won the abandon race) is the receive loop's to clean up
-// — it may carry a bulk region grant that must not be left stranded in
-// the ring.
+// cancelled, and won the abandon race) is the receive loop's to recycle.
 func (c *conn) deliver(id uint64, reply *buffer.Buffer) bool {
 	sh := c.shard(id)
 	sh.mu.Lock()
@@ -270,10 +256,9 @@ func (c *conn) deliver(id uint64, reply *buffer.Buffer) bool {
 // cancellation, send failure). If the entry is still in the table the
 // waiter won: no settle can touch the future anymore, so it is recycled
 // here. Otherwise a settle (deliver or fail) removed the entry and its
-// ready signal follows immediately — drain it, dispose of a delivered
-// reply via drop (it may carry a bulk region grant that must not sit in
-// the ring until the connection dies), and then recycle.
-func (c *conn) abandon(id uint64, f *callFuture, drop func(*buffer.Buffer)) {
+// ready signal follows immediately, so the drain is bounded — take it,
+// put a delivered reply back in the pool, and then recycle.
+func (c *conn) abandon(id uint64, f *callFuture) {
 	sh := c.shard(id)
 	sh.mu.Lock()
 	if _, ok := sh.m[id]; ok {
@@ -287,9 +272,8 @@ func (c *conn) abandon(id uint64, f *callFuture, drop func(*buffer.Buffer)) {
 	sh.mu.Unlock()
 	<-f.ready
 	if f.state.Load() == futDelivered {
-		reply := f.reply
+		buffer.Put(f.reply)
 		f.reply = nil
-		drop(reply)
 	}
 	putFuture(f)
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/filesys"
 	"repro/internal/stubs"
@@ -14,9 +13,8 @@ import (
 // used to take the whole server down (write(1<<40, x) sized a makeslice
 // from the client's number; nothing on the serve path recovers) or, for a
 // negative offset, be acknowledged as written. Both are typed remote
-// exceptions now, over the inline-payload tier and over the bulk-region
-// tier — where the rejected argument is a mapped grant that must still go
-// back — and the server keeps serving the same file afterwards.
+// exceptions now, over TCP and over the same-machine tier's unix sockets,
+// and the server keeps serving the same file afterwards.
 func TestRemoteBadOffsetWriteRejected(t *testing.T) {
 	for _, tier := range []string{"tcp", "same-machine"} {
 		t.Run(tier, func(t *testing.T) {
@@ -26,7 +24,6 @@ func TestRemoteBadOffsetWriteRejected(t *testing.T) {
 			} else {
 				a, b = newSameMachine(t, "A", Config{}, filesys.RegisterAll), newSameMachine(t, "B", Config{}, filesys.RegisterAll)
 			}
-			live0 := gBulkRegionsLive.Value()
 			a.srv.PublishRoot("fs", filesys.NewService(a.env).Object())
 			root, err := b.srv.ImportRootObject(b.env, a.srv.Addr(), "fs", filesys.FileSystemMT)
 			if err != nil {
@@ -52,9 +49,6 @@ func TestRemoteBadOffsetWriteRejected(t *testing.T) {
 			if v, err := f.Version(); err != nil || v != 1 {
 				t.Fatalf("version after the rejected writes = %d, %v; want 1", v, err)
 			}
-			// The server gives a request's grant back after it has sent the
-			// reply, so the last one may still be on its way.
-			waitFor(t, 2*time.Second, "every bulk region released", func() bool { return gBulkRegionsLive.Value() == live0 })
 		})
 	}
 }
@@ -64,7 +58,7 @@ func TestRemoteBadOffsetWriteRejected(t *testing.T) {
 // range, so accepted, and paid for in full. A file is a table of extents
 // now: the write costs the extent it lands in and the table's slots, the
 // gibibyte before it is a hole that reads as zeros, and the server goes on
-// serving — over the inline-payload tier and the bulk-region tier alike.
+// serving — over TCP and the same-machine tier's unix sockets alike.
 func TestSparseWriteAllocatesOneExtent(t *testing.T) {
 	for _, tier := range []string{"tcp", "same-machine"} {
 		t.Run(tier, func(t *testing.T) {

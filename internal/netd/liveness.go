@@ -44,16 +44,6 @@ var (
 	gFramesCoalesced = scstats.GaugeFor("netd.frames_coalesced")
 )
 
-// Bulk-region gauges (E18): hand-offs granted and mapped on the
-// same-machine tier, regions currently in flight, and regions reclaimed
-// by connection teardown (a kill mid-hand-off shows up here).
-var (
-	gBulkGranted     = scstats.GaugeFor("netd.bulk_granted")
-	gBulkMapped      = scstats.GaugeFor("netd.bulk_mapped")
-	gBulkRegionsLive = scstats.GaugeFor("netd.bulk_regions_live")
-	gBulkReclaimed   = scstats.GaugeFor("netd.bulk_reclaimed")
-)
-
 // session is one remote peer's lease on this exporter: every reference
 // handed to the peer is recorded here, and reclaimed in one sweep if the
 // peer stays gone past the lease grace period. Sessions are keyed by the
@@ -192,21 +182,13 @@ func (s *Server) breakerAdmitLocked(p *peerState, now time.Time) bool {
 
 // handleHello binds a connection to its peer session on receipt of the
 // handshake frame. A reconnecting peer (same instance) rejoins its
-// existing session, clearing the lease-expiry clock. The peer's
-// advertised capabilities are intersected with ours — and zeroed unless
-// the peer shares our machine identity, since every capability is a
-// same-machine tier — to fix the connection's negotiated tier set.
-func (s *Server) handleHello(c *conn, instance, epoch uint64, listenAddr string, peerCaps uint32, peerMachine uint64) {
-	negotiated := s.caps & Capability(peerCaps)
-	if peerMachine != machineID {
-		negotiated = 0
-	}
+// existing session, clearing the lease-expiry clock.
+func (s *Server) handleHello(c *conn, instance, epoch uint64, listenAddr string) {
 	s.mu.Lock()
 	if s.closed || c.helloDone {
 		s.mu.Unlock()
 		return
 	}
-	c.caps.Store(uint32(negotiated))
 	sess, ok := s.sessions[instance]
 	if !ok {
 		sess = &session{
@@ -236,16 +218,13 @@ func (s *Server) handleHello(c *conn, instance, epoch uint64, listenAddr string,
 	close(c.helloed)
 }
 
-// sendHello sends this server's handshake frame on c, advertising the
-// transport's capability set and this process's machine identity.
+// sendHello sends this server's handshake frame on c.
 func (s *Server) sendHello(c *conn, epoch uint64) error {
 	payload := buffer.Get(64)
 	payload.WriteByte(msgHello)
 	payload.WriteUint64(s.instance)
 	payload.WriteUint64(epoch)
 	payload.WriteString(s.addr)
-	payload.WriteUint32(uint32(s.caps))
-	payload.WriteUint64(machineID)
 	return c.send(payload)
 }
 
@@ -294,16 +273,6 @@ func (s *Server) connClosed(c *conn, addr string) {
 		}
 	}
 	s.mu.Unlock()
-	// Reclaim the bulk regions this connection granted but whose frames
-	// never completed the hand-off: the peer can no longer map them (a
-	// map racing this reclaim either wins the grant or fails the call in
-	// the retryable class), so releasing here is what keeps a kill
-	// mid-hand-off from leaking mapped regions.
-	if s.mapper != nil {
-		if n := s.mapper.Reclaim(c.owner); n > 0 {
-			gBulkReclaimed.Add(int64(n))
-		}
-	}
 	_ = c.netc.Close()
 }
 

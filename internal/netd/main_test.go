@@ -12,5 +12,5 @@ import (
 // cleanup, so the goroutine count must return to (about) the pre-suite
 // baseline — a leaked writer/reader/sweeper per test would blow well past
 // the slack — every buffer the call paths drew from the pool must be back
-// in it, and no bulk-region grant may still be mapped.
+// in it, and no server may be left holding an export entry or a connection.
 func TestMain(m *testing.M) { os.Exit(sctest.AuditedMain(m)) }

@@ -28,10 +28,11 @@ type rawPeer struct {
 	call []byte // one length-prefixed call, request id patched per send
 }
 
-// dialRawPeer connects to addr and completes the session handshake.
+// dialRawPeer connects to addr, a server's advertised address, and
+// completes the session handshake.
 func dialRawPeer(t *testing.T, addr string) *rawPeer {
 	t.Helper()
-	conn, err := net.Dial("tcp", addr)
+	conn, err := SameMachine().Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +43,6 @@ func dialRawPeer(t *testing.T, addr string) *rawPeer {
 	hello.WriteUint64(0xC11E47) // instance
 	hello.WriteUint64(1)        // epoch
 	hello.WriteString("")       // no listen address: nothing dials back
-	hello.WriteUint32(0)        // no capabilities
-	hello.WriteUint64(0)        // machine
 	if err := writeFrame(conn, hello.Bytes()); err != nil {
 		t.Fatal(err)
 	}
@@ -272,6 +271,57 @@ func TestServedReadWriteAllocs(t *testing.T) {
 				t.Fatalf("file after the run: %d bytes, %v", len(got), err)
 			}
 		})
+	}
+}
+
+func TestSameMachineReadWriteAllocs(t *testing.T) {
+	// The unix-socket twin of TestServedReadWriteAllocs, which is the path
+	// bulk_mixed_c8 runs: a SameMachine server's 64 KiB payloads ride the
+	// frame over its unix socket, arrive intact both ways, and in steady
+	// state neither allocate nor make a payload-sized array.
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
+	}
+	const block = 64 << 10
+	a := newSameMachine(t, "A", Config{}, filesys.RegisterAll)
+	f, err := filesys.NewService(a.env).Create("bulk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.srv.PublishRoot("bulk", f.Obj)
+	peer := dialRawPeer(t, a.srv.Addr())
+	key := peer.importRoot("bulk")
+
+	content := bigPayload(block)
+	write := buffer.New(block + 16)
+	write.WriteUint32(uint32(filesys.FileWriteOp))
+	write.WriteInt64(0)
+	write.WriteBytes(content)
+	read := buffer.New(16)
+	read.WriteUint32(uint32(filesys.FileReadOp))
+	read.WriteInt64(0)
+	read.WriteInt32(block)
+	for _, call := range []struct {
+		op   string
+		args *buffer.Buffer
+	}{{"write", write}, {"read", read}} {
+		peer.prepareCall(key, call.args)
+		peer.roundTrips(200) // every pooled buffer a call may draw has grown to the payload
+		before := buffer.Stats()
+		n := testing.AllocsPerRun(500, func() { peer.roundTrips(1) })
+		if d := buffer.Stats().Sub(before); n > 0 || d.LargeAllocs != 0 {
+			t.Errorf("one served 64 KiB %s over a unix socket allocates %.2f objects, and 500 made %d payload-sized arrays; want 0 and 0", call.op, n, d.LargeAllocs)
+		}
+	}
+	if got, err := f.Read(0, block); err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("file after the writes: %d bytes, %v", len(got), err)
+	}
+	if _, err := peer.conn.Write(peer.call); err != nil { // one more read, looked at
+		t.Fatal(err)
+	}
+	reply := peer.next(msgReply)
+	if end := len(reply) - 1; end < block || !bytes.Equal(reply[end-block:end], content) { // ... content, no doors
+		t.Fatalf("a %d-byte read reply does not end in the file's content", len(reply))
 	}
 }
 

@@ -131,14 +131,13 @@ type Config struct {
 	// Defaults 100ms and 15s.
 	BreakerBackoff    time.Duration
 	BreakerMaxBackoff time.Duration
-	// BulkThreshold is the payload size, in bytes, at or above which a
-	// connection that negotiated CapBulkRegions hands the payload over as
-	// a shared region instead of copying it through the frame stream.
-	// Default 8KiB (below it the grant bookkeeping costs more than the
-	// copy it saves).
+	// BulkThreshold is the request size, in bytes, at or above which a
+	// call rides the peer link's bulk connection instead of its call
+	// connection, so large frames cannot head-of-line block small calls.
+	// Default 8KiB.
 	BulkThreshold int
-	// Transport supplies the listener, dialer and capability set
-	// (transport tiers, fault injection). Nil defaults to TCPTransport.
+	// Transport supplies the listener and dialer (transport tiers, fault
+	// injection). Nil defaults to TCPTransport.
 	Transport Transport
 	// StateFile, when set, makes the server durable (E19): the
 	// session/lease table, labeled exports and the instance identity are
@@ -285,7 +284,7 @@ func WithDispatch(dc DispatchConfig) Option {
 // WithTransport selects the transport tier.
 func WithTransport(t Transport) Option { return func(c *Config) { c.Transport = t } }
 
-// WithBulkThreshold sets the bulk hand-off threshold in bytes.
+// WithBulkThreshold sets the bulk-connection threshold in bytes.
 func WithBulkThreshold(n int) Option { return func(c *Config) { c.BulkThreshold = n } }
 
 // WithStateFile makes the server durable: its session/lease table and
@@ -305,9 +304,7 @@ type Server struct {
 	ln        net.Listener
 	addr      string
 	transport Transport
-	mapper    RegionMapper // the transport's bulk tier, nil if none
-	caps      Capability   // advertised in hellos (mapper-gated)
-	instance  uint64       // random per-process identity, sent in hellos
+	instance  uint64 // random per-process identity, sent in hellos
 
 	// cfg is the normalized configuration, fixed at Start (the sweeper
 	// and forwarders read it concurrently, so it is not settable
@@ -361,18 +358,11 @@ func Start(dom *kernel.Domain, listenAddr string, opts ...Option) (*Server, erro
 	if err != nil {
 		return nil, fmt.Errorf("netd: listen: %w", err)
 	}
-	mapper := mapperOf(cfg.Transport)
-	caps := cfg.Transport.Capabilities()
-	if mapper == nil {
-		caps &^= CapBulkRegions // advertised only when actually mappable
-	}
 	s := &Server{
 		dom:       dom,
 		ln:        ln,
 		addr:      canonicalAddr(ln),
 		transport: cfg.Transport,
-		mapper:    mapper,
-		caps:      caps,
 		instance:  rand.Uint64(),
 		cfg:       cfg,
 		exports:   make(map[uint64]*exportEntry),
@@ -420,8 +410,14 @@ func (s *Server) Close() error {
 
 // Kill tears the server down without flushing the state file — the
 // SIGKILL simulation for crash tests: the state file stays whatever the
-// sweeper last wrote, exactly as after a power loss.
-func (s *Server) Kill() error { return s.shutdown() }
+// sweeper last wrote, and a unix socket file stays where it was bound,
+// exactly as after a power loss.
+func (s *Server) Kill() error {
+	if ul, ok := s.ln.(*net.UnixListener); ok {
+		ul.SetUnlinkOnClose(false)
+	}
+	return s.shutdown()
+}
 
 func (s *Server) shutdown() error {
 	s.mu.Lock()
@@ -725,29 +721,6 @@ func (s *Server) forward(desc descriptor, p *peerState, epoch uint64, req *buffe
 	return reply, err
 }
 
-// dropAbandonedReply disposes of a reply no waiter will read, releasing
-// the bulk region grant a codeOK payload may carry. in must be positioned
-// at the code byte.
-func (s *Server) dropAbandonedReply(in *buffer.Buffer) {
-	if code, err := in.ReadByte(); err == nil && code == codeOK {
-		s.dropWireRegion(in)
-	}
-}
-
-// abandonCall withdraws a pending request whose caller is giving up
-// (timeout, cancellation, send failure). Usually the waiter wins the
-// shard-lock race and the future is recycled directly; when it loses,
-// the entry was removed by a settle whose ready signal follows the
-// removal immediately, so the bounded drain inside abandon is safe — and
-// a reply that raced in is disposed of here: left parked, its bulk
-// region grant would sit in the ring until the whole connection died.
-func (s *Server) abandonCall(c *conn, reqID uint64, fut *callFuture) {
-	c.abandon(reqID, fut, func(reply *buffer.Buffer) {
-		s.dropAbandonedReply(reply)
-		buffer.Put(reply)
-	})
-}
-
 // settleReply consumes a settled future on the ready path: a delivered
 // reply frame is parsed into the result the caller now owns, anything else
 // is the connection's death notice. The future returns to the pool here —
@@ -770,9 +743,9 @@ func (s *Server) forwardInfo(desc descriptor, p *peerState, epoch uint64, req *b
 	if p.epoch.Load() != epoch {
 		return nil, fmt.Errorf("%w: proxy door to %s: %w", kernel.ErrCommFailure, desc.Addr, ErrLeaseExpired)
 	}
-	// Bulk steering happens at routing, by payload size alone: even
-	// without a region tier, isolating large frames on their own
-	// connection is what keeps them from head-of-line blocking small calls.
+	// Bulk steering happens at routing, by payload size alone: isolating
+	// large frames on their own connection is what keeps them from
+	// head-of-line blocking small calls.
 	r := roleCall
 	if req.Size() >= s.cfg.BulkThreshold {
 		r = roleBulk
@@ -781,23 +754,19 @@ func (s *Server) forwardInfo(desc descriptor, p *peerState, epoch uint64, req *b
 	if err != nil {
 		return nil, err
 	}
-	hint := 64 + req.Size() // holds the header, ctx and descriptors (the 64) and the arguments, copied in
-	if s.bulkEligible(c, req) {
-		hint = 128 // the payload travels as a region, not in the frame
-	}
-	payload := buffer.Get(hint)
+	payload := buffer.Get(64 + req.Size()) // holds the header, ctx and descriptors (the 64) and the arguments, copied in
 	payload.WriteByte(msgCall)
 	reqID, fut := c.register()
 	payload.WriteUint64(reqID)
 	payload.WriteUint64(desc.Key)
 	putInfoHeader(payload, info)
-	if err := s.putWireBuffer(payload, req, c, false); err != nil {
-		s.abandonCall(c, reqID, fut)
+	if err := s.putWireBuffer(payload, req, c); err != nil {
+		c.abandon(reqID, fut)
 		buffer.Put(payload)
 		return nil, err
 	}
 	if err := c.send(payload); err != nil {
-		s.abandonCall(c, reqID, fut)
+		c.abandon(reqID, fut)
 		return nil, commErr("send to %s: %v", desc.Addr, err)
 	}
 	wait := s.cfg.CallTimeout
@@ -817,10 +786,10 @@ func (s *Server) forwardInfo(desc descriptor, p *peerState, epoch uint64, req *b
 		return s.settleReply(fut, desc)
 	case <-cancel:
 		timer.Stop()
-		s.abandonCall(c, reqID, fut)
+		c.abandon(reqID, fut)
 		return nil, fmt.Errorf("netd: call to %s: %w", desc.Addr, kernel.ErrCancelled)
 	case <-timer.C:
-		s.abandonCall(c, reqID, fut)
+		c.abandon(reqID, fut)
 		if deadlineBounded {
 			return nil, fmt.Errorf("netd: call to %s: %w", desc.Addr, kernel.ErrDeadlineExceeded)
 		}
@@ -1014,16 +983,12 @@ func (s *Server) serveFrame(c *conn, br *bufio.Reader, in *buffer.Buffer, rel *[
 	ok := err == nil
 	switch msg {
 	case msgHello:
-		instance, err1 := in.ReadUint64()
-		epoch, err2 := in.ReadUint64()
-		listenAddr, err3 := in.ReadString()
-		peerCaps, err4 := in.ReadUint32()
-		peerMachine, err5 := in.ReadUint64()
-		if err1 != nil || err2 != nil || err3 != nil || err4 != nil || err5 != nil {
+		instance, epoch, listenAddr, err := getHello(in)
+		if err != nil {
 			ok = false
 			break
 		}
-		s.handleHello(c, instance, epoch, listenAddr, peerCaps, peerMachine)
+		s.handleHello(c, instance, epoch, listenAddr)
 	case msgPing:
 		pong := buffer.Get(1)
 		pong.WriteByte(msgPong)
@@ -1038,10 +1003,7 @@ func (s *Server) serveFrame(c *conn, br *bufio.Reader, in *buffer.Buffer, rel *[
 		if c.deliver(reqID, in) {
 			return true // the frame now belongs to the waiting caller
 		}
-		// The caller abandoned the reply (timeout, cancel); if it
-		// carried a bulk region, release it rather than stranding
-		// it in the ring until the connection dies.
-		s.dropAbandonedReply(in)
+		// The caller abandoned the reply (timeout, cancel).
 	case msgCall:
 		if !c.hasSession() {
 			ok = false
@@ -1273,8 +1235,7 @@ func (s *Server) runCall(c *conn, reqID uint64, h kernel.Handle, req *buffer.Buf
 	// The request is dead: the dispatch is over (a skeleton that kept
 	// argument bytes copied them — see stubs.Skeleton). Putting it — before
 	// the reply's write, not after — returns the request frame's storage to
-	// the pool and, for a bulk request, the mapped grant to the sender's
-	// ring side; leftover door references are released first, as an
+	// the pool; leftover door references are released first, as an
 	// abandoning client would. A request answered with itself was the
 	// result, and replyFrame has put it.
 	if out != req {
@@ -1368,30 +1329,24 @@ func replyHeader(b *buffer.Buffer, reqID uint64, code byte) *buffer.Buffer {
 // frameResult makes the result out its own reply frame: the header goes
 // into the headroom in front of the marshalled bytes and the door
 // descriptors behind them, so the buffer the skeleton filled is the one the
-// writer sends from — nothing is drawn and no payload byte moves. Two kinds
-// of result are framed by copy, as all used to be: one whose payload leaves
-// as a bulk-region grant (the frame carries its identifier) and one with no
-// headroom to prepend into — a request buffer answered with itself, an
-// application door's own buffer, a reply a small append has regrown — or no
-// room behind it for the descriptors, which appending them would move
-// whole. An error is a door that could not be exported; out is disposed of
-// either way.
+// writer sends from — nothing is drawn and no payload byte moves. One kind
+// of result is framed by copy, as all used to be: one with no headroom to
+// prepend into — a request buffer answered with itself, an application
+// door's own buffer, a reply a small append has regrown — or no room behind
+// it for the descriptors, which appending them would move whole. An error
+// is a door that could not be exported; out is disposed of either way.
 func (s *Server) frameResult(c *conn, reqID uint64, out *buffer.Buffer) (*buffer.Buffer, error) {
-	var hdr []byte
 	n := out.Size()
-	if !s.bulkEligible(c, out) {
-		hdr = out.Prepend(replyHeaderLen, 1+descriptorRoom*out.DoorCount())
-	}
 	frame := out
 	var err error
-	if hdr != nil {
+	if hdr := out.Prepend(replyHeaderLen, 1+descriptorRoom*out.DoorCount()); hdr != nil {
 		hdr[0], hdr[9] = msgReply, codeOK
 		binary.LittleEndian.PutUint64(hdr[1:], reqID)
 		binary.LittleEndian.PutUint32(hdr[10:], uint32(n))
 		err = s.putDoors(out, out, c)
 	} else {
-		frame = replyHeader(buffer.Get(32), reqID, codeOK) // grows to the payload, if that is copied in
-		err = s.putWireBuffer(frame, out, c, true)
+		frame = replyHeader(buffer.Get(32), reqID, codeOK) // grows to the payload
+		err = s.putWireBuffer(frame, out, c)
 		buffer.Put(out)
 	}
 	if err != nil {
@@ -1451,7 +1406,7 @@ func (s *Server) ImportRootObject(env *core.Env, addr, name string, expected *co
 	payload.WriteUint64(reqID)
 	payload.WriteString(name)
 	if err := c.send(payload); err != nil {
-		s.abandonCall(c, reqID, fut)
+		c.abandon(reqID, fut)
 		return nil, commErr("send to %s: %v", addr, err)
 	}
 	timer := fut.armTimer(s.cfg.CallTimeout)
@@ -1467,7 +1422,7 @@ func (s *Server) ImportRootObject(env *core.Env, addr, name string, expected *co
 		buffer.Put(buf)
 		return obj, err
 	case <-timer.C:
-		s.abandonCall(c, reqID, fut)
+		c.abandon(reqID, fut)
 		return nil, commErr("root fetch from %s timed out", addr)
 	}
 }

@@ -24,7 +24,7 @@ import (
 // Tests for the serve side's send half: the result buffer is the reply
 // frame, and a payload-sized frame leaves by writev from where it lies.
 
-var updateCorpus = flag.Bool("update-corpus", false, "rewrite FuzzFrame's checked-in corpus from TestReplyIsFrame's frames")
+var updateCorpus = flag.Bool("update-corpus", false, "rewrite FuzzFrame's checked-in corpus from TestReplyIsFrame's frames and FuzzFrame's own seeds")
 
 // socketPair returns the two ends of a loopback TCP connection: real
 // sockets, so the writer's net.Buffers takes the writev path.
@@ -223,7 +223,7 @@ func TestReplyIsFrame(t *testing.T) {
 				t.Fatalf("frame differs from the reference encoding:\n got %d bytes % x …\nwant %d bytes % x …", len(got), got[:min(len(got), 48)], len(want), want[:min(len(want), 48)])
 			}
 			if *updateCorpus {
-				writeCorpus(t, tc.name, got)
+				writeCorpus(t, "reply-"+tc.name, got)
 			}
 		})
 	}
@@ -247,14 +247,14 @@ func frameDescriptors(frame []byte, n int) []descriptor {
 }
 
 // writeCorpus checks frame in as a FuzzFrame seed.
-func writeCorpus(t *testing.T, name string, frame []byte) {
+func writeCorpus(t testing.TB, name string, frame []byte) {
 	t.Helper()
 	dir := filepath.Join("testdata", "fuzz", "FuzzFrame")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", frame)
-	if err := os.WriteFile(filepath.Join(dir, "reply-"+name), []byte(body), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -400,51 +400,5 @@ func TestServedMixedReadAllocs(t *testing.T) {
 	}
 	if d := buffer.Stats().Sub(before); d.LargeAllocs != 0 || d.Misses != 0 {
 		t.Errorf("%d payload-sized arrays allocated and %d pool misses in steady state", d.LargeAllocs, d.Misses)
-	}
-}
-
-func TestSameMachineReadReusesPayloadArrays(t *testing.T) {
-	// On the in-process bulk tier a reply's array leaves as a grant and
-	// comes back through buffer.Recycle, so the large class is empty when
-	// the next read reserves its result: the recycled array is what
-	// ReserveBytes must find, or every read makes a 64 KiB array of its own.
-	if raceEnabled {
-		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
-	}
-	a := newSameMachine(t, "A", Config{}, filesys.RegisterAll)
-	b := newSameMachine(t, "B", Config{}, filesys.RegisterAll)
-	file, err := filesys.NewService(a.env).Create("bulk")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := file.Write(0, bytes.Repeat([]byte{0x42}, 64<<10)); err != nil {
-		t.Fatal(err)
-	}
-	a.srv.PublishRoot("bulk", file.Obj)
-	obj, err := b.srv.ImportRootObject(b.env, a.srv.Addr(), "bulk", filesys.FileMT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote := filesys.File{Obj: obj}
-	read := func() {
-		if p, err := remote.Read(0, 64<<10); err != nil || len(p) != 64<<10 {
-			t.Fatalf("read %d bytes, %v", len(p), err)
-		}
-	}
-	for i := 0; i < 200; i++ {
-		read()
-	}
-	granted, before := gBulkGranted.Value(), buffer.Stats()
-	for i := 0; i < 1000; i++ {
-		read()
-	}
-	if gBulkGranted.Value() == granted {
-		t.Fatal("the reads did not ride the bulk tier")
-	}
-	// The client copies each result out, so the collector runs every few
-	// dozen reads and empties the pools now and then: a handful of arrays
-	// are re-made, not one per read.
-	if d := buffer.Stats().Sub(before); d.LargeAllocs > 100 {
-		t.Errorf("1000 reads on the bulk tier allocated %d payload-sized arrays (%d pool misses), want a handful", d.LargeAllocs, d.Misses)
 	}
 }

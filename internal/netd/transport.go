@@ -1,51 +1,23 @@
 package netd
 
 import (
-	"fmt"
-	"math/rand/v2"
+	"errors"
 	"net"
+	"os"
 	"strings"
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/buffer"
+	"syscall"
 )
 
 // This file is the transport layer under the network door servers. A
 // Transport owns everything address-shaped: how to listen, how to dial,
-// what the address syntax means ("host:port", "unix:/path"), and which
-// optional capabilities it brings to a connection. Capabilities are
-// negotiated per connection at hello time — each side advertises its
-// transport's set, and a connection uses the intersection, gated on the
-// peers sharing a machine (capabilities here are same-machine tiers) —
-// so a SameMachine server talking to a plain-TCP peer degrades to the
-// frame stream with no configuration.
+// and what the address syntax means ("host:port", "unix:/path"). Above it
+// every connection is the same frame stream, so a SameMachine server
+// serves a unix: peer and a host:port peer at once with no configuration.
 
-// Capability is a bit set of optional transport tiers, advertised in the
-// hello frame and intersected per connection.
-type Capability uint32
-
-const (
-	// CapBulkRegions is the shared-memory bulk tier: payloads at or above
-	// Config.BulkThreshold are handed over as mapped regions through the
-	// transport's RegionMapper instead of being copied through the frame
-	// stream. Requires the peers to share a machine (region identifiers
-	// are process-local).
-	CapBulkRegions Capability = 1 << 0
-)
-
-// machineID identifies this process for capability negotiation: the
-// same-machine tiers are usable only between servers that share it. All
-// kernels simulated in one process share one machine in the paper's
-// sense, so one random identity per process is exactly the right grain.
-var machineID = rand.Uint64()
-
-// Transport supplies a Server's listener, dialer and capability set. It
-// owns address syntax end to end: the address given to Start, the
-// addresses in descriptors, and the advertised listen address all pass
-// through it verbatim. A transport whose capabilities include
-// CapBulkRegions must also implement RegionMapper (directly, or on an
-// Unwrap()-reachable inner transport).
+// Transport supplies a Server's listener and dialer. It owns address
+// syntax end to end: the address given to Start, the addresses in
+// descriptors, and the advertised listen address all pass through it
+// verbatim.
 type Transport interface {
 	// Name labels the transport in diagnostics.
 	Name() string
@@ -53,37 +25,6 @@ type Transport interface {
 	Listen(addr string) (net.Listener, error)
 	// Dial opens a connection to a peer's advertised address.
 	Dial(addr string) (net.Conn, error)
-	// Capabilities is the tier set advertised in this server's hellos.
-	Capabilities() Capability
-}
-
-// RegionMapper is the optional bulk-region tier of a Transport: granting
-// publishes a payload region under a connection's owner token and
-// returns the identifier that crosses the wire in the payload's place;
-// mapping redeems an identifier exactly once; Reclaim releases every
-// region still granted under an owner (run when its connection dies, so
-// a kill mid-hand-off cannot leak the mapped region).
-type RegionMapper interface {
-	GrantRegion(owner uint64, reg *buffer.Region) (id uint64)
-	MapRegion(id uint64) (*buffer.Region, error)
-	Reclaim(owner uint64) int
-}
-
-// mapperOf resolves t's RegionMapper, unwrapping adapter layers
-// (FuncTransport, faultnet composition) until one is found or the chain
-// ends.
-func mapperOf(t Transport) RegionMapper {
-	for t != nil {
-		if m, ok := t.(RegionMapper); ok {
-			return m
-		}
-		u, ok := t.(interface{ Unwrap() Transport })
-		if !ok {
-			return nil
-		}
-		t = u.Unwrap()
-	}
-	return nil
 }
 
 // canonicalAddr renders a listener's address in the transport-qualified
@@ -101,7 +42,7 @@ func canonicalAddr(ln net.Listener) string {
 // ---------------------------------------------------------------------
 // Concrete transports.
 
-// TCPTransport is the default tier: plain TCP, no capabilities.
+// TCPTransport is the default tier: plain TCP.
 type TCPTransport struct{}
 
 // Name implements Transport.
@@ -113,14 +54,10 @@ func (TCPTransport) Listen(addr string) (net.Listener, error) { return net.Liste
 // Dial implements Transport.
 func (TCPTransport) Dial(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 
-// Capabilities implements Transport.
-func (TCPTransport) Capabilities() Capability { return 0 }
-
 // SameMachineTransport is the co-located tier: addresses of the form
 // "unix:/path" run the control/frame path over a unix domain socket
 // (plain "host:port" still uses TCP, so one server serves both kinds of
-// peer), and bulk payloads are handed over as shared regions through the
-// process-wide ring when the peer negotiates CapBulkRegions.
+// peer).
 type SameMachineTransport struct{}
 
 // SameMachine returns the co-located transport tier. cmd/springfsd and
@@ -130,12 +67,33 @@ func SameMachine() *SameMachineTransport { return &SameMachineTransport{} }
 // Name implements Transport.
 func (*SameMachineTransport) Name() string { return "same-machine" }
 
-// Listen implements Transport.
+// Listen implements Transport. A unix socket file outlives a killed
+// server, and the restart must get its address back: when the path is in
+// use but nobody answers a dial there, the stale socket is removed and the
+// listen retried. A live listener, or a file that is not a socket, still
+// fails the listen and is left alone.
 func (*SameMachineTransport) Listen(addr string) (net.Listener, error) {
-	if path, ok := strings.CutPrefix(addr, "unix:"); ok {
+	path, ok := strings.CutPrefix(addr, "unix:")
+	if !ok {
+		return net.Listen("tcp", addr)
+	}
+	ln, err := net.Listen("unix", path)
+	if errors.Is(err, syscall.EADDRINUSE) && staleSocket(path) && os.Remove(path) == nil {
 		return net.Listen("unix", path)
 	}
-	return net.Listen("tcp", addr)
+	return ln, err
+}
+
+// staleSocket reports whether path is a socket file nobody listens on.
+func staleSocket(path string) bool {
+	if fi, err := os.Lstat(path); err != nil || fi.Mode()&os.ModeSocket == 0 {
+		return false
+	}
+	c, err := net.Dial("unix", path)
+	if err == nil {
+		_ = c.Close()
+	}
+	return errors.Is(err, syscall.ECONNREFUSED)
 }
 
 // Dial implements Transport.
@@ -146,27 +104,9 @@ func (*SameMachineTransport) Dial(addr string) (net.Conn, error) {
 	return net.Dial("tcp", addr)
 }
 
-// Capabilities implements Transport.
-func (*SameMachineTransport) Capabilities() Capability { return CapBulkRegions }
-
-// GrantRegion implements RegionMapper on the process-wide ring.
-func (*SameMachineTransport) GrantRegion(owner uint64, reg *buffer.Region) uint64 {
-	return sharedRing.grant(owner, reg)
-}
-
-// MapRegion implements RegionMapper.
-func (*SameMachineTransport) MapRegion(id uint64) (*buffer.Region, error) {
-	return sharedRing.mapRegion(id)
-}
-
-// Reclaim implements RegionMapper.
-func (*SameMachineTransport) Reclaim(owner uint64) int { return sharedRing.reclaim(owner) }
-
 // FuncTransport adapts bare listen/dial funcs to the Transport
 // interface; faultnet's wrappers and the test suites compose through it.
-// Nil funcs fall through to Inner (nil Inner means TCP), and the
-// capability set — and, via Unwrap, the RegionMapper — are Inner's, so a
-// fault-wrapped SameMachine tier keeps its bulk capability.
+// Nil funcs fall through to Inner (nil Inner means TCP).
 type FuncTransport struct {
 	ListenFunc func(addr string) (net.Listener, error)
 	DialFunc   func(addr string) (net.Conn, error)
@@ -197,89 +137,4 @@ func (t FuncTransport) Dial(addr string) (net.Conn, error) {
 		return t.DialFunc(addr)
 	}
 	return t.inner().Dial(addr)
-}
-
-// Capabilities implements Transport.
-func (t FuncTransport) Capabilities() Capability { return t.inner().Capabilities() }
-
-// Unwrap exposes the inner transport for RegionMapper resolution.
-func (t FuncTransport) Unwrap() Transport { return t.inner() }
-
-// ---------------------------------------------------------------------
-// The process-wide region ring.
-
-// nextOwner mints region-grant owner tokens, one per connection, so a
-// connection's death reclaims exactly its own in-flight grants.
-var nextOwner atomic.Uint64
-
-// regionRing is the same-machine rendezvous for bulk regions: grants are
-// keyed by a process-unique identifier and consumed exactly once by the
-// mapping side. Entries live only while a hand-off is in flight — from
-// the grant until the peer maps it, the carrying frame is dropped
-// undelivered, or the granting connection dies and Reclaim sweeps by
-// owner token — so the table stays small and the scan in reclaim cheap.
-type regionRing struct {
-	mu     sync.Mutex
-	nextID uint64
-	grants map[uint64]ringGrant
-}
-
-type ringGrant struct {
-	owner uint64
-	reg   *buffer.Region
-}
-
-var sharedRing = &regionRing{grants: make(map[uint64]ringGrant)}
-
-func (r *regionRing) grant(owner uint64, reg *buffer.Region) uint64 {
-	r.mu.Lock()
-	r.nextID++
-	id := r.nextID
-	r.grants[id] = ringGrant{owner: owner, reg: reg}
-	r.mu.Unlock()
-	gBulkGranted.Add(1)
-	gBulkRegionsLive.Add(1)
-	return id
-}
-
-func (r *regionRing) mapRegion(id uint64) (*buffer.Region, error) {
-	r.mu.Lock()
-	g, ok := r.grants[id]
-	if ok {
-		delete(r.grants, id)
-	}
-	r.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("region %d not granted (reclaimed or already mapped)", id)
-	}
-	gBulkMapped.Add(1)
-	gBulkRegionsLive.Add(-1)
-	return g.reg, nil
-}
-
-func (r *regionRing) reclaim(owner uint64) int {
-	r.mu.Lock()
-	var dead []*buffer.Region
-	for id, g := range r.grants {
-		if g.owner == owner {
-			delete(r.grants, id)
-			dead = append(dead, g.reg)
-		}
-	}
-	r.mu.Unlock()
-	for _, reg := range dead {
-		reg.Release()
-	}
-	if n := len(dead); n > 0 {
-		gBulkRegionsLive.Add(int64(-n))
-		return n
-	}
-	return 0
-}
-
-// live reports the regions currently granted and unmapped (tests).
-func (r *regionRing) live() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.grants)
 }

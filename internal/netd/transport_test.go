@@ -1,29 +1,29 @@
 package netd
 
 import (
-	"bytes"
 	"errors"
+	"net"
+	"os"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/core"
-	"repro/internal/faultnet"
 	"repro/internal/kernel"
 	"repro/internal/sctest"
 	"repro/internal/stubs"
 	"repro/internal/subcontracts/singleton"
 )
 
-// Tests for the transport tier redesign: per-address capability
-// negotiation at hello, the same-machine unix+region tier, graceful
-// fallback to TCP against a peer lacking a tier, and region reclamation
-// when a transport is torn down mid-hand-off.
+// Tests for the transport tier: address-scheme transports, the
+// same-machine tier's unix sockets beside TCP under one server, teardown
+// mid-call, and a restart on a killed server's socket path.
 
 // newSameMachine starts a machine whose server listens on a unix domain
-// socket and advertises the bulk-region tier. extra overlays fields on
-// the transport config (Transport is always SameMachine).
+// socket. extra overlays fields on the transport config (Transport is
+// always SameMachine).
 func newSameMachine(t *testing.T, name string, extra Config, libs ...func(*core.Registry) error) *machine {
 	t.Helper()
 	extra.Transport = SameMachine()
@@ -40,8 +40,9 @@ func newSameMachine(t *testing.T, name string, extra Config, libs ...func(*core.
 	return &machine{k: k, srv: srv, env: env}
 }
 
-// bigPayload is comfortably above the default BulkThreshold, with
-// content that would expose any aliasing or cross-delivery corruption.
+// bigPayload is n bytes (the callers pass sizes comfortably above the
+// default BulkThreshold) of content that would expose any aliasing or
+// cross-delivery corruption.
 func bigPayload(n int) []byte {
 	p := make([]byte, n)
 	for i := range p {
@@ -50,75 +51,59 @@ func bigPayload(n int) []byte {
 	return p
 }
 
-func TestSameMachineNegotiatesBulkHandoff(t *testing.T) {
-	granted0, mapped0 := gBulkGranted.Value(), gBulkMapped.Value()
-	live0 := sharedRing.live()
-
-	a := newSameMachine(t, "A", Config{})
+func TestSameMachineServesUnixAndTCPPeers(t *testing.T) {
+	// One SameMachine server, a host:port peer and a unix: peer at once: C,
+	// plain TCP, calls A's door; A calls B's door over B's unix socket; the
+	// traffic overlaps, payloads small and payload-sized, and both peers
+	// are sessions in A's one table, each on a socket of its own kind.
+	a := newMachineCfg(t, "A", Config{Transport: SameMachine()})
 	b := newSameMachine(t, "B", Config{})
-	if !strings.HasPrefix(a.srv.Addr(), "unix:") {
-		t.Fatalf("unix listener advertises %q, want a unix: address", a.srv.Addr())
+	c := newMachine(t, "C")
+	if !strings.HasPrefix(b.srv.Addr(), "unix:") {
+		t.Fatalf("unix listener advertises %q, want a unix: address", b.srv.Addr())
 	}
 
-	obj, _ := singleton.Export(a.env, stressEchoMT, echoSkel(), nil)
-	a.srv.PublishRoot("echo", obj)
-	remote, err := b.srv.ImportRootObject(b.env, a.srv.Addr(), "echo", stressEchoMT)
+	objA, _ := singleton.Export(a.env, stressEchoMT, echoSkel(), nil)
+	a.srv.PublishRoot("echo", objA)
+	objB, _ := singleton.Export(b.env, stressEchoMT, echoSkel(), nil)
+	b.srv.PublishRoot("echo", objB)
+	fromC, err := c.srv.ImportRootObject(c.env, a.srv.Addr(), "echo", stressEchoMT)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// A small call stays inline: the bulk tier must not tax it.
-	if err := echoBytes(remote, []byte("tiny")); err != nil {
-		t.Fatal(err)
-	}
-	if d := gBulkGranted.Value() - granted0; d != 0 {
-		t.Fatalf("small call granted %d bulk regions, want 0", d)
-	}
-
-	// A large call rides regions both ways: request and reply each cross
-	// as one grant, mapped exactly once, leaving nothing in the ring.
-	if err := echoBytes(remote, bigPayload(64<<10)); err != nil {
-		t.Fatal(err)
-	}
-	granted, mapped := gBulkGranted.Value()-granted0, gBulkMapped.Value()-mapped0
-	if granted != 2 || mapped != granted {
-		t.Fatalf("64KiB echo: granted=%d mapped=%d, want granted=2 and mapped=granted", granted, mapped)
-	}
-	if live := sharedRing.live(); live != live0 {
-		t.Fatalf("ring holds %d grants after delivered calls, want %d", live, live0)
-	}
-}
-
-func TestMixedCapabilityPeersFallbackToTCP(t *testing.T) {
-	granted0 := gBulkGranted.Value()
-
-	// A advertises the bulk tier on a TCP address; B is plain TCP. The
-	// hello intersection must come up empty and every payload — however
-	// large — ride the frame stream.
-	k := kernel.New("A")
-	srv, err := Start(k.NewDomain("A-netd"), "127.0.0.1:0", WithTransport(SameMachine()))
+	toB, err := a.srv.ImportRootObject(a.env, b.srv.Addr(), "echo", stressEchoMT)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	envA, err := sctest.NewEnv(k, "A-app", singleton.Register)
-	if err != nil {
-		t.Fatal(err)
+	errs := make(chan error, 2)
+	for _, remote := range []*core.Object{fromC, toB} {
+		go func() {
+			for i := 0; i < 20; i++ {
+				if err := echoBytes(remote, bigPayload(64<<10)); err != nil {
+					errs <- err
+					return
+				}
+				if err := echoBytes(remote, []byte("tiny")); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
 	}
-	a := &machine{k: k, srv: srv, env: envA}
-	b := newMachine(t, "B")
-
-	obj, _ := singleton.Export(a.env, stressEchoMT, echoSkel(), nil)
-	a.srv.PublishRoot("echo", obj)
-	remote, err := b.srv.ImportRootObject(b.env, a.srv.Addr(), "echo", stressEchoMT)
-	if err != nil {
-		t.Fatal(err)
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := echoBytes(remote, bigPayload(64<<10)); err != nil {
-		t.Fatalf("large call against a TCP-only peer: %v", err)
+	a.srv.mu.Lock()
+	defer a.srv.mu.Unlock()
+	networks := map[string]bool{}
+	for c := range a.srv.allConns {
+		networks[c.netc.LocalAddr().Network()] = true
 	}
-	if d := gBulkGranted.Value() - granted0; d != 0 {
-		t.Fatalf("mixed-capability pair granted %d regions, want 0 (TCP fallback)", d)
+	if len(a.srv.sessions) != 2 || !networks["unix"] || !networks["tcp"] {
+		t.Fatalf("A holds %d sessions over %v, want 2 over unix and tcp", len(a.srv.sessions), networks)
 	}
 }
 
@@ -159,193 +144,26 @@ func TestTransportTeardownMidCallSurfacesCommFailure(t *testing.T) {
 	}
 }
 
-func TestFaultnetKillDuringBulkHandoffReclaimsRegion(t *testing.T) {
-	reclaimed0 := gBulkReclaimed.Value()
-	live0 := sharedRing.live()
-
-	// B dials through faultnet over the same-machine tier: the wrapped
-	// funcs carry the faults, Inner keeps the capability set and mapper.
-	fn := faultnet.New()
-	sm := SameMachine()
-	a := newSameMachine(t, "A", Config{})
-	cfgB := Config{
-		Transport:         FuncTransport{DialFunc: fn.Dialer(sm.Dial), Inner: sm},
-		HeartbeatInterval: time.Minute, // no ping may steal the one-shot truncation
-	}
-	k := kernel.New("B")
-	srv, err := Start(k.NewDomain("B-netd"), "unix:"+t.TempDir()+"/nd.sock", With(cfgB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	envB, err := sctest.NewEnv(k, "B-app", singleton.Register)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := &machine{k: k, srv: srv, env: envB}
-
-	obj, _ := singleton.Export(a.env, stressEchoMT, echoSkel(), nil)
-	a.srv.PublishRoot("echo", obj)
-	remote, err := b.srv.ImportRootObject(b.env, a.srv.Addr(), "echo", stressEchoMT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm the bulk connection: the truncation must land on the hand-off's
-	// frame, not on the hello of a first dial.
-	if err := echoBytes(remote, bigPayload(64<<10)); err != nil {
-		t.Fatal(err)
-	}
-
-	// Kill the connection in the middle of a bulk hand-off: the request's
-	// region is granted to the ring, then the carrying frame is truncated
-	// on the wire and the connection hard-closed. The peer never maps the
-	// grant; connection teardown must reclaim it.
-	fn.TruncateNextWrite()
-	err = echoBytes(remote, bigPayload(64<<10))
-	if !errors.Is(err, kernel.ErrCommFailure) {
-		t.Fatalf("call over killed hand-off = %v, want kernel.ErrCommFailure", err)
-	}
-	waitFor(t, 5*time.Second, "stranded region reclaimed", func() bool {
-		return gBulkReclaimed.Value() > reclaimed0 && sharedRing.live() == live0
-	})
-
-	// The tier must still work after the redial.
-	if err := echoBytes(remote, bigPayload(64<<10)); err != nil {
-		t.Fatalf("bulk call after recovery: %v", err)
-	}
-}
-
-func TestAbandonedBulkReplyReclaimed(t *testing.T) {
-	mapped0 := gBulkMapped.Value()
-	live0 := sharedRing.live()
-
-	a := newSameMachine(t, "A", Config{})
-	b := newSameMachine(t, "B", Config{CallTimeout: 150 * time.Millisecond})
-
-	// The server stalls until the caller has given up, then returns a
-	// bulk-sized reply. No waiter remains to map the region: the receive
-	// loop must redeem and release the orphan grant itself.
-	gate := make(chan struct{})
-	big := bigPayload(64 << 10)
-	slow := stubs.SkeletonFunc(func(op core.OpNum, args, results *buffer.Buffer) error {
-		<-gate
-		results.WriteBytes(big)
-		return nil
-	})
-	obj, _ := singleton.Export(a.env, stressEchoMT, slow, nil)
-	a.srv.PublishRoot("slow", obj)
-	remote, err := b.srv.ImportRootObject(b.env, a.srv.Addr(), "slow", stressEchoMT)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if err := stubs.Call(remote, 0, nil, nil); !errors.Is(err, kernel.ErrCommFailure) {
-		t.Fatalf("stalled call = %v, want kernel.ErrCommFailure (timeout)", err)
-	}
-	close(gate) // now the abandoned bulk reply goes out
-
-	waitFor(t, 5*time.Second, "orphan reply region released", func() bool {
-		return gBulkMapped.Value() > mapped0 && sharedRing.live() == live0
-	})
-}
-
-func TestBulkRequestGrantDoesNotAliasCallerArgs(t *testing.T) {
-	// A forwarded request's arguments belong to the caller: a retrying
-	// subcontract resends the same marshalled buffer and recycles it once
-	// an attempt succeeds, possibly while an abandoned attempt's grant is
-	// still unmapped (or being read by a slow server). The grant must
-	// therefore carry its own copy — clobbering the caller's bytes after
-	// putWireBuffer, as pool reuse would, may not corrupt what the
-	// receiver maps.
-	k := kernel.New("m")
-	srv, err := Start(k.NewDomain("netd"), "unix:"+t.TempDir()+"/nd.sock", WithTransport(SameMachine()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c := newConn(newDiscardConn())
-	defer c.fail(errConnDead)
-	c.caps.Store(uint32(CapBulkRegions))
-
-	payload := bigPayload(64 << 10)
-	src := buffer.New(len(payload))
-	src.WriteRaw(payload)
-	frame := buffer.New(64)
-	if err := srv.putWireBuffer(frame, src, c, false); err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range src.Bytes() {
-		src.Bytes()[i] = ^b // the pool hands the storage to another call
-	}
-	got := buffer.FromParts(frame.Bytes(), nil)
-	if err := srv.getWireBuffer(got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), payload) {
-		t.Fatal("request grant aliased the caller's argument buffer")
-	}
-}
-
 func TestAbandonRacedByDeliveryDrainsParkedReply(t *testing.T) {
 	// The narrow race the read loop cannot see: deliver wins against the
-	// caller's timeout, parking the reply in the buffered channel, and
-	// unregister then returns false. abandonCall must drain the parked
-	// reply and release the bulk region it carries — otherwise the grant
-	// sits in the ring until the whole connection dies.
-	live0 := sharedRing.live()
-	k := kernel.New("m")
-	srv, err := Start(k.NewDomain("netd"), "unix:"+t.TempDir()+"/nd.sock", WithTransport(SameMachine()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	// caller's timeout, parking the reply on the future, and the abandon
+	// then finds its entry gone. It must drain the parked reply back to
+	// the pool — the ledger is what would show it leaked.
 	c := newConn(newDiscardConn())
 	defer c.fail(errConnDead)
-	c.caps.Store(uint32(CapBulkRegions))
-
-	out := buffer.New(64 << 10)
-	out.WriteRaw(bigPayload(64 << 10))
-	frame := buffer.New(64)
-	frame.WriteByte(codeOK)
-	if err := srv.putWireBuffer(frame, out, c, false); err != nil {
-		t.Fatal(err)
-	}
-	if sharedRing.live() != live0+1 {
-		t.Fatalf("ring holds %d grants after the reply grant, want %d", sharedRing.live(), live0+1)
-	}
-	id, ch := c.register()
-	reply := buffer.FromParts(frame.Bytes(), nil)
+	before := buffer.Stats()
+	reply := buffer.Get(64)
+	reply.WriteByte(codeOK)
+	id, fut := c.register()
 	if !c.deliver(id, reply) {
 		t.Fatal("delivery should win the race")
 	}
-	srv.abandonCall(c, id, ch) // the timed-out caller gives up
-	if sharedRing.live() != live0 {
-		t.Fatalf("ring holds %d grants after abandonment, want %d (parked reply drained)", sharedRing.live(), live0)
+	c.abandon(id, fut) // the timed-out caller gives up
+	if d := buffer.Stats().Sub(before); d.Gets != 1 || d.Puts != 1 || d.Drops != 0 {
+		t.Fatalf("ledger after abandonment: %+v, want the parked reply put back", d)
 	}
-}
-
-func TestBulkGrantReclaimedOnDoorExportError(t *testing.T) {
-	// If flattening fails after the payload was granted (a door the
-	// exporter refuses), the frame is never sent; the grant must be
-	// pulled back out of the ring rather than stranded until conn death.
-	live0 := sharedRing.live()
-	k := kernel.New("m")
-	srv, err := Start(k.NewDomain("netd"), "unix:"+t.TempDir()+"/nd.sock", WithTransport(SameMachine()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c := newConn(newDiscardConn())
-	defer c.fail(errConnDead)
-	c.caps.Store(uint32(CapBulkRegions))
-
-	src := buffer.FromParts(bigPayload(64<<10), []buffer.Door{"not a door"})
-	frame := buffer.New(64)
-	if err := srv.putWireBuffer(frame, src, c, false); err == nil {
-		t.Fatal("exporting a bogus door slot should fail")
-	}
-	if sharedRing.live() != live0 {
-		t.Fatalf("ring holds %d grants after a failed flatten, want %d", sharedRing.live(), live0)
+	if n := c.pending.Load(); n != 0 {
+		t.Fatalf("%d calls pending after abandonment", n)
 	}
 }
 
@@ -369,38 +187,56 @@ func TestWithOverlaysNonZeroFields(t *testing.T) {
 	}
 }
 
-func TestBulkWireBufferRoundTrip(t *testing.T) {
-	// The wirebuf bulk form, without a network: a payload at the
-	// threshold crosses via a grant the receiver maps and reads in place;
-	// one byte under stays inline.
-	k := kernel.New("m")
-	srv, err := Start(k.NewDomain("netd"), "unix:"+t.TempDir()+"/nd.sock", WithTransport(SameMachine()))
+func TestSameMachineListenReplacesStaleSocket(t *testing.T) {
+	// A killed server leaves its socket file behind, and the restart that
+	// -state and -wal exist for must get the address back: nobody answers
+	// a dial there, so the file is replaced. A path somebody does answer
+	// on, and a file that is not a socket, fail the listen and stay.
+	sm := SameMachine()
+	dir := t.TempDir()
+
+	stale := dir + "/stale.sock"
+	old, err := net.Listen("unix", stale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	c := newConn(newDiscardConn())
-	defer c.fail(errConnDead)
-	c.caps.Store(uint32(CapBulkRegions))
+	old.(*net.UnixListener).SetUnlinkOnClose(false)
+	old.Close() // as SIGKILL leaves it: the file, and nobody behind it
+	if _, err := net.Listen("unix", stale); !errors.Is(err, syscall.EADDRINUSE) {
+		t.Fatalf("a bare listen on the stale path = %v, want EADDRINUSE", err)
+	}
+	ln, err := sm.Listen("unix:" + stale)
+	if err != nil {
+		t.Fatalf("listen on a stale socket: %v", err)
+	}
+	defer ln.Close()
+	if c, err := sm.Dial("unix:" + stale); err != nil {
+		t.Fatalf("dial after the replacement: %v", err)
+	} else {
+		c.Close()
+	}
 
-	for _, n := range []int{srv.cfg.BulkThreshold - 1, srv.cfg.BulkThreshold, 64 << 10} {
-		payload := bigPayload(n)
-		src := buffer.New(n)
-		src.WriteRaw(payload)
-		frame := buffer.New(64)
-		if err := srv.putWireBuffer(frame, src, c, false); err != nil {
-			t.Fatal(err)
+	if l2, err := sm.Listen("unix:" + stale); !errors.Is(err, syscall.EADDRINUSE) {
+		if err == nil {
+			l2.Close()
 		}
-		wantBulk := n >= srv.cfg.BulkThreshold
-		got := buffer.FromParts(frame.Bytes(), nil)
-		if err := srv.getWireBuffer(got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), payload) {
-			t.Fatalf("payload of %d bytes corrupted across the wirebuf", n)
-		}
-		if isBulk := len(frame.Bytes()) < n; isBulk != wantBulk {
-			t.Fatalf("payload of %d bytes: bulk=%v, want %v", n, isBulk, wantBulk)
-		}
+		t.Fatalf("listen on a path with a live listener = %v, want EADDRINUSE", err)
+	}
+	if c, err := sm.Dial("unix:" + stale); err != nil {
+		t.Fatalf("the live listener lost its socket to a second listen: %v", err)
+	} else {
+		c.Close()
+	}
+
+	file := dir + "/notes"
+	if err := os.WriteFile(file, []byte("not a socket"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if l3, err := sm.Listen("unix:" + file); err == nil {
+		l3.Close()
+		t.Fatal("listen on a regular file's path succeeded")
+	}
+	if got, err := os.ReadFile(file); err != nil || string(got) != "not a socket" {
+		t.Fatalf("the regular file after the refused listen: %q, %v", got, err)
 	}
 }

@@ -2,10 +2,10 @@ package netd
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"repro/internal/buffer"
@@ -15,7 +15,7 @@ import (
 // Wire protocol. Every message is a length-prefixed frame:
 //
 //	frame:   [len u32] [payload]
-//	hello:   [msgHello u8]   [instance u64] [epoch u64] [listenAddr string] [caps u32] [machine u64]
+//	hello:   [msgHello u8]   [instance u64] [epoch u64] [listenAddr string]
 //	call:    [msgCall u8]    [reqID u64] [key u64] [ctx] [wirebuf]
 //	reply:   [msgReply u8]   [reqID u64] [code u8] [wirebuf | errstring]
 //	release: [msgRelease u8] [key u64] [count uvarint]
@@ -29,14 +29,9 @@ import (
 // (instance, epoch) names one peer session; the receiving exporter tags
 // every reference it hands this peer with the session, so that when the
 // peer dies or partitions past the lease grace period the references can
-// be reclaimed (see the package comment's failure semantics). caps and
-// machine negotiate the transport tiers: a connection uses the
-// intersection of the two advertised capability sets, and only between
-// peers sharing a machine identity (the capabilities are same-machine
-// tiers; a TCP-only or remote peer degrades gracefully to the plain
-// frame stream). ping/pong are the heartbeat: a side that has sent
-// nothing for a heartbeat interval pings, and any received frame counts
-// as proof of peer life.
+// be reclaimed (see the package comment's failure semantics). ping/pong
+// are the heartbeat: a side that has sent nothing for a heartbeat interval
+// pings, and any received frame counts as proof of peer life.
 //
 // ctx is the invocation-context header: one flags byte, then the
 // remaining deadline budget and the trace identity, each present only
@@ -56,16 +51,6 @@ import (
 // the door descriptors, in the FIFO order the doors were written:
 //
 //	wirebuf: [nbytes u32] [bytes] [ndoors uvarint] ndoors × [addr string][key u64]
-//	bulk:    [bulkSentinel u32] [regionID u64] [ndoors uvarint] ...
-//
-// On a connection that negotiated CapBulkRegions, a payload of at least
-// Config.BulkThreshold bytes does not ride the frame: it is granted to
-// the transport's region ring under the connection's owner token, and
-// the frame carries the region identifier behind the nbytes sentinel.
-// The receiver maps the identifier (a one-shot redemption) and reads the
-// payload in place through a region-backed buffer — the bytes cross the
-// machine exactly once, at grant. Regions stranded by a connection death
-// or an undeliverable reply are reclaimed by the teardown path.
 //
 // Door identifiers are mapped to this extended network form on export and
 // back to (proxy) kernel doors on import, exactly the role of the Spring
@@ -185,41 +170,6 @@ func getInfoHeader(in *buffer.Buffer) (*kernel.Info, error) {
 // maxFrame bounds a frame's size as a defence against corrupt peers.
 const maxFrame = 64 << 20
 
-// stagePool recycles the arrays that stage caller-owned payloads into
-// bulk grants (putWireBuffer's copy path). It is deliberately separate
-// from the buffer package's shared storage pool: the staging arrays are
-// payload-sized and demanded once per bulk call, and in the shared pool
-// they were drained by the frame-assembly re-arm paths faster than the
-// grant hooks returned them, costing a fresh zeroed allocation per call.
-// Entries keep their capacity; one too small for a request is dropped
-// (the workload's payload size moved up), and arrays beyond maxStageCap
-// go to the collector rather than pinning memory, mirroring buffer.Put.
-var stagePool sync.Pool
-
-const maxStageCap = 256 << 10
-
-func getStage(n int) []byte {
-	if v := stagePool.Get(); v != nil {
-		if s := *(v.(*[]byte)); cap(s) >= n {
-			return s[:n]
-		}
-	}
-	return make([]byte, n)
-}
-
-func putStage(p []byte) {
-	if cap(p) == 0 || cap(p) > maxStageCap {
-		return
-	}
-	p = p[:0]
-	stagePool.Put(&p)
-}
-
-// bulkSentinel marks a wirebuf whose payload travels as a region grant
-// rather than inline bytes. Inline payloads are bounded by maxFrame, far
-// below it, so the values cannot collide.
-const bulkSentinel = ^uint32(0)
-
 // descriptor is a door identifier's extended network form.
 type descriptor struct {
 	Addr string
@@ -253,11 +203,12 @@ func readFrame(br *bufio.Reader) (*buffer.Buffer, error) {
 	return in, nil
 }
 
-// bulkEligible reports whether buf's payload would be handed over as a
-// region on c rather than copied into the frame.
-func (s *Server) bulkEligible(c *conn, buf *buffer.Buffer) bool {
-	return s.mapper != nil && c != nil && buf != nil &&
-		buf.Size() >= s.cfg.BulkThreshold && c.bulk()
+// getHello reads a hello frame's fields, positioned after its type byte.
+func getHello(in *buffer.Buffer) (instance, epoch uint64, listenAddr string, err error) {
+	instance, err1 := in.ReadUint64()
+	epoch, err2 := in.ReadUint64()
+	listenAddr, err3 := in.ReadString()
+	return instance, epoch, listenAddr, cmp.Or(err1, err2, err3)
 }
 
 // putWireBuffer flattens buf into out, converting its door references to
@@ -265,52 +216,10 @@ func (s *Server) bulkEligible(c *conn, buf *buffer.Buffer) bool {
 // consumed (transferred to the wire); each exported reference is tagged
 // with the session of the connection it ships over, so it can be
 // reclaimed if that peer's lease expires.
-//
-// On a bulk-negotiated connection a large payload is granted as a region
-// instead of riding the frame, and owned picks the hand-over discipline.
-// owned declares that buf's storage belongs outright to this server — a
-// reply about to be discarded — so the storage is detached into the grant
-// with no copy, and the receiver's release recycles it. Every other
-// payload is staged through a pooled copy the receiver then owns: a
-// forwarded request's arguments belong to the caller, and a retrying
-// subcontract resends — and, once an attempt succeeds, recycles — the
-// same marshalled arguments while an abandoned attempt's grant may still
-// be in the ring or mapped by a slow server, so aliasing them would race
-// the server's read against the pool's reuse; a region-backed payload (a
-// preamble pool's) may likewise recycle its bytes the moment the call
-// returns.
-func (s *Server) putWireBuffer(out *buffer.Buffer, buf *buffer.Buffer, c *conn, owned bool) error {
-	var regionID uint64
-	granted := false
-	if s.bulkEligible(c, buf) {
-		var region *buffer.Region
-		if owned {
-			if data, ok := buf.Detach(); ok {
-				region = buffer.NewRegion(data, func() { buffer.Recycle(data) })
-			}
-		}
-		if region == nil {
-			data := getStage(buf.Size())
-			copy(data, buf.Bytes())
-			region = buffer.NewRegion(data, func() { putStage(data) })
-		}
-		regionID = s.mapper.GrantRegion(c.owner, region)
-		granted = true
-		out.WriteUint32(bulkSentinel)
-		out.WriteUint64(regionID)
-	} else {
-		out.WriteUint32(uint32(len(buf.Bytes())))
-		out.WriteRaw(buf.Bytes())
-	}
-	err := s.putDoors(out, buf, c)
-	if err != nil && granted {
-		// The frame will never be sent; pull the grant back out of the
-		// ring so the region is not stranded until the connection dies.
-		if reg, e := s.mapper.MapRegion(regionID); e == nil {
-			reg.Release()
-		}
-	}
-	return err
+func (s *Server) putWireBuffer(out *buffer.Buffer, buf *buffer.Buffer, c *conn) error {
+	out.WriteUint32(uint32(len(buf.Bytes())))
+	out.WriteRaw(buf.Bytes())
+	return s.putDoors(out, buf, c)
 }
 
 // putDoors ends a wirebuf: it appends to out the descriptors of buf's door
@@ -331,43 +240,21 @@ func (s *Server) putDoors(out, buf *buffer.Buffer, c *conn) error {
 
 // getWireBuffer reconstitutes a communication buffer from the wire in
 // place: in, positioned at a wirebuf, becomes the buffer that wirebuf
-// describes — its stream narrowed to the inline payload (or re-scoped to
-// the mapped bulk region), proxy doors fabricated for the received
-// descriptors. Nothing is allocated and nothing changes hands: in still
-// owns the frame's storage, and whoever Puts it returns the frame and the
-// region each to its owner. On error a region mapped on the way has been
-// released and in holds the proxy doors imported so far; the caller
-// releases them and Puts it, as for any dead buffer.
+// describes — its stream narrowed to the payload, proxy doors fabricated
+// for the received descriptors. Nothing is allocated and nothing changes
+// hands: in still owns the frame's storage, and whoever Puts it returns the
+// frame. A payload length the frame cannot hold is a corrupt peer, reported
+// in the communications class. On error in holds the proxy doors imported
+// so far; the caller releases them and Puts it, as for any dead buffer.
 func (s *Server) getWireBuffer(in *buffer.Buffer) error {
 	n, err := in.ReadUint32()
 	if err != nil {
 		return err
 	}
-	var region *buffer.Region
-	var off int
-	if n == bulkSentinel {
-		id, err := in.ReadUint64()
-		if err != nil {
-			return err
-		}
-		if s.mapper == nil {
-			return commErr("bulk region %d from a peer but no region tier configured", id)
-		}
-		region, err = s.mapper.MapRegion(id)
-		if err != nil {
-			// The grant was reclaimed out from under us — the granting
-			// connection died mid-hand-off. Transport-level, retryable.
-			return commErr("map bulk region %d: %v", id, err)
-		}
-	} else {
-		off = in.Size() - in.Len()
-		if _, err := in.ReadRaw(int(n)); err != nil {
-			return err
-		}
+	off := in.Size() - in.Len()
+	if _, err := in.ReadRaw(int(n)); err != nil {
+		return commErr("wirebuf of %d bytes in a frame with %d left", n, in.Len())
 	}
-	// A region mapped above is consumed from the ring; adopting it only
-	// after the descriptors are decoded keeps the reads on the frame, so
-	// every later error return releases it by hand.
 	nd, err := in.ReadUvarint()
 	for i := uint64(0); err == nil && i < nd; i++ {
 		var desc descriptor
@@ -384,33 +271,8 @@ func (s *Server) getWireBuffer(in *buffer.Buffer) error {
 		in.AppendDoor(ref)
 	}
 	if err != nil {
-		region.Release()
 		return err
 	}
-	if region != nil {
-		in.Adopt(region)
-	} else {
-		in.Narrow(off, int(n))
-	}
+	in.Narrow(off, int(n))
 	return nil
-}
-
-// dropWireRegion releases the bulk region an undeliverable wirebuf
-// carries, if any. in must be positioned at the wirebuf; inline payloads
-// and malformed remains are left alone (the frame is garbage either
-// way). Without this, a caller abandoning its reply (timeout,
-// cancellation) would strand the reply's region in the ring until the
-// whole connection died.
-func (s *Server) dropWireRegion(in *buffer.Buffer) {
-	n, err := in.ReadUint32()
-	if err != nil || n != bulkSentinel || s.mapper == nil {
-		return
-	}
-	id, err := in.ReadUint64()
-	if err != nil {
-		return
-	}
-	if reg, err := s.mapper.MapRegion(id); err == nil {
-		reg.Release()
-	}
 }

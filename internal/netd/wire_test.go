@@ -104,7 +104,7 @@ func TestWireBufferRoundTrip(t *testing.T) {
 	c := &conn{sess: sess, helloDone: true}
 
 	wire := buffer.New(128)
-	if err := srv.putWireBuffer(wire, in, c, false); err != nil {
+	if err := srv.putWireBuffer(wire, in, c); err != nil {
 		t.Fatal(err)
 	}
 	out := wire

@@ -39,26 +39,30 @@ func Snapshot() Baseline {
 // back, killed connections, shed calls and abandoned replies included.
 const goroutineSlack = 12
 
-// bulkRegionsLive is netd's count of bulk-region grants not yet released or
-// reclaimed, read through the gauge registry: netd's suite imports sctest.
-var bulkRegionsLive = scstats.GaugeFor("netd.bulk_regions_live")
+// netd's live export entries and connections, which Server.Close settles,
+// read through the gauge registry: netd's suite imports sctest.
+var (
+	exportsLive = scstats.GaugeFor("netd.exports_live")
+	connsLive   = scstats.GaugeFor("netd.conns_live")
+)
 
 // AssertQuiesced checks that a finished suite gave back what it took:
 // the goroutine count is back at the baseline — every server, executor and
 // dispatch engine a test started wound down — the buffers drawn from the
-// pool since the baseline were put back (Get == Put), and no bulk-region
-// grant is still live, since a borrowed []byte argument aliases its grant
-// for the whole handler (ROADMAP spec item (e)). It polls for a few
-// seconds, since teardown is asynchronous, and returns an error naming the
-// leg that never settled.
+// pool since the baseline were put back (Get == Put), which covers borrowed
+// []byte arguments too, since they alias nothing but their request frame,
+// and no network door server still holds an export entry or a connection:
+// one that does was never closed (ROADMAP spec item (e)). It polls for a
+// few seconds, since teardown is asynchronous, and returns an error naming
+// the leg that never settled.
 func AssertQuiesced(base Baseline) error {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		g := runtime.NumGoroutine()
 		led := buffer.Stats().Sub(base.bufs)
 		out := led.Gets - led.Puts
-		regions := bulkRegionsLive.Value()
-		if g <= base.goroutines+goroutineSlack && out == 0 && regions == 0 {
+		exports, conns := exportsLive.Value(), connsLive.Value()
+		if g <= base.goroutines+goroutineSlack && out == 0 && exports == 0 && conns == 0 {
 			return nil
 		}
 		if time.Now().After(deadline) {
@@ -66,8 +70,8 @@ func AssertQuiesced(base Baseline) error {
 				return fmt.Errorf("buffer ledger: gets − puts = %d since the baseline (gets %d, puts %d): buffers drawn from the pool and never put back",
 					out, led.Gets, led.Puts)
 			}
-			if regions != 0 {
-				return fmt.Errorf("netd.bulk_regions_live = %d, want 0: bulk-region grants neither released nor reclaimed", regions)
+			if exports != 0 || conns != 0 {
+				return fmt.Errorf("netd.exports_live = %d, netd.conns_live = %d, want 0: a server the suite started was never closed", exports, conns)
 			}
 			stacks := make([]byte, 1<<20)
 			stacks = stacks[:runtime.Stack(stacks, true)]

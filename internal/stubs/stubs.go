@@ -225,9 +225,9 @@ func CallOneway(obj *core.Object, op core.OpNum, marshalArgs MarshalFunc, opts .
 // have written to results.
 //
 // The argument buffer's storage is recycled once the call completes —
-// it is the pooled request frame itself, a preamble's region, or a mapped
-// bulk grant — so whoever retains a byte slice read from args beyond the
-// dispatch must copy it first. The rule reaches the application: a
+// it is the pooled request frame itself, or a preamble's region — so
+// whoever retains a byte slice read from args beyond the dispatch must
+// copy it first. The rule reaches the application: a
 // generated skeleton hands a byte-sequence in-parameter (or struct field)
 // to the server method as the very slice ReadBytes returned, borrowed until
 // the method returns — a file store's copy into the file is then the only

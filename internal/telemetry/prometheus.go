@@ -81,9 +81,6 @@ var counterGauges = map[string]bool{
 	"dispatch.stolen":          true,
 	"netd.breaker_closed":      true,
 	"netd.breaker_opened":      true,
-	"netd.bulk_granted":        true,
-	"netd.bulk_mapped":         true,
-	"netd.bulk_reclaimed":      true,
 	"netd.flushes":             true,
 	"netd.frames_coalesced":    true,
 	"netd.leases_expired":      true,
