@@ -8,7 +8,10 @@
 
 all: tier1 tier2
 
+# tier1 also fails when gofmt would rewrite a tracked Go file.
 tier1: gen-check
+	@out=$$(git ls-files -z '*.go' | xargs -0 -r gofmt -l); \
+	test -z "$$out" || { echo "gofmt -l lists:" $$out >&2; exit 1; }
 	go build ./...
 	go test ./...
 
@@ -127,8 +130,11 @@ gen-check:
 
 # Observability smoke: boot springfsd with the telemetry plane and
 # every-call tracing, drive a traced write/read through fsh, then scrape
-# /metrics (gauges + a histogram trace exemplar), /statz (a windowed
-# delta with subcontract rows), and /healthz.
+# every route family of the GET-only responder: /metrics (gauges + a
+# histogram trace exemplar), /statz (a windowed delta with subcontract
+# rows), /healthz, /traces (a JSON array) and /traces/zz (400), a heap
+# profile through go tool pprof (a non-empty table) and the goroutine
+# profile's text form.
 obs:
 	go build -o /tmp/springfsd_obs ./cmd/springfsd
 	go build -o /tmp/fsh_obs ./cmd/fsh
@@ -144,7 +150,12 @@ obs:
 	curl -sf http://127.0.0.1:16060/metrics | grep -q '# {trace_id=' && \
 	curl -sf 'http://127.0.0.1:16060/statz?window=10s' | grep -q '"window_seconds"' && \
 	curl -sf 'http://127.0.0.1:16060/statz?window=10s' | grep -q '"subcontracts"' && \
-	curl -sf http://127.0.0.1:16060/healthz | grep -q '"status"' || ok=1; \
+	curl -sf http://127.0.0.1:16060/healthz | grep -q '"status"' && \
+	curl -sf http://127.0.0.1:16060/traces | grep -q '^\[' && \
+	test "$$(curl -s -o /dev/null -w '%{http_code}' http://127.0.0.1:16060/traces/zz)" = 400 && \
+	curl -sf 'http://127.0.0.1:16060/debug/pprof/goroutine?debug=1' | grep -q '^goroutine profile: total' && \
+	PPROF_TMPDIR=/tmp/pprof_obs go tool pprof -sample_index=alloc_space -top 'http://127.0.0.1:16060/debug/pprof/heap?gc=1' 2>/dev/null | \
+		awk '/flat%/ { t = 1; next } t && NF { n++ } END { exit n == 0 }' || ok=1; \
 	kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; \
-	rm -f /tmp/springfsd_obs /tmp/fsh_obs; \
+	rm -rf /tmp/springfsd_obs /tmp/fsh_obs /tmp/pprof_obs; \
 	test $$ok -eq 0 && echo "obs smoke: ok"

@@ -11,6 +11,9 @@ import (
 // histogram: recording every call must add zero allocations over the
 // same call with recording off.
 func TestE22AlwaysOnAllocGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under the race detector, so per-call allocations are not a fixed count (E29)")
+	}
 	remote := e17World(t)
 	call := func() {
 		if err := callEcho(remote, nil); err != nil {

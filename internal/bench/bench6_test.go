@@ -29,6 +29,9 @@ func e17World(t testing.TB) *core.Object {
 // hooks existed (the PR 3 small-call budget), and enabling head sampling
 // without being picked adds zero further allocations.
 func TestE17UntracedAllocGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under the race detector, so per-call allocations are not a fixed count (E29)")
+	}
 	remote := e17World(t)
 	call := func() {
 		if err := callEcho(remote, nil); err != nil {

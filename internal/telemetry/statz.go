@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"net/http"
 	"sync"
 	"time"
 
@@ -377,15 +376,15 @@ func (st *statzState) close() {
 	<-st.done
 }
 
-func (st *statzState) handle(w http.ResponseWriter, r *http.Request) {
+func (st *statzState) handle(w *response, r *request) {
 	window := 10 * time.Second
-	if q := r.URL.Query().Get("window"); q != "" {
+	if q := r.query.Get("window"); q != "" {
 		d, err := time.ParseDuration(q)
 		if err != nil && q == "0" {
 			d, err = 0, nil
 		}
 		if err != nil || d < 0 {
-			http.Error(w, "bad window (want a duration like 10s, or 0 for totals since start)", http.StatusBadRequest)
+			w.error(400, "bad window (want a duration like 10s, or 0 for totals since start)")
 			return
 		}
 		if d > statzMaxWin {
@@ -393,7 +392,7 @@ func (st *statzState) handle(w http.ResponseWriter, r *http.Request) {
 		}
 		window = d
 	}
-	withBuckets := r.URL.Query().Get("buckets") == "1"
+	withBuckets := r.query.Get("buckets") == "1"
 
 	now := time.Now()
 	cur := takeStatzSample(now)

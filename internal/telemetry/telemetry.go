@@ -1,6 +1,6 @@
-// Package telemetry is the opt-in runtime observability plane: an HTTP
-// listener any daemon can start (-telemetry :6060) exposing what scstats
-// and internal/trace already collect.
+// Package telemetry is the opt-in runtime observability plane: a GET-only
+// HTTP/1.1 listener (responder.go) any daemon can start (-telemetry :6060)
+// exposing what scstats and internal/trace already collect.
 //
 // Endpoints:
 //
@@ -15,7 +15,10 @@
 //	                  waterfall); slow-ring traces resolve here too
 //	/healthz          liveness summary from the netd gauges: peer
 //	                  sessions, breaker states, lease health
-//	/debug/pprof/...  the standard Go profiler endpoints
+//	/debug/pprof/...  the Go profiler endpoints: the index, cmdline,
+//	                  profile and trace (?seconds=), symbol (GET form),
+//	                  named profiles (?debug=N, heap?gc=1); no delta
+//	                  profiles
 //
 // The plane is read-only and carries no authentication — it is operator
 // tooling for machines you already own, like the SIGUSR1 scstats dump it
@@ -26,11 +29,14 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
-	"net/http"
-	"net/http/pprof"
+	"os"
+	"runtime/pprof"
+	rtrace "runtime/trace"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/scstats"
@@ -39,9 +45,13 @@ import (
 
 // Server is one running telemetry listener.
 type Server struct {
-	ln    net.Listener
-	http  *http.Server
-	statz *statzState
+	ln     net.Listener
+	routes map[string]handler // a key ending in "/" is a prefix
+	statz  *statzState
+	done   chan struct{}
+
+	mu    sync.Mutex
+	conns map[net.Conn]bool // being served; nil once closed
 }
 
 // Start opens the telemetry plane on addr (e.g. ":6060", "127.0.0.1:0").
@@ -51,37 +61,48 @@ func Start(addr string) (*Server, error) {
 		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
 	}
 	st := newStatzState()
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", handleMetrics)
-	mux.HandleFunc("/statz", st.handle)
-	mux.HandleFunc("/traces", handleTraces)
-	mux.HandleFunc("/traces/slow", handleSlowTraces)
-	mux.HandleFunc("/traces/", handleTrace)
-	mux.HandleFunc("/healthz", handleHealthz)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	s := &Server{ln: ln, http: &http.Server{Handler: mux}, statz: st}
-	go func() { _ = s.http.Serve(ln) }()
+	s := &Server{ln: ln, statz: st, done: make(chan struct{}), conns: map[net.Conn]bool{},
+		routes: map[string]handler{
+			"/metrics":             handleMetrics,
+			"/statz":               st.handle,
+			"/traces":              handleTraces,
+			"/traces/slow":         handleSlowTraces,
+			"/traces/":             handleTrace,
+			"/healthz":             handleHealthz,
+			"/debug/pprof/":        handlePprof,
+			"/debug/pprof/cmdline": func(w *response, _ *request) { w.WriteString(strings.Join(os.Args, "\x00")) },
+			"/debug/pprof/profile": recording(pprof.StartCPUProfile, pprof.StopCPUProfile, 30),
+			"/debug/pprof/symbol":  handleSymbol,
+			"/debug/pprof/trace":   recording(rtrace.Start, rtrace.Stop, 1),
+		}}
+	go s.serve()
 	return s, nil
 }
 
 // Addr returns the listener's bound address (useful with ":0").
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close shuts the listener and the statz sampler down.
+// Close shuts the listener, every connection being served and the statz
+// sampler down, and ends any profile or trace wait. It does not wait for
+// the handlers, which end once their connection is gone: stopping a CPU
+// profile takes up to two of the runtime's 100 ms profile-writer ticks.
 func (s *Server) Close() error {
+	s.mu.Lock()
+	for c := range s.conns {
+		c.Close()
+	}
+	s.conns = nil
+	s.mu.Unlock()
+	close(s.done)
 	s.statz.close()
-	return s.http.Close()
+	return s.ln.Close()
 }
 
 // ---------------------------------------------------------------------
 // /metrics
 
-func handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+func handleMetrics(w *response, _ *request) {
+	w.ctype = "text/plain; version=0.0.4; charset=utf-8"
 	writeMetrics(w)
 }
 
@@ -125,9 +146,9 @@ func nodeJSON(n *trace.Node) traceJSON {
 	return tj
 }
 
-func handleTraces(w http.ResponseWriter, r *http.Request) {
+func handleTraces(w *response, r *request) {
 	max := 50
-	if q := r.URL.Query().Get("max"); q != "" {
+	if q := r.query.Get("max"); q != "" {
 		if n, err := strconv.Atoi(q); err == nil && n > 0 {
 			max = n
 		}
@@ -142,9 +163,9 @@ func handleTraces(w http.ResponseWriter, r *http.Request) {
 // handleSlowTraces lists recent roots from the tail-capture slow ring:
 // every call that exceeded its slow threshold, whether head sampling
 // caught it or tail capture did.
-func handleSlowTraces(w http.ResponseWriter, r *http.Request) {
+func handleSlowTraces(w *response, r *request) {
 	max := 50
-	if q := r.URL.Query().Get("max"); q != "" {
+	if q := r.query.Get("max"); q != "" {
 		if n, err := strconv.Atoi(q); err == nil && n > 0 {
 			max = n
 		}
@@ -156,11 +177,11 @@ func handleSlowTraces(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
-func handleTrace(w http.ResponseWriter, r *http.Request) {
-	idStr := strings.TrimPrefix(r.URL.Path, "/traces/")
+func handleTrace(w *response, r *request) {
+	idStr := strings.TrimPrefix(r.path, "/traces/")
 	id, err := strconv.ParseUint(idStr, 16, 64)
 	if err != nil || id == 0 {
-		http.Error(w, "bad trace id (want 16 hex digits)", http.StatusBadRequest)
+		w.error(400, "bad trace id (want 16 hex digits)")
 		return
 	}
 	roots := trace.Tree(id)
@@ -169,11 +190,10 @@ func handleTrace(w http.ResponseWriter, r *http.Request) {
 		roots = trace.SlowTree(id)
 	}
 	if len(roots) == 0 {
-		http.Error(w, "trace not found (unrecorded, or already overwritten)", http.StatusNotFound)
+		w.error(404, "trace not found (unrecorded, or already overwritten)")
 		return
 	}
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	if r.query.Get("format") == "text" {
 		base := roots[0].Start
 		for _, n := range roots {
 			if n.Start < base {
@@ -195,7 +215,7 @@ func handleTrace(w http.ResponseWriter, r *http.Request) {
 
 // writeWaterfall renders one span subtree as an indented text waterfall:
 // offset from the trace's first recorded span, duration, span ID, error.
-func writeWaterfall(w http.ResponseWriter, n *trace.Node, depth int, base int64) {
+func writeWaterfall(w io.Writer, n *trace.Node, depth int, base int64) {
 	status := ""
 	if n.Err != "" {
 		status = "  ERR " + n.Err
@@ -230,7 +250,7 @@ type health struct {
 	TraceSampleRate int   `json:"trace_sample_every"`
 }
 
-func handleHealthz(w http.ResponseWriter, _ *http.Request) {
+func handleHealthz(w *response, _ *request) {
 	g := func(name string) int64 { return scstats.GaugeFor(name).Value() }
 	h := health{
 		Status:          "ok",
@@ -254,13 +274,13 @@ func handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}
 	if h.Degraded != nil {
 		h.Status = "degraded"
-		w.WriteHeader(http.StatusServiceUnavailable)
+		w.status = 503
 	}
 	writeJSON(w, h)
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
+func writeJSON(w *response, v any) {
+	w.ctype = "application/json"
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)

@@ -39,9 +39,9 @@ import (
 // Slow thresholds.
 
 var (
-	slowDefault atomic.Int64                    // ns; 0 = no default threshold
-	slowNames   atomic.Pointer[[]int64]         // index NameID-1 → ns; 0 = use default
-	tailOn      atomic.Bool                     // any threshold configured
+	slowDefault atomic.Int64            // ns; 0 = no default threshold
+	slowNames   atomic.Pointer[[]int64] // index NameID-1 → ns; 0 = use default
+	tailOn      atomic.Bool             // any threshold configured
 )
 
 // SetSlowDefault sets the slow threshold applied to root spans whose name
