@@ -81,13 +81,14 @@ bench:
 # unix socket make no array either; and the E28 counts of the write
 # path — an idle connection is one goroutine, a null call is one write each
 # way, a caller writes one batch and no more, sixteen 64 KiB requests
-# whose handlers do not block make GOMAXPROCS + 2 arrays — so a
+# whose handlers do not block make GOMAXPROCS + 2 arrays; and the socket
+# layer's writev allocates nothing (E31) — so a
 # copy, an allocation, a pool, a timer or a writer goroutine creeping back
 # in fails tier2. -run exits 0 for a name that matches nothing, so the
 # list is checked against go test -list first: a guard that was renamed or
 # deleted fails the target instead of silently no longer running.
-GUARDS = TestServedReadWriteAllocs|TestServedMixedReadAllocs|TestReplyIsFrame|TestLargeFrameBypassesBatch|TestBorrowedBytesNotRetained|TestSequentialGrowthCopiesLinear|TestDurableWriteAllocs|TestGroupCommitGroups|TestLoneDurableWriteDoesNotLinger|TestSmallCallsDoNotPinLargeArrays|TestGrowthBorrowsIdleLarge|TestReserveBorrowsIdleLarge|TestSameMachineReadWriteAllocs|TestFramePrependAllocs|TestIdleConnGoroutines|TestNullCallOneFlushEachWay|TestFlusherNotCaptive|TestBulkBurstHandsOff
-GUARD_PKGS = ./internal/netd/ ./internal/filesys/ ./internal/buffer/
+GUARDS = TestServedReadWriteAllocs|TestServedMixedReadAllocs|TestReplyIsFrame|TestLargeFrameBypassesBatch|TestBorrowedBytesNotRetained|TestSequentialGrowthCopiesLinear|TestDurableWriteAllocs|TestGroupCommitGroups|TestLoneDurableWriteDoesNotLinger|TestSmallCallsDoNotPinLargeArrays|TestGrowthBorrowsIdleLarge|TestReserveBorrowsIdleLarge|TestSameMachineReadWriteAllocs|TestFramePrependAllocs|TestIdleConnGoroutines|TestNullCallOneFlushEachWay|TestFlusherNotCaptive|TestBulkBurstHandsOff|TestWritevAllocs
+GUARD_PKGS = ./internal/netd/ ./internal/filesys/ ./internal/buffer/ ./internal/sock/
 
 bench-quick:
 	go test -run NONE -bench 'E15|E16|E17|E18|E19|E20|E21_MixedHoL|E22' -benchtime 1x .

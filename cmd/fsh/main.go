@@ -33,7 +33,8 @@ import (
 )
 
 var (
-	server  = flag.String("server", "127.0.0.1:7040", "springfsd address")
+	server = flag.String("server", "127.0.0.1:7040",
+		"springfsd address: IP:port ([v6]:port), localhost:port, or with -same-machine unix:<path>; host names are not resolved")
 	timeout = flag.Duration("timeout", 0, "per-call deadline (0 = none); expired calls fail with core.ErrDeadlineExceeded")
 
 	callTimeout = flag.Duration("call-timeout", 10*time.Second, "reply wait per forwarded call")
@@ -53,7 +54,7 @@ var (
 		"pause between reconnect attempts (0 = subcontract default)")
 
 	telemetryAddr = flag.String("telemetry", "",
-		"serve /metrics, /traces, /healthz and pprof on this address (e.g. :6061; empty = off)")
+		"serve /metrics, /traces, /healthz and pprof on this address: IP:port, localhost:port or :port for every interface (e.g. :6061; empty = off)")
 	traceSample = flag.Int("trace-sample", 0,
 		"record a trace for 1 in N calls that arrive untraced (0 = only explicitly traced calls)")
 	traceSlow = flag.Duration("trace-slow", 0,

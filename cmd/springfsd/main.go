@@ -41,7 +41,8 @@ import (
 )
 
 var (
-	addr     = flag.String("addr", "127.0.0.1:7040", "listen address")
+	addr = flag.String("addr", "127.0.0.1:7040",
+		"listen address: IP:port ([v6]:port), localhost:port, :port for every interface, or with -same-machine unix:<path>; host names are not resolved")
 	flavor   = flag.String("flavor", "plain", "file subcontract flavor: plain | caching | reconnectable")
 	snapshot = flag.String("snapshot", "", "stable-storage file: loaded at start, saved on shutdown")
 	walDir   = flag.String("wal", "",
@@ -65,7 +66,7 @@ var (
 		"per-entry reply-cache byte budget for the cache manager (0 = default, negative = unbounded)")
 
 	telemetryAddr = flag.String("telemetry", "",
-		"serve /metrics, /traces, /healthz and pprof on this address (e.g. :6060; empty = off)")
+		"serve /metrics, /traces, /healthz and pprof on this address: IP:port, localhost:port or :port for every interface (e.g. :6060; empty = off)")
 	traceSample = flag.Int("trace-sample", 0,
 		"record a trace for 1 in N calls that arrive untraced (0 = only explicitly traced calls)")
 	traceSlow = flag.Duration("trace-slow", 0,

@@ -1,5 +1,5 @@
 // Package faultnet is a deterministic fault-injection harness for the
-// network door servers: it wraps net.Listener, net.Conn and dialer
+// network door servers: it wraps sock.Listener, sock.Stream and dialer
 // functions so tests can script the failures a real network produces —
 // refused dials, hung dials, symmetric and asymmetric partitions,
 // added latency, frames truncated mid-write, and ungraceful connection
@@ -9,12 +9,12 @@
 // wrapped listener or dialer. Faults are flipped at runtime and apply to
 // live connections as well as future ones. It composes over the netd
 // Transport interface through netd.FuncTransport: the wrapped funcs
-// carry the fault control, Inner supplies the underlying transport, so
-// every fault scenario runs unchanged over TCP or the same-machine tier:
+// carry the fault control over sock's sockets, so every fault scenario
+// runs unchanged on a host:port or a unix: address:
 //
 //	fn := faultnet.New()
 //	tr := netd.FuncTransport{
-//		ListenFunc: fn.ListenFunc(nil), // nil inner funcs mean TCP
+//		ListenFunc: fn.ListenFunc(nil), // nil inner funcs mean sock's
 //		DialFunc:   fn.Dialer(nil),
 //	}
 //	srv, _ := netd.Start(dom, "127.0.0.1:0", netd.WithTransport(tr))
@@ -36,9 +36,10 @@ package faultnet
 
 import (
 	"errors"
-	"net"
 	"sync"
 	"time"
+
+	"repro/internal/sock"
 )
 
 // ErrRefused is returned by a wrapped dialer while RefuseDials is on.
@@ -185,8 +186,8 @@ func (n *Net) Live() int {
 }
 
 // wrap registers a new wrapped conn.
-func (n *Net) wrap(inner net.Conn) *Conn {
-	c := &Conn{Conn: inner, net: n}
+func (n *Net) wrap(inner sock.Stream) *Conn {
+	c := &Conn{Stream: inner, net: n}
 	n.mu.Lock()
 	n.conns[c] = struct{}{}
 	n.mu.Unlock()
@@ -199,46 +200,30 @@ func (n *Net) drop(c *Conn) {
 	n.mu.Unlock()
 }
 
-// Listener wraps ln so every accepted connection is under this Net's
-// control.
-func (n *Net) Listener(ln net.Listener) net.Listener {
-	return &listener{Listener: ln, net: n}
-}
-
-// Listen is shorthand for net.Listen followed by Listener.
-func (n *Net) Listen(network, addr string) (net.Listener, error) {
-	ln, err := net.Listen(network, addr)
-	if err != nil {
-		return nil, err
-	}
-	return n.Listener(ln), nil
-}
-
-// ListenFunc wraps listen (nil means net.Listen("tcp", ·)) so every
-// connection accepted through it is under this Net's control — the
-// listener-side counterpart of Dialer, for composing a transport's own
-// Listen into a netd.FuncTransport.
-func (n *Net) ListenFunc(listen func(addr string) (net.Listener, error)) func(addr string) (net.Listener, error) {
+// ListenFunc wraps listen (nil means sock.Listen) so every connection
+// accepted through it is under this Net's control — the listener-side
+// counterpart of Dialer, for composing a transport's own Listen into a
+// netd.FuncTransport.
+func (n *Net) ListenFunc(listen func(addr string) (sock.Listener, error)) func(addr string) (sock.Listener, error) {
 	if listen == nil {
-		listen = func(addr string) (net.Listener, error) { return net.Listen("tcp", addr) }
+		listen = sock.Listen
 	}
-	return func(addr string) (net.Listener, error) {
+	return func(addr string) (sock.Listener, error) {
 		ln, err := listen(addr)
 		if err != nil {
 			return nil, err
 		}
-		return n.Listener(ln), nil
+		return &listener{Listener: ln, net: n}, nil
 	}
 }
 
-// Dialer wraps dial (nil means net.Dial("tcp", ·)) so every dialled
-// connection is under this Net's control and dials honor RefuseDials and
-// SetDialDelay.
-func (n *Net) Dialer(dial func(addr string) (net.Conn, error)) func(addr string) (net.Conn, error) {
+// Dialer wraps dial (nil means sock.Dial) so every dialled connection is
+// under this Net's control and dials honor RefuseDials and SetDialDelay.
+func (n *Net) Dialer(dial func(addr string) (sock.Stream, error)) func(addr string) (sock.Stream, error) {
 	if dial == nil {
-		dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
+		dial = sock.Dial
 	}
-	return func(addr string) (net.Conn, error) {
+	return func(addr string) (sock.Stream, error) {
 		n.mu.Lock()
 		refuse, d := n.refuse, n.dialDelay
 		n.mu.Unlock()
@@ -257,11 +242,11 @@ func (n *Net) Dialer(dial func(addr string) (net.Conn, error)) func(addr string)
 }
 
 type listener struct {
-	net.Listener
+	sock.Listener
 	net *Net
 }
 
-func (l *listener) Accept() (net.Conn, error) {
+func (l *listener) Accept() (sock.Stream, error) {
 	inner, err := l.Listener.Accept()
 	if err != nil {
 		return nil, err
@@ -271,7 +256,7 @@ func (l *listener) Accept() (net.Conn, error) {
 
 // Conn is one fault-controlled connection.
 type Conn struct {
-	net.Conn
+	sock.Stream
 	net    *Net
 	closed sync.Once
 }
@@ -289,7 +274,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 			if delay > 0 {
 				time.Sleep(delay)
 			}
-			return c.Conn.Read(p)
+			return c.Stream.Read(p)
 		}
 		// Severed: hold the read until healed or the conn dies. Use a
 		// deadline poke so a Close from under us cannot strand the
@@ -316,7 +301,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 	if c.net.truncate {
 		c.net.truncate = false
 		c.net.mu.Unlock()
-		n, _ := c.Conn.Write(p[:len(p)/2])
+		n, _ := c.Stream.Write(p[:len(p)/2])
 		_ = c.Close()
 		return n, ErrSevered
 	}
@@ -334,7 +319,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 		// Packets on the floor: the caller believes the write succeeded.
 		return len(p), nil
 	}
-	n, err := c.Conn.Write(p)
+	n, err := c.Stream.Write(p)
 	if kill {
 		_ = c.Close()
 	}
@@ -346,7 +331,7 @@ func (c *Conn) Close() error {
 	var err error
 	c.closed.Do(func() {
 		c.net.drop(c)
-		err = c.Conn.Close()
+		err = c.Stream.Close()
 	})
 	return err
 }

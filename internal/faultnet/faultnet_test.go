@@ -3,28 +3,29 @@ package faultnet
 import (
 	"errors"
 	"io"
-	"net"
 	"testing"
 	"time"
+
+	"repro/internal/sock"
 )
 
 // pipePair dials through fn to a plain echo-less listener and returns
 // both ends: the fault-controlled client conn and the raw server conn.
-func pipePair(t *testing.T, fn *Net) (client net.Conn, server net.Conn) {
+func pipePair(t *testing.T, fn *Net) (client, server sock.Stream) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := sock.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	accepted := make(chan net.Conn, 1)
+	accepted := make(chan sock.Stream, 1)
 	go func() {
 		c, err := ln.Accept()
 		if err == nil {
 			accepted <- c
 		}
 	}()
-	client, err = fn.Dialer(nil)(ln.Addr().String())
+	client, err = fn.Dialer(nil)(ln.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestRefuseDials(t *testing.T) {
 		t.Fatalf("refused dial = %v, want ErrRefused", err)
 	}
 	fn.RefuseDials(false)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := sock.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestRefuseDials(t *testing.T) {
 			c.Close()
 		}
 	}()
-	c, err := fn.Dialer(nil)(ln.Addr().String())
+	c, err := fn.Dialer(nil)(ln.Addr())
 	if err != nil {
 		t.Fatalf("healed dial = %v", err)
 	}

@@ -3,7 +3,6 @@ package netd
 import (
 	"encoding/binary"
 	"errors"
-	"net"
 	"os"
 	"runtime"
 	"sync"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/buffer"
+	"repro/internal/sock"
 )
 
 // This file is the connection data path. One rule shapes it (DESIGN §12):
@@ -130,7 +130,7 @@ type sendReq struct {
 // so nothing here knows which role it plays. Idle, it owns one goroutine:
 // its reader (serveConn).
 type conn struct {
-	netc net.Conn
+	netc sock.Stream
 
 	// The write side. q holds the frames accepted and not yet taken, in
 	// order; writing says some goroutine owns the socket's write half, and
@@ -145,7 +145,7 @@ type conn struct {
 	batch   []sendReq
 	lens    []byte
 	iov     [][]byte
-	vec     net.Buffers
+	vec     [][]byte
 	wdl     time.Time
 
 	helloed  chan struct{} // closed once the peer's hello arrives
@@ -171,7 +171,7 @@ type conn struct {
 }
 
 // newConn wraps netc. It starts nothing: the caller runs serveConn.
-func newConn(netc net.Conn) *conn {
+func newConn(netc sock.Stream) *conn {
 	c := &conn{
 		netc:    netc,
 		helloed: make(chan struct{}),
@@ -390,11 +390,11 @@ func (c *conn) take() {
 		binary.LittleEndian.PutUint32(l, uint32(len(p)))
 		c.iov[2*i], c.iov[2*i+1] = l, p
 	}
-	c.vec = c.iov[:2*n] // WriteTo consumes vec as it writes; iov keeps the layout
+	c.vec = c.iov[:2*n] // Writev consumes vec as it writes; iov keeps the layout
 }
 
 // write sends what is left of the batch (on a connection that is not a
-// socket, net.Buffers degrades to a write per element) and reports whether
+// socket, sock.Writev degrades to a write per element) and reports whether
 // the batch is done with: written and recycled, or lost with the connection
 // — a failed write runs the drop of every frame in it. A patient write is
 // under a deadline one to two writePatience away, moved only when it has
@@ -413,7 +413,7 @@ func (c *conn) write(patient bool) bool {
 			c.wdl = time.Time{}
 			_ = c.netc.SetWriteDeadline(c.wdl)
 		}
-		_, err = c.vec.WriteTo(c.netc)
+		_, err = sock.Writev(c.netc, &c.vec)
 		if patient && errors.Is(err, os.ErrDeadlineExceeded) {
 			return false
 		}

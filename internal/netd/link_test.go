@@ -2,7 +2,6 @@ package netd
 
 import (
 	"errors"
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultnet"
 	"repro/internal/kernel"
+	"repro/internal/sock"
 	"repro/internal/subcontracts/singleton"
 )
 
@@ -37,7 +37,7 @@ func linkPair(t *testing.T, cfgB Config) (a, b *machine, remote *core.Object, l 
 // included — is counted.
 func countingDialer(fn *faultnet.Net, dials *atomic.Int32) Transport {
 	dial := fn.Dialer(nil)
-	return FuncTransport{DialFunc: func(addr string) (net.Conn, error) {
+	return FuncTransport{DialFunc: func(addr string) (sock.Stream, error) {
 		dials.Add(1)
 		return dial(addr)
 	}}

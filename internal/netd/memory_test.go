@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"net"
 	"runtime"
 	"testing"
 
@@ -12,6 +11,7 @@ import (
 	"repro/internal/filesys"
 	"repro/internal/scstats"
 	"repro/internal/sctest"
+	"repro/internal/sock"
 )
 
 // Tests for the flat-memory serve path: a served call hands back every
@@ -23,7 +23,7 @@ import (
 // are the only ones pacing the collector.
 type rawPeer struct {
 	t    *testing.T
-	conn net.Conn
+	conn sock.Stream
 	br   *bufio.Reader
 	call []byte // one length-prefixed call, request id patched per send
 }

@@ -54,7 +54,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"net"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -65,6 +64,7 @@ import (
 	"repro/internal/dispatch"
 	"repro/internal/kernel"
 	"repro/internal/scstats"
+	"repro/internal/sock"
 	"repro/internal/trace"
 )
 
@@ -301,7 +301,7 @@ func WithRebinder(fn func(label string) (kernel.Ref, bool)) Option {
 // Server is one machine's network door server.
 type Server struct {
 	dom       *kernel.Domain
-	ln        net.Listener
+	ln        sock.Listener
 	addr      string
 	transport Transport
 	instance  uint64 // random per-process identity, sent in hellos
@@ -343,9 +343,10 @@ type Server struct {
 }
 
 // Start launches a network door server for dom's kernel, listening on
-// listenAddr ("127.0.0.1:0" picks a free TCP port; address syntax beyond
-// that belongs to the configured transport — SameMachine accepts
-// "unix:/path"). dom should be a dedicated domain for the network
+// listenAddr ("127.0.0.1:0" picks a free TCP port; a host is an IP
+// literal, localhost or empty, never a name — see package sock; address
+// syntax beyond that belongs to the configured transport — SameMachine
+// accepts "unix:/path"). dom should be a dedicated domain for the network
 // server. Options adjust the configuration; zero fields take the
 // documented defaults in one place.
 func Start(dom *kernel.Domain, listenAddr string, opts ...Option) (*Server, error) {
@@ -356,12 +357,12 @@ func Start(dom *kernel.Domain, listenAddr string, opts ...Option) (*Server, erro
 	cfg = cfg.withDefaults()
 	ln, err := cfg.Transport.Listen(listenAddr)
 	if err != nil {
-		return nil, fmt.Errorf("netd: listen: %w", err)
+		return nil, fmt.Errorf("netd: listen %s: %w", listenAddr, err)
 	}
 	s := &Server{
 		dom:       dom,
 		ln:        ln,
-		addr:      canonicalAddr(ln),
+		addr:      ln.Addr(),
 		transport: cfg.Transport,
 		instance:  rand.Uint64(),
 		cfg:       cfg,
@@ -413,7 +414,7 @@ func (s *Server) Close() error {
 // sweeper last wrote, and a unix socket file stays where it was bound,
 // exactly as after a power loss.
 func (s *Server) Kill() error {
-	if ul, ok := s.ln.(*net.UnixListener); ok {
+	if ul, ok := s.ln.(interface{ SetUnlinkOnClose(bool) }); ok {
 		ul.SetUnlinkOnClose(false)
 	}
 	return s.shutdown()
@@ -881,9 +882,9 @@ func (s *Server) dialAndHello(addr string) (*conn, error) {
 
 // timedDial bounds one dial attempt by DialTimeout regardless of the
 // transport's own behavior.
-func (s *Server) timedDial(addr string) (net.Conn, error) {
+func (s *Server) timedDial(addr string) (sock.Stream, error) {
 	type result struct {
-		c   net.Conn
+		c   sock.Stream
 		err error
 	}
 	ch := make(chan result, 1)

@@ -3,6 +3,7 @@ package netd
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -174,7 +175,10 @@ func (s *Server) loadState() error {
 		return fmt.Errorf("netd: read state file: %w", err)
 	}
 	var ps persistedState
-	if err := json.Unmarshal(data, &ps); err != nil {
+	if err = json.Unmarshal(data, &ps); err == nil {
+		err = ps.check()
+	}
+	if err != nil {
 		return fmt.Errorf("netd: corrupt state file %s: %w", s.cfg.StateFile, err)
 	}
 	s.instance = ps.Instance
@@ -239,6 +243,30 @@ func (s *Server) loadState() error {
 		}
 	}
 	s.stateDirty = true
+	return nil
+}
+
+// check refuses what no server writes, before loadState changes anything:
+// a key counter the restart's keySlack would wrap past zero, an export key
+// at or past the counter — either would have the restarted server reissue
+// a key a peer still holds — and an export key or a peer listed twice.
+func (ps *persistedState) check() error {
+	if ps.NextKey > math.MaxUint64-keySlack {
+		return fmt.Errorf("next_key %d leaves no room for the restart's key slack", ps.NextKey)
+	}
+	seen := make(map[[2]uint64]bool) // {0, export key}, {1, peer instance}
+	for _, e := range ps.Exports {
+		if e.Key >= ps.NextKey || seen[[2]uint64{0, e.Key}] {
+			return fmt.Errorf("export key %d is past next_key %d or listed twice", e.Key, ps.NextKey)
+		}
+		seen[[2]uint64{0, e.Key}] = true
+	}
+	for _, p := range ps.Sessions {
+		if seen[[2]uint64{1, p.Instance}] {
+			return fmt.Errorf("peer %#x listed twice", p.Instance)
+		}
+		seen[[2]uint64{1, p.Instance}] = true
+	}
 	return nil
 }
 

@@ -2,8 +2,10 @@ package netd
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -200,4 +202,82 @@ func TestFirstBootWritesStateFile(t *testing.T) {
 	if ps.Instance != d.srv.Instance() {
 		t.Fatalf("persisted %#x, live %#x", ps.Instance, d.srv.Instance())
 	}
+}
+
+// restart starts a durable server against the state file at path, with a
+// rebinder that knows root:counter/0; the test closes it.
+func restart(t *testing.T, path string) (*Server, error) {
+	k := kernel.New("F")
+	env, err := sctest.NewEnv(k, "F-app", singleton.Register)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, _ := singleton.Export(env, sctest.CounterMT, (&sctest.Counter{}).Skeleton(), nil)
+	srv, err := Start(k.NewDomain("F-netd"), "127.0.0.1:0", With(fastLivenessCfg()),
+		WithStateFile(path), WithRebinder(RootRebinder(map[string]*core.Object{"counter": obj})))
+	if err == nil {
+		t.Cleanup(func() { srv.Close() })
+	}
+	return srv, err
+}
+
+// heldRefs is a capture's refcounts, peer instance → key → count.
+func heldRefs(ps *persistedState) map[uint64]map[uint64]int {
+	m := make(map[uint64]map[uint64]int)
+	for _, sess := range ps.Sessions {
+		m[sess.Instance] = make(map[uint64]int)
+		for _, r := range sess.Refs {
+			m[sess.Instance][r.Key] = r.Count
+		}
+	}
+	return m
+}
+
+// FuzzStateFile restarts a durable server against arbitrary state-file
+// bytes. It comes up or refuses the file, never panics, and leaves the
+// exports_live and sessions_live gauges where they were once closed; when
+// it comes up no restored export can be reissued — every one is below the
+// key counter — and the file it flushed at start restarts with the same
+// instance and refcounts.
+func FuzzStateFile(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "netd.state")
+		if err := os.WriteFile(path, data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		exports, sessions := gExports.Value(), gSessions.Value()
+		settled := func() {
+			if de, ds := gExports.Value()-exports, gSessions.Value()-sessions; de != 0 || ds != 0 {
+				t.Fatalf("exports_live %+d and sessions_live %+d after the server is gone", de, ds)
+			}
+		}
+		s, err := restart(t, path)
+		if err != nil {
+			settled()
+			return
+		}
+		s.mu.Lock()
+		before := s.captureStateLocked()
+		s.mu.Unlock()
+		s.Close()
+		settled()
+		for _, e := range before.Exports {
+			if e.Key >= before.NextKey {
+				t.Fatalf("restored export %d at or past the key counter %d: the next export reissues it", e.Key, before.NextKey)
+			}
+		}
+		if before.NextKey > math.MaxUint64-keySlack {
+			return // the next restart refuses it, as it must
+		}
+		s2, err := restart(t, path)
+		if err != nil {
+			t.Fatalf("a server's own state file is refused: %v", err)
+		}
+		s2.mu.Lock()
+		after := s2.captureStateLocked()
+		s2.mu.Unlock()
+		if after.Instance != before.Instance || !reflect.DeepEqual(heldRefs(after), heldRefs(before)) {
+			t.Fatalf("state file round trip: instance %#x refs %v, then %#x %v", before.Instance, heldRefs(before), after.Instance, heldRefs(after))
+		}
+	})
 }

@@ -8,7 +8,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -19,6 +18,7 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/filesys"
 	"repro/internal/kernel"
+	"repro/internal/sock"
 )
 
 // Tests for the serve side's send half: the result buffer is the reply
@@ -27,20 +27,20 @@ import (
 var updateCorpus = flag.Bool("update-corpus", false, "rewrite FuzzFrame's checked-in corpus from TestReplyIsFrame's frames and FuzzFrame's own seeds")
 
 // socketPair returns the two ends of a loopback TCP connection: real
-// sockets, so the writer's net.Buffers takes the writev path.
-func socketPair(t *testing.T) (near, far net.Conn) {
+// sockets, so the writer's sock.Writev is one writev.
+func socketPair(t *testing.T) (near, far sock.Stream) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := sock.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	accepted := make(chan net.Conn, 1)
+	accepted := make(chan sock.Stream, 1)
 	go func() {
 		c, _ := ln.Accept()
 		accepted <- c
 	}()
-	near, err = net.Dial("tcp", ln.Addr().String())
+	near, err = sock.Dial(ln.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func socketPair(t *testing.T) (near, far net.Conn) {
 
 // servedConn gives srv a connection with a session bound, whose output the
 // test reads at far.
-func servedConn(t *testing.T, srv *Server) (*conn, net.Conn) {
+func servedConn(t *testing.T, srv *Server) (*conn, sock.Stream) {
 	t.Helper()
 	near, far := socketPair(t)
 	c := newConn(near)
@@ -308,7 +308,7 @@ func TestLargeFrameBypassesBatch(t *testing.T) {
 
 // failingConn accepts writes until it has taken limit bytes, then fails.
 type failingConn struct {
-	net.Conn
+	sock.Stream
 	limit int
 }
 
@@ -323,7 +323,7 @@ func TestConnectionDeathMidWritevRunsEveryDrop(t *testing.T) {
 	near, _ := socketPair(t)
 	// The batch's small frames get out; the large frame behind them, in
 	// the same flush, does not.
-	c := newConn(&failingConn{Conn: near, limit: 4 << 10})
+	c := newConn(&failingConn{Stream: near, limit: 4 << 10})
 	var dropped atomic.Int32
 	ledger := buffer.Stats()
 	sizes := []int{40, 64<<10 + 30, 40, 64<<10 + 30, 40}

@@ -6,7 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
-	"net"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -185,7 +185,7 @@ func TestSendDropExactlyOnce(t *testing.T) {
 }
 
 // tokenConn is a connection whose every Write spends a token the test
-// grants (net.Buffers writes a frame to it as two: prefix, then payload).
+// grants (sock.Writev writes a frame to it as two: prefix, then payload).
 // Tokens are granted in one piece, so a writer never runs out half way
 // through a grant and reports itself waiting.
 type tokenConn struct {
@@ -205,7 +205,7 @@ func (c *tokenConn) Write(p []byte) (int, error) {
 			select {
 			case c.left = <-c.tokens:
 			case <-c.ch:
-				return 0, net.ErrClosed
+				return 0, os.ErrClosed
 			}
 		}
 	}

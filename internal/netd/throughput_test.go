@@ -3,7 +3,7 @@ package netd
 import (
 	"errors"
 	"fmt"
-	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,6 +16,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/scstats"
 	"repro/internal/sctest"
+	"repro/internal/sock"
 	"repro/internal/stubs"
 	"repro/internal/subcontracts/singleton"
 )
@@ -274,9 +275,9 @@ func TestColdDialSingleflight(t *testing.T) {
 	fn := faultnet.New()
 	var dials atomic.Int32
 	cfgB := quickCfg()
-	cfgB.Transport = FuncTransport{DialFunc: fn.Dialer(func(addr string) (net.Conn, error) {
+	cfgB.Transport = FuncTransport{DialFunc: fn.Dialer(func(addr string) (sock.Stream, error) {
 		dials.Add(1)
-		return net.Dial("tcp", addr)
+		return sock.Dial(addr)
 	})}
 	a := newMachineCfg(t, "A", quickCfg())
 	b := newMachineCfg(t, "B", cfgB)
@@ -364,7 +365,7 @@ func TestCoalescingCountersMove(t *testing.T) {
 // ---------------------------------------------------------------------
 // Allocation regression guards.
 
-// discardConn is a net.Conn that swallows writes and never produces
+// discardConn is a sock.Stream that swallows writes and never produces
 // reads, isolating the client-side call machinery from a real peer (whose
 // read loop would allocate and pollute the global AllocsPerRun count).
 type discardConn struct {
@@ -376,12 +377,10 @@ func newDiscardConn() *discardConn { return &discardConn{ch: make(chan struct{})
 
 func (d *discardConn) Read(p []byte) (int, error) {
 	<-d.ch
-	return 0, net.ErrClosed
+	return 0, os.ErrClosed
 }
 func (d *discardConn) Write(p []byte) (int, error)      { return len(p), nil }
 func (d *discardConn) Close() error                     { d.once.Do(func() { close(d.ch) }); return nil }
-func (d *discardConn) LocalAddr() net.Addr              { return &net.TCPAddr{} }
-func (d *discardConn) RemoteAddr() net.Addr             { return &net.TCPAddr{} }
 func (d *discardConn) SetDeadline(time.Time) error      { return nil }
 func (d *discardConn) SetReadDeadline(time.Time) error  { return nil }
 func (d *discardConn) SetWriteDeadline(time.Time) error { return nil }

@@ -2,10 +2,11 @@ package netd
 
 import (
 	"errors"
-	"net"
 	"os"
 	"strings"
 	"syscall"
+
+	"repro/internal/sock"
 )
 
 // This file is the transport layer under the network door servers. A
@@ -16,43 +17,39 @@ import (
 
 // Transport supplies a Server's listener and dialer. It owns address
 // syntax end to end: the address given to Start, the addresses in
-// descriptors, and the advertised listen address all pass through it
-// verbatim.
+// descriptors, and the advertised listen address (the listener's Addr)
+// all pass through it verbatim.
 type Transport interface {
-	// Name labels the transport in diagnostics.
-	Name() string
 	// Listen opens the server's listener on addr.
-	Listen(addr string) (net.Listener, error)
+	Listen(addr string) (sock.Listener, error)
 	// Dial opens a connection to a peer's advertised address.
-	Dial(addr string) (net.Conn, error)
-}
-
-// canonicalAddr renders a listener's address in the transport-qualified
-// form peers must dial: unix sockets advertise as "unix:/path" so the
-// address survives descriptor travel and conn-cache keying without TCP
-// assumptions.
-func canonicalAddr(ln net.Listener) string {
-	a := ln.Addr()
-	if strings.HasPrefix(a.Network(), "unix") {
-		return "unix:" + a.String()
-	}
-	return a.String()
+	Dial(addr string) (sock.Stream, error)
 }
 
 // ---------------------------------------------------------------------
 // Concrete transports.
 
-// TCPTransport is the default tier: plain TCP.
+// TCPTransport is the default tier: plain TCP. It refuses unix: addresses,
+// which are the same-machine tier's.
 type TCPTransport struct{}
 
-// Name implements Transport.
-func (TCPTransport) Name() string { return "tcp" }
+var errUnixAddr = errors.New("unix: addresses need the same-machine transport")
 
 // Listen implements Transport.
-func (TCPTransport) Listen(addr string) (net.Listener, error) { return net.Listen("tcp", addr) }
+func (TCPTransport) Listen(addr string) (sock.Listener, error) {
+	if strings.HasPrefix(addr, "unix:") {
+		return nil, errUnixAddr
+	}
+	return sock.Listen(addr)
+}
 
 // Dial implements Transport.
-func (TCPTransport) Dial(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
+func (TCPTransport) Dial(addr string) (sock.Stream, error) {
+	if strings.HasPrefix(addr, "unix:") {
+		return nil, errUnixAddr
+	}
+	return sock.Dial(addr)
+}
 
 // SameMachineTransport is the co-located tier: addresses of the form
 // "unix:/path" run the control/frame path over a unix domain socket
@@ -64,22 +61,16 @@ type SameMachineTransport struct{}
 // cmd/fsh enable it with -same-machine.
 func SameMachine() *SameMachineTransport { return &SameMachineTransport{} }
 
-// Name implements Transport.
-func (*SameMachineTransport) Name() string { return "same-machine" }
-
 // Listen implements Transport. A unix socket file outlives a killed
 // server, and the restart must get its address back: when the path is in
 // use but nobody answers a dial there, the stale socket is removed and the
 // listen retried. A live listener, or a file that is not a socket, still
 // fails the listen and is left alone.
-func (*SameMachineTransport) Listen(addr string) (net.Listener, error) {
-	path, ok := strings.CutPrefix(addr, "unix:")
-	if !ok {
-		return net.Listen("tcp", addr)
-	}
-	ln, err := net.Listen("unix", path)
-	if errors.Is(err, syscall.EADDRINUSE) && staleSocket(path) && os.Remove(path) == nil {
-		return net.Listen("unix", path)
+func (*SameMachineTransport) Listen(addr string) (sock.Listener, error) {
+	ln, err := sock.Listen(addr)
+	path, unix := strings.CutPrefix(addr, "unix:")
+	if unix && errors.Is(err, syscall.EADDRINUSE) && staleSocket(path) && os.Remove(path) == nil {
+		return sock.Listen(addr)
 	}
 	return ln, err
 }
@@ -89,7 +80,7 @@ func staleSocket(path string) bool {
 	if fi, err := os.Lstat(path); err != nil || fi.Mode()&os.ModeSocket == 0 {
 		return false
 	}
-	c, err := net.Dial("unix", path)
+	c, err := sock.Dial("unix:" + path)
 	if err == nil {
 		_ = c.Close()
 	}
@@ -97,44 +88,28 @@ func staleSocket(path string) bool {
 }
 
 // Dial implements Transport.
-func (*SameMachineTransport) Dial(addr string) (net.Conn, error) {
-	if path, ok := strings.CutPrefix(addr, "unix:"); ok {
-		return net.Dial("unix", path)
-	}
-	return net.Dial("tcp", addr)
-}
+func (*SameMachineTransport) Dial(addr string) (sock.Stream, error) { return sock.Dial(addr) }
 
 // FuncTransport adapts bare listen/dial funcs to the Transport
 // interface; faultnet's wrappers and the test suites compose through it.
-// Nil funcs fall through to Inner (nil Inner means TCP).
+// A nil func falls through to TCPTransport.
 type FuncTransport struct {
-	ListenFunc func(addr string) (net.Listener, error)
-	DialFunc   func(addr string) (net.Conn, error)
-	Inner      Transport
+	ListenFunc func(addr string) (sock.Listener, error)
+	DialFunc   func(addr string) (sock.Stream, error)
 }
-
-func (t FuncTransport) inner() Transport {
-	if t.Inner != nil {
-		return t.Inner
-	}
-	return TCPTransport{}
-}
-
-// Name implements Transport.
-func (t FuncTransport) Name() string { return "func(" + t.inner().Name() + ")" }
 
 // Listen implements Transport.
-func (t FuncTransport) Listen(addr string) (net.Listener, error) {
+func (t FuncTransport) Listen(addr string) (sock.Listener, error) {
 	if t.ListenFunc != nil {
 		return t.ListenFunc(addr)
 	}
-	return t.inner().Listen(addr)
+	return TCPTransport{}.Listen(addr)
 }
 
 // Dial implements Transport.
-func (t FuncTransport) Dial(addr string) (net.Conn, error) {
+func (t FuncTransport) Dial(addr string) (sock.Stream, error) {
 	if t.DialFunc != nil {
 		return t.DialFunc(addr)
 	}
-	return t.inner().Dial(addr)
+	return TCPTransport{}.Dial(addr)
 }

@@ -2,7 +2,6 @@ package netd
 
 import (
 	"errors"
-	"net"
 	"os"
 	"strings"
 	"syscall"
@@ -13,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/sctest"
+	"repro/internal/sock"
 	"repro/internal/stubs"
 	"repro/internal/subcontracts/singleton"
 )
@@ -98,12 +98,12 @@ func TestSameMachineServesUnixAndTCPPeers(t *testing.T) {
 	}
 	a.srv.mu.Lock()
 	defer a.srv.mu.Unlock()
-	networks := map[string]bool{}
+	unix := map[bool]bool{} // by the address each socket was made for
 	for c := range a.srv.allConns {
-		networks[c.netc.LocalAddr().Network()] = true
+		unix[strings.HasPrefix(c.peerAddr, "unix:")] = true
 	}
-	if len(a.srv.sessions) != 2 || !networks["unix"] || !networks["tcp"] {
-		t.Fatalf("A holds %d sessions over %v, want 2 over unix and tcp", len(a.srv.sessions), networks)
+	if len(a.srv.sessions) != 2 || !unix[true] || !unix[false] {
+		t.Fatalf("A holds %d sessions over unix %v, want 2, one unix and one tcp", len(a.srv.sessions), unix)
 	}
 }
 
@@ -196,13 +196,13 @@ func TestSameMachineListenReplacesStaleSocket(t *testing.T) {
 	dir := t.TempDir()
 
 	stale := dir + "/stale.sock"
-	old, err := net.Listen("unix", stale)
+	old, err := sock.Listen("unix:" + stale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old.(*net.UnixListener).SetUnlinkOnClose(false)
+	old.(interface{ SetUnlinkOnClose(bool) }).SetUnlinkOnClose(false)
 	old.Close() // as SIGKILL leaves it: the file, and nobody behind it
-	if _, err := net.Listen("unix", stale); !errors.Is(err, syscall.EADDRINUSE) {
+	if _, err := sock.Listen("unix:" + stale); !errors.Is(err, syscall.EADDRINUSE) {
 		t.Fatalf("a bare listen on the stale path = %v, want EADDRINUSE", err)
 	}
 	ln, err := sm.Listen("unix:" + stale)

@@ -5,13 +5,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
-	"net"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/kernel"
+	"repro/internal/sock"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -130,7 +130,7 @@ func TestPeerDropsConnectionMidCall(t *testing.T) {
 	// A fake peer that accepts the connection, reads one frame, and slams
 	// the connection shut: the in-flight call must fail promptly with a
 	// communications error rather than hanging until the timeout.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := sock.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestPeerDropsConnectionMidCall(t *testing.T) {
 	}
 	defer srv.Close()
 
-	ref, err := srv.importDesc(descriptor{Addr: ln.Addr().String(), Key: 1})
+	ref, err := srv.importDesc(descriptor{Addr: ln.Addr(), Key: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestGarbageConnectionIgnored(t *testing.T) {
 	}
 	defer srv.Close()
 
-	conn, err := net.Dial("tcp", srv.Addr())
+	conn, err := sock.Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -205,11 +205,25 @@ type BucketCount struct {
 // derived from the indices, counts, and no exemplars (Sub takes those from
 // the newer side).
 func Unpack(p []BucketCount) HistSnapshot {
-	s := HistSnapshot{Buckets: make([]HistBucket, len(p))}
-	for i, c := range p {
-		s.Buckets[i] = HistBucket{Lo: boundNs(bucketLo(int(c.Idx))), Hi: boundNs(bucketHi(int(c.Idx))), Count: c.Count}
+	s := HistSnapshot{Buckets: make([]HistBucket, 0, len(p))}
+	for _, c := range p {
+		s.Buckets = appendBucket(s.Buckets, HistBucket{Lo: boundNs(bucketLo(int(c.Idx))), Hi: boundNs(bucketHi(int(c.Idx))), Count: c.Count})
 	}
 	return s
+}
+
+// appendBucket appends b, or folds it into the last bucket when both end at
+// the same nanosecond: below 1 ns a tick two small buckets can, and Sub and
+// Merge, which match buckets by their bounds, must never see such a pair.
+func appendBucket(bs []HistBucket, b HistBucket) []HistBucket {
+	if n := len(bs); n > 0 && bs[n-1].Hi == b.Hi {
+		bs[n-1].Count += b.Count
+		if bs[n-1].ExTrace == 0 {
+			bs[n-1].ExTrace, bs[n-1].ExNs = b.ExTrace, b.ExNs
+		}
+		return bs
+	}
+	return append(bs, b)
 }
 
 // HistSnapshot is a point-in-time copy of a Hist with bounds converted to
@@ -239,7 +253,7 @@ func (h *Hist) histSnapshot() HistSnapshot {
 			b.ExTrace = tr
 			b.ExNs = ticksToNs(int64(h.exTick[i].Load()))
 		}
-		sn.Buckets = append(sn.Buckets, b)
+		sn.Buckets = appendBucket(sn.Buckets, b)
 		sn.Count += c
 		sn.SumNs += int64(c) * midNs(b.Lo, b.Hi)
 	}

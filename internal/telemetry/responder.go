@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"net"
 	"net/url"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/sock"
 )
 
 // The plane's HTTP/1.1 responder: GET only, one request per connection,
@@ -99,7 +100,7 @@ func (s *Server) serve() {
 	}
 }
 
-func (s *Server) serveConn(c net.Conn) {
+func (s *Server) serveConn(c sock.Stream) {
 	w := &response{status: 200, ctype: "text/plain; charset=utf-8"}
 	c.SetDeadline(time.Now().Add(ioTimeout))
 	if r, status := readRequest(c); status != 0 {
@@ -113,7 +114,7 @@ func (s *Server) serveConn(c net.Conn) {
 	head := fmt.Appendf(nil, "HTTP/1.1 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nAllow: GET\r\nConnection: close\r\n\r\n",
 		w.status, statusText[w.status], w.ctype, w.Len())
 	c.SetDeadline(time.Now().Add(ioTimeout))
-	_, _ = (&net.Buffers{head, w.Bytes()}).WriteTo(c) // a failed write is the client's loss
+	_, _ = sock.Writev(c, &[][]byte{head, w.Bytes()}) // a failed write is the client's loss
 	s.mu.Lock()
 	delete(s.conns, c)
 	s.mu.Unlock()

@@ -30,7 +30,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"runtime/pprof"
 	rtrace "runtime/trace"
@@ -40,28 +39,29 @@ import (
 	"time"
 
 	"repro/internal/scstats"
+	"repro/internal/sock"
 	"repro/internal/trace"
 )
 
 // Server is one running telemetry listener.
 type Server struct {
-	ln     net.Listener
+	ln     sock.Listener
 	routes map[string]handler // a key ending in "/" is a prefix
 	statz  *statzState
 	done   chan struct{}
 
 	mu    sync.Mutex
-	conns map[net.Conn]bool // being served; nil once closed
+	conns map[sock.Stream]bool // being served; nil once closed
 }
 
 // Start opens the telemetry plane on addr (e.g. ":6060", "127.0.0.1:0").
 func Start(addr string) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
+	ln, err := sock.Listen(addr)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
 	}
 	st := newStatzState()
-	s := &Server{ln: ln, statz: st, done: make(chan struct{}), conns: map[net.Conn]bool{},
+	s := &Server{ln: ln, statz: st, done: make(chan struct{}), conns: map[sock.Stream]bool{},
 		routes: map[string]handler{
 			"/metrics":             handleMetrics,
 			"/statz":               st.handle,
@@ -80,7 +80,7 @@ func Start(addr string) (*Server, error) {
 }
 
 // Addr returns the listener's bound address (useful with ":0").
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.ln.Addr() }
 
 // Close shuts the listener, every connection being served and the statz
 // sampler down, and ends any profile or trace wait. It does not wait for
