@@ -82,13 +82,15 @@ bench:
 # path — an idle connection is one goroutine, a null call is one write each
 # way, a caller writes one batch and no more, sixteen 64 KiB requests
 # whose handlers do not block make GOMAXPROCS + 2 arrays; and the socket
-# layer's writev allocates nothing (E31) — so a
+# layer's writev allocates nothing (E31); and a dispatch engine's queued
+# item allocates nothing once its heap has grown, Run only its closures
+# (E32) — so a
 # copy, an allocation, a pool, a timer or a writer goroutine creeping back
 # in fails tier2. -run exits 0 for a name that matches nothing, so the
 # list is checked against go test -list first: a guard that was renamed or
 # deleted fails the target instead of silently no longer running.
-GUARDS = TestServedReadWriteAllocs|TestServedMixedReadAllocs|TestReplyIsFrame|TestLargeFrameBypassesBatch|TestBorrowedBytesNotRetained|TestSequentialGrowthCopiesLinear|TestDurableWriteAllocs|TestGroupCommitGroups|TestLoneDurableWriteDoesNotLinger|TestSmallCallsDoNotPinLargeArrays|TestGrowthBorrowsIdleLarge|TestReserveBorrowsIdleLarge|TestSameMachineReadWriteAllocs|TestFramePrependAllocs|TestIdleConnGoroutines|TestNullCallOneFlushEachWay|TestFlusherNotCaptive|TestBulkBurstHandsOff|TestWritevAllocs
-GUARD_PKGS = ./internal/netd/ ./internal/filesys/ ./internal/buffer/ ./internal/sock/
+GUARDS = TestServedReadWriteAllocs|TestServedMixedReadAllocs|TestReplyIsFrame|TestLargeFrameBypassesBatch|TestBorrowedBytesNotRetained|TestSequentialGrowthCopiesLinear|TestDurableWriteAllocs|TestGroupCommitGroups|TestLoneDurableWriteDoesNotLinger|TestSmallCallsDoNotPinLargeArrays|TestGrowthBorrowsIdleLarge|TestReserveBorrowsIdleLarge|TestSameMachineReadWriteAllocs|TestFramePrependAllocs|TestIdleConnGoroutines|TestNullCallOneFlushEachWay|TestFlusherNotCaptive|TestBulkBurstHandsOff|TestWritevAllocs|TestRunAllocs|TestSubmitAllocs
+GUARD_PKGS = ./internal/netd/ ./internal/filesys/ ./internal/buffer/ ./internal/sock/ ./internal/dispatch/
 
 bench-quick:
 	go test -run NONE -bench 'E15|E16|E17|E18|E19|E20|E21_MixedHoL|E22' -benchtime 1x .

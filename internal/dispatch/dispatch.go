@@ -1,101 +1,35 @@
-// Package dispatch holds the two halves of server-side execution (E20):
-// the worker-pool engine under the priority subcontract's executor
-// (sched.Executor), and the admission and inline bookkeeping the netd serve
-// path shares with it — InlineState, and the counters and queue-delay
-// histogram both report through.
+// Package dispatch holds the two halves of server-side execution: the
+// engine the priority subcontract runs its calls on, and the netd serve
+// path's admission and inline bookkeeping (inline.go).
 //
-// The engine replaced a single mutex + heap + sync.Cond that serialized all
-// of the priority executor's submissions. Until E25 it also ran every
-// incoming network call; netd now gives a call that cannot run inline a
-// goroutine of its own, because a pool's workers are held by handlers that
-// block (a group commit, a call to another server) and a fixed pool then
-// hides the callers' concurrency from whatever they block on. What is left
-// for the engine is the work it is right for — short, CPU-bound, ordered by
-// priority — on a fixed worker pool over per-shard priority queues:
-//
-//   - Sharded run queues. Each worker owns one shard (a small
-//     priority heap: highest priority first, FIFO within a level, the
-//     exact order the old sched executor gave). Submissions distribute
-//     round-robin, so the old global heap lock becomes w independent
-//     locks each shared by ~1/w of the traffic.
-//   - Work stealing. A worker whose own shard is empty scans the
-//     others and steals their top item, so a burst landing on one shard
-//     never idles the rest of the pool.
-//   - Futex-style parking. An idle worker publishes itself in a
-//     64-bit parked bitmask and blocks on its own capacity-1 channel.
-//     A submitter wakes exactly one parked worker with one atomic CAS
-//     plus one non-blocking channel send — no sync.Cond, no broadcast
-//     storms, and no lost wakeups (the worker re-checks for queued work
-//     after setting its bit; the submitter enqueues before reading the
-//     mask; sequential consistency of Go atomics guarantees one side
-//     sees the other).
-//
-// The run queues are unbounded: Submit never sheds. (Bounding load is
-// admission's job, in front of whatever submits.)
-//
-// Close drains: queued work runs to completion before workers exit, so
-// an Executor built on the engine keeps the old drain-on-Close contract.
+// The engine is one mutex, one heap and a fixed pool of workers waiting on
+// one condition variable: highest priority first, FIFO within a level, one
+// global order whatever the pool's width. The queue is unbounded (bounding
+// load is admission's job) and Close drains it before the workers exit.
 package dispatch
 
 import (
 	"errors"
-	"math/bits"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/scstats"
 )
 
-// ErrClosed is returned by Submit after Close.
+// ErrClosed is returned by Submit and Run after Close.
 var ErrClosed = errors.New("dispatch: engine closed")
 
-// The engine's operational gauges, exposed through the scstats registry
-// (and from there the telemetry plane's /metrics). inline_hits and shed
-// are counted by the callers that make those decisions (the netd serve
-// path) via NoteInline/NoteShed so every engine shares one exposition.
+// gQueued counts items in run queues. hQueueDelay (exposed as
+// dispatch_queue_delay_seconds) prices how long admitted work waited to
+// start: in a run queue, or — a netd call, see NoteQueued — for its own
+// goroutine to be scheduled. The inline fast path never touches it.
 var (
-	gInlineHits  = scstats.GaugeFor("dispatch.inline_hits")
-	gQueued      = scstats.GaugeFor("dispatch.queued")
-	gStolen      = scstats.GaugeFor("dispatch.stolen")
-	gShed        = scstats.GaugeFor("dispatch.shed")
-	gWorkersLive = scstats.GaugeFor("dispatch.workers_live")
-
-	// hQueueDelay measures how long admitted work waited to start: in a
-	// run queue until a worker picked it up, or — a netd call, see
-	// NoteQueued — for the goroutine it was given to be scheduled. The
-	// inline fast path never touches it, so the histogram prices exactly
-	// the slow path. Exposed as dispatch_queue_delay_seconds.
+	gQueued     = scstats.GaugeFor("dispatch.queued")
 	hQueueDelay = scstats.HistFor("dispatch.queue_delay")
 )
 
-// NoteInline records one call served on the inline fast path (executed
-// directly on a reader goroutine).
-func NoteInline() { gInlineHits.Add(1) }
-
-// NoteShed records one call refused at admission and answered with a
-// retryable overload error.
-func NoteShed() { gShed.Add(1) }
-
-// NoteQueued stamps a call that was admitted but not run inline: the netd
-// serve path gives it a goroutine of its own and hands the stamp to
-// NoteStarted once that goroutine runs, so dispatch.queue_delay prices
-// admission → handler start for every call off the inline path, whether an
-// engine's run queue or the Go scheduler's carried it.
-func NoteQueued() int64 { return hQueueDelay.Start() }
-
-// NoteStarted records the queue delay of a call stamped by NoteQueued.
-func NoteStarted(queued int64) { hQueueDelay.ObserveSince(queued, 0) }
-
-// maxWorkers bounds the pool so a worker fits one bit of the parked
-// bitmask. 64 workers of mostly-CPU work is far past the point where
-// more parallelism helps this engine's workloads.
-const maxWorkers = 64
-
-// Config sizes an engine. The zero value is usable: GOMAXPROCS workers.
+// Config sizes an engine: Workers pool workers, GOMAXPROCS when 0.
 type Config struct {
-	// Workers is the number of pool workers (and shards). 0 means
-	// GOMAXPROCS; the value is clamped to [1, 64].
 	Workers int
 }
 
@@ -108,10 +42,9 @@ type item struct {
 }
 
 // pq is a binary heap of items: highest priority first, FIFO within a
-// priority level (seq is engine-wide, so a single-shard engine preserves
-// exact submission order per level). The sifts are typed rather than
-// container/heap's: that interface boxes every item through `any` on the
-// way in and on the way out, two allocations per queued call.
+// priority level. The sifts are typed rather than container/heap's: that
+// interface boxes every item through `any` on the way in and on the way
+// out, two allocations per queued call.
 type pq []item
 
 func (q pq) less(i, j int) bool {
@@ -123,13 +56,8 @@ func (q pq) less(i, j int) bool {
 
 func (q *pq) push(it item) {
 	h := append(*q, it)
-	for i := len(h) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
+	for i := len(h) - 1; i > 0 && h.less(i, (i-1)/2); i = (i - 1) / 2 {
+		h[i], h[(i-1)/2] = h[(i-1)/2], h[i]
 	}
 	*q = h
 }
@@ -141,46 +69,27 @@ func (q *pq) pop() item {
 	h[0] = h[n]
 	h[n] = item{} // the vacated slot must not pin the task
 	h = h[:n]
-	for i := 0; ; {
-		child := 2*i + 1
-		if child >= n {
+	for i, c := 0, 1; c < n; i, c = c, 2*c+1 {
+		if c+1 < n && h.less(c+1, c) {
+			c++ // the right child outranks the left
+		}
+		if !h.less(c, i) {
 			break
 		}
-		if right := child + 1; right < n && h.less(right, child) {
-			child = right
-		}
-		if !h.less(child, i) {
-			break
-		}
-		h[i], h[child] = h[child], h[i]
-		i = child
+		h[i], h[c] = h[c], h[i]
 	}
 	*q = h
 	return top
 }
 
-// shard is one worker's run queue. The padding keeps neighbouring
-// shards' locks off one cache line.
-type shard struct {
-	mu sync.Mutex
-	q  pq
-	_  [40]byte
-}
-
-// Engine is a sharded worker pool. All methods are safe for concurrent
-// use.
+// Engine is the worker pool. All methods are safe for concurrent use.
 type Engine struct {
-	shards []shard
-	wake   []chan struct{} // per-worker, capacity 1
-
-	parked  atomic.Uint64 // bitmask: worker i is blocked (or about to block)
-	queued  atomic.Int64  // items sitting in shards (not running)
-	seq     atomic.Uint64 // submission order within a priority level
-	rr      atomic.Uint64 // round-robin shard cursor
-	stopped atomic.Bool   // gates Submit; workers exit via stop
-
-	stop chan struct{}
-	wg   sync.WaitGroup
+	mu     sync.Mutex
+	work   sync.Cond // signalled on a push, broadcast on Close
+	q      pq
+	seq    uint64 // submission order within a priority level
+	closed bool
+	wg     sync.WaitGroup
 }
 
 // New starts an engine.
@@ -189,177 +98,83 @@ func New(cfg Config) *Engine {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w > maxWorkers {
-		w = maxWorkers
-	}
-	e := &Engine{
-		shards: make([]shard, w),
-		wake:   make([]chan struct{}, w),
-		stop:   make(chan struct{}),
-	}
-	for i := range e.wake {
-		e.wake[i] = make(chan struct{}, 1)
-	}
-	gWorkersLive.Add(int64(w))
+	e := &Engine{}
+	e.work.L = &e.mu
 	e.wg.Add(w)
-	for i := 0; i < w; i++ {
-		go e.worker(i)
+	for range w {
+		go e.worker()
 	}
 	return e
 }
 
-// Queued reports the number of items waiting in run queues (not
-// running).
-func (e *Engine) Queued() int { return int(e.queued.Load()) }
-
-// Submit enqueues fn at the given priority on the next shard in turn. It
-// returns ErrClosed after Close; fn is not retained then.
+// Submit enqueues fn at prio; after Close it returns ErrClosed, dropping fn.
 func (e *Engine) Submit(prio int32, fn func()) error {
-	seq := e.seq.Add(1)
-	si := int((e.rr.Add(1) - 1) % uint64(len(e.shards)))
-	sh := &e.shards[si]
-	sh.mu.Lock()
-	// The closed check lives under the shard lock so Close can barrier on
-	// every shard and know no further pushes follow.
-	if e.stopped.Load() {
-		sh.mu.Unlock()
+	e.mu.Lock()
+	if e.closed {
+		e.mu.Unlock()
 		return ErrClosed
 	}
-	sh.q.push(item{prio: prio, seq: seq, at: hQueueDelay.Start(), run: fn})
-	e.queued.Add(1)
-	sh.mu.Unlock()
-	gQueued.Add(1)
-	e.wakeOne(si)
+	e.seq++
+	e.q.push(item{prio: prio, seq: e.seq, at: hQueueDelay.Start(), run: fn})
+	gQueued.Add(1) // before a worker can pop it, so the gauge never dips below 0
+	e.mu.Unlock()
+	e.work.Signal()
 	return nil
 }
 
-// poll takes the highest-priority item from worker i's own shard, or
-// steals one from another shard when it is empty.
-func (e *Engine) poll(i int) (func(), bool) {
-	n := len(e.shards)
-	for k := 0; k < n; k++ {
-		si := i + k
-		if si >= n {
-			si -= n
+// donePool recycles Run's completion channels — a buffered channel is
+// send/receive-paired rather than closed, so it comes back empty and
+// reusable (the same trick as netd's pooled reply channels).
+var donePool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
+
+// Run enqueues fn at prio and waits for it to finish.
+func (e *Engine) Run(prio int32, fn func()) error {
+	done := donePool.Get().(chan struct{})
+	defer donePool.Put(done)
+	if err := e.Submit(prio, func() {
+		fn()
+		done <- struct{}{}
+	}); err != nil {
+		return err
+	}
+	<-done
+	return nil
+}
+
+// Queued reports the number of items waiting (not running).
+func (e *Engine) Queued() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.q)
+}
+
+// worker runs the top item until the engine is closed and drained.
+func (e *Engine) worker() {
+	defer e.wg.Done()
+	e.mu.Lock()
+	for {
+		for len(e.q) == 0 && !e.closed {
+			e.work.Wait()
 		}
-		sh := &e.shards[si]
-		sh.mu.Lock()
-		if len(sh.q) == 0 {
-			sh.mu.Unlock()
-			continue
+		if len(e.q) == 0 {
+			e.mu.Unlock()
+			return
 		}
-		it := sh.q.pop()
-		e.queued.Add(-1)
-		sh.mu.Unlock()
+		it := e.q.pop()
+		e.mu.Unlock()
 		gQueued.Add(-1)
 		hQueueDelay.ObserveSince(it.at, 0)
-		if k > 0 {
-			gStolen.Add(1)
-		}
-		return it.run, true
-	}
-	return nil, false
-}
-
-// wakeOne claims one parked worker (preferring the one that owns shard
-// prefer) and hands it a token. A worker's bit is cleared by exactly one
-// waker, and a cleared bit always has a token behind it, so wakeups are
-// never lost.
-func (e *Engine) wakeOne(prefer int) {
-	for {
-		m := e.parked.Load()
-		if m == 0 {
-			return // everyone is busy; a worker will poll again when free
-		}
-		i := prefer
-		if m&(uint64(1)<<uint(i)) == 0 {
-			i = bits.TrailingZeros64(m)
-		}
-		bit := uint64(1) << uint(i)
-		if e.parked.CompareAndSwap(m, m&^bit) {
-			select {
-			case e.wake[i] <- struct{}{}:
-			default: // a stale token is already pending; it serves
-			}
-			return
-		}
-	}
-}
-
-// clearParked removes worker i's bit (used on the self-wake paths; a
-// waker-cleared bit is left alone — its token is consumed later as a
-// harmless spurious wake).
-func (e *Engine) clearParked(i int) {
-	bit := uint64(1) << uint(i)
-	for {
-		m := e.parked.Load()
-		if m&bit == 0 || e.parked.CompareAndSwap(m, m&^bit) {
-			return
-		}
-	}
-}
-
-// park blocks worker i until a submitter wakes it or the engine stops.
-// The bit is published before the final work re-check: a submitter that
-// misses the bit has already enqueued (so the re-check finds its work),
-// and one that sees it will send a token.
-func (e *Engine) park(i int) {
-	bit := uint64(1) << uint(i)
-	for {
-		m := e.parked.Load()
-		if e.parked.CompareAndSwap(m, m|bit) {
-			break
-		}
-	}
-	if e.queued.Load() > 0 {
-		e.clearParked(i)
-		return
-	}
-	select {
-	case <-e.wake[i]:
-		// The waker cleared our bit when it sent the token.
-	case <-e.stop:
-		e.clearParked(i)
-	}
-}
-
-// worker is the pool loop: run everything reachable, park when idle,
-// exit once the engine has stopped and a full scan comes up empty (stop
-// closes only after the submit barrier, so an empty scan is
-// conclusive — Close drains).
-func (e *Engine) worker(i int) {
-	defer e.wg.Done()
-	defer gWorkersLive.Add(-1)
-	for {
-		if run, ok := e.poll(i); ok {
-			run()
-			continue
-		}
-		select {
-		case <-e.stop:
-			if run, ok := e.poll(i); ok {
-				run()
-				continue
-			}
-			return
-		default:
-		}
-		e.park(i)
+		it.run()
+		e.mu.Lock()
 	}
 }
 
 // Close stops the engine: further Submits fail with ErrClosed, queued
 // work is drained, and Close returns once every worker has exited.
 func (e *Engine) Close() {
-	if !e.stopped.Swap(true) {
-		// Barrier: any Submit that passed the closed check has finished
-		// its push once we have cycled its shard lock, so the workers'
-		// final scans see everything.
-		for i := range e.shards {
-			e.shards[i].mu.Lock()
-			e.shards[i].mu.Unlock() //nolint:staticcheck // empty critical section is the barrier
-		}
-		close(e.stop)
-	}
+	e.mu.Lock()
+	e.closed = true
+	e.mu.Unlock()
+	e.work.Broadcast()
 	e.wg.Wait()
 }

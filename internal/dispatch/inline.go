@@ -3,7 +3,34 @@ package dispatch
 import (
 	"sync/atomic"
 	"time"
+
+	"repro/internal/scstats"
 )
+
+// inline_hits and shed are counted by the netd serve path, which makes
+// those decisions, so every server shares one exposition.
+var (
+	gInlineHits = scstats.GaugeFor("dispatch.inline_hits")
+	gShed       = scstats.GaugeFor("dispatch.shed")
+)
+
+// NoteInline records one call served on the inline fast path (executed
+// directly on a reader goroutine).
+func NoteInline() { gInlineHits.Add(1) }
+
+// NoteShed records one call refused at admission and answered with a
+// retryable overload error.
+func NoteShed() { gShed.Add(1) }
+
+// NoteQueued stamps a call that was admitted but not run inline: the netd
+// serve path gives it a goroutine of its own and hands the stamp to
+// NoteStarted once that goroutine runs, so dispatch.queue_delay prices
+// admission → handler start for every call off the inline path, whether an
+// engine's run queue or the Go scheduler's carried it.
+func NoteQueued() int64 { return hQueueDelay.Start() }
+
+// NoteStarted records the queue delay of a call stamped by NoteQueued.
+func NoteStarted(queued int64) { hQueueDelay.ObserveSince(queued, 0) }
 
 // PromoteStreak is how many consecutive sub-threshold completions a
 // handler must show before it is promoted to the inline fast path. One

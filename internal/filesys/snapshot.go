@@ -32,8 +32,9 @@ import (
 const snapshotMagic = 0x53465332 // "SFS2"
 
 // ErrCorruptSnapshot is the typed error class for a snapshot that fails
-// validation — wrong magic, truncated stream, trailing garbage, or a
-// CRC mismatch. Restore returns it with the in-memory store untouched.
+// validation — wrong magic, truncated stream, trailing garbage, a name
+// given twice, or a CRC mismatch. Restore returns it with the in-memory
+// store untouched.
 var ErrCorruptSnapshot = errors.New("filesys: corrupt snapshot")
 
 // snapshotChunk is the buffer a checkpoint or a restart streams through,
@@ -188,6 +189,11 @@ func readSnapshot(src io.Reader) (map[string]*fileState, error) {
 			return nil, fmt.Errorf("%w: file %d name: %v", ErrCorruptSnapshot, i, err)
 		}
 		st := &fileState{name: name.String()}
+		if files[st.name] != nil {
+			// SnapshotTo never writes a name twice; a later entry must not
+			// silently replace an earlier one.
+			return nil, fmt.Errorf("%w: file %d: name %q repeats an earlier file", ErrCorruptSnapshot, i, st.name)
+		}
 		if st.version, err = r.uint32(); err != nil {
 			return nil, fmt.Errorf("%w: file %d version: %v", ErrCorruptSnapshot, i, err)
 		}

@@ -2,9 +2,14 @@ package filesys
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"path/filepath"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/buffer"
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -124,4 +129,69 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	if err := s.Restore(nil); err == nil {
 		t.Fatal("empty accepted")
 	}
+}
+
+// snapEntry is one file of a hand-built snapshot.
+type snapEntry struct {
+	name    string
+	version uint32
+	data    []byte
+}
+
+// encodeSnapshot frames files in the snapshot format, in the order given
+// and without the checks SnapshotTo's store implies, so a test can build
+// well-formed streams a store would never write.
+func encodeSnapshot(files ...snapEntry) []byte {
+	var b buffer.Buffer
+	b.WriteUint32(snapshotMagic)
+	b.WriteUvarint(uint64(len(files)))
+	for _, f := range files {
+		_, _ = b.WriteString(f.name)
+		b.WriteUint32(f.version)
+		b.WriteBytes(f.data)
+	}
+	return binary.LittleEndian.AppendUint32(b.Bytes(), crc32.ChecksumIEEE(b.Bytes()))
+}
+
+// A CRC-valid snapshot naming one file twice is refused: the later entry
+// must not silently replace the earlier one.
+func TestRestoreRejectsDuplicateNames(t *testing.T) {
+	good := encodeSnapshot(snapEntry{"a", 1, []byte("first")}, snapEntry{"b", 2, []byte("second")})
+	s := NewStore()
+	if err := s.Restore(good); err != nil {
+		t.Fatalf("well-formed snapshot refused: %v", err)
+	}
+	before := s.Snapshot()
+	dup := encodeSnapshot(snapEntry{"a", 1, []byte("first")}, snapEntry{"a", 2, []byte("second")})
+	if err := s.Restore(dup); !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("Restore of a snapshot naming \"a\" twice = %v, want ErrCorruptSnapshot", err)
+	}
+	if !bytes.Equal(s.Snapshot(), before) {
+		t.Fatal("rejected restore changed the store")
+	}
+}
+
+// FuzzSnapshot: Restore of arbitrary bytes never panics; what it refuses
+// it refuses with ErrCorruptSnapshot and the store byte-identical; what it
+// accepts checkpoints and restores again to the same store.
+func FuzzSnapshot(f *testing.F) {
+	f.Add(encodeSnapshot(snapEntry{"notes", 3, []byte("hello")}, snapEntry{"zeros", 0, make([]byte, 100)}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := NewStore()
+		mustWrite(t, mustCreate(t, s, "sentinel"), 2, []byte("untouched"))
+		before := s.Snapshot()
+		if err := s.Restore(data); err != nil {
+			if !errors.Is(err, ErrCorruptSnapshot) {
+				t.Fatalf("untyped error %v", err)
+			}
+			if !bytes.Equal(s.Snapshot(), before) {
+				t.Fatal("rejected restore changed the store")
+			}
+			return
+		}
+		again := NewStore()
+		if err := again.Restore(s.Snapshot()); err != nil || !sameStores(s, again) {
+			t.Fatalf("accepted snapshot does not round-trip: %v", err)
+		}
+	})
 }

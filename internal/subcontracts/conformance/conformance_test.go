@@ -19,9 +19,9 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/dispatch"
 	"repro/internal/kernel"
 	"repro/internal/naming"
-	"repro/internal/sched"
 	"repro/internal/sctest"
 	"repro/internal/subcontracts/caching"
 	"repro/internal/subcontracts/cluster"
@@ -270,7 +270,7 @@ func TestShmConformance(t *testing.T) {
 }
 
 func TestPriorityConformance(t *testing.T) {
-	exec := sched.NewExecutor(4)
+	exec := dispatch.New(dispatch.Config{Workers: 4})
 	defer exec.Close()
 	sctest.Conformance{
 		Name:        "priority",

@@ -8,10 +8,10 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/dispatch"
 	"repro/internal/kernel"
 	"repro/internal/naming"
 	"repro/internal/netd"
-	"repro/internal/sched"
 	"repro/internal/sctest"
 	"repro/internal/stubs"
 	"repro/internal/subcontracts/caching"
@@ -72,7 +72,7 @@ func assertChildOf(t *testing.T, byName map[string][]trace.SpanData, child, pare
 // hop get their own cases below.
 func traceExports(t *testing.T) map[string]func(srv *core.Env) *core.Object {
 	t.Helper()
-	exec := sched.NewExecutor(2)
+	exec := dispatch.New(dispatch.Config{Workers: 2})
 	t.Cleanup(exec.Close)
 	coord := txn.NewCoordinator()
 	shmSC := shm.New(shm.Direct)

@@ -33,6 +33,11 @@ type Ops struct {
 	Ident  core.ID
 	SCName string
 
+	// Outer is the vector Unmarshal and Copy fabricate objects with. A
+	// subcontract that embeds Ops to add a preamble points it at itself,
+	// so its objects keep the preamble; nil means Ops itself.
+	Outer core.ClientOps
+
 	// stats caches the scstats block interned under SCName, so the invoke
 	// path never touches the registry. Lazily filled on first invoke
 	// (interning is idempotent, so the publication race is benign).
@@ -71,6 +76,14 @@ func (o *Ops) ID() core.ID { return o.Ident }
 
 // Name implements core.Subcontract.
 func (o *Ops) Name() string { return o.SCName }
+
+// vector is the operations vector o's objects carry.
+func (o *Ops) vector() core.ClientOps {
+	if o.Outer != nil {
+		return o.Outer
+	}
+	return o
+}
 
 // rep extracts the door representation, guarding against foreign reps.
 func (o *Ops) rep(obj *core.Object) (Rep, error) {
@@ -130,7 +143,7 @@ func (o *Ops) Unmarshal(env *core.Env, mt *core.MTable, buf *buffer.Buffer) (*co
 	if err != nil {
 		return nil, fmt.Errorf("%s: unmarshal: %w", o.SCName, err)
 	}
-	return core.NewObject(env, core.PickMTable(mt, actual), o, Rep{H: h}), nil
+	return core.NewObject(env, core.PickMTable(mt, actual), o.vector(), Rep{H: h}), nil
 }
 
 // InvokePreamble does nothing for the simple subcontracts (§7: "the
@@ -180,7 +193,7 @@ func (o *Ops) Copy(obj *core.Object) (*core.Object, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: copy: %w", o.SCName, err)
 	}
-	return core.NewObject(obj.Env, obj.MT, o, Rep{H: h}), nil
+	return core.NewObject(obj.Env, obj.MT, o.vector(), Rep{H: h}), nil
 }
 
 // Consume tells the kernel to delete the door identifier; when all

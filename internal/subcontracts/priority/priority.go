@@ -5,9 +5,10 @@
 //
 // The client-side invoke_preamble piggybacks the calling domain's current
 // scheduling priority (an environment slot) as control information on each
-// call; the server-side subcontract code runs the call through a
-// priority-scheduled executor at that priority. Neither the stubs nor the
-// application interfaces change — exactly the point of subcontract.
+// call; the server-side subcontract code queues the call on a dispatch
+// engine at that priority, where work runs highest priority first across
+// all its workers. Neither the stubs nor the application interfaces change
+// — exactly the point of subcontract.
 package priority
 
 import (
@@ -15,8 +16,8 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/core"
+	"repro/internal/dispatch"
 	"repro/internal/kernel"
-	"repro/internal/sched"
 	"repro/internal/stubs"
 	"repro/internal/subcontracts/doorsc"
 )
@@ -37,43 +38,14 @@ type ops struct {
 }
 
 // SC is the priority subcontract.
-var SC core.ClientOps = &ops{Ops: doorsc.Ops{Ident: SCID, SCName: "priority"}}
+var SC core.ClientOps = func() *ops {
+	o := &ops{Ops: doorsc.Ops{Ident: SCID, SCName: "priority"}}
+	o.Outer = o // objects it fabricates keep the preamble
+	return o
+}()
 
 // Register is the library entry point installing priority in a registry.
 func Register(r *core.Registry) error { return r.Register(SC) }
-
-// Unmarshal must fabricate objects with the outer vector (embedding would
-// hand out the plain door vector and lose the preamble).
-func (o *ops) Unmarshal(env *core.Env, mt *core.MTable, buf *buffer.Buffer) (*core.Object, error) {
-	if obj, handled, err := core.RedispatchUnmarshal(env, mt, buf, SCID); handled {
-		return obj, err
-	}
-	actual, err := core.ReadHeader(buf, SCID)
-	if err != nil {
-		return nil, err
-	}
-	h, err := env.Domain.AdoptFromBuffer(buf)
-	if err != nil {
-		return nil, fmt.Errorf("priority: unmarshal: %w", err)
-	}
-	return core.NewObject(env, core.PickMTable(mt, actual), o, doorsc.Rep{H: h}), nil
-}
-
-// Copy duplicates the identifier, keeping the outer vector.
-func (o *ops) Copy(obj *core.Object) (*core.Object, error) {
-	if err := obj.CheckLive(); err != nil {
-		return nil, err
-	}
-	r, ok := obj.Rep.(doorsc.Rep)
-	if !ok {
-		return nil, fmt.Errorf("priority: foreign representation %T", obj.Rep)
-	}
-	h, err := obj.Env.Domain.CopyDoor(r.H)
-	if err != nil {
-		return nil, fmt.Errorf("priority: copy: %w", err)
-	}
-	return core.NewObject(obj.Env, obj.MT, o, doorsc.Rep{H: h}), nil
-}
 
 // InvokePreamble writes the caller's priority into the call buffer before
 // the stubs marshal the operation and arguments, and mirrors it into the
@@ -105,7 +77,7 @@ func SetPriority(env *core.Env, p int32) { env.Set(Var, p) }
 
 // Export creates a priority Spring object in env backed by skel, running
 // incoming calls through exec at the priority each call carries.
-func Export(env *core.Env, mt *core.MTable, skel stubs.Skeleton, exec *sched.Executor, unref func()) (*core.Object, *kernel.Door) {
+func Export(env *core.Env, mt *core.MTable, skel stubs.Skeleton, exec *dispatch.Engine, unref func()) (*core.Object, *kernel.Door) {
 	proc := func(req *buffer.Buffer, info *kernel.Info) (*buffer.Buffer, error) {
 		prio, err := req.ReadInt32()
 		if err != nil {

@@ -6,8 +6,8 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/core"
+	"repro/internal/dispatch"
 	"repro/internal/kernel"
-	"repro/internal/sched"
 	"repro/internal/sctest"
 	"repro/internal/stubs"
 )
@@ -18,7 +18,7 @@ func TestPriorityPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec := sched.NewExecutor(1)
+	exec := dispatch.New(dispatch.Config{Workers: 1})
 	defer exec.Close()
 
 	var mu sync.Mutex
@@ -117,7 +117,7 @@ func TestMarshalKeepsPriorityVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec := sched.NewExecutor(2)
+	exec := dispatch.New(dispatch.Config{Workers: 2})
 	defer exec.Close()
 	ctr := &sctest.Counter{}
 	obj, _ := Export(srv, sctest.CounterMT, ctr.Skeleton(), exec, nil)

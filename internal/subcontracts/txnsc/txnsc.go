@@ -36,42 +36,14 @@ type ops struct {
 }
 
 // SC is the transaction subcontract.
-var SC core.ClientOps = &ops{Ops: doorsc.Ops{Ident: SCID, SCName: "txn"}}
+var SC core.ClientOps = func() *ops {
+	o := &ops{Ops: doorsc.Ops{Ident: SCID, SCName: "txn"}}
+	o.Outer = o // objects it fabricates keep the preamble
+	return o
+}()
 
 // Register is the library entry point installing the subcontract.
 func Register(r *core.Registry) error { return r.Register(SC) }
-
-// Unmarshal fabricates objects with the outer (transactional) vector.
-func (o *ops) Unmarshal(env *core.Env, mt *core.MTable, buf *buffer.Buffer) (*core.Object, error) {
-	if obj, handled, err := core.RedispatchUnmarshal(env, mt, buf, SCID); handled {
-		return obj, err
-	}
-	actual, err := core.ReadHeader(buf, SCID)
-	if err != nil {
-		return nil, err
-	}
-	h, err := env.Domain.AdoptFromBuffer(buf)
-	if err != nil {
-		return nil, fmt.Errorf("txnsc: unmarshal: %w", err)
-	}
-	return core.NewObject(env, core.PickMTable(mt, actual), o, doorsc.Rep{H: h}), nil
-}
-
-// Copy duplicates the identifier, keeping the outer vector.
-func (o *ops) Copy(obj *core.Object) (*core.Object, error) {
-	if err := obj.CheckLive(); err != nil {
-		return nil, err
-	}
-	r, ok := obj.Rep.(doorsc.Rep)
-	if !ok {
-		return nil, fmt.Errorf("txnsc: foreign representation %T", obj.Rep)
-	}
-	h, err := obj.Env.Domain.CopyDoor(r.H)
-	if err != nil {
-		return nil, fmt.Errorf("txnsc: copy: %w", err)
-	}
-	return core.NewObject(obj.Env, obj.MT, o, doorsc.Rep{H: h}), nil
-}
 
 // InvokePreamble piggybacks the current transaction identifier (0 when the
 // caller is not in a transaction).

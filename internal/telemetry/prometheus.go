@@ -78,7 +78,6 @@ var counterGauges = map[string]bool{
 	"cache.evictions":          true,
 	"dispatch.inline_hits":     true,
 	"dispatch.shed":            true,
-	"dispatch.stolen":          true,
 	"netd.breaker_closed":      true,
 	"netd.breaker_opened":      true,
 	"netd.flushes":             true,
