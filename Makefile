@@ -4,7 +4,7 @@
 # suite — the liveness/partition tests under deterministic fault
 # injection (internal/faultnet) — and a smoke pass over the E15/E16
 # benchmark suites so they cannot silently rot.
-.PHONY: all tier1 tier2 faults crash bench bench-quick bench-pair bench-e2e-check bench-all gen gen-check obs
+.PHONY: all tier1 tier2 faults crash bench bench-quick bench-pair bench-e2e-check bench-all gen gen-check obs lines
 
 all: tier1 tier2
 
@@ -20,10 +20,11 @@ tier2: faults crash bench-quick bench-e2e-check obs
 	go test -race ./...
 
 # The fault suite: partition, crash-recovery, lease-expiry, breaker,
-# transport-teardown and link tests across netd and the subcontracts,
-# under the race detector.
+# transport-teardown and link tests across netd and the subcontracts, and
+# the control plane's own tests under a fake clock (seeded schedules
+# included), under the race detector.
 faults:
-	go test -race -run 'Lease|Partition|Breaker|Sever|Truncat|Kill|Refus|Hung|Dead|Replay|Heartbeat|Reclaim|Teardown|Link|Bulk' \
+	go test -race -run 'Lease|Partition|Breaker|Sever|Truncat|Kill|Refus|Hung|Dead|Replay|Heartbeat|Reclaim|Teardown|Link|Bulk|Proto' \
 		./internal/faultnet/ ./internal/netd/ ./internal/integration/
 
 # The E19 crash suite: SIGKILL the durable server mid-write-load and
@@ -84,12 +85,13 @@ bench:
 # whose handlers do not block make GOMAXPROCS + 2 arrays; and the socket
 # layer's writev allocates nothing (E31); and a dispatch engine's queued
 # item allocates nothing once its heap has grown, Run only its closures
-# (E32) — so a
+# (E32); and a control-plane tick over a steady table allocates nothing
+# (E33) — so a
 # copy, an allocation, a pool, a timer or a writer goroutine creeping back
 # in fails tier2. -run exits 0 for a name that matches nothing, so the
 # list is checked against go test -list first: a guard that was renamed or
 # deleted fails the target instead of silently no longer running.
-GUARDS = TestServedReadWriteAllocs|TestServedMixedReadAllocs|TestReplyIsFrame|TestLargeFrameBypassesBatch|TestBorrowedBytesNotRetained|TestSequentialGrowthCopiesLinear|TestDurableWriteAllocs|TestGroupCommitGroups|TestLoneDurableWriteDoesNotLinger|TestSmallCallsDoNotPinLargeArrays|TestGrowthBorrowsIdleLarge|TestReserveBorrowsIdleLarge|TestSameMachineReadWriteAllocs|TestFramePrependAllocs|TestIdleConnGoroutines|TestNullCallOneFlushEachWay|TestFlusherNotCaptive|TestBulkBurstHandsOff|TestWritevAllocs|TestRunAllocs|TestSubmitAllocs
+GUARDS = TestServedReadWriteAllocs|TestServedMixedReadAllocs|TestReplyIsFrame|TestLargeFrameBypassesBatch|TestBorrowedBytesNotRetained|TestSequentialGrowthCopiesLinear|TestDurableWriteAllocs|TestGroupCommitGroups|TestLoneDurableWriteDoesNotLinger|TestSmallCallsDoNotPinLargeArrays|TestGrowthBorrowsIdleLarge|TestReserveBorrowsIdleLarge|TestSameMachineReadWriteAllocs|TestFramePrependAllocs|TestIdleConnGoroutines|TestNullCallOneFlushEachWay|TestFlusherNotCaptive|TestBulkBurstHandsOff|TestWritevAllocs|TestRunAllocs|TestSubmitAllocs|TestProtoTickAllocs
 GUARD_PKGS = ./internal/netd/ ./internal/filesys/ ./internal/buffer/ ./internal/sock/ ./internal/dispatch/
 
 bench-quick:
@@ -120,6 +122,13 @@ bench-e2e-check:
 
 bench-all:
 	go test -bench=. -benchmem
+
+# The line bar ROADMAP counts: tracked non-test Go outside benchmark/, per
+# package directory and in total, so every change measures it one way.
+lines:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); if (d == $$2) d = "."; n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 gen:
 	go run ./cmd/idlgen -package filesys -o internal/filesys/gen.go internal/filesys/filesys.idl

@@ -164,10 +164,10 @@ type conn struct {
 	// admission (Config.Dispatch.MaxPerPeer).
 	inflight atomic.Int64
 
-	mu        sync.Mutex
-	helloDone bool
-	sess      *session // peer lease session; guarded by Server.mu
-	peerAddr  string   // peer's advertised listen address; set at hello
+	// sess and peerAddr are set by the hello, under Server.mu, on the
+	// connection's reader (handleHello).
+	sess     *session // peer lease session; nil until the hello
+	peerAddr string   // peer's advertised listen address
 }
 
 // newConn wraps netc. It starts nothing: the caller runs serveConn.
@@ -201,12 +201,11 @@ func (c *conn) Read(p []byte) (int, error) {
 // isDead reports whether the connection has failed.
 func (c *conn) isDead() bool { return c.dead.Load() }
 
-// hasSession reports whether the session handshake completed.
-func (c *conn) hasSession() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.helloDone
-}
+// hasSession reports whether the session handshake completed. Only the
+// reader calls it, and the reader is the goroutine that sets sess — the
+// hello is served on it — so the read needs no lock: other goroutines read
+// sess only under Server.mu, which the write holds.
+func (c *conn) hasSession() bool { return c.sess != nil }
 
 // shard returns the pending stripe for a request id.
 func (c *conn) shard(id uint64) *pendShard { return &c.shards[id%pendShards] }

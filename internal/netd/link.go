@@ -28,7 +28,7 @@ const (
 // other; a role that cannot get a connection of its own borrows the other's.
 // Both share the peer's one hello-derived session, so leases, heartbeats
 // and netd.sessions_live count peers, not sockets. Links are never removed
-// (Server.links only grows, like Server.peers).
+// (Server.links only grows, like proto.peers).
 type link struct {
 	// conns[r] is role r's connection: nil until dialled, possibly dead
 	// (live skips it, the next dial replaces it). Stores happen under
@@ -127,11 +127,10 @@ func (s *Server) getConnSlow(l *link, addr string, r role) (*conn, error) {
 			}
 			continue // the shared dial's conn died already; try once more
 		}
-		p := s.peerLocked(addr)
-		if !s.breakerAdmitLocked(p, time.Now()) {
-			until := time.Until(p.openUntil).Round(time.Millisecond)
+		p, wait, ok := s.proto.admit(addr, time.Now())
+		if !ok {
 			s.mu.Unlock()
-			return l.borrow(r, fmt.Errorf("%w: %s: %w (next probe in %v)", kernel.ErrCommFailure, addr, ErrBreakerOpen, until))
+			return l.borrow(r, fmt.Errorf("%w: %s: %w (next probe in %v)", kernel.ErrCommFailure, addr, ErrBreakerOpen, wait.Round(time.Millisecond)))
 		}
 		f := &dialFlight{done: make(chan struct{})}
 		l.dialing[r] = f
@@ -140,10 +139,8 @@ func (s *Server) getConnSlow(l *link, addr string, r role) (*conn, error) {
 		c, err := s.dialAndHello(addr)
 		s.mu.Lock()
 		l.dialing[r] = nil
-		if err != nil {
-			s.breakerFailLocked(p)
-		} else {
-			s.breakerOKLocked(p)
+		s.proto.dialed(p, err == nil, time.Now())
+		if err == nil {
 			if s.closed {
 				err = ErrClosed
 			} else {
@@ -151,7 +148,7 @@ func (s *Server) getConnSlow(l *link, addr string, r role) (*conn, error) {
 			}
 		}
 		f.c, f.err = c, err
-		s.mu.Unlock()
+		s.settle()
 		close(f.done)
 		if err != nil {
 			if c != nil {

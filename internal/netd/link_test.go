@@ -77,8 +77,8 @@ func bulkBurst(t *testing.T, remote *core.Object) {
 func boundConns(srv *Server) (n int) {
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
-	for _, sess := range srv.sessions {
-		n += len(sess.conns)
+	for _, sess := range srv.proto.sessions {
+		n += sess.conns
 	}
 	return n
 }
@@ -159,7 +159,7 @@ func TestFirstBulkCallsShareOneDial(t *testing.T) {
 		t.Fatalf("bulk connection carried %d requests, want 64", got)
 	}
 	b.srv.mu.Lock()
-	state := b.srv.peerLocked(a.srv.Addr()).state
+	state := b.srv.proto.peer(a.srv.Addr()).state
 	b.srv.mu.Unlock()
 	if state != breakerClosed {
 		t.Fatalf("breaker state after the shared dial = %d, want closed", state)
@@ -188,7 +188,7 @@ func TestRefusedBulkDialBorrowsCallConnection(t *testing.T) {
 		t.Fatalf("call connection carried %d requests, want 65", got)
 	}
 	b.srv.mu.Lock()
-	p := b.srv.peerLocked(a.srv.Addr())
+	p := b.srv.proto.peer(a.srv.Addr())
 	state, backoff := p.state, p.backoff
 	b.srv.mu.Unlock()
 	if state != breakerOpen || backoff != cfgB.BreakerBackoff {

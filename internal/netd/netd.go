@@ -88,26 +88,6 @@ var (
 	ErrLeaseExpired = errors.New("netd: peer lease expired")
 )
 
-// exportEntry tracks one exported door: the server's own identifier for
-// it and, per peer session, how many references that peer holds.
-type exportEntry struct {
-	h    kernel.Handle
-	held map[*session]int
-	// inline is the door's adaptive inline-eligibility state (E20):
-	// promoted doors execute incoming calls directly on the reader
-	// goroutine. Seeded from the door's explicit hint (kernel
-	// Door.SetInline), then driven by observed completion times.
-	inline *dispatch.InlineState
-}
-
-func (e *exportEntry) total() int {
-	n := 0
-	for _, c := range e.held {
-		n += c
-	}
-	return n
-}
-
 // Config carries the transport, liveness and containment tunables. Zero
 // fields take the documented defaults; defaulting happens in one place
 // (withDefaults, at Start). cmd/springfsd and cmd/fsh expose these as
@@ -300,35 +280,21 @@ func WithRebinder(fn func(label string) (kernel.Ref, bool)) Option {
 
 // Server is one machine's network door server.
 type Server struct {
-	dom       *kernel.Domain
-	ln        sock.Listener
-	addr      string
-	transport Transport
-	instance  uint64 // random per-process identity, sent in hellos
+	dom  *kernel.Domain
+	ln   sock.Listener
+	addr string
 
 	// cfg is the normalized configuration, fixed at Start (the sweeper
 	// and forwarders read it concurrently, so it is not settable
 	// afterwards).
 	cfg Config
 
-	mu        sync.Mutex
-	exports   map[uint64]*exportEntry
-	byDoor    map[uint64]uint64 // door identity → export key
-	nextKey   uint64
-	nextEpoch uint64
-	roots     map[string]*core.Object
-	allConns  map[*conn]struct{}  // every live connection, for teardown
-	sessions  map[uint64]*session // peer instance → lease session
-	peers     map[string]*peerState
-	closed    bool
-
-	// Durability (E19): labels names the exports worth recovering after
-	// a restart, pendingLabels holds labels assigned before the door was
-	// first exported (door identity → label), and stateDirty gates the
-	// sweeper's state-file flush.
-	labels        map[uint64]string
-	pendingLabels map[uint64]string
-	stateDirty    bool
+	mu       sync.Mutex
+	proto    *proto // the control plane (proto.go): events under mu, actions after it
+	shown    tally  // what settle last published of proto's tally
+	roots    map[string]*core.Object
+	allConns map[*conn]struct{} // every live connection, for teardown
+	closed   bool
 
 	// links holds the dialled connections, one *link per peer address
 	// (link.go); the forward fast path reads it without taking mu.
@@ -360,23 +326,14 @@ func Start(dom *kernel.Domain, listenAddr string, opts ...Option) (*Server, erro
 		return nil, fmt.Errorf("netd: listen %s: %w", listenAddr, err)
 	}
 	s := &Server{
-		dom:       dom,
-		ln:        ln,
-		addr:      ln.Addr(),
-		transport: cfg.Transport,
-		instance:  rand.Uint64(),
-		cfg:       cfg,
-		exports:   make(map[uint64]*exportEntry),
-		byDoor:    make(map[uint64]uint64),
-		nextKey:   1,
-		roots:     make(map[string]*core.Object),
-		allConns:  make(map[*conn]struct{}),
-		sessions:  make(map[uint64]*session),
-		peers:     make(map[string]*peerState),
-		stop:      make(chan struct{}),
-
-		labels:        make(map[uint64]string),
-		pendingLabels: make(map[uint64]string),
+		dom:      dom,
+		ln:       ln,
+		addr:     ln.Addr(),
+		cfg:      cfg,
+		proto:    newProto(cfg, rand.Uint64()),
+		roots:    make(map[string]*core.Object),
+		allConns: make(map[*conn]struct{}),
+		stop:     make(chan struct{}),
 	}
 	if cfg.StateFile != "" {
 		if err := s.loadState(); err != nil {
@@ -398,7 +355,7 @@ func (s *Server) Addr() string { return s.addr }
 
 // Instance returns the server's per-process instance identity — random
 // at first boot, restored from the state file by a durable restart.
-func (s *Server) Instance() uint64 { return s.instance }
+func (s *Server) Instance() uint64 { return s.proto.instance }
 
 // Close stops the listener, the liveness sweeper, and tears down all
 // connections. In-flight calls fail with communications errors. A
@@ -427,27 +384,15 @@ func (s *Server) shutdown() error {
 		return nil
 	}
 	s.closed = true
-	conns := make([]*conn, 0, len(s.allConns))
-	for c := range s.allConns {
-		conns = append(conns, c)
-	}
-	gConns.Add(int64(-len(s.allConns)))
-	gSessions.Add(int64(-len(s.sessions)))
-	gExports.Add(int64(-len(s.exports)))
-	for _, sess := range s.sessions {
-		sess.expired = true // reject exports from lingering in-flight calls
-	}
-	for _, p := range s.peers {
-		gReleasesQueued.Add(int64(-len(p.queue)))
-		p.queue = nil
-	}
+	conns := s.allConns // no one else sees this map once it is replaced
 	s.allConns = make(map[*conn]struct{})
-	s.sessions = make(map[uint64]*session)
-	s.mu.Unlock()
+	gConns.Add(int64(-len(conns)))
+	s.proto.shutdown() // and exports from lingering in-flight calls are refused
+	s.settle()
 
 	close(s.stop)
 	err := s.ln.Close()
-	for _, c := range conns {
+	for c := range conns {
 		c.fail(ErrClosed)
 	}
 	s.wg.Wait()
@@ -495,37 +440,14 @@ func (s *Server) exportSlot(slot buffer.Door, c *conn) (descriptor, error) {
 	if !ok {
 		return descriptor{}, fmt.Errorf("netd: cannot export %T", slot)
 	}
+	door, inline := ref.DoorID(), ref.InlineHint()
+	h := s.dom.AdoptRef(ref)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	sess := c.sess
-	if sess == nil || sess.expired {
+	key, ok := s.proto.exported(c.sess, door, h, inline)
+	s.settle()
+	if !ok {
 		return descriptor{}, commErr("no live session to export over")
 	}
-	if key, ok := s.byDoor[ref.DoorID()]; ok {
-		s.exports[key].held[sess]++
-		sess.refs[key]++
-		if _, labeled := s.labels[key]; labeled {
-			s.markDirtyLocked()
-		}
-		ref.Release() // the table's handle already keeps the door alive
-		return descriptor{Addr: s.addr, Key: key}, nil
-	}
-	key := s.nextKey
-	s.nextKey++
-	doorID := ref.DoorID()
-	ist := &dispatch.InlineState{}
-	if ref.InlineHint() {
-		ist.Promote()
-	}
-	s.exports[key] = &exportEntry{h: s.dom.AdoptRef(ref), held: map[*session]int{sess: 1}, inline: ist}
-	s.byDoor[doorID] = key
-	sess.refs[key] = 1
-	if label, ok := s.pendingLabels[doorID]; ok {
-		delete(s.pendingLabels, doorID)
-		s.labels[key] = label
-		s.markDirtyLocked()
-	}
-	gExports.Add(1)
 	return descriptor{Addr: s.addr, Key: key}, nil
 }
 
@@ -539,29 +461,33 @@ func (s *Server) importDesc(desc descriptor) (kernel.Ref, error) {
 		// One of our own doors returning home: unwrap to the real door,
 		// consuming the remote reference the descriptor carried.
 		s.mu.Lock()
-		defer s.mu.Unlock()
-		e, ok := s.exports[desc.Key]
+		h, ok := s.proto.unwrapped(desc.Key)
+		var ref kernel.Ref
+		var err error
+		if ok {
+			ref, err = s.dom.RefOf(h) // before settle deletes h, if that was its last holder
+		}
+		s.settle()
 		if !ok {
 			return kernel.Ref{}, fmt.Errorf("netd: stale home descriptor key %d", desc.Key)
 		}
-		ref, err := s.dom.RefOf(e.h)
-		if err != nil {
-			return kernel.Ref{}, err
-		}
-		s.releaseAnyLocked(desc.Key, 1)
-		return ref, nil
+		return ref, err
 	}
 	s.mu.Lock()
-	p := s.peerLocked(desc.Addr)
-	epoch := p.epoch.Load()
-	s.mu.Unlock()
+	p := s.proto.peer(desc.Addr)
+	epoch := p.epoch.Load() // the import epoch the proxy is minted under
+	s.settle()
 	// The peerState pointer is captured so the per-call poison check is
 	// one atomic load, not a trip through s.mu; peer entries are never
 	// removed, so the pointer stays valid for the proxy's lifetime.
 	proc := func(req *buffer.Buffer, info *kernel.Info) (*buffer.Buffer, error) {
 		return s.forward(desc, p, epoch, req, info)
 	}
-	unref := func() { s.release(desc, p, epoch, 1) }
+	unref := func() {
+		s.mu.Lock()
+		s.proto.proxyReleased(p, epoch, desc.Key, 1)
+		s.settle()
+	}
 	h, _ := s.dom.CreateDoorInfo(proc, unref)
 	ref, err := s.dom.RefOf(h)
 	if err != nil {
@@ -573,130 +499,11 @@ func (s *Server) importDesc(desc descriptor) (kernel.Ref, error) {
 	return ref, nil
 }
 
-// removeExportLocked deletes an export entry whose last reference is
-// gone. Callers hold s.mu.
-func (s *Server) removeExportLocked(key uint64, e *exportEntry) {
-	delete(s.exports, key)
-	for id, k := range s.byDoor {
-		if k == key {
-			delete(s.byDoor, id)
-			break
-		}
-	}
-	if _, ok := s.labels[key]; ok {
-		delete(s.labels, key)
-		s.markDirtyLocked()
-	}
-	if !s.closed { // Close bulk-decrements the whole table
-		gExports.Add(-1)
-	}
-	// Delete outside the map bookkeeping but still under s.mu; the
-	// kernel delivers any unreferenced notification asynchronously.
-	_ = s.dom.DeleteDoor(e.h)
-}
-
-// releaseLocked drops remote references held by sess from an export
-// entry, deleting the table's identifier when none remain anywhere.
-// Callers hold s.mu.
-func (s *Server) releaseLocked(sess *session, key uint64, count int) {
-	e, ok := s.exports[key]
-	if !ok {
-		return
-	}
-	have := e.held[sess]
-	if count > have {
-		count = have // clamp a buggy double-release
-	}
-	e.held[sess] -= count
-	if e.held[sess] <= 0 {
-		delete(e.held, sess)
-	}
-	if sess.refs[key] -= count; sess.refs[key] <= 0 {
-		delete(sess.refs, key)
-	}
-	if _, labeled := s.labels[key]; labeled {
-		s.markDirtyLocked()
-	}
-	if len(e.held) == 0 {
-		s.removeExportLocked(key, e)
-	}
-}
-
-// releaseAnyLocked drops count references from key without knowing the
-// holding session (home-unwrapped descriptors). Callers hold s.mu.
-func (s *Server) releaseAnyLocked(key uint64, count int) {
-	e, ok := s.exports[key]
-	if !ok {
-		return
-	}
-	for sess, n := range e.held {
-		if count <= 0 {
-			break
-		}
-		take := n
-		if take > count {
-			take = count
-		}
-		count -= take
-		e.held[sess] -= take
-		if e.held[sess] <= 0 {
-			delete(e.held, sess)
-		}
-		if sess.refs[key] -= take; sess.refs[key] <= 0 {
-			delete(sess.refs, key)
-		}
-	}
-	if _, labeled := s.labels[key]; labeled {
-		s.markDirtyLocked()
-	}
-	if len(e.held) == 0 {
-		s.removeExportLocked(key, e)
-	}
-}
-
-// release notifies a remote exporter that count references died here. If
-// the peer is unreachable — or the connection dies with the frame still
-// queued — the release is requeued and replayed by the sweeper once the
-// peer returns; if our lease there has lapsed the exporter already
-// reclaimed the references and the message is moot.
-func (s *Server) release(desc descriptor, p *peerState, epoch uint64, count int) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	if p.epoch.Load() != epoch {
-		s.mu.Unlock()
-		return
-	}
-	c := s.liveConn(desc.Addr) // either connection will do for a release
-	if c == nil {
-		s.queueReleaseLocked(p, desc.Key, count)
-		s.mu.Unlock()
-		return
-	}
-	s.mu.Unlock()
-	payload := buffer.Get(32)
-	payload.WriteByte(msgRelease)
-	payload.WriteUint64(desc.Key)
-	payload.WriteUvarint(uint64(count))
-	requeue := func() {
-		s.mu.Lock()
-		if !s.closed && p.epoch.Load() == epoch {
-			s.queueReleaseLocked(p, desc.Key, count)
-		}
-		s.mu.Unlock()
-	}
-	if err := c.sendDrop(payload, requeue); err != nil {
-		requeue()
-	}
-}
-
 // Exports reports the number of live export entries (observability).
 func (s *Server) Exports() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.exports)
+	return len(s.proto.exports)
 }
 
 // ---------------------------------------------------------------------
@@ -844,27 +651,10 @@ func (s *Server) dialAndHello(addr string) (*conn, error) {
 	if err != nil {
 		return nil, commErr("dial %s: %v", addr, err)
 	}
-	// The connection's goroutines join s.wg under s.mu while the server is
-	// still open: shutdown sets closed under the same lock before it Waits,
-	// so a dial that lands after Close never Adds to a WaitGroup whose Wait
-	// may already have returned.
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		_ = netc.Close()
-		return nil, ErrClosed
+	c, epoch, err := s.adopt(netc, addr)
+	if err != nil {
+		return nil, err
 	}
-	c := newConn(netc)
-	s.allConns[c] = struct{}{}
-	epoch := s.nextEpoch
-	s.nextEpoch++
-	s.wg.Add(1)
-	s.mu.Unlock()
-	gConns.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.serveConn(c, addr)
-	}()
 	if err := s.sendHello(c, epoch); err != nil {
 		c.fail(commErr("hello to %s: %v", addr, err))
 		return nil, commErr("hello to %s: %v", addr, err)
@@ -889,7 +679,7 @@ func (s *Server) timedDial(addr string) (sock.Stream, error) {
 	}
 	ch := make(chan result, 1)
 	go func() {
-		c, err := s.transport.Dial(addr)
+		c, err := s.cfg.Transport.Dial(addr)
 		ch <- result{c, err}
 	}()
 	select {
@@ -915,25 +705,38 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return
 		}
-		c := newConn(netc)
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			c.fail(ErrClosed)
+		c, epoch, err := s.adopt(netc, "")
+		if err != nil {
 			return
 		}
-		s.allConns[c] = struct{}{}
-		epoch := s.nextEpoch
-		s.nextEpoch++
-		s.mu.Unlock()
-		gConns.Add(1)
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(c, "")
-		}()
 		go func() { _ = s.sendHello(c, epoch) }()
 	}
+}
+
+// adopt makes netc a connection of the server's and starts its reader;
+// addr is the pool key of a dialled one ("" for an accepted one). The
+// reader joins s.wg under s.mu while the server is still open: shutdown
+// sets closed under the same lock before it Waits, so a connection that
+// lands after Close never Adds to a WaitGroup whose Wait may already have
+// returned.
+func (s *Server) adopt(netc sock.Stream, addr string) (*conn, uint64, error) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		_ = netc.Close()
+		return nil, 0, ErrClosed
+	}
+	c := newConn(netc)
+	s.allConns[c] = struct{}{}
+	epoch := s.proto.connEpoch()
+	s.wg.Add(1)
+	s.mu.Unlock()
+	gConns.Add(1)
+	go func() {
+		defer s.wg.Done()
+		s.serveConn(c, addr)
+	}()
+	return c, epoch, nil
 }
 
 // serveConn demultiplexes one connection: replies complete pending
@@ -982,6 +785,9 @@ func (s *Server) serveConn(c *conn, addr string) {
 func (s *Server) serveFrame(c *conn, br *bufio.Reader, in *buffer.Buffer, rel *[]releasePair, budget *time.Duration) bool {
 	msg, err := in.ReadByte() // 0, matching no case, on an empty frame
 	ok := err == nil
+	if (msg == msgCall || msg == msgRelease || msg == msgRoot) && !c.hasSession() {
+		msg, ok = 0, false // a peer that skips the handshake is cut off
+	}
 	switch msg {
 	case msgHello:
 		instance, epoch, listenAddr, err := getHello(in)
@@ -1006,10 +812,6 @@ func (s *Server) serveFrame(c *conn, br *bufio.Reader, in *buffer.Buffer, rel *[
 		}
 		// The caller abandoned the reply (timeout, cancel).
 	case msgCall:
-		if !c.hasSession() {
-			ok = false
-			break
-		}
 		reqID, err1 := in.ReadUint64()
 		key, err2 := in.ReadUint64()
 		if err1 != nil || err2 != nil {
@@ -1027,10 +829,6 @@ func (s *Server) serveFrame(c *conn, br *bufio.Reader, in *buffer.Buffer, rel *[
 		s.dispatchCall(c, reqID, key, in, info, budget)
 		return true // the frame is the request now; runCall recycles it
 	case msgRelease:
-		if !c.hasSession() {
-			ok = false
-			break
-		}
 		key, err1 := in.ReadUint64()
 		count, err2 := in.ReadUvarint()
 		if err1 != nil || err2 != nil {
@@ -1044,14 +842,10 @@ func (s *Server) serveFrame(c *conn, br *bufio.Reader, in *buffer.Buffer, rel *[
 		*rel = coalesceReleases(br, *rel)
 		s.mu.Lock()
 		for _, r := range *rel {
-			s.releaseLocked(c.sess, r.key, int(r.count))
+			s.proto.drop(r.key, c.sess, int(r.count))
 		}
-		s.mu.Unlock()
+		s.settle()
 	case msgRoot:
-		if !c.hasSession() {
-			ok = false
-			break
-		}
 		reqID, err := in.ReadUint64()
 		if err != nil {
 			break
@@ -1082,7 +876,7 @@ func (s *Server) dispatchCall(c *conn, reqID, key uint64, req *buffer.Buffer, in
 		return
 	}
 	s.mu.Lock()
-	e, ok := s.exports[key]
+	e, ok := s.proto.exports[key]
 	s.mu.Unlock()
 	if !ok {
 		s.doneServe(c)
@@ -1388,8 +1182,12 @@ func (s *Server) handleRoot(c *conn, reqID uint64, name string) {
 		// Durable servers label root-marshalled doors before the reply
 		// exports them, so a restart can rebind their keys (RootRebinder).
 		s.mu.Lock()
-		s.labelRootDoorsLocked(name, tmp.Doors())
-		s.mu.Unlock()
+		for i, d := range tmp.Doors() {
+			if ref, ok := d.(kernel.Ref); ok && ref.Valid() {
+				s.proto.label(ref.DoorID(), fmt.Sprintf("root:%s/%d", name, i))
+			}
+		}
+		s.settle()
 	}
 	s.reply(c, reqID, codeOK, tmp, "")
 }

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/core"
-	"repro/internal/dispatch"
 	"repro/internal/kernel"
 )
 
@@ -70,86 +69,39 @@ type persistedState struct {
 	Sessions []persistedSession `json:"sessions,omitempty"`
 }
 
-// markDirtyLocked flags the persisted tables as changed; the sweeper
-// flushes on its next tick. Callers hold s.mu. A no-op without a state
-// file.
-func (s *Server) markDirtyLocked() {
-	if s.cfg.StateFile != "" {
-		s.stateDirty = true
-	}
-}
-
-// captureStateLocked snapshots the durable subset of the server's
-// tables: the instance identity, the key counter, labeled exports, and
-// every session's refcounts on labeled keys. Callers hold s.mu.
-func (s *Server) captureStateLocked() *persistedState {
-	ps := &persistedState{Instance: s.instance, NextKey: s.nextKey}
-	for key, label := range s.labels {
-		ps.Exports = append(ps.Exports, persistedExport{Key: key, Label: label})
-	}
-	for _, sess := range s.sessions {
-		p := persistedSession{Instance: sess.peer, Epoch: sess.epoch, Addr: sess.addr}
-		for key, n := range sess.refs {
-			if _, labeled := s.labels[key]; labeled {
-				p.Refs = append(p.Refs, persistedRef{Key: key, Count: n})
-			}
-		}
-		ps.Sessions = append(ps.Sessions, p)
-	}
-	return ps
-}
-
 // flushState writes the state file if the tables changed since the last
-// flush. Called by the sweeper each tick and by Close; a write failure
-// leaves the dirty flag set so the next tick retries.
+// write. Called by Start and Close; the sweeper's tick does the same.
 func (s *Server) flushState() {
 	s.mu.Lock()
-	if s.cfg.StateFile == "" || !s.stateDirty || s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.stateDirty = false
-	ps := s.captureStateLocked()
-	path := s.cfg.StateFile
-	s.mu.Unlock()
-	data, err := json.Marshal(ps)
-	if err == nil {
-		err = writeStateFileAtomic(path, data)
-	}
-	if err != nil {
-		s.mu.Lock()
-		s.stateDirty = true
-		s.mu.Unlock()
-	}
+	s.proto.flush()
+	s.settle()
 }
 
-// writeStateFileAtomic writes data to path crash-safely: temp file in
-// the same directory, fsync, rename over the target, directory fsync. A
-// crash at any point leaves either the old file or the new one, never a
-// torn mix.
-func writeStateFileAtomic(path string, data []byte) error {
+// writeStateFile writes ps to path crash-safely: temp file in the same
+// directory, fsync, rename over the target, directory fsync. A crash at any
+// point leaves either the old file or the new one, never a torn mix.
+func writeStateFile(path string, ps *persistedState) error {
+	data, err := json.Marshal(ps)
+	if err != nil {
+		return err
+	}
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".netd-state-*")
 	if err != nil {
 		return err
 	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
+	if err != nil {
+		os.Remove(tmp.Name())
 		return err
 	}
 	if d, err := os.Open(dir); err == nil {
@@ -160,16 +112,14 @@ func writeStateFileAtomic(path string, data []byte) error {
 }
 
 // loadState restores the persisted tables into a freshly constructed
-// server. Called from Start before any goroutine runs, so no locking is
-// needed. A missing state file is a first boot; a corrupt one is an
-// error — silently minting a fresh identity would strand every peer's
-// references until their leases lapse, which is exactly what the state
-// file exists to avoid.
+// server. Called from Start before any goroutine runs. A missing state file
+// is a first boot; a corrupt one is an error — silently minting a fresh
+// identity would strand every peer's references until their leases lapse,
+// which is exactly what the state file exists to avoid.
 func (s *Server) loadState() error {
 	data, err := os.ReadFile(s.cfg.StateFile)
 	if os.IsNotExist(err) {
-		s.stateDirty = true // persist the fresh identity promptly
-		return nil
+		return nil // a first boot: the fresh identity is persisted at once
 	}
 	if err != nil {
 		return fmt.Errorf("netd: read state file: %w", err)
@@ -181,30 +131,7 @@ func (s *Server) loadState() error {
 	if err != nil {
 		return fmt.Errorf("netd: corrupt state file %s: %w", s.cfg.StateFile, err)
 	}
-	s.instance = ps.Instance
-	if ps.NextKey >= s.nextKey {
-		s.nextKey = ps.NextKey + keySlack
-	}
-	now := time.Now()
-	for _, p := range ps.Sessions {
-		sess := &session{
-			peer:  p.Instance,
-			epoch: p.Epoch,
-			addr:  p.Addr,
-			refs:  make(map[uint64]int),
-			conns: make(map[*conn]struct{}),
-			// The peer is disconnected until it redials; its lease clock
-			// starts at restart, giving it a full grace period to return.
-			downSince: now,
-		}
-		for _, r := range p.Refs {
-			if r.Count > 0 {
-				sess.refs[r.Key] = r.Count
-			}
-		}
-		s.sessions[p.Instance] = sess
-		gSessions.Add(1)
-	}
+	var rebound []reboundExport
 	for _, pe := range ps.Exports {
 		if s.cfg.Rebinder == nil {
 			break
@@ -213,36 +140,12 @@ func (s *Server) loadState() error {
 		if !ok {
 			continue // the labeled object no longer exists; stale keys fail cleanly
 		}
-		held := make(map[*session]int)
-		for _, sess := range s.sessions {
-			if n := sess.refs[pe.Key]; n > 0 {
-				held[sess] = n
-			}
-		}
-		if len(held) == 0 {
-			ref.Release() // no peer holds it; nothing to rebind for
-			continue
-		}
-		doorID := ref.DoorID()
-		ist := &dispatch.InlineState{}
-		if ref.InlineHint() {
-			ist.Promote()
-		}
-		s.exports[pe.Key] = &exportEntry{h: s.dom.AdoptRef(ref), held: held, inline: ist}
-		s.byDoor[doorID] = pe.Key
-		s.labels[pe.Key] = pe.Label
-		gExports.Add(1)
+		rebound = append(rebound, reboundExport{key: pe.Key, label: pe.Label, door: ref.DoorID(),
+			inline: ref.InlineHint(), h: s.dom.AdoptRef(ref)})
 	}
-	// Refs to keys that were not rebound are dead: drop them so the
-	// session tables agree with the export table.
-	for _, sess := range s.sessions {
-		for key := range sess.refs {
-			if _, ok := s.exports[key]; !ok {
-				delete(sess.refs, key)
-			}
-		}
-	}
-	s.stateDirty = true
+	s.mu.Lock()
+	s.proto.restore(&ps, rebound, time.Now())
+	s.settle()
 	return nil
 }
 
@@ -280,13 +183,8 @@ func (s *Server) LabelDoor(ref kernel.Ref, label string) {
 		return
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if key, ok := s.byDoor[ref.DoorID()]; ok {
-		s.labels[key] = label
-		s.markDirtyLocked()
-		return
-	}
-	s.pendingLabels[ref.DoorID()] = label
+	s.proto.label(ref.DoorID(), label)
+	s.settle()
 }
 
 // RootRebinder builds a Rebinder resolving the "root:<name>/<i>" labels
@@ -338,21 +236,5 @@ func RootRebinder(roots map[string]*core.Object) func(string) (kernel.Ref, bool)
 			}
 		}
 		return out, found
-	}
-}
-
-// labelRootDoorsLocked assigns "root:<name>/<i>" labels to the doors a
-// published root marshalled into a reply, so RootRebinder can rebind
-// them after a restart. Callers hold s.mu.
-func (s *Server) labelRootDoorsLocked(name string, doors []buffer.Door) {
-	for i, d := range doors {
-		if ref, ok := d.(kernel.Ref); ok && ref.Valid() {
-			if key, exported := s.byDoor[ref.DoorID()]; exported {
-				s.labels[key] = fmt.Sprintf("root:%s/%d", name, i)
-				s.markDirtyLocked()
-			} else {
-				s.pendingLabels[ref.DoorID()] = fmt.Sprintf("root:%s/%d", name, i)
-			}
-		}
 	}
 }

@@ -138,7 +138,7 @@ func TestRestartRejoinsOldIdentity(t *testing.T) {
 		t.Fatalf("instance after restart %#x, want %#x", got, firstInstance)
 	}
 	d2.srv.mu.Lock()
-	nextKey := d2.srv.nextKey
+	nextKey := d2.srv.proto.nextKey
 	d2.srv.mu.Unlock()
 	if nextKey < ps.NextKey+keySlack {
 		t.Fatalf("nextKey %d not advanced past persisted %d + slack", nextKey, ps.NextKey)
@@ -245,9 +245,9 @@ func FuzzStateFile(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o600); err != nil {
 			t.Fatal(err)
 		}
-		exports, sessions := gExports.Value(), gSessions.Value()
+		exports, sessions := tallyGauges[tExports].Value(), tallyGauges[tSessions].Value()
 		settled := func() {
-			if de, ds := gExports.Value()-exports, gSessions.Value()-sessions; de != 0 || ds != 0 {
+			if de, ds := tallyGauges[tExports].Value()-exports, tallyGauges[tSessions].Value()-sessions; de != 0 || ds != 0 {
 				t.Fatalf("exports_live %+d and sessions_live %+d after the server is gone", de, ds)
 			}
 		}
@@ -257,7 +257,7 @@ func FuzzStateFile(f *testing.F) {
 			return
 		}
 		s.mu.Lock()
-		before := s.captureStateLocked()
+		before := s.proto.snapshot()
 		s.mu.Unlock()
 		s.Close()
 		settled()
@@ -274,7 +274,7 @@ func FuzzStateFile(f *testing.F) {
 			t.Fatalf("a server's own state file is refused: %v", err)
 		}
 		s2.mu.Lock()
-		after := s2.captureStateLocked()
+		after := s2.proto.snapshot()
 		s2.mu.Unlock()
 		if after.Instance != before.Instance || !reflect.DeepEqual(heldRefs(after), heldRefs(before)) {
 			t.Fatalf("state file round trip: instance %#x refs %v, then %#x %v", before.Instance, heldRefs(before), after.Instance, heldRefs(after))

@@ -58,8 +58,7 @@ func servedConn(t *testing.T, srv *Server) (*conn, sock.Stream) {
 	t.Helper()
 	near, far := socketPair(t)
 	c := newConn(near)
-	c.sess = &session{refs: make(map[uint64]int), conns: make(map[*conn]struct{})}
-	c.helloDone = true
+	c.sess = &session{refs: make(map[uint64]int)}
 	t.Cleanup(func() { c.fail(errConnDead) })
 	return c, far
 }

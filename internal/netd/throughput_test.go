@@ -270,8 +270,8 @@ func TestColdDialSingleflight(t *testing.T) {
 	// Concurrent calls to a cold address must share one dial, not
 	// stampede: one flight dials, the rest ride it. And the shared
 	// outcome must be reported to the breaker exactly once — a waiter
-	// that loses the race must not trip breakerFailLocked for a dial that
-	// actually succeeded.
+	// that loses the race must not report a failed dial (proto.dialed)
+	// for a dial that actually succeeded.
 	fn := faultnet.New()
 	var dials atomic.Int32
 	cfgB := quickCfg()
@@ -318,7 +318,7 @@ func TestColdDialSingleflight(t *testing.T) {
 	}
 	// The successful shared dial must have left the breaker closed.
 	b.srv.mu.Lock()
-	p := b.srv.peerLocked(a.srv.Addr())
+	p := b.srv.proto.peer(a.srv.Addr())
 	state := p.state
 	b.srv.mu.Unlock()
 	if state != breakerClosed {

@@ -102,8 +102,8 @@ func TestSameMachineServesUnixAndTCPPeers(t *testing.T) {
 	for c := range a.srv.allConns {
 		unix[strings.HasPrefix(c.peerAddr, "unix:")] = true
 	}
-	if len(a.srv.sessions) != 2 || !unix[true] || !unix[false] {
-		t.Fatalf("A holds %d sessions over unix %v, want 2, one unix and one tcp", len(a.srv.sessions), unix)
+	if len(a.srv.proto.sessions) != 2 || !unix[true] || !unix[false] {
+		t.Fatalf("A holds %d sessions over unix %v, want 2, one unix and one tcp", len(a.srv.proto.sessions), unix)
 	}
 }
 

@@ -100,8 +100,8 @@ func TestWireBufferRoundTrip(t *testing.T) {
 
 	// Exports are attributed to the session of the connection they ship
 	// over; fabricate one for this in-process round trip.
-	sess := &session{refs: make(map[uint64]int), conns: make(map[*conn]struct{})}
-	c := &conn{sess: sess, helloDone: true}
+	sess := &session{refs: make(map[uint64]int)}
+	c := &conn{sess: sess}
 
 	wire := buffer.New(128)
 	if err := srv.putWireBuffer(wire, in, c); err != nil {
