@@ -45,26 +45,27 @@ crash:
 # Existing baselines in BENCH_netd.json / BENCH_cache.json are preserved,
 # so each file carries before/after numbers across optimization PRs.
 bench:
-	go test -run NONE -bench 'E15|E18' -benchmem -benchtime 2s -count=3 . | tee /tmp/bench_netd.out
-	go test -run NONE -bench 'E21' -benchmem -benchtime 1s -count=3 . | tee -a /tmp/bench_netd.out
+	set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	go test -run NONE -bench 'E15|E18' -benchmem -benchtime 2s -count=3 . | tee $$d/netd.out; \
+	go test -run NONE -bench 'E21' -benchmem -benchtime 1s -count=3 . | tee -a $$d/netd.out; \
 	go run ./cmd/benchjson -experiment 'E15/E18/E21 netd throughput: loopback TCP vs the same-machine tier (unix sockets); small calls under bulk load, shared vs isolated' \
 		-note 'per-cell medians of 3 runs on a shared host; compare E18 vs E15 and MixedHoL_Isolated vs _Shared within a run; the E18 64KiB cells are the unix-socket copy since PR 20 (E29) — the in-process region hand-off that read 12-26 us there is deleted' \
-		-o BENCH_netd.json < /tmp/bench_netd.out
-	go test -run NONE -bench 'E16' -benchmem . | tee /tmp/bench_e16.out
+		-o BENCH_netd.json < $$d/netd.out; \
+	go test -run NONE -bench 'E16' -benchmem . | tee $$d/e16.out; \
 	go run ./cmd/benchjson -experiment 'E16 lock-free local door path + scalable cache manager (intra-machine)' \
-		-o BENCH_cache.json < /tmp/bench_e16.out
-	go test -run NONE -bench 'E17|E22' -benchmem . | tee /tmp/bench_e17.out
-	go run ./cmd/benchjson -experiment 'E17 tracing overhead + E22 always-on latency recording (off / sampled8 / timed / always, P1 and P64)' \
-		-note 'E22 prices the v2 always-on histogram against the v1 1-in-8 sampler on the singleton echo; timed-vs-always isolates the record proper (budget 15ns, 0 allocs), and the always cells carry the measured window p50/p99/p999' \
-		-o BENCH_trace.json < /tmp/bench_e17.out
-	go test -run NONE -bench 'E19' -benchmem -benchtime 2s . | tee /tmp/bench_wal.out
+		-o BENCH_cache.json < $$d/e16.out; \
+	go test -run NONE -bench 'E17|E22' -benchmem . | tee $$d/e17.out; \
+	go run ./cmd/benchjson -experiment 'E17 tracing overhead + E22 always-on latency recording (off / timed / always, P1 and P64)' \
+		-note 'E22 prices the always-on histogram on the singleton echo (the v1 1-in-8 sampler it was compared with is deleted, EXPERIMENTS E22/E34); timed-vs-always isolates the record proper (budget 15ns, 0 allocs), and the always cells carry the measured window p50/p99/p999' \
+		-o BENCH_trace.json < $$d/e17.out; \
+	go test -run NONE -bench 'E19' -benchmem -benchtime 2s . | tee $$d/wal.out; \
 	go run ./cmd/benchjson -experiment 'E19 durable writes: WAL group-commit batch-cap sweep vs in-memory baseline (natural batching, no linger)' \
 		-note 'fsync latency is the unit here and varies with the host disk; compare batch caps within a run' \
-		-o BENCH_wal.json < /tmp/bench_wal.out
-	go test -run NONE -bench 'E20' -benchmem -benchtime 2s . | tee /tmp/bench_dispatch.out
+		-o BENCH_wal.json < $$d/wal.out; \
+	go test -run NONE -bench 'E20' -benchmem -benchtime 2s . | tee $$d/dispatch.out; \
 	go run ./cmd/benchjson -experiment 'E20 server-side dispatch: adaptive inline over a goroutine per call vs every call spawned' \
 		-note 'compare Inline/Spawn cells within one run; the inline win shows at P1/P8, where it saves every handoff; Blocking_P64 is 64 callers of a 100us handler, all blocked in the server at once' \
-		-o BENCH_dispatch.json < /tmp/bench_dispatch.out
+		-o BENCH_dispatch.json < $$d/dispatch.out
 
 # One-iteration smoke: the benchmarks still compile and run. Then the E24
 # guards of the file data path, the E25 guards of the durable write path
@@ -146,17 +147,20 @@ gen-check:
 # histogram trace exemplar), /statz (a windowed delta with subcontract
 # rows), /healthz, /traces (a JSON array) and /traces/zz (400), a heap
 # profile through go tool pprof (a non-empty table) and the goroutine
-# profile's text form.
+# profile's text form; and sctop -once, which must print a subcontract row
+# with nonzero calls and the netd link line. Binaries and scratch files
+# live in one mktemp directory, removed on exit.
 obs:
-	go build -o /tmp/springfsd_obs ./cmd/springfsd
-	go build -o /tmp/fsh_obs ./cmd/fsh
-	/tmp/springfsd_obs -addr 127.0.0.1:17040 -telemetry 127.0.0.1:16060 -trace-sample 1 & \
+	@d=$$(mktemp -d); trap 'kill $$pid 2>/dev/null; rm -rf "$$d"' EXIT; \
+	go build -o $$d/springfsd ./cmd/springfsd && go build -o $$d/fsh ./cmd/fsh && \
+		go build -o $$d/sctop ./cmd/sctop || exit 1; \
+	$$d/springfsd -addr 127.0.0.1:17040 -telemetry 127.0.0.1:16060 -trace-sample 1 & \
 	pid=$$!; \
 	sleep 1; \
 	ok=0; \
-	/tmp/fsh_obs -server 127.0.0.1:17040 create obs-smoke >/dev/null && \
-	/tmp/fsh_obs -server 127.0.0.1:17040 write obs-smoke "latency plane v2" >/dev/null && \
-	/tmp/fsh_obs -server 127.0.0.1:17040 cat obs-smoke >/dev/null && \
+	$$d/fsh -server 127.0.0.1:17040 create obs-smoke >/dev/null && \
+	$$d/fsh -server 127.0.0.1:17040 write obs-smoke "latency plane v2" >/dev/null && \
+	$$d/fsh -server 127.0.0.1:17040 cat obs-smoke >/dev/null && \
 	curl -sf http://127.0.0.1:16060/metrics | grep -q '^netd_conns_live' && \
 	curl -sf http://127.0.0.1:16060/metrics | grep -q '^subcontract_calls_total' && \
 	curl -sf http://127.0.0.1:16060/metrics | grep -q '# {trace_id=' && \
@@ -166,8 +170,10 @@ obs:
 	curl -sf http://127.0.0.1:16060/traces | grep -q '^\[' && \
 	test "$$(curl -s -o /dev/null -w '%{http_code}' http://127.0.0.1:16060/traces/zz)" = 400 && \
 	curl -sf 'http://127.0.0.1:16060/debug/pprof/goroutine?debug=1' | grep -q '^goroutine profile: total' && \
-	PPROF_TMPDIR=/tmp/pprof_obs go tool pprof -sample_index=alloc_space -top 'http://127.0.0.1:16060/debug/pprof/heap?gc=1' 2>/dev/null | \
-		awk '/flat%/ { t = 1; next } t && NF { n++ } END { exit n == 0 }' || ok=1; \
+	PPROF_TMPDIR=$$d/pprof go tool pprof -sample_index=alloc_space -top 'http://127.0.0.1:16060/debug/pprof/heap?gc=1' 2>/dev/null | \
+		awk '/flat%/ { t = 1; next } t && NF { n++ } END { exit n == 0 }' && \
+	$$d/sctop -once -url http://127.0.0.1:16060/metrics > $$d/sctop.out && \
+	awk '/^SUBCONTRACT/ { t = 1; next } t && NF == 0 { t = 0 } t && $$2 > 0 { n++ } END { exit n == 0 }' $$d/sctop.out && \
+	grep -q '^netd link: CONNS ' $$d/sctop.out || { ok=1; cat $$d/sctop.out 2>/dev/null; }; \
 	kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; \
-	rm -rf /tmp/springfsd_obs /tmp/fsh_obs /tmp/pprof_obs; \
 	test $$ok -eq 0 && echo "obs smoke: ok"

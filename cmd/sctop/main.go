@@ -1,12 +1,14 @@
 // sctop is "top" for subcontracts: it polls a daemon's telemetry plane
-// (/metrics, see internal/telemetry) and renders a live per-subcontract
-// table of call rates, error rates, retries, cache hit ratio, and mean /
-// p50 / p99 latency computed from deltas between consecutive scrapes,
-// plus a PEERS stanza from the netd per-peer RED histograms.
+// (/statz, see internal/telemetry) and renders a per-subcontract table of
+// call rates, error rates, retries, cache hit ratio, and mean / p50 / p99
+// latency, a PEERS stanza from the netd per-peer RED histograms, the netd
+// link line and a footer of every gauge. The rates and percentiles are the
+// server's: the live view asks /statz for a window one poll interval wide,
+// -once for the totals since the daemon started.
 //
 //	sctop -url http://localhost:6060/metrics
 //	sctop -url http://localhost:6060/metrics -interval 1s
-//	sctop -once          # single scrape, absolute totals, no screen clear
+//	sctop -once          # totals since start, no screen clear
 //	sctop -slow          # tail the slow-span ring (/traces/slow) instead
 package main
 
@@ -15,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"os"
 	"sort"
@@ -24,9 +25,9 @@ import (
 )
 
 func main() {
-	url := flag.String("url", "http://127.0.0.1:6060/metrics", "telemetry /metrics URL to poll")
-	interval := flag.Duration("interval", 2*time.Second, "poll interval")
-	once := flag.Bool("once", false, "scrape once, print absolute totals, exit")
+	url := flag.String("url", "http://127.0.0.1:6060/metrics", "the telemetry plane's /metrics URL; sctop reads /statz beside it")
+	interval := flag.Duration("interval", 2*time.Second, "poll interval, and the window the live view's rates cover")
+	once := flag.Bool("once", false, "print the totals since the daemon started once, and exit")
 	slow := flag.Bool("slow", false, "tail the slow-span ring (/traces/slow) instead of the metrics table")
 	flag.Parse()
 
@@ -38,51 +39,56 @@ func main() {
 	}
 
 	if *once {
-		cur, err := fetch(client, *url)
-		if err != nil {
+		var st statz
+		if err := getJSON(client, statzURL(*url, "0"), &st); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		render(os.Stdout, cur, nil, 0, false)
+		render(os.Stdout, &st, false)
 		return
 	}
 
-	var prev *scrape
-	var prevAt time.Time
 	for {
-		cur, err := fetch(client, *url)
-		now := time.Now()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sctop: %v (retrying in %v)\n", err, *interval)
+		var st statz
+		if err := getJSON(client, statzURL(*url, interval.String()), &st); err != nil {
+			fmt.Fprintf(os.Stderr, "%v (retrying in %v)\n", err, *interval)
 		} else {
 			clearScreen()
-			fmt.Printf("sctop  %s  %s  interval=%v\n\n", *url, now.Format("15:04:05"), *interval)
-			render(os.Stdout, cur, prev, now.Sub(prevAt), true)
-			prev, prevAt = cur, now
+			fmt.Printf("sctop  %s  %s  interval=%v\n\n", *url, time.Now().Format("15:04:05"), *interval)
+			render(os.Stdout, &st, true)
 		}
 		time.Sleep(*interval)
 	}
 }
 
-func fetch(client *http.Client, url string) (*scrape, error) {
+// getJSON decodes the JSON body of a GET of url into v.
+func getJSON(client *http.Client, url string, v any) error {
 	resp, err := client.Get(url)
 	if err != nil {
-		return nil, fmt.Errorf("sctop: GET %s: %w", url, err)
+		return fmt.Errorf("sctop: GET %s: %w", url, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("sctop: GET %s: status %s", url, resp.Status)
+		return fmt.Errorf("sctop: GET %s: status %s", url, resp.Status)
 	}
-	return parseMetrics(resp.Body)
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		return fmt.Errorf("sctop: %s not JSON: %v", url, err)
+	}
+	return nil
 }
 
 func clearScreen() { fmt.Print("\x1b[2J\x1b[H") }
 
+// statzURL derives the /statz query for a window from the -url flag (which
+// points at /metrics on the same plane).
+func statzURL(metricsURL, window string) string {
+	return strings.TrimSuffix(metricsURL, "/metrics") + "/statz?window=" + window
+}
+
 // ---------------------------------------------------------------------
 // -slow: tail the slow-span ring.
 
-// slowURL derives the /traces/slow endpoint from the -url flag (which
-// points at /metrics on the same plane).
+// slowURL derives the /traces/slow endpoint from the -url flag.
 func slowURL(metricsURL string) string {
 	return strings.TrimSuffix(metricsURL, "/metrics") + "/traces/slow"
 }
@@ -102,9 +108,9 @@ type slowRoot struct {
 func tailSlow(client *http.Client, url string, interval time.Duration, once bool) {
 	seen := make(map[string]bool)
 	for {
-		roots, err := fetchSlow(client, url)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sctop: %v (retrying in %v)\n", err, interval)
+		var roots []slowRoot
+		if err := getJSON(client, url, &roots); err != nil {
+			fmt.Fprintf(os.Stderr, "%v (retrying in %v)\n", err, interval)
 		} else {
 			// The listing is newest-first; print oldest-first so the tail
 			// reads chronologically.
@@ -129,180 +135,108 @@ func tailSlow(client *http.Client, url string, interval time.Duration, once bool
 	}
 }
 
-func fetchSlow(client *http.Client, url string) ([]slowRoot, error) {
-	resp, err := client.Get(url)
-	if err != nil {
-		return nil, fmt.Errorf("sctop: GET %s: %w", url, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("sctop: GET %s: status %s", url, resp.Status)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	var roots []slowRoot
-	if err := json.Unmarshal(body, &roots); err != nil {
-		return nil, fmt.Errorf("sctop: %s not JSON: %v", url, err)
-	}
-	return roots, nil
-}
-
 // ---------------------------------------------------------------------
 // The metrics table.
 
-// row is one rendered table line.
-type row struct {
-	name                 string
-	calls, errs, retries float64
-	hits, misses         float64
-	latSum, latCount     float64
-	buckets              []bucket // window-cumulative latency buckets
-}
-
-// rowsFrom computes per-subcontract values. With a previous scrape the
-// values are deltas (rates over the elapsed window); without one they are
-// absolute totals.
-func rowsFrom(cur, prev *scrape) []row {
-	var rows []row
-	for name, c := range cur.counters {
-		r := row{
-			name:     name,
-			calls:    c["subcontract_calls_total"],
-			errs:     c["subcontract_errors_total"],
-			retries:  c["subcontract_retries_total"] + c["subcontract_failovers_total"] + c["subcontract_reconnects_total"],
-			hits:     c["subcontract_cache_hits_total"],
-			misses:   c["subcontract_cache_misses_total"],
-			latSum:   cur.latencySum[name],
-			latCount: cur.latencyCount[name],
-			buckets:  cur.latencyBuckets[name],
-		}
-		if prev != nil {
-			if p, ok := prev.counters[name]; ok {
-				r.calls -= p["subcontract_calls_total"]
-				r.errs -= p["subcontract_errors_total"]
-				r.retries -= p["subcontract_retries_total"] + p["subcontract_failovers_total"] + p["subcontract_reconnects_total"]
-				r.hits -= p["subcontract_cache_hits_total"]
-				r.misses -= p["subcontract_cache_misses_total"]
-				r.latSum -= prev.latencySum[name]
-				r.latCount -= prev.latencyCount[name]
-				r.buckets = subBuckets(r.buckets, prev.latencyBuckets[name])
-			}
-		}
-		rows = append(rows, r)
+// statz is the part of a /statz response sctop renders.
+type statz struct {
+	WindowSeconds float64 `json:"window_seconds"`
+	Subcontracts  []struct {
+		Name                                                        string
+		Calls, Errors, Retries, Failovers, Reconnects, Hits, Misses uint64
+		Latency                                                     latency
 	}
-	// Busiest first, then by name for a stable layout.
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].calls != rows[j].calls {
-			return rows[i].calls > rows[j].calls
-		}
-		return rows[i].name < rows[j].name
-	})
-	return rows
+	Peers []struct {
+		Addr          string
+		Calls, Errors uint64
+		Latency       latency
+	}
+	Gauges map[string]int64
 }
 
-// fmtQuantile renders a histogram quantile as a duration ("-" when the
-// window saw no samples).
-func fmtQuantile(buckets []bucket, q float64) string {
-	v := histQuantile(buckets, q)
-	if math.IsNaN(v) {
+type latency struct {
+	Count  uint64 `json:"count"`
+	MeanNs int64  `json:"mean_ns"`
+	P50Ns  int64  `json:"p50_ns"`
+	P99Ns  int64  `json:"p99_ns"`
+}
+
+// dur renders one of l's figures as a duration, "-" when the window
+// recorded no latency.
+func (l latency) dur(ns int64, round time.Duration) string {
+	if l.Count == 0 {
 		return "-"
 	}
-	return time.Duration(v * float64(time.Second)).Round(10 * time.Nanosecond).String()
+	return time.Duration(ns).Round(round).String()
 }
 
-// render writes the table. asRates scales counter deltas by the elapsed
-// window into per-second figures; otherwise raw totals are printed.
-func render(w *os.File, cur, prev *scrape, elapsed time.Duration, asRates bool) {
-	rows := rowsFrom(cur, prev)
-	secs := elapsed.Seconds()
-	rates := asRates && prev != nil && secs > 0
+// pct renders part/whole as a percentage, "-" when whole is 0.
+func pct(part, whole uint64) string {
+	if whole == 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.1f", 100*float64(part)/float64(whole))
+}
 
+// render writes the table. With rates the window's counts are divided by
+// its length into per-second figures; otherwise the counts are printed.
+func render(w io.Writer, st *statz, rates bool) {
 	unit := ""
 	if rates {
 		unit = "/s"
 	}
-	fmt.Fprintf(w, "%-24s %12s %10s %10s %8s %8s %10s %10s %10s\n",
-		"SUBCONTRACT", "CALLS"+unit, "ERRS"+unit, "RETRY"+unit, "ERR%", "HIT%", "MEAN LAT", "P50", "P99")
-	for _, r := range rows {
-		calls, errs, retries := r.calls, r.errs, r.retries
-		if rates {
-			calls /= secs
-			errs /= secs
-			retries /= secs
+	per := func(n uint64) float64 {
+		if rates && st.WindowSeconds > 0 {
+			return float64(n) / st.WindowSeconds
 		}
-		errPct := "-"
-		if r.calls > 0 {
-			errPct = fmt.Sprintf("%.1f", 100*r.errs/r.calls)
-		}
-		hitPct := "-"
-		if lookups := r.hits + r.misses; lookups > 0 {
-			hitPct = fmt.Sprintf("%.1f", 100*r.hits/lookups)
-		}
-		meanLat := "-"
-		if r.latCount > 0 {
-			meanLat = time.Duration(r.latSum / r.latCount * float64(time.Second)).Round(time.Microsecond).String()
-		}
-		fmt.Fprintf(w, "%-24s %12.1f %10.1f %10.1f %8s %8s %10s %10s %10s\n",
-			r.name, calls, errs, retries, errPct, hitPct, meanLat,
-			fmtQuantile(r.buckets, 0.50), fmtQuantile(r.buckets, 0.99))
+		return float64(n)
 	}
 
-	// PEERS: the netd per-peer RED histograms, windowed like the table.
-	if len(cur.peers) > 0 {
-		addrs := make([]string, 0, len(cur.peers))
-		for a := range cur.peers {
-			addrs = append(addrs, a)
+	scs := st.Subcontracts
+	// Busiest first, then by name for a stable layout.
+	sort.Slice(scs, func(i, j int) bool {
+		if scs[i].Calls != scs[j].Calls {
+			return scs[i].Calls > scs[j].Calls
 		}
-		sort.Strings(addrs)
+		return scs[i].Name < scs[j].Name
+	})
+	fmt.Fprintf(w, "%-24s %12s %10s %10s %8s %8s %10s %10s %10s\n",
+		"SUBCONTRACT", "CALLS"+unit, "ERRS"+unit, "RETRY"+unit, "ERR%", "HIT%", "MEAN LAT", "P50", "P99")
+	for _, s := range scs {
+		l := s.Latency
+		fmt.Fprintf(w, "%-24s %12.1f %10.1f %10.1f %8s %8s %10s %10s %10s\n",
+			s.Name, per(s.Calls), per(s.Errors), per(s.Retries+s.Failovers+s.Reconnects),
+			pct(s.Errors, s.Calls), pct(s.Hits, s.Hits+s.Misses),
+			l.dur(l.MeanNs, time.Microsecond), l.dur(l.P50Ns, 10*time.Nanosecond), l.dur(l.P99Ns, 10*time.Nanosecond))
+	}
+
+	if len(st.Peers) > 0 {
+		sort.Slice(st.Peers, func(i, j int) bool { return st.Peers[i].Addr < st.Peers[j].Addr })
 		fmt.Fprintf(w, "\n%-24s %12s %10s %8s %10s %10s\n",
 			"PEER", "CALLS"+unit, "ERRS"+unit, "ERR%", "P50", "P99")
-		for _, a := range addrs {
-			p := cur.peers[a]
-			calls, errs, buckets := p.calls, p.errs, p.buckets
-			if prev != nil {
-				if pp, ok := prev.peers[a]; ok {
-					calls -= pp.calls
-					errs -= pp.errs
-					buckets = subBuckets(buckets, pp.buckets)
-				}
-			}
-			errPct := "-"
-			if calls > 0 {
-				errPct = fmt.Sprintf("%.1f", 100*errs/calls)
-			}
-			if rates {
-				calls /= secs
-				errs /= secs
-			}
+		for _, p := range st.Peers {
+			l := p.Latency
 			fmt.Fprintf(w, "%-24s %12.1f %10.1f %8s %10s %10s\n",
-				a, calls, errs, errPct, fmtQuantile(buckets, 0.50), fmtQuantile(buckets, 0.99))
+				p.Addr, per(p.Calls), per(p.Errors), pct(p.Errors, p.Calls),
+				l.dur(l.P50Ns, 10*time.Nanosecond), l.dur(l.P99Ns, 10*time.Nanosecond))
 		}
 	}
 
 	// One-line netd link summary: sockets vs peer sessions. A peer that has
 	// sent a bulk request holds two sockets (call + bulk) under one session,
 	// so conns > sessions is the normal shape.
-	if conns, ok := cur.gauges["netd_conns_live"]; ok {
-		fmt.Fprintf(w, "\nnetd link: CONNS %g  SESSIONS %g  SENDQ %g\n",
-			conns, cur.gauges["netd_sessions_live"], cur.gauges["netd_sendq_depth"])
+	if conns, ok := st.Gauges["netd.conns_live"]; ok {
+		fmt.Fprintf(w, "\nnetd link: CONNS %d  SESSIONS %d  SENDQ %d\n",
+			conns, st.Gauges["netd.sessions_live"], st.Gauges["netd.sendq_depth"])
 	}
 
-	// A footer of the liveness gauges, when present in the scrape.
-	if len(cur.gauges) > 0 {
-		fmt.Fprintln(w)
-		names := make([]string, 0, len(cur.gauges))
-		for n := range cur.gauges {
-			names = append(names, n)
+	// A footer of every gauge the plane interned.
+	if len(st.Gauges) > 0 {
+		pairs := make([]string, 0, len(st.Gauges))
+		for n, v := range st.Gauges {
+			pairs = append(pairs, fmt.Sprintf("%s=%d", n, v))
 		}
-		sort.Strings(names)
-		for i, n := range names {
-			if i > 0 {
-				fmt.Fprint(w, "  ")
-			}
-			fmt.Fprintf(w, "%s=%g", n, cur.gauges[n])
-		}
-		fmt.Fprintln(w)
+		sort.Strings(pairs)
+		fmt.Fprintf(w, "\n%s\n", strings.Join(pairs, "  "))
 	}
 }

@@ -34,7 +34,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/naming"
 	"repro/internal/netd"
-	"repro/internal/scstats"
 	"repro/internal/subcontracts/caching"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -48,7 +47,6 @@ var (
 	walDir   = flag.String("wal", "",
 		"durability directory: write-ahead log + snapshot + netd state; mutations are fsynced before acknowledgment and a restart recovers transparently")
 	walBatch = flag.Int("wal-batch", 0, "max records fsynced per group-commit batch (0 = default 256)")
-	dumpSC   = flag.Bool("scstats", false, "dump per-subcontract metrics on shutdown and on SIGUSR1")
 
 	callTimeout = flag.Duration("call-timeout", 10*time.Second, "reply wait per forwarded call")
 	dialTimeout = flag.Duration("dial-timeout", 3*time.Second, "per connection attempt")
@@ -194,20 +192,8 @@ func main() {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	if *dumpSC {
-		usr1 := make(chan os.Signal, 1)
-		signal.Notify(usr1, syscall.SIGUSR1)
-		go func() {
-			for range usr1 {
-				fmt.Print(scstats.Text())
-			}
-		}()
-	}
 	<-sig
 	fmt.Println("\nspringfsd: shutting down")
-	if *dumpSC {
-		fmt.Print(scstats.Text())
-	}
 	// Shutdown failures are reported, not fatal mid-sequence: a snapshot
 	// that cannot be written leaves the previous one in place (SaveFile
 	// is atomic) and the daemon still closes the log and the network

@@ -20,7 +20,7 @@ type PackedRow struct {
 	Op       uint32
 	N        int32
 	Name     string
-	C        [6]uint64 // 's': calls, errors, retries, hits, misses, coalesced; 'p': calls, errors
+	C        [8]uint64 // 's': calls, errors, retries, hits, misses, coalesced, failovers, reconnects; 'p': calls, errors
 }
 
 // Pack appends a sample of every interned subcontract, peer and named
@@ -50,8 +50,9 @@ func Pack(rows []PackedRow, cells []BucketCount) ([]PackedRow, []BucketCount) {
 				h.addTo(&counts)
 			}
 		}
-		add(PackedRow{Kind: 's', Name: s.name, C: [6]uint64{s.Calls.Load(), s.Errors.Load(),
-			s.Retries.Load(), s.Hits.Load(), s.Misses.Load(), s.Coalesced.Load()}}, &counts)
+		add(PackedRow{Kind: 's', Name: s.name, C: [8]uint64{s.Calls.Load(), s.Errors.Load(),
+			s.Retries.Load(), s.Hits.Load(), s.Misses.Load(), s.Coalesced.Load(),
+			s.Failovers.Load(), s.Reconnects.Load()}}, &counts)
 		for op, h := range ops {
 			if h != nil {
 				counts = [histBuckets]uint64{}
@@ -64,7 +65,7 @@ func Pack(rows []PackedRow, cells []BucketCount) ([]PackedRow, []BucketCount) {
 		p := v.(*PeerStats)
 		var counts [histBuckets]uint64
 		p.lat.addTo(&counts)
-		add(PackedRow{Kind: 'p', Name: p.addr, C: [6]uint64{p.Calls.Load(), p.Errors.Load()}}, &counts)
+		add(PackedRow{Kind: 'p', Name: p.addr, C: [8]uint64{p.Calls.Load(), p.Errors.Load()}}, &counts)
 	}
 	for _, v := range hists.Range {
 		nh := v.(*namedHist)

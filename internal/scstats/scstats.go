@@ -1,8 +1,7 @@
 // Package scstats is the per-subcontract metrics registry: every
 // subcontract's client-side ops vector reports its calls, failures and
-// recovery actions here, and operators read the aggregate back as text
-// (cmd/scbench -scstats, cmd/springfsd -scstats) or through the telemetry
-// plane (/metrics, /statz).
+// recovery actions here, and operators read the aggregate back through the
+// telemetry plane (/metrics, /statz, cmd/sctop).
 //
 // The design is dictated by the minimal-call path budget (≤30 ns over the
 // bare singleton call, see bench E14 and the E22 record-cost sweep):
@@ -14,8 +13,7 @@
 //     allocation, no interface dispatch on the hot path.
 //   - Every call is measured — the 1-in-8 sampler of the v1 plane is gone.
 //     Percentiles (p50/p90/p99/p999) come from the bucket counts via the
-//     mergeable HistSnapshot API; sampling survives only as the
-//     RecordSampled8 mode, kept so E22 can price always-on against it.
+//     mergeable HistSnapshot API.
 //   - Latency is keyed by subcontract × op: EndCall records into a per-op
 //     histogram (ops above maxOps share an overflow slot) and snapshots
 //     merge the per-op histograms into the subcontract aggregate.
@@ -30,8 +28,6 @@
 package scstats
 
 import (
-	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -39,12 +35,6 @@ import (
 
 	"repro/internal/buffer"
 )
-
-// sampleEvery is the RecordSampled8 sampling period (the v1 plane's
-// behavior, kept for the E22 comparison): call n has its latency measured
-// when n % sampleEvery == 0, counter incremented before the check so the
-// first call of a run is sampled.
-const sampleEvery = 8
 
 // RecordMode selects what Begin/EndCall do with the clock and the
 // histogram. The default, RecordAlways, is the production plane; the
@@ -54,8 +44,6 @@ type RecordMode int32
 const (
 	// RecordAlways measures and records every call (the default).
 	RecordAlways RecordMode = iota
-	// RecordSampled8 measures 1 in 8 calls — the v1 plane's behavior.
-	RecordSampled8
 	// RecordTimed reads the clock on every call but skips the histogram
 	// write: the E22 guard baselines against it so the guarded delta is
 	// the record cost proper, independent of what the host's clock costs.
@@ -127,22 +115,16 @@ func newStats(name string) *Stats {
 func (s *Stats) Name() string { return s.name }
 
 // Begin records the start of an invocation and returns the value to pass
-// to End/EndCall: a tick timestamp when the record mode wants this call
-// measured, else 0.
+// to End/EndCall: a tick timestamp, or 0 under RecordOff.
 func (s *Stats) Begin() (start int64) {
 	if s == nil {
 		return 0
 	}
-	n := s.Calls.Add(1)
-	switch RecordMode(recMode.Load()) {
-	case RecordAlways, RecordTimed:
-		return clockNow()
-	case RecordSampled8:
-		if (n-1)%sampleEvery == 0 {
-			return clockNow()
-		}
+	s.Calls.Add(1)
+	if RecordMode(recMode.Load()) == RecordOff {
+		return 0
 	}
-	return 0
+	return clockNow()
 }
 
 // EndCall records the completion of an invocation begun at start (the
@@ -413,21 +395,6 @@ type GaugeSnapshot struct {
 	Value int64
 }
 
-// GaugeSnapshots returns every interned gauge with a nonzero value,
-// sorted by name.
-func GaugeSnapshots() []GaugeSnapshot {
-	var out []GaugeSnapshot
-	gauges.Range(func(_, v any) bool {
-		g := v.(*Gauge)
-		if val := g.Value(); val != 0 {
-			out = append(out, GaugeSnapshot{Name: g.name, Value: val})
-		}
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // AllGauges returns every interned gauge, zero-valued ones included,
 // sorted by name. Exposition formats with a fixed schema (the telemetry
 // plane's /metrics) use it so a gauge doesn't vanish from the scrape when
@@ -458,21 +425,6 @@ func For(name string) *Stats {
 	}
 	v, _ := registry.LoadOrStore(name, newStats(name))
 	return v.(*Stats)
-}
-
-// Snapshots returns a snapshot of every interned subcontract, sorted by
-// name, omitting blocks that never saw a call or sample.
-func Snapshots() []Snapshot {
-	var out []Snapshot
-	registry.Range(func(_, v any) bool {
-		sn := v.(*Stats).snapshot()
-		if sn.Calls != 0 || sn.LatencySamples != 0 {
-			out = append(out, sn)
-		}
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // AllSnapshots returns a snapshot of every interned subcontract, sorted
@@ -536,54 +488,4 @@ func Reset() {
 		p.lat.reset()
 		return true
 	})
-}
-
-// WriteText writes the registry in an aligned human-readable table, one
-// subcontract per stanza: the counter line, then a latency line with the
-// mean and the tail percentiles from the always-on histogram.
-func WriteText(w io.Writer) error {
-	sns := Snapshots()
-	gsns := GaugeSnapshots()
-	if len(sns) == 0 && len(gsns) == 0 {
-		_, err := fmt.Fprintln(w, "scstats: no subcontract calls recorded")
-		return err
-	}
-	for _, sn := range sns {
-		if _, err := fmt.Fprintf(w,
-			"%-14s calls=%d errors=%d deadline=%d cancelled=%d retries=%d failovers=%d reconnects=%d hits=%d misses=%d coalesced=%d\n",
-			sn.Name, sn.Calls, sn.Errors, sn.DeadlineExceeded, sn.Cancelled,
-			sn.Retries, sn.Failovers, sn.Reconnects, sn.Hits, sn.Misses, sn.Coalesced); err != nil {
-			return err
-		}
-		if sn.LatencySamples == 0 {
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "%-14s latency mean=%v p50=%v p90=%v p99=%v p999=%v samples=%d\n",
-			"", sn.LatencyMean,
-			time.Duration(sn.Lat.Quantile(0.50)), time.Duration(sn.Lat.Quantile(0.90)),
-			time.Duration(sn.Lat.Quantile(0.99)), time.Duration(sn.Lat.Quantile(0.999)),
-			sn.LatencySamples); err != nil {
-			return err
-		}
-	}
-	for _, g := range gsns {
-		if _, err := fmt.Fprintf(w, "gauge %-24s %d\n", g.Name, g.Value); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Text returns WriteText's output as a string.
-func Text() string {
-	var b textBuilder
-	_ = WriteText(&b)
-	return string(b)
-}
-
-type textBuilder []byte
-
-func (b *textBuilder) Write(p []byte) (int, error) {
-	*b = append(*b, p...)
-	return len(p), nil
 }

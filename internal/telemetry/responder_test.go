@@ -19,7 +19,7 @@ import (
 
 func TestMain(m *testing.M) { os.Exit(sctest.AuditedMain(m)) }
 
-var updateCorpus = flag.Bool("update-corpus", false, "rewrite FuzzRequest's checked-in corpus from requestCases")
+var updateCorpus = flag.Bool("update-corpus", false, "rewrite the checked-in corpora of FuzzRequest and FuzzStatzQuery from requestCases and statzQueries")
 
 // requestCases are request heads with the status readRequest must give
 // them (0: served) and, when served, the path it must route by.

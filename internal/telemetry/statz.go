@@ -19,9 +19,9 @@ import (
 // sample nearest the window edge. Counts subtract exactly and histogram
 // buckets subtract bucket-wise (counts are monotonic), so the percentiles
 // reported for a window are computed from precisely the calls that
-// completed inside it. ?window=0 returns totals since process start,
-// which is what scbench uses: two scrapes bracket a benchmark phase and
-// the cells' percentiles come from the client-side difference.
+// completed inside it. ?window=0 returns totals since process start
+// (sctop -once). Gauges are levels, not counts: a response carries their
+// current values, read when it is rendered and never sampled into the ring.
 //
 // The ring keeps of each sample only what a later delta reads of the older
 // side (packed, below): a sample is a few KB, and once the default ring
@@ -93,7 +93,8 @@ func (p *packed) unpack() statzSample {
 		switch r.Kind {
 		case 's':
 			s.scs = append(s.scs, scstats.Snapshot{Name: r.Name, Calls: r.C[0], Errors: r.C[1],
-				Retries: r.C[2], Hits: r.C[3], Misses: r.C[4], Coalesced: r.C[5], Lat: h})
+				Retries: r.C[2], Hits: r.C[3], Misses: r.C[4], Coalesced: r.C[5],
+				Failovers: r.C[6], Reconnects: r.C[7], Lat: h})
 		case 'o':
 			sc := &s.scs[len(s.scs)-1]
 			sc.Ops = append(sc.Ops, scstats.OpSnapshot{Op: r.Op, Overflow: r.Overflow, Lat: h})
@@ -167,8 +168,8 @@ type statzLat struct {
 	P999Ns int64  `json:"p999_ns"`
 	// Buckets is the sparse interval histogram as [lo_ns, hi_ns, count]
 	// triples (hi −1 = unbounded), included only with ?buckets=1 —
-	// clients that diff two absolute scrapes themselves (scbench) need
-	// the raw buckets, dashboards do not.
+	// clients that diff two absolute scrapes themselves (the two-process
+	// benchmark) need the raw buckets, dashboards do not.
 	Buckets [][3]int64 `json:"buckets,omitempty"`
 }
 
@@ -206,6 +207,8 @@ type statzSC struct {
 	Errors       uint64    `json:"errors"`
 	ErrorsPerSec float64   `json:"errors_per_sec"`
 	Retries      uint64    `json:"retries,omitempty"`
+	Failovers    uint64    `json:"failovers,omitempty"`
+	Reconnects   uint64    `json:"reconnects,omitempty"`
 	Hits         uint64    `json:"hits,omitempty"`
 	Misses       uint64    `json:"misses,omitempty"`
 	Coalesced    uint64    `json:"coalesced,omitempty"`
@@ -241,6 +244,8 @@ type statzResponse struct {
 	// door servers and not yet replied to, as of the window's end: handlers
 	// running or blocked inside this process.
 	ServeInflight int64 `json:"serve_inflight"`
+	// Gauges is every interned gauge's value as the response is rendered.
+	Gauges map[string]int64 `json:"gauges,omitempty"`
 }
 
 // ---------------------------------------------------------------------
@@ -274,14 +279,16 @@ func statzDelta(cur, prev statzSample, secs float64, withBuckets bool) statzResp
 		p := prevSC[c.Name] // zero Snapshot when new since prev
 		lat := c.Lat.Sub(p.Lat)
 		sc := statzSC{
-			Name:      c.Name,
-			Calls:     sub64(c.Calls, p.Calls),
-			Errors:    sub64(c.Errors, p.Errors),
-			Retries:   sub64(c.Retries, p.Retries),
-			Hits:      sub64(c.Hits, p.Hits),
-			Misses:    sub64(c.Misses, p.Misses),
-			Coalesced: sub64(c.Coalesced, p.Coalesced),
-			Latency:   latFrom(lat, withBuckets),
+			Name:       c.Name,
+			Calls:      sub64(c.Calls, p.Calls),
+			Errors:     sub64(c.Errors, p.Errors),
+			Retries:    sub64(c.Retries, p.Retries),
+			Failovers:  sub64(c.Failovers, p.Failovers),
+			Reconnects: sub64(c.Reconnects, p.Reconnects),
+			Hits:       sub64(c.Hits, p.Hits),
+			Misses:     sub64(c.Misses, p.Misses),
+			Coalesced:  sub64(c.Coalesced, p.Coalesced),
+			Latency:    latFrom(lat, withBuckets),
 		}
 		sc.CallsPerSec = rate(sc.Calls)
 		sc.ErrorsPerSec = rate(sc.Errors)
@@ -380,9 +387,6 @@ func (st *statzState) handle(w *response, r *request) {
 	window := 10 * time.Second
 	if q := r.query.Get("window"); q != "" {
 		d, err := time.ParseDuration(q)
-		if err != nil && q == "0" {
-			d, err = 0, nil
-		}
 		if err != nil || d < 0 {
 			w.error(400, "bad window (want a duration like 10s, or 0 for totals since start)")
 			return
@@ -409,5 +413,10 @@ func (st *statzState) handle(w *response, r *request) {
 	if window == 0 {
 		secs = now.Sub(st.ring.start).Seconds()
 	}
-	writeJSON(w, statzDelta(cur, prev, secs, withBuckets))
+	resp := statzDelta(cur, prev, secs, withBuckets)
+	resp.Gauges = make(map[string]int64)
+	for _, g := range scstats.AllGauges() {
+		resp.Gauges[g.Name] = g.Value
+	}
+	writeJSON(w, resp)
 }

@@ -3,8 +3,12 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
+	"net/url"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -269,4 +273,73 @@ func TestStatzRingPacksSamples(t *testing.T) {
 	if n := testing.AllocsPerRun(50, func() { r.push(t0) }); n != 0 {
 		t.Errorf("a sample into a wrapped ring allocates %.0f objects, want 0", n)
 	}
+}
+
+// statzQueries are /statz query values, window then buckets, seeding
+// FuzzStatzQuery.
+var statzQueries = []struct{ name, window, buckets string }{
+	{"default", "", ""},
+	{"totals", "0", "1"},
+	{"totals-unit", "0s", ""},
+	{"ten-seconds", "10s", "0"},
+	{"negative", "-1s", ""},
+	{"negative-zero", "-0", "1"},
+	{"bogus", "bogus", ""},
+	{"bare-number", "10", ""},
+	{"past-max", "1h", "1"},
+	{"overflow", "9999999999h", ""},
+	{"fraction", "1.5ms", "1"},
+	{"binary", "\x00\xff", "\xff"},
+}
+
+// FuzzStatzQuery: whatever the query, /statz through the responder never
+// panics; a window that is not a duration, or is negative, gets 400; any
+// other gets 200 and a JSON body, with a window past statzMaxWin clamped.
+func FuzzStatzQuery(f *testing.F) {
+	for _, q := range statzQueries {
+		f.Add(q.window, q.buckets)
+		if *updateCorpus {
+			dir := filepath.Join("testdata", "fuzz", "FuzzStatzQuery")
+			body := fmt.Sprintf("go test fuzz v1\nstring(%q)\nstring(%q)\n", q.window, q.buckets)
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				f.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, q.name), []byte(body), 0o644); err != nil {
+				f.Fatal(err)
+			}
+		}
+	}
+	// A ring an hour deep: a window clamped to statzMaxWin reaches back to
+	// the sample just past the clamp, an unclamped one to the hour-old one.
+	now := time.Now()
+	st := &statzState{ring: newStatzRing(4, now.Add(-time.Hour))}
+	for _, ago := range []time.Duration{time.Hour, statzMaxWin + 30*time.Second, 30 * time.Second} {
+		st.ring.push(now.Add(-ago))
+	}
+	f.Fuzz(func(t *testing.T, window, buckets string) {
+		head := "GET /statz?" + url.Values{"window": {window}, "buckets": {buckets}}.Encode() + " HTTP/1.1\r\n\r\n"
+		r, status := readRequest(strings.NewReader(head))
+		if status != 0 {
+			if len(head) >= maxHead {
+				return // the responder's head bound, not /statz, refuses it
+			}
+			t.Fatalf("%q refused with %d", head, status)
+		}
+		w := &response{status: 200}
+		st.handle(w, &r)
+		d, err := time.ParseDuration(window)
+		if window != "" && (err != nil || d < 0) {
+			if w.status != 400 {
+				t.Fatalf("window %q: status %d, want 400", window, w.status)
+			}
+			return
+		}
+		var resp statzResponse
+		if w.status != 200 || json.Unmarshal(w.Bytes(), &resp) != nil {
+			t.Fatalf("window %q: status %d, body %q, want 200 and JSON", window, w.status, w.Bytes())
+		}
+		if d > statzMaxWin && resp.WindowSeconds >= time.Hour.Seconds() {
+			t.Fatalf("window %q reached back %v s, past the %v clamp", window, resp.WindowSeconds, statzMaxWin)
+		}
+	})
 }
