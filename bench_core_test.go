@@ -4,7 +4,7 @@
 // `go test -bench` (bench_test.go at the repository root) and under
 // cmd/scbench, which prints the consolidated paper-style report recorded
 // in EXPERIMENTS.md.
-package bench
+package repro_test
 
 import (
 	"fmt"

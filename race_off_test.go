@@ -1,5 +1,5 @@
 //go:build !race
 
-package bench
+package repro_test
 
 const raceEnabled = false

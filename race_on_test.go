@@ -1,6 +1,6 @@
 //go:build race
 
-package bench
+package repro_test
 
 // raceEnabled reports whether the race detector is compiled in, so
 // nanosecond-margin timing guards can skip: race instrumentation turns
