@@ -1,9 +1,8 @@
-// Package bench implements the experiment bodies for every evaluation
-// point in the paper (see DESIGN.md §4 for the experiment index). Each
-// exported function takes a *testing.B so the same code runs under
-// `go test -bench` (bench_test.go at the repository root) and under
-// cmd/scbench, which prints the consolidated paper-style report recorded
-// in EXPERIMENTS.md.
+// The experiment bodies for every evaluation point in the paper (see
+// DESIGN.md §4 for the experiment index), shared by the E<n> files beside
+// this one: the two-domain fixture and echo object, and E1–E5, E8, E13.
+// Each body takes a *testing.B; bench_test.go names them as benchmarks and
+// EXPERIMENTS.md records what they measured.
 package repro_test
 
 import (

@@ -29,8 +29,8 @@ import (
 //     heaviest context a caller can attach.
 //
 // The acceptance budget is ≤30 ns/op of "bare" over the pre-redesign
-// figure recorded in scbench_output.txt, and the option variants are
-// expected to stay within a few clock reads of "bare".
+// figure (EXPERIMENTS E14), and the option variants are expected to stay
+// within a few clock reads of "bare".
 
 // E14Call runs the singleton echo with the given context mode.
 func E14Call(mode string, payload int) func(*testing.B) {

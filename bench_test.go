@@ -1,7 +1,7 @@
 // Benchmarks regenerating every evaluation point in the paper. Each
 // BenchmarkE<n> corresponds to experiment E<n> in DESIGN.md §4; the
-// experiment bodies live in internal/bench so cmd/scbench can print the
-// consolidated paper-style report. Run with:
+// experiment bodies and their acceptance guards live beside this file, in
+// bench_core_test.go, bench_net_test.go and bench_e<n>_test.go. Run with:
 //
 //	go test -bench=. -benchmem
 package repro_test
@@ -124,7 +124,7 @@ func BenchmarkE16_CachedRead_Inval_P8(b *testing.B) { E16CachedRead(8, "inval")(
 // E17 — distributed-tracing overhead on the E14 minimal call: sampling
 // off / enabled-but-unsampled / every-call-sampled, at parallelism 1 and
 // 64. `make bench` records this sweep in BENCH_trace.json; the alloc and
-// latency acceptance guards live in internal/bench/bench6_test.go.
+// latency acceptance guards live in bench_e17_guard_test.go.
 func BenchmarkE17_Traced_Off_P1(b *testing.B)        { E17TracedCall("off", 1)(b) }
 func BenchmarkE17_Traced_Off_P64(b *testing.B)       { E17TracedCall("off", 64)(b) }
 func BenchmarkE17_Traced_Unsampled_P1(b *testing.B)  { E17TracedCall("unsampled", 1)(b) }
@@ -135,7 +135,7 @@ func BenchmarkE17_Traced_Sampled_P64(b *testing.B)   { E17TracedCall("sampled", 
 // E22 — always-on HDR latency recording on the same minimal call: record
 // mode off / timed (clocks only) / always (the default), at parallelism 1
 // and 64. `make bench` records this sweep in BENCH_trace.json; the ≤15 ns
-// and 0-alloc acceptance guards live in internal/bench/bench11_test.go.
+// and 0-alloc acceptance guards live in bench_e22_guard_test.go.
 // The "always" cells also report p50_ns/p99_ns/p999_ns metrics from the
 // histogram the cell exercised.
 func BenchmarkE22_Record_Off_P1(b *testing.B)     { E22RecordCost("off", 1)(b) }

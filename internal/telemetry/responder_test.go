@@ -76,20 +76,24 @@ func TestReadRequest(t *testing.T) {
 	}
 }
 
+// writeSeed writes one entry of target's checked-in corpus.
+func writeSeed(f *testing.F, target, name, values string) {
+	dir := filepath.Join("testdata", "fuzz", target)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		f.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, name), []byte("go test fuzz v1\n"+values), 0o644); err != nil {
+		f.Fatal(err)
+	}
+}
+
 // FuzzRequest: readRequest never panics, never takes more than maxHead
 // bytes off the connection, and serves only a GET of an origin-form path.
 func FuzzRequest(f *testing.F) {
 	for _, tc := range requestCases {
 		f.Add([]byte(tc.head))
 		if *updateCorpus {
-			dir := filepath.Join("testdata", "fuzz", "FuzzRequest")
-			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", tc.head)
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				f.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, tc.name), []byte(body), 0o644); err != nil {
-				f.Fatal(err)
-			}
+			writeSeed(f, "FuzzRequest", tc.name, fmt.Sprintf("[]byte(%q)\n", tc.head))
 		}
 	}
 	f.Fuzz(func(t *testing.T, head []byte) {

@@ -7,8 +7,6 @@ import (
 	"math"
 	"net/http"
 	"net/url"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -299,14 +297,7 @@ func FuzzStatzQuery(f *testing.F) {
 	for _, q := range statzQueries {
 		f.Add(q.window, q.buckets)
 		if *updateCorpus {
-			dir := filepath.Join("testdata", "fuzz", "FuzzStatzQuery")
-			body := fmt.Sprintf("go test fuzz v1\nstring(%q)\nstring(%q)\n", q.window, q.buckets)
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				f.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, q.name), []byte(body), 0o644); err != nil {
-				f.Fatal(err)
-			}
+			writeSeed(f, "FuzzStatzQuery", q.name, fmt.Sprintf("string(%q)\nstring(%q)\n", q.window, q.buckets))
 		}
 	}
 	// A ring an hour deep: a window clamped to statzMaxWin reaches back to

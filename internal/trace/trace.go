@@ -358,8 +358,8 @@ func rec() *recorder {
 }
 
 // Reset discards all recorded spans — main ring, slow ring and pending
-// speculative buffers (tests, and scbench between phases). Configured
-// thresholds and sampling survive.
+// speculative buffers — for tests. Configured thresholds and sampling
+// survive.
 func Reset() {
 	recMu.Lock()
 	recPtr.Store(nil)
