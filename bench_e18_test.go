@@ -27,7 +27,7 @@ func e18Setup(b *testing.B) *core.Object {
 	b.Helper()
 	ka := kernel.New("e18-server")
 	sa, err := netd.Start(ka.NewDomain("server-netd"), "unix:"+b.TempDir()+"/s.sock",
-		netd.WithTransport(netd.SameMachine()))
+		netd.With(netd.Config{Transport: netd.SameMachine()}))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func e18Setup(b *testing.B) *core.Object {
 
 	kb := kernel.New("e18-client")
 	sb, err := netd.Start(kb.NewDomain("client-netd"), "unix:"+b.TempDir()+"/c.sock",
-		netd.WithTransport(netd.SameMachine()))
+		netd.With(netd.Config{Transport: netd.SameMachine()}))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func E21MixedHoL(shared bool) func(*testing.B) {
 		bulk := make([]byte, 64<<10)
 		var opts []netd.Option
 		if shared {
-			opts = append(opts, netd.WithBulkThreshold(2*len(bulk)))
+			opts = append(opts, netd.With(netd.Config{BulkThreshold: 2 * len(bulk)}))
 		}
 		remote := e15Setup(b, opts...)
 		small := []byte{}

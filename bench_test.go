@@ -132,18 +132,13 @@ func BenchmarkE17_Traced_Unsampled_P64(b *testing.B) { E17TracedCall("unsampled"
 func BenchmarkE17_Traced_Sampled_P1(b *testing.B)    { E17TracedCall("sampled", 1)(b) }
 func BenchmarkE17_Traced_Sampled_P64(b *testing.B)   { E17TracedCall("sampled", 64)(b) }
 
-// E22 — always-on HDR latency recording on the same minimal call: record
-// mode off / timed (clocks only) / always (the default), at parallelism 1
-// and 64. `make bench` records this sweep in BENCH_trace.json; the ≤15 ns
-// and 0-alloc acceptance guards live in bench_e22_guard_test.go.
-// The "always" cells also report p50_ns/p99_ns/p999_ns metrics from the
-// histogram the cell exercised.
-func BenchmarkE22_Record_Off_P1(b *testing.B)     { E22RecordCost("off", 1)(b) }
-func BenchmarkE22_Record_Off_P64(b *testing.B)    { E22RecordCost("off", 64)(b) }
-func BenchmarkE22_Record_Timed_P1(b *testing.B)   { E22RecordCost("timed", 1)(b) }
-func BenchmarkE22_Record_Timed_P64(b *testing.B)  { E22RecordCost("timed", 64)(b) }
-func BenchmarkE22_Record_Always_P1(b *testing.B)  { E22RecordCost("always", 1)(b) }
-func BenchmarkE22_Record_Always_P64(b *testing.B) { E22RecordCost("always", 64)(b) }
+// E22 — always-on HDR latency recording on the same minimal call, at
+// parallelism 1 and 64. `make bench` records this sweep in
+// BENCH_trace.json; the record's own cost and allocation guards are
+// scstats' TestRecordCostGuard and TestRecordAllocs. The cells also report
+// p50_ns/p99_ns/p999_ns metrics from the histogram the cell exercised.
+func BenchmarkE22_Record_Always_P1(b *testing.B)  { E22RecordCost(1)(b) }
+func BenchmarkE22_Record_Always_P64(b *testing.B) { E22RecordCost(64)(b) }
 
 // E19 — durable write throughput through the WAL group committer:
 // parallelism ∈ {1, 64} writers × fsync batch cap ∈ {1, 8, 64, 256},

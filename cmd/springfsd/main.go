@@ -174,13 +174,11 @@ func main() {
 	if *sameMachine {
 		cfg.Transport = netd.SameMachine()
 	}
-	opts := []netd.Option{netd.With(cfg)}
 	if *walDir != "" {
-		opts = append(opts,
-			netd.WithStateFile(filepath.Join(*walDir, "netd.state")),
-			netd.WithRebinder(netd.RootRebinder(roots)))
+		cfg.StateFile = filepath.Join(*walDir, "netd.state")
+		cfg.Rebinder = netd.RootRebinder(roots)
 	}
-	net, err := netd.Start(k.NewDomain("netd"), *addr, opts...)
+	net, err := netd.Start(k.NewDomain("netd"), *addr, netd.With(cfg))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -44,6 +44,9 @@ var (
 	// ErrDoorTaken is returned when a door slot has already been consumed
 	// by an earlier ReadDoor.
 	ErrDoorTaken = errors.New("buffer: door slot already consumed")
+	// ErrBadCount is returned when an element count exceeds what the rest
+	// of the buffer could hold.
+	ErrBadCount = errors.New("buffer: count exceeds the remaining stream")
 )
 
 // doorTag is spliced into the byte stream at each WriteDoor so misaligned
@@ -592,6 +595,21 @@ func (b *Buffer) ReadUvarint() (uint64, error) {
 	}
 	b.rpos += n
 	return v, nil
+}
+
+// ReadCount consumes an element count, refusing with ErrBadCount one
+// larger than what remains to hold the elements: a byte each, and for
+// doors a door slot each. A decoder sizes its allocation by the count only
+// through this check, so a few bytes off the wire cannot claim gigabytes.
+func (b *Buffer) ReadCount(doors bool) (int, error) {
+	n, err := b.ReadUvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(b.Len()) || doors && n > uint64(len(b.doors)-b.dcursor) {
+		return 0, ErrBadCount
+	}
+	return int(n), nil
 }
 
 // ReadVarint consumes and returns a signed varint.

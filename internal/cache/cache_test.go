@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -218,5 +219,10 @@ func TestReadOpSetTruncated(t *testing.T) {
 	b.WriteUvarint(5) // claims 5 entries, provides none
 	if _, err := ReadOpSet(b); err == nil {
 		t.Fatal("truncated op set accepted")
+	}
+	b.Reset()
+	b.WriteUvarint(1 << 40) // claims what no buffer holds: refused unsized
+	if _, err := ReadOpSet(b); !errors.Is(err, buffer.ErrBadCount) {
+		t.Fatalf("op set of 2^40 entries: %v, want ErrBadCount", err)
 	}
 }

@@ -37,12 +37,12 @@ func (s OpSet) MarshalTo(buf *buffer.Buffer) {
 
 // ReadOpSet consumes a set from buf.
 func ReadOpSet(buf *buffer.Buffer) (OpSet, error) {
-	n, err := buf.ReadUvarint()
+	n, err := buf.ReadCount(false)
 	if err != nil {
 		return nil, err
 	}
 	s := make(OpSet, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		op, err := buf.ReadUint32()
 		if err != nil {
 			return nil, err

@@ -17,7 +17,7 @@
 //		ListenFunc: fn.ListenFunc(nil), // nil inner funcs mean sock's
 //		DialFunc:   fn.Dialer(nil),
 //	}
-//	srv, _ := netd.Start(dom, "127.0.0.1:0", netd.WithTransport(tr))
+//	srv, _ := netd.Start(dom, "127.0.0.1:0", netd.With(netd.Config{Transport: tr}))
 //	...
 //	fn.Partition()      // peer falls silent: reads stall, writes vanish
 //	fn.Heal()           // stalled readers wake; traffic resumes

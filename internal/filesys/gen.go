@@ -1212,7 +1212,7 @@ func (c FileSystem) List() ([]string, error) {
 		func(b *buffer.Buffer) error {
 			var err error
 			_ = err
-			n15, err := b.ReadUvarint()
+			n15, err := b.ReadCount(false)
 			if err != nil {
 				return err
 			}

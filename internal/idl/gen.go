@@ -258,7 +258,7 @@ func (g *generator) emitRead(indent, buf, dest, env string, t *Type, borrow stri
 			return
 		}
 		n := g.temp("n")
-		g.printf("%s%s, err := %s.ReadUvarint()\n%sif err != nil {\n%s\treturn err\n%s}\n", indent, n, buf, indent, indent, indent)
+		g.printf("%s%s, err := %s.ReadCount(false)\n%sif err != nil {\n%s\treturn err\n%s}\n", indent, n, buf, indent, indent, indent)
 		g.printf("%s%s = make([]%s, %s)\n", indent, dest, goType(r.Elem), n)
 		i := g.temp("i")
 		g.printf("%sfor %s := range %s {\n", indent, i, dest)

@@ -123,8 +123,8 @@ func startDurableServer(t *testing.T, listenAddr, walDir, rwalDir, stateFile str
 	}
 
 	srv.net, err = netd.Start(k.NewDomain("S-netd"), listenAddr,
-		netd.With(fastCfg()), netd.WithTransport(netd.SameMachine()),
-		netd.WithStateFile(stateFile), netd.WithRebinder(rebinder))
+		netd.With(fastCfg()), netd.With(netd.Config{Transport: netd.SameMachine(),
+			StateFile: stateFile, Rebinder: rebinder}))
 	if err != nil {
 		t.Fatal(err)
 	}

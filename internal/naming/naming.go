@@ -320,12 +320,12 @@ func (c Context) Unbind(name string) error {
 func (c Context) List() ([]string, error) {
 	var names []string
 	err := stubs.Call(c.Obj, opList, nil, func(b *buffer.Buffer) error {
-		n, err := b.ReadUvarint()
+		n, err := b.ReadCount(false)
 		if err != nil {
 			return err
 		}
 		names = make([]string, 0, n)
-		for i := uint64(0); i < n; i++ {
+		for i := 0; i < n; i++ {
 			s, err := b.ReadString()
 			if err != nil {
 				return err

@@ -1,9 +1,11 @@
 package naming
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
+	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/sctest"
@@ -352,5 +354,22 @@ func TestHandle(t *testing.T) {
 	}
 	if _, err := h.List(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestListRefusesHugeCount: a List reply that declares 2^40 names is
+// refused, not sized by the count.
+func TestListRefusesHugeCount(t *testing.T) {
+	_, srv, cli := setup(t)
+	obj, _ := singleton.Export(srv, ContextMT, stubs.SkeletonFunc(func(_ core.OpNum, _, results *buffer.Buffer) error {
+		results.WriteUvarint(1 << 40)
+		return nil
+	}), nil)
+	remote, err := sctest.Transfer(obj, cli, ContextMT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (Context{Obj: remote}).List(); !errors.Is(err, buffer.ErrBadCount) {
+		t.Fatalf("List = %v, want ErrBadCount", err)
 	}
 }

@@ -100,7 +100,7 @@ func FuzzFrame(f *testing.F) {
 	}
 
 	k := kernel.New("fuzz")
-	srv, err := Start(k.NewDomain("netd"), "127.0.0.1:0", WithTransport(SameMachine()))
+	srv, err := Start(k.NewDomain("netd"), "127.0.0.1:0", With(Config{Transport: SameMachine()}))
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -17,8 +17,8 @@ import (
 // exactly where RAFDA and the ODP channel-objects work argue distribution
 // failure policy belongs.
 
-// Liveness gauges, exposed through the scstats text exposition
-// (springfsd -scstats). Levels (conns/sessions/exports live, releases
+// Liveness gauges, exposed on /metrics and /statz (springfsd -telemetry)
+// and summarised by /healthz. Levels (conns/sessions/exports live, releases
 // queued) move both ways; the rest are monotonic event counts. The control
 // plane's gauges move slot for slot with its tally.
 var tallyGauges = [nTally]*scstats.Gauge{

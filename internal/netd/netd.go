@@ -214,9 +214,8 @@ func (cfg Config) withDefaults() Config {
 type Option func(*Config)
 
 // With overlays an explicit Config: each non-zero field replaces the
-// accumulated value and zero fields leave it alone, so it composes with
-// the other options in either order (it is the bridge from
-// flag-structured code — build a Config, pass With(cfg)).
+// accumulated value and zero fields leave it alone, so several compose in
+// either order. It is the one way to configure a Server.
 func With(cfg Config) Option {
 	return func(c *Config) {
 		if cfg.CallTimeout != 0 {
@@ -253,29 +252,6 @@ func With(cfg Config) Option {
 			c.Dispatch = cfg.Dispatch
 		}
 	}
-}
-
-// WithDispatch tunes serve-side dispatch (admission bounds, inline fast
-// path).
-func WithDispatch(dc DispatchConfig) Option {
-	return func(c *Config) { c.Dispatch = dc }
-}
-
-// WithTransport selects the transport tier.
-func WithTransport(t Transport) Option { return func(c *Config) { c.Transport = t } }
-
-// WithBulkThreshold sets the bulk-connection threshold in bytes.
-func WithBulkThreshold(n int) Option { return func(c *Config) { c.BulkThreshold = n } }
-
-// WithStateFile makes the server durable: its session/lease table and
-// labeled exports persist to path, and a restart against the same path
-// rejoins under the old instance identity.
-func WithStateFile(path string) Option { return func(c *Config) { c.StateFile = path } }
-
-// WithRebinder sets the label resolver a durable server uses on restart
-// to reattach persisted export keys to live doors.
-func WithRebinder(fn func(label string) (kernel.Ref, bool)) Option {
-	return func(c *Config) { c.Rebinder = fn }
 }
 
 // Server is one machine's network door server.
@@ -407,8 +383,8 @@ func commErr(format string, args ...any) error {
 // stats is the network door servers' metrics block: one entry per
 // forwarded call, with deadline/cancellation endings broken out.
 // serveStats meters the other direction — calls arriving off the wire and
-// dispatched into local doors — so a daemon that mostly *serves* still has
-// a live exposition (springfsd -scstats).
+// dispatched into local doors — so a daemon that mostly *serves* still
+// shows its traffic on /metrics and /statz (springfsd -telemetry).
 var (
 	stats      = scstats.For("netd")
 	serveStats = scstats.For("netd(serve)")

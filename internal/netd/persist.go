@@ -193,10 +193,10 @@ func (s *Server) LabelDoor(ref kernel.Ref, label string) {
 // Compose it with service-specific label families:
 //
 //	rebind := netd.RootRebinder(roots)
-//	netd.WithRebinder(func(label string) (kernel.Ref, bool) {
+//	netd.With(netd.Config{Rebinder: func(label string) (kernel.Ref, bool) {
 //	        if ref, ok := rebind(label); ok { return ref, true }
 //	        return myServiceRebind(label)
-//	})
+//	}})
 func RootRebinder(roots map[string]*core.Object) func(string) (kernel.Ref, bool) {
 	return func(label string) (kernel.Ref, bool) {
 		rest, ok := strings.CutPrefix(label, "root:")

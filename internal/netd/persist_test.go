@@ -49,7 +49,7 @@ func startDurable(t *testing.T, listenAddr, stateFile string) *durableProc {
 	obj, _ := singleton.Export(env, sctest.CounterMT, ctr.Skeleton(), nil)
 	roots := map[string]*core.Object{"counter": obj}
 	srv, err := Start(k.NewDomain("D-netd"), listenAddr,
-		With(fastLivenessCfg()), WithStateFile(stateFile), WithRebinder(RootRebinder(roots)))
+		With(fastLivenessCfg()), With(Config{StateFile: stateFile, Rebinder: RootRebinder(roots)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestCorruptStateFileRefusesStart(t *testing.T) {
 	}
 	k := kernel.New("D")
 	_, err := Start(k.NewDomain("D-netd"), "127.0.0.1:0",
-		With(fastLivenessCfg()), WithStateFile(stateFile))
+		With(fastLivenessCfg()), With(Config{StateFile: stateFile}))
 	if err == nil {
 		t.Fatal("start over a corrupt state file succeeded")
 	}
@@ -214,7 +214,7 @@ func restart(t *testing.T, path string) (*Server, error) {
 	}
 	obj, _ := singleton.Export(env, sctest.CounterMT, (&sctest.Counter{}).Skeleton(), nil)
 	srv, err := Start(k.NewDomain("F-netd"), "127.0.0.1:0", With(fastLivenessCfg()),
-		WithStateFile(path), WithRebinder(RootRebinder(map[string]*core.Object{"counter": obj})))
+		With(Config{StateFile: path, Rebinder: RootRebinder(map[string]*core.Object{"counter": obj})}))
 	if err == nil {
 		t.Cleanup(func() { srv.Close() })
 	}

@@ -168,15 +168,14 @@ func TestAbandonRacedByDeliveryDrainsParkedReply(t *testing.T) {
 }
 
 func TestWithOverlaysNonZeroFields(t *testing.T) {
-	// With(cfg) is an overlay, not a wholesale replacement: it must
-	// compose with the other options in either order, replacing only the
-	// fields cfg sets.
+	// With(cfg) is an overlay, not a wholesale replacement: several
+	// compose in either order, each replacing only the fields it sets.
 	sm := SameMachine()
 	var c Config
-	WithTransport(sm)(&c)
+	With(Config{Transport: sm})(&c)
 	With(Config{CallTimeout: time.Minute})(&c)
 	if c.Transport != Transport(sm) {
-		t.Fatalf("With dropped the transport option: %v", c.Transport)
+		t.Fatalf("With dropped the earlier transport: %v", c.Transport)
 	}
 	if c.CallTimeout != time.Minute {
 		t.Fatalf("CallTimeout = %v, want 1m", c.CallTimeout)

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -193,28 +192,9 @@ type HistBucket struct {
 	ExNs    int64
 }
 
-// BucketCount is an occupied bucket as index and count — all that Sub reads
-// of the older snapshot, in 16 bytes where a HistBucket is 40 — for a
-// sampler that retains many snapshots only to subtract them later (Pack).
-type BucketCount struct {
-	Idx   uint16
-	Count uint64
-}
-
-// Unpack rebuilds the subtrahend a BucketCount list stands for: bounds
-// derived from the indices, counts, and no exemplars (Sub takes those from
-// the newer side).
-func Unpack(p []BucketCount) HistSnapshot {
-	s := HistSnapshot{Buckets: make([]HistBucket, 0, len(p))}
-	for _, c := range p {
-		s.Buckets = appendBucket(s.Buckets, HistBucket{Lo: boundNs(bucketLo(int(c.Idx))), Hi: boundNs(bucketHi(int(c.Idx))), Count: c.Count})
-	}
-	return s
-}
-
 // appendBucket appends b, or folds it into the last bucket when both end at
-// the same nanosecond: below 1 ns a tick two small buckets can, and Sub and
-// Merge, which match buckets by their bounds, must never see such a pair.
+// the same nanosecond: below 1 ns a tick two small buckets can, and Sub,
+// which matches buckets by their bounds, must never see such a pair.
 func appendBucket(bs []HistBucket, b HistBucket) []HistBucket {
 	if n := len(bs); n > 0 && bs[n-1].Hi == b.Hi {
 		bs[n-1].Count += b.Count
@@ -229,29 +209,26 @@ func appendBucket(bs []HistBucket, b HistBucket) []HistBucket {
 // HistSnapshot is a point-in-time copy of a Hist with bounds converted to
 // nanoseconds. Buckets are ascending and sparse (zero-count buckets
 // omitted). Snapshots from one process share bucket bounds (the tick
-// scale is frozen), so Sub and Merge match buckets exactly.
+// scale is frozen), so Sub matches buckets exactly.
 type HistSnapshot struct {
 	Count   uint64
 	SumNs   int64 // estimated from bucket midpoints
 	Buckets []HistBucket
 }
 
-// histSnapshot sums the shards and converts to nanoseconds.
-func (h *Hist) histSnapshot() HistSnapshot {
-	if h == nil {
-		return HistSnapshot{}
-	}
-	var counts [histBuckets]uint64
-	h.addTo(&counts)
+// snapshotOf converts counts, summed in ticks, to a snapshot; ex, when not
+// nil, gives bucket i's exemplar as (trace, ticks).
+func snapshotOf(counts *[histBuckets]uint64, ex func(i int) (uint64, uint64)) HistSnapshot {
 	var sn HistSnapshot
 	for i, c := range counts {
 		if c == 0 {
 			continue
 		}
 		b := HistBucket{Lo: boundNs(bucketLo(i)), Hi: boundNs(bucketHi(i)), Count: c}
-		if tr := h.exTrace[i].Load(); tr != 0 {
-			b.ExTrace = tr
-			b.ExNs = ticksToNs(int64(h.exTick[i].Load()))
+		if ex != nil {
+			if tr, tk := ex(i); tr != 0 {
+				b.ExTrace, b.ExNs = tr, ticksToNs(int64(tk))
+			}
 		}
 		sn.Buckets = appendBucket(sn.Buckets, b)
 		sn.Count += c
@@ -259,6 +236,9 @@ func (h *Hist) histSnapshot() HistSnapshot {
 	}
 	return sn
 }
+
+// exemplar is bucket i's exemplar as (trace, ticks), trace 0 for none.
+func (h *Hist) exemplar(i int) (uint64, uint64) { return h.exTrace[i].Load(), h.exTick[i].Load() }
 
 // addTo sums the shards into counts.
 func (h *Hist) addTo(counts *[histBuckets]uint64) {
@@ -349,38 +329,6 @@ func (s HistSnapshot) Sub(prev HistSnapshot) HistSnapshot {
 	return out
 }
 
-// Merge returns the sum of two snapshots (per-op histograms merging into
-// a subcontract aggregate; shard merges). Exemplars prefer s's buckets.
-func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
-	var out HistSnapshot
-	i, j := 0, 0
-	for i < len(s.Buckets) || j < len(o.Buckets) {
-		var b HistBucket
-		switch {
-		case j >= len(o.Buckets) || (i < len(s.Buckets) && s.Buckets[i].Hi < o.Buckets[j].Hi):
-			b = s.Buckets[i]
-			i++
-		case i >= len(s.Buckets) || o.Buckets[j].Hi < s.Buckets[i].Hi:
-			b = o.Buckets[j]
-			j++
-		default: // equal bounds
-			b = s.Buckets[i]
-			b.Count += o.Buckets[j].Count
-			if b.ExTrace == 0 {
-				b.ExTrace, b.ExNs = o.Buckets[j].ExTrace, o.Buckets[j].ExNs
-			}
-			i++
-			j++
-		}
-		out.Buckets = append(out.Buckets, b)
-	}
-	for _, b := range out.Buckets {
-		out.Count += b.Count
-		out.SumNs += int64(b.Count) * midNs(b.Lo, b.Hi)
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------
 // Named histograms.
 //
@@ -413,16 +361,7 @@ type NamedHistSnapshot struct {
 
 // HistSnapshots returns every interned named histogram, sorted by name.
 // Idle histograms are included so their series exist from process start.
-func HistSnapshots() []NamedHistSnapshot {
-	var out []NamedHistSnapshot
-	hists.Range(func(_, v any) bool {
-		nh := v.(*namedHist)
-		out = append(out, NamedHistSnapshot{Name: nh.name, Hist: nh.h.histSnapshot()})
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+func HistSnapshots() []NamedHistSnapshot { return Take().Hists }
 
 // ---------------------------------------------------------------------
 // Per-peer RED.
@@ -444,8 +383,8 @@ type PeerStats struct {
 func (p *PeerStats) Addr() string { return p.addr }
 
 // Record counts one forwarded call: d is the measured duration in ticks
-// (0 when the call path's record mode measured nothing — the call still
-// counts), traceID the exemplar candidate, err the outcome.
+// (0 when the call path measured nothing — the call still counts),
+// traceID the exemplar candidate, err the outcome.
 func (p *PeerStats) Record(d int64, traceID uint64, err error) {
 	if p == nil {
 		return
@@ -476,21 +415,4 @@ type PeerSnapshot struct {
 	Calls  uint64
 	Errors uint64
 	Lat    HistSnapshot
-}
-
-// PeerSnapshots returns every interned peer, sorted by address.
-func PeerSnapshots() []PeerSnapshot {
-	var out []PeerSnapshot
-	peers.Range(func(_, v any) bool {
-		p := v.(*PeerStats)
-		out = append(out, PeerSnapshot{
-			Addr:   p.addr,
-			Calls:  p.Calls.Load(),
-			Errors: p.Errors.Load(),
-			Lat:    p.lat.histSnapshot(),
-		})
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out
 }

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/kernel"
 )
 
 func TestBucketIdxBounds(t *testing.T) {
@@ -101,9 +103,14 @@ func TestHistSubAndMerge(t *testing.T) {
 		t.Fatalf("delta missing the 1ms observation: %+v", d.Buckets)
 	}
 
-	m := prev.Merge(d)
-	if m.Count != cur.Count {
-		t.Fatalf("merge Count = %d, want %d", m.Count, cur.Count)
+	// Merging, as the walk sums a subcontract's op histograms, gives the
+	// counts of both.
+	other := newHist()
+	other.Observe(time.Second, 0)
+	var counts [histBuckets]uint64
+	sum(&counts, h, []*Hist{nil, other})
+	if m := snapshotOf(&counts, nil); m.Count != cur.Count+1 || len(m.Buckets) != len(cur.Buckets)+1 {
+		t.Fatalf("merge = %+v, want %d calls in %d buckets", m, cur.Count+1, len(cur.Buckets)+1)
 	}
 	// Sub of identical snapshots is empty.
 	if e := cur.Sub(cur); e.Count != 0 || len(e.Buckets) != 0 {
@@ -137,7 +144,7 @@ func TestHistExemplar(t *testing.T) {
 	}
 }
 
-// TestHistConcurrent exercises record/snapshot/merge under the race
+// TestHistConcurrent exercises record/snapshot/sub under the race
 // detector: recorders with and without exemplars racing a reader.
 func TestHistConcurrent(t *testing.T) {
 	h := newHist()
@@ -154,7 +161,8 @@ func TestHistConcurrent(t *testing.T) {
 			default:
 			}
 			sn := h.histSnapshot()
-			acc = acc.Merge(sn)
+			_ = sn.Sub(acc)
+			acc = sn
 			_ = sn.Quantile(0.99)
 		}
 	}()
@@ -181,10 +189,12 @@ func TestRecordAllocs(t *testing.T) {
 	Reset()
 	s := For("allocguard")
 	s.EndCall(s.Begin(), 1, 0, nil) // warm the op-1 table slot
-	if n := testing.AllocsPerRun(200, func() {
-		s.EndCall(s.Begin(), 1, 0xbeef, nil)
-	}); n != 0 {
-		t.Fatalf("Begin/EndCall allocates %v per call, want 0", n)
+	for _, err := range []error{nil, kernel.ErrDeadlineExceeded, errSentinel} {
+		if n := testing.AllocsPerRun(200, func() {
+			s.EndCall(s.Begin(), 1, 0xbeef, err)
+		}); n != 0 {
+			t.Fatalf("Begin/EndCall(err %v) allocates %v per call, want 0", err, n)
+		}
 	}
 	h := HistFor("allocguard.hist")
 	if n := testing.AllocsPerRun(200, func() {
@@ -228,7 +238,7 @@ func TestPeerStats(t *testing.T) {
 	p.Record(nsToTicks(int64(time.Millisecond)), 0x42, nil)
 	p.Record(0, 0, errKindOf())
 	found := false
-	for _, sn := range PeerSnapshots() {
+	for _, sn := range Take().Peers {
 		if sn.Addr != "host:1234" {
 			continue
 		}
@@ -254,3 +264,10 @@ var errSentinel = &sentinelErr{}
 type sentinelErr struct{}
 
 func (*sentinelErr) Error() string { return "sentinel" }
+
+// histSnapshot is h's live snapshot.
+func (h *Hist) histSnapshot() HistSnapshot {
+	var counts [histBuckets]uint64
+	h.addTo(&counts)
+	return snapshotOf(&counts, h.exemplar)
+}

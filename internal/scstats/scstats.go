@@ -4,16 +4,17 @@
 // telemetry plane (/metrics, /statz, cmd/sctop).
 //
 // The design is dictated by the minimal-call path budget (≤30 ns over the
-// bare singleton call, see bench E14 and the E22 record-cost sweep):
+// bare singleton call, bench E14; the record itself is priced against one
+// atomic add by TestRecordCostGuard):
 //
 //   - A Stats is a flat struct of atomic counters plus always-on HDR
 //     latency histograms (hist.go). Recording a call is one atomic add for
 //     the call counter, two reads of the cheap tick clock (clock.go), and
 //     one striped atomic add into a log bucket. No locks, no maps, no
-//     allocation, no interface dispatch on the hot path.
+//     allocation, no interface dispatch and no mode branch on the hot path.
 //   - Every call is measured — the 1-in-8 sampler of the v1 plane is gone.
-//     Percentiles (p50/p90/p99/p999) come from the bucket counts via the
-//     mergeable HistSnapshot API.
+//     Percentiles (p50/p90/p99/p999) come from the bucket counts via
+//     HistSnapshot, which subtracts for windows.
 //   - Latency is keyed by subcontract × op: EndCall records into a per-op
 //     histogram (ops above maxOps share an overflow slot) and snapshots
 //     merge the per-op histograms into the subcontract aggregate.
@@ -35,30 +36,6 @@ import (
 
 	"repro/internal/buffer"
 )
-
-// RecordMode selects what Begin/EndCall do with the clock and the
-// histogram. The default, RecordAlways, is the production plane; the
-// other modes exist so the E22 sweep can decompose the record cost.
-type RecordMode int32
-
-const (
-	// RecordAlways measures and records every call (the default).
-	RecordAlways RecordMode = iota
-	// RecordTimed reads the clock on every call but skips the histogram
-	// write: the E22 guard baselines against it so the guarded delta is
-	// the record cost proper, independent of what the host's clock costs.
-	RecordTimed
-	// RecordOff never reads the clock; only counters advance.
-	RecordOff
-)
-
-var recMode atomic.Int32 // holds a RecordMode; zero value = RecordAlways
-
-// SetRecordMode switches the process-wide record mode (benchmarks only).
-func SetRecordMode(m RecordMode) { recMode.Store(int32(m)) }
-
-// Mode returns the current record mode.
-func Mode() RecordMode { return RecordMode(recMode.Load()) }
 
 // OpNone keys EndCall recordings that carry no op number; they land in
 // the subcontract's unkeyed histogram rather than a per-op slot.
@@ -115,15 +92,12 @@ func newStats(name string) *Stats {
 func (s *Stats) Name() string { return s.name }
 
 // Begin records the start of an invocation and returns the value to pass
-// to End/EndCall: a tick timestamp, or 0 under RecordOff.
+// to End/EndCall: a tick timestamp.
 func (s *Stats) Begin() (start int64) {
 	if s == nil {
 		return 0
 	}
 	s.Calls.Add(1)
-	if RecordMode(recMode.Load()) == RecordOff {
-		return 0
-	}
 	return clockNow()
 }
 
@@ -133,7 +107,7 @@ func (s *Stats) Begin() (start int64) {
 // the call lands in — callers pass the call's trace ID for head-sampled
 // traces and 0 otherwise (speculative tail-capture traces are usually
 // abandoned and would leave dangling exemplars). It returns the measured
-// duration in clock ticks, 0 if none was taken; netd reuses it for the
+// duration in clock ticks, 0 when start is 0; netd reuses it for the
 // per-peer histogram so a forwarded call reads the clock only once.
 func (s *Stats) EndCall(start int64, op uint32, traceID uint64, err error) int64 {
 	if s == nil {
@@ -142,11 +116,7 @@ func (s *Stats) EndCall(start int64, op uint32, traceID uint64, err error) int64
 	var d int64
 	if start != 0 {
 		d = clockNow() - start
-		if RecordMode(recMode.Load()) != RecordTimed {
-			s.histOf(op).record(d, traceID)
-		} else {
-			d = 0
-		}
+		s.histOf(op).record(d, traceID)
 	}
 	if err != nil {
 		s.Error(err)
@@ -245,13 +215,6 @@ type Snapshot struct {
 	Misses           uint64
 	Coalesced        uint64
 
-	// LatencySamples counts recorded durations (every call, in the
-	// default record mode); LatencyMean and LatencySum are estimated
-	// from the histogram's bucket midpoints (≤ ~6% bucket width error).
-	LatencySamples uint64
-	LatencyMean    time.Duration
-	LatencySum     time.Duration
-
 	// Lat is the subcontract aggregate histogram (per-op histograms
 	// merged with the unkeyed one); Ops the per-op breakdown, sparse.
 	Lat HistSnapshot
@@ -264,43 +227,6 @@ type OpSnapshot struct {
 	// Overflow marks the shared slot holding every op ≥ maxOps.
 	Overflow bool
 	Lat      HistSnapshot
-}
-
-func (s *Stats) snapshot() Snapshot {
-	sn := Snapshot{
-		Name:             s.name,
-		Calls:            s.Calls.Load(),
-		Errors:           s.Errors.Load(),
-		DeadlineExceeded: s.DeadlineExceeded.Load(),
-		Cancelled:        s.Cancelled.Load(),
-		Retries:          s.Retries.Load(),
-		Failovers:        s.Failovers.Load(),
-		Reconnects:       s.Reconnects.Load(),
-		Hits:             s.Hits.Load(),
-		Misses:           s.Misses.Load(),
-		Coalesced:        s.Coalesced.Load(),
-	}
-	lat := s.lat.histSnapshot()
-	if t := s.ops.Load(); t != nil {
-		for op, h := range *t {
-			if h == nil {
-				continue
-			}
-			hs := h.histSnapshot()
-			if hs.Count == 0 {
-				continue
-			}
-			sn.Ops = append(sn.Ops, OpSnapshot{Op: uint32(op), Overflow: op == maxOps, Lat: hs})
-			lat = lat.Merge(hs)
-		}
-	}
-	sn.Lat = lat
-	sn.LatencySamples = lat.Count
-	sn.LatencySum = time.Duration(lat.SumNs)
-	if lat.Count > 0 {
-		sn.LatencyMean = time.Duration(lat.Mean())
-	}
-	return sn
 }
 
 // ---------------------------------------------------------------------
@@ -425,21 +351,6 @@ func For(name string) *Stats {
 	}
 	v, _ := registry.LoadOrStore(name, newStats(name))
 	return v.(*Stats)
-}
-
-// AllSnapshots returns a snapshot of every interned subcontract, sorted
-// by name, including blocks that have seen no calls — the telemetry
-// plane's /metrics uses it so every instrumented subcontract's series
-// exist from process start rather than popping into existence at first
-// call.
-func AllSnapshots() []Snapshot {
-	var out []Snapshot
-	registry.Range(func(_, v any) bool {
-		out = append(out, v.(*Stats).snapshot())
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // Reset zeroes every interned counter block, histogram, gauge and peer.

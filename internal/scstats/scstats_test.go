@@ -28,7 +28,7 @@ func TestBeginEndAlwaysOn(t *testing.T) {
 	for i := 0; i < n; i++ {
 		start := s.Begin()
 		if start == 0 {
-			t.Fatalf("call %d: not measured under RecordAlways", i)
+			t.Fatalf("call %d: not measured", i)
 		}
 		s.End(start, nil)
 	}
@@ -36,37 +36,11 @@ func TestBeginEndAlwaysOn(t *testing.T) {
 	if sn.Calls != n {
 		t.Fatalf("Calls = %d, want %d", sn.Calls, n)
 	}
-	if sn.LatencySamples != n {
-		t.Fatalf("LatencySamples = %d, want %d (every call recorded)", sn.LatencySamples, n)
+	if sn.Lat.Count != n {
+		t.Fatalf("Lat.Count = %d, want %d (every call recorded)", sn.Lat.Count, n)
 	}
 	if sn.Errors != 0 {
 		t.Fatalf("Errors = %d, want 0", sn.Errors)
-	}
-}
-
-func TestRecordModeTimedAndOff(t *testing.T) {
-	Reset()
-	defer SetRecordMode(RecordAlways)
-
-	SetRecordMode(RecordTimed)
-	s := For("modetimed")
-	start := s.Begin()
-	if start == 0 {
-		t.Fatal("RecordTimed should read the clock")
-	}
-	if d := s.EndCall(start, OpNone, 0, nil); d != 0 {
-		t.Fatalf("RecordTimed EndCall returned %d, want 0 (nothing recorded)", d)
-	}
-	if sn := s.snapshot(); sn.LatencySamples != 0 {
-		t.Fatalf("RecordTimed recorded %d samples, want 0", sn.LatencySamples)
-	}
-
-	SetRecordMode(RecordOff)
-	if start := s.Begin(); start != 0 {
-		t.Fatal("RecordOff should not read the clock")
-	}
-	if sn := s.snapshot(); sn.Calls != 2 {
-		t.Fatalf("Calls = %d, want 2", sn.Calls)
 	}
 }
 
@@ -81,8 +55,8 @@ func TestEndCallPerOp(t *testing.T) {
 	s.EndCall(s.Begin(), maxOps+41, 0, nil)
 
 	sn := s.snapshot()
-	if sn.LatencySamples != 5 {
-		t.Fatalf("aggregate samples = %d, want 5", sn.LatencySamples)
+	if sn.Lat.Count != 5 {
+		t.Fatalf("aggregate samples = %d, want 5", sn.Lat.Count)
 	}
 	got := map[uint32]uint64{}
 	overflow := uint64(0)
@@ -109,8 +83,8 @@ func TestFirstCallIsMeasured(t *testing.T) {
 		t.Fatalf("first call not measured")
 	}
 	s.End(start, nil)
-	if sn := s.snapshot(); sn.LatencySamples != 1 {
-		t.Fatalf("LatencySamples = %d, want 1", sn.LatencySamples)
+	if sn := s.snapshot(); sn.Lat.Count != 1 {
+		t.Fatalf("Lat.Count = %d, want 1", sn.Lat.Count)
 	}
 }
 
@@ -153,8 +127,8 @@ func TestConcurrentRecording(t *testing.T) {
 	if got := s.Calls.Load(); got != 8000 {
 		t.Fatalf("Calls = %d, want 8000", got)
 	}
-	if sn := s.snapshot(); sn.LatencySamples != 8000 {
-		t.Fatalf("LatencySamples = %d, want 8000", sn.LatencySamples)
+	if sn := s.snapshot(); sn.Lat.Count != 8000 {
+		t.Fatalf("Lat.Count = %d, want 8000", sn.Lat.Count)
 	}
 }
 
@@ -186,4 +160,14 @@ func TestGauges(t *testing.T) {
 	nilG.Add(1)
 	nilG.Set(1)
 	_ = nilG.Value()
+}
+
+// snapshot is s as AllSnapshots reports it.
+func (s *Stats) snapshot() Snapshot {
+	for _, sn := range AllSnapshots() {
+		if sn.Name == s.name {
+			return sn
+		}
+	}
+	return Snapshot{}
 }

@@ -44,8 +44,7 @@ func auditStats() error {
 		byName[sn.Name] = sn
 	}
 	// Every subcontract the battery exercises must have recorded calls,
-	// and at least one sampled latency observation (the sampler always
-	// takes a block's first call, so any traffic at all yields samples).
+	// and latency observations (every call is recorded).
 	// This is the full instrumented name set: singleton, priority and txn
 	// report through the shared doorsc ops (scstats.For(o.SCName)), simplex
 	// splits its doorless same-address-space path out as "simplex(local)",
@@ -63,7 +62,7 @@ func auditStats() error {
 		if sn.Calls == 0 {
 			return fmt.Errorf("subcontract %q: zero call counter", name)
 		}
-		if sn.LatencySamples == 0 {
+		if sn.Lat.Count == 0 {
 			return fmt.Errorf("subcontract %q: zero latency samples", name)
 		}
 	}

@@ -158,19 +158,32 @@ func (o ops) Unmarshal(env *core.Env, mt *core.MTable, buf *buffer.Buffer) (*cor
 	if err != nil {
 		return nil, err
 	}
-	n, err := buf.ReadUvarint()
+	hs, err := adoptReplicas(env.Domain, buf)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("replicon: unmarshal %w", err)
+	}
+	return core.NewObject(env, core.PickMTable(mt, actual), o, &Rep{hs: hs, epoch: epoch}), nil
+}
+
+// adoptReplicas reads a replica count and adopts that many doors from buf.
+// On a failure partway it deletes the handles it had adopted.
+func adoptReplicas(dom *kernel.Domain, buf *buffer.Buffer) ([]kernel.Handle, error) {
+	n, err := buf.ReadCount(true)
+	if err != nil {
+		return nil, fmt.Errorf("replica count: %w", err)
 	}
 	hs := make([]kernel.Handle, 0, n)
-	for i := uint64(0); i < n; i++ {
-		h, err := env.Domain.AdoptFromBuffer(buf)
+	for i := 0; i < n; i++ {
+		h, err := dom.AdoptFromBuffer(buf)
 		if err != nil {
-			return nil, fmt.Errorf("replicon: unmarshal replica %d: %w", i, err)
+			for _, h := range hs {
+				_ = dom.DeleteDoor(h)
+			}
+			return nil, fmt.Errorf("replica %d: %w", i, err)
 		}
 		hs = append(hs, h)
 	}
-	return core.NewObject(env, core.PickMTable(mt, actual), o, &Rep{hs: hs, epoch: epoch}), nil
+	return hs, nil
 }
 
 // InvokePreamble writes the client's replica-set epoch into the call
@@ -317,17 +330,9 @@ func (r *Rep) applyUpdate(dom *kernel.Domain, reply *buffer.Buffer) error {
 	if err != nil {
 		return err
 	}
-	n, err := reply.ReadUvarint()
+	hs, err := adoptReplicas(dom, reply)
 	if err != nil {
-		return err
-	}
-	hs := make([]kernel.Handle, 0, n)
-	for i := uint64(0); i < n; i++ {
-		h, err := dom.AdoptFromBuffer(reply)
-		if err != nil {
-			return fmt.Errorf("replicon: adopting updated replica %d: %w", i, err)
-		}
-		hs = append(hs, h)
+		return fmt.Errorf("replicon: adopting updated %w", err)
 	}
 	r.mu.Lock()
 	old := r.hs

@@ -359,3 +359,64 @@ func TestNoPolicyDropsLastReplica(t *testing.T) {
 		t.Fatalf("Add without policy = %v, want ErrNoReplicas", err)
 	}
 }
+
+// TestUnmarshalRefusesHugeReplicaCount: a reference of a few bytes that
+// declares 2^40 replicas is refused before anything is sized by the count.
+func TestUnmarshalRefusesHugeReplicaCount(t *testing.T) {
+	cli := client(t, kernel.New("m1"))
+	buf := buffer.New(64)
+	core.WriteHeader(buf, SCID, sctest.CounterMT.Type)
+	buf.WriteUint32(1)
+	buf.WriteUvarint(1 << 40)
+	if buf.Len() > 64 {
+		t.Fatalf("hostile reference is %d bytes, want ≤ 64", buf.Len())
+	}
+	if _, err := core.Unmarshal(cli, sctest.CounterMT, buf); !errors.Is(err, buffer.ErrBadCount) {
+		t.Fatalf("Unmarshal = %v, want ErrBadCount", err)
+	}
+}
+
+// TestUpdateRefusesHugeReplicaCount: a reply's control section that
+// declares 2^40 replicas is refused the same way, so a server cannot kill
+// its client.
+func TestUpdateRefusesHugeReplicaCount(t *testing.T) {
+	cli := client(t, kernel.New("m1"))
+	reply := buffer.New(16)
+	reply.WriteByte(1)
+	reply.WriteUint32(2)
+	reply.WriteUvarint(1 << 40)
+	if err := (&Rep{}).applyUpdate(cli.Domain, reply); !errors.Is(err, buffer.ErrBadCount) {
+		t.Fatalf("applyUpdate = %v, want ErrBadCount", err)
+	}
+}
+
+// TestUnmarshalStrandsNoHandles: a reference whose last door is missing,
+// or is not a door at all, fails to unmarshal and leaves the receiving
+// domain's live-door count where it was.
+func TestUnmarshalStrandsNoHandles(t *testing.T) {
+	k := kernel.New("m1")
+	g, _, _, _ := sharedCounter(t, k, 3)
+	for _, last := range []string{"missing", "not a door"} {
+		t.Run(last, func(t *testing.T) {
+			src, dst := client(t, k), client(t, k)
+			buf := buffer.New(64)
+			if err := g.Export(src, sctest.CounterMT).Marshal(buf); err != nil {
+				t.Fatal(err)
+			}
+			doors := buf.Doors()
+			dropped := doors[len(doors)-1].(kernel.Ref)
+			defer dropped.Release()
+			doors = doors[:len(doors)-1]
+			if last != "missing" {
+				doors = append(doors, last)
+			}
+			before := dst.Domain.HandleCount()
+			if _, err := core.Unmarshal(dst, sctest.CounterMT, buffer.FromParts(buf.Bytes(), doors)); err == nil {
+				t.Fatal("Unmarshal of a reference short of its last door succeeded")
+			}
+			if after := dst.Domain.HandleCount(); after != before {
+				t.Fatalf("live doors %d → %d: a failed Unmarshal stranded the handles it adopted", before, after)
+			}
+		})
+	}
+}

@@ -94,11 +94,11 @@ var counterGauges = map[string]bool{
 
 // writeMetrics renders the whole registry.
 func writeMetrics(w io.Writer) {
-	sns := scstats.AllSnapshots()
+	reg := scstats.Take()
 
 	for _, fam := range counterFamilies {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", fam.name, fam.help, fam.name)
-		for _, sn := range sns {
+		for _, sn := range reg.Subcontracts {
 			fmt.Fprintf(w, "%s{subcontract=%q} %d\n", fam.name, sn.Name, fam.get(sn))
 		}
 	}
@@ -107,27 +107,26 @@ func writeMetrics(w io.Writer) {
 	// detail is served by /statz).
 	const hist = "subcontract_latency_seconds"
 	fmt.Fprintf(w, "# HELP %s Invocation latency over every call (always-on HDR buckets; bucket exemplars carry the last traced call).\n# TYPE %s histogram\n", hist, hist)
-	for _, sn := range sns {
+	for _, sn := range reg.Subcontracts {
 		writeHistRow(w, hist, fmt.Sprintf("subcontract=%q", sn.Name), sn.Lat)
 	}
 
 	// Per-peer RED from netd's forward path.
-	peers := scstats.PeerSnapshots()
 	fmt.Fprintf(w, "# HELP netd_peer_calls_total Calls forwarded to the peer.\n# TYPE netd_peer_calls_total counter\n")
-	for _, p := range peers {
+	for _, p := range reg.Peers {
 		fmt.Fprintf(w, "netd_peer_calls_total{peer=%q} %d\n", p.Addr, p.Calls)
 	}
 	fmt.Fprintf(w, "# HELP netd_peer_errors_total Forwarded calls that returned an error.\n# TYPE netd_peer_errors_total counter\n")
-	for _, p := range peers {
+	for _, p := range reg.Peers {
 		fmt.Fprintf(w, "netd_peer_errors_total{peer=%q} %d\n", p.Addr, p.Errors)
 	}
 	fmt.Fprintf(w, "# HELP netd_peer_latency_seconds Forwarded-call latency per peer.\n# TYPE netd_peer_latency_seconds histogram\n")
-	for _, p := range peers {
+	for _, p := range reg.Peers {
 		writeHistRow(w, "netd_peer_latency_seconds", fmt.Sprintf("peer=%q", p.Addr), p.Lat)
 	}
 
 	// Named histograms (dispatch queue delay, cache miss fill, ...).
-	for _, nh := range scstats.HistSnapshots() {
+	for _, nh := range reg.Hists {
 		name := sanitizeMetricName(nh.Name) + "_seconds"
 		fmt.Fprintf(w, "# TYPE %s histogram\n", name)
 		writeHistRow(w, name, "", nh.Hist)

@@ -23,9 +23,9 @@ import (
 // (sctop -once). Gauges are levels, not counts: a response carries their
 // current values, read when it is rendered and never sampled into the ring.
 //
-// The ring keeps of each sample only what a later delta reads of the older
-// side (packed, below): a sample is a few KB, and once the default ring
-// (128 samples ≈ 2 minutes) has wrapped, sampling allocates nothing.
+// The ring keeps each sample packed (below): a sample is a few KB, and once
+// the default ring (128 samples ≈ 2 minutes) has wrapped, sampling
+// allocates nothing.
 
 const (
 	statzInterval = time.Second
@@ -33,35 +33,22 @@ const (
 	statzMaxWin   = 10 * time.Minute
 )
 
-// statzSample is one timestamped registry snapshot.
+// statzSample is one side of a window: the registry, the buffer ledger and
+// netd's admission counter (a level, not a count).
 type statzSample struct {
-	at    time.Time
-	scs   []scstats.Snapshot
-	peers []scstats.PeerSnapshot
-	hists []scstats.NamedHistSnapshot
-	bufs  buffer.Ledger
-	// inflight is netd's admission counter: a level, not a count.
+	at time.Time
+	scstats.Sample
+	bufs     buffer.Ledger
 	inflight int64
 }
 
 var gServeInflight = scstats.GaugeFor("netd.serve_inflight")
 
-func takeStatzSample(at time.Time) statzSample {
-	return statzSample{
-		at:       at,
-		scs:      scstats.AllSnapshots(),
-		peers:    scstats.PeerSnapshots(),
-		hists:    scstats.HistSnapshots(),
-		bufs:     buffer.Stats(),
-		inflight: gServeInflight.Value(),
-	}
-}
-
 // packed is what the ring keeps of a sample: scstats' packed form — one row
-// per histogram with the counters a delta subtracts, the rows' occupied
-// buckets back to back as (index, count) — taken straight off the live
-// registry. Bounds are derived when a window is asked for, and exemplars
-// come from the newer side of a delta, which is live.
+// per histogram with its counters, the rows' occupied buckets back to back
+// as (index, count) — taken straight off the live registry. Bounds are
+// derived when a window is asked for; Unpack assembles the older side of a
+// window as Take assembles the live, newer one.
 type packed struct {
 	at       time.Time
 	rows     []scstats.PackedRow
@@ -83,28 +70,8 @@ func (p *packed) take(at time.Time, last *packed) {
 	p.rows, p.cells = scstats.Pack(p.rows[:0], p.cells[:0])
 }
 
-// unpack rebuilds the sample as statzDelta's older side.
-func (p *packed) unpack() statzSample {
-	s := statzSample{at: p.at, bufs: p.bufs, inflight: p.inflight}
-	cells := p.cells
-	for _, r := range p.rows {
-		h := scstats.Unpack(cells[:r.N])
-		cells = cells[r.N:]
-		switch r.Kind {
-		case 's':
-			s.scs = append(s.scs, scstats.Snapshot{Name: r.Name, Calls: r.C[0], Errors: r.C[1],
-				Retries: r.C[2], Hits: r.C[3], Misses: r.C[4], Coalesced: r.C[5],
-				Failovers: r.C[6], Reconnects: r.C[7], Lat: h})
-		case 'o':
-			sc := &s.scs[len(s.scs)-1]
-			sc.Ops = append(sc.Ops, scstats.OpSnapshot{Op: r.Op, Overflow: r.Overflow, Lat: h})
-		case 'p':
-			s.peers = append(s.peers, scstats.PeerSnapshot{Addr: r.Name, Calls: r.C[0], Errors: r.C[1], Lat: h})
-		case 'h':
-			s.hists = append(s.hists, scstats.NamedHistSnapshot{Name: r.Name, Hist: h})
-		}
-	}
-	return s
+func (p *packed) sample() statzSample {
+	return statzSample{at: p.at, Sample: scstats.Unpack(p.rows, p.cells), bufs: p.bufs, inflight: p.inflight}
 }
 
 // statzRing is a fixed-capacity ring of samples, oldest overwritten
@@ -153,7 +120,7 @@ func (r *statzRing) before(cutoff time.Time) (statzSample, bool) {
 			break
 		}
 	}
-	return p.unpack(), true
+	return p.sample(), true
 }
 
 // ---------------------------------------------------------------------
@@ -271,11 +238,11 @@ func statzDelta(cur, prev statzSample, secs float64, withBuckets bool) statzResp
 		return float64(n) / secs
 	}
 
-	prevSC := make(map[string]scstats.Snapshot, len(prev.scs))
-	for _, s := range prev.scs {
+	prevSC := make(map[string]scstats.Snapshot, len(prev.Subcontracts))
+	for _, s := range prev.Subcontracts {
 		prevSC[s.Name] = s
 	}
-	for _, c := range cur.scs {
+	for _, c := range cur.Subcontracts {
 		p := prevSC[c.Name] // zero Snapshot when new since prev
 		lat := c.Lat.Sub(p.Lat)
 		sc := statzSC{
@@ -309,11 +276,11 @@ func statzDelta(cur, prev statzSample, secs float64, withBuckets bool) statzResp
 		resp.Subcontracts = append(resp.Subcontracts, sc)
 	}
 
-	prevPeer := make(map[string]scstats.PeerSnapshot, len(prev.peers))
-	for _, s := range prev.peers {
+	prevPeer := make(map[string]scstats.PeerSnapshot, len(prev.Peers))
+	for _, s := range prev.Peers {
 		prevPeer[s.Addr] = s
 	}
-	for _, c := range cur.peers {
+	for _, c := range cur.Peers {
 		p := prevPeer[c.Addr]
 		sp := statzPeer{
 			Addr:    c.Addr,
@@ -329,11 +296,11 @@ func statzDelta(cur, prev statzSample, secs float64, withBuckets bool) statzResp
 		resp.Peers = append(resp.Peers, sp)
 	}
 
-	prevHist := make(map[string]scstats.NamedHistSnapshot, len(prev.hists))
-	for _, s := range prev.hists {
+	prevHist := make(map[string]scstats.NamedHistSnapshot, len(prev.Hists))
+	for _, s := range prev.Hists {
 		prevHist[s.Name] = s
 	}
-	for _, c := range cur.hists {
+	for _, c := range cur.Hists {
 		d := c.Hist.Sub(prevHist[c.Name].Hist)
 		if d.Count == 0 {
 			continue
@@ -399,21 +366,14 @@ func (st *statzState) handle(w *response, r *request) {
 	withBuckets := r.query.Get("buckets") == "1"
 
 	now := time.Now()
-	cur := takeStatzSample(now)
-	var prev statzSample
-	if window == 0 {
-		// Totals since process start: diff against the empty registry.
-		prev = statzSample{at: st.ring.start}
-	} else if s, ok := st.ring.before(now.Add(-window)); ok {
-		prev = s
-	} else {
-		prev = statzSample{at: st.ring.start}
+	cur := statzSample{at: now, Sample: scstats.Take(), bufs: buffer.Stats(), inflight: gServeInflight.Value()}
+	prev := statzSample{at: st.ring.start} // window 0: totals since start
+	if window != 0 {
+		if s, ok := st.ring.before(now.Add(-window)); ok {
+			prev = s
+		}
 	}
-	secs := now.Sub(prev.at).Seconds()
-	if window == 0 {
-		secs = now.Sub(st.ring.start).Seconds()
-	}
-	resp := statzDelta(cur, prev, secs, withBuckets)
+	resp := statzDelta(cur, prev, now.Sub(prev.at).Seconds(), withBuckets)
 	resp.Gauges = make(map[string]int64)
 	for _, g := range scstats.AllGauges() {
 		resp.Gauges[g.Name] = g.Value

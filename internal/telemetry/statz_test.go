@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -70,30 +69,34 @@ func TestStatzDeltaWindowMath(t *testing.T) {
 	t0 := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	prev := statzSample{
 		at: t0,
-		scs: []scstats.Snapshot{
-			{Name: "busy", Calls: 100, Errors: 2, Lat: synthLat(1000, 2000, 100)},
-			{Name: "idle", Calls: 7, Lat: synthLat(1000, 2000, 7)},
-		},
-		peers: []scstats.PeerSnapshot{
-			{Addr: "10.0.0.1:700", Calls: 50, Lat: synthLat(1000, 2000, 50)},
-		},
-		hists: []scstats.NamedHistSnapshot{
-			{Name: "dispatch.queue_delay", Hist: synthLat(100, 200, 10)},
+		Sample: scstats.Sample{
+			Subcontracts: []scstats.Snapshot{
+				{Name: "busy", Calls: 100, Errors: 2, Lat: synthLat(1000, 2000, 100)},
+				{Name: "idle", Calls: 7, Lat: synthLat(1000, 2000, 7)},
+			},
+			Peers: []scstats.PeerSnapshot{
+				{Addr: "10.0.0.1:700", Calls: 50, Lat: synthLat(1000, 2000, 50)},
+			},
+			Hists: []scstats.NamedHistSnapshot{
+				{Name: "dispatch.queue_delay", Hist: synthLat(100, 200, 10)},
+			},
 		},
 		bufs: buffer.Ledger{Gets: 300, Misses: 4, Puts: 298, Drops: 1},
 	}
 	cur := statzSample{
 		at: t0.Add(10 * time.Second),
-		scs: []scstats.Snapshot{
-			{Name: "busy", Calls: 150, Errors: 3, Lat: synthLat(1000, 2000, 150)},
-			{Name: "idle", Calls: 7, Lat: synthLat(1000, 2000, 7)},
-			{Name: "fresh", Calls: 20, Lat: synthLat(1000, 2000, 20)},
-		},
-		peers: []scstats.PeerSnapshot{
-			{Addr: "10.0.0.1:700", Calls: 80, Lat: synthLat(1000, 2000, 80)},
-		},
-		hists: []scstats.NamedHistSnapshot{
-			{Name: "dispatch.queue_delay", Hist: synthLat(100, 200, 25)},
+		Sample: scstats.Sample{
+			Subcontracts: []scstats.Snapshot{
+				{Name: "busy", Calls: 150, Errors: 3, Lat: synthLat(1000, 2000, 150)},
+				{Name: "idle", Calls: 7, Lat: synthLat(1000, 2000, 7)},
+				{Name: "fresh", Calls: 20, Lat: synthLat(1000, 2000, 20)},
+			},
+			Peers: []scstats.PeerSnapshot{
+				{Addr: "10.0.0.1:700", Calls: 80, Lat: synthLat(1000, 2000, 80)},
+			},
+			Hists: []scstats.NamedHistSnapshot{
+				{Name: "dispatch.queue_delay", Hist: synthLat(100, 200, 25)},
+			},
 		},
 		bufs:     buffer.Ledger{Gets: 450, Misses: 4, Puts: 450, Drops: 1},
 		inflight: 16,
@@ -215,13 +218,13 @@ func TestStatzEndpoint(t *testing.T) {
 }
 
 func TestStatzRingPacksSamples(t *testing.T) {
-	// A window's delta against a sample that went through the ring is, byte
-	// for byte, the delta against the sample itself: the ring keeps bucket
-	// indices and counts, and the bounds come back when they are asked for.
+	// What the ring keeps of a sample is, counters and buckets, what the
+	// live registry held when it was taken: the ring keeps bucket indices
+	// and counts, and the bounds come back when they are asked for.
 	sc, hist, peer := scstats.For("ring-test"), scstats.HistFor("ring-test.hist"), scstats.PeerFor("ring-test:1")
 	// Every exported counter moves, each by its own amount, so a counter the
-	// delta reads and the packed form does not carry shows up as a difference
-	// — including one added to Snapshot after this test was written.
+	// packed form does not carry shows up as a difference — including one
+	// added to Stats after this test was written.
 	bump := func(block any, by uint64) {
 		v := reflect.ValueOf(block).Elem()
 		for i := 0; i < v.NumField(); i++ {
@@ -246,22 +249,65 @@ func TestStatzRingPacksSamples(t *testing.T) {
 	}
 	t0 := time.Now()
 	record(200)
-	older := takeStatzSample(t0) // and the ring's own sample, with nothing recorded between
+	live := scstats.Take() // and the ring's own sample, with nothing recorded between
 	r := newStatzRing(4, t0)
 	r.push(t0)
 	record(300)
-	cur := takeStatzSample(t0.Add(10 * time.Second))
 	kept, ok := r.before(t0)
 	if !ok {
 		t.Fatal("the ring lost its only sample")
 	}
-	want, _ := json.Marshal(statzDelta(cur, older, 10, true))
-	got, _ := json.Marshal(statzDelta(cur, kept, 10, true))
-	if !bytes.Equal(got, want) {
-		t.Fatalf("delta against the ring's copy differs:\n got %s\nwant %s", got, want)
+	// The ring keeps no exemplars; everything else must match.
+	var want, got []any
+	for _, sn := range live.Subcontracts {
+		if sn.Name == "ring-test" {
+			sn.Lat = noExemplars(sn.Lat)
+			for i := range sn.Ops {
+				sn.Ops[i].Lat = noExemplars(sn.Ops[i].Lat)
+			}
+			want = append(want, sn)
+		}
 	}
-	if !bytes.Contains(want, []byte(`"name":"ring-test"`)) || !bytes.Contains(want, []byte(`"ops":[`)) {
-		t.Fatalf("the delta under test has no per-op histograms: %s", want)
+	for _, p := range live.Peers {
+		if p.Addr == "ring-test:1" {
+			p.Lat = noExemplars(p.Lat)
+			want = append(want, p)
+		}
+	}
+	for _, h := range live.Hists {
+		if h.Name == "ring-test.hist" {
+			h.Hist = noExemplars(h.Hist)
+			want = append(want, h)
+		}
+	}
+	for _, sn := range kept.Subcontracts {
+		if sn.Name == "ring-test" {
+			got = append(got, sn)
+		}
+	}
+	for _, p := range kept.Peers {
+		if p.Addr == "ring-test:1" {
+			got = append(got, p)
+		}
+	}
+	for _, h := range kept.Hists {
+		if h.Name == "ring-test.hist" {
+			got = append(got, h)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("the ring's copy differs from the live registry:\n got %+v\nwant %+v", got, want)
+	}
+	if len(want) != 3 || len(want[0].(scstats.Snapshot).Ops) != 3 {
+		t.Fatalf("the sample under test lacks a row or per-op histograms: %+v", want)
+	}
+	for _, row := range want[:2] { // every counter the walk carries moved
+		v := reflect.ValueOf(row)
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.Kind() == reflect.Uint64 && f.Uint() == 0 {
+				t.Errorf("%T.%s reads 0 after it moved", row, v.Type().Field(i).Name)
+			}
+		}
 	}
 	// Once the ring has wrapped, a sample reuses the evicted slot's arrays:
 	// taken off the live registry, it allocates nothing.
@@ -271,6 +317,15 @@ func TestStatzRingPacksSamples(t *testing.T) {
 	if n := testing.AllocsPerRun(50, func() { r.push(t0) }); n != 0 {
 		t.Errorf("a sample into a wrapped ring allocates %.0f objects, want 0", n)
 	}
+}
+
+// noExemplars is h without its bucket exemplars.
+func noExemplars(h scstats.HistSnapshot) scstats.HistSnapshot {
+	h.Buckets = append([]scstats.HistBucket(nil), h.Buckets...)
+	for i := range h.Buckets {
+		h.Buckets[i].ExTrace, h.Buckets[i].ExNs = 0, 0
+	}
+	return h
 }
 
 // statzQueries are /statz query values, window then buckets, seeding

@@ -21,9 +21,8 @@
 //	                  profiles
 //
 // The plane is read-only and carries no authentication — it is operator
-// tooling for machines you already own, like the SIGUSR1 scstats dump it
-// extends. Everything it serves comes from lock-free snapshots, so
-// scraping cannot perturb the data path.
+// tooling for machines you already own. Everything it serves comes from
+// lock-free snapshots, so scraping cannot perturb the data path.
 package telemetry
 
 import (
