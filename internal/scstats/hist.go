@@ -359,10 +359,6 @@ type NamedHistSnapshot struct {
 	Hist HistSnapshot
 }
 
-// HistSnapshots returns every interned named histogram, sorted by name.
-// Idle histograms are included so their series exist from process start.
-func HistSnapshots() []NamedHistSnapshot { return Take().Hists }
-
 // ---------------------------------------------------------------------
 // Per-peer RED.
 //

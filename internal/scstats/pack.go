@@ -4,7 +4,8 @@ import "sort"
 
 // The one walk over the registry's tables, and its two consumers: Pack, the
 // allocation-free form a sampler keeps (telemetry's /statz ring), and Take,
-// the live snapshot with exemplars (/metrics, AllSnapshots). Unpack turns a
+// the live snapshot with exemplars (/metrics, the newer side of a /statz
+// window, AllSnapshots). Unpack turns a
 // packed sample back into the Sample that Take returns, through the same
 // assembler, so both sides of a /statz window and the /metrics text read
 // the registry one way.
@@ -172,3 +173,7 @@ func (s Sample) sorted() Sample {
 // by name, including blocks that have seen no calls, so every
 // instrumented subcontract's series exist from process start.
 func AllSnapshots() []Snapshot { return Take().Subcontracts }
+
+// HistSnapshots returns every interned named histogram, sorted by name.
+// Idle histograms are included so their series exist from process start.
+func HistSnapshots() []NamedHistSnapshot { return Take().Hists }

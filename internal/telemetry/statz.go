@@ -70,10 +70,6 @@ func (p *packed) take(at time.Time, last *packed) {
 	p.rows, p.cells = scstats.Pack(p.rows[:0], p.cells[:0])
 }
 
-func (p *packed) sample() statzSample {
-	return statzSample{at: p.at, Sample: scstats.Unpack(p.rows, p.cells), bufs: p.bufs, inflight: p.inflight}
-}
-
 // statzRing is a fixed-capacity ring of samples, oldest overwritten
 // first. Kept free of HTTP concerns so the wraparound math is unit
 // testable.
@@ -120,7 +116,7 @@ func (r *statzRing) before(cutoff time.Time) (statzSample, bool) {
 			break
 		}
 	}
-	return p.sample(), true
+	return statzSample{at: p.at, Sample: scstats.Unpack(p.rows, p.cells), bufs: p.bufs, inflight: p.inflight}, true
 }
 
 // ---------------------------------------------------------------------
