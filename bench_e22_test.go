@@ -86,3 +86,34 @@ func TestE22PercentileMetrics(t *testing.T) {
 		t.Errorf("p99 (%v) < p50 (%v)", r.Extra["p99_ns"], r.Extra["p50_ns"])
 	}
 }
+
+// TestE22AlwaysOnAllocGuard is the acceptance guard for the always-on
+// histogram: every echo call is recorded, and recording it adds zero
+// allocations — the call plus a second record on the singleton's stats
+// (the same op slot the call writes) allocates no more than the call.
+func TestE22AlwaysOnAllocGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under the race detector, so per-call allocations are not a fixed count (E29)")
+	}
+	remote := e17World(t)
+	call := func() {
+		if err := callEcho(remote, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := e22SingletonLat()
+	const runs = 200
+	plain := testing.AllocsPerRun(runs, call)
+	// AllocsPerRun makes one warm-up call besides the runs.
+	if got := e22SingletonLat().Sub(before).Count; got < runs+1 {
+		t.Fatalf("singleton histogram grew by %d over %d echo calls; every call must be recorded", got, runs+1)
+	}
+	s := scstats.For("singleton")
+	recorded := testing.AllocsPerRun(runs, func() {
+		call()
+		s.EndCall(s.Begin(), 0, 0xbeef, nil)
+	})
+	if recorded > plain {
+		t.Errorf("echo plus a record allocates %.1f/op vs %.1f/op for the echo; record must be alloc-free", recorded, plain)
+	}
+}
