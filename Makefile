@@ -71,11 +71,12 @@ bench:
 # guards of the file data path, the E25 guards of the durable write path
 # and the E27 guards of the reply path and the buffer pool, without the
 # race detector (under it the allocation guards skip and the timing ones
-# mean nothing): a served 64 KiB read or write allocates nothing, a
-# borrowed argument is not retained, a file grown by appends is never
-# copied; a served durable write allocates nothing, commit included,
-# sixteen blocked remote writers share fsyncs eight or more at a time, a
-# lone one does not wait for company; the reply buffer is the reply frame,
+# mean nothing; the guards that count only large-class arrays run under it
+# too, in tier2's race pass and in faults): a served 64 KiB read or write
+# allocates nothing, a borrowed argument is not retained, a file grown by
+# appends is never copied; a served durable write allocates nothing,
+# commit included, sixteen blocked remote writers share fsyncs eight or
+# more at a time, a lone one does not wait for company; the reply buffer is the reply frame,
 # a payload-sized frame leaves uncopied, a 64 KiB read between 1 KiB reads
 # of the same file and of another allocates nothing, sixteen 64 KiB frames
 # in flight leave at most eighteen payload-sized arrays, a growing buffer
@@ -88,12 +89,15 @@ bench:
 # item allocates nothing once its heap has grown, Run only its closures
 # (E32); and a control-plane tick over a steady table allocates nothing
 # (E33); and the always-on record stays within its budget over one atomic
-# add and allocates nothing (E35) — so a
+# add and allocates nothing (E35); and the large class gives back the
+# arrays a burst left idle through two Trims and keeps a working set that
+# is cycled across ten, and a hand-off to the transient flusher allocates
+# nothing (E36) — so a
 # copy, an allocation, a pool, a timer or a writer goroutine creeping back
 # in fails tier2. -run exits 0 for a name that matches nothing, so the
 # list is checked against go test -list first: a guard that was renamed or
 # deleted fails the target instead of silently no longer running.
-GUARDS = TestServedReadWriteAllocs|TestServedMixedReadAllocs|TestReplyIsFrame|TestLargeFrameBypassesBatch|TestBorrowedBytesNotRetained|TestSequentialGrowthCopiesLinear|TestDurableWriteAllocs|TestGroupCommitGroups|TestLoneDurableWriteDoesNotLinger|TestSmallCallsDoNotPinLargeArrays|TestGrowthBorrowsIdleLarge|TestReserveBorrowsIdleLarge|TestSameMachineReadWriteAllocs|TestFramePrependAllocs|TestIdleConnGoroutines|TestNullCallOneFlushEachWay|TestFlusherNotCaptive|TestBulkBurstHandsOff|TestWritevAllocs|TestRunAllocs|TestSubmitAllocs|TestProtoTickAllocs|TestRecordCostGuard|TestRecordAllocs
+GUARDS = TestServedReadWriteAllocs|TestServedMixedReadAllocs|TestReplyIsFrame|TestLargeFrameBypassesBatch|TestBorrowedBytesNotRetained|TestSequentialGrowthCopiesLinear|TestDurableWriteAllocs|TestGroupCommitGroups|TestLoneDurableWriteDoesNotLinger|TestSmallCallsDoNotPinLargeArrays|TestGrowthBorrowsIdleLarge|TestReserveBorrowsIdleLarge|TestSameMachineReadWriteAllocs|TestFramePrependAllocs|TestIdleConnGoroutines|TestNullCallOneFlushEachWay|TestFlusherNotCaptive|TestBulkBurstHandsOff|TestWritevAllocs|TestRunAllocs|TestSubmitAllocs|TestProtoTickAllocs|TestRecordCostGuard|TestRecordAllocs|TestTrimReleasesIdleLarge|TestTrimKeepsWorkingSet|TestFlusherHandOffAllocs
 GUARD_PKGS = ./internal/netd/ ./internal/filesys/ ./internal/buffer/ ./internal/sock/ ./internal/dispatch/ ./internal/scstats/
 
 bench-quick:

@@ -23,6 +23,8 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"syscall"
+	"unsafe"
 )
 
 // Door is an opaque door reference slot. The kernel and the network door
@@ -83,7 +85,7 @@ func New(n int) *Buffer {
 	return &Buffer{data: make([]byte, 0, n)}
 }
 
-// pool and largePool recycle Buffers for the marshal and frame paths (netd
+// pool and large recycle Buffers for the marshal and frame paths (netd
 // frames, skeleton replies, stub arguments) in two size classes. Capacity
 // and the door slice are retained across uses, so a steady-state call
 // allocates nothing. Put files a buffer by the capacity it has, Get(n)
@@ -92,7 +94,56 @@ func New(n int) *Buffer {
 // payload-sized array is allocated only when none is idle, and the small
 // calls after a large one never draw, so never pin, its array. home is
 // &pool for both.
-var pool, largePool sync.Pool
+var pool sync.Pool
+
+// large is the large class: a stack of idle buffers, the last put on top,
+// and low, the fewest it has held since the last Trim. Not a sync.Pool:
+// only a collection empties one, and a server that allocates little hardly
+// ever collects, so a burst's arrays stayed resident all run (E36).
+var large struct {
+	mu   sync.Mutex
+	idle []*Buffer
+	low  int
+}
+
+// takeLarge takes the idle large buffer nearest the top with room for need
+// bytes, or returns nil. A top too small must not hide the ones beneath it,
+// which would lie idle, and be trimmed, beside a frame allocating.
+func takeLarge(need int) *Buffer {
+	large.mu.Lock()
+	defer large.mu.Unlock()
+	for i := len(large.idle) - 1; i >= 0; i-- {
+		if b := large.idle[i]; cap(b.data) >= need {
+			large.idle = slices.Delete(large.idle, i, i+1)
+			large.low = min(large.low, i)
+			return b
+		}
+	}
+	return nil
+}
+
+// Trim releases the large arrays idle since the previous Trim, those below
+// low: their whole pages go back to the kernel (MADV_DONTNEED), the arrays
+// to the collector. netd's sweepers call it each tick (the interval is the
+// time since the last call, whichever server made it), so a burst's arrays
+// leave RSS within two ticks and a steady load keeps its working set. The
+// arrays hold no pointers and the pool owns them: a reader that broke Put's
+// contract sees zeros, much as it would see poison. Trim does not collect:
+// a cycle costs more RSS than it frees (E36).
+func Trim() {
+	large.mu.Lock()
+	defer large.mu.Unlock()
+	pg := uintptr(syscall.Getpagesize())
+	for _, b := range large.idle[:large.low] {
+		p := b.front[:cap(b.front)]
+		at := uintptr(unsafe.Pointer(unsafe.SliceData(p)))
+		lo, hi := (at+pg-1)&^(pg-1)-at, (at+uintptr(len(p)))&^(pg-1)-at
+		_ = syscall.Madvise(p[lo:max(lo, hi)], syscall.MADV_DONTNEED)
+	}
+	ledger.released.Add(int64(large.low))
+	large.idle = slices.Delete(large.idle, 0, large.low)
+	large.low = len(large.idle)
+}
 
 // largeClass is the array size from which a buffer is in the large class.
 // Recorded frames below it: the 30-byte null call, 1 KiB reads and writes
@@ -130,9 +181,10 @@ const maxPooledCap = 256 << 10
 // fresh storage, or both); drops are Puts of buffers the pool never handed
 // out, or handed out and already took back; largeAllocs are the large-class
 // arrays allocated — by the pool, or by a producer whose result outgrew
-// ReserveBytes' tail — flat once as many exist as are ever in use at once.
+// ReserveBytes' tail — flat once as many exist as are ever in use at once;
+// released are the large arrays Trim gave back.
 var ledger struct {
-	gets, misses, puts, drops, largeAllocs atomic.Int64
+	gets, misses, puts, drops, largeAllocs, released atomic.Int64
 }
 
 // Ledger is a snapshot of the pool's counters since process start.
@@ -142,6 +194,7 @@ type Ledger struct {
 	Puts        int64 `json:"puts"`
 	Drops       int64 `json:"drops"`
 	LargeAllocs int64 `json:"large_allocs"`
+	Released    int64 `json:"released"`
 }
 
 // Sub returns the traffic between an earlier snapshot and l.
@@ -152,6 +205,7 @@ func (l Ledger) Sub(earlier Ledger) Ledger {
 		Puts:        l.Puts - earlier.Puts,
 		Drops:       l.Drops - earlier.Drops,
 		LargeAllocs: l.LargeAllocs - earlier.LargeAllocs,
+		Released:    l.Released - earlier.Released,
 	}
 }
 
@@ -163,6 +217,7 @@ func Stats() Ledger {
 		Puts:        ledger.puts.Load(),
 		Drops:       ledger.drops.Load(),
 		LargeAllocs: ledger.largeAllocs.Load(),
+		Released:    ledger.released.Load(),
 	}
 }
 
@@ -172,11 +227,12 @@ func Stats() Ledger {
 // contents are dead.
 func Get(n int) *Buffer {
 	ledger.gets.Add(1)
-	p := &pool
+	var b *Buffer
 	if isLarge(n) {
-		p = &largePool
+		b = takeLarge(n)
+	} else {
+		b, _ = pool.Get().(*Buffer)
 	}
-	b, _ := p.Get().(*Buffer)
 	fresh := b == nil
 	if fresh {
 		b = &Buffer{}
@@ -246,12 +302,8 @@ func (b *Buffer) grow(n int) {
 // goes to the small class with the array the stream was on: the ledger does
 // not move and no array is allocated or dropped.
 func (b *Buffer) swapLarge(need int) bool {
-	l, _ := largePool.Get().(*Buffer)
+	l := takeLarge(need)
 	if l == nil {
-		return false
-	}
-	if cap(l.data) < need {
-		largePool.Put(l)
 		return false
 	}
 	b.exchange(l)
@@ -302,14 +354,17 @@ func Put(b *Buffer) {
 			// give it one.
 			b.front, b.data = b.data, b.data[headroom:headroom]
 		}
-		if isLarge(cap(b.data)) {
-			h = &largePool
-		}
 	}
 	if poison.Load() {
 		fill(b.data[:cap(b.data)])
 	}
-	h.Put(b)
+	if h != &pool || !isLarge(cap(b.data)) {
+		h.Put(b)
+		return
+	}
+	large.mu.Lock()
+	large.idle = append(large.idle, b)
+	large.mu.Unlock()
 }
 
 // poison makes Put overwrite storage as it returns to a pool.

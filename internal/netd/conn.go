@@ -147,6 +147,7 @@ type conn struct {
 	iov     [][]byte
 	vec     [][]byte
 	wdl     time.Time
+	flusher func() // c.flushRest, bound once: a go statement on it allocates no closure
 
 	helloed  chan struct{} // closed once the peer's hello arrives
 	done     chan struct{} // closed when the conn dies
@@ -178,6 +179,7 @@ func newConn(netc sock.Stream) *conn {
 		done:    make(chan struct{}),
 	}
 	c.room.L = &c.wmu
+	c.flusher = c.flushRest
 	for i := range c.shards {
 		c.shards[i].m = make(map[uint64]*callFuture)
 	}
@@ -345,7 +347,7 @@ func (c *conn) flushLocked() {
 	}
 	c.take()
 	if !c.write(true) || c.more() {
-		go c.flushRest()
+		go c.flusher()
 	}
 }
 

@@ -193,7 +193,7 @@ func (s *Server) connClosed(c *conn, addr string) {
 // sweeper is the liveness clock: every half heartbeat interval it hands
 // the time and the live connections' stamps to the control plane's tick.
 // Its silence judgement is the partition detector — TCP alone never
-// notices a silent peer.
+// notices a silent peer. Each tick also trims the buffer pool (buffer.Trim).
 func (s *Server) sweeper() {
 	defer s.wg.Done()
 	t := time.NewTicker(max(s.cfg.HeartbeatInterval/2, time.Millisecond))
@@ -215,6 +215,7 @@ func (s *Server) sweeper() {
 		s.settle()
 		clear(stamps)
 		stamps = stamps[:0]
+		buffer.Trim()
 	}
 }
 

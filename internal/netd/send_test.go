@@ -283,6 +283,58 @@ func TestFlusherNotCaptive(t *testing.T) {
 	}
 }
 
+// handOffConn discards what is written, and the first Write after armed is
+// set queues one more frame on c: the sender finds the queue non-empty
+// after its batch and hands the write side to a transient flusher.
+type handOffConn struct {
+	*discardConn
+	c     *conn
+	armed bool
+}
+
+func (h *handOffConn) Write(p []byte) (int, error) {
+	if h.armed {
+		h.armed = false
+		_ = h.c.queue(buffer.Get(8))
+	}
+	return len(p), nil
+}
+
+func TestFlusherHandOffAllocs(t *testing.T) {
+	// Starting the transient flusher allocates nothing: go c.flushRest()
+	// made a closure per hand-off, garbage enough on a busy durable-write
+	// server to make it collect mid-run (E36).
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
+	}
+	netc := &handOffConn{discardConn: newDiscardConn()}
+	c := newConn(netc)
+	defer c.fail(errConnDead)
+	netc.c = c
+	flushers := gFlushes.Value()
+	handOff := func() {
+		netc.armed = true
+		if err := c.send(buffer.Get(8)); err != nil {
+			t.Fatal(err)
+		}
+		for { // until the flusher has written the second frame and let go
+			c.wmu.Lock()
+			writing := c.writing
+			c.wmu.Unlock()
+			if !writing {
+				return
+			}
+			runtime.Gosched()
+		}
+	}
+	if n := testing.AllocsPerRun(200, handOff); n > 0 {
+		t.Fatalf("a hand-off to the transient flusher allocates %.2f objects, want 0", n)
+	}
+	if d := gFlushes.Value() - flushers; d < 2*201 {
+		t.Fatalf("%d writes for 201 hand-offs: the flusher was not started", d)
+	}
+}
+
 func TestStalledPeerDoesNotHoldCallers(t *testing.T) {
 	// A stops reading — and keeps pinging, so B's heartbeat never finds it
 	// silent. B's callers send 192 KiB requests until the socket is full and
@@ -434,9 +486,6 @@ func TestNullCallOneFlushEachWay(t *testing.T) {
 }
 
 func TestBulkBurstHandsOff(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
-	}
 	const n, size = 16, 64 << 10
 	// burst sends one 64 KiB call to each of n fresh doors — doors with no
 	// history get a goroutine a call — back to back on one connection, and
@@ -456,8 +505,8 @@ func TestBulkBurstHandsOff(t *testing.T) {
 			binary.LittleEndian.PutUint64(peer.call[5:], uint64(100+i))
 			wire = append(wire, peer.call...)
 		}
-		runtime.GC() // twice: the pools' arrays are idle no more, so every
-		runtime.GC() // array the burst needs at once is one it makes
+		buffer.Trim() // twice: the large class's arrays are idle no more,
+		buffer.Trim() // so every array the burst needs at once is one it makes
 		before := buffer.Stats()
 		_ = peer.conn.SetDeadline(time.Now().Add(10 * time.Second))
 		if _, err := peer.conn.Write(wire); err != nil {

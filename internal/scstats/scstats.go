@@ -307,12 +307,13 @@ func init() {
 	// The communication-buffer pool's ledger (see buffer.Put): at rest
 	// gets == puts; misses are the Gets that had to allocate, drops the
 	// Puts of buffers the pool does not own, large_allocs the payload-class
-	// arrays allocated since start.
+	// arrays allocated since start, released those Trim gave back.
 	GaugeFunc("buffer.gets", func() int64 { return buffer.Stats().Gets })
 	GaugeFunc("buffer.misses", func() int64 { return buffer.Stats().Misses })
 	GaugeFunc("buffer.puts", func() int64 { return buffer.Stats().Puts })
 	GaugeFunc("buffer.drops", func() int64 { return buffer.Stats().Drops })
 	GaugeFunc("buffer.large_allocs", func() int64 { return buffer.Stats().LargeAllocs })
+	GaugeFunc("buffer.released", func() int64 { return buffer.Stats().Released })
 }
 
 // GaugeSnapshot is one gauge's name and value at read time.

@@ -74,6 +74,7 @@ var counterGauges = map[string]bool{
 	"buffer.large_allocs":      true,
 	"buffer.misses":            true,
 	"buffer.puts":              true,
+	"buffer.released":          true,
 	"cache.coalesced_misses":   true,
 	"cache.evictions":          true,
 	"dispatch.inline_hits":     true,

@@ -210,7 +210,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	// Monotonic event counts get counter conventions (_total suffix).
 	for _, want := range []string{"netd_breaker_opened_total", "netd_leases_expired_total",
-		"buffer_gets_total", "buffer_misses_total", "buffer_puts_total", "buffer_drops_total"} {
+		"buffer_gets_total", "buffer_misses_total", "buffer_puts_total", "buffer_drops_total",
+		"buffer_large_allocs_total", "buffer_released_total"} {
 		if !strings.Contains(body, "# TYPE "+want+" counter") {
 			t.Errorf("/metrics missing counter-convention gauge %s", want)
 		}
