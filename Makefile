@@ -4,7 +4,7 @@
 # suite — the liveness/partition tests under deterministic fault
 # injection (internal/faultnet) — and a smoke pass over the E15/E16
 # benchmark suites so they cannot silently rot.
-.PHONY: all tier1 tier2 faults crash bench bench-quick bench-pair bench-e2e-check bench-all gen gen-check obs lines
+.PHONY: all tier1 tier2 faults crash bench bench-quick bench-pair bench-e2e-check bench-all gen gen-check obs lines binsize
 
 all: tier1 tier2
 
@@ -135,6 +135,17 @@ lines:
 	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); if (d == $$2) d = "."; n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+
+# The resident binary's share of server_rss_mb (EXPERIMENTS E30, E31, E37):
+# the LOAD segments of springfsd built as benchmark/run.sh builds it (plain
+# go build, the host's default cgo setting), each with its file and memory
+# size in bytes, and the file sizes' total.
+binsize:
+	@d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	GOFLAGS= go build -o $$d/springfsd ./cmd/springfsd || exit 1; \
+	readelf -lW $$d/springfsd | grep '^ *LOAD' | { t=0; while read -r _ _ _ _ f m rest; do \
+		printf 'LOAD %-3s filesz %9d memsz %9d\n' "$${rest% *}" $$((f)) $$((m)); t=$$((t + f)); done; \
+		printf 'LOAD total filesz %d\n' $$t; }
 
 gen:
 	go run ./cmd/idlgen -package filesys -o internal/filesys/gen.go internal/filesys/filesys.idl

@@ -13,6 +13,9 @@ import (
 // cgo resolver made the build the benchmark runs link libc and the dynamic
 // loader, another 1.3 MiB of every server (E31). internal/sock is the
 // socket layer instead, so no package in either graph may have cgo files.
+// encoding/json, with the base64 and UTF-16 packages it links, was another
+// quarter megabyte (E37): the telemetry plane has its own encoder and
+// netd's state file is lines read with strconv.
 func TestNoHTTPStack(t *testing.T) {
 	gobin, err := exec.LookPath("go")
 	if err != nil {
@@ -33,6 +36,7 @@ func TestNoHTTPStack(t *testing.T) {
 		// net/http bundles HTTP/2 and vendors its hpack codec below this path;
 		// net vendors its DNS message codec.
 		if pkg == "net/http" || pkg == "crypto/tls" || pkg == "net" || pkg == "runtime/cgo" ||
+			pkg == "encoding/json" || pkg == "encoding/base64" || pkg == "unicode/utf16" ||
 			strings.HasPrefix(pkg, "vendor/golang.org/x/net/http2") || strings.HasPrefix(pkg, "vendor/golang.org/x/net/dns") {
 			t.Errorf("%s is back in the dependency graph of springfsd or fsh", pkg)
 		}

@@ -1,7 +1,8 @@
 package netd
 
 import (
-	"encoding/json"
+	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -43,30 +44,103 @@ const keySlack = 1 << 20
 
 // persistedRef is one export key held by a session, with its count.
 type persistedRef struct {
-	Key   uint64 `json:"key"`
-	Count int    `json:"count"`
+	Key   uint64
+	Count int
 }
 
 // persistedSession is one peer's lease as written to the state file.
 type persistedSession struct {
-	Instance uint64         `json:"instance"`
-	Epoch    uint64         `json:"epoch"`
-	Addr     string         `json:"addr,omitempty"`
-	Refs     []persistedRef `json:"refs,omitempty"`
+	Instance uint64
+	Epoch    uint64
+	Addr     string
+	Refs     []persistedRef
 }
 
 // persistedExport is one labeled export table entry.
 type persistedExport struct {
-	Key   uint64 `json:"key"`
-	Label string `json:"label"`
+	Key   uint64
+	Label string
 }
 
-// persistedState is the state file's JSON schema.
+// persistedState is what the state file holds, in the lines encode writes
+// (DESIGN §7); labels and addresses are quoted as strconv.Quote quotes them.
 type persistedState struct {
-	Instance uint64             `json:"instance"`
-	NextKey  uint64             `json:"next_key"`
-	Exports  []persistedExport  `json:"exports,omitempty"`
-	Sessions []persistedSession `json:"sessions,omitempty"`
+	Instance uint64
+	NextKey  uint64
+	Exports  []persistedExport
+	Sessions []persistedSession
+}
+
+const stateHeader = "netd-state 1"
+
+// encode renders ps as the state file's lines.
+func (ps *persistedState) encode() []byte {
+	b := fmt.Appendf(nil, "%s\ninstance %d\nnext_key %d\n", stateHeader, ps.Instance, ps.NextKey)
+	for _, e := range ps.Exports {
+		b = fmt.Appendf(b, "export %d %q\n", e.Key, e.Label)
+	}
+	for _, p := range ps.Sessions {
+		b = fmt.Appendf(b, "session %d %d %q", p.Instance, p.Epoch, p.Addr)
+		for _, r := range p.Refs {
+			b = fmt.Appendf(b, " %d:%d", r.Key, r.Count)
+		}
+		b = append(b, '\n')
+	}
+	return b
+}
+
+// parseState reads what encode wrote. Every line must parse and end in a
+// newline, so a file cut short is refused rather than read as less state.
+func parseState(data []byte) (*persistedState, error) {
+	body, whole := strings.CutSuffix(string(data), "\n")
+	lines := strings.Split(body, "\n")
+	if lines[0] != stateHeader {
+		return nil, errors.New("no " + stateHeader + " header line; a JSON state file an older springfsd wrote must be removed")
+	} else if !whole {
+		return nil, errors.New("the last line is cut short")
+	}
+	ps := &persistedState{}
+	for i, line := range lines[1:] {
+		var err error
+		field := func() (f string) {
+			f, line, _ = strings.Cut(line, " ")
+			return f
+		}
+		num := func(s string) uint64 {
+			n, e := strconv.ParseUint(s, 10, 64)
+			err = cmp.Or(err, e)
+			return n
+		}
+		quoted := func() string {
+			q, e := strconv.QuotedPrefix(line)
+			s, _ := strconv.Unquote(q)
+			line, err = strings.TrimPrefix(line[len(q):], " "), cmp.Or(err, e)
+			return s
+		}
+		switch field() {
+		case "instance":
+			ps.Instance = num(field())
+		case "next_key":
+			ps.NextKey = num(field())
+		case "export":
+			ps.Exports = append(ps.Exports, persistedExport{Key: num(field()), Label: quoted()})
+		case "session":
+			p := persistedSession{Instance: num(field()), Epoch: num(field()), Addr: quoted()}
+			for line != "" && err == nil {
+				key, count, _ := strings.Cut(field(), ":")
+				n, e := strconv.Atoi(count)
+				p.Refs = append(p.Refs, persistedRef{Key: num(key), Count: n})
+				err = cmp.Or(err, e)
+			}
+			ps.Sessions = append(ps.Sessions, p)
+		default:
+			err = strconv.ErrSyntax
+		}
+		if err != nil || line != "" {
+			return nil, fmt.Errorf("line %d is not a state-file line: %q", i+2, lines[i+1])
+		}
+	}
+	return ps, nil
 }
 
 // flushState writes the state file if the tables changed since the last
@@ -81,16 +155,12 @@ func (s *Server) flushState() {
 // directory, fsync, rename over the target, directory fsync. A crash at any
 // point leaves either the old file or the new one, never a torn mix.
 func writeStateFile(path string, ps *persistedState) error {
-	data, err := json.Marshal(ps)
-	if err != nil {
-		return err
-	}
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".netd-state-*")
 	if err != nil {
 		return err
 	}
-	_, err = tmp.Write(data)
+	_, err = tmp.Write(ps.encode())
 	if err == nil {
 		err = tmp.Sync()
 	}
@@ -124,8 +194,8 @@ func (s *Server) loadState() error {
 	if err != nil {
 		return fmt.Errorf("netd: read state file: %w", err)
 	}
-	var ps persistedState
-	if err = json.Unmarshal(data, &ps); err == nil {
+	ps, err := parseState(data)
+	if err == nil {
 		err = ps.check()
 	}
 	if err != nil {
@@ -144,7 +214,7 @@ func (s *Server) loadState() error {
 			inline: ref.InlineHint(), h: s.dom.AdoptRef(ref)})
 	}
 	s.mu.Lock()
-	s.proto.restore(&ps, rebound, time.Now())
+	s.proto.restore(ps, rebound, time.Now())
 	s.settle()
 	return nil
 }

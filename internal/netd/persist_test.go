@@ -1,11 +1,12 @@
 package netd
 
 import (
-	"encoding/json"
 	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -63,9 +64,8 @@ func waitForStateFile(t *testing.T, path string, pred func(persistedState) bool)
 	for {
 		data, err := os.ReadFile(path)
 		if err == nil {
-			var ps persistedState
-			if json.Unmarshal(data, &ps) == nil && pred(ps) {
-				return ps
+			if ps, err := parseState(data); err == nil && pred(*ps) {
+				return *ps
 			}
 		}
 		if time.Now().After(deadline) {
@@ -185,6 +185,55 @@ func TestCorruptStateFileRefusesStart(t *testing.T) {
 	}
 }
 
+// TestJSONStateFileRefused: the JSON state file an older springfsd wrote is
+// refused as corrupt, never read as a first boot, and the error says what
+// to do with it.
+func TestJSONStateFileRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "netd.state")
+	old := `{"instance":7,"next_key":12,"exports":[{"key":3,"label":"root:counter/0"}]}`
+	if err := os.WriteFile(path, []byte(old), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restart(t, path); err == nil || !strings.Contains(err.Error(), "older springfsd wrote must be removed") {
+		t.Fatalf("start over a JSON state file: %v", err)
+	}
+}
+
+// TestStateFileRoundTrip: parseState reads back what encode wrote, with
+// labels and addresses holding spaces, quotes, newlines, invalid UTF-8 or
+// nothing at all, keys up to MaxUint64 and negative counts.
+func TestStateFileRoundTrip(t *testing.T) {
+	r := rand.New(rand.NewPCG(7, 19))
+	num := func() uint64 { return []uint64{0, 1, math.MaxUint64, r.Uint64()}[r.IntN(4)] }
+	str := func() string {
+		return []string{"", "root:counter/0", "a b  c", `say "hi"`, "line\nbreak\r", "\xff\xfe\x00", "unix:/tmp/a b.sock", `\`, "h\u00e9llo \u2028"}[r.IntN(9)]
+	}
+	for i := range 1000 {
+		ps := &persistedState{Instance: num(), NextKey: num()}
+		for range r.IntN(4) {
+			ps.Exports = append(ps.Exports, persistedExport{Key: num(), Label: str()})
+		}
+		for range r.IntN(4) {
+			p := persistedSession{Instance: num(), Epoch: num(), Addr: str()}
+			for range r.IntN(4) {
+				p.Refs = append(p.Refs, persistedRef{Key: num(), Count: []int{0, 1, -2, math.MaxInt, math.MinInt}[r.IntN(5)]})
+			}
+			ps.Sessions = append(ps.Sessions, p)
+		}
+		data := ps.encode()
+		if got, err := parseState(data); err != nil || !reflect.DeepEqual(got, ps) {
+			t.Fatalf("state %d: %+v\nwrote %q\nread %+v, %v", i, ps, data, got, err)
+		}
+		// The file is replaced by rename, never cut short; if it were, only
+		// a cut at a line's end would read as less state.
+		if cut := data[:r.IntN(len(data))]; !strings.HasSuffix(string(cut), "\n") {
+			if _, err := parseState(cut); err == nil {
+				t.Fatalf("state %d: the file cut short parsed: %q", i, cut)
+			}
+		}
+	}
+}
+
 // TestFirstBootWritesStateFile: with no state file on disk, Start mints
 // an identity and persists it before serving.
 func TestFirstBootWritesStateFile(t *testing.T) {
@@ -195,8 +244,8 @@ func TestFirstBootWritesStateFile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("state file not written at first boot: %v", err)
 	}
-	var ps persistedState
-	if err := json.Unmarshal(data, &ps); err != nil {
+	ps, err := parseState(data)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if ps.Instance != d.srv.Instance() {
@@ -234,11 +283,12 @@ func heldRefs(ps *persistedState) map[uint64]map[uint64]int {
 }
 
 // FuzzStateFile restarts a durable server against arbitrary state-file
-// bytes. It comes up or refuses the file, never panics, and leaves the
-// exports_live and sessions_live gauges where they were once closed; when
-// it comes up no restored export can be reissued — every one is below the
-// key counter — and the file it flushed at start restarts with the same
-// instance and refcounts.
+// bytes. It comes up or refuses the file (always, when the file lacks the
+// header line, as the JSON older builds wrote does), never panics, and
+// leaves the exports_live and sessions_live gauges where they were once
+// closed; when it comes up no restored export can be reissued — every one
+// is below the key counter — and the file it flushed at start restarts
+// with the same instance and refcounts.
 func FuzzStateFile(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "netd.state")
@@ -255,6 +305,9 @@ func FuzzStateFile(f *testing.F) {
 		if err != nil {
 			settled()
 			return
+		}
+		if !strings.HasPrefix(string(data), stateHeader+"\n") {
+			t.Fatal("a file without the state-file header was read: a JSON one from an older build must be refused")
 		}
 		s.mu.Lock()
 		before := s.proto.snapshot()

@@ -26,7 +26,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -64,8 +63,8 @@ func Start(addr string) (*Server, error) {
 		routes: map[string]handler{
 			"/metrics":             handleMetrics,
 			"/statz":               st.handle,
-			"/traces":              handleTraces,
-			"/traces/slow":         handleSlowTraces,
+			"/traces":              listRoots(trace.Roots),
+			"/traces/slow":         listRoots(trace.SlowRoots),
 			"/traces/":             handleTrace,
 			"/healthz":             handleHealthz,
 			"/debug/pprof/":        handlePprof,
@@ -145,35 +144,22 @@ func nodeJSON(n *trace.Node) traceJSON {
 	return tj
 }
 
-func handleTraces(w *response, r *request) {
-	max := 50
-	if q := r.query.Get("max"); q != "" {
-		if n, err := strconv.Atoi(q); err == nil && n > 0 {
-			max = n
+// listRoots serves the newest ?max= (default 50) trace roots from a ring:
+// the sampled one at /traces, and at /traces/slow the tail-capture slow
+// ring — every call that exceeded its slow threshold, whether head
+// sampling caught it or tail capture did.
+func listRoots(roots func(max int) []trace.SpanData) handler {
+	return func(w *response, r *request) {
+		max, err := strconv.Atoi(r.query.Get("max"))
+		if err != nil || max <= 0 {
+			max = 50
 		}
-	}
-	out := []traceJSON{}
-	for _, sd := range trace.Roots(max) {
-		out = append(out, spanJSON(sd))
-	}
-	writeJSON(w, out)
-}
-
-// handleSlowTraces lists recent roots from the tail-capture slow ring:
-// every call that exceeded its slow threshold, whether head sampling
-// caught it or tail capture did.
-func handleSlowTraces(w *response, r *request) {
-	max := 50
-	if q := r.query.Get("max"); q != "" {
-		if n, err := strconv.Atoi(q); err == nil && n > 0 {
-			max = n
+		out := []traceJSON{}
+		for _, sd := range roots(max) {
+			out = append(out, spanJSON(sd))
 		}
+		writeJSON(w, out)
 	}
-	out := []traceJSON{}
-	for _, sd := range trace.SlowRoots(max) {
-		out = append(out, spanJSON(sd))
-	}
-	writeJSON(w, out)
 }
 
 func handleTrace(w *response, r *request) {
@@ -263,24 +249,10 @@ func handleHealthz(w *response, _ *request) {
 		ReleasesQueued:  g("netd.releases_queued"),
 		TraceSampleRate: trace.SamplingEvery(),
 	}
-	h.BreakersOpen = h.BreakerOpened - h.BreakerClosed
-	if h.BreakersOpen < 0 {
-		h.BreakersOpen = 0
-	}
+	h.BreakersOpen = max(0, h.BreakerOpened-h.BreakerClosed)
 	if h.BreakersOpen > 0 {
-		h.Degraded = append(h.Degraded,
-			fmt.Sprintf("%d circuit breaker(s) open: some peers unreachable", h.BreakersOpen))
-	}
-	if h.Degraded != nil {
-		h.Status = "degraded"
-		w.status = 503
+		h.Status, w.status = "degraded", 503
+		h.Degraded = []string{fmt.Sprintf("%d circuit breaker(s) open: some peers unreachable", h.BreakersOpen)}
 	}
 	writeJSON(w, h)
-}
-
-func writeJSON(w *response, v any) {
-	w.ctype = "application/json"
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }
