@@ -157,20 +157,22 @@ gen-check:
 	go run ./cmd/idlgen -package filesys internal/filesys/filesys.idl | diff -u internal/filesys/gen.go -
 	go run ./cmd/idlgen -package golden internal/idl/testdata/golden.idl | diff -u internal/idl/testdata/golden.go.golden -
 
-# Observability smoke: boot springfsd with the telemetry plane and
-# every-call tracing, drive a traced write/read through fsh, then scrape
-# every route family of the GET-only responder: /metrics (gauges + a
-# histogram trace exemplar), /statz (a windowed delta with subcontract
-# rows), /healthz, /traces (a JSON array) and /traces/zz (400), a heap
+# Observability smoke: boot springfsd with the telemetry plane, every-call
+# tracing and a 1ns slow threshold, drive a traced write/read through fsh,
+# then scrape every route family of the GET-only responder: /metrics
+# (gauges + a histogram trace exemplar), /statz (a windowed delta with
+# subcontract rows), /healthz, /traces (a JSON array), /traces/slow (a
+# root the daemon's own calls left there) and /traces/zz (400), a heap
 # profile through go tool pprof (a non-empty table) and the goroutine
-# profile's text form; and sctop -once, which must print a subcontract row
-# with nonzero calls and the netd link line. Binaries and scratch files
-# live in one mktemp directory, removed on exit.
+# profile's text form; an fsh call under an expired deadline must fail
+# with the deadline error; and sctop -once, which must print a
+# subcontract row with nonzero calls and the netd link line. Binaries and
+# scratch files live in one mktemp directory, removed on exit.
 obs:
 	@d=$$(mktemp -d); trap 'kill $$pid 2>/dev/null; rm -rf "$$d"' EXIT; \
 	go build -o $$d/springfsd ./cmd/springfsd && go build -o $$d/fsh ./cmd/fsh && \
 		go build -o $$d/sctop ./cmd/sctop || exit 1; \
-	$$d/springfsd -addr 127.0.0.1:17040 -telemetry 127.0.0.1:16060 -trace-sample 1 & \
+	$$d/springfsd -addr 127.0.0.1:17040 -telemetry 127.0.0.1:16060 -trace-sample 1 -trace-slow 1ns & \
 	pid=$$!; \
 	sleep 1; \
 	ok=0; \
@@ -184,6 +186,9 @@ obs:
 	curl -sf 'http://127.0.0.1:16060/statz?window=10s' | grep -q '"subcontracts"' && \
 	curl -sf http://127.0.0.1:16060/healthz | grep -q '"status"' && \
 	curl -sf http://127.0.0.1:16060/traces | grep -q '^\[' && \
+	curl -sf http://127.0.0.1:16060/traces/slow | grep -q '"trace": "' && \
+	! $$d/fsh -server 127.0.0.1:17040 -timeout 1ns cat obs-smoke 2> $$d/timeout.err && \
+	grep -q 'call deadline exceeded' $$d/timeout.err && \
 	test "$$(curl -s -o /dev/null -w '%{http_code}' http://127.0.0.1:16060/traces/zz)" = 400 && \
 	curl -sf 'http://127.0.0.1:16060/debug/pprof/goroutine?debug=1' | grep -q '^goroutine profile: total' && \
 	PPROF_TMPDIR=$$d/pprof go tool pprof -sample_index=alloc_space -top 'http://127.0.0.1:16060/debug/pprof/heap?gc=1' 2>/dev/null | \

@@ -39,11 +39,11 @@ import (
 
 // e20Setup builds the E15 loopback pair with an explicit server-side
 // dispatch configuration and skeleton.
-func e20Setup(dc netd.DispatchConfig, skel func() stubs.Skeleton) func(*testing.B) *core.Object {
+func e20Setup(dc netd.Config, skel func() stubs.Skeleton) func(*testing.B) *core.Object {
 	return func(b *testing.B) *core.Object {
 		b.Helper()
 		ka := kernel.New("e20-server")
-		sa, err := netd.Start(ka.NewDomain("server-netd"), "127.0.0.1:0", netd.With(netd.Config{Dispatch: dc}))
+		sa, err := netd.Start(ka.NewDomain("server-netd"), "127.0.0.1:0", netd.With(dc))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func e20Setup(dc netd.DispatchConfig, skel func() stubs.Skeleton) func(*testing.
 // E20Serve is the inline-eligible sweep: echo handlers under the two
 // dispatch modes. mode is "inline" or "spawn".
 func E20Serve(mode string, parallelism, payload int) func(*testing.B) {
-	var dc netd.DispatchConfig // "inline": the defaults
+	var dc netd.Config // "inline": the defaults
 	if mode == "spawn" {
 		dc.InlineThreshold = -1 // nothing is promoted; every call is spawned
 	}
@@ -105,7 +105,7 @@ func blockingSkeleton(d time.Duration) func() stubs.Skeleton {
 // handler's own 100µs ÷ parallelism: the callers' waits overlap only if
 // all of them are inside the server at once.
 func E20Blocking(parallelism int) func(*testing.B) {
-	return throughputBench(e20Setup(netd.DispatchConfig{}, blockingSkeleton(100*time.Microsecond)), parallelism, 0)
+	return throughputBench(e20Setup(netd.Config{}, blockingSkeleton(100*time.Microsecond)), parallelism, 0)
 }
 
 // E20Overload offers load at `factor` times the admission bound and
@@ -115,10 +115,9 @@ func E20Blocking(parallelism int) func(*testing.B) {
 func E20Overload(factor int) func(*testing.B) {
 	const bound = 64
 	return func(b *testing.B) {
-		setup := e20Setup(netd.DispatchConfig{
-			MaxInflight:     bound,
-			MaxPerPeer:      -1, // the single benchmark conn IS the load
-			InlineThreshold: -1, // every admitted call is spawned
+		setup := e20Setup(netd.Config{
+			MaxInflight:     2 * bound, // the single benchmark conn IS the load: its half is bound
+			InlineThreshold: -1,        // every admitted call is spawned
 		}, blockingSkeleton(20*time.Microsecond))
 		remote := setup(b)
 		if err := callEcho(remote, nil); err != nil {

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"log"
 	"strings"
-	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/cache"
@@ -35,23 +34,9 @@ import (
 var (
 	server = flag.String("server", "127.0.0.1:7040",
 		"springfsd address: IP:port ([v6]:port), localhost:port, or with -same-machine unix:<path>; host names are not resolved")
-	timeout = flag.Duration("timeout", 0, "per-call deadline (0 = none); expired calls fail with core.ErrDeadlineExceeded")
-
-	callTimeout = flag.Duration("call-timeout", 10*time.Second, "reply wait per forwarded call")
-	dialTimeout = flag.Duration("dial-timeout", 3*time.Second, "per connection attempt")
-	hbInterval  = flag.Duration("heartbeat", time.Second, "heartbeat interval on idle peer connections")
-	leaseGrace  = flag.Duration("lease-grace", 10*time.Second,
-		"how long a peer may be silent or disconnected before its references are reclaimed")
+	timeout     = flag.Duration("timeout", 0, "per-call deadline (0 = none); expired calls fail with core.ErrDeadlineExceeded")
 	sameMachine = flag.Bool("same-machine", false,
 		"enable the same-machine transport tier: dial and listen on unix:<path> addresses beside host:port ones")
-
-	cacheBudget = flag.Int64("cache-budget", 0,
-		"per-entry reply-cache byte budget for the cache manager (0 = default, negative = unbounded)")
-
-	reconnectAttempts = flag.Int("reconnect-attempts", 0,
-		"ride out server restarts: retry reconnectable calls up to this many times (0 = subcontract default)")
-	reconnectBackoff = flag.Duration("reconnect-backoff", 0,
-		"pause between reconnect attempts (0 = subcontract default)")
 
 	telemetryAddr = flag.String("telemetry", "",
 		"serve /metrics, /traces, /healthz and pprof on this address: IP:port, localhost:port or :port for every interface (e.g. :6061; empty = off)")
@@ -87,12 +72,7 @@ func main() {
 
 	// Local machine setup: kernel, network door server, naming, cache.
 	k := kernel.New("fsh")
-	cfg := netd.Config{
-		CallTimeout:       *callTimeout,
-		DialTimeout:       *dialTimeout,
-		HeartbeatInterval: *hbInterval,
-		LeaseGrace:        *leaseGrace,
-	}
+	var cfg netd.Config
 	if *sameMachine {
 		cfg.Transport = netd.SameMachine()
 	}
@@ -110,7 +90,7 @@ func main() {
 		return e
 	}
 	ns := naming.NewServer(newEnv("naming"))
-	mgr := cache.NewManagerWith(newEnv("cachemgr"), cache.Config{ReplyBudget: *cacheBudget})
+	mgr := cache.NewManager(newEnv("cachemgr"))
 	mgrObj, err := mgr.Object().Copy()
 	if err != nil {
 		log.Fatal(err)
@@ -138,23 +118,13 @@ func main() {
 	cli.Set(caching.LocalContextVar, ctxObj)
 
 	// Reconnectable files re-resolve themselves through the server's
-	// naming context after a restart; import it and set the retry policy
-	// so a durable (-wal) springfsd can be killed under a running fsh.
+	// naming context after a restart; import it so a durable (-wal)
+	// springfsd can be killed under a running fsh.
 	srvCtx, err := net.ImportRootObject(cli, *server, "naming", naming.ContextMT)
 	if err != nil {
 		log.Fatalf("connecting to %s: %v", *server, err)
 	}
 	cli.Set(reconnectable.ContextVar, srvCtx)
-	if *reconnectAttempts != 0 || *reconnectBackoff != 0 {
-		pol := reconnectable.DefaultPolicy
-		if *reconnectAttempts != 0 {
-			pol.MaxAttempts = *reconnectAttempts
-		}
-		if *reconnectBackoff != 0 {
-			pol.Backoff = *reconnectBackoff
-		}
-		cli.Set(reconnectable.PolicyVar, &pol)
-	}
 
 	fsObj, err := net.ImportRootObject(cli, *server, "fs", filesys.FileSystemMT)
 	if err != nil {

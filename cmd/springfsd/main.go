@@ -25,7 +25,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"syscall"
-	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/cache"
@@ -46,22 +45,8 @@ var (
 	snapshot = flag.String("snapshot", "", "stable-storage file: loaded at start, saved on shutdown")
 	walDir   = flag.String("wal", "",
 		"durability directory: write-ahead log + snapshot + netd state; mutations are fsynced before acknowledgment and a restart recovers transparently")
-	walBatch = flag.Int("wal-batch", 0, "max records fsynced per group-commit batch (0 = default 256)")
-
-	callTimeout = flag.Duration("call-timeout", 10*time.Second, "reply wait per forwarded call")
-	dialTimeout = flag.Duration("dial-timeout", 3*time.Second, "per connection attempt")
-	hbInterval  = flag.Duration("heartbeat", time.Second, "heartbeat interval on idle peer connections")
-	leaseGrace  = flag.Duration("lease-grace", 10*time.Second,
-		"how long a peer may be silent or disconnected before its references are reclaimed")
 	sameMachine = flag.Bool("same-machine", false,
 		"enable the same-machine transport tier: listen on and dial unix:<path> addresses beside host:port ones (a stale socket file left by a killed server is replaced)")
-	bulkThreshold = flag.Int("bulk-threshold", 0,
-		"payload size (bytes) from which a request rides the peer's bulk connection instead of its call connection (0 = default 8192)")
-	dispatchInflight = flag.Int("dispatch-inflight", 0,
-		"in-flight admission bound for incoming calls; past it callers get a retryable overload reply (0 = default 1024, negative = unbounded)")
-
-	cacheBudget = flag.Int64("cache-budget", 0,
-		"per-entry reply-cache byte budget for the cache manager (0 = default, negative = unbounded)")
 
 	telemetryAddr = flag.String("telemetry", "",
 		"serve /metrics, /traces, /healthz and pprof on this address: IP:port, localhost:port or :port for every interface (e.g. :6060; empty = off)")
@@ -101,7 +86,7 @@ func main() {
 
 	// Machine-local services: naming context and cache manager.
 	ns := naming.NewServer(newEnv("naming"))
-	mgr := cache.NewManagerWith(newEnv("cachemgr"), cache.Config{ReplyBudget: *cacheBudget})
+	mgr := cache.NewManager(newEnv("cachemgr"))
 	mgrObj, err := mgr.Object().Copy()
 	if err != nil {
 		log.Fatal(err)
@@ -118,7 +103,7 @@ func main() {
 	store := filesys.NewStore()
 	var wal *filesys.WAL
 	if *walDir != "" {
-		wal, err = filesys.OpenWAL(*walDir, store, filesys.WALOptions{MaxBatch: *walBatch})
+		wal, err = filesys.OpenWAL(*walDir, store, filesys.WALOptions{})
 		if err != nil {
 			log.Fatalf("opening wal: %v", err)
 		}
@@ -163,14 +148,7 @@ func main() {
 	// rebinds its persisted export labels against these roots inside
 	// Start, before it accepts the first reconnecting peer.
 	roots := map[string]*core.Object{"fs": svc.Object(), "naming": ns.Object()}
-	cfg := netd.Config{
-		CallTimeout:       *callTimeout,
-		DialTimeout:       *dialTimeout,
-		HeartbeatInterval: *hbInterval,
-		LeaseGrace:        *leaseGrace,
-		BulkThreshold:     *bulkThreshold,
-		Dispatch:          netd.DispatchConfig{MaxInflight: *dispatchInflight},
-	}
+	var cfg netd.Config
 	if *sameMachine {
 		cfg.Transport = netd.SameMachine()
 	}

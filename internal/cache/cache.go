@@ -19,7 +19,7 @@
 //   - Entries are indexed by kernel door identity in a sharded map, so
 //     registration is a keyed lookup under one shard lock, not a linear
 //     scan under a global one.
-//   - Each entry's reply cache is a bounded LRU with a configurable byte
+//   - Each entry's reply cache is a bounded LRU with a fixed 64 MiB
 //     budget; storing past the budget evicts least-recently-used replies
 //     (gauges cache.evictions / cache.bytes_live).
 //   - Concurrent misses for one key coalesce into a single server call;
@@ -94,33 +94,14 @@ var (
 	spanCoalesced = trace.Name("cache.coalesced")
 )
 
-// DefaultReplyBudget is the per-entry reply-cache byte budget used when
-// Config.ReplyBudget is zero.
-const DefaultReplyBudget = 64 << 20
+// replyBudget bounds the bytes (keys + payloads + bookkeeping) the reply
+// cache of one entry may hold; storing past it evicts the
+// least-recently-used replies.
+const replyBudget = 64 << 20
 
 // replyOverhead approximates the bookkeeping bytes charged per cached
 // reply on top of its key and payload (node, map slot, list links).
 const replyOverhead = 96
-
-// Config tunes a Manager.
-type Config struct {
-	// ReplyBudget bounds the bytes (keys + payloads + bookkeeping) the
-	// reply cache of one entry may hold; storing past it evicts the
-	// least-recently-used replies. 0 means DefaultReplyBudget; negative
-	// means unbounded.
-	ReplyBudget int64
-}
-
-func (c Config) budget() int64 {
-	switch {
-	case c.ReplyBudget == 0:
-		return DefaultReplyBudget
-	case c.ReplyBudget < 0:
-		return 0 // unbounded
-	default:
-		return c.ReplyBudget
-	}
-}
 
 // Stats counts cache activity, for the E6/E16 experiments. BytesLive is
 // an instantaneous level; everything else is a monotonic count.
@@ -190,8 +171,8 @@ const maxFreeReplies = 32
 
 // Manager is a cache manager server.
 type Manager struct {
-	env *core.Env
-	cfg Config
+	env    *core.Env
+	budget int64 // replyBudget; a test lowers it
 
 	shards [nShards]shard
 
@@ -207,15 +188,10 @@ type Manager struct {
 	door *kernel.Door
 }
 
-// NewManager creates a cache manager served from env's domain with the
-// default configuration, exported with the singleton subcontract.
+// NewManager creates a cache manager served from env's domain, exported
+// with the singleton subcontract.
 func NewManager(env *core.Env) *Manager {
-	return NewManagerWith(env, Config{})
-}
-
-// NewManagerWith creates a cache manager with an explicit configuration.
-func NewManagerWith(env *core.Env, cfg Config) *Manager {
-	m := &Manager{env: env, cfg: cfg}
+	m := &Manager{env: env, budget: replyBudget}
 	for i := range m.shards {
 		m.shards[i].entries = make(map[uint64]*entry)
 	}
@@ -478,9 +454,9 @@ func (e *entry) touchLocked(n *reply) {
 // budget is not cached at all. Counters are updated once per store, not
 // once per eviction.
 func (e *entry) storeLocked(key string, data []byte) {
-	budget := e.m.cfg.budget()
+	budget := e.m.budget
 	size := int64(len(key)) + int64(len(data)) + replyOverhead
-	if budget > 0 && size > budget {
+	if size > budget {
 		return
 	}
 	delta := size
@@ -508,7 +484,7 @@ func (e *entry) storeLocked(key string, data []byte) {
 		e.tail = n
 	}
 	evicted := 0
-	for budget > 0 && e.bytes+delta > budget && e.tail != nil && e.tail != n {
+	for e.bytes+delta > budget && e.tail != nil && e.tail != n {
 		v := e.tail
 		e.unlinkLocked(v)
 		delete(e.replies, v.key)

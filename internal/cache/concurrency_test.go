@@ -165,7 +165,8 @@ func TestReplyBudgetBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	const budget = 1 << 20
-	m := NewManagerWith(mgrEnv, Config{ReplyBudget: budget})
+	m := NewManager(mgrEnv)
+	m.budget = budget
 
 	payload := make([]byte, 64<<10)
 	d2 := rawEntry(t, m, srvEnv.Domain, func(req *buffer.Buffer) (*buffer.Buffer, error) {

@@ -110,6 +110,31 @@ func (in *Info) Remaining() (time.Duration, bool) {
 	return time.Until(in.Deadline), true
 }
 
+// Sleep pauses for d, but no longer than the remaining budget, and wakes
+// at once on cancellation: the pause between a subcontract's retries. It
+// returns the context's error if the context ended before or during the
+// pause.
+func (in *Info) Sleep(d time.Duration) error {
+	if err := in.Err(); err != nil {
+		return err
+	}
+	if rem, ok := in.Remaining(); ok && rem < d {
+		d = rem
+	}
+	if in == nil || in.Cancel == nil {
+		time.Sleep(d)
+		return in.Err()
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-in.Cancel:
+		return ErrCancelled
+	case <-t.C:
+		return in.Err()
+	}
+}
+
 // ServerProcInfo is a door target that receives the invocation context
 // along with the argument buffer. info may be nil (a context-free caller);
 // Info's methods tolerate that.

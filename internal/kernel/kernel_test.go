@@ -345,3 +345,43 @@ func TestRefOf(t *testing.T) {
 		t.Fatal("AdoptRef produced a different door")
 	}
 }
+
+func TestInfoSleepCappedByDeadline(t *testing.T) {
+	// A retry pause longer than the call's remaining budget ends at the
+	// deadline, with the deadline's error, not after the whole pause.
+	info := &Info{Deadline: time.Now().Add(20 * time.Millisecond)}
+	start := time.Now()
+	err := info.Sleep(time.Hour)
+	if !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("Sleep past the deadline = %v, want ErrDeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Fatalf("Sleep(1h) under a 20ms deadline took %v", d)
+	}
+	// A pause within the budget sleeps it out and reports nothing.
+	info = &Info{Deadline: time.Now().Add(time.Hour)}
+	if err := info.Sleep(time.Millisecond); err != nil {
+		t.Fatalf("Sleep within the budget = %v", err)
+	}
+	var none *Info
+	if err := none.Sleep(time.Millisecond); err != nil {
+		t.Fatalf("Sleep on a nil context = %v", err)
+	}
+}
+
+func TestInfoSleepWakesOnCancel(t *testing.T) {
+	cancel := make(chan struct{})
+	info := &Info{Cancel: cancel}
+	time.AfterFunc(10*time.Millisecond, func() { close(cancel) })
+	start := time.Now()
+	if err := info.Sleep(time.Hour); !errors.Is(err, ErrCancelled) {
+		t.Fatalf("Sleep through a cancel = %v, want ErrCancelled", err)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Fatalf("Sleep(1h) cancelled after 10ms took %v", d)
+	}
+	// An already-cancelled context does not pause at all.
+	if err := info.Sleep(time.Hour); !errors.Is(err, ErrCancelled) {
+		t.Fatalf("Sleep on a cancelled context = %v, want ErrCancelled", err)
+	}
+}

@@ -160,9 +160,8 @@ type conn struct {
 	pending atomic.Int32 // registered calls awaiting replies
 	shards  [pendShards]pendShard
 
-	// inflight counts this peer's serve calls admitted and not yet
-	// replied — the per-peer half of the dispatch engine's bounded
-	// admission (Config.Dispatch.MaxPerPeer).
+	// inflight counts this connection's serve calls admitted and not yet
+	// replied, against half of Config.MaxInflight (admitServe).
 	inflight atomic.Int64
 
 	// sess and peerAddr are set by the hello, under Server.mu, on the

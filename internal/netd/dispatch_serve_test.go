@@ -45,13 +45,11 @@ func TestOverloadShedsRetryable(t *testing.T) {
 	// full recovery once the backlog drains.
 	const maxInflight = 4
 	cfgA := quickCfg()
-	cfgA.Dispatch = DispatchConfig{
-		MaxInflight: maxInflight,
-		MaxPerPeer:  maxInflight,
-		// Promotion off: every admitted call gets a goroutine of its own, so
-		// the goroutines the server may add are exactly the in-flight bound.
-		InlineThreshold: -1,
-	}
+	// The one connection's half of the server bound is maxInflight.
+	cfgA.MaxInflight = 2 * maxInflight
+	// Promotion off: every admitted call gets a goroutine of its own, so
+	// the goroutines the server may add are exactly the in-flight bound.
+	cfgA.InlineThreshold = -1
 	a := newMachineCfg(t, "A", cfgA)
 	cfgB := quickCfg()
 	cfgB.CallTimeout = 30 * time.Second // admitted calls wait for the gate
@@ -102,7 +100,7 @@ func TestOverloadShedsRetryable(t *testing.T) {
 	}
 	// (Less the test's own four callers, still parked in stubs.Call.)
 	if ng := runtime.NumGoroutine() - maxInflight; ng > ng0+maxInflight {
-		t.Fatalf("goroutines grew from %d to %d during the overload storm, want at most MaxInflight = %d more (shedding is O(1) on the reader)",
+		t.Fatalf("goroutines grew from %d to %d during the overload storm, want at most the bound = %d more (shedding is O(1) on the reader)",
 			ng0, ng, maxInflight)
 	}
 	if d := scstats.GaugeFor("dispatch.shed").Value() - shed0; d < 200 {
@@ -125,6 +123,77 @@ func TestOverloadShedsRetryable(t *testing.T) {
 	}
 }
 
+func TestPerConnectionBoundLeavesRoom(t *testing.T) {
+	// One connection may hold at most half of MaxInflight: a peer whose
+	// calls fill its half is shed with a retryable overload, while the
+	// server still has room, and another peer's calls are admitted and
+	// answered as before.
+	const half = 4
+	cfgA := quickCfg()
+	cfgA.MaxInflight = 2 * half
+	cfgA.InlineThreshold = -1 // every admitted call holds its slot on a goroutine
+	a := newMachineCfg(t, "A", cfgA)
+	cfgPeer := quickCfg()
+	cfgPeer.CallTimeout = 30 * time.Second // admitted calls wait for the gate
+	hot := newMachineCfg(t, "B", cfgPeer)
+	cold := newMachineCfg(t, "C", cfgPeer)
+
+	entered := make(chan struct{}, 2*half)
+	gate := make(chan struct{})
+	t.Cleanup(func() {
+		select {
+		case <-gate:
+		default:
+			close(gate)
+		}
+	})
+	gated, _ := singleton.Export(a.env, stressEchoMT, gatedSkel(entered, gate), nil)
+	a.srv.PublishRoot("gated", gated)
+	echo, _ := singleton.Export(a.env, stressEchoMT, echoSkel(), nil)
+	a.srv.PublishRoot("echo", echo)
+	remoteHot, err := hot.srv.ImportRootObject(hot.env, a.srv.Addr(), "gated", stressEchoMT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remoteCold, err := cold.srv.ImportRootObject(cold.env, a.srv.Addr(), "echo", stressEchoMT)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var admitted sync.WaitGroup
+	admittedErrs := make([]error, half)
+	for i := 0; i < half; i++ {
+		admitted.Add(1)
+		go func(i int) {
+			defer admitted.Done()
+			admittedErrs[i] = stubs.Call(remoteHot, 0, nil, nil)
+		}(i)
+	}
+	for i := 0; i < half; i++ {
+		<-entered
+	}
+
+	if err := stubs.Call(remoteHot, 0, nil, nil); !errors.Is(err, kernel.ErrOverload) {
+		t.Fatalf("a call past the connection's half = %v, want kernel.ErrOverload", err)
+	}
+	if n := a.srv.inflight.Load(); n != half {
+		t.Fatalf("server in-flight = %d with one connection full, want %d", n, half)
+	}
+	for i := 0; i < 2*half; i++ {
+		if err := echoBytes(remoteCold, []byte("cold")); err != nil {
+			t.Fatalf("call %d from the other peer while the first is full: %v", i, err)
+		}
+	}
+
+	close(gate)
+	admitted.Wait()
+	for i, err := range admittedErrs {
+		if err != nil {
+			t.Fatalf("admitted call %d: %v", i, err)
+		}
+	}
+}
+
 func TestConnDeathReclaimsBlockedCalls(t *testing.T) {
 	// A connection that dies with a thousand calls blocked in their
 	// handlers must not strand anything: the handlers' replies go nowhere,
@@ -132,11 +201,8 @@ func TestConnDeathReclaimsBlockedCalls(t *testing.T) {
 	// is reclaimed once the peer's lease lapses.
 	const blocked = 1000
 	cfgA := quickCfg()
-	cfgA.Dispatch = DispatchConfig{
-		MaxInflight:     2 * blocked,
-		MaxPerPeer:      2 * blocked,
-		InlineThreshold: -1, // nothing runs on the reader: it must stay free to notice the death
-	}
+	cfgA.MaxInflight = 4 * blocked // the one connection's half is 2 * blocked
+	cfgA.InlineThreshold = -1      // nothing runs on the reader: it must stay free to notice the death
 	a := newMachineCfg(t, "A", cfgA)
 
 	fn := faultnet.New()

@@ -202,7 +202,7 @@ func TestServedNullCallAllocs(t *testing.T) {
 	}
 	for name, cfg := range map[string]Config{
 		"inline": {},
-		"queued": {Dispatch: DispatchConfig{InlineBudget: -1}},
+		"queued": {InlineThreshold: -1},
 	} {
 		t.Run(name, func(t *testing.T) {
 			a := newMachineCfg(t, "A", cfg)
@@ -232,7 +232,7 @@ func TestServedReadWriteAllocs(t *testing.T) {
 	const block = 64 << 10
 	for name, cfg := range map[string]Config{
 		"inline": {},
-		"queued": {Dispatch: DispatchConfig{InlineBudget: -1}},
+		"queued": {InlineThreshold: -1},
 	} {
 		t.Run(name, func(t *testing.T) {
 			a := newMachineCfg(t, "A", cfg, filesys.RegisterAll)

@@ -90,8 +90,8 @@ var (
 
 // Config carries the transport, liveness and containment tunables. Zero
 // fields take the documented defaults; defaulting happens in one place
-// (withDefaults, at Start). cmd/springfsd and cmd/fsh expose these as
-// flags.
+// (withDefaults, at Start). A field stays only while a test or a recorded
+// bench cell sets it; what nothing varies is a constant.
 type Config struct {
 	// CallTimeout bounds the reply wait of one forwarded call (further
 	// bounded by the invocation context's deadline). Default 10s.
@@ -131,37 +131,23 @@ type Config struct {
 	// "root:<name>/<i>" family; see RootRebinder. Nil means labeled
 	// exports are not recovered.
 	Rebinder func(label string) (kernel.Ref, bool)
-	// Dispatch tunes serve-side dispatch (E20, E25): bounded admission and
-	// the adaptive inline fast path. The zero value takes the documented
-	// defaults.
-	Dispatch DispatchConfig
-}
-
-// DispatchConfig tunes how incoming calls are executed: admitted against
-// the in-flight bounds, then run on the reader goroutine when the door has
-// proved non-blocking, and on a goroutine of their own otherwise. Zero
-// fields take the documented defaults; negative values disable the
-// corresponding mechanism where noted.
-type DispatchConfig struct {
 	// MaxInflight caps admitted-and-unreplied calls across the whole
 	// server; past it calls are shed immediately with a retryable
-	// kernel.ErrOverload instead of queueing without bound. Default
-	// 1024; negative means unlimited.
+	// kernel.ErrOverload instead of queueing without bound (E20). One
+	// connection may hold at most half of it, so one hot peer cannot take
+	// the whole bound. Default 1024; negative means unlimited.
 	MaxInflight int
-	// MaxPerPeer caps admitted calls per peer connection, so one hot
-	// client cannot consume the whole server bound. Default
-	// MaxInflight/2 (0 falls back with MaxInflight); negative means
-	// unlimited.
-	MaxPerPeer int
-	// InlineBudget is how much handler execution time one reader may
-	// spend inline per read batch before giving calls goroutines of their
-	// own. Default 200µs; negative disables the inline fast path.
-	InlineBudget time.Duration
-	// InlineThreshold is the completion time under which a handler
-	// counts toward inline promotion (and over which it is demoted).
-	// Default 50µs; negative means nothing is ever promoted.
+	// InlineThreshold is the completion time under which a handler counts
+	// toward inline promotion onto the reader goroutine (and over which it
+	// is demoted); a promoted door runs inline for up to inlineBudget of
+	// handler time per read batch (E20, E25). Default 50µs; negative means
+	// nothing is ever promoted.
 	InlineThreshold time.Duration
 }
+
+// inlineBudget is how much handler execution time one reader may spend
+// inline per read batch before giving calls goroutines of their own.
+const inlineBudget = 200 * time.Microsecond
 
 // withDefaults is the single defaulting path: every zero field takes its
 // documented default, and the result is the exact configuration the
@@ -191,21 +177,11 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Transport == nil {
 		cfg.Transport = TCPTransport{}
 	}
-	if cfg.Dispatch.MaxInflight == 0 {
-		cfg.Dispatch.MaxInflight = 1024
+	if cfg.MaxInflight == 0 {
+		cfg.MaxInflight = 1024
 	}
-	if cfg.Dispatch.MaxPerPeer == 0 {
-		if cfg.Dispatch.MaxInflight > 0 {
-			cfg.Dispatch.MaxPerPeer = cfg.Dispatch.MaxInflight / 2
-		} else {
-			cfg.Dispatch.MaxPerPeer = -1
-		}
-	}
-	if cfg.Dispatch.InlineBudget == 0 {
-		cfg.Dispatch.InlineBudget = 200 * time.Microsecond
-	}
-	if cfg.Dispatch.InlineThreshold == 0 {
-		cfg.Dispatch.InlineThreshold = 50 * time.Microsecond
+	if cfg.InlineThreshold == 0 {
+		cfg.InlineThreshold = 50 * time.Microsecond
 	}
 	return cfg
 }
@@ -248,8 +224,11 @@ func With(cfg Config) Option {
 		if cfg.Rebinder != nil {
 			c.Rebinder = cfg.Rebinder
 		}
-		if cfg.Dispatch != (DispatchConfig{}) {
-			c.Dispatch = cfg.Dispatch
+		if cfg.MaxInflight != 0 {
+			c.MaxInflight = cfg.MaxInflight
+		}
+		if cfg.InlineThreshold != 0 {
+			c.InlineThreshold = cfg.InlineThreshold
 		}
 	}
 }
@@ -277,7 +256,7 @@ type Server struct {
 	links sync.Map
 
 	// inflight is the server-wide admission counter against
-	// cfg.Dispatch.MaxInflight: calls admitted and not yet replied to.
+	// cfg.MaxInflight: calls admitted and not yet replied to.
 	inflight atomic.Int64
 
 	stop chan struct{}
@@ -731,11 +710,11 @@ func (s *Server) serveConn(c *conn, addr string) {
 	// goroutine. It refills whenever the buffered reader runs dry —
 	// i.e. when the next read would block, so the frames behind us are
 	// not waiting on the handler in front of them.
-	budget := s.cfg.Dispatch.InlineBudget
+	budget := inlineBudget
 	var rel []releasePair // reused across batches by the release coalescer
 	for {
 		if br.Buffered() == 0 {
-			budget = s.cfg.Dispatch.InlineBudget
+			budget = inlineBudget
 			// What this goroutine queued while serving the batch — inline
 			// handlers' replies, pongs, refusals — leaves now, in one
 			// write: frames that arrived together are answered together.
@@ -837,9 +816,9 @@ func (s *Server) serveFrame(c *conn, br *bufio.Reader, in *buffer.Buffer, rel *[
 }
 
 // dispatchCall decides where one incoming call runs (E20, E25): admission
-// first (server-wide and per-peer in-flight bounds — past either, the call
-// is shed immediately with a retryable overload reply instead of queueing
-// to death), then the inline fast path (a door whose adaptive state proves
+// first (server-wide and per-connection in-flight bounds — past either, the
+// call is shed immediately with a retryable overload reply instead of
+// queueing to death), then the inline fast path (a door whose adaptive state proves
 // it non-blocking executes right here on the reader goroutine, spending the
 // batch's inline budget), and otherwise a goroutine of its own, so a handler
 // that blocks — on a group commit, on another server — holds nothing the
@@ -867,7 +846,7 @@ func (s *Server) dispatchCall(c *conn, reqID, key uint64, req *buffer.Buffer, in
 		frame := s.runCall(c, reqID, h, req, info)
 		d := time.Since(start)
 		*budget -= d
-		ist.Observe(d, s.cfg.Dispatch.InlineThreshold)
+		ist.Observe(d, s.cfg.InlineThreshold)
 		dispatch.NoteInline()
 		_ = c.queue(frame)
 		s.doneServe(c)
@@ -924,27 +903,20 @@ func (t *serveTask) run() {
 	serveTaskPool.Put(t)
 	start := time.Now()
 	frame := s.runCall(c, reqID, h, req, info)
-	ist.Observe(time.Since(start), s.cfg.Dispatch.InlineThreshold)
+	ist.Observe(time.Since(start), s.cfg.InlineThreshold)
 	_ = c.send(frame)
 	s.doneServe(c)
 }
 
 // admitServe claims one admission slot for a call from c, enforcing the
-// server-wide and per-peer in-flight bounds. Every admitted call must be
-// matched by doneServe.
+// server-wide in-flight bound and the per-connection half of it. Every
+// admitted call must be matched by doneServe.
 func (s *Server) admitServe(c *conn) bool {
-	if max := int64(s.cfg.Dispatch.MaxInflight); max > 0 && s.inflight.Add(1) > max {
-		s.inflight.Add(-1)
-		return false
-	} else if max <= 0 {
-		s.inflight.Add(1)
-	}
-	if max := int64(s.cfg.Dispatch.MaxPerPeer); max > 0 && c.inflight.Add(1) > max {
+	n, p := s.inflight.Add(1), c.inflight.Add(1)
+	if max := int64(s.cfg.MaxInflight); max > 0 && (n > max || max > 1 && p > max/2) {
 		c.inflight.Add(-1)
 		s.inflight.Add(-1)
 		return false
-	} else if max <= 0 {
-		c.inflight.Add(1)
 	}
 	gServeInflight.Add(1)
 	return true

@@ -141,13 +141,10 @@ func TestSlowHandlerIsolation(t *testing.T) {
 	// gated door, and echo traffic must keep flowing through the inline path
 	// the whole time.
 	cfgA := quickCfg()
-	cfgA.Dispatch = DispatchConfig{
-		// A generous threshold makes promotion deterministic: loopback
-		// echo always observes far under 5ms, so eight warm calls promote
-		// regardless of scheduler jitter.
-		InlineThreshold: 5 * time.Millisecond,
-		InlineBudget:    50 * time.Millisecond,
-	}
+	// A generous threshold makes promotion deterministic: loopback echo
+	// always observes far under 5ms, so eight warm calls promote regardless
+	// of scheduler jitter.
+	cfgA.InlineThreshold = 5 * time.Millisecond
 	a := newMachineCfg(t, "A", cfgA)
 	cfgB := quickCfg()
 	cfgB.CallTimeout = 30 * time.Second // the gated calls outlive the echo phase

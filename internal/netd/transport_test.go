@@ -184,6 +184,16 @@ func TestWithOverlaysNonZeroFields(t *testing.T) {
 	if c.CallTimeout != time.Minute || c.BulkThreshold != 123 {
 		t.Fatalf("second overlay clobbered earlier fields: %+v", c)
 	}
+	// The dispatch settings overlay one by one like every other field.
+	With(Config{MaxInflight: 8})(&c)
+	With(Config{InlineThreshold: -1})(&c)
+	if c.MaxInflight != 8 || c.InlineThreshold != -1 {
+		t.Fatalf("MaxInflight = %d, InlineThreshold = %v after two overlays, want 8 and -1",
+			c.MaxInflight, c.InlineThreshold)
+	}
+	if c = c.withDefaults(); c.MaxInflight != 8 {
+		t.Fatalf("withDefaults reset MaxInflight to %d", c.MaxInflight)
+	}
 }
 
 func TestSameMachineListenReplacesStaleSocket(t *testing.T) {

@@ -49,8 +49,8 @@ type Policy struct {
 	Backoff time.Duration
 }
 
-// DefaultPolicy is used when a domain sets no PolicyVar.
-var DefaultPolicy = Policy{MaxAttempts: 20, Backoff: 5 * time.Millisecond}
+// defaultPolicy is used when a domain sets no PolicyVar.
+var defaultPolicy = Policy{MaxAttempts: 20, Backoff: 5 * time.Millisecond}
 
 // Errors returned by the subcontract.
 var (
@@ -236,7 +236,7 @@ func reconnect(obj *core.Object, r *Rep, stale kernel.Handle, info *kernel.Info)
 	}
 	ctx := naming.Context{Obj: ctxObj}
 
-	pol := DefaultPolicy
+	pol := defaultPolicy
 	if p, ok := obj.Env.Get(PolicyVar); ok {
 		if pp, ok := p.(*Policy); ok {
 			pol = *pp
@@ -246,7 +246,7 @@ func reconnect(obj *core.Object, r *Rep, stale kernel.Handle, info *kernel.Info)
 	var lastErr error
 	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			if err := sleepInfo(pol.Backoff, info); err != nil {
+			if err := info.Sleep(pol.Backoff); err != nil {
 				return err
 			}
 		}
@@ -278,30 +278,6 @@ func reconnect(obj *core.Object, r *Rep, stale kernel.Handle, info *kernel.Info)
 		return nil
 	}
 	return fmt.Errorf("%w: %q after %d attempts: %v", ErrGaveUp, r.name, pol.MaxAttempts, lastErr)
-}
-
-// sleepInfo sleeps for d, but no longer than info's remaining budget, and
-// wakes immediately on cancellation. It returns the context's error if the
-// context ended during (or before) the sleep.
-func sleepInfo(d time.Duration, info *kernel.Info) error {
-	if err := info.Err(); err != nil {
-		return err
-	}
-	if rem, ok := info.Remaining(); ok && rem < d {
-		d = rem
-	}
-	if info != nil && info.Cancel != nil {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-info.Cancel:
-			return kernel.ErrCancelled
-		case <-t.C:
-		}
-	} else {
-		time.Sleep(d)
-	}
-	return info.Err()
 }
 
 // takeDoor extracts the door identifier from a freshly resolved object,

@@ -255,7 +255,7 @@ func invoke(obj *core.Object, call *core.Call) (*buffer.Buffer, error) {
 					if rounds >= pol.MaxRounds {
 						return nil, err
 					}
-					if serr := sleepInfo(pol.Backoff, call.Info()); serr != nil {
+					if serr := call.Info().Sleep(pol.Backoff); serr != nil {
 						return nil, serr
 					}
 				} else {
@@ -277,29 +277,6 @@ func invoke(obj *core.Object, call *core.Call) (*buffer.Buffer, error) {
 		}
 		return reply, nil
 	}
-}
-
-// sleepInfo sleeps for d, but no longer than the call context's remaining
-// budget, waking immediately on cancellation.
-func sleepInfo(d time.Duration, info *kernel.Info) error {
-	if err := info.Err(); err != nil {
-		return err
-	}
-	if rem, ok := info.Remaining(); ok && rem < d {
-		d = rem
-	}
-	if info != nil && info.Cancel != nil {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-info.Cancel:
-			return kernel.ErrCancelled
-		case <-t.C:
-		}
-	} else {
-		time.Sleep(d)
-	}
-	return info.Err()
 }
 
 // dropDead deletes a dead replica's identifier from the target set.

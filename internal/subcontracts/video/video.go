@@ -38,13 +38,12 @@ const LibraryName = "video.so"
 // the frame channel. It sits far above any stub-level operation.
 const attachOp = ^uint32(0)
 
-// Channel sizing defaults; a domain can override with the env slots.
+// The receive channel fabricated at unmarshal holds capacity frames.
+// DropVar is an environment slot (an int) that makes it drop every nth
+// frame, to show the sequence gaps a lossy wire leaves.
 const (
-	defaultCapacity = 64
-	// CapacityVar and DropVar are environment slots (ints) tuning the
-	// receive channel fabricated at unmarshal.
-	CapacityVar = "video.capacity"
-	DropVar     = "video.dropevery"
+	capacity = 64
+	DropVar  = "video.dropevery"
 )
 
 // ErrDetached is returned by Receive after the object was consumed or
@@ -171,12 +170,7 @@ func (o ops) Unmarshal(env *core.Env, mt *core.MTable, buf *buffer.Buffer) (*cor
 
 // attach fabricates the receive channel and registers it with the source.
 func attach(env *core.Env, r *Rep) error {
-	capacity, drop := defaultCapacity, 0
-	if v, ok := env.Get(CapacityVar); ok {
-		if n, ok := v.(int); ok {
-			capacity = n
-		}
-	}
+	drop := 0
 	if v, ok := env.Get(DropVar); ok {
 		if n, ok := v.(int); ok {
 			drop = n

@@ -23,9 +23,9 @@ import (
 //     ID is not propagated over the netd wire (the speculation is a local
 //     bet; remote hops stay untraced).
 //   - When the root span ends, the bet is settled: if the root's duration
-//     meets the slow threshold for its name, the buffered spans are
-//     committed into a dedicated slow-span ring; otherwise the buffer is
-//     dropped back into a pool and the call cost a few appends.
+//     meets the slow threshold, the buffered spans are committed into a
+//     dedicated slow-span ring; otherwise the buffer is dropped back into
+//     a pool and the call cost a few appends.
 //   - Head-sampled traces get the same treatment for free: a sampled root
 //     that runs slow has its spans copied from the main ring into the
 //     slow ring, so /traces/slow is a complete record of recent slow
@@ -38,74 +38,25 @@ import (
 // ---------------------------------------------------------------------
 // Slow thresholds.
 
-var (
-	slowDefault atomic.Int64            // ns; 0 = no default threshold
-	slowNames   atomic.Pointer[[]int64] // index NameID-1 → ns; 0 = use default
-	tailOn      atomic.Bool             // any threshold configured
-)
+// slowDefault is the slow threshold in ns; 0 means tail capture is off.
+var slowDefault atomic.Int64
 
-// SetSlowDefault sets the slow threshold applied to root spans whose name
-// has no per-name override; ≤ 0 clears it. This is the programmatic form
-// of the daemons' -trace-slow flag.
+// SetSlowDefault sets the slow threshold applied to every root span; ≤ 0
+// turns tail capture off. This is the programmatic form of the daemons'
+// -trace-slow flag.
 func SetSlowDefault(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	slowDefault.Store(int64(d))
-	recomputeTailOn()
+	slowDefault.Store(max(int64(d), 0))
 }
 
-// SetSlowThreshold sets the slow threshold for root spans with the given
-// name, overriding the default; ≤ 0 clears the override.
-func SetSlowThreshold(name string, d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	id := Name(name)
-	nameTable.mu.Lock()
-	old := slowNames.Load()
-	var next []int64
-	if old != nil {
-		next = append(next, *old...)
-	}
-	for len(next) < int(id) {
-		next = append(next, 0)
-	}
-	next[id-1] = int64(d)
-	slowNames.Store(&next)
-	nameTable.mu.Unlock()
-	recomputeTailOn()
+// isSlow reports whether a root span that ran dur ns meets the threshold.
+func isSlow(dur int64) bool {
+	thr := slowDefault.Load()
+	return thr > 0 && dur >= thr
 }
 
-func recomputeTailOn() {
-	on := slowDefault.Load() > 0
-	if !on {
-		if t := slowNames.Load(); t != nil {
-			for _, v := range *t {
-				if v > 0 {
-					on = true
-					break
-				}
-			}
-		}
-	}
-	tailOn.Store(on)
-}
-
-// slowThreshold returns the effective threshold for a root span name
-// (0 = never slow).
-func slowThreshold(name NameID) int64 {
-	if t := slowNames.Load(); t != nil && name != 0 && int(name) <= len(*t) {
-		if v := (*t)[name-1]; v != 0 {
-			return v
-		}
-	}
-	return slowDefault.Load()
-}
-
-// TailEnabled reports whether any slow threshold is configured — the
+// TailEnabled reports whether a slow threshold is configured — the
 // untraced call path checks it (one atomic load) before paying TailArm.
-func TailEnabled() bool { return tailOn.Load() }
+func TailEnabled() bool { return slowDefault.Load() > 0 }
 
 // ---------------------------------------------------------------------
 // Speculative buffers.
@@ -191,7 +142,7 @@ func TailStats() TailStatsSnapshot {
 // context speculative (kernel.Info.Spec) so the wire layer keeps the
 // trace on-process.
 func TailArm() uint64 {
-	if !tailOn.Load() {
+	if !TailEnabled() {
 		return 0
 	}
 	id := NewTraceID()
@@ -251,7 +202,7 @@ func specEmit(traceID, spanID, parent uint64, name NameID, start, dur int64, err
 // specFinish settles a speculative trace at its root span's End: commit
 // the buffer to the slow ring if the root met its threshold, abandon it
 // otherwise.
-func specFinish(traceID uint64, rootName NameID, rootDur int64) {
+func specFinish(traceID uint64, rootDur int64) {
 	sh := &specMap[traceID&specShardMask]
 	sh.mu.Lock()
 	b := sh.m[traceID]
@@ -260,7 +211,7 @@ func specFinish(traceID uint64, rootName NameID, rootDur int64) {
 	if b == nil {
 		return
 	}
-	if thr := slowThreshold(rootName); thr > 0 && rootDur >= thr {
+	if isSlow(rootDur) {
 		r := slowRec()
 		for i := 0; i < b.n; i++ {
 			s := &b.spans[i]

@@ -9,14 +9,11 @@ import (
 	"repro/internal/kernel"
 )
 
-// clearThresholds returns tail capture to its off state (thresholds are
-// configuration and survive Reset, so tests must unset what they set).
-func clearThresholds(t *testing.T, names ...string) {
+// clearThresholds returns tail capture to its off state (the threshold is
+// configuration and survives Reset, so tests must unset what they set).
+func clearThresholds(t *testing.T) {
 	t.Helper()
 	SetSlowDefault(0)
-	for _, n := range names {
-		SetSlowThreshold(n, 0)
-	}
 	if TailEnabled() {
 		t.Fatal("tail capture still enabled after clearing thresholds")
 	}
@@ -159,33 +156,6 @@ func TestTailSampledFastNotCopied(t *testing.T) {
 	}
 }
 
-// TestTailPerNameOverride: a per-name threshold overrides the default in
-// both directions — a name with a tiny override commits while the
-// unconfigured name rides the (huge) default and abandons.
-func TestTailPerNameOverride(t *testing.T) {
-	Reset()
-	t.Cleanup(Reset)
-	SetSlowDefault(time.Hour)
-	SetSlowThreshold("tail.hot_root", time.Nanosecond)
-	t.Cleanup(func() { clearThresholds(t, "tail.hot_root") })
-
-	hot := specCall(t, Name("tail.hot_root"), 1, 0)
-	cold := specCall(t, Name("tail.cold_root"), 1, 0)
-	if hot == 0 || cold == 0 {
-		t.Fatal("TailArm declined with empty shards")
-	}
-	if spans := SlowCollect(hot); len(spans) != 2 {
-		t.Errorf("overridden name: %d slow spans, want 2", len(spans))
-	}
-	if spans := SlowCollect(cold); len(spans) != 0 {
-		t.Errorf("default-threshold name committed %d spans, want 0", len(spans))
-	}
-	st := TailStats()
-	if st.Committed != 1 || st.Abandoned != 1 {
-		t.Errorf("TailStats = %+v, want Committed=1 Abandoned=1", st)
-	}
-}
-
 // TestTailBufferTruncation: a speculative tree deeper than the buffer cap
 // keeps its earliest spans and still settles cleanly.
 func TestTailBufferTruncation(t *testing.T) {
@@ -247,8 +217,8 @@ func TestTailDeclineWhenSaturated(t *testing.T) {
 func TestTailConcurrent(t *testing.T) {
 	Reset()
 	t.Cleanup(Reset)
-	SetSlowThreshold("tail.conc_root", time.Nanosecond)
-	t.Cleanup(func() { clearThresholds(t, "tail.conc_root") })
+	SetSlowDefault(time.Nanosecond)
+	t.Cleanup(func() { clearThresholds(t) })
 
 	root := Name("tail.conc_root")
 	stop := make(chan struct{})

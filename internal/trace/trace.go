@@ -244,7 +244,7 @@ func (sp Span) End(info *kernel.Info, err error) {
 		// the root span's End settles the slow-or-not bet (tail.go).
 		specEmit(sp.TraceID, sp.ID, sp.Parent, sp.name, sp.start, dur, errText)
 		if sp.Parent == 0 {
-			specFinish(sp.TraceID, sp.name, dur)
+			specFinish(sp.TraceID, dur)
 		}
 		return
 	}
@@ -252,7 +252,7 @@ func (sp Span) End(info *kernel.Info, err error) {
 	// A head-sampled root that ran slow is copied to the slow ring so
 	// /traces/slow is complete regardless of how the trace was sampled.
 	if sp.Parent == 0 {
-		if thr := slowThreshold(sp.name); thr > 0 && dur >= thr {
+		if isSlow(dur) {
 			commitSampledSlow(sp.TraceID)
 		}
 	}
