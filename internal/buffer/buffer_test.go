@@ -91,6 +91,30 @@ func TestUnderflow(t *testing.T) {
 	}
 }
 
+// TestReadCountBoundsDoors: a door count must fit the door slots left, not
+// only the bytes — a wire count of doors is refused with ErrBadCount when
+// the buffer holds enough bytes but fewer doors.
+func TestReadCountBoundsDoors(t *testing.T) {
+	counted := func(doors int) *Buffer {
+		b := New(16)
+		b.WriteUvarint(2)
+		b.WriteRaw(make([]byte, 8)) // bytes enough for two elements
+		for i := 0; i < doors; i++ {
+			b.AppendDoor(i)
+		}
+		return b
+	}
+	if n, err := counted(1).ReadCount(true); err != ErrBadCount {
+		t.Errorf("ReadCount(true) of 2 with 1 door left = %d, %v; want ErrBadCount", n, err)
+	}
+	if n, err := counted(1).ReadCount(false); n != 2 || err != nil {
+		t.Errorf("ReadCount(false) of 2 with 8 bytes left = %d, %v; want 2, nil", n, err)
+	}
+	if n, err := counted(2).ReadCount(true); n != 2 || err != nil {
+		t.Errorf("ReadCount(true) of 2 with 2 doors left = %d, %v; want 2, nil", n, err)
+	}
+}
+
 func TestPeekDoesNotConsume(t *testing.T) {
 	b := New(8)
 	b.WriteUint32(99)

@@ -228,16 +228,6 @@ func WithTrace(id uint64) CallOption {
 	return func(c *Call) { c.info.Trace = id }
 }
 
-// WithPriority sets the call's scheduling priority (higher runs first;
-// 0 is the default). The server-side dispatch engine orders queued work
-// by it, locally and — through the netd wire header — across machines.
-// The priority subcontract sets it per call from the calling domain's
-// environment; WithPriority is the direct form for callers that know a
-// single call's urgency.
-func WithPriority(p int32) CallOption {
-	return func(c *Call) { c.info.Priority = p }
-}
-
 // WithTraceContext continues the trace carried by an existing invocation
 // context: a server making downstream calls on behalf of a traced request
 // passes the kernel.Info its skeleton received, and the downstream spans
@@ -286,11 +276,6 @@ func NewCall(op OpNum, opts ...CallOption) *Call {
 	}
 	return c
 }
-
-// NewBareCall is the deprecated pre-context constructor.
-//
-// Deprecated: use NewCall, which accepts the same single argument.
-func NewBareCall(op OpNum) *Call { return NewCall(op) }
 
 // Args returns the buffer arguments are marshalled into, drawn lazily
 // from the buffer pool — a call that never marshals (a context probe, a

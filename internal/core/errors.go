@@ -41,9 +41,6 @@ var (
 	// ErrCancelled reports that the caller abandoned the call. Same value
 	// as kernel.ErrCancelled.
 	ErrCancelled = kernel.ErrCancelled
-	// ErrOverload reports that the server refused the call at admission
-	// (dispatch in-flight bound). Same value as kernel.ErrOverload.
-	ErrOverload = kernel.ErrOverload
 )
 
 // Retryable reports whether err is in the retry-safe class: a

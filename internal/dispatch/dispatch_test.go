@@ -401,14 +401,9 @@ func TestInlineStateAdapts(t *testing.T) {
 	if st.Eligible() {
 		t.Fatal("streak survived a slow call")
 	}
-	st.Promote()
-	if !st.Eligible() {
-		t.Fatal("explicit Promote did not take")
-	}
 	var nilState *InlineState
 	if nilState.Eligible() {
 		t.Fatal("nil state eligible")
 	}
 	nilState.Observe(time.Millisecond, th) // must not panic
-	nilState.Promote()
 }

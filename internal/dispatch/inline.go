@@ -57,15 +57,6 @@ type InlineState struct {
 
 const inlinePromoted = 1
 
-// Promote marks the door inline-eligible immediately — the explicit
-// registration path (kernel door inline hints) for handlers known to be
-// non-blocking. Adaptive demotion still applies if they misbehave.
-func (st *InlineState) Promote() {
-	if st != nil {
-		st.v.Store(inlinePromoted)
-	}
-}
-
 // Eligible reports whether the door's calls may run on the reader.
 func (st *InlineState) Eligible() bool {
 	return st != nil && st.v.Load()&inlinePromoted != 0

@@ -61,12 +61,6 @@ type Info struct {
 	// servers do not propagate them over the wire, and exemplar recording
 	// skips them (most are abandoned). Meaningless when Trace is 0.
 	Spec bool
-	// Priority is the caller's scheduling priority for this call (higher
-	// runs first; 0 is the default). The priority subcontract sets it
-	// from the calling domain's environment slot, core.WithPriority sets
-	// it directly, and the network door servers carry it across the wire
-	// so the server-side dispatch engine orders queued work by it.
-	Priority int32
 }
 
 // Err reports whether the context has already ended: ErrCancelled if the

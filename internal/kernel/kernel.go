@@ -85,10 +85,6 @@ type door struct {
 	id      uint64 // kernel-wide unique, for diagnostics
 	refs    atomic.Int64
 	revoked atomic.Bool
-	// inline hints that the door's target is non-blocking and safe to
-	// run directly on a network reader goroutine (see Door.SetInline);
-	// the netd dispatch layer seeds its adaptive inline state with it.
-	inline atomic.Bool
 }
 
 // Ref is a kernel-level door reference: the form a door identifier takes
@@ -276,17 +272,6 @@ func (d *Domain) Kernel() *Kernel { return d.kernel }
 type Door struct {
 	d *door
 }
-
-// SetInline hints that the door's target is non-blocking — it touches no
-// locks held across waits, does no I/O and issues no nested remote calls
-// — so a network door server may execute its calls directly on a
-// connection reader goroutine. The hint seeds the dispatch layer's
-// adaptive inline state; a hinted door that then blocks is demoted like
-// any other (one slow call).
-func (d *Door) SetInline(v bool) { d.d.inline.Store(v) }
-
-// InlineHint reports the door's non-blocking hint (see Door.SetInline).
-func (r Ref) InlineHint() bool { return r.d != nil && r.d.inline.Load() }
 
 // Revoke revokes the door: all future calls on any identifier for it fail
 // with ErrRevoked. Revocation is how a server discards state without

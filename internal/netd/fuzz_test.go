@@ -41,12 +41,11 @@ func FuzzFrame(f *testing.F) {
 			b.WriteByte(msgCall)
 			b.WriteUint64(7)  // request id
 			b.WriteUint64(42) // export key
-			b.WriteByte(ctxHasDeadline | ctxHasTrace | ctxHasPriority)
+			b.WriteByte(ctxHasDeadline | ctxHasTrace)
 			b.WriteUvarint(1_000_000)
 			b.WriteUint64(1)
 			b.WriteUint64(2)
 			b.WriteUint64(3)
-			b.WriteUvarint(5)
 			b.WriteUint32(nbytes)
 			b.WriteRaw([]byte("args"))
 			b.WriteUvarint(1)
@@ -132,13 +131,13 @@ func FuzzFrame(f *testing.F) {
 				_, _ = in.ReadUint64() // export key
 				if _, err := getInfoHeader(in); err == nil {
 					bad := overlong(in, 0)
-					if err := srv.getWireBuffer(in); bad && !errors.Is(err, kernel.ErrCommFailure) {
+					if err := srv.getWireBuffer(in, nil); bad && !errors.Is(err, kernel.ErrCommFailure) {
 						t.Fatalf("a call's overlong wirebuf: %v, want a communications failure", err)
 					}
 				}
 			case msgReply:
 				bad := in.Len() > 0 && in.Bytes()[in.Size()-in.Len()] == codeOK && overlong(in, 1)
-				if err := srv.decodeReply(in, descriptor{Addr: "fuzz"}); bad && !errors.Is(err, kernel.ErrCommFailure) {
+				if err := srv.decodeReply(in, descriptor{Addr: "fuzz"}, nil); bad && !errors.Is(err, kernel.ErrCommFailure) {
 					t.Fatalf("a reply's overlong wirebuf: %v, want a communications failure", err)
 				}
 			case msgRelease:

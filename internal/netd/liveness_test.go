@@ -492,7 +492,7 @@ func TestReclaimManyExports(t *testing.T) {
 		h, _ := app.CreateDoor(proc, nil)
 		ref, _ := app.RefOf(h)
 		_ = app.DeleteDoor(h)
-		srv.proto.exported(sess, ref.DoorID(), srv.dom.AdoptRef(ref), false)
+		srv.proto.exported(sess, ref.DoorID(), srv.dom.AdoptRef(ref))
 	}
 	now := time.Now()
 	srv.proto.connClosed(c, sess, "", now)

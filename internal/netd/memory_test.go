@@ -71,13 +71,20 @@ func (p *rawPeer) next(want byte) []byte {
 	}
 }
 
-// importRoot fetches the named root and returns the export key of the
-// door its marshalled form carries.
+// importRoot fetches the named root — a context-free call on key 0 whose
+// wirebuf holds the name — and returns the export key of the door its
+// marshalled form carries.
 func (p *rawPeer) importRoot(name string) uint64 {
-	req := buffer.New(32)
-	req.WriteByte(msgRoot)
-	req.WriteUint64(1)
-	req.WriteString(name)
+	args := buffer.New(32)
+	args.WriteString(name)
+	req := buffer.New(64)
+	req.WriteByte(msgCall)
+	req.WriteUint64(1) // request id
+	req.WriteUint64(0) // the root key
+	req.WriteByte(0)   // context-free
+	req.WriteUint32(uint32(args.Size()))
+	req.WriteRaw(args.Bytes())
+	req.WriteUvarint(0) // no doors
 	if err := writeFrame(p.conn, req.Bytes()); err != nil {
 		p.t.Fatal(err)
 	}

@@ -11,14 +11,15 @@
 // descriptor shipped carries one reference at its exporter, and a proxy
 // door's unreferenced notification releases it — so a door stays alive
 // exactly as long as identifiers for it exist anywhere, and server-side
-// unreferenced notifications keep working across machines. A door
-// re-imported by its home machine is unwrapped to the real door rather
-// than proxied; doors traveling A→B→C form proxy chains (the Spring
-// network servers shortcut these; the chain is semantically equivalent).
+// unreferenced notifications keep working across machines. A descriptor
+// that comes home is unwrapped to the real door, and a proxy's last
+// reference shipped to its exporter travels as the exporter's descriptor;
+// other re-exported proxies form chains (A→B→C; the Spring network servers
+// shortcut these; the chain is semantically equivalent).
 //
 // The server also publishes named bootstrap roots: whole objects
-// (marshalled through their subcontracts) that remote machines fetch to
-// obtain their first object — typically a naming context.
+// (marshalled through their subcontracts) that remote machines fetch, by a
+// call on key 0, to obtain their first object — typically a naming context.
 //
 // # Failure semantics
 //
@@ -50,6 +51,7 @@ package netd
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -153,36 +155,16 @@ const inlineBudget = 200 * time.Microsecond
 // documented default, and the result is the exact configuration the
 // server runs with (Server keeps the normalized copy).
 func (cfg Config) withDefaults() Config {
-	if cfg.CallTimeout == 0 {
-		cfg.CallTimeout = 10 * time.Second
-	}
-	if cfg.DialTimeout == 0 {
-		cfg.DialTimeout = 3 * time.Second
-	}
-	if cfg.HeartbeatInterval == 0 {
-		cfg.HeartbeatInterval = time.Second
-	}
-	if cfg.LeaseGrace == 0 {
-		cfg.LeaseGrace = 10 * time.Second
-	}
-	if cfg.BreakerBackoff == 0 {
-		cfg.BreakerBackoff = 100 * time.Millisecond
-	}
-	if cfg.BreakerMaxBackoff == 0 {
-		cfg.BreakerMaxBackoff = 15 * time.Second
-	}
-	if cfg.BulkThreshold == 0 {
-		cfg.BulkThreshold = 8 << 10
-	}
-	if cfg.Transport == nil {
-		cfg.Transport = TCPTransport{}
-	}
-	if cfg.MaxInflight == 0 {
-		cfg.MaxInflight = 1024
-	}
-	if cfg.InlineThreshold == 0 {
-		cfg.InlineThreshold = 50 * time.Microsecond
-	}
+	cfg.CallTimeout = cmp.Or(cfg.CallTimeout, 10*time.Second)
+	cfg.DialTimeout = cmp.Or(cfg.DialTimeout, 3*time.Second)
+	cfg.HeartbeatInterval = cmp.Or(cfg.HeartbeatInterval, time.Second)
+	cfg.LeaseGrace = cmp.Or(cfg.LeaseGrace, 10*time.Second)
+	cfg.BreakerBackoff = cmp.Or(cfg.BreakerBackoff, 100*time.Millisecond)
+	cfg.BreakerMaxBackoff = cmp.Or(cfg.BreakerMaxBackoff, 15*time.Second)
+	cfg.BulkThreshold = cmp.Or(cfg.BulkThreshold, 8<<10)
+	cfg.Transport = cmp.Or[Transport](cfg.Transport, TCPTransport{})
+	cfg.MaxInflight = cmp.Or(cfg.MaxInflight, 1024)
+	cfg.InlineThreshold = cmp.Or(cfg.InlineThreshold, 50*time.Microsecond)
 	return cfg
 }
 
@@ -194,60 +176,35 @@ type Option func(*Config)
 // either order. It is the one way to configure a Server.
 func With(cfg Config) Option {
 	return func(c *Config) {
-		if cfg.CallTimeout != 0 {
-			c.CallTimeout = cfg.CallTimeout
-		}
-		if cfg.DialTimeout != 0 {
-			c.DialTimeout = cfg.DialTimeout
-		}
-		if cfg.HeartbeatInterval != 0 {
-			c.HeartbeatInterval = cfg.HeartbeatInterval
-		}
-		if cfg.LeaseGrace != 0 {
-			c.LeaseGrace = cfg.LeaseGrace
-		}
-		if cfg.BreakerBackoff != 0 {
-			c.BreakerBackoff = cfg.BreakerBackoff
-		}
-		if cfg.BreakerMaxBackoff != 0 {
-			c.BreakerMaxBackoff = cfg.BreakerMaxBackoff
-		}
-		if cfg.BulkThreshold != 0 {
-			c.BulkThreshold = cfg.BulkThreshold
-		}
-		if cfg.Transport != nil {
-			c.Transport = cfg.Transport
-		}
-		if cfg.StateFile != "" {
-			c.StateFile = cfg.StateFile
-		}
+		c.CallTimeout = cmp.Or(cfg.CallTimeout, c.CallTimeout)
+		c.DialTimeout = cmp.Or(cfg.DialTimeout, c.DialTimeout)
+		c.HeartbeatInterval = cmp.Or(cfg.HeartbeatInterval, c.HeartbeatInterval)
+		c.LeaseGrace = cmp.Or(cfg.LeaseGrace, c.LeaseGrace)
+		c.BreakerBackoff = cmp.Or(cfg.BreakerBackoff, c.BreakerBackoff)
+		c.BreakerMaxBackoff = cmp.Or(cfg.BreakerMaxBackoff, c.BreakerMaxBackoff)
+		c.BulkThreshold = cmp.Or(cfg.BulkThreshold, c.BulkThreshold)
+		c.Transport = cmp.Or(cfg.Transport, c.Transport)
+		c.StateFile = cmp.Or(cfg.StateFile, c.StateFile)
 		if cfg.Rebinder != nil {
 			c.Rebinder = cfg.Rebinder
 		}
-		if cfg.MaxInflight != 0 {
-			c.MaxInflight = cfg.MaxInflight
-		}
-		if cfg.InlineThreshold != 0 {
-			c.InlineThreshold = cfg.InlineThreshold
-		}
+		c.MaxInflight = cmp.Or(cfg.MaxInflight, c.MaxInflight)
+		c.InlineThreshold = cmp.Or(cfg.InlineThreshold, c.InlineThreshold)
 	}
 }
 
 // Server is one machine's network door server.
 type Server struct {
-	dom  *kernel.Domain
-	ln   sock.Listener
-	addr string
+	ids // the §3.3 identifier mapping (ids.go): domain, address, mu and proto
+	ln  sock.Listener
 
 	// cfg is the normalized configuration, fixed at Start (the sweeper
 	// and forwarders read it concurrently, so it is not settable
 	// afterwards).
 	cfg Config
 
-	mu       sync.Mutex
-	proto    *proto // the control plane (proto.go): events under mu, actions after it
-	shown    tally  // what settle last published of proto's tally
-	roots    map[string]*core.Object
+	// Guarded by mu.
+	shown    tally              // what settle last published of proto's tally
 	allConns map[*conn]struct{} // every live connection, for teardown
 	closed   bool
 
@@ -281,15 +238,14 @@ func Start(dom *kernel.Domain, listenAddr string, opts ...Option) (*Server, erro
 		return nil, fmt.Errorf("netd: listen %s: %w", listenAddr, err)
 	}
 	s := &Server{
-		dom:      dom,
+		ids: ids{dom: dom, addr: ln.Addr(), proto: newProto(cfg, rand.Uint64()),
+			roots: make(map[string]*core.Object), proxies: make(map[uint64]*proxy)},
 		ln:       ln,
-		addr:     ln.Addr(),
 		cfg:      cfg,
-		proto:    newProto(cfg, rand.Uint64()),
-		roots:    make(map[string]*core.Object),
 		allConns: make(map[*conn]struct{}),
 		stop:     make(chan struct{}),
 	}
+	s.end, s.body = s.settle, s.forward
 	if cfg.StateFile != "" {
 		if err := s.loadState(); err != nil {
 			_ = ln.Close()
@@ -385,83 +341,6 @@ var (
 )
 
 // ---------------------------------------------------------------------
-// Export / import of door identifiers.
-
-// exportSlot maps an in-flight door reference to its network form,
-// transferring the reference into the export table, held under the lease
-// session of the connection it ships over.
-func (s *Server) exportSlot(slot buffer.Door, c *conn) (descriptor, error) {
-	ref, ok := slot.(kernel.Ref)
-	if !ok {
-		return descriptor{}, fmt.Errorf("netd: cannot export %T", slot)
-	}
-	door, inline := ref.DoorID(), ref.InlineHint()
-	h := s.dom.AdoptRef(ref)
-	s.mu.Lock()
-	key, ok := s.proto.exported(c.sess, door, h, inline)
-	s.settle()
-	if !ok {
-		return descriptor{}, commErr("no live session to export over")
-	}
-	return descriptor{Addr: s.addr, Key: key}, nil
-}
-
-// importDesc converts a network form back into a kernel door reference: a
-// proxy door for remote descriptors, the real door for one coming home.
-// A fabricated proxy captures the exporter address's current import
-// epoch; if the exporter later stays unreachable past the lease grace
-// period the epoch is bumped and the proxy is poisoned.
-func (s *Server) importDesc(desc descriptor) (kernel.Ref, error) {
-	if desc.Addr == s.addr {
-		// One of our own doors returning home: unwrap to the real door,
-		// consuming the remote reference the descriptor carried.
-		s.mu.Lock()
-		h, ok := s.proto.unwrapped(desc.Key)
-		var ref kernel.Ref
-		var err error
-		if ok {
-			ref, err = s.dom.RefOf(h) // before settle deletes h, if that was its last holder
-		}
-		s.settle()
-		if !ok {
-			return kernel.Ref{}, fmt.Errorf("netd: stale home descriptor key %d", desc.Key)
-		}
-		return ref, err
-	}
-	s.mu.Lock()
-	p := s.proto.peer(desc.Addr)
-	epoch := p.epoch.Load() // the import epoch the proxy is minted under
-	s.settle()
-	// The peerState pointer is captured so the per-call poison check is
-	// one atomic load, not a trip through s.mu; peer entries are never
-	// removed, so the pointer stays valid for the proxy's lifetime.
-	proc := func(req *buffer.Buffer, info *kernel.Info) (*buffer.Buffer, error) {
-		return s.forward(desc, p, epoch, req, info)
-	}
-	unref := func() {
-		s.mu.Lock()
-		s.proto.proxyReleased(p, epoch, desc.Key, 1)
-		s.settle()
-	}
-	h, _ := s.dom.CreateDoorInfo(proc, unref)
-	ref, err := s.dom.RefOf(h)
-	if err != nil {
-		return kernel.Ref{}, err
-	}
-	if err := s.dom.DeleteDoor(h); err != nil {
-		return kernel.Ref{}, err
-	}
-	return ref, nil
-}
-
-// Exports reports the number of live export entries (observability).
-func (s *Server) Exports() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.proto.exports)
-}
-
-// ---------------------------------------------------------------------
 // Client side: forwarding calls through proxy doors.
 
 // forward executes one door call against a remote descriptor. The
@@ -484,19 +363,25 @@ func (s *Server) forward(desc descriptor, p *peerState, epoch uint64, req *buffe
 	return reply, err
 }
 
-// settleReply consumes a settled future on the ready path: a delivered
-// reply frame is parsed into the result the caller now owns, anything else
-// is the connection's death notice. The future returns to the pool here —
-// the waiter is its sole owner once the ready signal is drained.
-func (s *Server) settleReply(fut *callFuture, desc descriptor) (*buffer.Buffer, error) {
-	st := fut.state.Load()
-	reply := fut.reply
+// settleReply consumes a settled future on the ready path. A delivered
+// reply frame, positioned after its request id, becomes the result in
+// place (see getWireBuffer), its doors imported from from's peer, and is
+// the caller's to Put; any other outcome — the connection's death notice,
+// an error reply — recycles the frame here. The future returns to the pool
+// here: the waiter is its sole owner once the ready signal is drained.
+func (s *Server) settleReply(fut *callFuture, desc descriptor, from *session) (*buffer.Buffer, error) {
+	st, reply := fut.state.Load(), fut.reply
 	fut.reply = nil
 	putFuture(fut)
 	if st != futDelivered {
 		return nil, commErr("connection to %s lost", desc.Addr)
 	}
-	return s.parseReply(reply, desc)
+	if err := s.decodeReply(reply, desc, from); err != nil {
+		kernel.ReleaseBufferDoors(reply)
+		buffer.Put(reply)
+		return nil, err
+	}
+	return reply, nil
 }
 
 func (s *Server) forwardInfo(desc descriptor, p *peerState, epoch uint64, req *buffer.Buffer, info *kernel.Info) (*buffer.Buffer, error) {
@@ -523,7 +408,7 @@ func (s *Server) forwardInfo(desc descriptor, p *peerState, epoch uint64, req *b
 	payload.WriteUint64(reqID)
 	payload.WriteUint64(desc.Key)
 	putInfoHeader(payload, info)
-	if err := s.putWireBuffer(payload, req, c); err != nil {
+	if err := s.putWireBuffer(payload, req, c.sess); err != nil {
 		c.abandon(reqID, fut)
 		buffer.Put(payload)
 		return nil, err
@@ -546,7 +431,7 @@ func (s *Server) forwardInfo(desc descriptor, p *peerState, epoch uint64, req *b
 	select {
 	case <-fut.ready:
 		timer.Stop()
-		return s.settleReply(fut, desc)
+		return s.settleReply(fut, desc, c.sess)
 	case <-cancel:
 		timer.Stop()
 		c.abandon(reqID, fut)
@@ -560,28 +445,16 @@ func (s *Server) forwardInfo(desc descriptor, p *peerState, epoch uint64, req *b
 	}
 }
 
-// parseReply decodes a reply frame positioned after its request id. A
-// successful reply becomes the result buffer in place (see getWireBuffer)
-// and is the caller's to Put; every other outcome recycles the frame here.
-func (s *Server) parseReply(reply *buffer.Buffer, desc descriptor) (*buffer.Buffer, error) {
-	if err := s.decodeReply(reply, desc); err != nil {
-		kernel.ReleaseBufferDoors(reply)
-		buffer.Put(reply)
-		return nil, err
-	}
-	return reply, nil
-}
-
 // decodeReply reads the reply code and either reconstitutes the result in
 // reply (nil) or returns the error class the code stands for.
-func (s *Server) decodeReply(reply *buffer.Buffer, desc descriptor) error {
+func (s *Server) decodeReply(reply *buffer.Buffer, desc descriptor, from *session) error {
 	code, err := reply.ReadByte()
 	if err != nil {
 		return commErr("truncated reply from %s", desc.Addr)
 	}
 	switch code {
 	case codeOK:
-		return s.getWireBuffer(reply)
+		return s.getWireBuffer(reply, from)
 	case codeRevoked:
 		return fmt.Errorf("netd: remote door %s/%d: %w", desc.Addr, desc.Key, kernel.ErrRevoked)
 	case codeBadKey:
@@ -695,10 +568,10 @@ func (s *Server) adopt(netc sock.Stream, addr string) (*conn, uint64, error) {
 }
 
 // serveConn demultiplexes one connection: replies complete pending
-// requests; hellos bind the session; pings are answered; calls, releases
-// and root requests are served (only after the session handshake — a
-// peer that skips it is violating the protocol and is cut off). addr is
-// the pool key for dialled connections ("" for accepted ones).
+// requests; hellos bind the session; pings are answered; calls (root
+// requests among them) and releases are served, only after the session
+// handshake — a peer that skips it is violating the protocol and is cut
+// off. addr is the pool key for dialled connections ("" for accepted ones).
 func (s *Server) serveConn(c *conn, addr string) {
 	// Buffered reads are the receive half of the write coalescing: a
 	// peer's flush arrives as one TCP segment train, and the buffered
@@ -740,7 +613,7 @@ func (s *Server) serveConn(c *conn, addr string) {
 func (s *Server) serveFrame(c *conn, br *bufio.Reader, in *buffer.Buffer, rel *[]releasePair, budget *time.Duration) bool {
 	msg, err := in.ReadByte() // 0, matching no case, on an empty frame
 	ok := err == nil
-	if (msg == msgCall || msg == msgRelease || msg == msgRoot) && !c.hasSession() {
+	if (msg == msgCall || msg == msgRelease) && !c.hasSession() {
 		msg, ok = 0, false // a peer that skips the handshake is cut off
 	}
 	switch msg {
@@ -774,7 +647,7 @@ func (s *Server) serveFrame(c *conn, br *bufio.Reader, in *buffer.Buffer, rel *[
 		}
 		info, err := getInfoHeader(in)
 		if err == nil {
-			err = s.getWireBuffer(in)
+			err = s.getWireBuffer(in, c.sess)
 		}
 		if err != nil {
 			kernel.ReleaseBufferDoors(in)
@@ -800,32 +673,27 @@ func (s *Server) serveFrame(c *conn, br *bufio.Reader, in *buffer.Buffer, rel *[
 			s.proto.drop(r.key, c.sess, int(r.count))
 		}
 		s.settle()
-	case msgRoot:
-		reqID, err := in.ReadUint64()
-		if err != nil {
-			break
-		}
-		name, err := in.ReadString()
-		if err != nil {
-			break
-		}
-		s.handleRoot(c, reqID, name)
 	}
 	buffer.Put(in)
 	return ok
 }
 
-// dispatchCall decides where one incoming call runs (E20, E25): admission
-// first (server-wide and per-connection in-flight bounds — past either, the
-// call is shed immediately with a retryable overload reply instead of
-// queueing to death), then the inline fast path (a door whose adaptive state proves
-// it non-blocking executes right here on the reader goroutine, spending the
-// batch's inline budget), and otherwise a goroutine of its own, so a handler
-// that blocks — on a group commit, on another server — holds nothing the
-// next call needs, and as many callers can be blocked in the server at once
-// as admission lets in. budget points at the reader's remaining per-batch
-// inline allowance.
+// dispatchCall decides where one incoming call runs (E20, E25): a root
+// request (key 0) is answered on the reader, before admission; any other
+// call meets admission first (server-wide and per-connection in-flight
+// bounds — past either, it is shed at once with a retryable overload reply
+// instead of queueing to death), then the inline fast path (a door whose
+// adaptive state proves it non-blocking executes right here on the reader
+// goroutine, spending the batch's inline budget), and otherwise a goroutine
+// of its own, so a handler that blocks — on a group commit, on another
+// server — holds nothing the next call needs, and as many callers can be
+// blocked in the server at once as admission lets in. budget points at the
+// reader's remaining per-batch inline allowance.
 func (s *Server) dispatchCall(c *conn, reqID, key uint64, req *buffer.Buffer, info *kernel.Info, budget *time.Duration) {
+	if key == 0 {
+		s.handleRoot(c, reqID, req)
+		return
+	}
 	if !s.admitServe(c) {
 		s.shed(c, reqID, req)
 		return
@@ -1029,15 +897,6 @@ func coalesceReleases(br *bufio.Reader, rel []releasePair) []releasePair {
 	}
 }
 
-// replyHeaderLen is what comes before a result in its reply frame:
-// [msgReply u8] [reqID u64] [code u8] [nbytes u32]. Behind the result come
-// the door count and, per door, a descriptor: descriptorRoom holds one
-// whose address is up to 54 bytes long.
-const (
-	replyHeaderLen = 1 + 8 + 1 + 4
-	descriptorRoom = 64
-)
-
 // reply answers reqID from the reader goroutine — a refusal, a root, a
 // frame that would not parse: the frame is queued and leaves at the
 // reader's next flush (serveConn).
@@ -1049,7 +908,7 @@ func (s *Server) reply(c *conn, reqID uint64, code byte, out *buffer.Buffer, err
 // result of a codeOK reply (nil otherwise).
 func (s *Server) replyFrame(c *conn, reqID uint64, code byte, out *buffer.Buffer, errMsg string) *buffer.Buffer {
 	if code == codeOK {
-		frame, err := s.frameResult(c, reqID, out)
+		frame, err := s.frameResult(reqID, out, c.sess)
 		if err == nil {
 			return frame
 		}
@@ -1069,107 +928,20 @@ func replyHeader(b *buffer.Buffer, reqID uint64, code byte) *buffer.Buffer {
 	return b
 }
 
-// frameResult makes the result out its own reply frame: the header goes
-// into the headroom in front of the marshalled bytes and the door
-// descriptors behind them, so the buffer the skeleton filled is the one the
-// writer sends from — nothing is drawn and no payload byte moves. One kind
-// of result is framed by copy, as all used to be: one with no headroom to
-// prepend into — a request buffer answered with itself, an application
-// door's own buffer, a reply a small append has regrown — or no room behind
-// it for the descriptors, which appending them would move whole. An error
-// is a door that could not be exported; out is disposed of either way.
-func (s *Server) frameResult(c *conn, reqID uint64, out *buffer.Buffer) (*buffer.Buffer, error) {
-	n := out.Size()
-	frame := out
-	var err error
-	if hdr := out.Prepend(replyHeaderLen, 1+descriptorRoom*out.DoorCount()); hdr != nil {
-		hdr[0], hdr[9] = msgReply, codeOK
-		binary.LittleEndian.PutUint64(hdr[1:], reqID)
-		binary.LittleEndian.PutUint32(hdr[10:], uint32(n))
-		err = s.putDoors(out, out, c)
-	} else {
-		frame = replyHeader(buffer.Get(32), reqID, codeOK) // grows to the payload
-		err = s.putWireBuffer(frame, out, c)
-		buffer.Put(out)
+// handleRoot answers a root request (ImportRootObject, a call on key 0)
+// with a copy of the root it names. Doors the request carried are released,
+// as a refused call's are.
+func (s *Server) handleRoot(c *conn, reqID uint64, req *buffer.Buffer) {
+	name, err := req.ReadString()
+	kernel.ReleaseBufferDoors(req)
+	buffer.Put(req)
+	var out *buffer.Buffer
+	if err == nil {
+		out, err = s.root(name)
 	}
 	if err != nil {
-		buffer.Put(frame)
-		return nil, err
-	}
-	return frame, nil
-}
-
-// ---------------------------------------------------------------------
-// Bootstrap roots.
-
-// PublishRoot publishes obj under name: remote machines can fetch a copy
-// with ImportRootObject to obtain their first object on this machine. The
-// object is retained (copies are marshalled per request, through its
-// subcontract).
-func (s *Server) PublishRoot(name string, obj *core.Object) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.roots[name] = obj
-}
-
-func (s *Server) handleRoot(c *conn, reqID uint64, name string) {
-	s.mu.Lock()
-	obj, ok := s.roots[name]
-	s.mu.Unlock()
-	if !ok {
-		s.reply(c, reqID, codeError, nil, ErrNoRoot.Error()+": "+name)
-		return
-	}
-	tmp := buffer.Get(64)
-	if err := obj.MarshalCopy(tmp); err != nil {
-		buffer.Put(tmp)
 		s.reply(c, reqID, codeError, nil, err.Error())
 		return
 	}
-	if s.cfg.StateFile != "" {
-		// Durable servers label root-marshalled doors before the reply
-		// exports them, so a restart can rebind their keys (RootRebinder).
-		s.mu.Lock()
-		for i, d := range tmp.Doors() {
-			if ref, ok := d.(kernel.Ref); ok && ref.Valid() {
-				s.proto.label(ref.DoorID(), fmt.Sprintf("root:%s/%d", name, i))
-			}
-		}
-		s.settle()
-	}
-	s.reply(c, reqID, codeOK, tmp, "")
-}
-
-// ImportRootObject fetches the named root object from the server at addr
-// and unmarshals it into env (which must belong to this server's kernel).
-func (s *Server) ImportRootObject(env *core.Env, addr, name string, expected *core.MTable) (*core.Object, error) {
-	c, err := s.getConn(addr, roleCall)
-	if err != nil {
-		return nil, err
-	}
-	payload := buffer.Get(32)
-	payload.WriteByte(msgRoot)
-	reqID, fut := c.register()
-	payload.WriteUint64(reqID)
-	payload.WriteString(name)
-	if err := c.send(payload); err != nil {
-		c.abandon(reqID, fut)
-		return nil, commErr("send to %s: %v", addr, err)
-	}
-	timer := fut.armTimer(s.cfg.CallTimeout)
-	select {
-	case <-fut.ready:
-		timer.Stop()
-		buf, err := s.settleReply(fut, descriptor{Addr: addr})
-		if err != nil {
-			return nil, err
-		}
-		obj, err := core.Unmarshal(env, expected, buf)
-		kernel.ReleaseBufferDoors(buf)
-		buffer.Put(buf)
-		return obj, err
-	case <-timer.C:
-		c.abandon(reqID, fut)
-		return nil, commErr("root fetch from %s timed out", addr)
-	}
+	s.reply(c, reqID, codeOK, out, "")
 }

@@ -210,8 +210,7 @@ func (s *Server) loadState() error {
 		if !ok {
 			continue // the labeled object no longer exists; stale keys fail cleanly
 		}
-		rebound = append(rebound, reboundExport{key: pe.Key, label: pe.Label, door: ref.DoorID(),
-			inline: ref.InlineHint(), h: s.dom.AdoptRef(ref)})
+		rebound = append(rebound, reboundExport{key: pe.Key, label: pe.Label, door: ref.DoorID(), h: s.dom.AdoptRef(ref)})
 	}
 	s.mu.Lock()
 	s.proto.restore(ps, rebound, time.Now())

@@ -27,8 +27,7 @@ type exportEntry struct {
 	held map[*session]int
 	// inline is the door's adaptive inline-eligibility state (E20):
 	// promoted doors execute incoming calls directly on the reader
-	// goroutine. Seeded from the door's explicit hint (kernel
-	// Door.SetInline), then driven by observed completion times.
+	// goroutine. Observed completion times drive it.
 	inline *dispatch.InlineState
 }
 
@@ -261,7 +260,7 @@ func (m *proto) connClosed(c *conn, sess *session, downAddr string, now time.Tim
 // holder count and h is deleted (the table's own handle keeps the door
 // alive), a new one gets the next key. An expired session — a lease that
 // lapsed, a server shut down — refuses it, and h is deleted.
-func (m *proto) exported(sess *session, door uint64, h kernel.Handle, inline bool) (uint64, bool) {
+func (m *proto) exported(sess *session, door uint64, h kernel.Handle) (uint64, bool) {
 	if sess == nil || sess.expired {
 		m.do(action{kind: actDelete, h: h})
 		return 0, false
@@ -272,7 +271,7 @@ func (m *proto) exported(sess *session, door uint64, h kernel.Handle, inline boo
 	} else {
 		key = m.nextKey
 		m.nextKey++
-		m.addExport(key, door, h, inline)
+		m.addExport(key, door, h)
 	}
 	m.exports[key].held[sess]++
 	sess.refs[key]++
@@ -283,12 +282,8 @@ func (m *proto) exported(sess *session, door uint64, h kernel.Handle, inline boo
 }
 
 // addExport enters door under key, with no holder yet.
-func (m *proto) addExport(key, door uint64, h kernel.Handle, inline bool) *exportEntry {
-	ist := &dispatch.InlineState{}
-	if inline {
-		ist.Promote()
-	}
-	e := &exportEntry{h: h, door: door, held: make(map[*session]int), inline: ist}
+func (m *proto) addExport(key, door uint64, h kernel.Handle) *exportEntry {
+	e := &exportEntry{h: h, door: door, held: make(map[*session]int), inline: &dispatch.InlineState{}}
 	m.exports[key] = e
 	m.byDoor[door] = key
 	return e
@@ -326,24 +321,16 @@ func (m *proto) reap(key uint64, e *exportEntry) {
 	m.do(action{kind: actDelete, h: e.h})
 }
 
-// unwrapped consumes the remote reference one of our own descriptors
-// carried home and returns the handle of the door it names, valid until
-// the shell performs this event's actions; false for a key the table does
-// not hold. The descriptor does not say whose reference it was: it is
-// taken from the holder with the lowest instance, a fixed choice that keeps
-// the machine deterministic.
-func (m *proto) unwrapped(key uint64) (kernel.Handle, bool) {
+// unwrapped consumes the reference one of our own descriptors carried
+// home from sess, the peer that sent it, and returns the handle of the
+// door it names, valid until the shell performs this event's actions;
+// false for a key sess holds no reference on.
+func (m *proto) unwrapped(key uint64, sess *session) (kernel.Handle, bool) {
 	e, ok := m.exports[key]
-	if !ok {
+	if !ok || e.held[sess] == 0 {
 		return 0, false
 	}
-	var from *session
-	for sess := range e.held {
-		if from == nil || sess.peer < from.peer {
-			from = sess
-		}
-	}
-	m.drop(key, from, 1)
+	m.drop(key, sess, 1)
 	return e.h, true
 }
 
@@ -567,7 +554,6 @@ type reboundExport struct {
 	key, door uint64
 	label     string
 	h         kernel.Handle
-	inline    bool
 }
 
 // restore loads a checked state file into a fresh machine at now: the
@@ -579,7 +565,7 @@ func (m *proto) restore(ps *persistedState, rebound []reboundExport, now time.Ti
 	m.instance = ps.Instance
 	m.nextKey = max(m.nextKey, ps.NextKey+keySlack)
 	for _, r := range rebound {
-		m.addExport(r.key, r.door, r.h, r.inline)
+		m.addExport(r.key, r.door, r.h)
 		m.labels[r.door] = r.label
 	}
 	for _, p := range ps.Sessions {

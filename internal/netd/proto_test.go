@@ -20,23 +20,41 @@ import (
 // A test drives events the way the shell does and reads the actions back.
 
 func TestProtoIsPure(t *testing.T) {
+	// Each file may import only what it lists; neither starts a goroutine
+	// or reads the clock. The mapping (ids.go) takes the lock its events
+	// need, so it may import sync, but no socket, stream or reader.
+	for file, allowed := range map[string]map[string]bool{
+		"proto.go": {
+			"time":                    true, // durations and instants it is handed, never the clock
+			"sync/atomic":             true, // peerState.epoch, which proxies load without a lock
+			"repro/internal/dispatch": true,
+			"repro/internal/kernel":   true,
+			"repro/internal/scstats":  true,
+		},
+		"ids.go": {
+			"encoding/binary":       true,
+			"fmt":                   true,
+			"sync":                  true,
+			"repro/internal/buffer": true,
+			"repro/internal/core":   true, // the published roots
+			"repro/internal/kernel": true,
+		},
+	} {
+		checkPure(t, file, allowed)
+	}
+}
+
+func checkPure(t *testing.T, file string, allowed map[string]bool) {
 	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "proto.go", nil, 0)
+	f, err := parser.ParseFile(fset, file, nil, 0)
 	if err != nil {
 		t.Fatal(err)
-	}
-	allowed := map[string]bool{
-		"time":                    true, // durations and instants it is handed, never the clock
-		"sync/atomic":             true, // peerState.epoch, which proxies load without a lock
-		"repro/internal/dispatch": true,
-		"repro/internal/kernel":   true,
-		"repro/internal/scstats":  true,
 	}
 	timeName := "time"
 	for _, imp := range f.Imports {
 		path, _ := strconv.Unquote(imp.Path.Value)
 		if !allowed[path] {
-			t.Errorf("proto.go imports %q", path)
+			t.Errorf("%s imports %q", file, path)
 		}
 		if path == "time" && imp.Name != nil {
 			timeName = imp.Name.Name
@@ -47,10 +65,10 @@ func TestProtoIsPure(t *testing.T) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
-			t.Errorf("%v: proto.go starts a goroutine", fset.Position(n.Pos()))
+			t.Errorf("%v: %s starts a goroutine", fset.Position(n.Pos()), file)
 		case *ast.SelectorExpr:
 			if x, ok := n.X.(*ast.Ident); ok && x.Name == timeName && clock[n.Sel.Name] {
-				t.Errorf("%v: proto.go reads the clock (time.%s)", fset.Position(n.Pos()), n.Sel.Name)
+				t.Errorf("%v: %s reads the clock (time.%s)", fset.Position(n.Pos()), file, n.Sel.Name)
 			}
 		}
 		return true
@@ -89,7 +107,7 @@ func (r *rig) hello(instance uint64) (*conn, *session) {
 
 func (r *rig) export(sess *session, door uint64) uint64 {
 	r.h++
-	key, ok := r.m.exported(sess, door, r.h, false)
+	key, ok := r.m.exported(sess, door, r.h)
 	if !ok {
 		r.t.Fatalf("export of door %d refused", door)
 	}
@@ -136,7 +154,7 @@ func TestProtoTimers(t *testing.T) {
 				t.Fatalf("at grace+1ns: %d deletes, %d sessions, %d exports; want 2, 0, 0",
 					count(acts, actDelete), len(r.m.sessions), len(r.m.exports))
 			}
-			if _, ok := r.m.exported(sess, 102, 99, false); ok || !sess.expired {
+			if _, ok := r.m.exported(sess, 102, 99); ok || !sess.expired {
 				t.Fatal("an expired session still takes exports")
 			}
 		}},
@@ -420,7 +438,7 @@ func (w *world) step() {
 		w.event = "export"
 		if wc := w.pickConn(); wc != nil {
 			w.h++
-			m.exported(wc.sess, 1+rng.Uint64N(24), w.h, rng.IntN(2) == 0)
+			m.exported(wc.sess, 1+rng.Uint64N(24), w.h)
 		}
 	case ev < 8:
 		w.event = "session release"
@@ -433,7 +451,13 @@ func (w *world) step() {
 		}
 	case ev < 9:
 		w.event = "home unwrap"
-		m.unwrapped(rng.Uint64N(m.nextKey + 1))
+		if wc := w.pickConn(); wc != nil && wc.sess != nil {
+			key := rng.Uint64N(m.nextKey + 1)
+			if keys := slices.Sorted(maps.Keys(wc.sess.refs)); len(keys) > 0 && rng.IntN(4) != 0 {
+				key = keys[rng.IntN(len(keys))]
+			}
+			m.unwrapped(key, wc.sess)
+		}
 	case ev < 10:
 		w.event = "dial admit"
 		if p, _, ok := m.admit(worldAddrs[1+rng.IntN(3)], w.now); ok {
@@ -664,5 +688,27 @@ func (w *world) check(i int) {
 	}
 	if w.gauges[tExports] != int64(len(m.exports)) || w.gauges[tSessions] != int64(len(m.sessions)) || w.gauges[tQueued] != int64(queued) {
 		fail("gauges %v, tables: %d exports, %d sessions, %d queued", w.gauges[:tLeasesExpired], len(m.exports), len(m.sessions), queued)
+	}
+}
+
+func TestProtoUnwrapTakesSendersReference(t *testing.T) {
+	// A descriptor that comes home carries its sender's reference: a peer
+	// holding none on the key cannot unwrap it — a guessed key is not a
+	// capability — and one that holds some gives up one of its own.
+	r := newRig(t)
+	_, sess1 := r.hello(1)
+	_, sess2 := r.hello(2)
+	_, stranger := r.hello(3)
+	key := r.export(sess1, 100)
+	r.export(sess2, 100)
+	r.acts()
+	if _, ok := r.m.unwrapped(key, stranger); ok {
+		t.Fatal("a peer holding no reference on the key unwrapped it")
+	}
+	if _, ok := r.m.unwrapped(key, sess2); !ok || sess2.refs[key] != 0 || sess1.refs[key] != 1 {
+		t.Fatalf("unwrap from the second holder: ok %v, refs %d and %d; want true, 0 and 1", ok, sess2.refs[key], sess1.refs[key])
+	}
+	if acts := r.acts(); len(acts) != 0 || len(r.m.exports) != 1 {
+		t.Fatalf("with a holder left: %v, %d exports; want no action, 1 export", acts, len(r.m.exports))
 	}
 }

@@ -200,7 +200,7 @@ func TestReplyIsFrame(t *testing.T) {
 			if msg != msgReply || id != reqID {
 				t.Fatalf("frame type %d for request %d, want msgReply for %d", msg, id, reqID)
 			}
-			err = srv.decodeReply(in, descriptor{Addr: "test"})
+			err = srv.decodeReply(in, descriptor{Addr: "test"}, c.sess)
 			if tc.code == codeError {
 				if err == nil || !strings.Contains(err.Error(), tc.errMsg) {
 					t.Fatalf("decoded error = %v, want %q", err, tc.errMsg)

@@ -19,7 +19,6 @@ import (
 //	call:    [msgCall u8]    [reqID u64] [key u64] [ctx] [wirebuf]
 //	reply:   [msgReply u8]   [reqID u64] [code u8] [wirebuf | errstring]
 //	release: [msgRelease u8] [key u64] [count uvarint]
-//	root:    [msgRoot u8]    [reqID u64] [name string]   (replied with msgReply)
 //	ping:    [msgPing u8]                (answered with msgPong)
 //	pong:    [msgPong u8]
 //
@@ -31,11 +30,14 @@ import (
 // peer dies or partitions past the lease grace period the references can
 // be reclaimed (see the package comment's failure semantics). ping/pong
 // are the heartbeat: a side that has sent nothing for a heartbeat interval
-// pings, and any received frame counts as proof of peer life.
+// pings, and any received frame counts as proof of peer life. A call on
+// key 0, which no export holds, fetches a bootstrap root: its wirebuf
+// holds the root's name, and the reply the marshalled root (ids.go).
 //
 // ctx is the invocation-context header: one flags byte, then the
 // remaining deadline budget and the trace identity, each present only
 // when its flag bit is set — a context-free call pays a single zero byte.
+// A flags byte with any other bit set is refused.
 // The deadline crosses the wire as a relative budget in nanoseconds, not
 // an absolute time, so unsynchronized machine clocks cannot corrupt it;
 // the receiving side rebases it onto its own clock (network transit time
@@ -54,12 +56,11 @@ import (
 //
 // Door identifiers are mapped to this extended network form on export and
 // back to (proxy) kernel doors on import, exactly the role of the Spring
-// network servers (§3.3).
+// network servers (§3.3); ids.go is that mapping.
 const (
 	msgCall    = 1
 	msgReply   = 2
 	msgRelease = 3
-	msgRoot    = 4
 	msgHello   = 5
 	msgPing    = 6
 	msgPong    = 7
@@ -87,7 +88,6 @@ const (
 const (
 	ctxHasDeadline = 1 << 0
 	ctxHasTrace    = 1 << 1
-	ctxHasPriority = 1 << 2
 )
 
 // putInfoHeader writes the invocation-context header for info.
@@ -108,9 +108,6 @@ func putInfoHeader(out *buffer.Buffer, info *kernel.Info) {
 			// no buffer to settle against (see internal/trace tail.go).
 			flags |= ctxHasTrace
 		}
-		if info.Priority != 0 {
-			flags |= ctxHasPriority
-		}
 	}
 	out.WriteByte(flags)
 	if flags&ctxHasDeadline != 0 {
@@ -120,11 +117,6 @@ func putInfoHeader(out *buffer.Buffer, info *kernel.Info) {
 		out.WriteUint64(info.Trace)
 		out.WriteUint64(info.Span)
 		out.WriteUint64(info.Parent)
-	}
-	if flags&ctxHasPriority != 0 {
-		// Zig-zag-free: the int32 rides as its uint32 bit pattern, so
-		// negative priorities survive the uvarint.
-		out.WriteUvarint(uint64(uint32(info.Priority)))
 	}
 }
 
@@ -137,6 +129,9 @@ func getInfoHeader(in *buffer.Buffer) (*kernel.Info, error) {
 	}
 	if flags == 0 {
 		return nil, nil
+	}
+	if flags&^(ctxHasDeadline|ctxHasTrace) != 0 {
+		return nil, fmt.Errorf("netd: ctx flags %#x name a field this server does not know", flags)
 	}
 	info := &kernel.Info{}
 	if flags&ctxHasDeadline != 0 {
@@ -157,24 +152,11 @@ func getInfoHeader(in *buffer.Buffer) (*kernel.Info, error) {
 			return nil, err
 		}
 	}
-	if flags&ctxHasPriority != 0 {
-		p, err := in.ReadUvarint()
-		if err != nil {
-			return nil, err
-		}
-		info.Priority = int32(uint32(p))
-	}
 	return info, nil
 }
 
 // maxFrame bounds a frame's size as a defence against corrupt peers.
 const maxFrame = 64 << 20
-
-// descriptor is a door identifier's extended network form.
-type descriptor struct {
-	Addr string
-	Key  uint64
-}
 
 // readFrame reads one length-prefixed payload into a pooled buffer, which
 // the caller owns (buffer.Put). The header is peeked rather than read into
@@ -209,70 +191,4 @@ func getHello(in *buffer.Buffer) (instance, epoch uint64, listenAddr string, err
 	epoch, err2 := in.ReadUint64()
 	listenAddr, err3 := in.ReadString()
 	return instance, epoch, listenAddr, cmp.Or(err1, err2, err3)
-}
-
-// putWireBuffer flattens buf into out, converting its door references to
-// descriptors through the exporting server. The door references are
-// consumed (transferred to the wire); each exported reference is tagged
-// with the session of the connection it ships over, so it can be
-// reclaimed if that peer's lease expires.
-func (s *Server) putWireBuffer(out *buffer.Buffer, buf *buffer.Buffer, c *conn) error {
-	out.WriteUint32(uint32(len(buf.Bytes())))
-	out.WriteRaw(buf.Bytes())
-	return s.putDoors(out, buf, c)
-}
-
-// putDoors ends a wirebuf: it appends to out the descriptors of buf's door
-// references, exported to c's session and consumed. out may be buf itself.
-func (s *Server) putDoors(out, buf *buffer.Buffer, c *conn) error {
-	doors := buf.TakeDoors()
-	out.WriteUvarint(uint64(len(doors)))
-	for _, slot := range doors {
-		desc, err := s.exportSlot(slot, c)
-		if err != nil {
-			return err
-		}
-		out.WriteString(desc.Addr)
-		out.WriteUint64(desc.Key)
-	}
-	return nil
-}
-
-// getWireBuffer reconstitutes a communication buffer from the wire in
-// place: in, positioned at a wirebuf, becomes the buffer that wirebuf
-// describes — its stream narrowed to the payload, proxy doors fabricated
-// for the received descriptors. Nothing is allocated and nothing changes
-// hands: in still owns the frame's storage, and whoever Puts it returns the
-// frame. A payload length the frame cannot hold is a corrupt peer, reported
-// in the communications class. On error in holds the proxy doors imported
-// so far; the caller releases them and Puts it, as for any dead buffer.
-func (s *Server) getWireBuffer(in *buffer.Buffer) error {
-	n, err := in.ReadUint32()
-	if err != nil {
-		return err
-	}
-	off := in.Size() - in.Len()
-	if _, err := in.ReadRaw(int(n)); err != nil {
-		return commErr("wirebuf of %d bytes in a frame with %d left", n, in.Len())
-	}
-	nd, err := in.ReadUvarint()
-	for i := uint64(0); err == nil && i < nd; i++ {
-		var desc descriptor
-		if desc.Addr, err = in.ReadString(); err != nil {
-			break
-		}
-		if desc.Key, err = in.ReadUint64(); err != nil {
-			break
-		}
-		var ref kernel.Ref
-		if ref, err = s.importDesc(desc); err != nil {
-			break
-		}
-		in.AppendDoor(ref)
-	}
-	if err != nil {
-		return err
-	}
-	in.Narrow(off, int(n))
-	return nil
 }

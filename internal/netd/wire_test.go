@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/kernel"
+	"repro/internal/sctest"
 	"repro/internal/sock"
 )
 
@@ -98,17 +99,16 @@ func TestWireBufferRoundTrip(t *testing.T) {
 	}
 	in.WriteUint32(42)
 
-	// Exports are attributed to the session of the connection they ship
-	// over; fabricate one for this in-process round trip.
+	// Exports are attributed to the session of the peer they ship to;
+	// fabricate one for this in-process round trip.
 	sess := &session{refs: make(map[uint64]int)}
-	c := &conn{sess: sess}
 
 	wire := buffer.New(128)
-	if err := srv.putWireBuffer(wire, in, c); err != nil {
+	if err := srv.putWireBuffer(wire, in, sess); err != nil {
 		t.Fatal(err)
 	}
 	out := wire
-	if err := srv.getWireBuffer(out); err != nil {
+	if err := srv.getWireBuffer(out, sess); err != nil {
 		t.Fatal(err)
 	}
 	if s, err := out.ReadString(); err != nil || s != "hello" {
@@ -153,7 +153,7 @@ func TestPeerDropsConnectionMidCall(t *testing.T) {
 	}
 	defer srv.Close()
 
-	ref, err := srv.importDesc(descriptor{Addr: ln.Addr(), Key: 1})
+	ref, err := srv.importDesc(descriptor{Addr: ln.Addr(), Key: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,4 +220,34 @@ func writeFrame(w io.Writer, payload []byte) error {
 	}
 	_, err := w.Write(payload)
 	return err
+}
+
+func TestUnknownContextFlagsRefused(t *testing.T) {
+	// A ctx flags byte with bit 2 set names a field this server does not
+	// know (the priority field it once carried): the call is refused with
+	// codeError, and the connection goes on serving.
+	a := newMachine(t, "A")
+	exportCounter(t, a, "counter")
+	peer := dialRawPeer(t, a.srv.Addr())
+	key := peer.importRoot("counter")
+	args := buffer.New(4)
+	args.WriteUint32(uint32(sctest.OpGet))
+	req := buffer.New(64)
+	req.WriteByte(msgCall)
+	req.WriteUint64(7) // request id
+	req.WriteUint64(key)
+	req.WriteByte(1 << 2)
+	req.WriteUvarint(5) // what the field held
+	req.WriteUint32(uint32(args.Size()))
+	req.WriteRaw(args.Bytes())
+	req.WriteUvarint(0) // no doors
+	if err := writeFrame(peer.conn, req.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	reply := peer.next(msgReply)
+	if id := binary.LittleEndian.Uint64(reply); id != 7 || reply[8] != codeError {
+		t.Fatalf("unknown ctx flags: reply %d, code %d; want reply 7, codeError", id, reply[8])
+	}
+	peer.prepare(key)
+	peer.roundTrips(1)
 }

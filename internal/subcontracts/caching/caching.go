@@ -37,9 +37,6 @@ import (
 // SCID is the caching subcontract identifier.
 const SCID core.ID = 5
 
-// LibraryName is the simulated dynamic-linker library name (§6.2).
-const LibraryName = "caching.so"
-
 // LocalContextVar is the environment slot holding the machine-local naming
 // context (a *core.Object) in which cache manager names resolve.
 const LocalContextVar = "naming.local"

@@ -33,9 +33,6 @@ var stats = scstats.For("cluster")
 // spanInvoke traces cluster-member invocations.
 var spanInvoke = trace.Name("cluster.invoke")
 
-// LibraryName is the simulated dynamic-linker library name (§6.2).
-const LibraryName = "cluster.so"
-
 // Rep is a cluster object's representation: a door identifier plus the
 // integer tag selecting the object behind that door.
 type Rep struct {

@@ -25,9 +25,6 @@ import (
 // SCID is the priority subcontract identifier.
 const SCID core.ID = 8
 
-// LibraryName is the simulated dynamic-linker library name (§6.2).
-const LibraryName = "priority.so"
-
 // Var is the environment slot holding the calling domain's current
 // priority (an int32; absent means 0).
 const Var = "sched.priority"
@@ -48,17 +45,14 @@ var SC core.ClientOps = func() *ops {
 func Register(r *core.Registry) error { return r.Register(SC) }
 
 // InvokePreamble writes the caller's priority into the call buffer before
-// the stubs marshal the operation and arguments, and mirrors it into the
-// invocation context so every dispatch layer along the path — the netd
-// serve engine on the far machine included — queues the call at the same
-// priority the server-side executor will run it at.
+// the stubs marshal the operation and arguments: the call buffer is the
+// one place the priority travels (§5.1.4), locally and across machines
+// alike, to the server-side executor that runs the call at it.
 func (o *ops) InvokePreamble(obj *core.Object, call *core.Call) error {
 	if err := obj.CheckLive(); err != nil {
 		return err
 	}
-	p := CurrentPriority(obj.Env)
-	call.Args().WriteInt32(p)
-	call.Info().Priority = p
+	call.Args().WriteInt32(CurrentPriority(obj.Env))
 	return nil
 }
 

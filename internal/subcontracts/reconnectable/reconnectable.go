@@ -30,9 +30,6 @@ import (
 // SCID is the reconnectable subcontract identifier.
 const SCID core.ID = 6
 
-// LibraryName is the simulated dynamic-linker library name (§6.2).
-const LibraryName = "reconnectable.so"
-
 // ContextVar is the environment slot where a domain stores the naming
 // Context (a *core.Object of type spring.naming_context) that object names
 // resolve in.

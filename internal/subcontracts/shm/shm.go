@@ -34,9 +34,6 @@ import (
 // SCID is the shared-buffer subcontract identifier.
 const SCID core.ID = 7
 
-// LibraryName is the simulated dynamic-linker library name (§6.2).
-const LibraryName = "shm.so"
-
 // Mode selects whether the preamble optimization is active.
 type Mode int
 

@@ -27,9 +27,6 @@ import (
 // SCID is the simplex subcontract identifier.
 const SCID core.ID = 2
 
-// LibraryName is the simulated dynamic-linker library name (§6.2).
-const LibraryName = "simplex.so"
-
 // Remote is the client-side (cross-domain) operations vector: behaviourally
 // the door-based vector, under simplex's identity.
 var Remote = &doorsc.Ops{Ident: SCID, SCName: "simplex"}

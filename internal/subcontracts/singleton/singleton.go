@@ -14,10 +14,6 @@ import (
 // SCID is the singleton subcontract identifier.
 const SCID core.ID = 1
 
-// LibraryName is the name the subcontract's library is installed under in
-// the simulated dynamic linker (§6.2).
-const LibraryName = "singleton.so"
-
 // SC is the singleton subcontract (stateless; shared by all domains that
 // link it).
 var SC = &doorsc.Ops{Ident: SCID, SCName: "singleton"}

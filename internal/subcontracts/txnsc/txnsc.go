@@ -24,9 +24,6 @@ import (
 // SCID is the transaction subcontract identifier.
 const SCID core.ID = 9
 
-// LibraryName is the simulated dynamic-linker library name (§6.2).
-const LibraryName = "txnsc.so"
-
 // Var is the environment slot holding the domain's current *txn.Txn.
 const Var = "txn.current"
 

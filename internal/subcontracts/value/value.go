@@ -34,9 +34,6 @@ import (
 // SCID is the value subcontract identifier.
 const SCID core.ID = 11
 
-// LibraryName is the simulated dynamic-linker library name (§6.2).
-const LibraryName = "value.so"
-
 // Handler implements a value type's operations over its marshalled state.
 type Handler interface {
 	// Dispatch runs one operation: it may read args, write results, and

@@ -31,9 +31,6 @@ import (
 // SCID is the video subcontract identifier.
 const SCID core.ID = 10
 
-// LibraryName is the simulated dynamic-linker library name (§6.2).
-const LibraryName = "video.so"
-
 // attachOp is the subcontract-internal operation number used to negotiate
 // the frame channel. It sits far above any stub-level operation.
 const attachOp = ^uint32(0)
