@@ -164,10 +164,10 @@ type conn struct {
 	// replied, against half of Config.MaxInflight (admitServe).
 	inflight atomic.Int64
 
-	// sess and peerAddr are set by the hello, under Server.mu, on the
-	// connection's reader (handleHello).
-	sess     *session // peer lease session; nil until the hello
-	peerAddr string   // peer's advertised listen address
+	// sess and peer are set by the hello, under Server.mu, on the
+	// connection's reader (handleHello) — peer from the dial on, if dialled.
+	sess *session   // peer lease session; nil until the hello
+	peer *peerState // the record of the peer's address; nil if it gave none
 }
 
 // newConn wraps netc. It starts nothing: the caller runs serveConn.

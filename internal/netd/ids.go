@@ -115,6 +115,7 @@ func (x *ids) importDesc(desc descriptor, sess *session) (kernel.Ref, error) {
 	}, func() {
 		x.mu.Lock()
 		delete(x.proxies, px.id)
+		px.p.holds--
 		if !px.home {
 			x.proto.proxyReleased(px.p, px.epoch, px.desc.Key, 1)
 		}
@@ -128,11 +129,10 @@ func (x *ids) importDesc(desc descriptor, sess *session) (kernel.Ref, error) {
 		return kernel.Ref{}, err
 	}
 	px.id, px.door = ref.DoorID(), door
-	// The peerState pointer is captured so the per-call poison check is
-	// one atomic load, not a trip through mu; peer entries are never
-	// removed, so the pointer stays valid for the proxy's lifetime.
+	// The proxy holds its peer's record, so the per-call poison check is
+	// one atomic load, not a trip through mu, and the record outlives it.
 	x.mu.Lock()
-	px.p = x.proto.peer(desc.Addr)
+	px.p = x.proto.hold(desc.Addr)
 	px.epoch = px.p.epoch.Load()
 	x.proxies[px.id] = px
 	x.end()
@@ -293,8 +293,9 @@ func (s *Server) ImportRootObject(env *core.Env, addr, name string, expected *co
 	req := buffer.Get(16 + len(name))
 	req.WriteString(name)
 	s.mu.Lock()
-	p := s.proto.peer(addr)
-	s.settle()
+	p := s.proto.hold(addr)
+	s.mu.Unlock()
+	defer func() { s.mu.Lock(); p.holds--; s.mu.Unlock() }()
 	buf, err := s.forwardInfo(descriptor{Addr: addr}, p, p.epoch.Load(), req, nil)
 	buffer.Put(req)
 	if err != nil {

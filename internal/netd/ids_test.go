@@ -42,7 +42,7 @@ func pair(t *testing.T) (a, b *side) {
 	a.peer, b.peer = b, a
 	for _, x := range []*side{a, b} {
 		x.mu.Lock()
-		x.them = x.proto.hello(nil, x.peer.proto.instance, 0, x.peer.addr)
+		x.them, _ = x.proto.hello(nil, nil, x.peer.proto.instance, 0, x.peer.addr)
 		x.end()
 	}
 	return a, b
@@ -245,7 +245,7 @@ func TestIdentifierMappingTwoMachines(t *testing.T) {
 	ship(t, a, g)
 	now := time.Unix(1_000_000, 0)
 	a.mu.Lock()
-	a.proto.connClosed(nil, a.them, "", now)
+	a.proto.connClosed(nil, a.them, nil, now)
 	a.proto.tick(now.Add(a.proto.cfg.LeaseGrace+time.Nanosecond), nil)
 	a.end()
 	<-gUnref

@@ -23,12 +23,12 @@ const (
 	roleBulk             // dialled by the first request of BulkThreshold bytes or more
 )
 
-// link is the pair of dialled connections toward one peer address. Each
-// role is dialled on demand and redialled when dead, independently of the
-// other; a role that cannot get a connection of its own borrows the other's.
-// Both share the peer's one hello-derived session, so leases, heartbeats
-// and netd.sessions_live count peers, not sockets. Links are never removed
-// (Server.links only grows, like proto.peers).
+// link is the pair of dialled connections toward one peer address, held
+// in the address's record (peerState). Each role is dialled on demand and
+// redialled when dead, independently of the other; a role that cannot get
+// a connection of its own borrows the other's. Both share the peer's one
+// hello-derived session, so leases, heartbeats and netd.sessions_live
+// count peers, not sockets.
 type link struct {
 	// conns[r] is role r's connection: nil until dialled, possibly dead
 	// (live skips it, the next dial replaces it). Stores happen under
@@ -55,51 +55,25 @@ func (l *link) live(r role) *conn {
 	return nil
 }
 
-// liveConn returns a usable dialled connection to addr, of either role;
-// nil if there is none.
-func (s *Server) liveConn(addr string) *conn {
-	v, ok := s.links.Load(addr)
-	if !ok {
-		return nil
-	}
-	l := v.(*link)
-	if c := l.live(roleCall); c != nil {
-		return c
-	}
-	return l.live(roleBulk)
-}
-
-// linkFor returns (creating if needed) the link toward addr.
-func (s *Server) linkFor(addr string) *link {
-	if v, ok := s.links.Load(addr); ok {
-		return v.(*link)
-	}
-	v, _ := s.links.LoadOrStore(addr, &link{})
-	return v.(*link)
-}
-
-// getConn returns a live connection to addr for role r, dialling it (with
-// its session handshake) if needed. The steady-state lookup is one sync.Map
-// load plus one atomic pointer load — no lock, no contention with other
-// callers or the liveness sweeper.
-func (s *Server) getConn(addr string, r role) (*conn, error) {
-	l := s.linkFor(addr)
-	if c := l.live(r); c != nil {
+// getConn returns a live connection to p's address for role r, dialling it
+// (with its session handshake) if needed. The steady-state lookup is one
+// atomic pointer load: no map, no lock, no contention.
+func (s *Server) getConn(p *peerState, r role) (*conn, error) {
+	if c := p.link.live(r); c != nil {
 		return c, nil
 	}
-	return s.getConnSlow(l, addr, r)
+	return s.getConnSlow(p, r)
 }
 
-// getConnSlow establishes (or waits for) role r's connection on l, the link
-// to addr. A
-// dead connection is never handed out: the next call of its role redials.
+// getConnSlow establishes (or waits for) role r's connection on p's link.
+// A dead connection is never handed out: the next call of its role redials.
 // Dials are admitted by the per-address circuit breaker, and concurrent
-// cold calls of one role share a single dial (singleflight) instead of
-// stampeding — so one dial's outcome is reported to the breaker exactly
-// once, and no handshake is wasted. A role whose dial fails or is not
-// admitted borrows the other role's live connection rather than failing
-// the call; the open breaker then spaces out its redials.
-func (s *Server) getConnSlow(l *link, addr string, r role) (*conn, error) {
+// cold calls of one role share a single dial (singleflight), so one dial's
+// outcome is reported to the breaker exactly once. A role whose dial fails
+// or is not admitted borrows the other role's live connection rather than
+// failing the call; the open breaker then spaces out its redials.
+func (s *Server) getConnSlow(p *peerState, r role) (*conn, error) {
+	l, addr := &p.link, p.addr
 	for attempt := 0; ; attempt++ {
 		s.mu.Lock()
 		if s.closed {
@@ -127,7 +101,7 @@ func (s *Server) getConnSlow(l *link, addr string, r role) (*conn, error) {
 			}
 			continue // the shared dial's conn died already; try once more
 		}
-		p, wait, ok := s.proto.admit(addr, time.Now())
+		wait, ok := s.proto.admit(p, time.Now())
 		if !ok {
 			s.mu.Unlock()
 			return l.borrow(r, fmt.Errorf("%w: %s: %w (next probe in %v)", kernel.ErrCommFailure, addr, ErrBreakerOpen, wait.Round(time.Millisecond)))
@@ -136,7 +110,7 @@ func (s *Server) getConnSlow(l *link, addr string, r role) (*conn, error) {
 		l.dialing[r] = f
 		s.mu.Unlock()
 
-		c, err := s.dialAndHello(addr)
+		c, err := s.dialAndHello(p)
 		s.mu.Lock()
 		l.dialing[r] = nil
 		s.proto.dialed(p, err == nil, time.Now())

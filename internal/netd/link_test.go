@@ -30,7 +30,14 @@ func linkPair(t *testing.T, cfgB Config) (a, b *machine, remote *core.Object, l 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a, b, remote, b.srv.linkFor(a.srv.Addr())
+	return a, b, remote, &b.srv.record(a.srv.Addr()).link
+}
+
+// record is s's record of addr (nil if it has none).
+func (s *Server) record(addr string) *peerState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.proto.peers[addr]
 }
 
 // countingDialer wraps fn's dialer so every dial attempt — refused ones

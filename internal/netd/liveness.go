@@ -96,7 +96,7 @@ func (s *Server) perform(a action) {
 		// getConn dials if needed, and dials are breaker-guarded, so a dead
 		// peer costs one backed-off probe per open period, not a dial per
 		// tick.
-		if _, err := s.getConn(a.p.addr, roleCall); err == nil {
+		if _, err := s.getConn(a.p, roleCall); err == nil {
 			s.mu.Lock()
 			s.proto.replay(a.p)
 			s.settle()
@@ -114,7 +114,7 @@ func (s *Server) perform(a action) {
 }
 
 // sendRelease tells p's peer that count references on key died here, on
-// either of the link's connections. A release that finds no live
+// either of p's link's connections. A release that finds no live
 // connection, or whose connection dies with the frame unsent, goes back to
 // the control plane, which queues it for replay unless its epoch lapsed.
 func (s *Server) sendRelease(p *peerState, epoch, key uint64, count int) {
@@ -123,7 +123,7 @@ func (s *Server) sendRelease(p *peerState, epoch, key uint64, count int) {
 		s.proto.releaseDropped(p, epoch, key, count)
 		s.settle()
 	}
-	c := s.liveConn(p.addr)
+	c := cmp.Or(p.link.live(roleCall), p.link.live(roleBulk))
 	if c == nil {
 		dropped()
 		return
@@ -144,12 +144,9 @@ func (s *Server) handleHello(c *conn, instance, epoch uint64, listenAddr string)
 		return
 	}
 	s.mu.Lock()
-	sess := s.proto.hello(c, instance, epoch, listenAddr)
-	if sess != nil {
-		c.sess, c.peerAddr = sess, listenAddr
-	}
+	c.sess, c.peer = s.proto.hello(c, c.peer, instance, epoch, listenAddr)
 	s.settle()
-	if sess != nil {
+	if c.sess != nil {
 		close(c.helloed)
 	}
 }
@@ -168,24 +165,18 @@ func (s *Server) sendHello(c *conn, epoch uint64) error {
 // reader when the read loop exits for any reason (EOF, error, heartbeat
 // kill, Close). It wakes pending calls, empties the connection's link slot
 // so the next call of its role redials, and tells the control plane.
-func (s *Server) connClosed(c *conn, addr string) {
+func (s *Server) connClosed(c *conn) {
 	c.fail(commErr("connection lost"))
 	s.mu.Lock()
-	if addr != "" {
-		l := s.linkFor(addr)
-		l.conns[roleCall].CompareAndSwap(c, nil)
-		l.conns[roleBulk].CompareAndSwap(c, nil)
+	if p := c.peer; p != nil {
+		p.link.conns[roleCall].CompareAndSwap(c, nil)
+		p.link.conns[roleBulk].CompareAndSwap(c, nil)
 	}
 	if _, ok := s.allConns[c]; ok {
 		delete(s.allConns, c)
 		gConns.Add(-1)
 	}
-	// The link's other connection, if it survives, keeps the peer up.
-	down := cmp.Or(c.peerAddr, addr)
-	if down != "" && s.liveConn(down) != nil {
-		down = ""
-	}
-	s.proto.connClosed(c, c.sess, down, time.Now())
+	s.proto.connClosed(c, c.sess, c.peer, time.Now())
 	s.settle()
 	_ = c.netc.Close()
 }

@@ -29,8 +29,14 @@ func quickCfg() Config {
 // newMachineCfg is newMachine with explicit liveness configuration.
 func newMachineCfg(t *testing.T, name string, cfg Config, libs ...func(*core.Registry) error) *machine {
 	t.Helper()
+	return newMachineAt(t, name, "127.0.0.1:0", cfg, libs...)
+}
+
+// newMachineAt is newMachineCfg listening on addr.
+func newMachineAt(t *testing.T, name, addr string, cfg Config, libs ...func(*core.Registry) error) *machine {
+	t.Helper()
 	k := kernel.New(name)
-	srv, err := Start(k.NewDomain(name+"-netd"), "127.0.0.1:0", With(cfg))
+	srv, err := Start(k.NewDomain(name+"-netd"), addr, With(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +493,7 @@ func TestReclaimManyExports(t *testing.T) {
 	proc := func(req *buffer.Buffer) (*buffer.Buffer, error) { return req, nil }
 	c := &conn{} // a peer's connection, as far as the control plane knows
 	srv.mu.Lock()
-	sess := srv.proto.hello(c, 7, 0, "")
+	sess, _ := srv.proto.hello(c, nil, 7, 0, "")
 	for range n {
 		h, _ := app.CreateDoor(proc, nil)
 		ref, _ := app.RefOf(h)
@@ -495,7 +501,7 @@ func TestReclaimManyExports(t *testing.T) {
 		srv.proto.exported(sess, ref.DoorID(), srv.dom.AdoptRef(ref))
 	}
 	now := time.Now()
-	srv.proto.connClosed(c, sess, "", now)
+	srv.proto.connClosed(c, sess, nil, now)
 	srv.settle()
 
 	start := time.Now()

@@ -32,6 +32,13 @@ type rawPeer struct {
 // completes the session handshake.
 func dialRawPeer(t *testing.T, addr string) *rawPeer {
 	t.Helper()
+	return dialRawPeerAs(t, addr, 0xC11E47, "") // no listen address: nothing dials back
+}
+
+// dialRawPeerAs is dialRawPeer for a peer of the given instance that
+// advertises listen as its address.
+func dialRawPeerAs(t *testing.T, addr string, instance uint64, listen string) *rawPeer {
+	t.Helper()
 	conn, err := SameMachine().Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -40,9 +47,9 @@ func dialRawPeer(t *testing.T, addr string) *rawPeer {
 	p := &rawPeer{t: t, conn: conn, br: bufio.NewReaderSize(conn, 128<<10)} // holds a whole 64 KiB reply frame
 	hello := buffer.New(32)
 	hello.WriteByte(msgHello)
-	hello.WriteUint64(0xC11E47) // instance
-	hello.WriteUint64(1)        // epoch
-	hello.WriteString("")       // no listen address: nothing dials back
+	hello.WriteUint64(instance)
+	hello.WriteUint64(1) // epoch
+	hello.WriteString(listen)
 	if err := writeFrame(conn, hello.Bytes()); err != nil {
 		t.Fatal(err)
 	}

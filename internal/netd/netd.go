@@ -208,10 +208,6 @@ type Server struct {
 	allConns map[*conn]struct{} // every live connection, for teardown
 	closed   bool
 
-	// links holds the dialled connections, one *link per peer address
-	// (link.go); the forward fast path reads it without taking mu.
-	links sync.Map
-
 	// inflight is the server-wide admission counter against
 	// cfg.MaxInflight: calls admitted and not yet replied to.
 	inflight atomic.Int64
@@ -398,7 +394,10 @@ func (s *Server) forwardInfo(desc descriptor, p *peerState, epoch uint64, req *b
 	if req.Size() >= s.cfg.BulkThreshold {
 		r = roleBulk
 	}
-	c, err := s.getConn(desc.Addr, r)
+	c, err := s.getConn(p, r)
+	if err == nil && desc.Key != 0 && p.epoch.Load() != epoch { // the dial met a restarted peer (proto.hello)
+		err = fmt.Errorf("%w: proxy door to %s: %w", kernel.ErrCommFailure, desc.Addr, ErrLeaseExpired)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -474,27 +473,27 @@ func (s *Server) decodeReply(reply *buffer.Buffer, desc descriptor, from *sessio
 // dialAndHello dials addr (bounded by DialTimeout), starts the read
 // loop, and completes the session handshake: our hello goes out first,
 // and the connection is not usable until the peer's hello arrives.
-func (s *Server) dialAndHello(addr string) (*conn, error) {
-	netc, err := s.timedDial(addr)
+func (s *Server) dialAndHello(p *peerState) (*conn, error) {
+	netc, err := s.timedDial(p.addr)
 	if err != nil {
-		return nil, commErr("dial %s: %v", addr, err)
+		return nil, commErr("dial %s: %v", p.addr, err)
 	}
-	c, epoch, err := s.adopt(netc, addr)
+	c, epoch, err := s.adopt(netc, p)
 	if err != nil {
 		return nil, err
 	}
 	if err := s.sendHello(c, epoch); err != nil {
-		c.fail(commErr("hello to %s: %v", addr, err))
-		return nil, commErr("hello to %s: %v", addr, err)
+		c.fail(commErr("hello to %s: %v", p.addr, err))
+		return nil, commErr("hello to %s: %v", p.addr, err)
 	}
 	select {
 	case <-c.helloed:
 		return c, nil
 	case <-c.done:
-		return nil, commErr("connection to %s lost during handshake", addr)
+		return nil, commErr("connection to %s lost during handshake", p.addr)
 	case <-time.After(s.cfg.DialTimeout):
-		c.fail(commErr("hello from %s timed out", addr))
-		return nil, commErr("hello from %s timed out", addr)
+		c.fail(commErr("hello from %s timed out", p.addr))
+		return nil, commErr("hello from %s timed out", p.addr)
 	}
 }
 
@@ -533,7 +532,7 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return
 		}
-		c, epoch, err := s.adopt(netc, "")
+		c, epoch, err := s.adopt(netc, nil)
 		if err != nil {
 			return
 		}
@@ -542,12 +541,12 @@ func (s *Server) acceptLoop() {
 }
 
 // adopt makes netc a connection of the server's and starts its reader;
-// addr is the pool key of a dialled one ("" for an accepted one). The
+// p is the record a dialled one was dialled for (nil for an accepted one). The
 // reader joins s.wg under s.mu while the server is still open: shutdown
 // sets closed under the same lock before it Waits, so a connection that
 // lands after Close never Adds to a WaitGroup whose Wait may already have
 // returned.
-func (s *Server) adopt(netc sock.Stream, addr string) (*conn, uint64, error) {
+func (s *Server) adopt(netc sock.Stream, p *peerState) (*conn, uint64, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -555,6 +554,7 @@ func (s *Server) adopt(netc sock.Stream, addr string) (*conn, uint64, error) {
 		return nil, 0, ErrClosed
 	}
 	c := newConn(netc)
+	c.peer = p
 	s.allConns[c] = struct{}{}
 	epoch := s.proto.connEpoch()
 	s.wg.Add(1)
@@ -562,7 +562,7 @@ func (s *Server) adopt(netc sock.Stream, addr string) (*conn, uint64, error) {
 	gConns.Add(1)
 	go func() {
 		defer s.wg.Done()
-		s.serveConn(c, addr)
+		s.serveConn(c)
 	}()
 	return c, epoch, nil
 }
@@ -571,8 +571,8 @@ func (s *Server) adopt(netc sock.Stream, addr string) (*conn, uint64, error) {
 // requests; hellos bind the session; pings are answered; calls (root
 // requests among them) and releases are served, only after the session
 // handshake — a peer that skips it is violating the protocol and is cut
-// off. addr is the pool key for dialled connections ("" for accepted ones).
-func (s *Server) serveConn(c *conn, addr string) {
+// off.
+func (s *Server) serveConn(c *conn) {
 	// Buffered reads are the receive half of the write coalescing: a
 	// peer's flush arrives as one TCP segment train, and the buffered
 	// reader drains many frames per read syscall instead of paying two
@@ -601,7 +601,7 @@ func (s *Server) serveConn(c *conn, addr string) {
 			break
 		}
 	}
-	s.connClosed(c, addr)
+	s.connClosed(c)
 }
 
 // serveFrame handles one frame for serveConn, reporting whether the
@@ -682,7 +682,8 @@ func (s *Server) serveFrame(c *conn, br *bufio.Reader, in *buffer.Buffer, rel *[
 // request (key 0) is answered on the reader, before admission; any other
 // call meets admission first (server-wide and per-connection in-flight
 // bounds — past either, it is shed at once with a retryable overload reply
-// instead of queueing to death), then the inline fast path (a door whose
+// instead of queueing to death) and the export table (a key the caller's
+// session holds no reference on is refused as missing), then the inline fast path (a door whose
 // adaptive state proves it non-blocking executes right here on the reader
 // goroutine, spending the batch's inline budget), and otherwise a goroutine
 // of its own, so a handler that blocks — on a group commit, on another
@@ -699,7 +700,8 @@ func (s *Server) dispatchCall(c *conn, reqID, key uint64, req *buffer.Buffer, in
 		return
 	}
 	s.mu.Lock()
-	e, ok := s.proto.exports[key]
+	e := s.proto.exports[key]
+	ok := e != nil && e.held[c.sess] > 0 // a guessed key is not a capability
 	s.mu.Unlock()
 	if !ok {
 		s.doneServe(c)

@@ -11,7 +11,7 @@ import (
 
 // This file is netd's control plane as a transition system (DESIGN §7): the
 // export table and the peers' lease sessions on it, and each peer address's
-// circuit breaker, import epoch and release-replay queue. It does no I/O,
+// record: breaker, import epoch and release-replay queue. It does no I/O,
 // reads no clock, starts no goroutine and has no lock (TestProtoIsPure):
 // the shell holds Server.mu around each event, passes the time and what it
 // knows of the connections inside it, and once it has unlocked performs
@@ -50,12 +50,13 @@ type session struct {
 	fresh int64 // tick's scratch: the freshest receive over its live connections
 }
 
-// peerState is the importer-side view of one remote address: the dial
-// circuit breaker, the import epoch used to poison proxy doors once our
-// lease there must be presumed lost, and the queue of release messages
-// waiting for the peer to come back.
+// peerState is netd's one record of a peer address, kept while anything
+// needs it (tick forgets it): the link dialled there, the dial breaker, the
+// import epoch that poisons proxy doors once our lease there must be
+// presumed lost, the releases waiting for the peer, and its RED block.
 type peerState struct {
 	addr string
+	link link // the shell's (link.go); nothing in this file reads it
 
 	// Circuit breaker. After a failed dial the breaker opens for an
 	// exponentially growing period; when the period lapses a single
@@ -66,22 +67,25 @@ type peerState struct {
 	backoff   time.Duration
 	openUntil time.Time
 	probing   bool
+	dials     int // admitted, outcome not reported yet
 
-	// Lease-loss containment. downSince is set when the last connection
-	// to the address dies; once it exceeds the lease grace period the
-	// exporter must be presumed to have reclaimed our references, so the
-	// import epoch is bumped — poisoning every proxy door minted under
-	// the old epoch — and the queued releases are dropped as moot.
-	// epoch is atomic so proxy doors can check poisoning without taking
-	// Server.mu on every forwarded call (peerState pointers are stable:
-	// the peers map only grows).
+	// Lease-loss containment. downSince is set when the last of the conns
+	// a hello bound to the address, dialled or accepted, closes; once it
+	// exceeds the lease grace period the exporter must be presumed to have
+	// reclaimed our references, so the import epoch is bumped — poisoning
+	// every proxy door minted under the old epoch — and the queued
+	// releases are dropped as moot. epoch is atomic so proxy doors can
+	// check poisoning without taking Server.mu on every forwarded call.
+	conns     int
+	holds     int    // proxies and root fetches forwarding through the record
+	instance  uint64 // the peer's, at the last hello on a connection we dialled
 	epoch     atomic.Uint64
 	downSince time.Time
 	lapsed    bool
 	queue     []pendingRelease
 
-	// red is the per-peer RED block (rate/errors/duration histogram),
-	// interned once here so the forward path records without a lookup.
+	// red is the per-peer RED block (rate/errors/duration histogram), from
+	// the first hold on, so the forward path records without a lookup.
 	red *scstats.PeerStats
 }
 
@@ -210,11 +214,14 @@ func (m *proto) connEpoch() uint64 {
 
 // hello binds c to the session of the peer instance it introduced,
 // creating the session on first contact; a peer that returns (same
-// instance) rejoins its session, which stops its lease clock. nil once the
-// server is shut down.
-func (m *proto) hello(c *conn, instance, epoch uint64, addr string) *session {
+// instance) rejoins its session, which stops its lease clock. c counts on
+// p, the record it was dialled for, or else on the one its hello named,
+// which stops that clock too; a dialled hello from another instance than
+// the last is a restart, whose old proxies then fail rather than reach new
+// doors. nil, nil once the server is shut down.
+func (m *proto) hello(c *conn, p *peerState, instance, epoch uint64, addr string) (*session, *peerState) {
 	if m.closed {
-		return nil
+		return nil, nil
 	}
 	sess, ok := m.sessions[instance]
 	if !ok {
@@ -231,25 +238,39 @@ func (m *proto) hello(c *conn, instance, epoch uint64, addr string) *session {
 	}
 	sess.downSince = time.Time{}
 	m.dirty = true
-	return sess
+	switch {
+	case p == nil && addr == "":
+		return sess, nil
+	case p == nil:
+		p = m.peer(addr)
+	case p.instance != instance:
+		if p.instance != 0 { // its keys are not its predecessor's: the epoch moves on
+			p.epoch.Add(1)
+			m.queued -= len(p.queue)
+			p.queue = nil
+		}
+		p.instance = instance
+	}
+	p.conns++
+	p.downSince, p.lapsed = time.Time{}, false
+	return sess, p
 }
 
-// connClosed detaches a connection that died from sess (nil if it never
-// finished its hello), whose lease clock starts with its last connection
-// gone. downAddr, unless empty, is a peer address left with no live
-// connection; its disconnection clock starts.
-func (m *proto) connClosed(c *conn, sess *session, downAddr string, now time.Time) {
-	if sess != nil {
-		sess.conns--
-		if sess.hb == c {
-			sess.hb = nil // the next tick hands the duty to a survivor
-		}
-		if sess.conns == 0 && sess.downSince.IsZero() {
-			sess.downSince = now
-		}
+// connClosed detaches a connection that died from the session and record
+// its hello bound it to (sess is nil if it never said hello), whose clocks
+// start with their last connection gone.
+func (m *proto) connClosed(c *conn, sess *session, p *peerState, now time.Time) {
+	if sess == nil {
+		return
 	}
-	if downAddr != "" {
-		if p := m.peer(downAddr); p.downSince.IsZero() {
+	if sess.hb == c {
+		sess.hb = nil // the next tick hands the duty to a survivor
+	}
+	if sess.conns--; sess.conns == 0 {
+		sess.downSince = now
+	}
+	if p != nil {
+		if p.conns--; p.conns == 0 {
 			p.downSince = now
 		}
 	}
@@ -349,45 +370,52 @@ func (m *proto) label(door uint64, label string) {
 func (m *proto) peer(addr string) *peerState {
 	p, ok := m.peers[addr]
 	if !ok {
-		p = &peerState{addr: addr, red: scstats.PeerFor(addr)}
+		p = &peerState{addr: addr}
 		m.peers[addr] = p
 	}
 	return p
 }
 
-// admit decides whether a dial to addr may proceed at now: not while the
-// breaker is open (wait says for how long yet) or while its one half-open
-// probe is out. An admitted dial's outcome is reported with dialed.
-func (m *proto) admit(addr string, now time.Time) (p *peerState, wait time.Duration, ok bool) {
-	p = m.peer(addr)
+// hold returns addr's record for a proxy door or root fetch to forward
+// through; it is not forgotten until the holder takes its hold back.
+func (m *proto) hold(addr string) *peerState {
+	p := m.peer(addr)
+	if p.holds++; p.red == nil {
+		p.red = scstats.PeerFor(addr)
+	}
+	return p
+}
+
+// admit decides whether a dial to p's address may proceed at now: not while
+// the breaker is open (wait says for how long yet) or while its one
+// half-open probe is out. An admitted dial's outcome is reported with dialed.
+func (m *proto) admit(p *peerState, now time.Time) (wait time.Duration, ok bool) {
 	switch p.state {
 	case breakerOpen:
 		if now.Before(p.openUntil) {
-			return p, p.openUntil.Sub(now), false
+			return p.openUntil.Sub(now), false
 		}
-		p.state = breakerHalfOpen
+		p.state, p.probing = breakerHalfOpen, true
 	case breakerHalfOpen:
 		if p.probing {
-			return p, 0, false
+			return 0, false
 		}
-	default:
-		return p, 0, true
+		p.probing = true
 	}
-	p.probing = true
-	return p, 0, true
+	p.dials++
+	return 0, true
 }
 
 // dialed records an admitted dial's outcome. A failure opens the breaker
 // for a backoff that doubles from BreakerBackoff up to BreakerMaxBackoff; a
-// success closes it and stops the peer's disconnection clock.
+// success closes it (the hello before it stopped the peer's clock).
 func (m *proto) dialed(p *peerState, ok bool, now time.Time) {
-	p.probing = false
+	p.probing, p.dials = false, p.dials-1
 	if ok {
 		if p.state != breakerClosed {
 			m.counts[tBreakerClosed]++
 		}
 		p.state, p.backoff = breakerClosed, 0
-		p.downSince, p.lapsed = time.Time{}, false
 		return
 	}
 	p.backoff = min(max(2*p.backoff, m.cfg.BreakerBackoff), m.cfg.BreakerMaxBackoff)
@@ -408,10 +436,10 @@ func (m *proto) proxyReleased(p *peerState, epoch, key uint64, count int) {
 }
 
 // releaseDropped queues for replay a release the shell found no connection
-// for, or whose connection died with the frame unsent — unless its epoch
-// lapsed meanwhile, or the queue is full.
+// for, or whose connection died with the frame unsent — unless its epoch or
+// record (a forgotten one too) lapsed meanwhile, or the queue is full.
 func (m *proto) releaseDropped(p *peerState, epoch, key uint64, count int) {
-	if m.closed || p.epoch.Load() != epoch || len(p.queue) >= maxQueuedReleases {
+	if m.closed || p.lapsed || p.epoch.Load() != epoch || len(p.queue) >= maxQueuedReleases {
 		return
 	}
 	p.queue = append(p.queue, pendingRelease{key: key, count: count})
@@ -438,9 +466,9 @@ func (m *proto) replay(p *peerState) {
 // connections. It pings and fails connections (heartbeat), reclaims the
 // references of sessions disconnected past the grace, bumps the import
 // epoch of peers unreachable past the grace (their queued releases are
-// moot), asks for a replay toward peers with releases queued, and for the
-// state file to be written if the durable tables changed. With nothing to
-// do it allocates nothing.
+// moot), asks for a replay toward peers with releases queued, forgets
+// records nothing needs and has the state file written if the durable
+// tables changed. With nothing to do it allocates nothing.
 func (m *proto) tick(now time.Time, stamps []connStamp) {
 	if m.closed {
 		return
@@ -451,15 +479,19 @@ func (m *proto) tick(now time.Time, stamps []connStamp) {
 			m.expire(sess)
 		}
 	}
-	for _, p := range m.peers {
+	for addr, p := range m.peers {
 		if !p.lapsed && !p.downSince.IsZero() && now.Sub(p.downSince) > m.cfg.LeaseGrace {
 			p.lapsed = true
 			p.epoch.Add(1)
 			m.queued -= len(p.queue)
 			p.queue = nil
 		}
-		if len(p.queue) > 0 && !p.lapsed {
+		switch {
+		case !p.lapsed && len(p.queue) > 0:
 			m.do(action{kind: actReplay, p: p})
+		case p.lapsed && p.dials == 0 && p.holds == 0 && !now.Before(p.openUntil):
+			delete(m.peers, addr) // lapsed, it has no connection: a hello clears the lapse
+			p.red.Release()
 		}
 	}
 	m.flush()

@@ -101,8 +101,27 @@ func (r *rig) acts() []action {
 }
 
 func (r *rig) hello(instance uint64) (*conn, *session) {
+	c, sess, _ := r.helloFrom(nil, instance, "")
+	return c, sess
+}
+
+// helloFrom is a hello on a new connection: one dialled for p, or (p nil)
+// an accepted one whose hello advertised addr. It returns the record the
+// connection counts on.
+func (r *rig) helloFrom(p *peerState, instance uint64, addr string) (*conn, *session, *peerState) {
 	c := &conn{}
-	return c, r.m.hello(c, instance, 0, "")
+	sess, p := r.m.hello(c, p, instance, 0, addr)
+	return c, sess, p
+}
+
+// dial is a successful dial to p whose hello names instance.
+func (r *rig) dial(p *peerState, instance uint64) (*conn, *session) {
+	if _, ok := r.m.admit(p, r.now); !ok {
+		r.t.Fatalf("dial to %s not admitted", p.addr)
+	}
+	c, sess, _ := r.helloFrom(p, instance, p.addr)
+	r.m.dialed(p, true, r.now)
+	return c, sess
 }
 
 func (r *rig) export(sess *session, door uint64) uint64 {
@@ -146,7 +165,7 @@ func TestProtoTimers(t *testing.T) {
 			c, sess := r.hello(7)
 			r.export(sess, 100)
 			r.export(sess, 101)
-			r.m.connClosed(c, sess, "", r.now)
+			r.m.connClosed(c, sess, nil, r.now)
 			if acts := r.tick(r.m.cfg.LeaseGrace); count(acts, actDelete) != 0 || len(r.m.sessions) != 1 {
 				t.Fatalf("at grace: %d deletes, %d sessions; want 0 and 1", count(acts, actDelete), len(r.m.sessions))
 			}
@@ -162,7 +181,7 @@ func TestProtoTimers(t *testing.T) {
 			c1, sess := r.hello(7)
 			c2, _ := r.hello(7)
 			r.export(sess, 100)
-			r.m.connClosed(c1, sess, "", r.now)
+			r.m.connClosed(c1, sess, nil, r.now)
 			for range 100 {
 				r.tick(r.m.cfg.LeaseGrace, r.stamp(c2, sess, r.m.cfg.LeaseGrace, 0, 0))
 			}
@@ -188,7 +207,7 @@ func TestProtoTimers(t *testing.T) {
 				t.Fatalf("acts = %v, want none", acts)
 			}
 			// The lead closed: the survivor takes the duty.
-			r.m.connClosed(lead, sess, "", r.now)
+			r.m.connClosed(lead, sess, nil, r.now)
 			acts = r.tick(hb, r.stamp(other, sess, hb, 0, hb))
 			if len(acts) != 1 || acts[0] != (action{kind: actPing, c: other}) || sess.hb != other {
 				t.Fatalf("acts = %v, want the survivor pinged", acts)
@@ -200,8 +219,8 @@ func TestProtoTimers(t *testing.T) {
 			}
 		}},
 		{"breaker backoff doubles to the max with one half-open probe", func(t *testing.T, r *rig) {
-			p, _, ok := r.m.admit("peer", r.now)
-			if !ok {
+			p := r.m.peer("peer")
+			if _, ok := r.m.admit(p, r.now); !ok {
 				t.Fatal("closed breaker refused a dial")
 			}
 			r.m.dialed(p, false, r.now)
@@ -210,38 +229,39 @@ func TestProtoTimers(t *testing.T) {
 				if p.state != breakerOpen || p.backoff != want {
 					t.Fatalf("breaker %d backoff %v, want open %v", p.state, p.backoff, want)
 				}
-				if _, wait, ok := r.m.admit("peer", r.now.Add(want-time.Nanosecond)); ok || wait != time.Nanosecond {
+				if wait, ok := r.m.admit(p, r.now.Add(want-time.Nanosecond)); ok || wait != time.Nanosecond {
 					t.Fatalf("open breaker admitted (or wait %v) before its backoff", wait)
 				}
 				r.now = r.now.Add(want)
-				if _, _, ok := r.m.admit("peer", r.now); !ok {
+				if _, ok := r.m.admit(p, r.now); !ok {
 					t.Fatal("breaker refused the half-open probe")
 				}
-				if _, _, ok := r.m.admit("peer", r.now); ok {
+				if _, ok := r.m.admit(p, r.now); ok {
 					t.Fatal("breaker admitted a second half-open probe")
 				}
 				r.m.dialed(p, false, r.now)
 			}
 			r.now = r.now.Add(p.backoff)
-			r.m.admit("peer", r.now)
+			r.m.admit(p, r.now)
 			r.m.dialed(p, true, r.now)
-			if p.state != breakerClosed || p.backoff != 0 || r.m.counts[tBreakerClosed] != 1 {
+			if p.state != breakerClosed || p.backoff != 0 || r.m.counts[tBreakerClosed] != 1 || p.dials != 0 {
 				t.Fatalf("after a good probe: state %d backoff %v closed %d", p.state, p.backoff, r.m.counts[tBreakerClosed])
 			}
 		}},
 		{"a release queued while down replays on reconnect, dropped once the epoch lapses", func(t *testing.T, r *rig) {
-			p := r.m.peer("peer")
+			p := r.m.hold("peer")
 			epoch := p.epoch.Load()
 			r.m.proxyReleased(p, epoch, 5, 2)
 			if acts := r.acts(); len(acts) != 1 || acts[0] != (action{kind: actRelease, p: p, epoch: epoch, key: 5, count: 2}) {
 				t.Fatalf("acts = %v, want the release sent", acts)
 			}
-			r.m.connClosed(&conn{}, nil, "peer", r.now)
+			c, sess := r.dial(p, 7)
+			r.m.connClosed(c, sess, p, r.now)
 			r.m.releaseDropped(p, epoch, 5, 2) // no connection to send it on
 			if acts := r.tick(r.m.cfg.HeartbeatInterval); len(acts) != 1 || acts[0] != (action{kind: actReplay, p: p}) {
 				t.Fatalf("acts = %v, want a replay", acts)
 			}
-			r.m.dialed(p, true, r.now)
+			c, sess = r.dial(p, 7)
 			r.m.replay(p)
 			if acts := r.acts(); len(acts) != 1 || acts[0].kind != actRelease || acts[0].key != 5 || r.m.queued != 0 {
 				t.Fatalf("acts = %v queued %d, want the release replayed", acts, r.m.queued)
@@ -252,7 +272,7 @@ func TestProtoTimers(t *testing.T) {
 			if len(p.queue) != maxQueuedReleases || r.m.queued != maxQueuedReleases {
 				t.Fatalf("queue %d (counted %d), want the bound %d", len(p.queue), r.m.queued, maxQueuedReleases)
 			}
-			r.m.connClosed(&conn{}, nil, "peer", r.now)
+			r.m.connClosed(c, sess, p, r.now)
 			r.tick(r.m.cfg.LeaseGrace) // at grace the queue still waits
 			if len(p.queue) != maxQueuedReleases {
 				t.Fatal("queue dropped at grace")
@@ -333,10 +353,10 @@ func TestProtoTickAllocs(t *testing.T) {
 
 // TestProtoSchedules runs seeded random schedules of events — peers
 // saying hello, connections dying and closing, exports, session and home
-// releases, dials and their outcomes, proxy imports and releases, labels
-// and ticks with random clock steps — through one machine, performing its
-// actions the way the shell would, and checks the tables' invariants after
-// every event. Each seed is a subtest: -run 'TestProtoSchedules/seed=N$'
+// releases, dials and their outcomes (a dialled peer now and then
+// restarted), proxy imports and releases, labels and ticks with random
+// clock steps — through one machine, performing its actions the way the
+// shell would, and checks the tables' invariants after every event. Each seed is a subtest: -run 'TestProtoSchedules/seed=N$'
 // replays one.
 func TestProtoSchedules(t *testing.T) {
 	for seed := range 2000 {
@@ -357,7 +377,8 @@ func TestProtoSchedules(t *testing.T) {
 
 // world is the shell's stand-in for TestProtoSchedules: open connections
 // with their stamps, the handles handed to the machine, the proxies and
-// probes outstanding, and the gauges as settle would move them.
+// probes outstanding (each holding its record), the instance each address
+// runs, and the gauges as settle would move them.
 type world struct {
 	t       *testing.T
 	rng     *rand.Rand
@@ -369,6 +390,8 @@ type world struct {
 	deleted map[kernel.Handle]bool // handles an action deleted
 	proxies []wproxy
 	probes  []*peerState // admitted dials with no outcome yet
+	inst    map[string]uint64
+	known   map[string]*peerState // the records at the last check
 	shown   tally
 	gauges  tally
 	event   string
@@ -378,7 +401,8 @@ type wconn struct {
 	id         int
 	c          *conn
 	sess       *session
-	addr       string // the peer's address, "" for a peer that gave none
+	p          *peerState // the record its hello counted it on
+	addr       string     // the peer's address, "" for a peer that gave none
 	dead       bool
 	recv, send int64
 }
@@ -401,7 +425,8 @@ func newWorld(t *testing.T, seed uint64) *world {
 		cfg.StateFile = "netd.state"
 	}
 	return &world{t: t, rng: rand.New(rand.NewPCG(seed, 1)), m: newProto(cfg, 1), now: time.Unix(1_000_000, 0),
-		byConn: make(map[*conn]*wconn), deleted: make(map[kernel.Handle]bool)}
+		byConn: make(map[*conn]*wconn), deleted: make(map[kernel.Handle]bool), inst: make(map[string]uint64),
+		known: make(map[string]*peerState)}
 }
 
 func (w *world) pickConn() *wconn {
@@ -417,12 +442,9 @@ func (w *world) step() {
 	switch ev := rng.IntN(16); {
 	case ev < 3:
 		w.event = "hello"
-		wc := &wconn{id: len(w.byConn), c: &conn{}, addr: worldAddrs[rng.IntN(len(worldAddrs))],
-			recv: w.now.UnixNano(), send: w.now.UnixNano()}
-		w.byConn[wc.c] = wc
-		w.conns = append(w.conns, wc)
+		wc := w.open(worldAddrs[rng.IntN(len(worldAddrs))])
 		if rng.IntN(8) != 0 { // some connections never finish the handshake
-			wc.sess = m.hello(wc.c, 1+rng.Uint64N(4), m.connEpoch(), wc.addr)
+			wc.sess, wc.p = m.hello(wc.c, nil, 1+rng.Uint64N(4), m.connEpoch(), wc.addr)
 		}
 	case ev < 4:
 		w.event = "connection dies"
@@ -460,19 +482,28 @@ func (w *world) step() {
 		}
 	case ev < 10:
 		w.event = "dial admit"
-		if p, _, ok := m.admit(worldAddrs[1+rng.IntN(3)], w.now); ok {
+		p := m.peer(worldAddrs[1+rng.IntN(3)])
+		if _, ok := m.admit(p, w.now); ok {
 			w.probes = append(w.probes, p)
 		}
 	case ev < 11:
 		w.event = "dial outcome"
 		if len(w.probes) > 0 {
 			i := rng.IntN(len(w.probes))
-			m.dialed(w.probes[i], rng.IntN(2) == 0, w.now)
+			p, ok := w.probes[i], rng.IntN(2) == 0
 			w.probes = slices.Delete(w.probes, i, i+1)
+			if ok { // the shell reports a dial good once the peer's hello came
+				if w.inst[p.addr] == 0 || rng.IntN(4) == 0 {
+					w.inst[p.addr] = 1 + rng.Uint64N(4) // a restart, now and then
+				}
+				wc := w.open(p.addr)
+				wc.sess, wc.p = m.hello(wc.c, p, w.inst[p.addr], m.connEpoch(), p.addr)
+			}
+			m.dialed(p, ok, w.now)
 		}
 	case ev < 12:
 		w.event = "proxy imported"
-		p := m.peer(worldAddrs[1+rng.IntN(3)])
+		p := m.hold(worldAddrs[1+rng.IntN(3)])
 		epoch := p.epoch.Load()
 		w.proxies = append(w.proxies, wproxy{p: p, epoch: epoch, key: 1 + rng.Uint64N(8)})
 	case ev < 13:
@@ -482,6 +513,7 @@ func (w *world) step() {
 			x := w.proxies[i]
 			w.proxies = slices.Delete(w.proxies, i, i+1)
 			m.proxyReleased(x.p, x.epoch, x.key, 1+rng.IntN(2))
+			x.p.holds--
 		}
 	case ev < 14:
 		w.event = "label"
@@ -514,18 +546,19 @@ func (w *world) tick() {
 	w.m.tick(w.now, stamps)
 }
 
-// close is the shell's connClosed: the address goes down with its last
-// connection.
+// open adds a connection to a peer at addr, before its hello.
+func (w *world) open(addr string) *wconn {
+	wc := &wconn{id: len(w.byConn), c: &conn{}, addr: addr, recv: w.now.UnixNano(), send: w.now.UnixNano()}
+	w.byConn[wc.c] = wc
+	w.conns = append(w.conns, wc)
+	return wc
+}
+
+// close is the shell's connClosed.
 func (w *world) close(wc *wconn) {
 	i := slices.Index(w.conns, wc)
 	w.conns = slices.Delete(w.conns, i, i+1)
-	down := wc.addr
-	for _, o := range w.conns {
-		if o.addr == down && !o.dead {
-			down = ""
-		}
-	}
-	w.m.connClosed(wc.c, wc.sess, down, w.now)
+	w.m.connClosed(wc.c, wc.sess, wc.p, w.now)
 }
 
 // settle moves the gauges as the shell's settle does.
@@ -552,6 +585,9 @@ func (w *world) perform() {
 				cmp.Compare(w.addrOf(a.p), w.addrOf(b.p)))
 		})
 		for _, a := range acts {
+			if a.p != nil && w.m.peers[a.p.addr] != a.p {
+				w.t.Fatalf("after %s: action %d names the forgotten record of %s", w.event, a.kind, a.p.addr)
+			}
 			switch a.kind {
 			case actDelete:
 				w.deleteHandle(a.h)
@@ -665,8 +701,37 @@ func (w *world) check(i int) {
 			}
 		}
 	}
+	counted, held, dialling := make(map[*peerState]int), make(map[*peerState]int), make(map[*peerState]int)
+	for _, wc := range w.conns {
+		if wc.p != nil {
+			counted[wc.p]++
+		}
+	}
+	for _, x := range w.proxies {
+		held[x.p]++
+	}
+	for _, p := range w.probes {
+		dialling[p]++
+	}
+	for _, refs := range []map[*peerState]int{counted, held, dialling} {
+		for p := range refs {
+			if m.peers[p.addr] != p {
+				fail("the world still uses the forgotten record of %s", p.addr)
+			}
+		}
+	}
 	queued := 0
-	for _, p := range m.peers {
+	for addr, p := range m.peers {
+		if p.addr != addr || p.conns != counted[p] || p.holds != held[p] || p.dials != dialling[p] {
+			fail("record %s: %d connections, %d holds, %d dials; the world has %d, %d, %d",
+				addr, p.conns, p.holds, p.dials, counted[p], held[p], dialling[p])
+		}
+		if p.conns > 0 && (!p.downSince.IsZero() || p.lapsed) || p.lapsed && p.downSince.IsZero() {
+			fail("record %s has %d connections, down since %v, lapsed %v", addr, p.conns, p.downSince, p.lapsed)
+		}
+		if w.event == "tick" && forgettable(p, w.now) {
+			fail("record %s is lapsed, unconnected, not dialling, unheld and out of its breaker window, yet kept", addr)
+		}
 		queued += len(p.queue)
 		if len(p.queue) > maxQueuedReleases {
 			fail("peer %s: %d releases queued", p.addr, len(p.queue))
@@ -686,9 +751,20 @@ func (w *world) check(i int) {
 			}
 		}
 	}
+	for addr, p := range w.known {
+		if m.peers[addr] != p && !forgettable(p, w.now) {
+			fail("record %s forgotten while still needed", addr)
+		}
+	}
+	w.known = maps.Clone(m.peers)
 	if w.gauges[tExports] != int64(len(m.exports)) || w.gauges[tSessions] != int64(len(m.sessions)) || w.gauges[tQueued] != int64(queued) {
 		fail("gauges %v, tables: %d exports, %d sessions, %d queued", w.gauges[:tLeasesExpired], len(m.exports), len(m.sessions), queued)
 	}
+}
+
+// forgettable says p may leave the table at now.
+func forgettable(p *peerState, now time.Time) bool {
+	return p.conns == 0 && p.lapsed && p.dials == 0 && p.holds == 0 && !now.Before(p.openUntil)
 }
 
 func TestProtoUnwrapTakesSendersReference(t *testing.T) {

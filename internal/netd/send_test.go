@@ -354,7 +354,7 @@ func TestStalledPeerDoesNotHoldCallers(t *testing.T) {
 	if err := echoBytes(remote, payload); err != nil {
 		t.Fatal(err)
 	}
-	bulk := b.srv.linkFor(a.srv.Addr()).conns[roleBulk].Load()
+	bulk := b.srv.record(a.srv.Addr()).link.conns[roleBulk].Load()
 	stalled := func() bool {
 		bulk.wmu.Lock()
 		defer bulk.wmu.Unlock()

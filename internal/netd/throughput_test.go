@@ -290,7 +290,8 @@ func TestColdDialSingleflight(t *testing.T) {
 	// call finds the address cold.
 	fn.CloseAll()
 	waitFor(t, 2*time.Second, "dead conn pruned", func() bool {
-		return b.srv.liveConn(a.srv.Addr()) == nil
+		l := &b.srv.record(a.srv.Addr()).link
+		return l.live(roleCall) == nil && l.live(roleBulk) == nil
 	})
 	dials.Store(0)
 

@@ -100,7 +100,7 @@ func TestSameMachineServesUnixAndTCPPeers(t *testing.T) {
 	defer a.srv.mu.Unlock()
 	unix := map[bool]bool{} // by the address each socket was made for
 	for c := range a.srv.allConns {
-		unix[strings.HasPrefix(c.peerAddr, "unix:")] = true
+		unix[c.peer != nil && strings.HasPrefix(c.peer.addr, "unix:")] = true
 	}
 	if len(a.srv.proto.sessions) != 2 || !unix[true] || !unix[false] {
 		t.Fatalf("A holds %d sessions over unix %v, want 2, one unix and one tcp", len(a.srv.proto.sessions), unix)

@@ -362,10 +362,10 @@ type NamedHistSnapshot struct {
 // ---------------------------------------------------------------------
 // Per-peer RED.
 //
-// netd interns a PeerStats per remote address and reports every forwarded
-// call's rate, errors and duration — the RED triad — against it. The
-// pointer is cached on the peer state, so the forward path pays one
-// counter add and one histogram record, no lookup.
+// netd holds a PeerStats per remote address it forwards calls to, reports
+// their rate, errors and duration — the RED triad — against it, and
+// releases it with the address's record. The cached pointer costs the
+// forward path one counter add and one histogram record, no lookup.
 
 // PeerStats is the RED block for one remote peer.
 type PeerStats struct {
@@ -373,6 +373,7 @@ type PeerStats struct {
 	Calls  atomic.Uint64
 	Errors atomic.Uint64
 	lat    *Hist
+	holds  int // PeerFor holds not yet released
 }
 
 // Addr returns the peer address this block was interned under.
@@ -394,15 +395,34 @@ func (p *PeerStats) Record(d int64, traceID uint64, err error) {
 	}
 }
 
-var peers sync.Map // string -> *PeerStats
+var (
+	peers   sync.Map   // string -> *PeerStats
+	peersMu sync.Mutex // guards holds, and listing and unlisting by them
+)
 
-// PeerFor interns and returns the RED block for a peer address.
+// PeerFor interns and returns the RED block for a peer address, taking a
+// hold on it: it stays listed until every hold is released.
 func PeerFor(addr string) *PeerStats {
-	if v, ok := peers.Load(addr); ok {
-		return v.(*PeerStats)
+	peersMu.Lock()
+	defer peersMu.Unlock()
+	v, ok := peers.Load(addr)
+	if !ok {
+		v = &PeerStats{addr: addr, lat: newHist()}
+		peers.Store(addr, v)
 	}
-	v, _ := peers.LoadOrStore(addr, &PeerStats{addr: addr, lat: newHist()})
+	v.(*PeerStats).holds++
 	return v.(*PeerStats)
+}
+
+// Release gives back a hold PeerFor took; the last one unlists the block.
+func (p *PeerStats) Release() {
+	if p != nil {
+		peersMu.Lock()
+		defer peersMu.Unlock()
+		if p.holds--; p.holds == 0 {
+			peers.CompareAndDelete(p.addr, p)
+		}
+	}
 }
 
 // PeerSnapshot is one peer's RED snapshot.
