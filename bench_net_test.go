@@ -3,7 +3,6 @@ package repro_test
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/cache"
@@ -79,7 +78,6 @@ func (m *netMachine) env(b *testing.B, name string) *core.Env {
 			b.Fatal(err)
 		}
 		e.Set(reconnectable.ContextVar, ctx2)
-		e.Set(reconnectable.PolicyVar, &reconnectable.Policy{MaxAttempts: 100, Backoff: time.Millisecond})
 	}
 	return e
 }

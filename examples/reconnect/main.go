@@ -52,7 +52,6 @@ func main() {
 	// reconnectable subcontract can re-resolve after a crash.
 	cliEnv := env(k, "client")
 	cliEnv.Set(reconnectable.ContextVar, transfer(mustCopy(ns.Object()), cliEnv, naming.ContextMT))
-	cliEnv.Set(reconnectable.PolicyVar, &reconnectable.Policy{MaxAttempts: 100, Backoff: 2 * time.Millisecond})
 
 	fs := filesys.FileSystem{Obj: transfer(mustCopy(svc.Object()), cliEnv, filesys.FileSystemMT)}
 

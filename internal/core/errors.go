@@ -18,8 +18,9 @@ import (
 //     re-resolves on.
 //   - Admission refusals (kernel.ErrOverload): the server shed the call
 //     at its dispatch engine's in-flight bound before executing it.
-//     RETRY-SAFE unconditionally — the call never ran — but the right
-//     response is backoff or failover, not an immediate hammer.
+//     RETRY-SAFE unconditionally — the call never ran — and the door is
+//     sound: replicon keeps the replica and reconnectable keeps the door,
+//     and both retry after (*kernel.Info).Pause rather than at once.
 //   - Context endings (ErrDeadlineExceeded, ErrCancelled): the caller's
 //     budget is spent or the caller abandoned the call. NEVER retry-safe;
 //     a subcontract must surface these immediately, however many replicas

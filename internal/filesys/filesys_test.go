@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -71,7 +70,6 @@ func (m *machine) clientEnv(t *testing.T, name string) *core.Env {
 		}
 		e.Set(slot, obj)
 	}
-	e.Set(reconnectable.PolicyVar, &reconnectable.Policy{MaxAttempts: 50, Backoff: time.Millisecond})
 	return e
 }
 

@@ -15,7 +15,6 @@ import (
 	"repro/internal/netd"
 	"repro/internal/sctest"
 	"repro/internal/subcontracts/reconnectable"
-	"repro/internal/subcontracts/replicon"
 )
 
 // Crash tests (E19): a durable file server — WAL-backed stores plus a
@@ -176,17 +175,26 @@ func payload(seq int64) []byte { return []byte(fmt.Sprintf("%012d", seq)) }
 // require transparent recovery — same instance identity, zero
 // application-visible client errors, every acked write readable.
 func TestKillRestartDurableServer(t *testing.T) {
-	killRestartDurableServer(t, "127.0.0.1:0")
+	killRestartDurableServer(t, "127.0.0.1:0", 0)
+}
+
+// TestKillRestartDurableServerOutage is the same scenario with the server
+// down for 300 ms, several breaker periods: the subcontracts must wait
+// the outage out on the breaker's admit times, with no retry setting.
+func TestKillRestartDurableServerOutage(t *testing.T) {
+	killRestartDurableServer(t, "127.0.0.1:0", 300*time.Millisecond)
 }
 
 // TestKillRestartDurableServerUnixSocket is the same scenario on a unix:
 // address, where the kill leaves the server's socket file behind and the
 // restart has to take the path back (SameMachineTransport.Listen).
 func TestKillRestartDurableServerUnixSocket(t *testing.T) {
-	killRestartDurableServer(t, "unix:"+t.TempDir()+"/springfsd.sock")
+	killRestartDurableServer(t, "unix:"+t.TempDir()+"/springfsd.sock", 0)
 }
 
-func killRestartDurableServer(t *testing.T, listenAddr string) {
+// killRestartDurableServer kills the server mid-load and restarts it gap
+// later.
+func killRestartDurableServer(t *testing.T, listenAddr string, gap time.Duration) {
 	walDir, rwalDir := t.TempDir(), t.TempDir()
 	stateFile := t.TempDir() + "/netd.state"
 
@@ -203,8 +211,6 @@ func killRestartDurableServer(t *testing.T, listenAddr string) {
 		t.Fatal(err)
 	}
 	cliEnv.Set(reconnectable.ContextVar, ctxObj)
-	cliEnv.Set(reconnectable.PolicyVar, &reconnectable.Policy{MaxAttempts: 2000, Backoff: 5 * time.Millisecond})
-	cliEnv.Set(replicon.PolicyVar, &replicon.Policy{MaxRounds: 2000, Backoff: 5 * time.Millisecond})
 
 	fsObj, err := cli.net.ImportRootObject(cliEnv, addr, "fs", filesys.FileSystemMT)
 	if err != nil {
@@ -242,6 +248,7 @@ func killRestartDurableServer(t *testing.T, listenAddr string) {
 	time.Sleep(200 * time.Millisecond)
 
 	srv.kill()
+	time.Sleep(gap)
 	srv = startDurableServer(t, addr, walDir, rwalDir, stateFile)
 	t.Cleanup(func() {
 		_ = srv.net.Close()
@@ -301,7 +308,6 @@ func TestRestartRecoversIdentityAndExports(t *testing.T) {
 		t.Fatal(err)
 	}
 	cliEnv.Set(reconnectable.ContextVar, ctxObj)
-	cliEnv.Set(reconnectable.PolicyVar, &reconnectable.Policy{MaxAttempts: 500, Backoff: 5 * time.Millisecond})
 
 	fsObj, err := cli.net.ImportRootObject(cliEnv, addr, "fs", filesys.FileSystemMT)
 	if err != nil {

@@ -30,8 +30,6 @@ func fastCfg() netd.Config {
 		DialTimeout:       100 * time.Millisecond,
 		HeartbeatInterval: 25 * time.Millisecond,
 		LeaseGrace:        2 * time.Second,
-		BreakerBackoff:    10 * time.Millisecond,
-		BreakerMaxBackoff: 50 * time.Millisecond,
 	}
 }
 
@@ -84,7 +82,6 @@ func TestReconnectableBridgesTransientPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	cliB.Set(reconnectable.ContextVar, ctxObjB)
-	cliB.Set(reconnectable.PolicyVar, &reconnectable.Policy{MaxAttempts: 100, Backoff: 10 * time.Millisecond})
 
 	fsObjB, err := b.net.ImportRootObject(cliB, a.net.Addr(), "fs", filesys.FileSystemMT)
 	if err != nil {

@@ -402,7 +402,6 @@ func TestReconnectableAcrossMachines(t *testing.T) {
 		t.Fatal(err)
 	}
 	cliB.Set(reconnectable.ContextVar, ctxObjB)
-	cliB.Set(reconnectable.PolicyVar, &reconnectable.Policy{MaxAttempts: 50, Backoff: time.Millisecond})
 
 	fsObjB, err := b.net.ImportRootObject(cliB, a.net.Addr(), "fs", filesys.FileSystemMT)
 	if err != nil {

@@ -104,13 +104,23 @@ func (in *Info) Remaining() (time.Duration, bool) {
 	return time.Until(in.Deadline), true
 }
 
-// Sleep pauses for d, but no longer than the remaining budget, and wakes
-// at once on cancellation: the pause between a subcontract's retries. It
+// retryPause is how long Pause waits on a failure that carries no admit
+// time.
+const retryPause = 5 * time.Millisecond
+
+// Pause is the wait between a subcontract's retries, read off the failure
+// that prompted it: until the admit time of a *RetryAt, else retryPause.
+// It never waits past the deadline and wakes at once on cancellation; it
 // returns the context's error if the context ended before or during the
-// pause.
-func (in *Info) Sleep(d time.Duration) error {
+// wait.
+func (in *Info) Pause(failure error) error {
 	if err := in.Err(); err != nil {
 		return err
+	}
+	d := retryPause
+	var ra *RetryAt
+	if errors.As(failure, &ra) && !ra.At.IsZero() {
+		d = time.Until(ra.At)
 	}
 	if rem, ok := in.Remaining(); ok && rem < d {
 		d = rem

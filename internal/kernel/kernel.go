@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/buffer"
 )
@@ -60,6 +61,19 @@ var (
 	// and try again, or fail over to a replica.
 	ErrOverload = errors.New("kernel: server overloaded")
 )
+
+// RetryAt is a communications failure that says when a retry can first
+// succeed: the layer that refused the call admits none before At (a
+// network door server's open circuit breaker, until its next probe). A
+// zero At says no time is known. It unwraps to ErrCommFailure and to Err,
+// and (*Info).Pause reads At off it.
+type RetryAt struct {
+	At  time.Time
+	Err error
+}
+
+func (e *RetryAt) Error() string   { return ErrCommFailure.Error() + ": " + e.Err.Error() }
+func (e *RetryAt) Unwrap() []error { return []error{ErrCommFailure, e.Err} }
 
 // Handle is a door identifier as seen by one domain: an unforgeable,
 // domain-local capability name (compare a Unix file descriptor). Handle 0 is

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -346,42 +347,73 @@ func TestRefOf(t *testing.T) {
 	}
 }
 
-func TestInfoSleepCappedByDeadline(t *testing.T) {
-	// A retry pause longer than the call's remaining budget ends at the
-	// deadline, with the deadline's error, not after the whole pause.
+func TestInfoPauseCappedByDeadline(t *testing.T) {
+	// A pause whose admit time lies past the call's remaining budget ends
+	// at the deadline, with the deadline's error, not at the admit time.
+	later := &RetryAt{At: time.Now().Add(time.Hour), Err: errors.New("refused")}
 	info := &Info{Deadline: time.Now().Add(20 * time.Millisecond)}
 	start := time.Now()
-	err := info.Sleep(time.Hour)
-	if !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("Sleep past the deadline = %v, want ErrDeadlineExceeded", err)
+	if err := info.Pause(later); !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("Pause past the deadline = %v, want ErrDeadlineExceeded", err)
 	}
 	if d := time.Since(start); d > 10*time.Second {
-		t.Fatalf("Sleep(1h) under a 20ms deadline took %v", d)
+		t.Fatalf("Pause until +1h under a 20ms deadline took %v", d)
 	}
-	// A pause within the budget sleeps it out and reports nothing.
+	// A pause within the budget waits it out and reports nothing.
 	info = &Info{Deadline: time.Now().Add(time.Hour)}
-	if err := info.Sleep(time.Millisecond); err != nil {
-		t.Fatalf("Sleep within the budget = %v", err)
+	if err := info.Pause(ErrCommFailure); err != nil {
+		t.Fatalf("Pause within the budget = %v", err)
 	}
 	var none *Info
-	if err := none.Sleep(time.Millisecond); err != nil {
-		t.Fatalf("Sleep on a nil context = %v", err)
+	if err := none.Pause(ErrCommFailure); err != nil {
+		t.Fatalf("Pause on a nil context = %v", err)
 	}
 }
 
-func TestInfoSleepWakesOnCancel(t *testing.T) {
+func TestInfoPauseWakesOnCancel(t *testing.T) {
+	later := &RetryAt{At: time.Now().Add(time.Hour), Err: errors.New("refused")}
 	cancel := make(chan struct{})
 	info := &Info{Cancel: cancel}
 	time.AfterFunc(10*time.Millisecond, func() { close(cancel) })
 	start := time.Now()
-	if err := info.Sleep(time.Hour); !errors.Is(err, ErrCancelled) {
-		t.Fatalf("Sleep through a cancel = %v, want ErrCancelled", err)
+	if err := info.Pause(later); !errors.Is(err, ErrCancelled) {
+		t.Fatalf("Pause through a cancel = %v, want ErrCancelled", err)
 	}
 	if d := time.Since(start); d > 10*time.Second {
-		t.Fatalf("Sleep(1h) cancelled after 10ms took %v", d)
+		t.Fatalf("Pause until +1h cancelled after 10ms took %v", d)
 	}
 	// An already-cancelled context does not pause at all.
-	if err := info.Sleep(time.Hour); !errors.Is(err, ErrCancelled) {
-		t.Fatalf("Sleep on a cancelled context = %v, want ErrCancelled", err)
+	if err := info.Pause(later); !errors.Is(err, ErrCancelled) {
+		t.Fatalf("Pause on a cancelled context = %v, want ErrCancelled", err)
+	}
+}
+
+func TestInfoPauseReadsAdmitTime(t *testing.T) {
+	// The wait is read off the failure: until a RetryAt's admit time, even
+	// wrapped; retryPause for a failure with none, a zero At included.
+	refused := errors.New("refused")
+	in := func(d time.Duration) time.Time { return time.Now().Add(d) }
+	for _, tc := range []struct {
+		name     string
+		err      func() error
+		min, max time.Duration
+	}{
+		{"admit time", func() error { return &RetryAt{At: in(60 * time.Millisecond), Err: refused} }, 50 * time.Millisecond, 10 * time.Second},
+		{"wrapped", func() error { return fmt.Errorf("call: %w", &RetryAt{At: in(60 * time.Millisecond), Err: refused}) }, 50 * time.Millisecond, 10 * time.Second},
+		{"zero admit time", func() error { return &RetryAt{Err: refused} }, retryPause, 50 * time.Millisecond},
+		{"no admit time", func() error { return ErrOverload }, retryPause, 50 * time.Millisecond},
+	} {
+		start := time.Now()
+		if err := (&Info{}).Pause(tc.err()); err != nil {
+			t.Fatalf("%s: Pause = %v", tc.name, err)
+		}
+		if d := time.Since(start); d < tc.min || d > tc.max {
+			t.Fatalf("%s: paused %v, want %v..%v", tc.name, d, tc.min, tc.max)
+		}
+	}
+	// The typed failure still classifies as a communications failure and
+	// as the refusal it carries.
+	if err := error(&RetryAt{Err: refused}); !errors.Is(err, ErrCommFailure) || !errors.Is(err, refused) {
+		t.Fatalf("RetryAt unwraps to neither ErrCommFailure nor its Err: %v", err)
 	}
 }

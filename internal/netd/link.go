@@ -1,7 +1,6 @@
 package netd
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -101,10 +100,10 @@ func (s *Server) getConnSlow(p *peerState, r role) (*conn, error) {
 			}
 			continue // the shared dial's conn died already; try once more
 		}
-		wait, ok := s.proto.admit(p, time.Now())
+		until, ok := s.proto.admit(p, time.Now())
 		if !ok {
 			s.mu.Unlock()
-			return l.borrow(r, fmt.Errorf("%w: %s: %w (next probe in %v)", kernel.ErrCommFailure, addr, ErrBreakerOpen, wait.Round(time.Millisecond)))
+			return l.borrow(r, &kernel.RetryAt{At: until, Err: ErrBreakerOpen})
 		}
 		f := &dialFlight{done: make(chan struct{})}
 		l.dialing[r] = f

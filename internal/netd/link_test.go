@@ -181,7 +181,6 @@ func TestRefusedBulkDialBorrowsCallConnection(t *testing.T) {
 	fn := faultnet.New()
 	var dials atomic.Int32
 	cfgB := quickCfg()
-	cfgB.BreakerBackoff, cfgB.BreakerMaxBackoff = 500*time.Millisecond, 500*time.Millisecond
 	cfgB.Transport = countingDialer(fn, &dials)
 	a, b, remote, l := linkPair(t, cfgB)
 	dials.Store(0)
@@ -198,9 +197,9 @@ func TestRefusedBulkDialBorrowsCallConnection(t *testing.T) {
 	p := b.srv.proto.peer(a.srv.Addr())
 	state, backoff := p.state, p.backoff
 	b.srv.mu.Unlock()
-	if state != breakerOpen || backoff != cfgB.BreakerBackoff {
+	if state != breakerOpen || backoff != breakerBackoff {
 		t.Fatalf("breaker after one refused dial: state %d backoff %v, want open with the first backoff %v",
-			state, backoff, cfgB.BreakerBackoff)
+			state, backoff, breakerBackoff)
 	}
 
 	fn.RefuseDials(false)

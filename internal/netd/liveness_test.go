@@ -9,7 +9,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultnet"
 	"repro/internal/kernel"
+	"repro/internal/naming"
 	"repro/internal/sctest"
+	"repro/internal/subcontracts/reconnectable"
+	"repro/internal/subcontracts/replicon"
 	"repro/internal/subcontracts/singleton"
 )
 
@@ -21,8 +24,6 @@ func quickCfg() Config {
 		DialTimeout:       150 * time.Millisecond,
 		HeartbeatInterval: 25 * time.Millisecond,
 		LeaseGrace:        150 * time.Millisecond,
-		BreakerBackoff:    25 * time.Millisecond,
-		BreakerMaxBackoff: 100 * time.Millisecond,
 	}
 }
 
@@ -226,8 +227,6 @@ func TestBreakerFailsFastAndRecovers(t *testing.T) {
 	long.LeaseGrace = time.Minute
 	a := newMachineCfg(t, "A", long)
 	cfgB := long
-	cfgB.BreakerBackoff = 500 * time.Millisecond // hold open for the fast-fail probe
-	cfgB.BreakerMaxBackoff = 500 * time.Millisecond
 	cfgB.Transport = FuncTransport{DialFunc: fn.Dialer(nil)}
 	b := newMachineCfg(t, "B", cfgB)
 	ctr, _, _ := exportCounter(t, a, "counter")
@@ -262,7 +261,7 @@ func TestBreakerFailsFastAndRecovers(t *testing.T) {
 		t.Fatalf("open-breaker call took %v, want O(1)", elapsed)
 	}
 
-	// Peer returns; the half-open probe (after the 500ms backoff) closes
+	// Peer returns; the half-open probe (after breakerBackoff) closes
 	// the breaker, the session is rejoined, and calls flow again.
 	fn.RefuseDials(false)
 	waitFor(t, 3*time.Second, "breaker closes after heal", func() bool {
@@ -455,8 +454,6 @@ func TestHungDialBoundedByDialTimeout(t *testing.T) {
 	fn := faultnet.New()
 	cfg := quickCfg()
 	cfg.DialTimeout = 100 * time.Millisecond
-	cfg.BreakerBackoff = 500 * time.Millisecond
-	cfg.BreakerMaxBackoff = 500 * time.Millisecond
 	cfg.Transport = FuncTransport{DialFunc: fn.Dialer(nil)}
 	b := newMachineCfg(t, "B", cfg)
 	fn.SetDialDelay(5 * time.Second)
@@ -516,4 +513,91 @@ func TestReclaimManyExports(t *testing.T) {
 		t.Fatalf("reclaiming %d exports took %v, want < 500ms", n, took)
 	}
 	t.Logf("reclaimed %d exports in %v", n, took)
+}
+
+func TestCallWithoutDeadlineEndsAtLeaseLoss(t *testing.T) {
+	// A call with no deadline through a retrying subcontract, against a
+	// peer that never comes back, waits on the breaker's admit times until
+	// the lease is lost, and then ends in an error instead of hanging. The
+	// lease lapses LeaseGrace after the connection died, seen within a
+	// heartbeat; the call ends within the breaker period that straddles
+	// that moment, plus the subcontract's short retries on the poisoned
+	// proxies.
+	cfg := quickCfg()
+	lapse := cfg.LeaseGrace + cfg.HeartbeatInterval
+	var opened time.Duration
+	for p := breakerBackoff; opened < lapse; p = min(2*p, breakerMaxBackoff) {
+		opened += p
+	}
+	bound := opened + time.Second
+
+	for _, tc := range []struct {
+		name    string
+		publish func(t *testing.T, a *machine) // publishes root "svc" on a
+		prepare func(t *testing.T, a, b *machine)
+		want    error
+	}{
+		{"replicon", func(t *testing.T, a *machine) {
+			env, err := sctest.NewEnv(a.k, "replica", singleton.Register, replicon.Register)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := replicon.NewGroup()
+			g.Join(env, "r1", (&sctest.Counter{}).Skeleton())
+			a.srv.PublishRoot("svc", g.Export(a.env, sctest.CounterMT))
+		}, nil, ErrLeaseExpired},
+		{"reconnectable", func(t *testing.T, a *machine) {
+			ns := naming.NewServer(a.env)
+			a.srv.PublishRoot("naming", ns.Object())
+			cp, err := ns.Object().Copy()
+			if err != nil {
+				t.Fatal(err)
+			}
+			obj, _, err := reconnectable.Export(a.env, sctest.CounterMT, (&sctest.Counter{}).Skeleton(), "svc", naming.Context{Obj: cp})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.srv.PublishRoot("svc", obj)
+		}, func(t *testing.T, a, b *machine) {
+			ctx, err := b.srv.ImportRootObject(b.env, a.srv.Addr(), "naming", naming.ContextMT)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.env.Set(reconnectable.ContextVar, ctx)
+		}, reconnectable.ErrGaveUp},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			libs := []func(*core.Registry) error{replicon.Register, reconnectable.Register}
+			a := newMachineCfg(t, "A", cfg, libs...)
+			b := newMachineCfg(t, "B", cfg, libs...)
+			tc.publish(t, a)
+			if tc.prepare != nil {
+				tc.prepare(t, a, b)
+			}
+			remote, err := b.srv.ImportRootObject(b.env, a.srv.Addr(), "svc", sctest.CounterMT)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sctest.Add(remote, 1); err != nil {
+				t.Fatal(err)
+			}
+
+			_ = a.srv.Kill() // and A never returns
+			start := time.Now()
+			done := make(chan error, 1)
+			go func() {
+				_, err := sctest.Get(remote)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("call on a dead peer = %v, want %v", err, tc.want)
+				}
+				t.Logf("ended after %v (bound %v): %v", time.Since(start), bound, err)
+			case <-time.After(bound):
+				t.Fatalf("call on a dead peer still running after %v", bound)
+			}
+		})
+	}
 }

@@ -40,7 +40,8 @@
 // connection fail fast in the kernel.ErrCommFailure class (retryable, so
 // reconnectable and replicon recover); a per-address circuit breaker with
 // exponential backoff and a half-open probe keeps calls to a dead peer
-// from each paying a dial timeout; release messages that cannot be sent
+// from each paying a dial timeout, and its refusal says when the next
+// probe may go out (kernel.RetryAt); release messages that cannot be sent
 // are queued and replayed when the peer returns; and once a peer has been
 // unreachable past the grace period the proxy doors imported from it are
 // poisoned — their references were reclaimed over there — so they fail in
@@ -78,10 +79,11 @@ var (
 	ErrNoRoot = errors.New("netd: no such root")
 	// ErrClosed is returned when operating on a closed server.
 	ErrClosed = errors.New("netd: server closed")
-	// ErrBreakerOpen is returned (wrapped in kernel.ErrCommFailure) while
-	// the per-address circuit breaker is open: the peer failed recently
-	// and the backoff period has not lapsed, so the call fails in O(1)
-	// instead of paying a dial timeout.
+	// ErrBreakerOpen is returned, as the Err of a *kernel.RetryAt whose At
+	// is the breaker's next admit time, while the per-address circuit
+	// breaker is open: the peer failed recently and the backoff period has
+	// not lapsed, so the call fails in O(1) instead of paying a dial
+	// timeout.
 	ErrBreakerOpen = errors.New("netd: peer breaker open")
 	// ErrLeaseExpired is returned (wrapped in kernel.ErrCommFailure) from
 	// a proxy door poisoned by lease loss: its exporter was unreachable
@@ -108,11 +110,6 @@ type Config struct {
 	// reclaimed, and symmetrically how long an importer waits before
 	// poisoning proxies from an unreachable exporter. Default 10s.
 	LeaseGrace time.Duration
-	// BreakerBackoff is the breaker's first open period after a failed
-	// dial; it doubles per consecutive failure up to BreakerMaxBackoff.
-	// Defaults 100ms and 15s.
-	BreakerBackoff    time.Duration
-	BreakerMaxBackoff time.Duration
 	// BulkThreshold is the request size, in bytes, at or above which a
 	// call rides the peer link's bulk connection instead of its call
 	// connection, so large frames cannot head-of-line block small calls.
@@ -151,6 +148,10 @@ type Config struct {
 // inline per read batch before giving calls goroutines of their own.
 const inlineBudget = 200 * time.Microsecond
 
+// The breaker's first open period after a failed dial, and the cap it
+// doubles up to per consecutive failure.
+const breakerBackoff, breakerMaxBackoff = 100 * time.Millisecond, 15 * time.Second
+
 // withDefaults is the single defaulting path: every zero field takes its
 // documented default, and the result is the exact configuration the
 // server runs with (Server keeps the normalized copy).
@@ -159,8 +160,6 @@ func (cfg Config) withDefaults() Config {
 	cfg.DialTimeout = cmp.Or(cfg.DialTimeout, 3*time.Second)
 	cfg.HeartbeatInterval = cmp.Or(cfg.HeartbeatInterval, time.Second)
 	cfg.LeaseGrace = cmp.Or(cfg.LeaseGrace, 10*time.Second)
-	cfg.BreakerBackoff = cmp.Or(cfg.BreakerBackoff, 100*time.Millisecond)
-	cfg.BreakerMaxBackoff = cmp.Or(cfg.BreakerMaxBackoff, 15*time.Second)
 	cfg.BulkThreshold = cmp.Or(cfg.BulkThreshold, 8<<10)
 	cfg.Transport = cmp.Or[Transport](cfg.Transport, TCPTransport{})
 	cfg.MaxInflight = cmp.Or(cfg.MaxInflight, 1024)
@@ -180,8 +179,6 @@ func With(cfg Config) Option {
 		c.DialTimeout = cmp.Or(cfg.DialTimeout, c.DialTimeout)
 		c.HeartbeatInterval = cmp.Or(cfg.HeartbeatInterval, c.HeartbeatInterval)
 		c.LeaseGrace = cmp.Or(cfg.LeaseGrace, c.LeaseGrace)
-		c.BreakerBackoff = cmp.Or(cfg.BreakerBackoff, c.BreakerBackoff)
-		c.BreakerMaxBackoff = cmp.Or(cfg.BreakerMaxBackoff, c.BreakerMaxBackoff)
 		c.BulkThreshold = cmp.Or(cfg.BulkThreshold, c.BulkThreshold)
 		c.Transport = cmp.Or(cfg.Transport, c.Transport)
 		c.StateFile = cmp.Or(cfg.StateFile, c.StateFile)

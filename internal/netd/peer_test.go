@@ -100,7 +100,7 @@ func TestProtoForgetsIdleRecords(t *testing.T) {
 	r.m.admit(p, r.now)
 	r.tick(0)
 	r.m.dialed(p, false, r.now)
-	r.tick(r.m.cfg.BreakerBackoff - 1)
+	r.tick(breakerBackoff - 1)
 	if r.m.peers["r:1"] != p {
 		t.Fatal("forgotten mid-dial or inside its breaker window")
 	}

@@ -24,8 +24,6 @@ func fastLivenessCfg() Config {
 		DialTimeout:       200 * time.Millisecond,
 		HeartbeatInterval: 20 * time.Millisecond,
 		LeaseGrace:        2 * time.Second,
-		BreakerBackoff:    10 * time.Millisecond,
-		BreakerMaxBackoff: 50 * time.Millisecond,
 	}
 }
 

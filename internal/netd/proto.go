@@ -387,27 +387,28 @@ func (m *proto) hold(addr string) *peerState {
 }
 
 // admit decides whether a dial to p's address may proceed at now: not while
-// the breaker is open (wait says for how long yet) or while its one
-// half-open probe is out. An admitted dial's outcome is reported with dialed.
-func (m *proto) admit(p *peerState, now time.Time) (wait time.Duration, ok bool) {
+// the breaker is open (until says when it next admits) or while its one
+// half-open probe is out (until is zero: the probe's outcome decides). An
+// admitted dial's outcome is reported with dialed.
+func (m *proto) admit(p *peerState, now time.Time) (until time.Time, ok bool) {
 	switch p.state {
 	case breakerOpen:
 		if now.Before(p.openUntil) {
-			return p.openUntil.Sub(now), false
+			return p.openUntil, false
 		}
 		p.state, p.probing = breakerHalfOpen, true
 	case breakerHalfOpen:
 		if p.probing {
-			return 0, false
+			return time.Time{}, false
 		}
 		p.probing = true
 	}
 	p.dials++
-	return 0, true
+	return time.Time{}, true
 }
 
 // dialed records an admitted dial's outcome. A failure opens the breaker
-// for a backoff that doubles from BreakerBackoff up to BreakerMaxBackoff; a
+// for a backoff that doubles from breakerBackoff up to breakerMaxBackoff; a
 // success closes it (the hello before it stopped the peer's clock).
 func (m *proto) dialed(p *peerState, ok bool, now time.Time) {
 	p.probing, p.dials = false, p.dials-1
@@ -418,7 +419,7 @@ func (m *proto) dialed(p *peerState, ok bool, now time.Time) {
 		p.state, p.backoff = breakerClosed, 0
 		return
 	}
-	p.backoff = min(max(2*p.backoff, m.cfg.BreakerBackoff), m.cfg.BreakerMaxBackoff)
+	p.backoff = min(max(2*p.backoff, breakerBackoff), breakerMaxBackoff)
 	p.openUntil = now.Add(p.backoff)
 	if p.state != breakerOpen {
 		m.counts[tBreakerOpened]++

@@ -87,8 +87,6 @@ func newRig(t *testing.T) *rig {
 	cfg := Config{
 		HeartbeatInterval: time.Second,
 		LeaseGrace:        10 * time.Second,
-		BreakerBackoff:    100 * time.Millisecond,
-		BreakerMaxBackoff: 400 * time.Millisecond,
 	}.withDefaults()
 	return &rig{t: t, m: newProto(cfg, 1), now: time.Unix(1_000_000, 0)}
 }
@@ -224,20 +222,24 @@ func TestProtoTimers(t *testing.T) {
 				t.Fatal("closed breaker refused a dial")
 			}
 			r.m.dialed(p, false, r.now)
-			for _, want := range []time.Duration{100, 200, 400, 400} {
-				want *= time.Millisecond
+			var wants []time.Duration // doubling from breakerBackoff, then twice at the cap
+			for d := breakerBackoff; d < breakerMaxBackoff; d *= 2 {
+				wants = append(wants, d)
+			}
+			wants = append(wants, breakerMaxBackoff, breakerMaxBackoff)
+			for _, want := range wants {
 				if p.state != breakerOpen || p.backoff != want {
 					t.Fatalf("breaker %d backoff %v, want open %v", p.state, p.backoff, want)
 				}
-				if wait, ok := r.m.admit(p, r.now.Add(want-time.Nanosecond)); ok || wait != time.Nanosecond {
-					t.Fatalf("open breaker admitted (or wait %v) before its backoff", wait)
+				if until, ok := r.m.admit(p, r.now.Add(want-time.Nanosecond)); ok || !until.Equal(r.now.Add(want)) {
+					t.Fatalf("open breaker admitted (or until %v) before its backoff", until)
 				}
 				r.now = r.now.Add(want)
 				if _, ok := r.m.admit(p, r.now); !ok {
 					t.Fatal("breaker refused the half-open probe")
 				}
-				if _, ok := r.m.admit(p, r.now); ok {
-					t.Fatal("breaker admitted a second half-open probe")
+				if until, ok := r.m.admit(p, r.now); ok || !until.IsZero() {
+					t.Fatalf("breaker admitted a second half-open probe (or named an admit time %v)", until)
 				}
 				r.m.dialed(p, false, r.now)
 			}
@@ -418,8 +420,6 @@ func newWorld(t *testing.T, seed uint64) *world {
 	cfg := Config{
 		HeartbeatInterval: time.Second,
 		LeaseGrace:        4 * time.Second,
-		BreakerBackoff:    100 * time.Millisecond,
-		BreakerMaxBackoff: 800 * time.Millisecond,
 	}.withDefaults()
 	if seed%2 == 1 {
 		cfg.StateFile = "netd.state"
@@ -742,7 +742,7 @@ func (w *world) check(i int) {
 				fail("closed breaker for %s: backoff %v probing %v", p.addr, p.backoff, p.probing)
 			}
 		case breakerOpen:
-			if p.backoff < m.cfg.BreakerBackoff || p.backoff > m.cfg.BreakerMaxBackoff || p.probing {
+			if p.backoff < breakerBackoff || p.backoff > breakerMaxBackoff || p.probing {
 				fail("open breaker for %s: backoff %v probing %v", p.addr, p.backoff, p.probing)
 			}
 		case breakerHalfOpen:

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/cache"
@@ -213,7 +212,6 @@ func TestReconnectableConformance(t *testing.T) {
 			t.Fatal(err)
 		}
 		env.Set(reconnectable.ContextVar, ctx)
-		env.Set(reconnectable.PolicyVar, &reconnectable.Policy{MaxAttempts: 5, Backoff: time.Millisecond})
 		return env
 	}
 	sctest.Conformance{

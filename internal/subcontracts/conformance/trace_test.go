@@ -3,7 +3,6 @@ package conformance_test
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/cache"
@@ -275,7 +274,6 @@ func TestTraceRetryAndReconnect(t *testing.T) {
 	}
 	srvCtx := naming.Context{Obj: give(srv)}
 	cli.Set(reconnectable.ContextVar, give(cli))
-	cli.Set(reconnectable.PolicyVar, &reconnectable.Policy{MaxAttempts: 20, Backoff: time.Millisecond})
 
 	ctr := &sctest.Counter{}
 	obj, door, err := reconnectable.Export(srv, sctest.CounterMT, ctr.Skeleton(), "svc", srvCtx)

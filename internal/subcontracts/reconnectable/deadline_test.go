@@ -5,21 +5,23 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/buffer"
 	"repro/internal/core"
+	"repro/internal/kernel"
+	"repro/internal/naming"
 	"repro/internal/sctest"
+	"repro/internal/subcontracts/doorsc"
+	"repro/internal/subcontracts/singleton"
 )
 
 // TestDeadlineBoundsReresolveLoop is the headline acceptance case for
 // invocation contexts: a call through reconnectable against a permanently
 // dead server with a 50 ms deadline must return ErrDeadlineExceeded within
-// 100 ms — instead of grinding through the policy's full resolution-retry
-// budget (which here would run far longer than the deadline).
+// 100 ms — instead of grinding through its full resolution budget
+// (maxAttempts pauses, which here would outlast the deadline and end in
+// ErrGaveUp).
 func TestDeadlineBoundsReresolveLoop(t *testing.T) {
 	w := newWorld(t)
-	// A generous retry policy: without the deadline this would spin for
-	// ~2 s (200 × 10 ms) before giving up.
-	w.cli.Set(PolicyVar, &Policy{MaxAttempts: 200, Backoff: 10 * time.Millisecond})
-
 	ctr := &sctest.Counter{}
 	obj, door, err := Export(w.srv, sctest.CounterMT, ctr.Skeleton(), "svc", w.ctx)
 	if err != nil {
@@ -49,10 +51,13 @@ func TestDeadlineBoundsReresolveLoop(t *testing.T) {
 }
 
 // TestCancelUnblocksBackoffSleep proves cancellation wakes the re-resolve
-// loop out of its backoff sleep immediately.
+// loop out of its pause immediately: here the naming context refuses every
+// resolution until an hour from now, so the pause would last that long.
 func TestCancelUnblocksBackoffSleep(t *testing.T) {
 	w := newWorld(t)
-	w.cli.Set(PolicyVar, &Policy{MaxAttempts: 200, Backoff: 50 * time.Millisecond})
+	refused := &kernel.RetryAt{At: time.Now().Add(time.Hour), Err: errors.New("naming: refused")}
+	h, _ := w.cli.Domain.CreateDoor(func(*buffer.Buffer) (*buffer.Buffer, error) { return nil, refused }, nil)
+	w.cli.Set(ContextVar, core.NewObject(w.cli, naming.ContextMT, singleton.SC, doorsc.Rep{H: h}))
 
 	ctr := &sctest.Counter{}
 	obj, door, err := Export(w.srv, sctest.CounterMT, ctr.Skeleton(), "svc", w.ctx)

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/core"
@@ -35,19 +34,9 @@ const SCID core.ID = 6
 // resolve in.
 const ContextVar = "naming.default"
 
-// PolicyVar is the environment slot for an optional *Policy override.
-const PolicyVar = "reconnectable.policy"
-
-// Policy controls reconnection retries.
-type Policy struct {
-	// MaxAttempts bounds resolution attempts before giving up.
-	MaxAttempts int
-	// Backoff is slept between failed resolution attempts.
-	Backoff time.Duration
-}
-
-// defaultPolicy is used when a domain sets no PolicyVar.
-var defaultPolicy = Policy{MaxAttempts: 20, Backoff: 5 * time.Millisecond}
+// maxAttempts bounds consecutive failed resolutions of the object name,
+// and consecutive shed calls, before a call gives up.
+const maxAttempts = 20
 
 // Errors returned by the subcontract.
 var (
@@ -163,10 +152,12 @@ func (ops) InvokePreamble(obj *core.Object, call *core.Call) error {
 
 // Invoke performs a normal kernel door invocation; on a communications
 // failure it re-resolves the object name and retries on the new object.
-// The whole recovery loop — door calls, resolutions, backoff sleeps — is
-// bounded by the call's deadline and cancellation: once the context ends,
-// Invoke stops immediately with core.ErrDeadlineExceeded/ErrCancelled
-// instead of burning the remaining resolution attempts.
+// A call the server shed (kernel.ErrOverload) keeps its door and is
+// retried after a pause. The whole recovery loop — door calls,
+// resolutions, pauses — is bounded by the call's deadline and
+// cancellation: once the context ends, Invoke stops immediately with
+// core.ErrDeadlineExceeded/ErrCancelled instead of burning the remaining
+// attempts.
 func (ops) Invoke(obj *core.Object, call *core.Call) (*buffer.Buffer, error) {
 	begin := stats.Begin()
 	sp := trace.Begin(call.Info(), spanInvoke)
@@ -185,7 +176,7 @@ func invoke(obj *core.Object, call *core.Call) (*buffer.Buffer, error) {
 		return nil, err
 	}
 	dom := obj.Env.Domain
-	for {
+	for shed := 0; ; {
 		r.mu.Lock()
 		h := r.h
 		r.mu.Unlock()
@@ -194,10 +185,20 @@ func invoke(obj *core.Object, call *core.Call) (*buffer.Buffer, error) {
 		if err == nil || !core.Retryable(err) {
 			return reply, err
 		}
-		stats.Reconnects.Add(1)
-		trace.Event(call.Info(), spanReconnect)
-		if err := reconnect(obj, r, h, call.Info()); err != nil {
-			return nil, err
+		if errors.Is(err, kernel.ErrOverload) {
+			// The call never ran and the door is sound: keep it.
+			if shed++; shed == maxAttempts {
+				return nil, err
+			}
+			if err := call.Info().Pause(err); err != nil {
+				return nil, err
+			}
+		} else {
+			stats.Reconnects.Add(1)
+			trace.Event(call.Info(), spanReconnect)
+			if err := reconnect(obj, r, h, call.Info()); err != nil {
+				return nil, err
+			}
 		}
 		if err := call.Err(); err != nil {
 			// The context ended while we were reconnecting: don't issue
@@ -212,8 +213,9 @@ func invoke(obj *core.Object, call *core.Call) (*buffer.Buffer, error) {
 // reconnect resolves the object name to obtain a new door, replacing the
 // dead identifier stale. Concurrent invokes racing through a crash
 // coordinate on the rep: whoever swaps first wins, later callers see the
-// fresh handle and skip their own resolution. The resolution loop checks
-// info between attempts and sleeps no longer than the remaining budget.
+// fresh handle and skip their own resolution. Between failed resolutions
+// it pauses on the last failure, for as long as that failure says a retry
+// cannot succeed and no longer than the remaining budget.
 func reconnect(obj *core.Object, r *Rep, stale kernel.Handle, info *kernel.Info) error {
 	r.mu.Lock()
 	if r.h != stale {
@@ -233,17 +235,10 @@ func reconnect(obj *core.Object, r *Rep, stale kernel.Handle, info *kernel.Info)
 	}
 	ctx := naming.Context{Obj: ctxObj}
 
-	pol := defaultPolicy
-	if p, ok := obj.Env.Get(PolicyVar); ok {
-		if pp, ok := p.(*Policy); ok {
-			pol = *pp
-		}
-	}
-
 	var lastErr error
-	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
-			if err := info.Sleep(pol.Backoff); err != nil {
+			if err := info.Pause(lastErr); err != nil {
 				return err
 			}
 		}
@@ -274,7 +269,7 @@ func reconnect(obj *core.Object, r *Rep, stale kernel.Handle, info *kernel.Info)
 		}
 		return nil
 	}
-	return fmt.Errorf("%w: %q after %d attempts: %v", ErrGaveUp, r.name, pol.MaxAttempts, lastErr)
+	return fmt.Errorf("%w: %q after %d attempts: %v", ErrGaveUp, r.name, maxAttempts, lastErr)
 }
 
 // takeDoor extracts the door identifier from a freshly resolved object,

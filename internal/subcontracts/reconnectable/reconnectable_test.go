@@ -3,13 +3,16 @@ package reconnectable
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/naming"
 	"repro/internal/sctest"
+	"repro/internal/subcontracts/doorsc"
 	"repro/internal/subcontracts/singleton"
 )
 
@@ -55,7 +58,6 @@ func newWorld(t *testing.T) *world {
 	}
 	srvCtx := give(srv)
 	cli.Set(ContextVar, give(cli))
-	cli.Set(PolicyVar, &Policy{MaxAttempts: 50, Backoff: time.Millisecond})
 
 	return &world{k: k, nameSrv: ns, srv: srv, cli: cli, ctx: naming.Context{Obj: srvCtx}}
 }
@@ -148,7 +150,6 @@ func TestReconnectWaitsForRestart(t *testing.T) {
 
 func TestGiveUpWhenNeverRestarted(t *testing.T) {
 	w := newWorld(t)
-	w.cli.Set(PolicyVar, &Policy{MaxAttempts: 3, Backoff: time.Millisecond})
 	ctr := &sctest.Counter{}
 	obj, door, err := Export(w.srv, sctest.CounterMT, ctr.Skeleton(), "svc", w.ctx)
 	if err != nil {
@@ -164,6 +165,42 @@ func TestGiveUpWhenNeverRestarted(t *testing.T) {
 	}
 	if _, err := sctest.Get(remote); !errors.Is(err, ErrGaveUp) {
 		t.Fatalf("Get = %v, want ErrGaveUp", err)
+	}
+}
+
+// TestShedKeepsDoor: a call the server shed (kernel.ErrOverload) never
+// ran and its door is sound, so reconnectable pauses and retries it on the
+// same door instead of re-resolving the name.
+func TestShedKeepsDoor(t *testing.T) {
+	w := newWorld(t)
+	ctr := &sctest.Counter{}
+	if _, _, err := Export(w.srv, sctest.CounterMT, ctr.Skeleton(), "svc", w.ctx); err != nil {
+		t.Fatal(err)
+	}
+	serve := doorsc.ServerProcTyped(sctest.CounterMT.Type, ctr.Skeleton())
+	var shed atomic.Bool
+	h, _ := w.srv.Domain.CreateDoorInfo(func(req *buffer.Buffer, info *kernel.Info) (*buffer.Buffer, error) {
+		if shed.CompareAndSwap(false, true) {
+			return nil, kernel.ErrOverload
+		}
+		return serve(req, info)
+	}, nil)
+	ref, err := w.srv.Domain.RefOf(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := w.cli.Domain.AdoptRef(ref)
+	remote := core.NewObject(w.cli, sctest.CounterMT, SC, &Rep{h: held, name: "svc"})
+
+	before := stats.Reconnects.Load()
+	if v, err := sctest.Add(remote, 4); err != nil || v != 4 || !shed.Load() {
+		t.Fatalf("Add through a shed call = %d, %v (shed %v)", v, err, shed.Load())
+	}
+	if got := stats.Reconnects.Load() - before; got != 0 {
+		t.Fatalf("a shed call made %d reconnects, want 0", got)
+	}
+	if r := remote.Rep.(*Rep); r.h != held {
+		t.Fatalf("door after a shed call = %d, want the one held before (%d)", r.h, held)
 	}
 }
 
@@ -247,7 +284,6 @@ func TestMarshalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	cli2.Set(ContextVar, ctx2)
-	cli2.Set(PolicyVar, &Policy{MaxAttempts: 50, Backoff: time.Millisecond})
 
 	moved, err := sctest.Transfer(remote, cli2, sctest.CounterMT)
 	if err != nil {

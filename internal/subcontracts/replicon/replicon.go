@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/core"
@@ -42,24 +41,9 @@ const LibraryName = "replicon.so"
 // ErrNoReplicas is returned when every replica has been found dead.
 var ErrNoReplicas = errors.New("replicon: no live replicas")
 
-// PolicyVar is the environment slot for an optional *Policy override.
-const PolicyVar = "replicon.policy"
-
-// Policy controls how invoke treats a fully failed replica set. Without a
-// policy (the default) the last replica is dropped like any other and
-// invoke returns ErrNoReplicas — a whole-set outage permanently empties
-// the representation. With MaxRounds > 0, a replica that fails while it
-// is the last one standing is retained and retried after Backoff, up to
-// MaxRounds consecutive failures — so a transient whole-set outage (a
-// durable server restarting) is ridden out instead of wrecking the
-// replica set. Replicas are still dropped immediately while others
-// remain, preserving instant failover among live replicas.
-type Policy struct {
-	// MaxRounds bounds consecutive retries of the last live replica.
-	MaxRounds int
-	// Backoff is slept between rounds (bounded by the call's context).
-	Backoff time.Duration
-}
+// maxRounds bounds the consecutive retries of a kept replica (the last
+// one, or one that shed the call) within one call.
+const maxRounds = 20
 
 // stats is the subcontract's metrics block; Failovers counts replicas
 // dropped from the target set mid-scan.
@@ -202,11 +186,14 @@ func (ops) InvokePreamble(obj *core.Object, call *core.Call) error {
 	return nil
 }
 
-// Invoke tries each replica in turn, deleting dead ones, and applies any
-// replica-set update piggybacked on the reply. The failover scan is
-// bounded by the call's invocation context: when the deadline passes or
-// the caller cancels mid-scan, Invoke stops — the dead replicas found so
-// far stay dropped, but no further replica is attempted.
+// Invoke tries each replica in turn and applies any replica-set update
+// piggybacked on the reply. A failed replica is dropped and the next tried
+// at once, unless it is the last or shed the call (kernel.ErrOverload):
+// that one is kept and retried after a pause, at most maxRounds times, so
+// a whole-set outage is ridden out. A door that is gone (kernel.ErrRevoked,
+// kernel.ErrBadHandle) is dropped even when it is the last. The call's
+// invocation context bounds the scan: once it ends, Invoke stops — the
+// dead replicas found so far stay dropped.
 func (ops) Invoke(obj *core.Object, call *core.Call) (*buffer.Buffer, error) {
 	begin := stats.Begin()
 	sp := trace.Begin(call.Info(), spanInvoke)
@@ -224,15 +211,8 @@ func invoke(obj *core.Object, call *core.Call) (*buffer.Buffer, error) {
 	if err != nil {
 		return nil, err
 	}
-	var pol Policy
-	if p, ok := obj.Env.Get(PolicyVar); ok {
-		if pp, ok := p.(*Policy); ok {
-			pol = *pp
-		}
-	}
 	dom := obj.Env.Domain
-	rounds := 0
-	for {
+	for rounds := 0; ; {
 		r.mu.Lock()
 		n := len(r.hs)
 		if n == 0 {
@@ -243,39 +223,35 @@ func invoke(obj *core.Object, call *core.Call) (*buffer.Buffer, error) {
 		r.mu.Unlock()
 
 		reply, err := dom.CallInfo(h, call.Args(), call.Info())
-		if err != nil {
-			if core.Retryable(err) {
-				stats.Failovers.Add(1)
-				trace.Event(call.Info(), spanFailoverEvent)
-				if n == 1 && pol.MaxRounds > 0 {
-					// Last replica standing under a retry policy: keep it
-					// (dropping it would permanently empty the set) and
-					// back off before another round.
-					rounds++
-					if rounds >= pol.MaxRounds {
-						return nil, err
-					}
-					if serr := call.Info().Sleep(pol.Backoff); serr != nil {
-						return nil, serr
-					}
-				} else {
-					r.dropDead(dom, h)
-				}
-				if err := call.Err(); err != nil {
-					return nil, err
-				}
-				stats.Retries.Add(1)
-				trace.Event(call.Info(), spanRetryEvent)
-				continue
+		if err == nil {
+			if err := r.applyUpdate(dom, reply); err != nil {
+				kernel.ReleaseBufferDoors(reply)
+				buffer.Put(reply)
+				return nil, err
 			}
+			return reply, nil
+		}
+		if !core.Retryable(err) {
 			return nil, err
 		}
-		if err := r.applyUpdate(dom, reply); err != nil {
-			kernel.ReleaseBufferDoors(reply)
-			buffer.Put(reply)
-			return nil, err
+		gone := errors.Is(err, kernel.ErrRevoked) || errors.Is(err, kernel.ErrBadHandle)
+		if !gone && (n == 1 || errors.Is(err, kernel.ErrOverload)) {
+			if rounds++; rounds == maxRounds {
+				return nil, err
+			}
+			if err := call.Info().Pause(err); err != nil {
+				return nil, err
+			}
+		} else {
+			stats.Failovers.Add(1)
+			trace.Event(call.Info(), spanFailoverEvent)
+			r.dropDead(dom, h)
+			if err := call.Err(); err != nil {
+				return nil, err
+			}
 		}
-		return reply, nil
+		stats.Retries.Add(1)
+		trace.Event(call.Info(), spanRetryEvent)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/core"
@@ -258,9 +257,10 @@ func TestConcurrentInvokeDuringCrash(t *testing.T) {
 }
 
 // flakyReplica is a single member door that fails its first `failures`
-// calls in the retryable communications class, then serves the counter
-// normally — the shape of a server riding out a restart.
-func flakyReplica(t *testing.T, k *kernel.Kernel, ctr *sctest.Counter, failures int) (*core.Env, kernel.Handle) {
+// calls with failure, then serves the counter normally — the shape of a
+// server riding out a restart (a retryable communications failure) or a
+// burst of load (kernel.ErrOverload).
+func flakyReplica(t *testing.T, k *kernel.Kernel, ctr *sctest.Counter, failures int, failure error) (*core.Env, kernel.Handle) {
 	t.Helper()
 	env, err := sctest.NewEnv(k, "flaky-replica", Register)
 	if err != nil {
@@ -273,7 +273,7 @@ func flakyReplica(t *testing.T, k *kernel.Kernel, ctr *sctest.Counter, failures 
 		if remaining.Add(-1) >= 0 {
 			// Fail before consuming req: in-kernel retries reuse the same
 			// args buffer, as a wire transport re-serializes per attempt.
-			return nil, fmt.Errorf("%w: injected outage", kernel.ErrCommFailure)
+			return nil, fmt.Errorf("injected: %w", failure)
 		}
 		if _, err := req.ReadUint32(); err != nil { // epoch control
 			return nil, err
@@ -289,20 +289,35 @@ func flakyReplica(t *testing.T, k *kernel.Kernel, ctr *sctest.Counter, failures 
 	return env, h
 }
 
-// TestPolicyRetainsLastReplica: with a retry policy set, a retryable
-// failure on the last remaining replica does not empty the set — the
-// handle is retained and retried until the replica comes back.
-func TestPolicyRetainsLastReplica(t *testing.T) {
-	k := kernel.New("m1")
-	ctr := &sctest.Counter{}
-	env, h := flakyReplica(t, k, ctr, 5)
-	cli := client(t, k)
+// replicated is a client object over the given replica doors, in order.
+func replicated(t *testing.T, cli *core.Env, replicas ...kernel.Ref) *core.Object {
+	t.Helper()
+	var hs []kernel.Handle
+	for _, ref := range replicas {
+		hs = append(hs, cli.Domain.AdoptRef(ref))
+	}
+	return core.NewObject(cli, sctest.CounterMT, SC, &Rep{hs: hs})
+}
+
+func refOf(t *testing.T, env *core.Env, h kernel.Handle) kernel.Ref {
+	t.Helper()
 	ref, err := env.Domain.RefOf(h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj := core.NewObject(cli, sctest.CounterMT, SC, &Rep{hs: []kernel.Handle{cli.Domain.AdoptRef(ref)}})
-	cli.Set(PolicyVar, &Policy{MaxRounds: 50, Backoff: time.Millisecond})
+	return ref
+}
+
+var outage = fmt.Errorf("%w: outage", kernel.ErrCommFailure)
+
+// TestPolicyRetainsLastReplica: a retryable failure on the last remaining
+// replica does not empty the set — the handle is retained and retried
+// until the replica comes back.
+func TestPolicyRetainsLastReplica(t *testing.T) {
+	k := kernel.New("m1")
+	ctr := &sctest.Counter{}
+	env, h := flakyReplica(t, k, ctr, 5, outage)
+	obj := replicated(t, client(t, k), refOf(t, env, h))
 
 	if v, err := sctest.Add(obj, 7); err != nil || v != 7 {
 		t.Fatalf("Add through outage = %d, %v", v, err)
@@ -312,51 +327,60 @@ func TestPolicyRetainsLastReplica(t *testing.T) {
 	}
 }
 
-// TestPolicyBoundsRetries: when the outage outlasts MaxRounds the call
+// TestPolicyBoundsRetries: when the outage outlasts maxRounds the call
 // returns the retryable error — but the replica is still retained, so a
 // later call (after recovery) succeeds without any re-resolution.
 func TestPolicyBoundsRetries(t *testing.T) {
 	k := kernel.New("m1")
 	ctr := &sctest.Counter{}
-	env, h := flakyReplica(t, k, ctr, 10)
-	cli := client(t, k)
-	ref, err := env.Domain.RefOf(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obj := core.NewObject(cli, sctest.CounterMT, SC, &Rep{hs: []kernel.Handle{cli.Domain.AdoptRef(ref)}})
-	cli.Set(PolicyVar, &Policy{MaxRounds: 3, Backoff: time.Millisecond})
+	env, h := flakyReplica(t, k, ctr, maxRounds+7, outage)
+	obj := replicated(t, client(t, k), refOf(t, env, h))
 
 	if _, err := sctest.Add(obj, 1); !core.Retryable(err) {
 		t.Fatalf("exhausted retries = %v, want a retryable error", err)
 	}
 	if n, _ := Replicas(obj); n != 1 {
-		t.Fatalf("replica dropped despite retention policy: %d", n)
+		t.Fatalf("replica dropped despite the round limit: %d", n)
 	}
-	// 3 of the 10 injected failures were consumed; the next call burns
-	// the remaining 7 inside its own 50-round budget and succeeds.
-	cli.Set(PolicyVar, &Policy{MaxRounds: 50, Backoff: time.Millisecond})
+	// maxRounds of the injected failures were consumed; the next call
+	// burns the remaining 7 inside its own rounds and succeeds.
 	if v, err := sctest.Add(obj, 2); err != nil || v != 2 {
 		t.Fatalf("Add after recovery = %d, %v", v, err)
 	}
 }
 
-// TestNoPolicyDropsLastReplica pins the default (policy-free) semantics
-// the other tests rely on: the last replica is dropped like any other and
-// the set empties to ErrNoReplicas.
-func TestNoPolicyDropsLastReplica(t *testing.T) {
+// TestRevokedLastReplicaEmptiesSet: a door that is gone is dropped even
+// when it is the last, and the set empties to ErrNoReplicas.
+func TestRevokedLastReplicaEmptiesSet(t *testing.T) {
 	k := kernel.New("m1")
-	ctr := &sctest.Counter{}
-	env, h := flakyReplica(t, k, ctr, 1)
-	cli := client(t, k)
-	ref, err := env.Domain.RefOf(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obj := core.NewObject(cli, sctest.CounterMT, SC, &Rep{hs: []kernel.Handle{cli.Domain.AdoptRef(ref)}})
+	srv := client(t, k)
+	h, door := srv.Domain.CreateDoor(func(*buffer.Buffer) (*buffer.Buffer, error) { return nil, nil }, nil)
+	obj := replicated(t, client(t, k), refOf(t, srv, h))
+	door.Revoke()
 
 	if _, err := sctest.Add(obj, 1); !errors.Is(err, ErrNoReplicas) {
-		t.Fatalf("Add without policy = %v, want ErrNoReplicas", err)
+		t.Fatalf("Add on a revoked last replica = %v, want ErrNoReplicas", err)
+	}
+	if n, _ := Replicas(obj); n != 0 {
+		t.Fatalf("replica set = %d, want 0", n)
+	}
+}
+
+// TestShedKeepsReplica: a replica that shed a call (kernel.ErrOverload)
+// never ran it and is alive, so it stays in the set while others remain;
+// the call is retried after the pause.
+func TestShedKeepsReplica(t *testing.T) {
+	k := kernel.New("m1")
+	ctr := &sctest.Counter{}
+	env0, h0 := flakyReplica(t, k, ctr, 1, kernel.ErrOverload)
+	env1, h1 := flakyReplica(t, k, ctr, 0, nil)
+	obj := replicated(t, client(t, k), refOf(t, env0, h0), refOf(t, env1, h1))
+
+	if v, err := sctest.Add(obj, 3); err != nil || v != 3 {
+		t.Fatalf("Add through a shed call = %d, %v", v, err)
+	}
+	if n, _ := Replicas(obj); n != 2 {
+		t.Fatalf("replica set after a shed call = %d, want 2", n)
 	}
 }
 
