@@ -67,7 +67,8 @@ bench:
 		-note 'compare Inline/Spawn cells within one run; the inline win shows at P1/P8, where it saves every handoff; Blocking_P64 is 64 callers of a 100us handler, all blocked in the server at once' \
 		-o BENCH_dispatch.json < $$d/dispatch.out
 
-# One-iteration smoke: the benchmarks still compile and run, the E4/E7
+# One-iteration smoke: the benchmarks still compile and run, the E6 caching
+# cells (whose server dispatches through a derived skeleton) and the E4/E7
 # failover and reconnect cells included. Then the E24
 # guards of the file data path, the E25 guards of the durable write path
 # and the E27 guards of the reply path and the buffer pool, without the
@@ -102,7 +103,7 @@ GUARDS = TestServedReadWriteAllocs|TestServedMixedReadAllocs|TestReplyIsFrame|Te
 GUARD_PKGS = ./internal/netd/ ./internal/filesys/ ./internal/buffer/ ./internal/sock/ ./internal/dispatch/ ./internal/scstats/
 
 bench-quick:
-	go test -run NONE -bench 'E4|E7|E15|E16|E17|E18|E19|E20|E21_MixedHoL|E22' -benchtime 1x .
+	go test -run NONE -bench 'E4|E6|E7|E15|E16|E17|E18|E19|E20|E21_MixedHoL|E22' -benchtime 1x .
 	@have=$$(go test -list 'Test' $(GUARD_PKGS)) || exit 1; \
 	for t in $$(echo '$(GUARDS)' | tr '|' ' '); do \
 		echo "$$have" | grep -qx "$$t" || { echo "bench-quick: guard $$t names no test in $(GUARD_PKGS)" >&2; exit 1; }; \

@@ -232,14 +232,14 @@ func NewFileSkeleton(env *core.Env, impl FileServer) stubs.Skeleton {
 	_ = env
 	return stubs.SkeletonFunc(func(op core.OpNum, args, results *buffer.Buffer) error {
 		switch op {
-		case 0x23a0d95c: // size (from spring.file)
+		case 0x23a0d95c: // size
 			r0, err := impl.Size()
 			if err != nil {
 				return err
 			}
 			results.WriteInt64(r0)
 			return nil
-		case 0xcedfa3c5: // read (from spring.file)
+		case 0xcedfa3c5: // read
 			var a0 int64 = 0
 			var a1 int32 = 0
 			{
@@ -258,7 +258,7 @@ func NewFileSkeleton(env *core.Env, impl FileServer) stubs.Skeleton {
 			}
 			results.CommitBytes(r0)
 			return nil
-		case 0xbe269f5c: // write (from spring.file)
+		case 0xbe269f5c: // write
 			var a0 int64 = 0
 			var a1 []byte = nil
 			{
@@ -279,21 +279,21 @@ func NewFileSkeleton(env *core.Env, impl FileServer) stubs.Skeleton {
 			}
 			results.WriteInt32(r0)
 			return nil
-		case 0x4671ae97: // version (from spring.file)
+		case 0x4671ae97: // version
 			r0, err := impl.Version()
 			if err != nil {
 				return err
 			}
 			results.WriteUint32(r0)
 			return nil
-		case 0x8d39bde6: // name (from spring.file)
+		case 0x8d39bde6: // name
 			r0, err := impl.Name()
 			if err != nil {
 				return err
 			}
 			results.WriteString(r0)
 			return nil
-		case 0xd33b3297: // stat (from spring.file)
+		case 0xd33b3297: // stat
 			r0, err := impl.Stat()
 			if err != nil {
 				return err
@@ -361,112 +361,34 @@ func NarrowCacheableFile(obj *core.Object) (CacheableFile, bool) {
 	return CacheableFile{Obj: obj}, true
 }
 
-// Size invokes the size operation.
+// Size invokes the size operation through the File view.
 func (c CacheableFile) Size() (int64, error) {
-	var ret0 int64 = 0
-	err := stubs.Call(c.Obj, FileSizeOp,
-		nil,
-		func(b *buffer.Buffer) error {
-			var err error
-			_ = err
-			if ret0, err = b.ReadInt64(); err != nil {
-				return err
-			}
-			return nil
-		}, c.Opts...)
-	return ret0, err
+	return File{Obj: c.Obj, Opts: c.Opts}.Size()
 }
 
-// Read invokes the read operation.
+// Read invokes the read operation through the File view.
 func (c CacheableFile) Read(offset int64, count int32) ([]byte, error) {
-	var ret0 []byte = nil
-	err := stubs.Call(c.Obj, FileReadOp,
-		func(b *buffer.Buffer) error {
-			b.WriteInt64(offset)
-			b.WriteInt32(count)
-			return nil
-		},
-		func(b *buffer.Buffer) error {
-			var err error
-			_ = err
-			p4, err := b.ReadBytes()
-			if err != nil {
-				return err
-			}
-			ret0 = append([]byte(nil), p4...)
-			return nil
-		}, c.Opts...)
-	return ret0, err
+	return File{Obj: c.Obj, Opts: c.Opts}.Read(offset, count)
 }
 
-// Write invokes the write operation.
+// Write invokes the write operation through the File view.
 func (c CacheableFile) Write(offset int64, data []byte) (int32, error) {
-	var ret0 int32 = 0
-	err := stubs.Call(c.Obj, FileWriteOp,
-		func(b *buffer.Buffer) error {
-			b.WriteInt64(offset)
-			b.WriteBytes(data)
-			return nil
-		},
-		func(b *buffer.Buffer) error {
-			var err error
-			_ = err
-			if ret0, err = b.ReadInt32(); err != nil {
-				return err
-			}
-			return nil
-		}, c.Opts...)
-	return ret0, err
+	return File{Obj: c.Obj, Opts: c.Opts}.Write(offset, data)
 }
 
-// Version invokes the version operation.
+// Version invokes the version operation through the File view.
 func (c CacheableFile) Version() (uint32, error) {
-	var ret0 uint32 = 0
-	err := stubs.Call(c.Obj, FileVersionOp,
-		nil,
-		func(b *buffer.Buffer) error {
-			var err error
-			_ = err
-			if ret0, err = b.ReadUint32(); err != nil {
-				return err
-			}
-			return nil
-		}, c.Opts...)
-	return ret0, err
+	return File{Obj: c.Obj, Opts: c.Opts}.Version()
 }
 
-// Name invokes the name operation.
+// Name invokes the name operation through the File view.
 func (c CacheableFile) Name() (string, error) {
-	var ret0 string = ""
-	err := stubs.Call(c.Obj, FileNameOp,
-		nil,
-		func(b *buffer.Buffer) error {
-			var err error
-			_ = err
-			if ret0, err = b.ReadString(); err != nil {
-				return err
-			}
-			return nil
-		}, c.Opts...)
-	return ret0, err
+	return File{Obj: c.Obj, Opts: c.Opts}.Name()
 }
 
-// Stat invokes the stat operation.
+// Stat invokes the stat operation through the File view.
 func (c CacheableFile) Stat() (FileInfo, error) {
-	var ret0 FileInfo = FileInfo{}
-	err := stubs.Call(c.Obj, FileStatOp,
-		nil,
-		func(b *buffer.Buffer) error {
-			var err error
-			_ = err
-			s5, err := readFileInfo(b, false)
-			if err != nil {
-				return err
-			}
-			ret0 = s5
-			return nil
-		}, c.Opts...)
-	return ret0, err
+	return File{Obj: c.Obj, Opts: c.Opts}.Stat()
 }
 
 // Flush invokes the flush operation.
@@ -490,84 +412,17 @@ type CacheableFileServer interface {
 // server's environment (used to unmarshal object-typed arguments).
 func NewCacheableFileSkeleton(env *core.Env, impl CacheableFileServer) stubs.Skeleton {
 	_ = env
+	fileSkel := NewFileSkeleton(env, impl)
 	return stubs.SkeletonFunc(func(op core.OpNum, args, results *buffer.Buffer) error {
 		switch op {
-		case 0x23a0d95c: // size (from spring.file)
-			r0, err := impl.Size()
-			if err != nil {
-				return err
-			}
-			results.WriteInt64(r0)
-			return nil
-		case 0xcedfa3c5: // read (from spring.file)
-			var a0 int64 = 0
-			var a1 int32 = 0
-			{
-				var err error
-				_ = err
-				if a0, err = args.ReadInt64(); err != nil {
-					return err
-				}
-				if a1, err = args.ReadInt32(); err != nil {
-					return err
-				}
-			}
-			r0, err := impl.Read(a0, a1, results.ReserveBytes())
-			if err != nil {
-				return err
-			}
-			results.CommitBytes(r0)
-			return nil
-		case 0xbe269f5c: // write (from spring.file)
-			var a0 int64 = 0
-			var a1 []byte = nil
-			{
-				var err error
-				_ = err
-				if a0, err = args.ReadInt64(); err != nil {
-					return err
-				}
-				p6, err := args.ReadBytes()
-				if err != nil {
-					return err
-				}
-				a1 = p6
-			}
-			r0, err := impl.Write(a0, a1)
-			if err != nil {
-				return err
-			}
-			results.WriteInt32(r0)
-			return nil
-		case 0x4671ae97: // version (from spring.file)
-			r0, err := impl.Version()
-			if err != nil {
-				return err
-			}
-			results.WriteUint32(r0)
-			return nil
-		case 0x8d39bde6: // name (from spring.file)
-			r0, err := impl.Name()
-			if err != nil {
-				return err
-			}
-			results.WriteString(r0)
-			return nil
-		case 0xd33b3297: // stat (from spring.file)
-			r0, err := impl.Stat()
-			if err != nil {
-				return err
-			}
-			if err := writeFileInfo(results, r0); err != nil {
-				return err
-			}
-			return nil
-		case 0xb2f3fe9d: // flush (from spring.cacheable_file)
+		case 0xb2f3fe9d: // flush
 			err := impl.Flush()
 			if err != nil {
 				return err
 			}
 			return nil
+		case FileSizeOp, FileReadOp, FileWriteOp, FileVersionOp, FileNameOp, FileStatOp: // from spring.file
+			return fileSkel.Dispatch(op, args, results)
 		default:
 			return stubs.ErrBadOp
 		}
@@ -627,112 +482,34 @@ func NarrowReplicatedFile(obj *core.Object) (ReplicatedFile, bool) {
 	return ReplicatedFile{Obj: obj}, true
 }
 
-// Size invokes the size operation.
+// Size invokes the size operation through the File view.
 func (c ReplicatedFile) Size() (int64, error) {
-	var ret0 int64 = 0
-	err := stubs.Call(c.Obj, FileSizeOp,
-		nil,
-		func(b *buffer.Buffer) error {
-			var err error
-			_ = err
-			if ret0, err = b.ReadInt64(); err != nil {
-				return err
-			}
-			return nil
-		}, c.Opts...)
-	return ret0, err
+	return File{Obj: c.Obj, Opts: c.Opts}.Size()
 }
 
-// Read invokes the read operation.
+// Read invokes the read operation through the File view.
 func (c ReplicatedFile) Read(offset int64, count int32) ([]byte, error) {
-	var ret0 []byte = nil
-	err := stubs.Call(c.Obj, FileReadOp,
-		func(b *buffer.Buffer) error {
-			b.WriteInt64(offset)
-			b.WriteInt32(count)
-			return nil
-		},
-		func(b *buffer.Buffer) error {
-			var err error
-			_ = err
-			p7, err := b.ReadBytes()
-			if err != nil {
-				return err
-			}
-			ret0 = append([]byte(nil), p7...)
-			return nil
-		}, c.Opts...)
-	return ret0, err
+	return File{Obj: c.Obj, Opts: c.Opts}.Read(offset, count)
 }
 
-// Write invokes the write operation.
+// Write invokes the write operation through the File view.
 func (c ReplicatedFile) Write(offset int64, data []byte) (int32, error) {
-	var ret0 int32 = 0
-	err := stubs.Call(c.Obj, FileWriteOp,
-		func(b *buffer.Buffer) error {
-			b.WriteInt64(offset)
-			b.WriteBytes(data)
-			return nil
-		},
-		func(b *buffer.Buffer) error {
-			var err error
-			_ = err
-			if ret0, err = b.ReadInt32(); err != nil {
-				return err
-			}
-			return nil
-		}, c.Opts...)
-	return ret0, err
+	return File{Obj: c.Obj, Opts: c.Opts}.Write(offset, data)
 }
 
-// Version invokes the version operation.
+// Version invokes the version operation through the File view.
 func (c ReplicatedFile) Version() (uint32, error) {
-	var ret0 uint32 = 0
-	err := stubs.Call(c.Obj, FileVersionOp,
-		nil,
-		func(b *buffer.Buffer) error {
-			var err error
-			_ = err
-			if ret0, err = b.ReadUint32(); err != nil {
-				return err
-			}
-			return nil
-		}, c.Opts...)
-	return ret0, err
+	return File{Obj: c.Obj, Opts: c.Opts}.Version()
 }
 
-// Name invokes the name operation.
+// Name invokes the name operation through the File view.
 func (c ReplicatedFile) Name() (string, error) {
-	var ret0 string = ""
-	err := stubs.Call(c.Obj, FileNameOp,
-		nil,
-		func(b *buffer.Buffer) error {
-			var err error
-			_ = err
-			if ret0, err = b.ReadString(); err != nil {
-				return err
-			}
-			return nil
-		}, c.Opts...)
-	return ret0, err
+	return File{Obj: c.Obj, Opts: c.Opts}.Name()
 }
 
-// Stat invokes the stat operation.
+// Stat invokes the stat operation through the File view.
 func (c ReplicatedFile) Stat() (FileInfo, error) {
-	var ret0 FileInfo = FileInfo{}
-	err := stubs.Call(c.Obj, FileStatOp,
-		nil,
-		func(b *buffer.Buffer) error {
-			var err error
-			_ = err
-			s8, err := readFileInfo(b, false)
-			if err != nil {
-				return err
-			}
-			ret0 = s8
-			return nil
-		}, c.Opts...)
-	return ret0, err
+	return File{Obj: c.Obj, Opts: c.Opts}.Stat()
 }
 
 // Replicas invokes the replicas operation.
@@ -764,85 +541,18 @@ type ReplicatedFileServer interface {
 // server's environment (used to unmarshal object-typed arguments).
 func NewReplicatedFileSkeleton(env *core.Env, impl ReplicatedFileServer) stubs.Skeleton {
 	_ = env
+	fileSkel := NewFileSkeleton(env, impl)
 	return stubs.SkeletonFunc(func(op core.OpNum, args, results *buffer.Buffer) error {
 		switch op {
-		case 0x23a0d95c: // size (from spring.file)
-			r0, err := impl.Size()
-			if err != nil {
-				return err
-			}
-			results.WriteInt64(r0)
-			return nil
-		case 0xcedfa3c5: // read (from spring.file)
-			var a0 int64 = 0
-			var a1 int32 = 0
-			{
-				var err error
-				_ = err
-				if a0, err = args.ReadInt64(); err != nil {
-					return err
-				}
-				if a1, err = args.ReadInt32(); err != nil {
-					return err
-				}
-			}
-			r0, err := impl.Read(a0, a1, results.ReserveBytes())
-			if err != nil {
-				return err
-			}
-			results.CommitBytes(r0)
-			return nil
-		case 0xbe269f5c: // write (from spring.file)
-			var a0 int64 = 0
-			var a1 []byte = nil
-			{
-				var err error
-				_ = err
-				if a0, err = args.ReadInt64(); err != nil {
-					return err
-				}
-				p9, err := args.ReadBytes()
-				if err != nil {
-					return err
-				}
-				a1 = p9
-			}
-			r0, err := impl.Write(a0, a1)
-			if err != nil {
-				return err
-			}
-			results.WriteInt32(r0)
-			return nil
-		case 0x4671ae97: // version (from spring.file)
-			r0, err := impl.Version()
-			if err != nil {
-				return err
-			}
-			results.WriteUint32(r0)
-			return nil
-		case 0x8d39bde6: // name (from spring.file)
-			r0, err := impl.Name()
-			if err != nil {
-				return err
-			}
-			results.WriteString(r0)
-			return nil
-		case 0xd33b3297: // stat (from spring.file)
-			r0, err := impl.Stat()
-			if err != nil {
-				return err
-			}
-			if err := writeFileInfo(results, r0); err != nil {
-				return err
-			}
-			return nil
-		case 0x1bb8553c: // replicas (from spring.replicated_file)
+		case 0x1bb8553c: // replicas
 			r0, err := impl.Replicas()
 			if err != nil {
 				return err
 			}
 			results.WriteInt32(r0)
 			return nil
+		case FileSizeOp, FileReadOp, FileWriteOp, FileVersionOp, FileNameOp, FileStatOp: // from spring.file
+			return fileSkel.Dispatch(op, args, results)
 		default:
 			return stubs.ErrBadOp
 		}
@@ -900,112 +610,34 @@ func NarrowReconnectableFile(obj *core.Object) (ReconnectableFile, bool) {
 	return ReconnectableFile{Obj: obj}, true
 }
 
-// Size invokes the size operation.
+// Size invokes the size operation through the File view.
 func (c ReconnectableFile) Size() (int64, error) {
-	var ret0 int64 = 0
-	err := stubs.Call(c.Obj, FileSizeOp,
-		nil,
-		func(b *buffer.Buffer) error {
-			var err error
-			_ = err
-			if ret0, err = b.ReadInt64(); err != nil {
-				return err
-			}
-			return nil
-		}, c.Opts...)
-	return ret0, err
+	return File{Obj: c.Obj, Opts: c.Opts}.Size()
 }
 
-// Read invokes the read operation.
+// Read invokes the read operation through the File view.
 func (c ReconnectableFile) Read(offset int64, count int32) ([]byte, error) {
-	var ret0 []byte = nil
-	err := stubs.Call(c.Obj, FileReadOp,
-		func(b *buffer.Buffer) error {
-			b.WriteInt64(offset)
-			b.WriteInt32(count)
-			return nil
-		},
-		func(b *buffer.Buffer) error {
-			var err error
-			_ = err
-			p10, err := b.ReadBytes()
-			if err != nil {
-				return err
-			}
-			ret0 = append([]byte(nil), p10...)
-			return nil
-		}, c.Opts...)
-	return ret0, err
+	return File{Obj: c.Obj, Opts: c.Opts}.Read(offset, count)
 }
 
-// Write invokes the write operation.
+// Write invokes the write operation through the File view.
 func (c ReconnectableFile) Write(offset int64, data []byte) (int32, error) {
-	var ret0 int32 = 0
-	err := stubs.Call(c.Obj, FileWriteOp,
-		func(b *buffer.Buffer) error {
-			b.WriteInt64(offset)
-			b.WriteBytes(data)
-			return nil
-		},
-		func(b *buffer.Buffer) error {
-			var err error
-			_ = err
-			if ret0, err = b.ReadInt32(); err != nil {
-				return err
-			}
-			return nil
-		}, c.Opts...)
-	return ret0, err
+	return File{Obj: c.Obj, Opts: c.Opts}.Write(offset, data)
 }
 
-// Version invokes the version operation.
+// Version invokes the version operation through the File view.
 func (c ReconnectableFile) Version() (uint32, error) {
-	var ret0 uint32 = 0
-	err := stubs.Call(c.Obj, FileVersionOp,
-		nil,
-		func(b *buffer.Buffer) error {
-			var err error
-			_ = err
-			if ret0, err = b.ReadUint32(); err != nil {
-				return err
-			}
-			return nil
-		}, c.Opts...)
-	return ret0, err
+	return File{Obj: c.Obj, Opts: c.Opts}.Version()
 }
 
-// Name invokes the name operation.
+// Name invokes the name operation through the File view.
 func (c ReconnectableFile) Name() (string, error) {
-	var ret0 string = ""
-	err := stubs.Call(c.Obj, FileNameOp,
-		nil,
-		func(b *buffer.Buffer) error {
-			var err error
-			_ = err
-			if ret0, err = b.ReadString(); err != nil {
-				return err
-			}
-			return nil
-		}, c.Opts...)
-	return ret0, err
+	return File{Obj: c.Obj, Opts: c.Opts}.Name()
 }
 
-// Stat invokes the stat operation.
+// Stat invokes the stat operation through the File view.
 func (c ReconnectableFile) Stat() (FileInfo, error) {
-	var ret0 FileInfo = FileInfo{}
-	err := stubs.Call(c.Obj, FileStatOp,
-		nil,
-		func(b *buffer.Buffer) error {
-			var err error
-			_ = err
-			s11, err := readFileInfo(b, false)
-			if err != nil {
-				return err
-			}
-			ret0 = s11
-			return nil
-		}, c.Opts...)
-	return ret0, err
+	return File{Obj: c.Obj, Opts: c.Opts}.Stat()
 }
 
 // ReconnectableFileServer is the server application interface for spring.reconnectable_file.
@@ -1020,78 +652,11 @@ type ReconnectableFileServer interface {
 // server's environment (used to unmarshal object-typed arguments).
 func NewReconnectableFileSkeleton(env *core.Env, impl ReconnectableFileServer) stubs.Skeleton {
 	_ = env
+	fileSkel := NewFileSkeleton(env, impl)
 	return stubs.SkeletonFunc(func(op core.OpNum, args, results *buffer.Buffer) error {
 		switch op {
-		case 0x23a0d95c: // size (from spring.file)
-			r0, err := impl.Size()
-			if err != nil {
-				return err
-			}
-			results.WriteInt64(r0)
-			return nil
-		case 0xcedfa3c5: // read (from spring.file)
-			var a0 int64 = 0
-			var a1 int32 = 0
-			{
-				var err error
-				_ = err
-				if a0, err = args.ReadInt64(); err != nil {
-					return err
-				}
-				if a1, err = args.ReadInt32(); err != nil {
-					return err
-				}
-			}
-			r0, err := impl.Read(a0, a1, results.ReserveBytes())
-			if err != nil {
-				return err
-			}
-			results.CommitBytes(r0)
-			return nil
-		case 0xbe269f5c: // write (from spring.file)
-			var a0 int64 = 0
-			var a1 []byte = nil
-			{
-				var err error
-				_ = err
-				if a0, err = args.ReadInt64(); err != nil {
-					return err
-				}
-				p12, err := args.ReadBytes()
-				if err != nil {
-					return err
-				}
-				a1 = p12
-			}
-			r0, err := impl.Write(a0, a1)
-			if err != nil {
-				return err
-			}
-			results.WriteInt32(r0)
-			return nil
-		case 0x4671ae97: // version (from spring.file)
-			r0, err := impl.Version()
-			if err != nil {
-				return err
-			}
-			results.WriteUint32(r0)
-			return nil
-		case 0x8d39bde6: // name (from spring.file)
-			r0, err := impl.Name()
-			if err != nil {
-				return err
-			}
-			results.WriteString(r0)
-			return nil
-		case 0xd33b3297: // stat (from spring.file)
-			r0, err := impl.Stat()
-			if err != nil {
-				return err
-			}
-			if err := writeFileInfo(results, r0); err != nil {
-				return err
-			}
-			return nil
+		case FileSizeOp, FileReadOp, FileWriteOp, FileVersionOp, FileNameOp, FileStatOp: // from spring.file
+			return fileSkel.Dispatch(op, args, results)
 		default:
 			return stubs.ErrBadOp
 		}
@@ -1162,11 +727,11 @@ func (c FileSystem) Open(name string) (File, error) {
 		func(b *buffer.Buffer) error {
 			var err error
 			_ = err
-			o13, err := core.Unmarshal(c.Obj.Env, FileMT, b)
+			o4, err := core.Unmarshal(c.Obj.Env, FileMT, b)
 			if err != nil {
 				return err
 			}
-			ret0 = File{Obj: o13}
+			ret0 = File{Obj: o4}
 			return nil
 		}, c.Opts...)
 	return ret0, err
@@ -1183,11 +748,11 @@ func (c FileSystem) Create(name string) (File, error) {
 		func(b *buffer.Buffer) error {
 			var err error
 			_ = err
-			o14, err := core.Unmarshal(c.Obj.Env, FileMT, b)
+			o5, err := core.Unmarshal(c.Obj.Env, FileMT, b)
 			if err != nil {
 				return err
 			}
-			ret0 = File{Obj: o14}
+			ret0 = File{Obj: o5}
 			return nil
 		}, c.Opts...)
 	return ret0, err
@@ -1212,13 +777,13 @@ func (c FileSystem) List() ([]string, error) {
 		func(b *buffer.Buffer) error {
 			var err error
 			_ = err
-			n15, err := b.ReadCount(false)
+			n6, err := b.ReadCount(false)
 			if err != nil {
 				return err
 			}
-			ret0 = make([]string, n15)
-			for i16 := range ret0 {
-				if ret0[i16], err = b.ReadString(); err != nil {
+			ret0 = make([]string, n6)
+			for i7 := range ret0 {
+				if ret0[i7], err = b.ReadString(); err != nil {
 					return err
 				}
 			}
@@ -1244,7 +809,7 @@ func NewFileSystemSkeleton(env *core.Env, impl FileSystemServer) stubs.Skeleton 
 	_ = env
 	return stubs.SkeletonFunc(func(op core.OpNum, args, results *buffer.Buffer) error {
 		switch op {
-		case 0xd35ec4c9: // open (from spring.file_system)
+		case 0xd35ec4c9: // open
 			var a0 string = ""
 			{
 				var err error
@@ -1261,7 +826,7 @@ func NewFileSystemSkeleton(env *core.Env, impl FileSystemServer) stubs.Skeleton 
 				return err
 			}
 			return nil
-		case 0x26bb595d: // create (from spring.file_system)
+		case 0x26bb595d: // create
 			var a0 string = ""
 			{
 				var err error
@@ -1278,7 +843,7 @@ func NewFileSystemSkeleton(env *core.Env, impl FileSystemServer) stubs.Skeleton 
 				return err
 			}
 			return nil
-		case 0xdb9215fd: // remove (from spring.file_system)
+		case 0xdb9215fd: // remove
 			var a0 string = ""
 			{
 				var err error
@@ -1292,14 +857,14 @@ func NewFileSystemSkeleton(env *core.Env, impl FileSystemServer) stubs.Skeleton 
 				return err
 			}
 			return nil
-		case 0xcfb5881: // list (from spring.file_system)
+		case 0xcfb5881: // list
 			r0, err := impl.List()
 			if err != nil {
 				return err
 			}
 			results.WriteUvarint(uint64(len(r0)))
-			for _, e17 := range r0 {
-				results.WriteString(e17)
+			for _, e8 := range r0 {
+				results.WriteString(e8)
 			}
 			return nil
 		default:

@@ -460,9 +460,9 @@ func (g *generator) genInterface(m *Module, i *Interface) error {
 	g.printf("\treturn %s{Obj: obj}, true\n}\n\n", name)
 
 	// Client stubs for the full flattened table, so inherited operations
-	// are directly callable on the subtype's client view. The operation
-	// constant lives with the declaring interface; the hash-derived
-	// numbers make base-typed and subtype-typed stubs agree.
+	// are directly callable on the subtype's client view. An inherited
+	// operation's stub calls through the declaring interface's view, so
+	// each operation's marshalling is generated once.
 	for _, op := range i.Flat {
 		g.genClientStub(i, op)
 	}
@@ -546,6 +546,18 @@ func (g *generator) genClientStub(i *Interface, op *Op) {
 	name := GoName(i.Name)
 	inputs, outputs := splitParams(op)
 
+	if op.Owner != i {
+		owner := GoName(op.Owner.Name)
+		var actuals []string
+		for _, p := range inputs {
+			actuals = append(actuals, goLocal(p.Name))
+		}
+		g.printf("// %s invokes the %s operation through the %s view.\n", methodName(op), op.Name, owner)
+		g.printf("func (c %s) %s {\n", name, g.implSig(op, false))
+		g.printf("\treturn %s{Obj: c.Obj, Opts: c.Opts}.%s(%s)\n}\n\n", owner, methodName(op), strings.Join(actuals, ", "))
+		return
+	}
+
 	if op.Oneway {
 		g.printf("// %s invokes the oneway %s operation: server failures are\n// not reported (fire and forget).\n", methodName(op), op.Name)
 		g.printf("func (c %s) %s {\n", name, g.implSig(op, false))
@@ -609,17 +621,36 @@ func (g *generator) genClientStub(i *Interface, op *Op) {
 	g.printf("err\n}\n\n")
 }
 
+// genSkeleton emits a dispatch case for each of i's own operations. The
+// inherited ones are grouped by declaring interface, and each group is one
+// case handing the call to that interface's skeleton, built once over the
+// same impl (a subtype's Server interface embeds its bases').
 func (g *generator) genSkeleton(i *Interface) {
 	name := GoName(i.Name)
 	g.printf("// New%sSkeleton dispatches incoming calls into impl. env is the\n", name)
 	g.printf("// server's environment (used to unmarshal object-typed arguments).\n")
 	g.printf("func New%sSkeleton(env *core.Env, impl %sServer) stubs.Skeleton {\n", name, name)
 	g.printf("\t_ = env\n")
+	var owners []*Interface
+	inherited := make(map[*Interface][]string)
+	for _, op := range i.Flat {
+		if op.Owner != i {
+			if inherited[op.Owner] == nil {
+				owners = append(owners, op.Owner)
+				g.printf("\t%sSkel := New%sSkeleton(env, impl)\n", goLocal(op.Owner.Name), GoName(op.Owner.Name))
+			}
+			inherited[op.Owner] = append(inherited[op.Owner], opConst(op.Owner, op))
+		}
+	}
 	g.printf("\treturn stubs.SkeletonFunc(func(op core.OpNum, args, results *buffer.Buffer) error {\n")
 	g.printf("\t\tswitch op {\n")
-	for _, op := range i.Flat {
-		g.printf("\t\tcase %#x: // %s (from %s)\n", OpNumOf(op.Name), op.Name, op.Owner.QName())
+	for _, op := range i.Ops {
+		g.printf("\t\tcase %#x: // %s\n", OpNumOf(op.Name), op.Name)
 		g.genDispatchCase(op)
+	}
+	for _, o := range owners {
+		g.printf("\t\tcase %s: // from %s\n", strings.Join(inherited[o], ", "), o.QName())
+		g.printf("\t\t\treturn %sSkel.Dispatch(op, args, results)\n", goLocal(o.Name))
 	}
 	g.printf("\t\tdefault:\n\t\t\treturn stubs.ErrBadOp\n")
 	g.printf("\t\t}\n\t})\n}\n\n")

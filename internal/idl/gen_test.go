@@ -1,19 +1,33 @@
 package idl
 
 import (
+	"go/ast"
 	"go/format"
+	"go/importer"
 	goparser "go/parser"
 	"go/token"
+	"go/types"
+	"os"
 	"testing"
 	"testing/quick"
 )
 
-// TestGeneratedCodeIsValidGo parses and formats every generator output in
-// this suite, so codegen regressions surface as syntax errors here rather
-// than as broken checked-in files.
+// TestGeneratedCodeIsValidGo formats and type-checks every generator output
+// in this suite against the packages it imports, so codegen regressions
+// surface here rather than as broken checked-in files. The multi-base
+// sample and the diamond check that each inherited operation's delegation
+// names a view and a skeleton that exist.
 func TestGeneratedCodeIsValidGo(t *testing.T) {
+	golden, err := os.ReadFile("testdata/golden.idl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
 	sources := map[string]string{
-		"sample": sample,
+		"sample":  sample,
+		"diamond": diamond,
+		"golden":  string(golden),
 		"objects": `
 module op {
     interface thing { void poke(); };
@@ -50,9 +64,12 @@ module ks {
 			if _, err := format.Source([]byte(code)); err != nil {
 				t.Fatalf("generated code does not format: %v\n----\n%s", err, code)
 			}
-			fset := token.NewFileSet()
-			if _, err := goparser.ParseFile(fset, name+".go", code, 0); err != nil {
+			file, err := goparser.ParseFile(fset, name+".go", code, 0)
+			if err != nil {
 				t.Fatalf("generated code does not parse: %v", err)
+			}
+			if _, err := conf.Check("gencheck", fset, []*ast.File{file}, nil); err != nil {
+				t.Fatalf("generated code does not type-check: %v", err)
 			}
 		})
 	}

@@ -84,8 +84,8 @@ func TestFlattening(t *testing.T) {
 	}
 }
 
-func TestDiamondInheritance(t *testing.T) {
-	src := `
+// diamond reaches base from bottom along two paths.
+const diamond = `
 module d {
     interface base { void ping(); };
     interface left : base { void l(); };
@@ -93,7 +93,9 @@ module d {
     interface bottom : left, right { void b(); };
 };
 `
-	f, err := Parse("d.idl", src)
+
+func TestDiamondInheritance(t *testing.T) {
+	f, err := Parse("d.idl", diamond)
 	if err != nil {
 		t.Fatal(err)
 	}

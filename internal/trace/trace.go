@@ -63,21 +63,8 @@ var nameTable struct {
 // (package var, or an atomic field for names not known until runtime) so
 // the record path never touches the table.
 func Name(s string) NameID {
-	if lp := nameTable.list.Load(); lp != nil {
-		// Fast path only helps re-interning, which callers avoid anyway;
-		// correctness lives under the lock.
-		nameTable.mu.Lock()
-		defer nameTable.mu.Unlock()
-		if id, ok := nameTable.byName[s]; ok {
-			return id
-		}
-		return internLocked(s)
-	}
 	nameTable.mu.Lock()
 	defer nameTable.mu.Unlock()
-	if nameTable.byName == nil {
-		nameTable.byName = make(map[string]NameID)
-	}
 	if id, ok := nameTable.byName[s]; ok {
 		return id
 	}
