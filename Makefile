@@ -4,7 +4,7 @@
 # suite — the liveness/partition tests under deterministic fault
 # injection (internal/faultnet) — and a smoke pass over the E15/E16
 # benchmark suites so they cannot silently rot.
-.PHONY: all tier1 tier2 faults crash bench bench-quick bench-pair bench-e2e-check bench-all gen gen-check obs lines binsize
+.PHONY: all tier1 tier2 faults crash fuzz bench bench-quick bench-pair bench-e2e-check bench-all gen gen-check obs lines binsize
 
 all: tier1 tier2
 
@@ -35,6 +35,21 @@ faults:
 crash:
 	go test -race -run 'KillRestart|RestartRecovers|RestartRejoins|StateFile|CorruptState|FirstBoot|WAL|Snapshot|SaveFile' \
 		./internal/integration/ ./internal/netd/ ./internal/filesys/
+
+# Every Fuzz* target in the tree, package by package, for FUZZTIME each
+# (default 10s), with two fuzzing workers. The targets are found with git
+# grep, so a new fuzzer runs without an edit here; benchmark/ is a module
+# of its own and is left out. The first crasher stops the run and fails
+# it, its input written under the package's testdata/fuzz/. Neither tier
+# runs this.
+FUZZTIME ?= 10s
+fuzz:
+	@git grep --no-line-number -o '^func Fuzz[A-Za-z0-9_]*' -- '*_test.go' ':!benchmark/' | \
+	while IFS=: read -r file fn; do \
+		dir=$$(dirname "$$file"); name=$${fn#func }; \
+		echo "fuzz: $$name in ./$$dir for $(FUZZTIME)"; \
+		go test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) -parallel 2 "./$$dir" || exit 1; \
+	done
 
 # The E15/E18 throughput sweeps (parallelism × payload, over loopback TCP
 # and the same-machine tier's unix sockets), E21's two head-of-line rows (small

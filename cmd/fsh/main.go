@@ -43,7 +43,7 @@ var (
 	traceSample = flag.Int("trace-sample", 0,
 		"record a trace for 1 in N calls that arrive untraced (0 = only explicitly traced calls)")
 	traceSlow = flag.Duration("trace-slow", 0,
-		"tail-capture calls slower than this into /traces/slow, even when head sampling skips them (0 = off)")
+		"copy head-sampled roots slower than this to /traces/slow (0 = off)")
 )
 
 func usage() {

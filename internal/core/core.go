@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/buffer"
@@ -81,8 +82,7 @@ type Object struct {
 	Rep any
 	Env *Env
 
-	mu       sync.Mutex
-	consumed bool
+	consumed atomic.Bool
 }
 
 // NewObject plugs together a method table, subcontract ops vector, and
@@ -93,31 +93,22 @@ func NewObject(env *Env, mt *MTable, sc ClientOps, rep any) *Object {
 }
 
 // Consumed reports whether the object's local state has been deleted.
-func (o *Object) Consumed() bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.consumed
-}
+func (o *Object) Consumed() bool { return o.consumed.Load() }
 
 // MarkConsumed flags the object as dead. Subcontract marshal and consume
 // implementations call this after deleting the local state; it returns
 // ErrConsumed if the object was already dead, making double-consume and
 // use-after-marshal programming errors detectable.
 func (o *Object) MarkConsumed() error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.consumed {
+	if !o.consumed.CompareAndSwap(false, true) {
 		return ErrConsumed
 	}
-	o.consumed = true
 	return nil
 }
 
 // CheckLive returns ErrConsumed if the object's state is gone.
 func (o *Object) CheckLive() error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.consumed {
+	if o.consumed.Load() {
 		return ErrConsumed
 	}
 	return nil
@@ -241,7 +232,6 @@ func WithTraceContext(info *kernel.Info) CallOption {
 		c.info.Trace = info.Trace
 		c.info.Span = info.Span
 		c.info.Parent = info.Parent
-		c.info.Spec = info.Spec
 	}
 }
 
@@ -255,11 +245,8 @@ func WithTraceContext(info *kernel.Info) CallOption {
 // NewCall is also where head-based trace sampling happens: a call that
 // the options left untraced consults trace.MaybeHead, so when sampling is
 // enabled (-trace-sample) every 1-in-n outermost call becomes the root of
-// a new distributed trace. With sampling off this costs one atomic load.
-// A call head sampling declined may still be speculatively traced for
-// tail capture (trace.TailArm) when a slow threshold is configured
-// (-trace-slow): its spans buffer on the side and are kept only if the
-// root span runs slow. With tail capture off this costs one atomic load.
+// a new distributed trace. With sampling off this costs one atomic load,
+// and a call head sampling declined is not traced at all.
 func NewCall(op OpNum, opts ...CallOption) *Call {
 	c := &Call{Op: op}
 	for _, o := range opts {
@@ -267,12 +254,6 @@ func NewCall(op OpNum, opts ...CallOption) *Call {
 	}
 	if c.info.Trace == 0 {
 		c.info.Trace = trace.MaybeHead()
-		if c.info.Trace == 0 && trace.TailEnabled() {
-			if id := trace.TailArm(); id != 0 {
-				c.info.Trace = id
-				c.info.Spec = true
-			}
-		}
 	}
 	return c
 }

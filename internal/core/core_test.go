@@ -405,6 +405,31 @@ func TestConsumeSemantics(t *testing.T) {
 	if _, err := obj.Copy(); !errors.Is(err, ErrConsumed) {
 		t.Fatalf("copy after marshal = %v, want ErrConsumed", err)
 	}
+
+	// Racing consumers: exactly one wins, the rest see ErrConsumed.
+	raced := NewObject(env, fileMT, sc, uint64(2))
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = raced.Consume()
+		}()
+	}
+	wg.Wait()
+	won := 0
+	for _, err := range errs {
+		switch {
+		case err == nil:
+			won++
+		case !errors.Is(err, ErrConsumed):
+			t.Errorf("racing consume = %v, want nil or ErrConsumed", err)
+		}
+	}
+	if won != 1 {
+		t.Errorf("%d racing consumes succeeded, want 1", won)
+	}
 }
 
 func TestMarshalCopyLeavesOriginal(t *testing.T) {

@@ -53,14 +53,6 @@ type Info struct {
 	// there. Meaningless when Trace is 0.
 	Span   uint64
 	Parent uint64
-	// Spec marks Trace as a speculative tail-capture trace: head sampling
-	// declined this call, but a slow threshold is configured, so the trace
-	// layer buffers its spans on the side and commits them to the slow
-	// ring only if the root span exceeds the threshold (internal/trace
-	// tail capture). Speculative traces are a local bet — the network door
-	// servers do not propagate them over the wire, and exemplar recording
-	// skips them (most are abandoned). Meaningless when Trace is 0.
-	Spec bool
 }
 
 // Err reports whether the context has already ended: ErrCancelled if the
@@ -84,11 +76,9 @@ func (in *Info) Err() error {
 }
 
 // ExemplarTrace returns the trace ID to attach to metric exemplars: the
-// call's trace when it is a real (head-sampled or wire-propagated) trace,
-// 0 when untraced or speculative — a speculative trace is usually
-// abandoned and would leave the exemplar dangling.
+// call's trace, 0 when untraced.
 func (in *Info) ExemplarTrace() uint64 {
-	if in == nil || in.Spec {
+	if in == nil {
 		return 0
 	}
 	return in.Trace

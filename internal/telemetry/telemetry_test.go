@@ -13,6 +13,7 @@ import (
 	"repro/internal/netd"
 	"repro/internal/scstats"
 	"repro/internal/sctest"
+	"repro/internal/stubs"
 	"repro/internal/subcontracts/singleton"
 	"repro/internal/trace"
 )
@@ -41,10 +42,9 @@ func startPlane(t *testing.T) *Server {
 	return s
 }
 
-// twoMachineCall builds two in-process netd "machines", exports a counter
-// on A, imports it on B, and runs one traced call across the wire. It
-// returns the trace ID.
-func twoMachineCall(t *testing.T) uint64 {
+// twoMachines publishes skel as a singleton object on one in-process netd
+// machine and returns a second machine's import of it.
+func twoMachines(t *testing.T, skel stubs.Skeleton) *core.Object {
 	t.Helper()
 	kA := kernel.New("mA")
 	netA, err := netd.Start(kA.NewDomain("mA-netd"), "127.0.0.1:0")
@@ -63,8 +63,7 @@ func twoMachineCall(t *testing.T) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctr := &sctest.Counter{}
-	obj, _ := singleton.Export(envA, sctest.CounterMT, ctr.Skeleton(), nil)
+	obj, _ := singleton.Export(envA, sctest.CounterMT, skel, nil)
 	netA.PublishRoot("ctr", obj)
 
 	envB, err := sctest.NewEnv(kB, "mB-app", singleton.Register)
@@ -75,7 +74,14 @@ func twoMachineCall(t *testing.T) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return remote
+}
 
+// twoMachineCall makes one explicitly traced call from one in-process
+// netd machine to a counter on another and returns its trace ID.
+func twoMachineCall(t *testing.T) uint64 {
+	t.Helper()
+	remote := twoMachines(t, (&sctest.Counter{}).Skeleton())
 	traceID := trace.NewTraceID()
 	if _, err := sctest.Add(remote, 3, core.WithTrace(traceID)); err != nil {
 		t.Fatal(err)

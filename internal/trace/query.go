@@ -121,3 +121,13 @@ func treeOf(spans []SpanData) []*Node {
 func Tree(traceID uint64) []*Node {
 	return treeOf(Collect(traceID))
 }
+
+// sortSpans orders spans by start (ties by span ID).
+func sortSpans(out []SpanData) {
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Start != out[j].Start {
+			return out[i].Start < out[j].Start
+		}
+		return out[i].SpanID < out[j].SpanID
+	})
+}

@@ -183,7 +183,6 @@ type Span struct {
 	prevParent uint64 // info.Parent before Begin, restored by End
 	start      int64  // UnixNano
 	name       NameID
-	spec       bool // speculative tail-capture trace (tail.go)
 }
 
 // Begin opens a span over the traced work that follows: it mints a span
@@ -202,7 +201,6 @@ func Begin(info *kernel.Info, name NameID) Span {
 		prevParent: info.Parent,
 		start:      time.Now().UnixNano(),
 		name:       name,
-		spec:       info.Spec,
 	}
 	info.Parent = info.Span
 	info.Span = id
@@ -226,22 +224,10 @@ func (sp Span) End(info *kernel.Info, err error) {
 		errText = err.Error()
 	}
 	dur := time.Now().UnixNano() - sp.start
-	if sp.spec {
-		// Speculative tail-capture trace: spans buffer on the side, and
-		// the root span's End settles the slow-or-not bet (tail.go).
-		specEmit(sp.TraceID, sp.ID, sp.Parent, sp.name, sp.start, dur, errText)
-		if sp.Parent == 0 {
-			specFinish(sp.TraceID, dur)
-		}
-		return
-	}
 	rec().emit(sp.TraceID, sp.ID, sp.Parent, sp.name, sp.start, dur, errText)
-	// A head-sampled root that ran slow is copied to the slow ring so
-	// /traces/slow is complete regardless of how the trace was sampled.
-	if sp.Parent == 0 {
-		if isSlow(dur) {
-			commitSampledSlow(sp.TraceID)
-		}
+	// A root that ran slow is copied to the slow ring (slow.go).
+	if sp.Parent == 0 && isSlow(dur) {
+		commitSampledSlow(sp.TraceID)
 	}
 }
 
@@ -249,10 +235,6 @@ func (sp Span) End(info *kernel.Info, err error) {
 // hit) parented at info's current span. Untraced infos cost a nil test.
 func Event(info *kernel.Info, name NameID) {
 	if info == nil || info.Trace == 0 {
-		return
-	}
-	if info.Spec {
-		specEmit(info.Trace, nextSpanID(), info.Span, name, time.Now().UnixNano(), 0, "")
 		return
 	}
 	rec().emit(info.Trace, nextSpanID(), info.Span, name, time.Now().UnixNano(), 0, "")
@@ -344,14 +326,15 @@ func rec() *recorder {
 	return r
 }
 
-// Reset discards all recorded spans — main ring, slow ring and pending
-// speculative buffers — for tests. Configured thresholds and sampling
-// survive.
+// Reset discards all recorded spans — main ring and slow ring — for
+// tests. Configured thresholds and sampling survive.
 func Reset() {
 	recMu.Lock()
 	recPtr.Store(nil)
 	recMu.Unlock()
-	resetTail()
+	slowRecMu.Lock()
+	slowRecPtr.Store(nil)
+	slowRecMu.Unlock()
 }
 
 // emit claims the next slot in the span's shard and publishes the record
