@@ -175,23 +175,29 @@ gen-check:
 	go run ./cmd/idlgen -package golden internal/idl/testdata/golden.idl | diff -u internal/idl/testdata/golden.go.golden -
 
 # Observability smoke: boot springfsd with the telemetry plane, every-call
-# tracing and a 1ns slow threshold, drive a traced write/read through fsh,
+# tracing and a 1ns slow threshold (ready once an fsh ls answers, the
+# plane having started first), drive a traced write/read through fsh,
 # then scrape every route family of the GET-only responder: /metrics
-# (gauges + a histogram trace exemplar), /statz (a windowed delta with
-# subcontract rows), /healthz, /traces (a JSON array), /traces/slow (a
-# root the daemon's own calls left there) and /traces/zz (400), a heap
-# profile through go tool pprof (a non-empty table) and the goroutine
-# profile's text form; an fsh call under an expired deadline must fail
+# (gauges + a histogram trace exemplar), /statz (a 1 s window, seen
+# waiting in the goroutine dump before the fsh calls start, with a
+# subcontract row of nonzero calls), /healthz, /traces (a JSON array),
+# /traces/slow (a root the daemon's own calls left there) and /traces/zz
+# (400), a heap profile through go tool pprof (a non-empty table) and the
+# goroutine profile's text form; an fsh call under an expired deadline must fail
 # with the deadline error; and sctop -once, which must print a
 # subcontract row with nonzero calls and the netd link line. Binaries and
 # scratch files live in one mktemp directory, removed on exit.
 obs:
-	@d=$$(mktemp -d); trap 'kill $$pid 2>/dev/null; rm -rf "$$d"' EXIT; \
+	@d=$$(mktemp -d); trap 'kill $$pid $$spid 2>/dev/null; rm -rf "$$d"' EXIT; \
 	go build -o $$d/springfsd ./cmd/springfsd && go build -o $$d/fsh ./cmd/fsh && \
 		go build -o $$d/sctop ./cmd/sctop || exit 1; \
 	$$d/springfsd -addr 127.0.0.1:17040 -telemetry 127.0.0.1:16060 -trace-sample 1 -trace-slow 1ns & \
 	pid=$$!; \
-	sleep 1; \
+	for i in $$(seq 100); do $$d/fsh -server 127.0.0.1:17040 ls >/dev/null 2>&1 && break; sleep 0.05; done; \
+	curl -sf 'http://127.0.0.1:16060/statz?window=1s' > $$d/statz.json & spid=$$!; \
+	for i in 1 2 3 4 5 6 7 8 9 10; do \
+		curl -sf 'http://127.0.0.1:16060/debug/pprof/goroutine?debug=2' | grep -q 'telemetry.(\*request).wait' && break; sleep 0.05; \
+	done; \
 	ok=0; \
 	$$d/fsh -server 127.0.0.1:17040 create obs-smoke >/dev/null && \
 	$$d/fsh -server 127.0.0.1:17040 write obs-smoke "latency plane v2" >/dev/null && \
@@ -199,8 +205,6 @@ obs:
 	curl -sf http://127.0.0.1:16060/metrics | grep -q '^netd_conns_live' && \
 	curl -sf http://127.0.0.1:16060/metrics | grep -q '^subcontract_calls_total' && \
 	curl -sf http://127.0.0.1:16060/metrics | grep -q '# {trace_id=' && \
-	curl -sf 'http://127.0.0.1:16060/statz?window=10s' | grep -q '"window_seconds"' && \
-	curl -sf 'http://127.0.0.1:16060/statz?window=10s' | grep -q '"subcontracts"' && \
 	curl -sf http://127.0.0.1:16060/healthz | grep -q '"status"' && \
 	curl -sf http://127.0.0.1:16060/traces | grep -q '^\[' && \
 	curl -sf http://127.0.0.1:16060/traces/slow | grep -q '"trace": "' && \
@@ -210,6 +214,7 @@ obs:
 	curl -sf 'http://127.0.0.1:16060/debug/pprof/goroutine?debug=1' | grep -q '^goroutine profile: total' && \
 	PPROF_TMPDIR=$$d/pprof go tool pprof -sample_index=alloc_space -top 'http://127.0.0.1:16060/debug/pprof/heap?gc=1' 2>/dev/null | \
 		awk '/flat%/ { t = 1; next } t && NF { n++ } END { exit n == 0 }' && \
+	wait $$spid && sed -n '/^  "subcontracts"/,/^  ]/p' $$d/statz.json | grep -q '"calls": [1-9]' && \
 	$$d/sctop -once -url http://127.0.0.1:16060/metrics > $$d/sctop.out && \
 	awk '/^SUBCONTRACT/ { t = 1; next } t && NF == 0 { t = 0 } t && $$2 > 0 { n++ } END { exit n == 0 }' $$d/sctop.out && \
 	grep -q '^netd link: CONNS ' $$d/sctop.out || { ok=1; cat $$d/sctop.out 2>/dev/null; }; \

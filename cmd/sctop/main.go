@@ -3,8 +3,9 @@
 // call rates, error rates, retries, cache hit ratio, and mean / p50 / p99
 // latency, a PEERS stanza from the netd per-peer RED histograms, the netd
 // link line and a footer of every gauge. The rates and percentiles are the
-// server's: the live view asks /statz for a window one poll interval wide,
-// -once for the totals since the daemon started.
+// server's: each of the live view's requests asks /statz for the next poll
+// interval and is answered when it ends, -once for the totals since the
+// daemon started.
 //
 //	sctop -url http://localhost:6060/metrics
 //	sctop -url http://localhost:6060/metrics -interval 1s
@@ -31,7 +32,7 @@ func main() {
 	slow := flag.Bool("slow", false, "tail the slow-span ring (/traces/slow) instead of the metrics table")
 	flag.Parse()
 
-	client := &http.Client{Timeout: 10 * time.Second}
+	client := &http.Client{Timeout: *interval + 5*time.Second} // a window request spans the interval
 
 	if *slow {
 		tailSlow(client, slowURL(*url), *interval, *once)
@@ -52,12 +53,12 @@ func main() {
 		var st statz
 		if err := getJSON(client, statzURL(*url, interval.String()), &st); err != nil {
 			fmt.Fprintf(os.Stderr, "%v (retrying in %v)\n", err, *interval)
-		} else {
-			clearScreen()
-			fmt.Printf("sctop  %s  %s  interval=%v\n\n", *url, time.Now().Format("15:04:05"), *interval)
-			render(os.Stdout, &st, true)
+			time.Sleep(*interval)
+			continue
 		}
-		time.Sleep(*interval)
+		clearScreen()
+		fmt.Printf("sctop  %s  %s  interval=%v\n\n", *url, time.Now().Format("15:04:05"), *interval)
+		render(os.Stdout, &st, true)
 	}
 }
 

@@ -24,8 +24,8 @@ func TestSlowURL(t *testing.T) {
 	}
 }
 
-// TestRenderFromPlane: against a live plane after recorded calls, both
-// views print the subcontract row with its calls, RETRY as retries +
+// TestRenderFromPlane: against a live plane, the totals after recorded
+// calls and a 1 s window with calls recorded during it both print the subcontract row with its calls, RETRY as retries +
 // failovers + reconnects, ERR% and HIT%, the PEERS row, the netd link line
 // and the gauge footer.
 func TestRenderFromPlane(t *testing.T) {
@@ -34,17 +34,21 @@ func TestRenderFromPlane(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tp.Close()
+	scstats.Reset() // the totals checked below are this run's alone, under -count too
 	sc := scstats.For("sctop-test")
-	for i := 0; i < 9; i++ {
-		sc.EndCall(sc.Begin(), 1, 0, nil)
+	record := func() {
+		for i := 0; i < 9; i++ {
+			sc.EndCall(sc.Begin(), 1, 0, nil)
+		}
+		sc.EndCall(sc.Begin(), 1, 0, errors.New("boom"))
+		sc.Retries.Add(1)
+		sc.Failovers.Add(2)
+		sc.Reconnects.Add(3)
+		sc.Hits.Add(3)
+		sc.Misses.Add(1)
+		scstats.PeerFor("10.9.9.9:7040").Record(5000, 0, nil)
 	}
-	sc.EndCall(sc.Begin(), 1, 0, errors.New("boom"))
-	sc.Retries.Add(1)
-	sc.Failovers.Add(2)
-	sc.Reconnects.Add(3)
-	sc.Hits.Add(3)
-	sc.Misses.Add(1)
-	scstats.PeerFor("10.9.9.9:7040").Record(5000, 0, nil)
+	record()
 
 	client := &http.Client{Timeout: 5 * time.Second}
 	metrics := "http://" + tp.Addr() + "/metrics"
@@ -53,8 +57,20 @@ func TestRenderFromPlane(t *testing.T) {
 		rates  bool
 		head   string
 	}{{"0", false, "CALLS "}, {"1s", true, "CALLS/s"}} {
+		// A window covers the interval after the request: record the
+		// same calls again while it runs.
+		recorded := make(chan struct{})
+		go func() {
+			defer close(recorded)
+			if tc.rates {
+				time.Sleep(300 * time.Millisecond)
+				record()
+			}
+		}()
 		var st statz
-		if err := getJSON(client, statzURL(metrics, tc.window), &st); err != nil {
+		err := getJSON(client, statzURL(metrics, tc.window), &st)
+		<-recorded
+		if err != nil {
 			t.Fatal(err)
 		}
 		var out strings.Builder

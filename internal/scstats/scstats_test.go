@@ -2,7 +2,9 @@ package scstats
 
 import (
 	"errors"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -170,4 +172,53 @@ func (s *Stats) snapshot() Snapshot {
 		}
 	}
 	return Snapshot{}
+}
+
+// TestTakeCarriesEveryCounter: every exported counter of a Stats and of a
+// PeerStats moves, each by its own amount, and Take reports each under its
+// own name — so a counter added to either block that walk does not carry,
+// or carries into the wrong field, fails here.
+func TestTakeCarriesEveryCounter(t *testing.T) {
+	bump := func(block any) map[string]uint64 {
+		moved := map[string]uint64{}
+		v := reflect.ValueOf(block).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Type().Field(i); f.IsExported() {
+				if c, ok := v.Field(i).Addr().Interface().(*atomic.Uint64); ok {
+					moved[f.Name] = c.Add(uint64(i + 1))
+				}
+			}
+		}
+		return moved
+	}
+	check := func(snap any, moved map[string]uint64) {
+		v := reflect.ValueOf(snap)
+		for name, want := range moved {
+			if f := v.FieldByName(name); !f.IsValid() || f.Uint() != want {
+				t.Errorf("%T.%s: Take reports %v, want %d", snap, name, f, want)
+			}
+		}
+	}
+	sc, peer := For("take-test"), PeerFor("take-test:1")
+	defer peer.Release()
+	scMoved, peerMoved := bump(sc), bump(peer)
+	if len(scMoved) < 10 || len(peerMoved) < 2 {
+		t.Fatalf("bumped %d Stats and %d PeerStats counters, want ≥ 10 and ≥ 2", len(scMoved), len(peerMoved))
+	}
+	got := Take()
+	for _, sn := range got.Subcontracts {
+		if sn.Name == "take-test" {
+			check(sn, scMoved)
+			scMoved = nil
+		}
+	}
+	for _, p := range got.Peers {
+		if p.Addr == "take-test:1" {
+			check(p, peerMoved)
+			peerMoved = nil
+		}
+	}
+	if scMoved != nil || peerMoved != nil {
+		t.Fatal("Take lists no row for the subcontract or the peer under test")
+	}
 }

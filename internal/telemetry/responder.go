@@ -163,6 +163,14 @@ func handlePprof(w *response, r *request) {
 	}
 }
 
+// wait returns after d, or once the server closes.
+func (r *request) wait(d time.Duration) {
+	select {
+	case <-time.After(d):
+	case <-r.done:
+	}
+}
+
 // recording serves what start writes from now until ?seconds= (default
 // def) have passed or the server closes: a CPU profile or an execution
 // trace.
@@ -176,10 +184,7 @@ func recording(start func(io.Writer) error, stop func(), def float64) handler {
 			w.error(500, err.Error())
 			return
 		}
-		select {
-		case <-time.After(time.Duration(sec * float64(time.Second))):
-		case <-r.done:
-		}
+		r.wait(time.Duration(sec * float64(time.Second)))
 		stop()
 		w.ctype = "application/octet-stream"
 	}

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/buffer"
@@ -12,26 +11,18 @@ import (
 //
 // /metrics serves monotonic totals and leaves rate math to the scraper;
 // /statz answers the operator's actual question — "what are the rates and
-// percentiles over the last N seconds" — directly. A background sampler
-// snapshots the whole scstats registry (subcontracts with per-op
-// histograms, peers, named histograms) once a second into a ring; a
-// request for ?window=10s diffs the current state against the stored
-// sample nearest the window edge. Counts subtract exactly and histogram
-// buckets subtract bucket-wise (counts are monotonic), so the percentiles
-// reported for a window are computed from precisely the calls that
-// completed inside it. ?window=0 returns totals since process start
-// (sctop -once). Gauges are levels, not counts: a response carries their
-// current values, read when it is rendered and never sampled into the ring.
-//
-// The ring keeps each sample packed (below): a sample is a few KB, and once
-// the default ring (128 samples ≈ 2 minutes) has wrapped, sampling
-// allocates nothing.
+// percentiles over N seconds" — directly. A request for ?window=10s reads
+// the whole scstats registry (subcontracts with per-op histograms, peers,
+// named histograms) and the buffer ledger, waits the window out, reads
+// them again and answers the difference: the W seconds after the request,
+// as /debug/pprof/profile records the seconds after its own. Counts
+// subtract exactly and histogram buckets subtract bucket-wise (counts are
+// monotonic), so the percentiles reported for a window are computed from
+// precisely the calls that completed inside it. ?window=0 answers at once
+// with the totals since the plane started (sctop -once). Gauges are
+// levels, not counts: a response carries their values as it is rendered.
 
-const (
-	statzInterval = time.Second
-	statzRingCap  = 128
-	statzMaxWin   = 10 * time.Minute
-)
+const statzMaxWin = 10 * time.Minute
 
 // statzSample is one side of a window: the registry, the buffer ledger and
 // netd's admission counter (a level, not a count).
@@ -44,79 +35,8 @@ type statzSample struct {
 
 var gServeInflight = scstats.GaugeFor("netd.serve_inflight")
 
-// packed is what the ring keeps of a sample: scstats' packed form — one row
-// per histogram with its counters, the rows' occupied buckets back to back
-// as (index, count) — taken straight off the live registry. Bounds are
-// derived when a window is asked for; Unpack assembles the older side of a
-// window as Take assembles the live, newer one.
-type packed struct {
-	at       time.Time
-	rows     []scstats.PackedRow
-	cells    []scstats.BucketCount
-	bufs     buffer.Ledger
-	inflight int64
-}
-
-// take samples the registry into p. A slot filled for the first time is
-// sized by the sample before it, last, which a second later is exact or a
-// bucket or two short: one allocation each for rows and cells, not a
-// doubling series of them.
-func (p *packed) take(at time.Time, last *packed) {
-	if p.rows == nil {
-		p.rows = make([]scstats.PackedRow, 0, len(last.rows)+4)
-		p.cells = make([]scstats.BucketCount, 0, len(last.cells)+16)
-	}
-	p.at, p.bufs, p.inflight = at, buffer.Stats(), gServeInflight.Value()
-	p.rows, p.cells = scstats.Pack(p.rows[:0], p.cells[:0])
-}
-
-// statzRing is a fixed-capacity ring of samples, oldest overwritten
-// first. Kept free of HTTP concerns so the wraparound math is unit
-// testable.
-type statzRing struct {
-	mu      sync.Mutex
-	samples []packed
-	next    int // index the next push writes
-	count   int // stored samples, ≤ cap
-	start   time.Time
-}
-
-func newStatzRing(capacity int, start time.Time) *statzRing {
-	return &statzRing{samples: make([]packed, capacity), start: start}
-}
-
-// push samples the registry, as of at, into the oldest slot.
-func (r *statzRing) push(at time.Time) {
-	r.mu.Lock()
-	n := len(r.samples)
-	r.samples[r.next].take(at, &r.samples[(r.next+n-1)%n])
-	r.next = (r.next + 1) % n
-	if r.count < n {
-		r.count++
-	}
-	r.mu.Unlock()
-}
-
-// before returns the newest stored sample taken at or before cutoff. When
-// every stored sample is newer than cutoff (the window reaches past what
-// the ring still holds), it returns the oldest stored sample — the caller
-// reports the actual, clamped window. ok is false only when the ring is
-// empty.
-func (r *statzRing) before(cutoff time.Time) (statzSample, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.count == 0 {
-		return statzSample{}, false
-	}
-	// Newest first: the first sample not after cutoff, else the oldest.
-	var p *packed
-	for i := 1; i <= r.count; i++ {
-		p = &r.samples[(r.next-i+len(r.samples))%len(r.samples)]
-		if !p.at.After(cutoff) {
-			break
-		}
-	}
-	return statzSample{at: p.at, Sample: scstats.Unpack(p.rows, p.cells), bufs: p.bufs, inflight: p.inflight}, true
+func takeStatz() statzSample {
+	return statzSample{at: time.Now(), Sample: scstats.Take(), bufs: buffer.Stats(), inflight: gServeInflight.Value()}
 }
 
 // ---------------------------------------------------------------------
@@ -309,70 +229,37 @@ func statzDelta(cur, prev statzSample, secs float64, withBuckets bool) statzResp
 }
 
 // ---------------------------------------------------------------------
-// The sampler and handler, owned by a Server.
+// The handler.
 
-type statzState struct {
-	ring *statzRing
-	stop chan struct{}
-	done chan struct{}
-}
-
-func newStatzState() *statzState {
-	st := &statzState{
-		ring: newStatzRing(statzRingCap, time.Now()),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+// parseWindow reads a ?window= value: 10s when absent, clamped to
+// statzMaxWin; not ok for a non-duration or a negative one.
+func parseWindow(q string) (time.Duration, bool) {
+	if q == "" {
+		return 10 * time.Second, true
 	}
-	go st.sample()
-	return st
+	d, err := time.ParseDuration(q)
+	return min(d, statzMaxWin), err == nil && d >= 0
 }
 
-func (st *statzState) sample() {
-	defer close(st.done)
-	t := time.NewTicker(statzInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-st.stop:
-			return
-		case now := <-t.C:
-			st.ring.push(now)
-		}
-	}
-}
-
-func (st *statzState) close() {
-	close(st.stop)
-	<-st.done
-}
-
-func (st *statzState) handle(w *response, r *request) {
-	window := 10 * time.Second
-	if q := r.query.Get("window"); q != "" {
-		d, err := time.ParseDuration(q)
-		if err != nil || d < 0 {
+// handleStatz serves /statz for a plane started at start.
+func handleStatz(start time.Time) handler {
+	return func(w *response, r *request) {
+		window, ok := parseWindow(r.query.Get("window"))
+		if !ok {
 			w.error(400, "bad window (want a duration like 10s, or 0 for totals since start)")
 			return
 		}
-		if d > statzMaxWin {
-			d = statzMaxWin
+		prev := statzSample{at: start} // window 0: totals since start
+		if window != 0 {
+			prev = takeStatz()
+			r.wait(window)
 		}
-		window = d
-	}
-	withBuckets := r.query.Get("buckets") == "1"
-
-	now := time.Now()
-	cur := statzSample{at: now, Sample: scstats.Take(), bufs: buffer.Stats(), inflight: gServeInflight.Value()}
-	prev := statzSample{at: st.ring.start} // window 0: totals since start
-	if window != 0 {
-		if s, ok := st.ring.before(now.Add(-window)); ok {
-			prev = s
+		cur := takeStatz()
+		resp := statzDelta(cur, prev, cur.at.Sub(prev.at).Seconds(), r.query.Get("buckets") == "1")
+		resp.Gauges = make(map[string]int64)
+		for _, g := range scstats.AllGauges() {
+			resp.Gauges[g.Name] = g.Value
 		}
+		writeJSON(w, resp)
 	}
-	resp := statzDelta(cur, prev, now.Sub(prev.at).Seconds(), withBuckets)
-	resp.Gauges = make(map[string]int64)
-	for _, g := range scstats.AllGauges() {
-		resp.Gauges[g.Name] = g.Value
-	}
-	writeJSON(w, resp)
 }

@@ -2,56 +2,19 @@ package telemetry
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/url"
-	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/scstats"
 )
-
-func TestStatzRingBeforeAcrossWraparound(t *testing.T) {
-	t0 := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	r := newStatzRing(3, t0)
-
-	if _, ok := r.before(t0); ok {
-		t.Fatal("empty ring returned a sample")
-	}
-
-	// Push 5 samples at t0+1s .. t0+5s into a capacity-3 ring: the ring
-	// now holds t0+3s, t0+4s, t0+5s with its write cursor wrapped.
-	for i := 1; i <= 5; i++ {
-		r.push(t0.Add(time.Duration(i) * time.Second))
-	}
-
-	// A cutoff between stored samples picks the newest at-or-before it.
-	s, ok := r.before(t0.Add(4500 * time.Millisecond))
-	if !ok || !s.at.Equal(t0.Add(4*time.Second)) {
-		t.Errorf("before(t0+4.5s) = %v, want t0+4s", s.at)
-	}
-	// A cutoff past everything picks the newest sample.
-	s, _ = r.before(t0.Add(time.Hour))
-	if !s.at.Equal(t0.Add(5 * time.Second)) {
-		t.Errorf("before(+1h) = %v, want t0+5s", s.at)
-	}
-	// An exact-match cutoff is inclusive.
-	s, _ = r.before(t0.Add(3 * time.Second))
-	if !s.at.Equal(t0.Add(3 * time.Second)) {
-		t.Errorf("before(t0+3s) = %v, want t0+3s (inclusive)", s.at)
-	}
-	// A cutoff older than everything stored clamps to the oldest
-	// surviving sample (t0+1s and t0+2s were overwritten).
-	s, ok = r.before(t0)
-	if !ok || !s.at.Equal(t0.Add(3*time.Second)) {
-		t.Errorf("before(t0) = %v ok=%v, want clamp to t0+3s", s.at, ok)
-	}
-}
 
 // synthLat builds a consistent HistSnapshot: count calls all in one
 // bucket [lo, hi).
@@ -206,10 +169,10 @@ func TestStatzEndpoint(t *testing.T) {
 		t.Error("/statz has no peers after a cross-machine call")
 	}
 
-	// A windowed request is also served (prev may clamp to ring start).
-	code, body = get(t, "http://"+s.Addr()+"/statz?window=10s")
+	// A windowed request is also served.
+	code, body = get(t, "http://"+s.Addr()+"/statz?window=100ms")
 	if code != http.StatusOK || !strings.Contains(body, "window_seconds") {
-		t.Errorf("/statz?window=10s: status %d\n%s", code, body)
+		t.Errorf("/statz?window=100ms: status %d\n%s", code, body)
 	}
 	// Bad windows are rejected.
 	if code, _ := get(t, "http://"+s.Addr()+"/statz?window=bogus"); code != http.StatusBadRequest {
@@ -217,115 +180,72 @@ func TestStatzEndpoint(t *testing.T) {
 	}
 }
 
-func TestStatzRingPacksSamples(t *testing.T) {
-	// What the ring keeps of a sample is, counters and buckets, what the
-	// live registry held when it was taken: the ring keeps bucket indices
-	// and counts, and the bounds come back when they are asked for.
-	sc, hist, peer := scstats.For("ring-test"), scstats.HistFor("ring-test.hist"), scstats.PeerFor("ring-test:1")
-	// Every exported counter moves, each by its own amount, so a counter the
-	// packed form does not carry shows up as a difference — including one
-	// added to Stats after this test was written.
-	bump := func(block any, by uint64) {
-		v := reflect.ValueOf(block).Elem()
-		for i := 0; i < v.NumField(); i++ {
-			if !v.Type().Field(i).IsExported() {
-				continue
+// TestStatzWindowIsAfterTheRequest: a window counts the calls recorded
+// while it runs and none recorded before the request, and reports the time
+// that actually elapsed.
+func TestStatzWindowIsAfterTheRequest(t *testing.T) {
+	s := startPlane(t)
+	sc := scstats.For("statz-window")
+	for i := 0; i < 5; i++ {
+		sc.EndCall(sc.Begin(), 1, 0, nil) // before the request: not in the window
+	}
+	type result struct {
+		code int
+		body string
+	}
+	res := make(chan result, 1)
+	go func() {
+		resp, err := http.Get("http://" + s.Addr() + "/statz?window=1s")
+		if err != nil {
+			res <- result{body: err.Error()}
+			return
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		res <- result{resp.StatusCode, string(body)}
+	}()
+	time.Sleep(300 * time.Millisecond) // into the window, well before its end
+	for i := 0; i < 3; i++ {
+		sc.EndCall(sc.Begin(), 1, 0, errors.New("boom"))
+	}
+	r := <-res
+	var resp statzResponse
+	if r.code != http.StatusOK || json.Unmarshal([]byte(r.body), &resp) != nil {
+		t.Fatalf("/statz?window=1s: status %d, body %s", r.code, r.body)
+	}
+	if resp.WindowSeconds < 1 || resp.WindowSeconds > 5 {
+		t.Errorf("window_seconds = %v, want the 1 s that elapsed", resp.WindowSeconds)
+	}
+	for _, row := range resp.Subcontracts {
+		if row.Name == "statz-window" {
+			if row.Calls != 3 || row.Errors != 3 || row.Latency.Count != 3 {
+				t.Errorf("window row: %d calls %d errors %d latencies, want the 3 recorded inside it", row.Calls, row.Errors, row.Latency.Count)
 			}
-			if c, ok := v.Field(i).Addr().Interface().(*atomic.Uint64); ok {
-				c.Add(by * uint64(i+1))
-			}
+			return
 		}
 	}
-	record := func(n int) {
-		for i := 1; i <= n; i++ {
-			d := time.Duration(i*i) * time.Microsecond
-			sc.RecordLatency(d)
-			sc.EndCall(sc.Begin(), uint32(i%3), 0, nil)
-			hist.Observe(d, uint64(i))
-			peer.Record(int64(i)*1000, 0, nil)
-		}
-		bump(sc, uint64(n))
-		bump(peer, uint64(n))
-	}
-	t0 := time.Now()
-	record(200)
-	live := scstats.Take() // and the ring's own sample, with nothing recorded between
-	r := newStatzRing(4, t0)
-	r.push(t0)
-	record(300)
-	kept, ok := r.before(t0)
-	if !ok {
-		t.Fatal("the ring lost its only sample")
-	}
-	// The ring keeps no exemplars; everything else must match.
-	var want, got []any
-	for _, sn := range live.Subcontracts {
-		if sn.Name == "ring-test" {
-			sn.Lat = noExemplars(sn.Lat)
-			for i := range sn.Ops {
-				sn.Ops[i].Lat = noExemplars(sn.Ops[i].Lat)
-			}
-			want = append(want, sn)
-		}
-	}
-	for _, p := range live.Peers {
-		if p.Addr == "ring-test:1" {
-			p.Lat = noExemplars(p.Lat)
-			want = append(want, p)
-		}
-	}
-	for _, h := range live.Hists {
-		if h.Name == "ring-test.hist" {
-			h.Hist = noExemplars(h.Hist)
-			want = append(want, h)
-		}
-	}
-	for _, sn := range kept.Subcontracts {
-		if sn.Name == "ring-test" {
-			got = append(got, sn)
-		}
-	}
-	for _, p := range kept.Peers {
-		if p.Addr == "ring-test:1" {
-			got = append(got, p)
-		}
-	}
-	for _, h := range kept.Hists {
-		if h.Name == "ring-test.hist" {
-			got = append(got, h)
-		}
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("the ring's copy differs from the live registry:\n got %+v\nwant %+v", got, want)
-	}
-	if len(want) != 3 || len(want[0].(scstats.Snapshot).Ops) != 3 {
-		t.Fatalf("the sample under test lacks a row or per-op histograms: %+v", want)
-	}
-	for _, row := range want[:2] { // every counter the walk carries moved
-		v := reflect.ValueOf(row)
-		for i := 0; i < v.NumField(); i++ {
-			if f := v.Field(i); f.Kind() == reflect.Uint64 && f.Uint() == 0 {
-				t.Errorf("%T.%s reads 0 after it moved", row, v.Type().Field(i).Name)
-			}
-		}
-	}
-	// Once the ring has wrapped, a sample reuses the evicted slot's arrays:
-	// taken off the live registry, it allocates nothing.
-	for i := 0; i < 4; i++ {
-		r.push(t0)
-	}
-	if n := testing.AllocsPerRun(50, func() { r.push(t0) }); n != 0 {
-		t.Errorf("a sample into a wrapped ring allocates %.0f objects, want 0", n)
-	}
+	t.Errorf("no statz-window row in\n%s", r.body)
 }
 
-// noExemplars is h without its bucket exemplars.
-func noExemplars(h scstats.HistSnapshot) scstats.HistSnapshot {
-	h.Buckets = append([]scstats.HistBucket(nil), h.Buckets...)
-	for i := range h.Buckets {
-		h.Buckets[i].ExTrace, h.Buckets[i].ExNs = 0, 0
+// TestStatzWindowEndsAtClose: a request for a window returns once the
+// plane closes, not when the window ends.
+func TestStatzWindowEndsAtClose(t *testing.T) {
+	s, err := Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	return h
+	r := request{query: url.Values{"window": {"10m"}}, done: s.done}
+	ended := make(chan struct{})
+	go func() {
+		handleStatz(time.Now())(&response{status: 200}, &r)
+		close(ended)
+	}()
+	s.Close() // whether the handler is waiting yet or not, it must return
+	select {
+	case <-ended:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a /statz window request outlived the plane's Close by 5 s")
+	}
 }
 
 // statzQueries are /statz query values, window then buckets, seeding
@@ -347,7 +267,7 @@ var statzQueries = []struct{ name, window, buckets string }{
 
 // FuzzStatzQuery: whatever the query, /statz through the responder never
 // panics; a window that is not a duration, or is negative, gets 400; any
-// other gets 200 and a JSON body, with a window past statzMaxWin clamped.
+// other gets 200 and a JSON body, and no window waits past statzMaxWin.
 func FuzzStatzQuery(f *testing.F) {
 	for _, q := range statzQueries {
 		f.Add(q.window, q.buckets)
@@ -355,13 +275,11 @@ func FuzzStatzQuery(f *testing.F) {
 			writeSeed(f, "FuzzStatzQuery", q.name, fmt.Sprintf("string(%q)\nstring(%q)\n", q.window, q.buckets))
 		}
 	}
-	// A ring an hour deep: a window clamped to statzMaxWin reaches back to
-	// the sample just past the clamp, an unclamped one to the hour-old one.
-	now := time.Now()
-	st := &statzState{ring: newStatzRing(4, now.Add(-time.Hour))}
-	for _, ago := range []time.Duration{time.Hour, statzMaxWin + 30*time.Second, 30 * time.Second} {
-		st.ring.push(now.Add(-ago))
-	}
+	// A plane an hour old, and a closed done, so no window waits: the clamp
+	// is read off the window the handler would wait.
+	h := handleStatz(time.Now().Add(-time.Hour))
+	closed := make(chan struct{})
+	close(closed)
 	f.Fuzz(func(t *testing.T, window, buckets string) {
 		head := "GET /statz?" + url.Values{"window": {window}, "buckets": {buckets}}.Encode() + " HTTP/1.1\r\n\r\n"
 		r, status := readRequest(strings.NewReader(head))
@@ -372,7 +290,8 @@ func FuzzStatzQuery(f *testing.F) {
 			t.Fatalf("%q refused with %d", head, status)
 		}
 		w := &response{status: 200}
-		st.handle(w, &r)
+		r.done = closed
+		h(w, &r)
 		d, err := time.ParseDuration(window)
 		if window != "" && (err != nil || d < 0) {
 			if w.status != 400 {
@@ -384,8 +303,8 @@ func FuzzStatzQuery(f *testing.F) {
 		if w.status != 200 || json.Unmarshal(w.Bytes(), &resp) != nil {
 			t.Fatalf("window %q: status %d, body %q, want 200 and JSON", window, w.status, w.Bytes())
 		}
-		if d > statzMaxWin && resp.WindowSeconds >= time.Hour.Seconds() {
-			t.Fatalf("window %q reached back %v s, past the %v clamp", window, resp.WindowSeconds, statzMaxWin)
+		if wait, _ := parseWindow(window); wait > statzMaxWin || wait != 0 && resp.WindowSeconds >= time.Hour.Seconds() {
+			t.Fatalf("window %q: waits %v and spans %v s, past the %v clamp", window, wait, resp.WindowSeconds, statzMaxWin)
 		}
 	})
 }

@@ -7,8 +7,9 @@
 //	/metrics          every scstats counter, gauge and always-on latency
 //	                  histogram (with trace exemplars) in Prometheus text
 //	                  exposition format
-//	/statz            windowed rates and percentiles (?window=10s; 0 for
-//	                  totals since start, &buckets=1 for raw buckets)
+//	/statz            rates and percentiles over the ?window= (default
+//	                  10s) after the request; 0 for totals since start at
+//	                  once, &buckets=1 for raw buckets
 //	/traces           recent trace roots (JSON)
 //	/traces/slow      recent head-sampled roots that ran slow (JSON)
 //	/traces/{id}      one trace as a span tree (JSON; ?format=text for a
@@ -45,7 +46,6 @@ import (
 type Server struct {
 	ln     sock.Listener
 	routes map[string]handler // a key ending in "/" is a prefix
-	statz  *statzState
 	done   chan struct{}
 
 	mu    sync.Mutex
@@ -58,11 +58,10 @@ func Start(addr string) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
 	}
-	st := newStatzState()
-	s := &Server{ln: ln, statz: st, done: make(chan struct{}), conns: map[sock.Stream]bool{},
+	s := &Server{ln: ln, done: make(chan struct{}), conns: map[sock.Stream]bool{},
 		routes: map[string]handler{
 			"/metrics":             handleMetrics,
-			"/statz":               st.handle,
+			"/statz":               handleStatz(time.Now()),
 			"/traces":              listRoots(trace.Roots),
 			"/traces/slow":         listRoots(trace.SlowRoots),
 			"/traces/":             handleTrace,
@@ -80,8 +79,8 @@ func Start(addr string) (*Server, error) {
 // Addr returns the listener's bound address (useful with ":0").
 func (s *Server) Addr() string { return s.ln.Addr() }
 
-// Close shuts the listener, every connection being served and the statz
-// sampler down, and ends any profile or trace wait. It does not wait for
+// Close shuts the listener and every connection being served down, and
+// ends any profile, trace or /statz window wait. It does not wait for
 // the handlers, which end once their connection is gone: stopping a CPU
 // profile takes up to two of the runtime's 100 ms profile-writer ticks.
 func (s *Server) Close() error {
@@ -92,7 +91,6 @@ func (s *Server) Close() error {
 	s.conns = nil
 	s.mu.Unlock()
 	close(s.done)
-	s.statz.close()
 	return s.ln.Close()
 }
 

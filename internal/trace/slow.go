@@ -31,14 +31,30 @@ func isSlow(dur int64) bool {
 	return thr > 0 && dur >= thr
 }
 
-// commitSampledSlow copies a head-sampled slow trace from the main ring
-// into the slow ring (called at the root span's End once its duration is
-// known). The main-ring scan is acceptable because slow calls are, by
-// definition, rare.
-func commitSampledSlow(traceID uint64) {
-	r := slowRec()
-	for _, sd := range Collect(traceID) {
-		r.emit(sd.TraceID, sd.SpanID, sd.ParentID, Name(sd.Name), sd.Start, sd.Duration, sd.Err)
+// commitSampledSlow copies a head-sampled slow trace whose root began at
+// start from the main ring into the slow ring, slot to slot (called at
+// the root span's End once its duration is known). Every span of the trace
+// ended after the root began, and a shard's slots end in claim order
+// (emit), so each shard is read back from its newest slot only until one
+// that ended before start. A slot whose sequence is not its lap's (claimed
+// and not yet written, or torn) is passed over, not taken for the end.
+func commitSampledSlow(traceID uint64, start int64) {
+	r, slow := rec(), slowRec()
+	n := r.mask + 1
+	for si := range r.slots {
+		pos := r.shards[si].pos.Load()
+		for p := pos; p > 0 && pos-p < n; p-- {
+			v, seq := r.slots[si][(p-1)&r.mask].load()
+			if seq != uint32(2*((p-1)/n+1)) {
+				continue
+			}
+			if v.start+v.dur < start {
+				break
+			}
+			if v.traceID == traceID {
+				slow.claim(v.spanID).store(&v)
+			}
+		}
 	}
 }
 

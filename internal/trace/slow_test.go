@@ -108,7 +108,8 @@ func TestTailSampledFastNotCopied(t *testing.T) {
 }
 
 // TestTailConcurrent copies slow roots from several goroutines while a
-// reader lists the slow ring, under the race detector.
+// reader lists the slow ring, under the race detector, and every root the
+// listing shows last has its whole tree.
 func TestTailConcurrent(t *testing.T) {
 	Reset()
 	t.Cleanup(Reset)
@@ -136,9 +137,7 @@ func TestTailConcurrent(t *testing.T) {
 		writers.Add(1)
 		go func() {
 			defer writers.Done()
-			// Each slow root scans the main ring once: a few dozen
-			// keep the race detector's run short.
-			for i := 0; i < 25; i++ {
+			for i := 0; i < 200; i++ {
 				sampledCall(root, 3)
 			}
 		}()
@@ -147,7 +146,78 @@ func TestTailConcurrent(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	if roots := SlowRoots(0); len(roots) == 0 {
-		t.Error("no slow roots after 100 slow calls")
+	// The newest roots' spans fit the slow ring many times over, so each
+	// listed root must have been copied with its whole tree.
+	roots := SlowRoots(50)
+	if len(roots) != 50 {
+		t.Fatalf("%d slow roots listed after 800 slow calls, want 50", len(roots))
+	}
+	for _, r := range roots {
+		if spans := SlowCollect(r.TraceID); len(spans) != 5 {
+			t.Errorf("trace %016x: %d slow-ring spans, want 5 (root + 3 children + event): %+v", r.TraceID, len(spans), spans)
+		}
+	}
+}
+
+// threeSpanRoot runs one head-sampled call of three spans: a root, a
+// child and an event.
+func threeSpanRoot(root, child, event NameID) {
+	info := &kernel.Info{Trace: NewTraceID()}
+	sp := Begin(info, root)
+	c := Begin(info, child)
+	c.End(info, nil)
+	Event(info, event)
+	sp.End(info, nil)
+}
+
+// fillRing writes a lap of the main ring's worth of unrelated spans.
+func fillRing() {
+	for i := 0; i < defaultCapacity; i++ {
+		threeSpanRoot(Name("fill.root"), Name("fill.child"), Name("fill.event"))
+	}
+}
+
+// TestSlowRootAllocs: copying a slow root to the slow ring allocates
+// nothing beyond what recording the same root under the threshold does —
+// it copies slot to slot, without building spans, even on a full ring.
+func TestSlowRootAllocs(t *testing.T) {
+	Reset()
+	t.Cleanup(Reset)
+	t.Cleanup(clearThreshold)
+	fillRing()
+	root, child, event := Name("slow.allocs_root"), Name("slow.allocs_child"), Name("slow.allocs_event")
+	run := func() { threeSpanRoot(root, child, event) }
+	SetSlowDefault(time.Hour)
+	fast := testing.AllocsPerRun(200, run)
+	SetSlowDefault(time.Nanosecond)
+	slow := testing.AllocsPerRun(200, run)
+	if slow > fast {
+		t.Errorf("a slow root allocates %.1f objects, the same root under the threshold %.1f", slow, fast)
+	}
+	if roots := SlowRoots(0); len(roots) == 0 || SlowCollect(roots[0].TraceID) == nil {
+		t.Error("the slow roots were not copied")
+	}
+}
+
+// BenchmarkSlowRoot records a three-span root on a full main ring under
+// the slow threshold (fast) and over it (slow), where the root is copied
+// to the slow ring.
+func BenchmarkSlowRoot(b *testing.B) {
+	Reset()
+	b.Cleanup(Reset)
+	b.Cleanup(clearThreshold)
+	fillRing()
+	root, child, event := Name("slow.bench_root"), Name("slow.bench_child"), Name("slow.bench_event")
+	for _, bc := range []struct {
+		name string
+		thr  time.Duration
+	}{{"fast", time.Hour}, {"slow", time.Nanosecond}} {
+		b.Run(bc.name, func(b *testing.B) {
+			SetSlowDefault(bc.thr)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				threeSpanRoot(root, child, event)
+			}
+		})
 	}
 }

@@ -223,11 +223,10 @@ func (sp Span) End(info *kernel.Info, err error) {
 	if err != nil {
 		errText = err.Error()
 	}
-	dur := time.Now().UnixNano() - sp.start
-	rec().emit(sp.TraceID, sp.ID, sp.Parent, sp.name, sp.start, dur, errText)
+	dur := rec().emit(sp.TraceID, sp.ID, sp.Parent, sp.name, sp.start, errText)
 	// A root that ran slow is copied to the slow ring (slow.go).
 	if sp.Parent == 0 && isSlow(dur) {
-		commitSampledSlow(sp.TraceID)
+		commitSampledSlow(sp.TraceID, sp.start)
 	}
 }
 
@@ -237,7 +236,7 @@ func Event(info *kernel.Info, name NameID) {
 	if info == nil || info.Trace == 0 {
 		return
 	}
-	rec().emit(info.Trace, nextSpanID(), info.Span, name, time.Now().UnixNano(), 0, "")
+	rec().emit(info.Trace, nextSpanID(), info.Span, name, 0, "")
 }
 
 // ---------------------------------------------------------------------
@@ -274,6 +273,15 @@ type slot struct {
 	dur     atomic.Int64  // nanoseconds (0 for events)
 	meta    atomic.Uint64 // name<<32 | errLen
 	errText [errWords]atomic.Uint64
+}
+
+// record is a slot's content as plain values: what a writer stores and a
+// reader loads.
+type record struct {
+	traceID, spanID, parent uint64
+	start, dur              int64
+	meta                    uint64
+	errText                 [errWords]uint64
 }
 
 type shard struct {
@@ -337,65 +345,84 @@ func Reset() {
 	slowRecMu.Unlock()
 }
 
-// emit claims the next slot in the span's shard and publishes the record
-// under the slot's sequence. No allocation.
-func (r *recorder) emit(traceID, spanID, parentID uint64, name NameID, start, dur int64, errText string) {
+// claim returns the next slot of the span's shard.
+func (r *recorder) claim(spanID uint64) *slot {
 	si := spanID & (nShards - 1)
-	sh := &r.shards[si]
-	s := &r.slots[si][(sh.pos.Add(1)-1)&r.mask]
+	return &r.slots[si][(r.shards[si].pos.Add(1)-1)&r.mask]
+}
 
-	n := len(errText)
-	if n > errBytes {
-		n = errBytes
+// emit claims a slot, takes the time the span ends and publishes the
+// record; start 0 records an event, of zero duration at that time. It
+// returns the duration. The time is taken after the claim, so a slot
+// claimed later in a shard never ended before one claimed earlier began
+// its End: commitSampledSlow relies on it. No allocation.
+func (r *recorder) emit(traceID, spanID, parentID uint64, name NameID, start int64, errText string) int64 {
+	s := r.claim(spanID)
+	end := time.Now().UnixNano()
+	if start == 0 {
+		start = end
 	}
-	var packed [errWords]uint64
+	n := min(len(errText), errBytes)
+	v := record{traceID: traceID, spanID: spanID, parent: parentID, start: start, dur: end - start,
+		meta: uint64(name)<<32 | uint64(n)}
 	for i := 0; i < n; i++ {
-		packed[i>>3] |= uint64(errText[i]) << ((i & 7) * 8)
+		v.errText[i>>3] |= uint64(errText[i]) << ((i & 7) * 8)
 	}
+	s.store(&v)
+	return v.dur
+}
 
+// store publishes v under the slot's sequence.
+func (s *slot) store(v *record) {
 	s.seq.Add(1) // odd: slot unstable
-	s.traceID.Store(traceID)
-	s.spanID.Store(spanID)
-	s.parent.Store(parentID)
-	s.start.Store(start)
-	s.dur.Store(dur)
-	s.meta.Store(uint64(name)<<32 | uint64(n))
-	for i := range packed {
-		s.errText[i].Store(packed[i])
+	s.traceID.Store(v.traceID)
+	s.spanID.Store(v.spanID)
+	s.parent.Store(v.parent)
+	s.start.Store(v.start)
+	s.dur.Store(v.dur)
+	s.meta.Store(v.meta)
+	for i := range v.errText {
+		s.errText[i].Store(v.errText[i])
 	}
 	s.seq.Add(1) // even: slot stable
 }
 
-// read snapshots one slot. ok is false for never-written or torn slots.
-func (s *slot) read() (sd SpanData, ok bool) {
+// load snapshots the slot and the sequence it was stable at; seq is 0 for
+// a never-written or torn slot.
+func (s *slot) load() (v record, seq uint32) {
 	for tries := 0; tries < 4; tries++ {
-		v := s.seq.Load()
-		if v == 0 || v&1 != 0 {
-			return SpanData{}, false
+		seq = s.seq.Load()
+		if seq == 0 || seq&1 != 0 {
+			return record{}, 0
 		}
-		sd.TraceID = s.traceID.Load()
-		sd.SpanID = s.spanID.Load()
-		sd.ParentID = s.parent.Load()
-		sd.Start = s.start.Load()
-		sd.Duration = s.dur.Load()
-		meta := s.meta.Load()
-		var packed [errWords]uint64
-		for i := range packed {
-			packed[i] = s.errText[i].Load()
+		v = record{traceID: s.traceID.Load(), spanID: s.spanID.Load(), parent: s.parent.Load(),
+			start: s.start.Load(), dur: s.dur.Load(), meta: s.meta.Load()}
+		for i := range v.errText {
+			v.errText[i] = s.errText[i].Load()
 		}
-		if s.seq.Load() != v {
-			continue // overwritten mid-read; retry
+		if s.seq.Load() == seq {
+			return v, seq
 		}
-		sd.Name = nameOf(NameID(meta >> 32))
-		n := int(meta & 0xffffffff)
-		if n > 0 {
-			b := make([]byte, n)
-			for i := 0; i < n; i++ {
-				b[i] = byte(packed[i>>3] >> ((i & 7) * 8))
-			}
-			sd.Err = string(b)
-		}
-		return sd, true
+		// overwritten mid-read; retry
 	}
-	return SpanData{}, false
+	return record{}, 0
+}
+
+// read snapshots one slot as a span. ok is false for never-written or
+// torn slots.
+func (s *slot) read() (sd SpanData, ok bool) {
+	v, seq := s.load()
+	if seq == 0 {
+		return SpanData{}, false
+	}
+	sd = SpanData{TraceID: v.traceID, SpanID: v.spanID, ParentID: v.parent, Start: v.start,
+		Duration: v.dur, Name: nameOf(NameID(v.meta >> 32))}
+	if n := int(v.meta & 0xffffffff); n > 0 {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(v.errText[i>>3] >> ((i & 7) * 8))
+		}
+		sd.Err = string(b)
+	}
+	return sd, true
 }
