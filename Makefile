@@ -84,7 +84,9 @@ bench:
 
 # One-iteration smoke: the benchmarks still compile and run, the E6 caching
 # cells (whose server dispatches through a derived skeleton) and the E4/E7
-# failover and reconnect cells included. Then the E24
+# failover and reconnect cells included, and so do the package benchmarks
+# of buffer, dispatch, kernel and trace (the slow-root copy among them).
+# Then the E24
 # guards of the file data path, the E25 guards of the durable write path
 # and the E27 guards of the reply path and the buffer pool, without the
 # race detector (under it the allocation guards skip and the timing ones
@@ -119,6 +121,7 @@ GUARD_PKGS = ./internal/netd/ ./internal/filesys/ ./internal/buffer/ ./internal/
 
 bench-quick:
 	go test -run NONE -bench 'E4|E6|E7|E15|E16|E17|E18|E19|E20|E21_MixedHoL|E22' -benchtime 1x .
+	go test -run NONE -bench . -benchtime 1x ./internal/buffer ./internal/dispatch ./internal/kernel ./internal/trace
 	@have=$$(go test -list 'Test' $(GUARD_PKGS)) || exit 1; \
 	for t in $$(echo '$(GUARDS)' | tr '|' ' '); do \
 		echo "$$have" | grep -qx "$$t" || { echo "bench-quick: guard $$t names no test in $(GUARD_PKGS)" >&2; exit 1; }; \

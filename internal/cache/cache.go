@@ -14,17 +14,17 @@
 // machines remains the exporting service's business, as in the Spring
 // file system).
 //
-// The manager is built for many cores hammering it at once (E16):
+// The manager is built for many callers hammering it at once (E16):
 //
-//   - Entries are indexed by kernel door identity in a sharded map, so
-//     registration is a keyed lookup under one shard lock, not a linear
-//     scan under a global one.
+//   - Entries are indexed by kernel door identity in one map under one
+//     lock, which only registration takes: a cache door's procedure holds
+//     its entry, so no call looks the index up.
 //   - Each entry's reply cache is a bounded LRU with a fixed 64 MiB
 //     budget; storing past the budget evicts least-recently-used replies
 //     (gauges cache.evictions / cache.bytes_live).
 //   - Concurrent misses for one key coalesce into a single server call;
-//     the waiters share the leader's reply (gauge
-//     cache.coalesced_misses).
+//     the waiters share the leader's reply (counted in the caching
+//     subcontract's scstats block as coalesced).
 //   - Hits are served from pooled buffers and counted with atomics; the
 //     hit path takes only the entry lock for the LRU touch and allocates
 //     at most the reply buffer.
@@ -74,9 +74,8 @@ var scStats = scstats.For("caching")
 // Named gauges for the manager's resource state, shared by every manager
 // in the process (the scstats registry is process-wide).
 var (
-	gEvictions = scstats.GaugeFor("cache.evictions")
+	gEvictions = scstats.CounterFor("cache.evictions")
 	gBytesLive = scstats.GaugeFor("cache.bytes_live")
-	gCoalesced = scstats.GaugeFor("cache.coalesced_misses")
 
 	// hMissFill times the leader's backing fetch on a cache miss — the
 	// server round trip that fills the entry. Hits and coalesced
@@ -114,16 +113,6 @@ type Stats struct {
 	CoalescedMisses uint64 // misses that shared another caller's server call
 	Evictions       uint64 // replies evicted by the LRU byte budget
 	BytesLive       int64  // bytes currently held across all reply caches
-}
-
-// nShards must be a power of two. Registration traffic is spread over the
-// shards by door identity.
-const nShards = 16
-
-// shard is one slice of the entry index.
-type shard struct {
-	mu      sync.Mutex
-	entries map[uint64]*entry // door id → entry
 }
 
 // reply is one cached reply: an LRU list node owning an immutable byte
@@ -174,7 +163,8 @@ type Manager struct {
 	env    *core.Env
 	budget int64 // replyBudget; a test lowers it
 
-	shards [nShards]shard
+	mu      sync.Mutex        // guards entries
+	entries map[uint64]*entry // door id → entry
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
@@ -191,10 +181,7 @@ type Manager struct {
 // NewManager creates a cache manager served from env's domain, exported
 // with the singleton subcontract.
 func NewManager(env *core.Env) *Manager {
-	m := &Manager{env: env, budget: replyBudget}
-	for i := range m.shards {
-		m.shards[i].entries = make(map[uint64]*entry)
-	}
+	m := &Manager{env: env, budget: replyBudget, entries: make(map[uint64]*entry)}
 	m.self, m.door = singleton.Export(env, ManagerMT, m.skeleton(), nil)
 	return m
 }
@@ -218,14 +205,9 @@ func (m *Manager) Stats() Stats {
 // EntryCount reports the number of distinct server doors registered
 // (entries are deduplicated by door identity).
 func (m *Manager) EntryCount() int {
-	n := 0
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		n += len(s.entries)
-		s.mu.Unlock()
-	}
-	return n
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.entries)
 }
 
 // lookup finds (or creates) the entry for a server door reference, keyed
@@ -234,10 +216,9 @@ func (m *Manager) EntryCount() int {
 // one cache.
 func (m *Manager) lookup(ref kernel.Ref) *entry {
 	id := ref.DoorID()
-	s := &m.shards[id&(nShards-1)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.entries[id]; ok {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if e, ok := m.entries[id]; ok {
 		ref.Release()
 		return e
 	}
@@ -247,7 +228,7 @@ func (m *Manager) lookup(ref kernel.Ref) *entry {
 		h:       m.env.Domain.AdoptRef(ref.Dup()),
 		replies: make(map[string]*reply),
 	}
-	s.entries[id] = e
+	m.entries[id] = e
 	return e
 }
 
@@ -370,7 +351,6 @@ func (m *Manager) serveCacheable(e *entry, req *buffer.Buffer, info *kernel.Info
 func (m *Manager) followFlight(e *entry, fl *flight, done <-chan struct{}, req *buffer.Buffer, info *kernel.Info) (*buffer.Buffer, error) {
 	m.coalesced.Add(1)
 	scStats.Coalesced.Add(1)
-	gCoalesced.Add(1)
 	trace.Event(info, spanCoalesced)
 	if err := waitFlight(done, info); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -30,6 +31,16 @@ func setup(t *testing.T) (*Manager, *core.Env, *core.Env) {
 // handle callable from the manager's environment plus the counter.
 func clientFor(t *testing.T, m *Manager, srv *core.Env) (kernel.Handle, *sctest.Counter, kernel.Handle) {
 	t.Helper()
+	d1, ctr := counterDoor(srv)
+	d2, err := managerClient(t, m, srv).Register(d1, NewOpSet(sctest.OpGet), NewOpSet(sctest.OpAdd))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d2, ctr, d1
+}
+
+// counterDoor is a server door (D1) in front of a fresh counter.
+func counterDoor(srv *core.Env) (kernel.Handle, *sctest.Counter) {
 	ctr := &sctest.Counter{}
 	d1, _ := srv.Domain.CreateDoor(func(req *buffer.Buffer) (*buffer.Buffer, error) {
 		reply := buffer.New(64)
@@ -46,8 +57,12 @@ func clientFor(t *testing.T, m *Manager, srv *core.Env) (kernel.Handle, *sctest.
 		reply.Splice(results)
 		return reply, nil
 	}, nil)
+	return d1, ctr
+}
 
-	// Present D1 through the manager's own Spring interface.
+// managerClient presents the manager's own Spring interface in srv.
+func managerClient(t *testing.T, m *Manager, srv *core.Env) Client {
+	t.Helper()
 	cp, err := m.Object().Copy()
 	if err != nil {
 		t.Fatal(err)
@@ -56,11 +71,7 @@ func clientFor(t *testing.T, m *Manager, srv *core.Env) (kernel.Handle, *sctest.
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := Client{Obj: mgrObj}.Register(d1, NewOpSet(sctest.OpGet), NewOpSet(sctest.OpAdd))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d2, ctr, d1
+	return Client{Obj: mgrObj}
 }
 
 // call performs a raw [opnum][args] call through h.
@@ -122,15 +133,7 @@ func TestEntriesDedupeBySameDoor(t *testing.T) {
 
 	// Registering the same server door again must share the entry (and
 	// therefore the cache).
-	cp, err := m.Object().Copy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgrObj, err := sctest.Transfer(cp, srv, ManagerMT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2b, err := Client{Obj: mgrObj}.Register(d1, NewOpSet(sctest.OpGet), NewOpSet(sctest.OpAdd))
+	d2b, err := managerClient(t, m, srv).Register(d1, NewOpSet(sctest.OpGet), NewOpSet(sctest.OpAdd))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,6 +141,44 @@ func TestEntriesDedupeBySameDoor(t *testing.T) {
 		t.Fatalf("entries = %d, want 1 (dedupe by door identity)", entries)
 	}
 	_ = d2b
+
+	// Concurrently: 32 registrations of one new door race to create its
+	// entry, and every cache door they return serves the one cache.
+	m, mgrEnv, srv := setup(t)
+	d1, ctr := counterDoor(srv)
+	const racers = 32
+	refs := make([]kernel.Ref, racers)
+	for i := range refs {
+		if refs[i], err = srv.Domain.RefOf(d1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d2s := make([]kernel.Ref, racers)
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	for i := range refs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start.Wait()
+			d2s[i] = m.register(refs[i], NewOpSet(sctest.OpGet), NewOpSet(sctest.OpAdd))
+		}()
+	}
+	start.Done()
+	wg.Wait()
+	if entries := m.EntryCount(); entries != 1 {
+		t.Fatalf("after %d concurrent registrations: entries = %d, want 1", racers, entries)
+	}
+	for i, d2 := range d2s {
+		h := mgrEnv.Domain.AdoptRef(d2)
+		call(t, mgrEnv.Domain, h, sctest.OpGet, nil) // the first is the one miss
+		if s := m.Stats(); s.Misses != 1 || s.Hits != uint64(i) {
+			t.Fatalf("cache door %d: stats = %+v, want 1 miss and %d hits", i, s, i)
+		}
+	}
+	if ctr.Calls() != 1 {
+		t.Fatalf("server calls = %d, want 1", ctr.Calls())
+	}
 }
 
 func TestDoorCarryingCallsNotCached(t *testing.T) {

@@ -10,8 +10,8 @@ import (
 // inline_hits and shed are counted by the netd serve path, which makes
 // those decisions, so every server shares one exposition.
 var (
-	gInlineHits = scstats.GaugeFor("dispatch.inline_hits")
-	gShed       = scstats.GaugeFor("dispatch.shed")
+	gInlineHits = scstats.CounterFor("dispatch.inline_hits")
+	gShed       = scstats.CounterFor("dispatch.shed")
 )
 
 // NoteInline records one call served on the inline fast path (executed

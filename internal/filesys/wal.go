@@ -85,12 +85,12 @@ var (
 // syncs counts fsyncs — their ratio is the achieved group-commit batch
 // size. log_bytes is the live log length (drops at compaction).
 var (
-	gWALAppends     = scstats.GaugeFor("wal.appends")
-	gWALSyncs       = scstats.GaugeFor("wal.syncs")
+	gWALAppends     = scstats.CounterFor("wal.appends")
+	gWALSyncs       = scstats.CounterFor("wal.syncs")
 	gWALBytes       = scstats.GaugeFor("wal.log_bytes")
-	gWALCompactions = scstats.GaugeFor("wal.compactions")
-	gWALReplayed    = scstats.GaugeFor("wal.records_replayed")
-	gWALTornTails   = scstats.GaugeFor("wal.torn_tails_truncated")
+	gWALCompactions = scstats.CounterFor("wal.compactions")
+	gWALReplayed    = scstats.CounterFor("wal.records_replayed")
+	gWALTornTails   = scstats.CounterFor("wal.torn_tails_truncated")
 )
 
 // WALOptions tune the group-commit and compaction behavior. Zero fields

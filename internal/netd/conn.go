@@ -25,9 +25,10 @@ import (
 //     frame is on the socket before send returns. Ordering is strict FIFO
 //     in enqueue order; on connection death every queued and in-flight call
 //     fails fast in the kernel.ErrCommFailure class.
-//   - The request/reply demultiplexer is sharded: request-id registration,
-//     delivery and abandonment distribute over pendShards mutexes instead
-//     of contending on one, and liveness checks are a single atomic load.
+//   - The request/reply demultiplexer is one map per connection under one
+//     mutex: request-id registration, delivery, abandonment and fail are
+//     each one short critical section on it, and liveness checks are a
+//     single atomic load.
 //   - A pending call is one pooled callFuture — an atomic state machine
 //     parked on a one-shot semaphore with an embedded reusable timer.
 //     Register/deliver/abandon/fail are transitions on that struct, and a
@@ -39,9 +40,6 @@ import (
 var errConnDead = errors.New("connection closed")
 
 const (
-	// pendShards is the number of pending-call shards per connection
-	// (a power of two; request ids distribute round-robin).
-	pendShards = 16
 	// sendQueueLen bounds the frames queued behind one connection's write
 	// side. Enqueueing blocks (fail-fast on conn death) beyond it —
 	// backpressure, not unbounded memory.
@@ -67,7 +65,7 @@ const (
 // callFuture is one pending call's rendezvous: the single pooled object
 // that replaces the per-call reply channel, reply-wait timer and their
 // separate pool round trips (E21). The settling side (reader goroutine,
-// fail) arbitrates ownership under the pending-table shard lock — lookup,
+// fail) arbitrates ownership under the pending table's lock — lookup,
 // removal and the state/reply stores happen atomically together — and
 // then signals ready, a one-shot semaphore. The waiting side selects on
 // ready, its context's cancel channel and the embedded timer; whichever
@@ -107,12 +105,6 @@ func (f *callFuture) armTimer(d time.Duration) *time.Timer {
 		f.timer.Reset(d)
 	}
 	return f.timer
-}
-
-// pendShard is one lock stripe of the pending-call table.
-type pendShard struct {
-	mu sync.Mutex
-	m  map[uint64]*callFuture
 }
 
 // sendReq is one queued frame: buf is the connection's from the moment send
@@ -156,9 +148,12 @@ type conn struct {
 	lastSend atomic.Int64 // unix nanos of the last write begun
 	pinging  atomic.Bool
 
+	// The pending-call table: the calls registered and not yet settled,
+	// by request id. pending is len(pend), readable without pmu.
 	nextID  atomic.Uint64
-	pending atomic.Int32 // registered calls awaiting replies
-	shards  [pendShards]pendShard
+	pmu     sync.Mutex
+	pend    map[uint64]*callFuture
+	pending atomic.Int32
 
 	// inflight counts this connection's serve calls admitted and not yet
 	// replied, against half of Config.MaxInflight (admitServe).
@@ -176,12 +171,10 @@ func newConn(netc sock.Stream) *conn {
 		netc:    netc,
 		helloed: make(chan struct{}),
 		done:    make(chan struct{}),
+		pend:    make(map[uint64]*callFuture),
 	}
 	c.room.L = &c.wmu
 	c.flusher = c.flushRest
-	for i := range c.shards {
-		c.shards[i].m = make(map[uint64]*callFuture)
-	}
 	now := time.Now().UnixNano()
 	c.lastRecv.Store(now)
 	c.lastSend.Store(now)
@@ -208,9 +201,6 @@ func (c *conn) isDead() bool { return c.dead.Load() }
 // sess only under Server.mu, which the write holds.
 func (c *conn) hasSession() bool { return c.sess != nil }
 
-// shard returns the pending stripe for a request id.
-func (c *conn) shard(id uint64) *pendShard { return &c.shards[id%pendShards] }
-
 // register allocates a request id and a pooled pending future. On a dead
 // connection the future comes back already settled as failed (with its
 // ready signal sent), mirroring fail(): the caller's send will also
@@ -218,17 +208,16 @@ func (c *conn) shard(id uint64) *pendShard { return &c.shards[id%pendShards] }
 func (c *conn) register() (uint64, *callFuture) {
 	id := c.nextID.Add(1)
 	f := getFuture()
-	sh := c.shard(id)
-	sh.mu.Lock()
+	c.pmu.Lock()
 	if c.dead.Load() {
-		sh.mu.Unlock()
+		c.pmu.Unlock()
 		f.state.Store(futFailed)
 		f.ready <- struct{}{}
 		return id, f
 	}
-	sh.m[id] = f
+	c.pend[id] = f
 	c.pending.Add(1)
-	sh.mu.Unlock()
+	c.pmu.Unlock()
 	return id, f
 }
 
@@ -236,16 +225,15 @@ func (c *conn) register() (uint64, *callFuture) {
 // the reply now; an undeliverable reply (its caller timed out or
 // cancelled, and won the abandon race) is the receive loop's to recycle.
 func (c *conn) deliver(id uint64, reply *buffer.Buffer) bool {
-	sh := c.shard(id)
-	sh.mu.Lock()
-	f, ok := sh.m[id]
+	c.pmu.Lock()
+	f, ok := c.pend[id]
 	if ok {
-		delete(sh.m, id)
+		delete(c.pend, id)
 		c.pending.Add(-1)
 		f.reply = reply
 		f.state.Store(futDelivered)
 	}
-	sh.mu.Unlock()
+	c.pmu.Unlock()
 	if ok {
 		f.ready <- struct{}{}
 	}
@@ -259,17 +247,16 @@ func (c *conn) deliver(id uint64, reply *buffer.Buffer) bool {
 // ready signal follows immediately, so the drain is bounded — take it,
 // put a delivered reply back in the pool, and then recycle.
 func (c *conn) abandon(id uint64, f *callFuture) {
-	sh := c.shard(id)
-	sh.mu.Lock()
-	if _, ok := sh.m[id]; ok {
-		delete(sh.m, id)
+	c.pmu.Lock()
+	if _, ok := c.pend[id]; ok {
+		delete(c.pend, id)
 		c.pending.Add(-1)
 		f.state.Store(futAbandoned)
-		sh.mu.Unlock()
+		c.pmu.Unlock()
 		putFuture(f)
 		return
 	}
-	sh.mu.Unlock()
+	c.pmu.Unlock()
 	<-f.ready
 	if f.state.Load() == futDelivered {
 		buffer.Put(f.reply)
@@ -459,18 +446,15 @@ func (c *conn) fail(error) {
 	c.room.Broadcast()
 	c.wmu.Unlock()
 	discard(q, true)
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		m := sh.m
-		sh.m = make(map[uint64]*callFuture)
-		for _, f := range m {
-			f.state.Store(futFailed)
-		}
-		c.pending.Add(int32(-len(m)))
-		sh.mu.Unlock()
-		for _, f := range m {
-			f.ready <- struct{}{}
-		}
+	c.pmu.Lock()
+	m := c.pend
+	c.pend = nil // register refuses a dead connection: nothing is added again
+	for _, f := range m {
+		f.state.Store(futFailed)
+	}
+	c.pending.Add(int32(-len(m)))
+	c.pmu.Unlock()
+	for _, f := range m {
+		f.ready <- struct{}{}
 	}
 }

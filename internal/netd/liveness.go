@@ -25,11 +25,11 @@ var tallyGauges = [nTally]*scstats.Gauge{
 	tExports:       scstats.GaugeFor("netd.exports_live"),
 	tSessions:      scstats.GaugeFor("netd.sessions_live"),
 	tQueued:        scstats.GaugeFor("netd.releases_queued"),
-	tLeasesExpired: scstats.GaugeFor("netd.leases_expired"),
-	tRefsReclaimed: scstats.GaugeFor("netd.refs_reclaimed"),
-	tBreakerOpened: scstats.GaugeFor("netd.breaker_opened"),
-	tBreakerClosed: scstats.GaugeFor("netd.breaker_closed"),
-	tReplayed:      scstats.GaugeFor("netd.releases_replayed"),
+	tLeasesExpired: scstats.CounterFor("netd.leases_expired"),
+	tRefsReclaimed: scstats.CounterFor("netd.refs_reclaimed"),
+	tBreakerOpened: scstats.CounterFor("netd.breaker_opened"),
+	tBreakerClosed: scstats.CounterFor("netd.breaker_closed"),
+	tReplayed:      scstats.CounterFor("netd.releases_replayed"),
 }
 
 var (
@@ -45,8 +45,8 @@ var (
 // one write syscall — whose ratio is the mean frames per write.
 var (
 	gSendQueueDepth  = scstats.GaugeFor("netd.sendq_depth")
-	gFlushes         = scstats.GaugeFor("netd.flushes")
-	gFramesCoalesced = scstats.GaugeFor("netd.frames_coalesced")
+	gFlushes         = scstats.CounterFor("netd.flushes")
+	gFramesCoalesced = scstats.CounterFor("netd.frames_coalesced")
 )
 
 // settle ends a control-plane event (proto.go): it moves the gauges by

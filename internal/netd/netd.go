@@ -709,11 +709,8 @@ func (s *Server) dispatchCall(c *conn, reqID, key uint64, req *buffer.Buffer, in
 	}
 	h, ist := e.h, e.inline
 	if *budget > 0 && ist.Eligible() {
-		start := time.Now()
-		frame := s.runCall(c, reqID, h, req, info)
-		d := time.Since(start)
+		frame, d := s.runCall(c, reqID, h, ist, req, info)
 		*budget -= d
-		ist.Observe(d, s.cfg.InlineThreshold)
 		dispatch.NoteInline()
 		_ = c.queue(frame)
 		s.doneServe(c)
@@ -768,9 +765,7 @@ func (t *serveTask) run() {
 	t.wait.End(info, nil)
 	*t = serveTask{fn: t.fn} // drop everything it referenced
 	serveTaskPool.Put(t)
-	start := time.Now()
-	frame := s.runCall(c, reqID, h, req, info)
-	ist.Observe(time.Since(start), s.cfg.InlineThreshold)
+	frame, _ := s.runCall(c, reqID, h, ist, req, info)
 	_ = c.send(frame)
 	s.doneServe(c)
 }
@@ -809,17 +804,18 @@ func (s *Server) shed(c *conn, reqID uint64, req *buffer.Buffer) {
 // runCall executes an incoming forwarded door call under the context
 // reconstructed from the wire header, so the exported door sees the
 // caller's remaining budget and trace exactly as a local caller's would
-// look, and returns the reply frame. (The caller-side cancellation channel
-// cannot cross the wire; a cancelled caller simply abandons the reply.) It
-// runs wherever the dispatch decision put it: the reader goroutine
-// (inline), which queues the frame for its next flush, or a goroutine of
-// the call's own, which sends it.
-func (s *Server) runCall(c *conn, reqID uint64, h kernel.Handle, req *buffer.Buffer, info *kernel.Info) *buffer.Buffer {
+// look. It returns the reply frame and the handler's time, which ist has
+// learned too. The caller-side cancellation channel cannot cross the wire:
+// a cancelled caller abandons the reply. runCall runs on the reader
+// (inline), which queues the frame for its next flush, or on a goroutine
+// of the call's own, which sends it.
+func (s *Server) runCall(c *conn, reqID uint64, h kernel.Handle, ist *dispatch.InlineState, req *buffer.Buffer, info *kernel.Info) (*buffer.Buffer, time.Duration) {
 	start := serveStats.Begin()
 	sp := trace.Begin(info, spanServe)
 	out, err := s.dom.CallInfo(h, req, info)
 	sp.End(info, err)
-	serveStats.EndCall(start, scstats.OpNone, info.ExemplarTrace(), err)
+	d := scstats.Duration(serveStats.EndCall(start, scstats.OpNone, info.ExemplarTrace(), err))
+	ist.Observe(d, s.cfg.InlineThreshold)
 	trace.Event(info, spanReply)
 	if err != nil {
 		if out != req {
@@ -852,7 +848,7 @@ func (s *Server) runCall(c *conn, reqID uint64, h kernel.Handle, req *buffer.Buf
 		kernel.ReleaseBufferDoors(req)
 		buffer.Put(req)
 	}
-	return frame
+	return frame, d
 }
 
 // releasePair is one decoded release frame, for the coalescer.

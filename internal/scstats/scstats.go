@@ -107,7 +107,7 @@ func (s *Stats) Begin() (start int64) {
 // the call lands in — callers pass the call's trace ID, 0 when the call
 // is untraced (kernel.Info.ExemplarTrace). It returns the measured
 // duration in clock ticks, 0 when start is 0; netd reuses it for the
-// per-peer histogram so a forwarded call reads the clock only once.
+// per-peer histogram and the inline budget instead of reading a clock.
 func (s *Stats) EndCall(start int64, op uint32, traceID uint64, err error) int64 {
 	if s == nil {
 		return 0
@@ -122,6 +122,9 @@ func (s *Stats) EndCall(start int64, op uint32, traceID uint64, err error) int64
 	}
 	return d
 }
+
+// Duration converts a tick count, such as EndCall's return, to a duration.
+func Duration(ticks int64) time.Duration { return time.Duration(ticksToNs(ticks)) }
 
 // End records an unkeyed completion (no op number, no exemplar).
 func (s *Stats) End(start int64, err error) {
@@ -240,12 +243,13 @@ type OpSnapshot struct {
 
 // Gauge is one named int64 value. Monotonic event counts (leases expired,
 // releases replayed) and instantaneous levels (live connections) both use
-// it; the name says which it is, and the telemetry plane's exposition
-// keeps a list of the monotonic ones so they surface as Prometheus
-// counters rather than gauges.
+// it; where it is interned says which — CounterFor and GaugeFunc intern a
+// count, GaugeFor a level — and the exposition gives a count counter
+// conventions. A name keeps the kind it was first interned with.
 type Gauge struct {
-	name string
-	v    atomic.Int64
+	name    string
+	counter bool
+	v       atomic.Int64
 	// src, when set (GaugeFunc), is a counter some other package keeps:
 	// the gauge reads through to it, and v holds only Reset's offset.
 	src func() int64
@@ -284,21 +288,23 @@ func (g *Gauge) Value() int64 {
 
 var gauges sync.Map // string -> *Gauge
 
-// GaugeFor interns and returns the named gauge. Callers cache the
+// GaugeFor interns and returns the named level gauge. Callers cache the
 // pointer, as with For.
-func GaugeFor(name string) *Gauge {
+func GaugeFor(name string) *Gauge { return intern(name, false, nil) }
+
+// CounterFor interns and returns the named gauge as a monotonic count.
+func CounterFor(name string) *Gauge { return intern(name, true, nil) }
+
+// GaugeFunc interns a count that reads through to src — kept by a package
+// that cannot import this one (scstats sits above kernel and buffer).
+// Register at init, before anything interns the name.
+func GaugeFunc(name string, src func() int64) *Gauge { return intern(name, true, src) }
+
+func intern(name string, counter bool, src func() int64) *Gauge {
 	if v, ok := gauges.Load(name); ok {
 		return v.(*Gauge)
 	}
-	v, _ := gauges.LoadOrStore(name, &Gauge{name: name})
-	return v.(*Gauge)
-}
-
-// GaugeFunc interns a gauge that reads through to src — a count kept by a
-// package that cannot import this one (scstats sits above kernel and
-// buffer). Register at init, before anything interns the name.
-func GaugeFunc(name string, src func() int64) *Gauge {
-	v, _ := gauges.LoadOrStore(name, &Gauge{name: name, src: src})
+	v, _ := gauges.LoadOrStore(name, &Gauge{name: name, counter: counter, src: src})
 	return v.(*Gauge)
 }
 
@@ -315,10 +321,12 @@ func init() {
 	GaugeFunc("buffer.released", func() int64 { return buffer.Stats().Released })
 }
 
-// GaugeSnapshot is one gauge's name and value at read time.
+// GaugeSnapshot is one gauge's name and value at read time, and whether
+// it is a monotonic count.
 type GaugeSnapshot struct {
-	Name  string
-	Value int64
+	Name    string
+	Value   int64
+	Counter bool
 }
 
 // AllGauges returns every interned gauge, zero-valued ones included,
@@ -329,7 +337,7 @@ func AllGauges() []GaugeSnapshot {
 	var out []GaugeSnapshot
 	gauges.Range(func(_, v any) bool {
 		g := v.(*Gauge)
-		out = append(out, GaugeSnapshot{Name: g.name, Value: g.Value()})
+		out = append(out, GaugeSnapshot{Name: g.name, Value: g.Value(), Counter: g.counter})
 		return true
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })

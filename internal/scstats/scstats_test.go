@@ -146,13 +146,20 @@ func TestGauges(t *testing.T) {
 		t.Fatalf("gauge = %d, want 2", got)
 	}
 	g.Set(7)
+	// A count keeps the kind it was interned with, whoever reads it later.
+	if CounterFor("test.things_done") != GaugeFor("test.things_done") {
+		t.Fatal("CounterFor and GaugeFor interned two blocks for one name")
+	}
 	found := false
 	for _, sn := range AllGauges() {
 		if sn.Name == "test.live_things" {
 			found = true
-			if sn.Value != 7 {
-				t.Fatalf("snapshot value = %d, want 7", sn.Value)
+			if sn.Value != 7 || sn.Counter {
+				t.Fatalf("snapshot = %+v, want a level of 7", sn)
 			}
+		}
+		if sn.Name == "test.things_done" && !sn.Counter {
+			t.Fatalf("snapshot = %+v, want a count", sn)
 		}
 	}
 	if !found {

@@ -51,7 +51,7 @@ func TestMetricsGolden(t *testing.T) {
 	fill.ObserveSince(ago(17), 0)
 	fill.ObserveSince(ago(19), 0x1234)
 	scstats.GaugeFor("golden.level").Set(5)
-	torn := scstats.GaugeFor("wal.torn_tails_truncated")
+	torn := scstats.CounterFor("wal.torn_tails_truncated")
 	t.Cleanup(func() { torn.Set(0) })
 	torn.Set(4)
 

@@ -64,34 +64,6 @@ var counterFamilies = []struct {
 		func(s scstats.Snapshot) uint64 { return s.Coalesced }},
 }
 
-// counterGauges lists the named gauges that are monotonic event counts in
-// disguise; the exposition gives them counter conventions (_total, TYPE
-// counter). Every other gauge is a level and stays a gauge.
-var counterGauges = map[string]bool{
-	"buffer.drops":             true,
-	"buffer.gets":              true,
-	"buffer.large_allocs":      true,
-	"buffer.misses":            true,
-	"buffer.puts":              true,
-	"buffer.released":          true,
-	"cache.coalesced_misses":   true,
-	"cache.evictions":          true,
-	"dispatch.inline_hits":     true,
-	"dispatch.shed":            true,
-	"netd.breaker_closed":      true,
-	"netd.breaker_opened":      true,
-	"netd.flushes":             true,
-	"netd.frames_coalesced":    true,
-	"netd.leases_expired":      true,
-	"netd.refs_reclaimed":      true,
-	"netd.releases_replayed":   true,
-	"wal.appends":              true,
-	"wal.compactions":          true,
-	"wal.records_replayed":     true,
-	"wal.syncs":                true,
-	"wal.torn_tails_truncated": true,
-}
-
 // writeMetrics renders the whole registry.
 func writeMetrics(w io.Writer) {
 	reg := scstats.Take()
@@ -137,7 +109,7 @@ func writeMetrics(w io.Writer) {
 	// conventions.
 	for _, g := range scstats.AllGauges() {
 		name := sanitizeMetricName(g.Name)
-		if counterGauges[g.Name] {
+		if g.Counter {
 			fmt.Fprintf(w, "# TYPE %s_total counter\n%s_total %d\n", name, name, g.Value)
 		} else {
 			fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", name, name, g.Value)

@@ -42,12 +42,14 @@ func TestMetricsExemplars(t *testing.T) {
 // TestSlowTraceTailConformance: with every call head-sampled
 // (-trace-sample 1), a call that exceeds the slow threshold is listed at
 // /traces/slow with its span tree — the server side's netd.serve and
-// skeleton spans included — while a fast call is not listed.
+// skeleton spans included — and a root is listed only if it ran at least
+// the threshold: the fast call is not, unless a loaded host made it slow.
 func TestSlowTraceTailConformance(t *testing.T) {
+	const threshold = 5 * time.Millisecond
 	trace.Reset()
 	t.Cleanup(trace.Reset)
 	t.Cleanup(func() { trace.SetSampling(0) })
-	trace.SetSlowDefault(5 * time.Millisecond)
+	trace.SetSlowDefault(threshold)
 	t.Cleanup(func() { trace.SetSlowDefault(0) })
 	s := startPlane(t)
 
@@ -73,6 +75,12 @@ func TestSlowTraceTailConformance(t *testing.T) {
 	if _, err := sctest.Get(remote); err != nil {
 		t.Fatal(err)
 	}
+	// The main ring has both roots, newest first: the get, then the add.
+	roots := trace.Roots(0)
+	if len(roots) != 2 {
+		t.Fatalf("main ring holds %d roots, want the add and the get: %+v", len(roots), roots)
+	}
+	slowGet, fastAdd := roots[0], roots[1]
 
 	// /traces/slow lists the slow root.
 	code, body := get(t, "http://"+s.Addr()+"/traces/slow")
@@ -87,8 +95,14 @@ func TestSlowTraceTailConformance(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &listing); err != nil {
 		t.Fatalf("/traces/slow not JSON: %v\n%s", err, body)
 	}
-	if len(listing) != 1 {
-		t.Errorf("/traces/slow lists %d roots, want the slow get alone: %s", len(listing), body)
+	// The add is listed exactly when the main ring says it ran slow.
+	want := 1
+	if time.Duration(fastAdd.Duration) >= threshold {
+		want = 2
+	}
+	if len(listing) != want {
+		t.Errorf("/traces/slow lists %d roots, want %d (the slow get, and the add if it ran %v): %s",
+			len(listing), want, time.Duration(fastAdd.Duration), body)
 	}
 	var slowTrace string
 	for _, root := range listing {
@@ -96,15 +110,18 @@ func TestSlowTraceTailConformance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("unparseable duration %q", root.Duration)
 		}
-		if d < 5*time.Millisecond {
+		if d < threshold {
 			t.Errorf("/traces/slow lists a fast root: %+v", root)
 		}
-		if root.Name == "singleton.invoke" {
+		if id := mustHex(t, root.Trace); id != slowGet.TraceID && id != fastAdd.TraceID {
+			t.Errorf("/traces/slow lists a root of neither call: %+v", root)
+		}
+		if root.Name == "singleton.invoke" && mustHex(t, root.Trace) == slowGet.TraceID {
 			slowTrace = root.Trace
 		}
 	}
 	if slowTrace == "" {
-		t.Fatalf("/traces/slow has no singleton.invoke root: %s", body)
+		t.Fatalf("/traces/slow has no singleton.invoke root of the slow get %016x: %s", slowGet.TraceID, body)
 	}
 
 	// The full span tree resolves at /traces/{id}, with the client-side
