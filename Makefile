@@ -82,9 +82,11 @@ bench:
 		-note 'compare Inline/Spawn cells within one run; the inline win shows at P1/P8, where it saves every handoff; Blocking_P64 is 64 callers of a 100us handler, all blocked in the server at once' \
 		-o BENCH_dispatch.json < $$d/dispatch.out
 
-# One-iteration smoke: the benchmarks still compile and run, the E6 caching
-# cells (whose server dispatches through a derived skeleton) and the E4/E7
-# failover and reconnect cells included, and so do the package benchmarks
+# One-iteration smoke: the benchmarks still compile and run, the E1/E13/E14
+# local-call cells (every one crosses the hand-off where the base measures
+# an invocation), the E6 caching cells (whose server dispatches through a
+# derived skeleton) and the E4/E7 failover and reconnect cells included,
+# and so do the package benchmarks
 # of buffer, dispatch, kernel and trace (the slow-root copy among them).
 # Then the E24
 # guards of the file data path, the E25 guards of the durable write path
@@ -120,7 +122,7 @@ GUARDS = TestServedReadWriteAllocs|TestServedMixedReadAllocs|TestReplyIsFrame|Te
 GUARD_PKGS = ./internal/netd/ ./internal/filesys/ ./internal/buffer/ ./internal/sock/ ./internal/dispatch/ ./internal/scstats/
 
 bench-quick:
-	go test -run NONE -bench 'E4|E6|E7|E15|E16|E17|E18|E19|E20|E21_MixedHoL|E22' -benchtime 1x .
+	go test -run NONE -bench 'E1_|E4|E6|E7|E13|E14|E15|E16|E17|E18|E19|E20|E21_MixedHoL|E22' -benchtime 1x .
 	go test -run NONE -bench . -benchtime 1x ./internal/buffer ./internal/dispatch ./internal/kernel ./internal/trace
 	@have=$$(go test -list 'Test' $(GUARD_PKGS)) || exit 1; \
 	for t in $$(echo '$(GUARDS)' | tr '|' ' '); do \

@@ -11,16 +11,16 @@ import (
 // ---------------------------------------------------------------------
 // E22 — always-on latency recording.
 //
-// The latency plane v2 records every call into the sharded HDR histogram,
+// The latency plane v2 records every call into the HDR histogram,
 // where v1 timed 1 call in 8 (EXPERIMENTS E22 keeps that comparison; the
 // v1 mode is gone, and the off and timed modes it was decomposed with
 // went in E35). E22 runs the E14/E17 singleton echo with every call
-// recorded — clock pair + striped bucket add + exemplar check — so its
+// recorded — clock pair + bucket add + exemplar check — so its
 // cells track what the plane costs a real call; the record proper is
 // priced in isolation by scstats' TestRecordCostGuard.
 //
-// Parallelism ∈ {1, 64} shows the striped shards absorbing concurrent
-// recording; a shared hot counter would fail the P64 cell, not the P1.
+// Parallelism ∈ {1, 64} shows what concurrent recorders pay on the
+// unstriped bucket counters (EXPERIMENTS E45).
 //
 // The cells also report the window's p50/p99/p999 (from the singleton
 // subcontract's histogram delta over the measured calls) as benchmark

@@ -28,6 +28,7 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/kernel"
+	"repro/internal/scstats"
 	"repro/internal/trace"
 )
 
@@ -83,6 +84,7 @@ type Object struct {
 	Env *Env
 
 	consumed atomic.Bool
+	meter    atomic.Pointer[meter]
 }
 
 // NewObject plugs together a method table, subcontract ops vector, and
@@ -90,6 +92,61 @@ type Object struct {
 // creation code does.
 func NewObject(env *Env, mt *MTable, sc ClientOps, rep any) *Object {
 	return &Object{MT: mt, SC: sc, Rep: rep, Env: env}
+}
+
+// meter is what the base measures an object's invocations with: the
+// metrics block and the "<name>.invoke" span name of its subcontract.
+type meter struct {
+	stats *scstats.Stats
+	span  trace.NameID
+}
+
+// meters holds one meter per subcontract name, shared by every object of
+// that subcontract.
+var meters sync.Map // string -> *meter
+
+// getMeter returns the object's meter, looked up by SC.Name() on the
+// object's first call and kept on the object, so no call after the first
+// consults a table.
+func (o *Object) getMeter() *meter {
+	if m := o.meter.Load(); m != nil {
+		return m
+	}
+	return o.lookupMeter()
+}
+
+func (o *Object) lookupMeter() *meter {
+	name := o.SC.Name()
+	v, ok := meters.Load(name)
+	if !ok {
+		v, _ = meters.LoadOrStore(name, &meter{stats: scstats.For(name), span: trace.Name(name + ".invoke")})
+	}
+	m := v.(*meter)
+	o.meter.Store(m)
+	return m
+}
+
+// Stats returns the metrics block the object's invocations report into:
+// its subcontract's, interned under SC.Name().
+func (o *Object) Stats() *scstats.Stats { return o.getMeter().stats }
+
+// Invoke hands a marshalled call to the object's subcontract — the one
+// point where the base measures an invocation, so no subcontract meters
+// itself. The call is counted and its latency recorded, keyed by op, in
+// the subcontract's metrics block, a failure is classified there, and a
+// traced call runs under a "<name>.invoke" span that parents whatever the
+// subcontract and the server record beneath it.
+func (o *Object) Invoke(call *Call) (*buffer.Buffer, error) {
+	m := o.getMeter()
+	start := m.stats.Begin()
+	var sp trace.Span
+	if call.info.Trace != 0 {
+		sp = trace.Begin(&call.info, m.span)
+	}
+	reply, err := o.SC.Invoke(o, call)
+	sp.End(&call.info, err)
+	m.stats.EndCall(start, uint32(call.Op), call.info.ExemplarTrace(), err)
+	return reply, err
 }
 
 // Consumed reports whether the object's local state has been deleted.
@@ -331,7 +388,8 @@ type ClientOps interface {
 	InvokePreamble(obj *Object, call *Call) error
 	// Invoke executes the call after the stubs have marshalled all
 	// arguments, returning the result buffer (with any subcontract-level
-	// reply control information already consumed).
+	// reply control information already consumed). The stubs reach it
+	// through Object.Invoke, which measures it.
 	Invoke(obj *Object, call *Call) (*buffer.Buffer, error)
 	// Copy produces a shallow copy: a distinct object designating the
 	// same underlying state.

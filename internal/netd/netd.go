@@ -53,7 +53,6 @@ package netd
 import (
 	"bufio"
 	"cmp"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -581,7 +580,6 @@ func (s *Server) serveConn(c *conn) {
 	// i.e. when the next read would block, so the frames behind us are
 	// not waiting on the handler in front of them.
 	budget := inlineBudget
-	var rel []releasePair // reused across batches by the release coalescer
 	for {
 		if br.Buffered() == 0 {
 			budget = inlineBudget
@@ -594,7 +592,7 @@ func (s *Server) serveConn(c *conn) {
 		if err != nil {
 			break
 		}
-		if !s.serveFrame(c, br, in, &rel, &budget) {
+		if !s.serveFrame(c, in, &budget) {
 			break
 		}
 	}
@@ -607,7 +605,7 @@ func (s *Server) serveConn(c *conn) {
 // to the waiting caller, a call turns it into the request buffer that
 // runCall recycles when the handler is done — inline or queued alike —
 // and every other path recycles it here.
-func (s *Server) serveFrame(c *conn, br *bufio.Reader, in *buffer.Buffer, rel *[]releasePair, budget *time.Duration) bool {
+func (s *Server) serveFrame(c *conn, in *buffer.Buffer, budget *time.Duration) bool {
 	msg, err := in.ReadByte() // 0, matching no case, on an empty frame
 	ok := err == nil
 	if (msg == msgCall || msg == msgRelease) && !c.hasSession() {
@@ -659,16 +657,8 @@ func (s *Server) serveFrame(c *conn, br *bufio.Reader, in *buffer.Buffer, rel *[
 		if err1 != nil || err2 != nil {
 			break
 		}
-		// A release burst (a dropped proxy tree, a cache eviction
-		// sweep) arrives as consecutive frames in one flush; peel
-		// the whole run off the buffered reader and apply it in a
-		// single locked pass instead of paying s.mu per frame.
-		*rel = append((*rel)[:0], releasePair{key: key, count: int64(count)})
-		*rel = coalesceReleases(br, *rel)
 		s.mu.Lock()
-		for _, r := range *rel {
-			s.proto.drop(r.key, c.sess, int(r.count))
-		}
+		s.proto.drop(key, c.sess, int(count))
 		s.settle()
 	}
 	buffer.Put(in)
@@ -849,47 +839,6 @@ func (s *Server) runCall(c *conn, reqID uint64, h kernel.Handle, ist *dispatch.I
 		buffer.Put(req)
 	}
 	return frame, d
-}
-
-// releasePair is one decoded release frame, for the coalescer.
-type releasePair struct {
-	key   uint64
-	count int64
-}
-
-// coalesceReleases peels consecutive msgRelease frames off the buffered
-// reader without blocking: as long as a complete, well-formed release
-// frame is sitting in the buffer it is decoded and consumed, so a burst
-// of releases (one flush from the peer) collapses into a single pass
-// under the server lock. A frame that is incomplete, not a release, or
-// malformed is left untouched for the main loop.
-func coalesceReleases(br *bufio.Reader, rel []releasePair) []releasePair {
-	for {
-		buffered := br.Buffered()
-		if buffered < 5 {
-			return rel // not even a header + type byte without blocking
-		}
-		hdr, err := br.Peek(5)
-		if err != nil || hdr[4] != msgRelease {
-			return rel
-		}
-		n := int(binary.LittleEndian.Uint32(hdr[:4]))
-		if n < 1+8+1 || 4+n > buffered {
-			return rel // runt release or payload not fully buffered
-		}
-		frame, err := br.Peek(4 + n)
-		if err != nil {
-			return rel
-		}
-		body := frame[5 : 4+n] // after the type byte
-		key := binary.LittleEndian.Uint64(body[:8])
-		count, sz := binary.Uvarint(body[8:])
-		if sz <= 0 || 8+sz != len(body) {
-			return rel // malformed; let the main loop's decoder reject it
-		}
-		_, _ = br.Discard(4 + n)
-		rel = append(rel, releasePair{key: key, count: int64(count)})
-	}
 }
 
 // reply answers reqID from the reader goroutine — a refusal, a root, a

@@ -3,11 +3,9 @@ package scstats
 import (
 	"math"
 	"math/bits"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 )
 
 // Always-on latency histograms.
@@ -18,12 +16,10 @@ import (
 // counted exactly. Values are raw clock ticks (see clock.go); only
 // snapshots convert to nanoseconds.
 //
-// record is the hot path and is one atomic add on a striped shard — no
-// locks, no allocation, no clock read (the caller supplies the duration).
-// Shards are picked by hashing the goroutine's stack address, the same
-// trick netd uses for connection striping: goroutines scatter across
-// shards without any per-CPU API, and a wrong guess costs contention, not
-// correctness. Snapshots sum the shards.
+// record is the hot path and is one atomic add on the bucket's counter —
+// no locks, no allocation, no clock read (the caller supplies the
+// duration). The counters are not striped: a striped build recorded no
+// faster at 1 or 64 callers (EXPERIMENTS E44, E45).
 //
 // Each bucket additionally remembers the trace ID of the last traced call
 // that landed in it (the exemplar): a p999 bucket in /metrics links
@@ -83,52 +79,16 @@ func bucketHi(i int) uint64 {
 	return (histSub + m + 1) << o
 }
 
-// histShards is the stripe count: enough to spread recorders across
-// cores, capped so snapshot cost and footprint stay bounded.
-var histShards = func() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}()
-
-// shardIdx hashes the caller's stack address to a stripe.
-func shardIdx() int {
-	var b byte
-	p := uintptr(unsafe.Pointer(&b))
-	return int((p>>10 ^ p>>20) & uintptr(histShards-1))
-}
-
-type histShard struct {
-	counts [histBuckets]atomic.Uint64
-	_      [64]byte // keep adjacent shards off one another's cache lines
-}
-
 // Hist is one always-on latency histogram.
 type Hist struct {
-	shards []*histShard
-	// Exemplars are unsharded: one (trace, ticks) pair per bucket,
-	// last-writer-wins. exTick[i] pairs with exTrace[i] best-effort.
-	exTrace []atomic.Uint64
-	exTick  []atomic.Uint64
+	counts [histBuckets]atomic.Uint64
+	// Exemplars: one (trace, ticks) pair per bucket, last-writer-wins.
+	// exTick[i] pairs with exTrace[i] best-effort.
+	exTrace [histBuckets]atomic.Uint64
+	exTick  [histBuckets]atomic.Uint64
 }
 
-func newHist() *Hist {
-	h := &Hist{
-		shards:  make([]*histShard, histShards),
-		exTrace: make([]atomic.Uint64, histBuckets),
-		exTick:  make([]atomic.Uint64, histBuckets),
-	}
-	for i := range h.shards {
-		h.shards[i] = new(histShard)
-	}
-	return h
-}
+func newHist() *Hist { return new(Hist) }
 
 // record adds one duration (in ticks) to the histogram, remembering
 // traceID as the bucket's exemplar when nonzero.
@@ -137,7 +97,7 @@ func (h *Hist) record(d int64, traceID uint64) {
 		d = 0 // TSC skew across a core migration can go slightly backwards
 	}
 	b := bucketIdx(uint64(d))
-	h.shards[shardIdx()].counts[b].Add(1)
+	h.counts[b].Add(1)
 	if traceID != 0 {
 		h.exTick[b].Store(uint64(d))
 		h.exTrace[b].Store(traceID)
@@ -166,12 +126,8 @@ func (h *Hist) ObserveSince(start int64, traceID uint64) {
 
 // reset zeroes counts and exemplars (tests and bench phase boundaries).
 func (h *Hist) reset() {
-	for _, sh := range h.shards {
-		for i := range sh.counts {
-			sh.counts[i].Store(0)
-		}
-	}
-	for i := range h.exTrace {
+	for i := range h.counts {
+		h.counts[i].Store(0)
 		h.exTrace[i].Store(0)
 		h.exTick[i].Store(0)
 	}
@@ -240,12 +196,10 @@ func snapshotOf(counts *[histBuckets]uint64, ex func(i int) (uint64, uint64)) Hi
 // exemplar is bucket i's exemplar as (trace, ticks), trace 0 for none.
 func (h *Hist) exemplar(i int) (uint64, uint64) { return h.exTrace[i].Load(), h.exTick[i].Load() }
 
-// addTo sums the shards into counts.
+// addTo adds the bucket counts into counts.
 func (h *Hist) addTo(counts *[histBuckets]uint64) {
-	for _, sh := range h.shards {
-		for i := range sh.counts {
-			counts[i] += sh.counts[i].Load()
-		}
+	for i := range h.counts {
+		counts[i] += h.counts[i].Load()
 	}
 }
 

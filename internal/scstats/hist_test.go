@@ -103,7 +103,7 @@ func TestHistSubAndMerge(t *testing.T) {
 		t.Fatalf("delta missing the 1ms observation: %+v", d.Buckets)
 	}
 
-	// Merging, as the walk sums a subcontract's op histograms, gives the
+	// Merging, as Take sums a subcontract's op histograms, gives the
 	// counts of both.
 	other := newHist()
 	other.Observe(time.Second, 0)

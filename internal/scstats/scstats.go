@@ -1,7 +1,8 @@
 // Package scstats is the per-subcontract metrics registry: every
-// subcontract's client-side ops vector reports its calls, failures and
-// recovery actions here, and operators read the aggregate back through the
-// telemetry plane (/metrics, /statz, cmd/sctop).
+// invocation is recorded here under its subcontract's name by the base
+// (core.Object.Invoke), subcontracts add their recovery actions, and
+// operators read the aggregate back through the telemetry plane
+// (/metrics, /statz, cmd/sctop).
 //
 // The design is dictated by the minimal-call path budget (≤30 ns over the
 // bare singleton call, bench E14; the record itself is priced against one
@@ -10,7 +11,7 @@
 //   - A Stats is a flat struct of atomic counters plus always-on HDR
 //     latency histograms (hist.go). Recording a call is one atomic add for
 //     the call counter, two reads of the cheap tick clock (clock.go), and
-//     one striped atomic add into a log bucket. No locks, no maps, no
+//     one atomic add into a log bucket. No locks, no maps, no
 //     allocation, no interface dispatch and no mode branch on the hot path.
 //   - Every call is measured — the 1-in-8 sampler of the v1 plane is gone.
 //     Percentiles (p50/p90/p99/p999) come from the bucket counts via
@@ -18,9 +19,10 @@
 //   - Latency is keyed by subcontract × op: EndCall records into a per-op
 //     histogram (ops above maxOps share an overflow slot) and snapshots
 //     merge the per-op histograms into the subcontract aggregate.
-//   - Subcontracts intern their Stats once (For in a package var or an ops
-//     constructor) rather than looking the name up per call; For takes the
-//     registry lock only on first use of a name.
+//   - Calls are recorded by the base, not by the subcontracts: an object
+//     looks its subcontract's Stats up on its first call and keeps it
+//     (core.Object.Invoke), so no call path consults the registry. For
+//     stores a name's block only on its first use.
 //
 // Counters deliberately mirror the failure taxonomy in core/errors.go:
 // Errors counts all failed invokes, with DeadlineExceeded and Cancelled

@@ -25,7 +25,6 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/kernel"
-	"repro/internal/scstats"
 	"repro/internal/trace"
 )
 
@@ -76,8 +75,9 @@ type MarshalFunc func(*buffer.Buffer) error
 
 // Call executes one operation on obj through its subcontract: it runs the
 // subcontract invoke_preamble (before any argument marshalling, §5.1.4),
-// writes the operation number, marshals arguments, invokes, checks the
-// reply status, and unmarshals results.
+// writes the operation number, marshals arguments, invokes (through
+// core.Object.Invoke, where the base measures the call), checks the reply
+// status, and unmarshals results.
 //
 // marshalArgs and unmarshalResults may be nil for operations without
 // arguments or results.
@@ -85,17 +85,24 @@ type MarshalFunc func(*buffer.Buffer) error
 // opts attach an invocation context (core.WithDeadline, core.WithCancel,
 // core.WithTrace). A call whose context has already ended fails fast —
 // before the preamble runs or any argument is marshalled — with
-// core.ErrDeadlineExceeded or core.ErrCancelled. The stub itself applies
-// no other policy: how the context bounds retries, failover or network
-// waits is entirely the subcontract's business, preserving the
-// stub/subcontract separation.
+// core.ErrDeadlineExceeded or core.ErrCancelled, counted and classified
+// in the subcontract's metrics block but given no latency. The stub
+// itself applies no other policy: how the context bounds retries,
+// failover or network waits is entirely the subcontract's business,
+// preserving the stub/subcontract separation.
 func Call(obj *core.Object, op core.OpNum, marshalArgs, unmarshalResults MarshalFunc, opts ...core.CallOption) error {
+	return invoke(obj, op, marshalArgs, unmarshalResults, false, opts)
+}
+
+// invoke is Call, and with oneway set CallOneway: the reply is then
+// discarded instead of decoded.
+func invoke(obj *core.Object, op core.OpNum, marshalArgs, unmarshalResults MarshalFunc, oneway bool, opts []core.CallOption) error {
 	if obj == nil {
 		return core.ErrNilObject
 	}
 	call := core.NewCall(op, opts...)
 	if err := call.Err(); err != nil {
-		scstats.For(obj.SC.Name()).FailFast(err)
+		obj.Stats().FailFast(err)
 		return err
 	}
 	if err := obj.SC.InvokePreamble(obj, call); err != nil {
@@ -112,9 +119,14 @@ func Call(obj *core.Object, op core.OpNum, marshalArgs, unmarshalResults Marshal
 			return fmt.Errorf("stubs: marshalling %s op %d: %w", obj.MT.Type, op, err)
 		}
 	}
-	reply, err := obj.SC.Invoke(obj, call)
+	reply, err := obj.Invoke(call)
 	if err == nil {
-		err = DecodeReply(reply, unmarshalResults)
+		if oneway {
+			kernel.ReleaseBufferDoors(reply)
+			buffer.Put(reply)
+		} else {
+			err = DecodeReply(reply, unmarshalResults)
+		}
 	}
 	if reply != args { // a door that answers with its own request: already put
 		releaseArgs(call)
@@ -185,37 +197,7 @@ func DecodeReply(reply *buffer.Buffer, unmarshalResults MarshalFunc) error {
 // a remote exception — is discarded, matching oneway's fire-and-forget
 // contract.
 func CallOneway(obj *core.Object, op core.OpNum, marshalArgs MarshalFunc, opts ...core.CallOption) error {
-	if obj == nil {
-		return core.ErrNilObject
-	}
-	call := core.NewCall(op, opts...)
-	if err := call.Err(); err != nil {
-		scstats.For(obj.SC.Name()).FailFast(err)
-		return err
-	}
-	if err := obj.SC.InvokePreamble(obj, call); err != nil {
-		return fmt.Errorf("stubs: invoke_preamble %s op %d: %w", obj.MT.Type, op, err)
-	}
-	if call.Release != nil {
-		defer call.Release()
-	}
-	args := call.Args()
-	args.WriteUint32(uint32(op))
-	if marshalArgs != nil {
-		if err := marshalArgs(args); err != nil {
-			releaseArgs(call)
-			return fmt.Errorf("stubs: marshalling %s op %d: %w", obj.MT.Type, op, err)
-		}
-	}
-	reply, err := obj.SC.Invoke(obj, call)
-	if err == nil {
-		kernel.ReleaseBufferDoors(reply)
-		buffer.Put(reply)
-	}
-	if reply != args {
-		releaseArgs(call)
-	}
-	return err
+	return invoke(obj, op, marshalArgs, nil, true, opts)
 }
 
 // Skeleton is the server-side dispatch table generated for an interface:

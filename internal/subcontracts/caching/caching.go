@@ -28,10 +28,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/naming"
-	"repro/internal/scstats"
 	"repro/internal/stubs"
 	"repro/internal/subcontracts/doorsc"
-	"repro/internal/trace"
 )
 
 // SCID is the caching subcontract identifier.
@@ -44,15 +42,6 @@ const LocalContextVar = "naming.local"
 // ErrNoLocalContext is returned when unmarshalling a caching object in a
 // domain with no machine-local naming context configured.
 var ErrNoLocalContext = errors.New("caching: no machine-local naming context in environment")
-
-// stats is the subcontract's metrics block. The cache manager itself
-// records hits and misses into it (see internal/cache), since only the
-// manager knows whether a call was served locally.
-var stats = scstats.For("caching")
-
-// spanInvoke traces caching invocations (the D2 leg into the local cache
-// manager; the manager itself records hit/miss/coalesce below it).
-var spanInvoke = trace.Name("caching.invoke")
 
 // Rep is the representation: server door D1, cache door D2, the cache
 // manager name, and the operation sets that travel with the object.
@@ -196,15 +185,6 @@ func (ops) InvokePreamble(obj *core.Object, call *core.Call) error {
 // Invoke uses the D2 door identifier, so the call reaches the local cache
 // manager (or the server directly for a locally exported object).
 func (ops) Invoke(obj *core.Object, call *core.Call) (*buffer.Buffer, error) {
-	begin := stats.Begin()
-	sp := trace.Begin(call.Info(), spanInvoke)
-	reply, err := invoke(obj, call)
-	sp.End(call.Info(), err)
-	stats.EndCall(begin, uint32(call.Op), call.Info().ExemplarTrace(), err)
-	return reply, err
-}
-
-func invoke(obj *core.Object, call *core.Call) (*buffer.Buffer, error) {
 	if err := obj.CheckLive(); err != nil {
 		return nil, err
 	}

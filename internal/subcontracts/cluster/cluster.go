@@ -19,19 +19,11 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/kernel"
-	"repro/internal/scstats"
 	"repro/internal/stubs"
-	"repro/internal/trace"
 )
 
 // SCID is the cluster subcontract identifier.
 const SCID core.ID = 3
-
-// stats is the subcontract's metrics block.
-var stats = scstats.For("cluster")
-
-// spanInvoke traces cluster-member invocations.
-var spanInvoke = trace.Name("cluster.invoke")
 
 // Rep is a cluster object's representation: a door identifier plus the
 // integer tag selecting the object behind that door.
@@ -127,15 +119,6 @@ func (ops) InvokePreamble(obj *core.Object, call *core.Call) error {
 }
 
 func (ops) Invoke(obj *core.Object, call *core.Call) (*buffer.Buffer, error) {
-	begin := stats.Begin()
-	sp := trace.Begin(call.Info(), spanInvoke)
-	reply, err := invoke(obj, call)
-	sp.End(call.Info(), err)
-	stats.EndCall(begin, uint32(call.Op), call.Info().ExemplarTrace(), err)
-	return reply, err
-}
-
-func invoke(obj *core.Object, call *core.Call) (*buffer.Buffer, error) {
 	if err := obj.CheckLive(); err != nil {
 		return nil, err
 	}

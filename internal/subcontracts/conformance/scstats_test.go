@@ -12,8 +12,10 @@ import (
 // TestMain runs the conformance battery and then audits the per-subcontract
 // metrics registry: after the suite has driven every policy, the scstats
 // registry must show nonzero call and latency counters for the core
-// subcontracts. This is the end-to-end proof that the ops-vector
-// instrumentation actually fires on real traffic, not just in unit tests.
+// subcontracts. The base measures every invocation under its subcontract's
+// name (core.Object.Invoke), so an uninstrumented subcontract cannot exist;
+// what the audit proves is that the battery reaches every subcontract on
+// real traffic, and that the names the operators' series carry stay put.
 // The battery runs with recycled storage poisoned, and it also audits
 // quiescence: it starts executors, servers and dispatch engines, and
 // everything it started must have wound down and put its buffers back —
@@ -45,11 +47,10 @@ func auditStats() error {
 	}
 	// Every subcontract the battery exercises must have recorded calls,
 	// and latency observations (every call is recorded).
-	// This is the full instrumented name set: singleton, priority and txn
-	// report through the shared doorsc ops (scstats.For(o.SCName)), simplex
-	// splits its doorless same-address-space path out as "simplex(local)",
-	// and value is driven by TestValueInstrumentation below. A subcontract
-	// added without instrumentation fails here, not silently.
+	// This is the full name set: singleton, priority and txn share the
+	// doorsc ops but are measured under their own names, simplex's doorless
+	// same-address-space path is measured as "simplex(local)", and value is
+	// driven by TestValueInstrumentation below.
 	for _, name := range []string{
 		"singleton", "simplex", "simplex(local)", "cluster", "replicon",
 		"caching", "reconnectable", "txn", "priority", "shm", "video",

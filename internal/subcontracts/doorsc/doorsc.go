@@ -6,19 +6,19 @@
 //
 // Distinct subcontracts instantiate Ops with their own identifier and
 // name, so singleton and simplex remain distinct, compatible subcontracts
-// even though their remote behaviour coincides (§6.1 / §7).
+// even though their remote behaviour coincides (§6.1 / §7). The name is
+// also what their calls are measured under: Invoke is the bare door call,
+// and the base (core.Object.Invoke) counts, times and traces it, as it
+// does every subcontract's.
 package doorsc
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/kernel"
-	"repro/internal/scstats"
 	"repro/internal/stubs"
-	"repro/internal/trace"
 )
 
 // Rep is the representation of a door-based object: a single door
@@ -37,39 +37,9 @@ type Ops struct {
 	// subcontract that embeds Ops to add a preamble points it at itself,
 	// so its objects keep the preamble; nil means Ops itself.
 	Outer core.ClientOps
-
-	// stats caches the scstats block interned under SCName, so the invoke
-	// path never touches the registry. Lazily filled on first invoke
-	// (interning is idempotent, so the publication race is benign).
-	stats atomic.Pointer[scstats.Stats]
-
-	// span caches the interned "<SCName>.invoke" trace span name, filled
-	// on the first *traced* invoke (untraced calls never intern).
-	span atomic.Uint32
 }
 
 var _ core.ClientOps = (*Ops)(nil)
-
-// Stats returns the metrics block invocations through o report into.
-func (o *Ops) Stats() *scstats.Stats {
-	if s := o.stats.Load(); s != nil {
-		return s
-	}
-	s := scstats.For(o.SCName)
-	o.stats.Store(s)
-	return s
-}
-
-// spanName returns the interned "<SCName>.invoke" span name. Only traced
-// calls reach it; the intern happens once per Ops instance.
-func (o *Ops) spanName() trace.NameID {
-	if v := o.span.Load(); v != 0 {
-		return trace.NameID(v)
-	}
-	id := trace.Name(o.SCName + ".invoke")
-	o.span.Store(uint32(id))
-	return id
-}
 
 // ID implements core.Subcontract.
 func (o *Ops) ID() core.ID { return o.Ident }
@@ -156,19 +126,6 @@ func (o *Ops) InvokePreamble(obj *core.Object, call *core.Call) error {
 // passing the call's invocation context along so the kernel can refuse
 // expired calls and network door servers can forward the remaining budget.
 func (o *Ops) Invoke(obj *core.Object, call *core.Call) (*buffer.Buffer, error) {
-	st := o.Stats()
-	start := st.Begin()
-	var sp trace.Span
-	if info := call.Info(); trace.Traced(info) {
-		sp = trace.Begin(info, o.spanName())
-	}
-	reply, err := o.invoke(obj, call)
-	sp.End(call.Info(), err)
-	st.EndCall(start, uint32(call.Op), call.Info().ExemplarTrace(), err)
-	return reply, err
-}
-
-func (o *Ops) invoke(obj *core.Object, call *core.Call) (*buffer.Buffer, error) {
 	if err := obj.CheckLive(); err != nil {
 		return nil, err
 	}

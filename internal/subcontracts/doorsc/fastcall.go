@@ -22,7 +22,8 @@ import (
 // the general path does through two indirect subcontract calls: the
 // (empty) invoke_preamble and the door invocation. Any other subcontract
 // falls back to the general-purpose stubs, preserving identical
-// semantics. Experiment E13 measures the difference.
+// semantics. Bypassing core.Object.Invoke, it records the call into the
+// object's metrics block itself, without an invoke span or an exemplar. Experiment E13 measures the difference.
 func FastCall(obj *core.Object, op core.OpNum, marshalArgs, unmarshalResults stubs.MarshalFunc, opts ...core.CallOption) error {
 	if obj == nil {
 		return core.ErrNilObject
@@ -32,7 +33,7 @@ func FastCall(obj *core.Object, op core.OpNum, marshalArgs, unmarshalResults stu
 		// Not the specialized combination: use the general-purpose stubs.
 		return stubs.Call(obj, op, marshalArgs, unmarshalResults, opts...)
 	}
-	st := sc.Stats()
+	st := obj.Stats()
 	begin := st.Begin()
 	err := fastCall(obj, sc, op, marshalArgs, unmarshalResults, opts)
 	st.EndCall(begin, uint32(op), 0, err)

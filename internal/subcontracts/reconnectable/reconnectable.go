@@ -50,15 +50,15 @@ var (
 	ErrBadTarget = errors.New("reconnectable: resolved object is not door-based")
 )
 
-// stats is the subcontract's metrics block: calls, reconnects, and the
-// deadline endings that bound the re-resolve loop.
+// stats is the subcontract's metrics block, the one the base measures its
+// calls into; Invoke adds the reconnects and retries of its recovery loop.
 var stats = scstats.For("reconnectable")
 
-// Trace span/event names: the invoke span wraps the whole recovery loop,
-// and each reconnect/retry action surfaces as a zero-duration event inside
-// it, so a trace shows exactly where the binding broke and was rebuilt.
+// Trace event names: each reconnect/retry action surfaces as a
+// zero-duration event inside the reconnectable.invoke span the base opens
+// around the whole recovery loop, so a trace shows exactly where the
+// binding broke and was rebuilt.
 var (
-	spanInvoke     = trace.Name("reconnectable.invoke")
 	spanReconnect  = trace.Name("reconnectable.reconnect")
 	spanRetryEvent = trace.Name("reconnectable.retry")
 )
@@ -159,15 +159,6 @@ func (ops) InvokePreamble(obj *core.Object, call *core.Call) error {
 // core.ErrDeadlineExceeded/ErrCancelled instead of burning the remaining
 // attempts.
 func (ops) Invoke(obj *core.Object, call *core.Call) (*buffer.Buffer, error) {
-	begin := stats.Begin()
-	sp := trace.Begin(call.Info(), spanInvoke)
-	reply, err := invoke(obj, call)
-	sp.End(call.Info(), err)
-	stats.EndCall(begin, uint32(call.Op), call.Info().ExemplarTrace(), err)
-	return reply, err
-}
-
-func invoke(obj *core.Object, call *core.Call) (*buffer.Buffer, error) {
 	if err := obj.CheckLive(); err != nil {
 		return nil, err
 	}

@@ -45,14 +45,15 @@ var ErrNoReplicas = errors.New("replicon: no live replicas")
 // one, or one that shed the call) within one call.
 const maxRounds = 20
 
-// stats is the subcontract's metrics block; Failovers counts replicas
-// dropped from the target set mid-scan.
+// stats is the subcontract's metrics block, the one the base measures its
+// calls into; Failovers counts replicas dropped from the target set
+// mid-scan.
 var stats = scstats.For("replicon")
 
-// Trace span/event names: the invoke span brackets the failover scan,
-// each replica death and re-attempt marked by an event inside it.
+// Trace event names: each replica death and re-attempt is marked by an
+// event inside the replicon.invoke span the base opens around the
+// failover scan.
 var (
-	spanInvoke        = trace.Name("replicon.invoke")
 	spanFailoverEvent = trace.Name("replicon.failover")
 	spanRetryEvent    = trace.Name("replicon.retry")
 )
@@ -195,15 +196,6 @@ func (ops) InvokePreamble(obj *core.Object, call *core.Call) error {
 // invocation context bounds the scan: once it ends, Invoke stops — the
 // dead replicas found so far stay dropped.
 func (ops) Invoke(obj *core.Object, call *core.Call) (*buffer.Buffer, error) {
-	begin := stats.Begin()
-	sp := trace.Begin(call.Info(), spanInvoke)
-	reply, err := invoke(obj, call)
-	sp.End(call.Info(), err)
-	stats.EndCall(begin, uint32(call.Op), call.Info().ExemplarTrace(), err)
-	return reply, err
-}
-
-func invoke(obj *core.Object, call *core.Call) (*buffer.Buffer, error) {
 	if err := obj.CheckLive(); err != nil {
 		return nil, err
 	}

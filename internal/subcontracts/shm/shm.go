@@ -25,10 +25,8 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/kernel"
-	"repro/internal/scstats"
 	"repro/internal/stubs"
 	"repro/internal/subcontracts/doorsc"
-	"repro/internal/trace"
 )
 
 // SCID is the shared-buffer subcontract identifier.
@@ -70,10 +68,6 @@ func (s *SC) ID() core.ID { return SCID }
 
 // Name implements core.Subcontract.
 func (s *SC) Name() string { return "shm" }
-
-// stats is the subcontract's metrics block, shared by the shm modes (they
-// are one subcontract family with one name).
-var stats = scstats.For("shm")
 
 func rep(obj *core.Object) (doorsc.Rep, error) {
 	r, ok := obj.Rep.(doorsc.Rep)
@@ -152,18 +146,6 @@ func (s *SC) InvokePreamble(obj *core.Object, call *core.Call) error {
 // arguments are first copied into a region, modelling the extra copy the
 // preamble avoids.
 func (s *SC) Invoke(obj *core.Object, call *core.Call) (*buffer.Buffer, error) {
-	st := stats
-	begin := st.Begin()
-	sp := trace.Begin(call.Info(), spanInvoke)
-	reply, err := s.invoke(obj, call)
-	sp.End(call.Info(), err)
-	st.EndCall(begin, uint32(call.Op), call.Info().ExemplarTrace(), err)
-	return reply, err
-}
-
-var spanInvoke = trace.Name("shm.invoke")
-
-func (s *SC) invoke(obj *core.Object, call *core.Call) (*buffer.Buffer, error) {
 	if err := obj.CheckLive(); err != nil {
 		return nil, err
 	}

@@ -18,10 +18,8 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/kernel"
-	"repro/internal/scstats"
 	"repro/internal/stubs"
 	"repro/internal/subcontracts/doorsc"
-	"repro/internal/trace"
 )
 
 // SCID is the simplex subcontract identifier.
@@ -85,15 +83,11 @@ type localOps struct{}
 
 var local core.ClientOps = localOps{}
 
-func (localOps) ID() core.ID  { return SCID }
+func (localOps) ID() core.ID { return SCID }
+
+// Name is what the doorless local path is measured under; the remote path
+// is measured under "simplex", its doorsc.Ops's name.
 func (localOps) Name() string { return "simplex(local)" }
-
-// localStats is the metrics block for the door-less local path; the
-// remote path reports under "simplex" through its doorsc.Ops.
-var localStats = scstats.For("simplex(local)")
-
-// spanLocalInvoke traces the doorless local invocation path.
-var spanLocalInvoke = trace.Name("simplex(local).invoke")
 
 func state(obj *core.Object) (*localState, error) {
 	st, ok := obj.Rep.(*localState)
@@ -164,15 +158,6 @@ func (localOps) InvokePreamble(obj *core.Object, call *core.Call) error {
 // no preemption point (the server runs on the caller's thread, exactly as
 // with a door call).
 func (localOps) Invoke(obj *core.Object, call *core.Call) (*buffer.Buffer, error) {
-	begin := localStats.Begin()
-	sp := trace.Begin(call.Info(), spanLocalInvoke)
-	reply, err := localInvoke(obj, call)
-	sp.End(call.Info(), err)
-	localStats.EndCall(begin, uint32(call.Op), call.Info().ExemplarTrace(), err)
-	return reply, err
-}
-
-func localInvoke(obj *core.Object, call *core.Call) (*buffer.Buffer, error) {
 	if err := call.Err(); err != nil {
 		return nil, err
 	}

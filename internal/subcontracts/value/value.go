@@ -26,9 +26,7 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/core"
-	"repro/internal/scstats"
 	"repro/internal/stubs"
-	"repro/internal/trace"
 )
 
 // SCID is the value subcontract identifier.
@@ -91,9 +89,6 @@ func Register(r *core.Registry) error { return r.Register(SC) }
 
 func (ops) ID() core.ID  { return SCID }
 func (ops) Name() string { return "value" }
-
-// stats is the subcontract's metrics block.
-var stats = scstats.For("value")
 
 func rep(obj *core.Object) (*Rep, error) {
 	r, ok := obj.Rep.(*Rep)
@@ -163,17 +158,6 @@ func (ops) InvokePreamble(obj *core.Object, call *core.Call) error {
 // fails before the handler runs (there is nothing to interrupt once a
 // local dispatch has started).
 func (ops) Invoke(obj *core.Object, call *core.Call) (*buffer.Buffer, error) {
-	begin := stats.Begin()
-	sp := trace.Begin(call.Info(), spanInvoke)
-	reply, err := invoke(obj, call)
-	sp.End(call.Info(), err)
-	stats.EndCall(begin, uint32(call.Op), call.Info().ExemplarTrace(), err)
-	return reply, err
-}
-
-var spanInvoke = trace.Name("value.invoke")
-
-func invoke(obj *core.Object, call *core.Call) (*buffer.Buffer, error) {
 	if err := call.Err(); err != nil {
 		return nil, err
 	}

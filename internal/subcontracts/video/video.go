@@ -23,9 +23,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dgram"
 	"repro/internal/kernel"
-	"repro/internal/scstats"
 	"repro/internal/stubs"
-	"repro/internal/trace"
 )
 
 // SCID is the video subcontract identifier.
@@ -90,10 +88,6 @@ func Register(r *core.Registry) error { return r.Register(SC) }
 
 func (ops) ID() core.ID  { return SCID }
 func (ops) Name() string { return "video" }
-
-// stats is the subcontract's metrics block (control-path calls only;
-// frames bypass invocation entirely).
-var stats = scstats.For("video")
 
 func rep(obj *core.Object) (*Rep, error) {
 	r, ok := obj.Rep.(*Rep)
@@ -194,17 +188,6 @@ func (ops) InvokePreamble(obj *core.Object, call *core.Call) error {
 }
 
 func (ops) Invoke(obj *core.Object, call *core.Call) (*buffer.Buffer, error) {
-	begin := stats.Begin()
-	sp := trace.Begin(call.Info(), spanInvoke)
-	reply, err := invoke(obj, call)
-	sp.End(call.Info(), err)
-	stats.EndCall(begin, uint32(call.Op), call.Info().ExemplarTrace(), err)
-	return reply, err
-}
-
-var spanInvoke = trace.Name("video.invoke")
-
-func invoke(obj *core.Object, call *core.Call) (*buffer.Buffer, error) {
 	if err := obj.CheckLive(); err != nil {
 		return nil, err
 	}

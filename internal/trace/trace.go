@@ -164,10 +164,6 @@ func MaybeHead() uint64 {
 	return NewTraceID()
 }
 
-// Traced reports whether info carries a live trace — instrumentation
-// guards any per-span setup cost (lazy name interning) behind it.
-func Traced(info *kernel.Info) bool { return info != nil && info.Trace != 0 }
-
 // ---------------------------------------------------------------------
 // Span bracketing.
 
