@@ -31,10 +31,12 @@ faults:
 # restart it against the same WAL directories and netd state file, on a
 # TCP address and on a unix: one whose socket file the kill leaves
 # behind — same instance identity, no acked write lost, zero
-# client-visible errors — plus the WAL/snapshot corruption property tests.
+# client-visible errors — plus the WAL/snapshot corruption property tests,
+# and the power-cut tests: recovery on every disk a cut after each call of
+# a recorded workload may leave (internal/durable).
 crash:
-	go test -race -run 'KillRestart|RestartRecovers|RestartRejoins|StateFile|CorruptState|FirstBoot|WAL|Snapshot|SaveFile' \
-		./internal/integration/ ./internal/netd/ ./internal/filesys/
+	go test -race -run 'KillRestart|RestartRecovers|RestartRejoins|StateFile|CorruptState|FirstBoot|WAL|Snapshot|SaveFile|PowerCut' \
+		./internal/integration/ ./internal/netd/ ./internal/filesys/ ./internal/durable/
 
 # Every Fuzz* target in the tree, package by package, for FUZZTIME each
 # (default 10s), with two fuzzing workers. The targets are found with git

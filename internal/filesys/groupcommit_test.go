@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/buffer"
+	"repro/internal/durable"
 	"repro/internal/kernel"
 	"repro/internal/netd"
 	"repro/internal/scstats"
@@ -24,9 +25,18 @@ import (
 // during the last fsync, and the dispatch stage in front of the WAL lets
 // every blocked writer be a record in that queue.
 
-// openStubbedWAL opens a WAL over a fresh store whose fsync is replaced by
-// sync. The committer reads w.sync only after taking w.mu behind the first
-// append, so setting it here, before any mutation, is ordered before it.
+// syncStub is a log file whose Sync is replaced.
+type syncStub struct {
+	durable.File
+	sync func() error
+}
+
+func (f syncStub) Sync() error { return f.sync() }
+
+// openStubbedWAL opens a WAL over a fresh store whose log file's fsync is
+// replaced by sync. The committer reads w.f only after taking w.mu behind
+// the first append, so setting it here, before any mutation, is ordered
+// before it.
 func openStubbedWAL(t *testing.T, sync func() error) (*Store, *WAL) {
 	t.Helper()
 	s := NewStore()
@@ -35,7 +45,7 @@ func openStubbedWAL(t *testing.T, sync func() error) (*Store, *WAL) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = w.Close() })
-	w.sync = sync
+	w.f = syncStub{w.f, sync}
 	return s, w
 }
 

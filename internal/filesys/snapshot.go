@@ -8,11 +8,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"repro/internal/buffer"
+	"repro/internal/durable"
 )
 
 // Store persistence: the stable storage behind reconnectable servers
@@ -234,62 +235,18 @@ func readSnapshot(src io.Reader) (map[string]*fileState, error) {
 	return files, nil
 }
 
-// SaveFile writes the store snapshot to path crash-consistently: the bytes
-// go to a temp file in the same directory, are fsynced, renamed over the
-// destination, and the directory is fsynced — so at every instant path
-// holds either the previous complete snapshot or the new one, never a
-// torn mixture.
+// SaveFile writes the store snapshot to path crash-consistently
+// (durable.Replace): at every instant path holds either the previous
+// complete snapshot or the new one, never a torn mixture.
 func (s *Store) SaveFile(path string) error {
-	return writeFileAtomic(path, s.SnapshotTo)
-}
-
-// writeFileAtomic is the temp+fsync+rename+dir-fsync sequence shared by
-// snapshot saves and the WAL's compaction checkpoint; fill writes the data.
-func writeFileAtomic(path string, fill func(io.Writer) error) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("filesys: snapshot temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	cleanup := func() { _ = tmp.Close(); _ = os.Remove(tmpName) }
-	if err := fill(tmp); err != nil {
-		cleanup()
-		return fmt.Errorf("filesys: writing %s: %w", tmpName, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return fmt.Errorf("filesys: syncing %s: %w", tmpName, err)
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("filesys: closing %s: %w", tmpName, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("filesys: installing %s: %w", path, err)
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a just-renamed entry survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("filesys: opening dir %s: %w", dir, err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("filesys: syncing dir %s: %w", dir, err)
-	}
-	return nil
+	return durable.Replace(durable.Disk(), path, s.SnapshotTo)
 }
 
 // LoadFile restores the store from path, streaming it (see restoreFrom); a
 // missing file leaves the store empty (first boot).
 func (s *Store) LoadFile(path string) error {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
+	f, err := durable.Disk().OpenFile(path, os.O_RDONLY, 0)
+	if errors.Is(err, fs.ErrNotExist) {
 		return nil
 	}
 	if err != nil {

@@ -43,6 +43,7 @@ import (
 	"sync"
 
 	"repro/internal/buffer"
+	"repro/internal/durable"
 	"repro/internal/scstats"
 )
 
@@ -163,13 +164,12 @@ type WAL struct {
 	opts  WALOptions
 
 	// The rest of this group belongs to the committer goroutine after
-	// OpenWAL: the log and its length; sync, which is f.Sync outside tests;
-	// the records taken off the queue and the buffer they are framed in,
-	// both reused from one batch to the next; the log length the next
-	// checkpoint is due at; and the checkpoint's write buffer.
-	f         *os.File
+	// OpenWAL: the log and its length; the records taken off the queue and
+	// the buffer they are framed in, both reused from one batch to the
+	// next; the log length the next checkpoint is due at; and the
+	// checkpoint's write buffer.
+	f         durable.File
 	size      int64
-	sync      func() error
 	taken     []*walPending
 	batch     buffer.Buffer
 	compactAt int64
@@ -193,17 +193,22 @@ type WAL struct {
 // costs the store it rebuilds, not a copy of the files it reads.
 func OpenWAL(dir string, store *Store, opts WALOptions) (*WAL, error) {
 	opts = opts.withDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	fsys := durable.Disk()
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("filesys: wal dir: %w", err)
 	}
 	if err := store.LoadFile(filepath.Join(dir, SnapshotFileName)); err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(filepath.Join(dir, LogFileName), os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := fsys.OpenFile(filepath.Join(dir, LogFileName), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("filesys: opening wal: %w", err)
 	}
 	goodLen, err := replayLogFile(f, store)
+	if err == nil {
+		// A log, or a WAL directory, this open created lasts once its parent is synced.
+		err = errors.Join(fsys.SyncDir(dir), fsys.SyncDir(filepath.Dir(dir)))
+	}
 	if err != nil {
 		_ = f.Close()
 		return nil, err
@@ -214,7 +219,6 @@ func OpenWAL(dir string, store *Store, opts WALOptions) (*WAL, error) {
 		opts:      opts,
 		f:         f,
 		size:      goodLen,
-		sync:      f.Sync,
 		compactAt: opts.CompactBytes,
 		kick:      make(chan struct{}, 1),
 		done:      make(chan struct{}),
@@ -229,7 +233,7 @@ func OpenWAL(dir string, store *Store, opts WALOptions) (*WAL, error) {
 // the whole log is validated before any of it is applied. A torn tail is
 // cut off; f is left positioned at the end of the valid prefix, whose
 // length is returned.
-func replayLogFile(f *os.File, store *Store) (goodLen int64, err error) {
+func replayLogFile(f durable.File, store *Store) (goodLen int64, err error) {
 	fi, err := f.Stat()
 	if err != nil {
 		return 0, fmt.Errorf("filesys: reading wal: %w", err)
@@ -260,9 +264,6 @@ func replayLogFile(f *os.File, store *Store) (goodLen int64, err error) {
 	}
 	return goodLen, nil
 }
-
-// Dir returns the durability directory the WAL lives in.
-func (w *WAL) Dir() string { return w.dir }
 
 // append enqueues one record for the next group commit. Callers may hold
 // store or file locks; only w.mu is taken here.
@@ -416,7 +417,7 @@ func (w *WAL) commitBatch(batch []*walPending) {
 	}
 	write(out.Bytes())
 	if err == nil {
-		if serr := w.sync(); serr != nil {
+		if serr := w.f.Sync(); serr != nil {
 			err = fmt.Errorf("filesys: wal sync: %w", serr)
 		}
 	}
@@ -460,7 +461,7 @@ func (w *WAL) compact() error {
 		w.ckpt = bufio.NewWriterSize(nil, snapshotChunk)
 	}
 	fill := func(f io.Writer) error { return w.store.snapshotTo(f, w.ckpt) }
-	if err := writeFileAtomic(filepath.Join(w.dir, SnapshotFileName), fill); err != nil {
+	if err := durable.Replace(durable.Disk(), filepath.Join(w.dir, SnapshotFileName), fill); err != nil {
 		return err
 	}
 	if err := w.f.Truncate(0); err != nil {

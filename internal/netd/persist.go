@@ -4,15 +4,16 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"math"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/kernel"
 )
 
@@ -151,34 +152,13 @@ func (s *Server) flushState() {
 	s.settle()
 }
 
-// writeStateFile writes ps to path crash-safely: temp file in the same
-// directory, fsync, rename over the target, directory fsync. A crash at any
-// point leaves either the old file or the new one, never a torn mix.
+// writeStateFile writes ps to path crash-safely (durable.Replace): a crash
+// at any point leaves either the old file or the new one, never a torn mix.
 func writeStateFile(path string, ps *persistedState) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".netd-state-*")
-	if err != nil {
+	return durable.Replace(durable.Disk(), path, func(w io.Writer) error {
+		_, err := w.Write(ps.encode())
 		return err
-	}
-	_, err = tmp.Write(ps.encode())
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
-	return nil
+	})
 }
 
 // loadState restores the persisted tables into a freshly constructed
@@ -187,8 +167,8 @@ func writeStateFile(path string, ps *persistedState) error {
 // identity would strand every peer's references until their leases lapse,
 // which is exactly what the state file exists to avoid.
 func (s *Server) loadState() error {
-	data, err := os.ReadFile(s.cfg.StateFile)
-	if os.IsNotExist(err) {
+	data, err := durable.Disk().ReadFile(s.cfg.StateFile)
+	if errors.Is(err, fs.ErrNotExist) {
 		return nil // a first boot: the fresh identity is persisted at once
 	}
 	if err != nil {
