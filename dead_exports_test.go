@@ -1,10 +1,13 @@
 package repro_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
+	"os"
 	"path"
 	"path/filepath"
 	"slices"
@@ -136,5 +139,95 @@ func TestNoDeadExports(t *testing.T) {
 	slices.Sort(dead)
 	for _, d := range dead {
 		t.Errorf("%s is exported and nothing uses it", d)
+	}
+}
+
+// TestEveryGaugeIsRead is the gauge leg of the reachability audit: every
+// name that a non-test file outside benchmark/ interns with scstats'
+// GaugeFor, CounterFor or GaugeFunc must be read by name by a test, by
+// cmd/sctop or by benchmark/, in a file that does not intern it. A reader
+// names it as a Go string ("netd.conns_live") or as the Prometheus family it
+// is scraped as (netd_conns_live). A gauge nothing reads shows nothing.
+func TestEveryGaugeIsRead(t *testing.T) {
+	interners := map[string]map[string]bool{} // name → the files interning it
+	var readers []string                      // paths of the files that may read one
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(p, ".go") {
+			return nil
+		}
+		slash := filepath.ToSlash(p)
+		if strings.HasSuffix(p, "_test.go") || strings.HasPrefix(slash, "cmd/sctop/") || strings.HasPrefix(slash, "benchmark/") {
+			readers = append(readers, p)
+		}
+		if strings.HasSuffix(p, "_test.go") || strings.HasPrefix(slash, "benchmark/") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
+				return true
+			}
+			fn := call.Fun
+			if sel, ok := fn.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "scstats" {
+					return true
+				}
+				fn = sel.Sel
+			} else if f.Name.Name != "scstats" {
+				return true
+			}
+			lit, ok := call.Args[0].(*ast.BasicLit)
+			if id, isIdent := fn.(*ast.Ident); !ok || !isIdent || lit.Kind != token.STRING ||
+				(id.Name != "GaugeFor" && id.Name != "CounterFor" && id.Name != "GaugeFunc") {
+				return true
+			}
+			name, _ := strconv.Unquote(lit.Value)
+			if interners[name] == nil {
+				interners[name] = map[string]bool{}
+			}
+			interners[name][p] = true
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(interners) < 25 || interners["netd.conns_live"] == nil || interners["buffer.gets"] == nil {
+		t.Fatalf("found %d interned gauge names; the scan has lost its way", len(interners))
+	}
+	read := map[string]bool{}
+	for _, p := range readers {
+		src, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, files := range interners {
+			if !files[p] && (strings.Contains(string(src), strconv.Quote(name)) ||
+				strings.Contains(string(src), strings.ReplaceAll(name, ".", "_"))) {
+				read[name] = true
+			}
+		}
+	}
+	var unread []string
+	for name, files := range interners {
+		if !read[name] {
+			unread = append(unread, fmt.Sprintf("%s (interned in %s)", name, strings.Join(slices.Sorted(maps.Keys(files)), ", ")))
+		}
+	}
+	slices.Sort(unread)
+	for _, u := range unread {
+		t.Errorf("gauge %s: no test, sctop view or benchmark scrape reads it", u)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/kernel"
+	"repro/internal/scstats"
 	"repro/internal/sctest"
 	"repro/internal/subcontracts/singleton"
 )
@@ -165,6 +166,7 @@ func TestReplyBudgetBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	const budget = 1 << 20
+	live0 := scstats.GaugeFor("cache.bytes_live").Value()
 	m := NewManager(mgrEnv)
 	m.budget = budget
 
@@ -190,6 +192,10 @@ func TestReplyBudgetBounded(t *testing.T) {
 	}
 	if s.BytesLive > budget {
 		t.Fatalf("bytes_live = %d, budget %d", s.BytesLive, budget)
+	}
+	// The cache.bytes_live gauge is the same charge, summed over managers.
+	if d := scstats.GaugeFor("cache.bytes_live").Value() - live0; d != s.BytesLive {
+		t.Fatalf("cache.bytes_live moved %+d, the manager holds %d", d, s.BytesLive)
 	}
 
 	// The hot (most recently used) subset must still hit.

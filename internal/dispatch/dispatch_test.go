@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/scstats"
 )
 
 // With one worker the engine degenerates to the old executor: strict
@@ -276,19 +278,26 @@ func TestSubmitAllocs(t *testing.T) {
 	}
 }
 
+// Queued counts one engine's waiting items, the dispatch.queued gauge
+// every engine's; an item leaves both when a worker takes it.
 func TestQueued(t *testing.T) {
+	queued := scstats.GaugeFor("dispatch.queued")
+	q0 := queued.Value()
 	e := New(Config{Workers: 1})
-	defer e.Close()
 	release := make(chan struct{})
-	defer close(release)
 	hold(t, e, 1, release)
 	for i := 0; i < 3; i++ {
 		if err := e.Submit(0, func() {}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if q := e.Queued(); q != 3 {
-		t.Fatalf("Queued = %d, want 3", q)
+	if q, g := e.Queued(), queued.Value()-q0; q != 3 || g != 3 {
+		t.Fatalf("Queued = %d, dispatch.queued moved %+d; want 3 and +3", q, g)
+	}
+	close(release)
+	e.Close() // drains the queue
+	if q, g := e.Queued(), queued.Value()-q0; q != 0 || g != 0 {
+		t.Fatalf("drained: Queued = %d, dispatch.queued moved %+d; want 0 and 0", q, g)
 	}
 }
 

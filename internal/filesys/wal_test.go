@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"repro/internal/scstats"
 )
 
 // mustCreate / mustWrite are store-mutation helpers that fail the test on
@@ -66,6 +68,51 @@ func TestWALRecoversAcrossKill(t *testing.T) {
 	}
 	if _, err := s2.get("doomed"); err == nil {
 		t.Fatal("removed file came back")
+	}
+}
+
+// TestWALGauges: wal.log_bytes is the live log's length — what committed
+// records wrote, given back when the WAL closes — and
+// wal.records_replayed counts the records a reopen applies.
+func TestWALGauges(t *testing.T) {
+	logBytes, replayed := scstats.GaugeFor("wal.log_bytes"), scstats.GaugeFor("wal.records_replayed")
+	bytes0, replayed0 := logBytes.Value(), replayed.Value()
+	dir := t.TempDir()
+	s := NewStore()
+	w, err := OpenWAL(dir, s, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := mustCreate(t, s, "a")
+	mustWrite(t, a, 0, []byte("hello"))
+	mustWrite(t, a, 5, []byte(" wal"))
+	fi, err := os.Stat(filepath.Join(dir, LogFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := logBytes.Value() - bytes0; d != fi.Size() || d == 0 {
+		t.Fatalf("wal.log_bytes moved %+d over a %d-byte log", d, fi.Size())
+	}
+	w.Kill()
+	if d := logBytes.Value() - bytes0; d != 0 {
+		t.Fatalf("wal.log_bytes moved %+d once the WAL is gone, want 0", d)
+	}
+
+	w2, err := OpenWAL(dir, NewStore(), WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := replayed.Value() - replayed0; d != 3 {
+		t.Fatalf("wal.records_replayed moved %+d reopening a log of a create and two writes, want +3", d)
+	}
+	if d := logBytes.Value() - bytes0; d != fi.Size() {
+		t.Fatalf("wal.log_bytes moved %+d after the reopen, want the log's %d", d, fi.Size())
+	}
+	if err := w2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := logBytes.Value() - bytes0; d != 0 {
+		t.Fatalf("wal.log_bytes moved %+d after Close, want 0", d)
 	}
 }
 

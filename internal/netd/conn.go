@@ -141,12 +141,12 @@ type conn struct {
 	wdl     time.Time
 	flusher func() // c.flushRest, bound once: a go statement on it allocates no closure
 
-	helloed  chan struct{} // closed once the peer's hello arrives
-	done     chan struct{} // closed when the conn dies
-	dead     atomic.Bool
-	lastRecv atomic.Int64 // unix nanos of the last read that returned bytes
-	lastSend atomic.Int64 // unix nanos of the last write begun
-	pinging  atomic.Bool
+	helloed        chan struct{} // closed once the peer's hello arrives
+	done           chan struct{} // closed when the conn dies
+	dead           atomic.Bool
+	pinging        atomic.Bool
+	recvd, sent    atomic.Bool // marks: a read returned bytes, a write began, since the last sweep
+	recvAt, sendAt int64       // stamps: the unix nanos of the sweeps that saw them (sweep), under Server.mu
 
 	// The pending-call table: the calls registered and not yet settled,
 	// by request id. pending is len(pend), readable without pmu.
@@ -175,19 +175,16 @@ func newConn(netc sock.Stream) *conn {
 	}
 	c.room.L = &c.wmu
 	c.flusher = c.flushRest
-	now := time.Now().UnixNano()
-	c.lastRecv.Store(now)
-	c.lastSend.Store(now)
 	return c
 }
 
-// Read is the reader's source: the socket, with the liveness clock stamped
-// once per read that returned bytes — once per batch of frames rather than
-// per frame, and never skipped however long the stream stays busy.
+// Read is the reader's source: the socket, marking the connection once per
+// read that returned bytes — once per batch of frames rather than per
+// frame, and never skipped however long the stream stays busy.
 func (c *conn) Read(p []byte) (int, error) {
 	n, err := c.netc.Read(p)
 	if n > 0 {
-		c.lastRecv.Store(time.Now().UnixNano())
+		c.recvd.Store(true)
 	}
 	return n, err
 }
@@ -391,8 +388,8 @@ func (c *conn) take() {
 func (c *conn) write(patient bool) bool {
 	err := errConnDead
 	if !c.dead.Load() {
+		c.sent.Store(true)
 		now := time.Now()
-		c.lastSend.Store(now.UnixNano())
 		if patient && c.wdl.Sub(now) < writePatience {
 			c.wdl = now.Add(2 * writePatience)
 			_ = c.netc.SetWriteDeadline(c.wdl)

@@ -22,7 +22,14 @@ func TestDeadlineBoundsForward(t *testing.T) {
 
 	gate := make(chan struct{})
 	t.Cleanup(func() { close(gate) })
-	hang := stubsSkeleton(func() { <-gate })
+	entered := make(chan struct{}, 1)
+	hang := stubsSkeleton(func() {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-gate
+	})
 	obj, _ := singleton.Export(a.env, sctest.CounterMT, hang, nil)
 	a.srv.PublishRoot("hang", obj)
 	remote, err := b.srv.ImportRootObject(b.env, a.srv.Addr(), "hang", sctest.CounterMT)
@@ -52,7 +59,14 @@ func TestCancelAbortsForward(t *testing.T) {
 
 	gate := make(chan struct{})
 	t.Cleanup(func() { close(gate) })
-	hang := stubsSkeleton(func() { <-gate })
+	entered := make(chan struct{}, 1)
+	hang := stubsSkeleton(func() {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-gate
+	})
 	obj, _ := singleton.Export(a.env, sctest.CounterMT, hang, nil)
 	a.srv.PublishRoot("hang", obj)
 	remote, err := b.srv.ImportRootObject(b.env, a.srv.Addr(), "hang", sctest.CounterMT)
@@ -66,7 +80,11 @@ func TestCancelAbortsForward(t *testing.T) {
 		_, err := sctest.Get(remote, core.WithCancel(cancel))
 		done <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // let the call reach the wire
+	select {
+	case <-entered: // the call crossed the wire and is in its handler
+	case <-time.After(2 * time.Second):
+		t.Fatal("the call never reached the exporter's handler")
+	}
 	close(cancel)
 	select {
 	case err := <-done:

@@ -2,7 +2,6 @@ package netd
 
 import (
 	"sync/atomic"
-	"time"
 
 	"repro/internal/kernel"
 )
@@ -100,7 +99,7 @@ func (s *Server) getConnSlow(p *peerState, r role) (*conn, error) {
 			}
 			continue // the shared dial's conn died already; try once more
 		}
-		until, ok := s.proto.admit(p, time.Now())
+		until, ok := s.proto.admit(p, s.clk.now())
 		if !ok {
 			s.mu.Unlock()
 			return l.borrow(r, &kernel.RetryAt{At: until, Err: ErrBreakerOpen})
@@ -112,7 +111,7 @@ func (s *Server) getConnSlow(p *peerState, r role) (*conn, error) {
 		c, err := s.dialAndHello(p)
 		s.mu.Lock()
 		l.dialing[r] = nil
-		s.proto.dialed(p, err == nil, time.Now())
+		s.proto.dialed(p, err == nil, s.clk.now())
 		if err == nil {
 			if s.closed {
 				err = ErrClosed

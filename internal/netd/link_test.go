@@ -267,7 +267,9 @@ func TestKillOneConnectionOtherRoleServes(t *testing.T) {
 			}(r)
 		}
 	}
-	time.Sleep(50 * time.Millisecond) // let both connections fill with calls
+	until(t, "calls in flight on both connections", func() bool {
+		return before[roleCall].pending.Load() > 0 && before[roleBulk].pending.Load() > 0
+	})
 	if !fn.KillOne() {
 		t.Fatal("no live wrapped conn to kill")
 	}

@@ -87,6 +87,7 @@ func (s *Server) perform(a action) {
 			ping := buffer.Get(1)
 			ping.WriteByte(msgPing)
 			_ = c.send(ping)
+			c.sent.Store(false) // the tick stamped it; a write racing this costs one ping at most
 		}(a.c)
 	case actFail:
 		a.c.fail(commErr("peer silent past the heartbeat grace %v", s.cfg.LeaseGrace))
@@ -176,39 +177,61 @@ func (s *Server) connClosed(c *conn) {
 		delete(s.allConns, c)
 		gConns.Add(-1)
 	}
-	s.proto.connClosed(c, c.sess, c.peer, time.Now())
+	s.proto.connClosed(c, c.sess, c.peer, s.clk.now())
 	s.settle()
 	_ = c.netc.Close()
 }
 
-// sweeper is the liveness clock: every half heartbeat interval it hands
-// the time and the live connections' stamps to the control plane's tick.
-// Its silence judgement is the partition detector — TCP alone never
-// notices a silent peer. Each tick also trims the buffer pool (buffer.Trim).
-func (s *Server) sweeper() {
-	defer s.wg.Done()
-	t := time.NewTicker(max(s.cfg.HeartbeatInterval/2, time.Millisecond))
+// sweep is the liveness clock's tick, one per half heartbeat interval: it
+// stamps the data path's marks (and new connections) with its own time for
+// the control plane's tick — the partition detector, since TCP alone never
+// notices a silent peer — counts a ping that tick orders as sent now, and
+// trims the buffer pool (buffer.Trim).
+func (s *Server) sweep() {
+	now := s.clk.now()
+	s.mu.Lock()
+	for c := range s.allConns {
+		if !c.isDead() { // a dead one is on its way to connClosed
+			if c.recvd.Swap(false) || c.recvAt == 0 {
+				c.recvAt = now.UnixNano()
+			}
+			if c.sent.Swap(false) || c.sendAt == 0 {
+				c.sendAt = now.UnixNano()
+			}
+			s.stamps = append(s.stamps, connStamp{c: c, sess: c.sess, recv: c.recvAt, send: c.sendAt})
+		}
+	}
+	s.proto.tick(now, s.stamps)
+	for _, a := range s.proto.acts {
+		if a.kind == actPing {
+			a.c.sendAt = now.UnixNano()
+		}
+	}
+	clear(s.stamps)
+	s.stamps = s.stamps[:0]
+	s.settle()
+	buffer.Trim()
+}
+
+// clock is the liveness plane's one time (DESIGN §7): now, and a ticker that
+// calls tick each d until stop closes. Tests run servers on a manual one.
+type clock struct {
+	now   func() time.Time
+	every func(d time.Duration, stop <-chan struct{}, tick func())
+}
+
+var realClock = clock{now: time.Now, every: func(d time.Duration, stop <-chan struct{}, tick func()) {
+	t := time.NewTicker(d)
 	defer t.Stop()
-	var stamps []connStamp // reused: a steady tick allocates nothing
 	for {
 		select {
-		case <-s.stop:
+		case <-stop:
 			return
 		case <-t.C:
+			tick()
 		}
-		s.mu.Lock()
-		for c := range s.allConns {
-			if !c.isDead() { // a dead one is on its way to connClosed
-				stamps = append(stamps, connStamp{c: c, sess: c.sess, recv: c.lastRecv.Load(), send: c.lastSend.Load()})
-			}
-		}
-		s.proto.tick(time.Now(), stamps)
-		s.settle()
-		clear(stamps)
-		stamps = stamps[:0]
-		buffer.Trim()
 	}
-}
+}}
 
 // Sessions reports the number of live peer sessions (observability).
 func (s *Server) Sessions() int {

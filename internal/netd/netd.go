@@ -198,10 +198,12 @@ type Server struct {
 	// and forwarders read it concurrently, so it is not settable
 	// afterwards).
 	cfg Config
+	clk clock // the liveness plane's time (liveness.go)
 
 	// Guarded by mu.
 	shown    tally              // what settle last published of proto's tally
 	allConns map[*conn]struct{} // every live connection, for teardown
+	stamps   []connStamp        // the sweep's, reused: a steady tick allocates nothing
 	closed   bool
 
 	// inflight is the server-wide admission counter against
@@ -220,6 +222,11 @@ type Server struct {
 // server. Options adjust the configuration; zero fields take the
 // documented defaults in one place.
 func Start(dom *kernel.Domain, listenAddr string, opts ...Option) (*Server, error) {
+	return start(dom, listenAddr, realClock, opts...)
+}
+
+// start is Start with the liveness plane on clk.
+func start(dom *kernel.Domain, listenAddr string, clk clock, opts ...Option) (*Server, error) {
 	var cfg Config
 	for _, o := range opts {
 		o(&cfg)
@@ -234,6 +241,7 @@ func Start(dom *kernel.Domain, listenAddr string, opts ...Option) (*Server, erro
 			roots: make(map[string]*core.Object), proxies: make(map[uint64]*proxy)},
 		ln:       ln,
 		cfg:      cfg,
+		clk:      clk,
 		allConns: make(map[*conn]struct{}),
 		stop:     make(chan struct{}),
 	}
@@ -249,7 +257,7 @@ func Start(dom *kernel.Domain, listenAddr string, opts ...Option) (*Server, erro
 	}
 	s.wg.Add(2)
 	go s.acceptLoop()
-	go s.sweeper()
+	go func() { defer s.wg.Done(); clk.every(max(cfg.HeartbeatInterval/2, time.Millisecond), s.stop, s.sweep) }()
 	return s, nil
 }
 
@@ -619,12 +627,10 @@ func (s *Server) serveFrame(c *conn, in *buffer.Buffer, budget *time.Duration) b
 			break
 		}
 		s.handleHello(c, instance, epoch, listenAddr)
-	case msgPing:
+	case msgPing: // a pong needs no case: the read that brought it marked the connection
 		pong := buffer.Get(1)
 		pong.WriteByte(msgPong)
 		_ = c.queue(pong)
-	case msgPong:
-		// The read that brought it stamped lastRecv: all a pong is for.
 	case msgReply:
 		reqID, err := in.ReadUint64()
 		if err != nil {

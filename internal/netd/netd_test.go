@@ -350,13 +350,7 @@ func TestExportsDrainAfterConsume(t *testing.T) {
 	}
 	// The proxy's unreferenced notification sends a release; the export
 	// entry drains (asynchronously, over the wire).
-	deadline := time.Now().Add(3 * time.Second)
-	for a.srv.Exports() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("export entry never drained: %d", a.srv.Exports())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	until(t, "the export entry to drain", func() bool { return a.srv.Exports() == 0 })
 }
 
 func TestExportDedupe(t *testing.T) {

@@ -119,8 +119,9 @@ func TestLeaseSurvivesRedialFromPeer(t *testing.T) {
 	// calls A again (a new connection, accepted by A), and the grace
 	// passes. A never dialled B, but B never left: A's proxy must still
 	// work, and dropping it must release B's export.
-	a := newMachineCfg(t, "A", quickCfg())
-	b := newMachineCfg(t, "B", quickCfg())
+	clk := newManualClock()
+	a := clk.machine(t, "A")
+	b := clk.machine(t, "B")
 	ns := naming.NewServer(a.env)
 	a.srv.PublishRoot("naming", ns.Object())
 	ctxObj, err := b.srv.ImportRootObject(b.env, a.srv.Addr(), "naming", naming.ContextMT)
@@ -138,15 +139,18 @@ func TestLeaseSurvivesRedialFromPeer(t *testing.T) {
 
 	l := &b.srv.record(a.srv.Addr()).link
 	l.live(roleCall).fail(commErr("severed"))
-	waitFor(t, 2*time.Second, "A sees B's connection close", func() bool {
-		a.srv.mu.Lock()
-		defer a.srv.mu.Unlock()
-		return len(a.srv.allConns) == 0
-	})
+	until(t, "A sees B's connection close", func() bool { return connsOf(a.srv) == 0 })
 	if _, err := (naming.Context{Obj: ctxObj}).List(); err != nil { // B redials A
 		t.Fatal(err)
 	}
-	time.Sleep(3 * quickCfg().LeaseGrace) // A's sweeper ticks past the grace
+	// Without the accepted hello stopping its clock, A's record of B's
+	// address would lapse a tick past the grace; idle three graces.
+	c0 := countNow()
+	clk.idle(t, int(3*defaults.LeaseGrace/tick), a.srv, b.srv)
+	if p := a.srv.record(b.srv.Addr()); p == nil || p.lapsed || p.epoch.Load() != 0 {
+		t.Fatal("A's record of B's address lapsed while B was connected")
+	}
+	c0.moved(t, "three idle graces", nil)
 
 	local, err := ns.Handle()
 	if err != nil {
@@ -165,7 +169,7 @@ func TestLeaseSurvivesRedialFromPeer(t *testing.T) {
 	if err := proxy.Consume(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 2*time.Second, "B's export released", func() bool { return b.srv.Exports() == 0 })
+	until(t, "B's export released", func() bool { return b.srv.Exports() == 0 })
 }
 
 func TestLeaseExpiredForRestartedPeer(t *testing.T) {
@@ -174,10 +178,9 @@ func TestLeaseExpiredForRestartedPeer(t *testing.T) {
 	// machine C imports B's counter so that key 1 names a live door. A's
 	// proxy from the old B must fail with ErrLeaseExpired — never reach
 	// the new B's door — while a fresh import works.
-	cfg := quickCfg()
-	cfg.LeaseGrace = 10 * time.Second
-	a := newMachineCfg(t, "A", cfg)
-	b := newMachineCfg(t, "B", cfg)
+	clk := newManualClock()
+	a := clk.machine(t, "A")
+	b := clk.machine(t, "B")
 	exportCounter(t, b, "counter")
 	old, err := a.srv.ImportRootObject(a.env, b.srv.Addr(), "counter", sctest.CounterMT)
 	if err != nil {
@@ -188,26 +191,19 @@ func TestLeaseExpiredForRestartedPeer(t *testing.T) {
 	}
 	addr := b.srv.Addr()
 	_ = b.srv.Kill()
-	b2 := newMachineAt(t, "B2", addr, cfg)
+	b2 := newMachineOn(t, clk, "B2", addr, virtualCfg())
 	ctr2, _, _ := exportCounter(t, b2, "counter")
-	c := newMachineCfg(t, "C", cfg)
+	c := clk.machine(t, "C")
 	if _, err := c.srv.ImportRootObject(c.env, addr, "counter", sctest.CounterMT); err != nil {
 		t.Fatal(err)
 	}
 
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		_, err := sctest.Add(old, 1)
-		if err == nil {
-			t.Fatalf("the old proxy reached the restarted peer's door (counter %d)", ctr2.Value())
-		}
-		if errors.Is(err, ErrLeaseExpired) {
-			break
-		}
-		if !errors.Is(err, kernel.ErrCommFailure) || time.Now().After(deadline) { // a bad handle is a call that reached the new process
-			t.Fatalf("old proxy: %v; want ErrLeaseExpired", err)
-		}
-		time.Sleep(5 * time.Millisecond)
+	// No time passes: the old proxy's first call after A has seen the old
+	// connection close dials the restarted peer, whose hello names another
+	// instance.
+	until(t, "A sees the old B's connection close", func() bool { return connsOf(a.srv) == 0 })
+	if _, err := sctest.Add(old, 1); !errors.Is(err, ErrLeaseExpired) || !errors.Is(err, kernel.ErrCommFailure) {
+		t.Fatalf("old proxy: %v (counter %d); want ErrLeaseExpired", err, ctr2.Value())
 	}
 	fresh, err := a.srv.ImportRootObject(a.env, addr, "counter", sctest.CounterMT)
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/core"
@@ -193,7 +192,7 @@ func (s *Server) loadState() error {
 		rebound = append(rebound, reboundExport{key: pe.Key, label: pe.Label, door: ref.DoorID(), h: s.dom.AdoptRef(ref)})
 	}
 	s.mu.Lock()
-	s.proto.restore(ps, rebound, time.Now())
+	s.proto.restore(ps, rebound, s.clk.now())
 	s.settle()
 	return nil
 }

@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/kernel"
@@ -16,18 +15,7 @@ import (
 	"repro/internal/subcontracts/singleton"
 )
 
-// fastLivenessCfg scales the sweeper for tests so state flushes happen
-// in milliseconds.
-func fastLivenessCfg() Config {
-	return Config{
-		CallTimeout:       500 * time.Millisecond,
-		DialTimeout:       200 * time.Millisecond,
-		HeartbeatInterval: 20 * time.Millisecond,
-		LeaseGrace:        2 * time.Second,
-	}
-}
-
-// startDurable boots a server process for the durability tests: a
+// startDurable boots a server process for the durability tests on clk: a
 // kernel, an app env, a counter published as root "counter", and a netd
 // with the given state file whose rebinder re-marshals that root.
 type durableProc struct {
@@ -37,7 +25,7 @@ type durableProc struct {
 	ctr *sctest.Counter
 }
 
-func startDurable(t *testing.T, listenAddr, stateFile string) *durableProc {
+func startDurable(t *testing.T, clk *manualClock, listenAddr, stateFile string) *durableProc {
 	t.Helper()
 	k := kernel.New("D")
 	env, err := sctest.NewEnv(k, "D-app", singleton.Register)
@@ -47,8 +35,8 @@ func startDurable(t *testing.T, listenAddr, stateFile string) *durableProc {
 	ctr := &sctest.Counter{}
 	obj, _ := singleton.Export(env, sctest.CounterMT, ctr.Skeleton(), nil)
 	roots := map[string]*core.Object{"counter": obj}
-	srv, err := Start(k.NewDomain("D-netd"), listenAddr,
-		With(fastLivenessCfg()), With(Config{StateFile: stateFile, Rebinder: RootRebinder(roots)}))
+	srv, err := clk.start(k.NewDomain("D-netd"), listenAddr,
+		With(virtualCfg()), With(Config{StateFile: stateFile, Rebinder: RootRebinder(roots)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,21 +44,18 @@ func startDurable(t *testing.T, listenAddr, stateFile string) *durableProc {
 	return &durableProc{k: k, srv: srv, env: env, ctr: ctr}
 }
 
-func waitForStateFile(t *testing.T, path string, pred func(persistedState) bool) persistedState {
+// readState parses the state file at path.
+func readState(t *testing.T, path string) *persistedState {
 	t.Helper()
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		data, err := os.ReadFile(path)
-		if err == nil {
-			if ps, err := parseState(data); err == nil && pred(*ps) {
-				return *ps
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("state file %s never reached the expected shape", path)
-		}
-		time.Sleep(5 * time.Millisecond)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	ps, err := parseState(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ps
 }
 
 // TestStateFilePersistsIdentityAndExports: the sweeper writes the state
@@ -78,9 +63,10 @@ func waitForStateFile(t *testing.T, path string, pred func(persistedState) bool)
 // export the peer is holding.
 func TestStateFilePersistsIdentityAndExports(t *testing.T) {
 	stateFile := filepath.Join(t.TempDir(), "netd.state")
-	d := startDurable(t, "127.0.0.1:0", stateFile)
+	clk := newManualClock()
+	d := startDurable(t, clk, "127.0.0.1:0", stateFile)
 	t.Cleanup(func() { d.srv.Close() })
-	cli := newMachine(t, "C")
+	cli := clk.machine(t, "C")
 
 	remote, err := cli.srv.ImportRootObject(cli.env, d.srv.Addr(), "counter", sctest.CounterMT)
 	if err != nil {
@@ -90,9 +76,14 @@ func TestStateFilePersistsIdentityAndExports(t *testing.T) {
 		t.Fatalf("Add = %d, %v", v, err)
 	}
 
-	ps := waitForStateFile(t, stateFile, func(ps persistedState) bool {
-		return len(ps.Exports) > 0 && len(ps.Sessions) > 0
-	})
+	if ps := readState(t, stateFile); len(ps.Exports) != 0 || len(ps.Sessions) != 0 {
+		t.Fatalf("state file before a tick: %d exports, %d sessions; want the identity alone", len(ps.Exports), len(ps.Sessions))
+	}
+	clk.Advance(tick)
+	ps := readState(t, stateFile)
+	if len(ps.Exports) != 1 || len(ps.Sessions) != 1 {
+		t.Fatalf("state file after a tick: %d exports, %d sessions; want 1 and 1", len(ps.Exports), len(ps.Sessions))
+	}
 	if ps.Instance != d.srv.Instance() {
 		t.Fatalf("persisted instance %#x, server %#x", ps.Instance, d.srv.Instance())
 	}
@@ -113,9 +104,10 @@ func TestStateFilePersistsIdentityAndExports(t *testing.T) {
 // with no re-import.
 func TestRestartRejoinsOldIdentity(t *testing.T) {
 	stateFile := filepath.Join(t.TempDir(), "netd.state")
-	d := startDurable(t, "127.0.0.1:0", stateFile)
+	clk := newManualClock()
+	d := startDurable(t, clk, "127.0.0.1:0", stateFile)
 	addr, firstInstance := d.srv.Addr(), d.srv.Instance()
-	cli := newMachine(t, "C")
+	cli := clk.machine(t, "C")
 
 	remote, err := cli.srv.ImportRootObject(cli.env, addr, "counter", sctest.CounterMT)
 	if err != nil {
@@ -124,12 +116,15 @@ func TestRestartRejoinsOldIdentity(t *testing.T) {
 	if _, err := sctest.Add(remote, 3); err != nil {
 		t.Fatal(err)
 	}
-	ps := waitForStateFile(t, stateFile, func(ps persistedState) bool {
-		return len(ps.Exports) > 0 && len(ps.Sessions) > 0
-	})
+	clk.Advance(tick) // the sweeper persists the session and the export
+	ps := readState(t, stateFile)
+	if len(ps.Exports) != 1 || len(ps.Sessions) != 1 {
+		t.Fatalf("state file after a tick: %d exports, %d sessions; want 1 and 1", len(ps.Exports), len(ps.Sessions))
+	}
 
 	_ = d.srv.Kill()
-	d2 := startDurable(t, addr, stateFile)
+	until(t, "the client sees the old connection close", func() bool { return connsOf(cli.srv) == 0 })
+	d2 := startDurable(t, clk, addr, stateFile)
 	t.Cleanup(func() { d2.srv.Close() })
 
 	if got := d2.srv.Instance(); got != firstInstance {
@@ -144,26 +139,19 @@ func TestRestartRejoinsOldIdentity(t *testing.T) {
 	if got := d2.srv.Exports(); got != 1 {
 		t.Fatalf("rebound exports = %d, want 1", got)
 	}
+	// The restored session's grace starts at the restart: a grace later
+	// it still holds the export.
+	clk.Advance(defaults.LeaseGrace)
+	if d2.srv.Exports() != 1 || d2.srv.Sessions() != 1 {
+		t.Fatalf("one grace after the restart: %d exports, %d sessions; want 1 and 1", d2.srv.Exports(), d2.srv.Sessions())
+	}
 
-	// The client's old proxy reaches the rebound door once its redial
-	// lands; the counter state lives in the new process, so the value
-	// restarts — what must survive is the identifier, not the state.
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		v, err := sctest.Add(remote, 2)
-		if err == nil {
-			if v != 2 {
-				t.Fatalf("Add through rebound export = %d, want 2", v)
-			}
-			break
-		}
-		if !core.Retryable(err) {
-			t.Fatalf("old proxy failed non-retryably after restart: %v", err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("old proxy never recovered: %v", err)
-		}
-		time.Sleep(10 * time.Millisecond)
+	// The client's old proxy reaches the rebound door by its first call:
+	// the redial meets the same instance. The counter state lives in the
+	// new process, so the value restarts — what must survive is the
+	// identifier, not the state.
+	if v, err := sctest.Add(remote, 2); err != nil || v != 2 {
+		t.Fatalf("Add through rebound export = %d, %v; want 2", v, err)
 	}
 }
 
@@ -177,7 +165,7 @@ func TestCorruptStateFileRefusesStart(t *testing.T) {
 	}
 	k := kernel.New("D")
 	_, err := Start(k.NewDomain("D-netd"), "127.0.0.1:0",
-		With(fastLivenessCfg()), With(Config{StateFile: stateFile}))
+		With(virtualCfg()), With(Config{StateFile: stateFile}))
 	if err == nil {
 		t.Fatal("start over a corrupt state file succeeded")
 	}
@@ -236,7 +224,7 @@ func TestStateFileRoundTrip(t *testing.T) {
 // an identity and persists it before serving.
 func TestFirstBootWritesStateFile(t *testing.T) {
 	stateFile := filepath.Join(t.TempDir(), "netd.state")
-	d := startDurable(t, "127.0.0.1:0", stateFile)
+	d := startDurable(t, newManualClock(), "127.0.0.1:0", stateFile)
 	t.Cleanup(func() { d.srv.Close() })
 	data, err := os.ReadFile(stateFile)
 	if err != nil {
@@ -260,7 +248,7 @@ func restart(t *testing.T, path string) (*Server, error) {
 		t.Fatal(err)
 	}
 	obj, _ := singleton.Export(env, sctest.CounterMT, (&sctest.Counter{}).Skeleton(), nil)
-	srv, err := Start(k.NewDomain("F-netd"), "127.0.0.1:0", With(fastLivenessCfg()),
+	srv, err := Start(k.NewDomain("F-netd"), "127.0.0.1:0", With(virtualCfg()),
 		With(Config{StateFile: path, Rebinder: RootRebinder(map[string]*core.Object{"counter": obj})}))
 	if err == nil {
 		t.Cleanup(func() { srv.Close() })

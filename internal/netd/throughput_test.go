@@ -252,12 +252,7 @@ func TestSlowHandlerIsolation(t *testing.T) {
 	// counts a hit after it has sent the reply, so the last one may land a
 	// moment after the caller has returned; a spawned call never counts.)
 	hits := func() int64 { return scstats.GaugeFor("dispatch.inline_hits").Value() - inline0 }
-	for deadline := time.Now().Add(time.Second); hits() < 40 && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
-	if d := hits(); d < 40 {
-		t.Fatalf("inline fast path served %d of the 40 calls made beside the blocked handlers, want all 40", d)
-	}
+	until(t, "the inline fast path to serve all 40 calls made beside the blocked handlers", func() bool { return hits() >= 40 })
 
 	close(gate)
 	slowErrs.Wait()

@@ -201,7 +201,7 @@ func TestGarbageConnectionIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = conn.Close()
-	time.Sleep(10 * time.Millisecond)
+	until(t, "the server to drop the connection", func() bool { return connsOf(srv) == 0 })
 
 	// The server still serves roots.
 	app := k.NewDomain("app")
