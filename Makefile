@@ -107,7 +107,9 @@ bench:
 # unix socket make no array either; and the E28 counts of the write
 # path — an idle connection is one goroutine, a null call is one write each
 # way, a caller writes one batch and no more, sixteen 64 KiB requests
-# whose handlers do not block make GOMAXPROCS + 2 arrays; and the socket
+# whose handlers do not block make GOMAXPROCS + 2 arrays, and sixteen
+# blocked on a held fsync at most eight, each handing its request back
+# before it waits (E48); and the socket
 # layer's writev allocates nothing (E31); and a dispatch engine's queued
 # item allocates nothing once its heap has grown, Run only its closures
 # (E32); and a control-plane tick over a steady table allocates nothing
@@ -120,7 +122,7 @@ bench:
 # in fails tier2. -run exits 0 for a name that matches nothing, so the
 # list is checked against go test -list first: a guard that was renamed or
 # deleted fails the target instead of silently no longer running.
-GUARDS = TestServedReadWriteAllocs|TestServedMixedReadAllocs|TestReplyIsFrame|TestLargeFrameBypassesBatch|TestBorrowedBytesNotRetained|TestSequentialGrowthCopiesLinear|TestDurableWriteAllocs|TestGroupCommitGroups|TestLoneDurableWriteDoesNotLinger|TestSmallCallsDoNotPinLargeArrays|TestGrowthBorrowsIdleLarge|TestReserveBorrowsIdleLarge|TestSameMachineReadWriteAllocs|TestFramePrependAllocs|TestIdleConnGoroutines|TestNullCallOneFlushEachWay|TestFlusherNotCaptive|TestBulkBurstHandsOff|TestWritevAllocs|TestRunAllocs|TestSubmitAllocs|TestProtoTickAllocs|TestRecordCostGuard|TestRecordAllocs|TestTrimReleasesIdleLarge|TestTrimKeepsWorkingSet|TestFlusherHandOffAllocs
+GUARDS = TestServedReadWriteAllocs|TestServedMixedReadAllocs|TestReplyIsFrame|TestLargeFrameBypassesBatch|TestBorrowedBytesNotRetained|TestSequentialGrowthCopiesLinear|TestDurableWriteAllocs|TestGroupCommitGroups|TestLoneDurableWriteDoesNotLinger|TestSmallCallsDoNotPinLargeArrays|TestGrowthBorrowsIdleLarge|TestReserveBorrowsIdleLarge|TestSameMachineReadWriteAllocs|TestFramePrependAllocs|TestIdleConnGoroutines|TestNullCallOneFlushEachWay|TestFlusherNotCaptive|TestBulkBurstHandsOff|TestWritevAllocs|TestRunAllocs|TestSubmitAllocs|TestProtoTickAllocs|TestRecordCostGuard|TestRecordAllocs|TestTrimReleasesIdleLarge|TestTrimKeepsWorkingSet|TestFlusherHandOffAllocs|TestBlockingBurstHandsBack
 GUARD_PKGS = ./internal/netd/ ./internal/filesys/ ./internal/buffer/ ./internal/sock/ ./internal/dispatch/ ./internal/scstats/
 
 bench-quick:

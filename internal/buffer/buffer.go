@@ -563,6 +563,22 @@ func (b *Buffer) CommitBytes(p []byte) {
 	}
 }
 
+// Spent says the stream is dead before the buffer is Put (a request whose
+// arguments are consumed): as in CommitBytes' exchange, a pooled buffer on a
+// large array moves onto an empty small one, the large one idle at once.
+func (b *Buffer) Spent() {
+	if b == nil || b.home != &pool || !b.Large() {
+		return
+	}
+	if b.store != nil {
+		b.data, b.store = b.store, nil
+	}
+	s := Get(0)
+	b.data, s.data, b.rpos = s.data[:0], b.data[:0], 0
+	b.front, s.front = s.front, b.front
+	Put(s)
+}
+
 // WriteRaw appends p with no length prefix.
 func (b *Buffer) WriteRaw(p []byte) {
 	if cap(b.data)-len(b.data) < len(p) {

@@ -283,6 +283,52 @@ func TestExchangePoisonsBothArrays(t *testing.T) {
 	Put(b)
 }
 
+func TestSpentHandsBackLarge(t *testing.T) {
+	// A request frame whose arguments are consumed gives its array back
+	// while the buffer is still owned: the large array is idle (poisoned
+	// when poison is on) before Put, the buffer lies on a small array with
+	// its doors, and Put then files it small. The ledger moves as for
+	// CommitBytes' exchange: one small buffer drawn, one large put.
+	PoisonRecycled(true)
+	defer PoisonRecycled(false)
+	drainLarge()
+	frame := Get(testFrame)
+	frame.WriteUint64(42)
+	frame.WriteBytes(make([]byte, 64<<10))
+	frame.AppendDoor("door")
+	frame.Narrow(8, frame.Size()-8)
+	arg, _ := frame.ReadBytes()
+	array := base(frame.front)
+	before := Stats()
+	frame.Spent()
+	if idleLarge() != 1 || isLarge(cap(frame.data)) || frame.Len() != 0 || frame.DoorCount() != 1 {
+		t.Fatalf("after Spent: %d idle large, cap %d, %d bytes unread, %d doors; want 1, small, 0, 1",
+			idleLarge(), cap(frame.data), frame.Len(), frame.DoorCount())
+	}
+	if arg[0] != 0xDB {
+		t.Fatal("the handed-back array was not poisoned")
+	}
+	if d := Stats().Sub(before); d.Gets != 1 || d.Puts != 1 || d.LargeAllocs != 0 {
+		t.Fatalf("Spent moved the ledger by %+v", d)
+	}
+	if got := Get(testFrame); base(got.front) != array {
+		t.Fatal("the next large Get did not take the handed-back array")
+	} else {
+		Put(got)
+	}
+	frame.Spent() // small now: nothing to hand back
+	Put(frame)
+	if idleLarge() != 1 {
+		t.Fatalf("%d large buffers idle after Put, want the one handed back", idleLarge())
+	}
+
+	foreign := New(testFrame) // not the pool's: left alone
+	foreign.WriteRaw(make([]byte, testFrame))
+	if foreign.Spent(); foreign.Size() != testFrame {
+		t.Fatal("Spent touched a buffer the pool never handed out")
+	}
+}
+
 func TestPrepend(t *testing.T) {
 	b := Get(64)
 	b.WriteString("payload")

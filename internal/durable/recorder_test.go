@@ -32,6 +32,13 @@ type recorder struct {
 	// fail, when set, sees each call before it takes effect; an error it
 	// returns is the call's, and the call is neither made nor logged.
 	fail func(op) error
+	// synced, when set, runs at the end of each file Sync that took
+	// effect, outside the recorder's lock: a test can hold the syncer there,
+	// after its fsync began and before it returns.
+	synced func()
+	// torn makes crashes also cut each file's bytes past its last Sync at
+	// every 512-byte boundary: a sector-torn write.
+	torn bool
 }
 
 type inode struct{ data []byte }
@@ -269,8 +276,13 @@ func (f *memFile) Truncate(size int64) error {
 
 func (f *memFile) Sync() error {
 	f.r.mu.Lock()
-	defer f.r.mu.Unlock()
-	return f.r.record(op{kind: opSync, path: f.name, ino: f.ino})
+	err := f.r.record(op{kind: opSync, path: f.name, ino: f.ino})
+	synced := f.r.synced
+	f.r.mu.Unlock()
+	if err == nil && synced != nil {
+		synced()
+	}
+	return err
 }
 
 func (f *memFile) Close() error { return nil }
@@ -296,7 +308,8 @@ const maxUnsynced = 12
 // n calls of the log, for every n from from to the end of the log, and
 // returns how many disks it checked. A disk is a fresh recorder; it holds
 // what the synced calls made durable and any subset of the calls that no
-// sync has settled yet, namespace and data alike.
+// sync has settled yet, namespace and data alike — and with torn set, each
+// of those cut short at a sector boundary past a file's synced length.
 func (r *recorder) crashes(from int, check func(n int, disk *recorder)) int {
 	r.mu.Lock()
 	log := slices.Clone(r.log)
@@ -336,7 +349,6 @@ func (r *recorder) crashes(from int, check func(n int, disk *recorder)) int {
 			panic(fmt.Sprintf("recorder: %d calls unsettled at a cut, more than %d", len(open), maxUnsynced))
 		}
 		for kept := 0; kept < 1<<len(open); kept++ {
-			disk := newRecorder(r.base...)
 			d, ns, bytes := maps.Clone(dirs), maps.Clone(names), map[*inode][]byte{}
 			for ino, b := range data {
 				bytes[ino] = slices.Clone(b)
@@ -350,21 +362,39 @@ func (r *recorder) crashes(from int, check func(n int, disk *recorder)) int {
 					applyName(o, d, ns)
 				}
 			}
-			for dir := range d {
-				if reachable(dir, d) {
-					disk.dirs[dir] = true
-				}
-			}
-			for name, ino := range ns {
-				if disk.dirs[filepath.Dir(name)] {
-					disk.names[name] = &inode{data: slices.Clone(bytes[ino])}
-				}
-			}
-			check(n, disk)
+			check(n, r.disk(d, ns, bytes))
 			disks++
+			for ino, b := range bytes {
+				for cut := (len(data[ino])/sector + 1) * sector; r.torn && cut < len(b); cut += sector {
+					torn := maps.Clone(bytes)
+					torn[ino] = b[:cut]
+					check(n, r.disk(d, ns, torn))
+					disks++
+				}
+			}
 		}
 	}
 	return disks
+}
+
+// sector is the unit a torn write is cut at.
+const sector = 512
+
+// disk builds the recorder that holds the directories dirs, the names ns
+// and each file's bytes.
+func (r *recorder) disk(dirs map[string]bool, ns map[string]*inode, bytes map[*inode][]byte) *recorder {
+	disk := newRecorder(r.base...)
+	for dir := range dirs {
+		if reachable(dir, dirs) {
+			disk.dirs[dir] = true
+		}
+	}
+	for name, ino := range ns {
+		if disk.dirs[filepath.Dir(name)] {
+			disk.names[name] = &inode{data: slices.Clone(bytes[ino])}
+		}
+	}
+	return disk
 }
 
 // applyName makes the namespace op o durable in dirs and names.

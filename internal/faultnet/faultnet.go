@@ -30,13 +30,14 @@
 // direction silently discards writes, exactly like packets dropped on the
 // floor — the stream is no longer trustworthy afterwards and the protocol
 // above is expected to detect the loss and redial. Sever takes effect at
-// the next Read/Write call boundary, which for length-prefixed protocols
-// is a frame boundary.
+// the next Write call boundary (a frame boundary for length-prefixed
+// protocols), and at once for a reader blocked in the socket.
 package faultnet
 
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/sock"
@@ -59,8 +60,9 @@ type Net struct {
 	severIn    bool // stall reads on wrapped conns
 	severOut   bool // discard writes on wrapped conns
 	delay      time.Duration
-	truncate   bool // truncate the next write mid-way, then kill the conn
-	killAfterW int  // countdown of writes until a hard kill; <0 disarmed
+	truncate   bool         // truncate the next write mid-way, then kill the conn
+	killAfterW int          // countdown of writes until a hard kill; <0 disarmed
+	pokes      atomic.Int64 // read-deadline pokes so far
 	conns      map[*Conn]struct{}
 }
 
@@ -99,7 +101,17 @@ func (n *Net) SetDelay(d time.Duration) {
 func (n *Net) SeverInbound() {
 	n.mu.Lock()
 	n.severIn = true
+	n.poke(time.Unix(1, 0))
 	n.mu.Unlock()
+}
+
+// poke sets every wrapped connection's read deadline, which is the fault
+// domain's, to t: past wakes blocked readers, zero lets them block. n.mu is held.
+func (n *Net) poke(t time.Time) {
+	n.pokes.Add(1)
+	for c := range n.conns {
+		_ = c.Stream.SetReadDeadline(t)
+	}
 }
 
 // SeverOutbound silently discards all writes on wrapped connections: the
@@ -116,6 +128,7 @@ func (n *Net) SeverOutbound() {
 func (n *Net) Partition() {
 	n.mu.Lock()
 	n.severIn, n.severOut = true, true
+	n.poke(time.Unix(1, 0))
 	n.mu.Unlock()
 }
 
@@ -123,6 +136,7 @@ func (n *Net) Partition() {
 func (n *Net) Heal() {
 	n.mu.Lock()
 	n.severIn, n.severOut = false, false
+	n.poke(time.Time{})
 	close(n.healed)
 	n.healed = make(chan struct{})
 	n.mu.Unlock()
@@ -259,22 +273,35 @@ type Conn struct {
 	sock.Stream
 	net    *Net
 	closed sync.Once
+	held   []byte // read as a sever came, delivered after Heal
 }
 
 // Read applies the inbound faults: stall while severed (waking on Heal
-// or Close), then delay, then the real read.
+// or Close), then delay, then the real read. A read a sever's poke ends
+// starts over and stalls, and keeps what it read meanwhile for after Heal.
 func (c *Conn) Read(p []byte) (int, error) {
 	for {
 		c.net.mu.Lock()
 		stalled := c.net.severIn
 		healed := c.net.healed
 		delay := c.net.delay
+		pokes := c.net.pokes.Load()
 		c.net.mu.Unlock()
 		if !stalled {
+			if len(c.held) > 0 {
+				n := copy(p, c.held)
+				c.held = c.held[n:]
+				return n, nil
+			}
 			if delay > 0 {
 				time.Sleep(delay)
 			}
-			return c.Stream.Read(p)
+			n, err := c.Stream.Read(p)
+			if c.net.pokes.Load() == pokes {
+				return n, err
+			}
+			c.held = append(c.held, p[:n]...)
+			continue
 		}
 		// Severed: hold the read until healed or the conn dies. Use a
 		// deadline poke so a Close from under us cannot strand the

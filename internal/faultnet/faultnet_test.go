@@ -105,6 +105,54 @@ func TestSeverInboundStallsAndHeals(t *testing.T) {
 	}
 }
 
+func TestSeverReachesBlockedReader(t *testing.T) {
+	// Only the client's end is wrapped, and its reader is already blocked
+	// in the socket when the partition comes: the next frame the raw end
+	// sends must not reach it until Heal, and after Heal reads block and
+	// deliver as before.
+	fn := New()
+	client, server := pipePair(t, fn)
+	got := make(chan string, 2)
+	go func() {
+		buf := make([]byte, 8)
+		for i := 0; i < 2; i++ {
+			n, err := client.Read(buf)
+			if err != nil {
+				got <- err.Error()
+				return
+			}
+			got <- string(buf[:n])
+		}
+	}()
+	time.Sleep(20 * time.Millisecond) // the reader is in the socket read
+	fn.Partition()
+	if _, err := server.Write([]byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case s := <-got:
+		t.Fatalf("a reader blocked before the partition read %q through it", s)
+	case <-time.After(100 * time.Millisecond):
+	}
+	fn.Heal()
+	for _, want := range []string{"after", "again"} {
+		select {
+		case s := <-got:
+			if s != want {
+				t.Fatalf("post-heal read = %q, want %q", s, want)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("no post-heal read of %q", want)
+		}
+		if want == "after" {
+			time.Sleep(20 * time.Millisecond) // the next read blocks
+			if _, err := server.Write([]byte("again")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 func TestSeverOutboundDiscards(t *testing.T) {
 	fn := New()
 	client, server := pipePair(t, fn)

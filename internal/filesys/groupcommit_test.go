@@ -15,10 +15,12 @@ import (
 	"time"
 
 	"repro/internal/buffer"
+	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/kernel"
 	"repro/internal/netd"
 	"repro/internal/scstats"
+	"repro/internal/stubs"
 )
 
 // Tests for natural group commit: no timer, the batch is whatever queued
@@ -33,14 +35,14 @@ type syncStub struct {
 
 func (f syncStub) Sync() error { return f.sync() }
 
-// openStubbedWAL opens a WAL over a fresh store whose log file's fsync is
-// replaced by sync. The committer reads w.f only after taking w.mu behind
-// the first append, so setting it here, before any mutation, is ordered
-// before it.
-func openStubbedWAL(t *testing.T, sync func() error) (*Store, *WAL) {
+// openStubbedWAL opens a WAL with opts over a fresh store whose log file's
+// fsync is replaced by sync. The committer reads w.f only after taking w.mu
+// behind the first append, so setting it here, before any mutation, is
+// ordered before it.
+func openStubbedWAL(t *testing.T, opts WALOptions, sync func() error) (*Store, *WAL) {
 	t.Helper()
 	s := NewStore()
-	w, err := OpenWAL(t.TempDir(), s, WALOptions{})
+	w, err := OpenWAL(t.TempDir(), s, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,47 +64,34 @@ func TestGroupCommitGroups(t *testing.T) {
 	// pair commits fifteen — so the bar is put on the median pair past the
 	// ramp, and the mean over the same fsyncs may fall short of it by no more
 	// than one record. Behind a pool of GOMAXPROCS workers the same load
-	// shared fsyncs two at a time.
+	// shared fsyncs two at a time. The race detector multiplies the CPU a
+	// call costs several times over, so under it the fsync is four times
+	// as long: a writer's way back into the queue must fit in the other
+	// group's fsync, as it does at full speed, for the bars to measure
+	// group commit and not the detector.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	const writers, rounds, ramp, pairs = 16, 50, 5, 30
+	fsync := time.Millisecond
+	if raceEnabled {
+		fsync *= 4
+	}
 	inflight := scstats.GaugeFor("netd.serve_inflight")
-	// The committer is the only goroutine that moves wal.appends, and it
-	// calls the stub before counting the batch it is about to sync: the
+	// wal.appends moves when an fsync acknowledges what was written before
+	// it began (or a compaction, which these small records never wait
+	// for), and the committer calls the stub before it counts: the
 	// difference between two calls is the size of the batch between them.
 	var committed []int64
 	var peak atomic.Int64
-	store, _ := openStubbedWAL(t, func() error {
+	store, _ := openStubbedWAL(t, WALOptions{}, func() error {
 		committed = append(committed, gWALAppends.Value())
 		if n := inflight.Value(); n > peak.Load() {
 			peak.Store(n) // only the committer stores
 		}
-		time.Sleep(time.Millisecond)
+		time.Sleep(fsync)
 		return nil
 	})
 
-	start := func(name string) (*kernel.Kernel, *netd.Server) {
-		k := kernel.New(name)
-		srv, err := netd.Start(k.NewDomain(name+"-netd"), "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = srv.Close() })
-		return k, srv
-	}
-	ka, a := start("A")
-	kb, b := start("B")
-	a.PublishRoot("fs", NewServiceWithStore(env(t, ka, "A-fs"), store).Object())
-	root, err := b.ImportRootObject(env(t, kb, "B-app"), a.Addr(), "fs", FileSystemMT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	files := make([]File, writers)
-	for i := range files {
-		if files[i], err = (FileSystem{Obj: root}).Create(fmt.Sprintf("w%02d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
+	files := remoteFiles(t, store, writers)
 	committed = committed[:0] // the creates are acknowledged: the committer is idle
 	block := bytes.Repeat([]byte{0x5A}, 1<<10)
 	var wg sync.WaitGroup
@@ -143,12 +132,108 @@ func TestGroupCommitGroups(t *testing.T) {
 	t.Logf("%d handlers in flight at once; records per fsync: median %.1f, mean %.2f", peak.Load(), median, mean)
 }
 
+// remoteFiles serves store from machine A and creates n files in it from
+// machine B, over loopback TCP; B's proxies are returned.
+func remoteFiles(t *testing.T, store *Store, n int) []File {
+	t.Helper()
+	start := func(name string) (*kernel.Kernel, *netd.Server) {
+		k := kernel.New(name)
+		srv, err := netd.Start(k.NewDomain(name+"-netd"), "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = srv.Close() })
+		return k, srv
+	}
+	ka, a := start("A")
+	kb, b := start("B")
+	a.PublishRoot("fs", NewServiceWithStore(env(t, ka, "A-fs"), store).Object())
+	root, err := b.ImportRootObject(env(t, kb, "B-app"), a.Addr(), "fs", FileSystemMT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make([]File, n)
+	for i := range files {
+		if files[i], err = (FileSystem{Obj: root}).Create(fmt.Sprintf("w%02d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
+}
+
+func TestBlockingBurstHandsBack(t *testing.T) {
+	// Sixteen remote 64 KiB writes, all blocked on their group commit at
+	// once: the first fsync is held until the sixteenth handler is in the
+	// server. Blocked handlers are outside the hand-off's budget (E28), so
+	// holding each request frame across the fsync made one payload-sized
+	// array per writer, sixteen. Each now writes its record out and gives
+	// its frame back before it waits, and the burst makes a few. The
+	// client is in this process, so its calls are sent one at a time, and
+	// it marshals outside the pool: what is counted is the server's frames
+	// and one the client sends from.
+	const writers, size = 16, 64 << 10
+	var hold atomic.Bool
+	store, _ := openStubbedWAL(t, WALOptions{}, func() error {
+		for hold.Load() {
+			time.Sleep(50 * time.Microsecond)
+		}
+		time.Sleep(time.Millisecond)
+		return nil
+	})
+	files := remoteFiles(t, store, writers)
+	inflight := scstats.GaugeFor("netd.serve_inflight")
+	block := bytes.Repeat([]byte{0xA5}, size)
+	hold.Store(true)
+	buffer.Trim() // twice: no array is idle, so every array the burst
+	buffer.Trim() // needs at once is one it makes
+	before, logged := buffer.Stats(), gWALBytes.Value()
+	var wg sync.WaitGroup
+	errs := make([]error, writers)
+	for i, f := range files {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			args := buffer.New(size + 32)
+			args.WriteUint32(uint32(FileWriteOp))
+			args.WriteInt64(0)
+			args.WriteBytes(block)
+			call := core.NewCall(FileWriteOp)
+			call.SetArgs(args)
+			reply, err := f.Obj.Invoke(call)
+			if err == nil {
+				err = stubs.DecodeReply(reply, nil)
+			}
+			errs[i] = err
+		}()
+		// The next writer starts once this one is in the server and its
+		// record is on the log — or 20 ms on, where records wait for the
+		// held fsync to be written.
+		for start := time.Now(); inflight.Value() <= int64(i) ||
+			gWALBytes.Value() < logged+int64(i+1)*size && time.Since(start) < 20*time.Millisecond; {
+			if time.Since(start) > 10*time.Second {
+				t.Fatalf("%d of %d writers in the server after 10s", inflight.Value(), i+1)
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	hold.Store(false)
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	if d := buffer.Stats().Sub(before); d.LargeAllocs > writers/2 {
+		t.Errorf("%d payload-sized arrays made for %d writers blocked on their fsync, want at most %d", d.LargeAllocs, writers, writers/2)
+	} else {
+		t.Logf("%d payload-sized arrays for %d blocked writers", d.LargeAllocs, writers)
+	}
+}
+
 func TestLoneDurableWriteDoesNotLinger(t *testing.T) {
 	// One writer has nobody to share an fsync with, so waiting for company
 	// only adds to its latency — and the 200 µs the committer used to sleep
 	// came to over a millisecond under an idle runtime. With the fsync
 	// stubbed out, what is left is the hand-off to the committer and back.
-	s, _ := openStubbedWAL(t, func() error { return nil })
+	s, _ := openStubbedWAL(t, WALOptions{}, func() error { return nil })
 	st := mustCreate(t, s, "lone")
 	block := bytes.Repeat([]byte{0x33}, 1<<10)
 	lat := make([]time.Duration, 400)
@@ -160,6 +245,61 @@ func TestLoneDurableWriteDoesNotLinger(t *testing.T) {
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	if p50 := lat[len(lat)/2]; p50 >= 100*time.Microsecond {
 		t.Fatalf("a lone durable write with a free fsync takes %v at the median, want < 100µs", p50)
+	}
+}
+
+func TestCompactionAcknowledgesWritten(t *testing.T) {
+	// A payload record its writer wrote during the committer's fsync is on
+	// the log and covered by no fsync when the checkpoint after that fsync
+	// comes. The snapshot holds it, so the checkpoint acknowledges it —
+	// counted once, as one sync — and no further fsync of the log is made
+	// for it: the held fsync and the checkpoint's own after its truncate.
+	var hold atomic.Bool
+	var calls atomic.Int32
+	held, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	s, _ := openStubbedWAL(t, WALOptions{CompactBytes: 1}, func() error {
+		calls.Add(1)
+		if hold.CompareAndSwap(true, false) {
+			close(held)
+			<-release
+		}
+		return nil
+	})
+	t.Cleanup(free) // runs before the WAL's Close, which a held fsync would block
+	until := func(what string, done func() bool) {
+		for deadline := time.Now().Add(10 * time.Second); !done(); time.Sleep(50 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s did not happen", what)
+			}
+		}
+	}
+	// A create and a write, each leaving a log longer than the store: two
+	// checkpoints, both over before the fsync is held.
+	ckpts := gWALCompactions.Value()
+	st := mustCreate(t, s, "c")
+	payload := bytes.Repeat([]byte{0x3C}, 64<<10)
+	mustWrite(t, st, 0, payload)
+	until("the first two checkpoints", func() bool { return gWALCompactions.Value() >= ckpts+2 })
+	appends, syncs, ckpts := gWALAppends.Value(), gWALSyncs.Value(), gWALCompactions.Value()
+	hold.Store(true)
+	calls.Store(0)
+	done := make(chan error, 2)
+	go func() { _, err := st.write(0, []byte("small"), nil); done <- err }()
+	<-held
+	logged := gWALBytes.Value()
+	go func() { _, err := st.write(0, payload, nil); done <- err }()
+	until("the payload's write during the held fsync", func() bool { return gWALBytes.Value() >= logged+64<<10 })
+	free()
+	for range 2 {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	until("the second checkpoint", func() bool { return gWALCompactions.Value() > ckpts })
+	if a, y, c, n := gWALAppends.Value()-appends, gWALSyncs.Value()-syncs, gWALCompactions.Value()-ckpts, calls.Load(); a != 2 || y != 2 || c != 1 || n != 2 {
+		t.Fatalf("%d records acknowledged in %d syncs, %d checkpoints, %d fsyncs of the log; want 2, 2, 1, 2", a, y, c, n)
 	}
 }
 

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/buffer"
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/naming"
+	"repro/internal/stubs"
 	"repro/internal/subcontracts/caching"
 	"repro/internal/subcontracts/reconnectable"
 	"repro/internal/subcontracts/replicon"
@@ -56,7 +58,7 @@ func NewService(env *core.Env) *Service {
 // hook for stable storage (a store recovered through OpenWAL).
 func NewServiceWithStore(env *core.Env, store *Store) *Service {
 	return newService(env, store, func(st *fileState) (*core.Object, error) {
-		return simplex.Export(env, FileMT, NewFileSkeleton(env, fileImpl{st: st}), nil), nil
+		return simplex.Export(env, FileMT, serveFile(st, NewFileSkeleton(env, fileImpl{st: st})), nil), nil
 	})
 }
 
@@ -72,9 +74,34 @@ func NewCachingService(env *core.Env, manager string) *Service {
 // owned (typically WAL-recovered) store.
 func NewCachingServiceWithStore(env *core.Env, store *Store, manager string) *Service {
 	return newService(env, store, func(st *fileState) (*core.Object, error) {
-		skel := NewCacheableFileSkeleton(env, cacheableImpl{fileImpl{st: st}})
+		skel := serveFile(st, NewCacheableFileSkeleton(env, cacheableImpl{fileImpl{st: st}}))
 		obj, _ := caching.Export(env, CacheableFileMT, skel, manager, CacheableOps, InvalidatingOps, nil)
 		return obj, nil
+	})
+}
+
+// serveFile is every exporter's dispatch of a file's calls: write is served
+// with its request in hand, which fileState.write hands back before its
+// fsync wait; every other operation goes to skel.
+func serveFile(st *fileState, skel stubs.Skeleton) stubs.Skeleton {
+	return stubs.SkeletonFunc(func(op core.OpNum, args, results *buffer.Buffer) error {
+		if op != FileWriteOp {
+			return skel.Dispatch(op, args, results)
+		}
+		offset, err := args.ReadInt64()
+		if err != nil {
+			return err
+		}
+		data, err := args.ReadBytes()
+		if err != nil {
+			return err
+		}
+		n, err := st.write(offset, data, args)
+		if err != nil {
+			return err
+		}
+		results.WriteInt32(n)
+		return nil
 	})
 }
 
@@ -153,7 +180,7 @@ func (rs *ReplicatedService) groupFor(st *fileState) *replicon.Group {
 	impl := replicatedImpl{fileImpl: fileImpl{st: st}, size: g.Size}
 	var members []*replicon.Member
 	for i, env := range rs.replicas {
-		skel := NewReplicatedFileSkeleton(env, impl)
+		skel := serveFile(st, NewReplicatedFileSkeleton(env, impl))
 		m := g.Join(env, fmt.Sprintf("%s#%d", st.name, i), skel)
 		members = append(members, m)
 		if rs.memberHook != nil {
@@ -215,7 +242,7 @@ func NewReconnectableServiceWithStore(env *core.Env, ctx naming.Context, store *
 func bindName(file string) string { return "files:" + file }
 
 func (rs *ReconnectableService) exportFile(st *fileState) (*core.Object, error) {
-	skel := NewReconnectableFileSkeleton(rs.env, fileImpl{st: st})
+	skel := serveFile(st, NewReconnectableFileSkeleton(rs.env, fileImpl{st: st}))
 	obj, door, err := reconnectable.Export(rs.env, ReconnectableFileMT, skel, bindName(st.name), rs.ctx)
 	if err != nil {
 		return nil, err

@@ -18,13 +18,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.write(0, []byte("alpha"))
-	a.write(5, []byte("!"))
+	a.write(0, []byte("alpha"), nil)
+	a.write(5, []byte("!"), nil)
 	b, err := s.create("b/deep")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.write(2, []byte{0, 1, 2})
+	b.write(2, []byte{0, 1, 2}, nil)
 
 	restored := NewStore()
 	if err := restored.Restore(s.Snapshot()); err != nil {
@@ -65,7 +65,7 @@ func TestSnapshotQuick(t *testing.T) {
 			if i < len(payloads) {
 				p = payloads[i]
 			}
-			st.write(0, p)
+			st.write(0, p, nil)
 			want[name] = append([]byte(nil), p...)
 		}
 		restored := NewStore()
@@ -97,7 +97,7 @@ func TestSnapshotFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.write(0, []byte("durable"))
+	st.write(0, []byte("durable"), nil)
 	if err := s.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/buffer"
 	"repro/internal/stubs"
 )
 
@@ -147,8 +148,11 @@ func (st *fileState) extent(i, n int) []byte {
 // the record's group commit before acknowledging. The apply and the log
 // enqueue happen under the file lock — so log order matches apply order —
 // and the fsync wait happens outside it. data is borrowed (see FileServer):
-// apply copies it and the record references it only until wait returns.
-func (st *fileState) write(offset int64, data []byte) (int32, error) {
+// apply copies it and the record references it only until it is written.
+// req (or nil), the request data lies in, is handed back before the wait
+// once nothing refers to data: at once without a WAL, else after a payload
+// record's write (a small record's request is small anyway).
+func (st *fileState) write(offset int64, data []byte, req *buffer.Buffer) (int32, error) {
 	st.mu.Lock()
 	if err := st.apply(offset, data); err != nil {
 		st.mu.Unlock()
@@ -163,6 +167,12 @@ func (st *fileState) write(offset int64, data []byte) (int32, error) {
 		})
 	}
 	st.mu.Unlock()
+	if p == nil || len(data) >= walRefBytes {
+		if p != nil {
+			st.wal.flush()
+		}
+		req.Spent()
+	}
 	if err := p.wait(); err != nil {
 		return 0, err
 	}
@@ -288,7 +298,7 @@ func (f fileImpl) Read(offset int64, count int32, dst []byte) ([]byte, error) {
 // Write implements FileServer. With a WAL attached the write is
 // acknowledged only once its log record is fsynced (group commit).
 func (f fileImpl) Write(offset int64, data []byte) (int32, error) {
-	return f.st.write(offset, data)
+	return f.st.write(offset, data, nil)
 }
 
 // Version implements FileServer.

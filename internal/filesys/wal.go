@@ -4,14 +4,13 @@
 // reopens the same directory and replays the log over the latest snapshot
 // to recover exactly the acknowledged state.
 //
-// Commit is grouped: mutators enqueue their records and block while a
-// single committer goroutine takes whatever is queued, writes it and fsyncs
-// once, and then wakes every waiter in the batch — the same coalescing
-// shape as netd's connection writer (PR 3), applied to fsync cost instead
-// of syscall cost. There is no timer: the batch after this one gathers
-// while this one's fsync is in progress, so a lone writer pays one fsync
-// and n concurrent writers share one. E19 sweeps the batch cap against
-// throughput.
+// Records are written as they arrive and synced in groups: a committer
+// goroutine writes what is queued, fsyncs once and wakes every waiter whose
+// record was written before the fsync began, and a writer whose record
+// carries a payload writes the queue itself as soon as it has enqueued.
+// There is no timer: the batch after this one gathers while this one's
+// fsync is in progress, so a lone writer pays one fsync and n concurrent
+// writers share one. E19 sweeps the batch cap against throughput.
 //
 // On-disk format, per record:
 //
@@ -37,6 +36,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -97,7 +97,8 @@ var (
 // WALOptions tune the group-commit and compaction behavior. Zero fields
 // take the documented defaults.
 type WALOptions struct {
-	// MaxBatch caps the records fsynced together. Default 256.
+	// MaxBatch caps the queued records the committer writes before one
+	// fsync (payload writers may add theirs). Default 256.
 	MaxBatch int
 	// CompactBytes is the least log size that triggers a snapshot checkpoint
 	// and log truncation; the log is also let grow to the size of the store
@@ -126,7 +127,7 @@ type walRecord struct {
 }
 
 // walPending is one mutation waiting for its group commit. The data slice
-// is only referenced until the commit is signalled, so mutators can enqueue
+// is only referenced until the record is written, so mutators can enqueue
 // their argument bytes without copying. Pendings are pooled: done has room
 // for the one signal a commit sends, so it is left empty by the one wait
 // that receives it and the pending goes round again.
@@ -163,17 +164,20 @@ type WAL struct {
 	store *Store
 	opts  WALOptions
 
-	// The rest of this group belongs to the committer goroutine after
-	// OpenWAL: the log and its length; the records taken off the queue and
-	// the buffer they are framed in, both reused from one batch to the
-	// next; the log length the next checkpoint is due at; and the
-	// checkpoint's write buffer.
-	f         durable.File
-	size      int64
-	taken     []*walPending
-	batch     buffer.Buffer
+	// The committer's own: the records its fsync acknowledges, the log
+	// length the next checkpoint is due at and the checkpoint's buffer.
+	syncing   []*walPending
 	compactAt int64
 	ckpt      *bufio.Writer
+
+	// wmu orders writes to the log, never taken under a store or file lock;
+	// written is the records on it that no fsync has covered yet.
+	wmu     sync.Mutex
+	f       durable.File
+	size    int64
+	taken   []*walPending
+	batch   buffer.Buffer
+	written []*walPending
 
 	mu     sync.Mutex
 	queue  []*walPending
@@ -285,6 +289,13 @@ func (w *WAL) append(rec walRecord) *walPending {
 	return p
 }
 
+// flush writes what is queued, so the log refers to no caller's data.
+func (w *WAL) flush() {
+	w.wmu.Lock()
+	w.writeQueued(math.MaxInt)
+	w.wmu.Unlock()
+}
+
 // Close flushes every queued record, compacts the log into a snapshot,
 // and stops the committer. Mutations arriving after Close fail with
 // ErrWALClosed.
@@ -305,6 +316,8 @@ func (w *WAL) Close() error {
 
 	// The committer has drained and exited; checkpoint so restart needs
 	// no replay, then release the file.
+	w.wmu.Lock()
+	defer w.wmu.Unlock()
 	err := w.compact()
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
@@ -328,9 +341,7 @@ func (w *WAL) Kill() {
 	dropped := w.queue
 	w.queue = nil
 	w.mu.Unlock()
-	for _, p := range dropped {
-		p.finish(ErrWALClosed)
-	}
+	acknowledge(dropped, ErrWALClosed)
 	select {
 	case w.kick <- struct{}{}:
 	default:
@@ -340,40 +351,55 @@ func (w *WAL) Kill() {
 	gWALBytes.Add(-w.size)
 }
 
-// committer is the group-commit loop: wake on the first queued record and
-// commit whatever is queued, at most MaxBatch records at a time — one fsync
-// per batch — waking each batch's waiters; what arrives meanwhile is the
-// next batch. The queue's head moves into the committer's own slice and the
-// rest slides down, so neither array is ever let go of. Compaction runs
-// between batches, on this goroutine, so it never races a log append.
+// committer is the group-commit loop: write what is queued, at most
+// MaxBatch records, fsync once and acknowledge every record written before
+// the fsync began; compaction runs between fsyncs, on this goroutine.
 func (w *WAL) committer() {
 	defer close(w.done)
 	for {
-		<-w.kick
-		for {
-			w.mu.Lock()
-			if w.killed {
-				w.mu.Unlock()
-				return
+		w.wmu.Lock()
+		live := w.writeQueued(w.opts.MaxBatch)
+		w.written, w.syncing = w.syncing, w.written
+		w.wmu.Unlock()
+		if !live { // killed: nothing is written any more
+			acknowledge(w.syncing, ErrWALClosed)
+			return
+		}
+		if len(w.syncing) > 0 {
+			err := w.f.Sync()
+			if err != nil {
+				err = fmt.Errorf("filesys: wal sync: %w", err)
 			}
-			n := min(len(w.queue), w.opts.MaxBatch)
-			if n == 0 {
-				closed := w.closed
-				w.mu.Unlock()
-				if closed {
-					return
-				}
-				break
-			}
-			w.taken = append(w.taken[:0], w.queue[:n]...)
-			rest := copy(w.queue, w.queue[n:])
-			clear(w.queue[rest:])
-			w.queue = w.queue[:rest]
-			w.mu.Unlock()
-			w.commitBatch(w.taken)
+			w.syncing = acknowledge(w.syncing, err)
+			w.wmu.Lock()
 			w.maybeCompact()
+			w.wmu.Unlock()
+			continue
+		}
+		w.mu.Lock()
+		idle, closed := len(w.queue) == 0, w.closed
+		w.mu.Unlock()
+		if idle && closed {
+			return
+		}
+		if idle {
+			<-w.kick
 		}
 	}
+}
+
+// acknowledge reports the records in ps durable (err nil, counted as one
+// sync's) or lost, and returns ps emptied.
+func acknowledge(ps []*walPending, err error) []*walPending {
+	if err == nil && len(ps) > 0 {
+		gWALAppends.Add(int64(len(ps)))
+		gWALSyncs.Add(1)
+	}
+	for _, p := range ps {
+		p.finish(err)
+	}
+	clear(ps)
+	return ps[:0]
 }
 
 // A record's write data of walRefBytes or more is written to the log from
@@ -385,14 +411,21 @@ const (
 	walChunk    = 64 << 10
 )
 
-// commitBatch writes one batch of records — each framed once, in place, in
-// the committer's own batch buffer — follows it with a single fsync, and
-// wakes the waiters. A batch is usually one write; it is several when it
-// outgrows the buffer or carries data by reference. Nothing in the batch is
-// acknowledged before the fsync that follows the last write, and a crash
-// between two writes leaves a record cut short at the end of the log: the
-// torn tail replay truncates.
-func (w *WAL) commitBatch(batch []*walPending) {
+// writeQueued writes up to max queued records to the log in order, each
+// framed once, in place, and moves them to written with their data let go
+// of; a failed write fails them. Once killed it reports false. wmu is held.
+func (w *WAL) writeQueued(max int) bool {
+	w.mu.Lock()
+	if w.killed {
+		w.mu.Unlock()
+		return false
+	}
+	n := min(len(w.queue), max)
+	w.taken = append(w.taken[:0], w.queue[:n]...)
+	rest := copy(w.queue, w.queue[n:])
+	clear(w.queue[rest:])
+	w.queue = w.queue[:rest]
+	w.mu.Unlock()
 	out := &w.batch
 	out.Reset()
 	var wrote int64
@@ -407,35 +440,31 @@ func (w *WAL) commitBatch(batch []*walPending) {
 			err = fmt.Errorf("filesys: wal write: %w", werr)
 		}
 	}
-	for _, p := range batch {
+	for _, p := range w.taken {
 		ref := frameRecord(out, &p.rec)
 		if ref != nil || out.Size() >= walChunk {
 			write(out.Bytes())
 			write(ref)
 			out.Reset()
 		}
+		p.rec.data = nil
 	}
 	write(out.Bytes())
-	if err == nil {
-		if serr := w.f.Sync(); serr != nil {
-			err = fmt.Errorf("filesys: wal sync: %w", serr)
-		}
+	if err != nil {
+		acknowledge(w.taken, err)
+		return true
 	}
-	if err == nil {
-		w.size += wrote
-		gWALBytes.Add(wrote)
-		gWALAppends.Add(int64(len(batch)))
-		gWALSyncs.Add(1)
-	}
-	for _, p := range batch {
-		p.finish(err)
-	}
+	w.size += wrote
+	gWALBytes.Add(wrote)
+	w.written = append(w.written, w.taken...)
+	clear(w.taken)
+	return true
 }
 
 // maybeCompact checkpoints once the log is longer than both CompactBytes
 // and the store a checkpoint would write, which bounds the bytes
 // checkpoints add at the bytes logged. The store is only measured when the
-// log has passed the mark the last measurement set.
+// log has passed the mark the last measurement set. wmu is held.
 func (w *WAL) maybeCompact() {
 	if w.opts.CompactBytes <= 0 || w.size <= w.compactAt {
 		return
@@ -453,9 +482,10 @@ func (w *WAL) maybeCompact() {
 // previous snapshot survives any crash) and then truncates the log. Every
 // record in the log at this moment is already reflected in the store —
 // mutations apply in memory before they enqueue — so the snapshot
-// subsumes the log; a crash between the rename and the truncate replays
-// log records over a snapshot that already contains them, which the
-// idempotent record semantics absorb.
+// subsumes the log and acknowledges what no fsync has; a crash between the
+// rename and the truncate replays log records over a snapshot that
+// already contains them, which the idempotent record semantics absorb.
+// wmu is held.
 func (w *WAL) compact() error {
 	if w.ckpt == nil {
 		w.ckpt = bufio.NewWriterSize(nil, snapshotChunk)
@@ -476,6 +506,7 @@ func (w *WAL) compact() error {
 	gWALBytes.Add(-w.size)
 	w.size = 0
 	w.compactAt = w.opts.CompactBytes
+	w.written = acknowledge(w.written, nil)
 	gWALCompactions.Add(1)
 	return nil
 }
@@ -549,8 +580,10 @@ func decodeRecord(payload []byte) (walRecord, error) {
 // and the one record being checked — validating every record and, when
 // apply is set, applying each as it goes. It returns the number of valid
 // records and the byte length of the prefix they make up. A record cut off
-// by the end of the stream yields ErrTornLogTail; a complete-but-invalid
-// record yields ErrCorruptLog.
+// by the end of the stream yields ErrTornLogTail, and so does a hole a lost
+// unsynced write left (zeros for a header, or for a record's data by
+// reference), since no acknowledged record follows one; any other
+// complete-but-invalid record yields ErrCorruptLog.
 func scanLog(r io.Reader, total int64, apply func(*walRecord)) (n int, goodLen int64, err error) {
 	br := bufio.NewReaderSize(r, snapshotChunk)
 	var hdr [walHeaderSize]byte
@@ -565,6 +598,9 @@ func scanLog(r io.Reader, total int64, apply func(*walRecord)) (n int, goodLen i
 		}
 		plen := int64(binary.LittleEndian.Uint32(hdr[:]))
 		crc := binary.LittleEndian.Uint32(hdr[4:])
+		if plen == 0 && crc == 0 {
+			return n, off, fmt.Errorf("%w: zeros at offset %d, where a write was lost", ErrTornLogTail, off)
+		}
 		if plen > maxWALRecord {
 			return n, off, fmt.Errorf("%w: record length %d at offset %d", ErrCorruptLog, plen, off)
 		}
@@ -577,6 +613,10 @@ func scanLog(r io.Reader, total int64, apply func(*walRecord)) (n int, goodLen i
 			return n, off, fmt.Errorf("filesys: reading wal: %w", err)
 		}
 		if sum := crc32.ChecksumIEEE(payload); sum != crc {
+			if rec, err := decodeRecord(payload); err == nil && len(rec.data) >= walRefBytes &&
+				len(bytes.TrimLeft(rec.data, "\x00")) == 0 {
+				return n, off, fmt.Errorf("%w: the data at offset %d reads as zeros, its write lost", ErrTornLogTail, off)
+			}
 			return n, off, fmt.Errorf("%w: CRC mismatch at offset %d (stored %#x, computed %#x)",
 				ErrCorruptLog, off, crc, sum)
 		}

@@ -25,7 +25,7 @@ func mustCreate(t *testing.T, s *Store, name string) *fileState {
 
 func mustWrite(t *testing.T, st *fileState, off int64, data []byte) {
 	t.Helper()
-	if _, err := st.write(off, data); err != nil {
+	if _, err := st.write(off, data, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -216,7 +216,7 @@ func TestWALConcurrentWriters(t *testing.T) {
 		go func(g int, f *fileState) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				if _, err := f.write(0, []byte(fmt.Sprintf("%04d", i))); err != nil {
+				if _, err := f.write(0, []byte(fmt.Sprintf("%04d", i)), nil); err != nil {
 					errs[g] = err
 					return
 				}
